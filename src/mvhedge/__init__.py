@@ -26,7 +26,7 @@ from .opportunity import (
     MvtDiagnostics,
     OpportunitySurface,
     compute_opportunity,
-    efficient_value_process,
+    martingale_surface,
     measures,
     mvt_process,
     sharpe_ratio,
@@ -39,7 +39,6 @@ from .hedging import (
     compute_pure_hedge,
     fs_residual_check,
     hedging_error,
-    rollout_path,
     rollout_strategy,
 )
 from .oracle import (

@@ -4,6 +4,10 @@ Two evaluation modes: sampled (counter-based per-path randomness, so
 results are reproducible independently of evaluation order or worker
 count) and exact (every leaf weighted by its probability — the primary
 acceptance path, since the trees are finite).
+
+The baselines are special cases of the engine: gkw is the pure hedge on
+the martingale surface (L = 1, a_tilde = 0), and markowitz and fixed
+holdings are the feedback rollout with xi = 0 or a_tilde = 0.
 """
 from __future__ import annotations
 
@@ -13,10 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParameter, IncompatibleClaim
-from .hedging import HedgePlan, hedging_error, rollout_strategy
-from .linalg import pinv_psd
-from .opportunity import OpportunitySurface
-from .tree import ScenarioTree
+from .hedging import HedgePlan, compute_plan, hedging_error, rollout_strategy
+from .opportunity import OpportunitySurface, martingale_surface
+from .tree import Claim, ScenarioTree
 
 STRATEGY_KINDS = ("mvh", "pure_xi", "gkw", "markowitz")
 
@@ -39,8 +42,8 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
         raise BadParameter("need at least one path")
     cum: dict[int, tuple[np.ndarray, list[int]]] = {}
     for node in tree.nonterminal():
-        probs = tree.child_probs(node)
-        cum[node.id] = (np.cumsum(probs), [c for c, _ in node.children])
+        kids, probs, _ = tree.step(node)
+        cum[node.id] = (np.cumsum(probs), kids.tolist())
     out = []
     for i in range(n):
         bg = np.random.Philox(key=seed, counter=[0, 0, i, 0])
@@ -59,66 +62,30 @@ def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
 
     mvh       feedback-optimal strategy
     pure_xi   pure hedge coefficient, no feedback
-    gkw       martingale-style hedge: conditional expectation of the
-              payoff under P and unweighted regression of its increments
-              on price increments (L forced to 1 throughout)
+    gkw       martingale-style hedge: the pure hedge on the martingale
+              surface, i.e. the conditional expectation of the payoff
+              under P and its unweighted regression on price increments
     markowitz pure investment of the running deficit, requires a
               constant claim
     """
-    n = len(tree.nodes)
-    d = tree.num_assets
+    if kind not in STRATEGY_KINDS:
+        raise BadParameter(f"unknown strategy kind {kind!r}")
     if kind == "mvh":
-        phi, _ = rollout_strategy(tree, surf, plan, v0)
-        return phi
+        return rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, v0)[0]
     if kind == "pure_xi":
         return plan.xi.copy()
+    h = plan.V[[leaf.id for leaf in tree.leaves()]]
     if kind == "gkw":
-        V = plan.V.copy()
-        phi = np.full((n, d), np.nan)
-        for t in range(tree.horizon - 1, -1, -1):
-            for node in tree.nodes_at(t):
-                probs = tree.child_probs(node)
-                deltas = tree.increments(node)
-                child_V = np.array([V[c] for c, _ in node.children])
-                V[node.id] = float(probs @ child_V)
-                c_u = (deltas.T * probs) @ deltas
-                d_u = deltas.T @ (probs * (child_V - V[node.id]))
-                phi[node.id] = pinv_psd(c_u) @ d_u
-        return phi
-    if kind == "markowitz":
-        leaves = tree.leaves()
-        h = np.array([plan.V[leaf.id] for leaf in leaves])
-        if np.max(np.abs(h - h[0])) > 1e-12 * max(1.0, np.max(np.abs(h))):
-            raise IncompatibleClaim("markowitz strategy requires a constant claim")
-        target = float(h[0])
-        phi = np.full((n, d), np.nan)
-        G = np.full(n, np.nan)
-        G[0] = v0
-        for node in tree.nonterminal():
-            i = node.id
-            phi[i] = (target - G[i]) * surf.a_tilde[i]
-            deltas = tree.increments(node)
-            for (cid, _), g in zip(node.children, deltas @ phi[i]):
-                G[cid] = G[i] + g
-        return phi
-    raise BadParameter(f"unknown strategy kind {kind!r}")
-
-
-def _terminal_wealth(tree: ScenarioTree, holdings: np.ndarray, v0: float) -> np.ndarray:
-    """Wealth at every node from fixed per-node holdings."""
-    G = np.full(len(tree.nodes), np.nan)
-    G[0] = v0
-    for node in tree.nonterminal():
-        deltas = tree.increments(node)
-        for (cid, _), g in zip(node.children, deltas @ holdings[node.id]):
-            G[cid] = G[node.id] + g
-    return G
+        return compute_plan(tree, martingale_surface(tree), Claim(payoff=h)).xi
+    if np.max(np.abs(h - h[0])) > 1e-12 * max(1.0, np.max(np.abs(h))):
+        raise IncompatibleClaim("markowitz strategy requires a constant claim")
+    return rollout_strategy(tree, 0.0, float(h[0]), surf.a_tilde, v0)[0]
 
 
 def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, holdings: np.ndarray,
                    v0: float) -> float:
     """Full-tree expectation of the squared terminal hedging error."""
-    G = _terminal_wealth(tree, holdings, v0)
+    _, G = rollout_strategy(tree, holdings, 0.0, 0.0, v0)
     probs = tree.node_probs()
     total = 0.0
     for leaf in tree.leaves():
@@ -144,7 +111,7 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
         )
     if paths is None:
         raise BadParameter("sampled mode requires paths")
-    G = _terminal_wealth(tree, holdings, v0)
+    _, G = rollout_strategy(tree, holdings, 0.0, 0.0, v0)
     errs = np.array([(G[leaf] - plan.V[leaf]) ** 2 for leaf in paths])
     mean = float(np.mean(errs))
     std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0

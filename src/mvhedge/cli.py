@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -51,6 +52,17 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
         raise BadParameter(f"unknown {where} keys: {sorted(unknown)}")
 
 
+@contextmanager
+def _typed(where: str):
+    """Turn a TypeError/ValueError from a mistyped config value into a BadParameter."""
+    try:
+        yield
+    except BadParameter:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise BadParameter(f"bad {where} value: {exc}") from exc
+
+
 def load_config(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
@@ -67,16 +79,18 @@ def build_model(cfg: dict) -> ScenarioTree:
     if kind not in _MODEL_KEYS:
         raise BadParameter(f"unknown model type {kind!r}")
     _reject_unknown(cfg, _MODEL_KEYS[kind], "model")
-    if kind == "binomial":
-        return build_binomial(cfg["s0"], cfg["up"], cfg["down"], cfg["p_up"], cfg["periods"])
-    if kind == "iid":
-        incs = [(inc["delta"], inc["p"]) for inc in cfg["increments"]]
-        return build_iid_multinomial(cfg["s0"], incs, cfg["periods"], cfg.get("mode", "additive"))
-    regimes = [[(inc["delta"], inc["p"]) for inc in law] for law in cfg["regimes"]]
-    return build_regime_switching(
-        cfg["s0"], regimes, cfg["transition"], cfg["initial_regime"],
-        cfg["periods"], cfg.get("mode", "additive"),
-    )
+    with _typed("model"):
+        if kind == "binomial":
+            return build_binomial(cfg["s0"], cfg["up"], cfg["down"], cfg["p_up"], cfg["periods"])
+        if kind == "iid":
+            incs = [(inc["delta"], inc["p"]) for inc in cfg["increments"]]
+            return build_iid_multinomial(cfg["s0"], incs, cfg["periods"],
+                                         cfg.get("mode", "additive"))
+        regimes = [[(inc["delta"], inc["p"]) for inc in law] for law in cfg["regimes"]]
+        return build_regime_switching(
+            cfg["s0"], regimes, cfg["transition"], cfg["initial_regime"],
+            cfg["periods"], cfg.get("mode", "additive"),
+        )
 
 
 def build_claim(tree: ScenarioTree, cfg: dict) -> Claim:
@@ -86,9 +100,10 @@ def build_claim(tree: ScenarioTree, cfg: dict) -> Claim:
     if kind not in _CLAIM_KEYS:
         raise BadParameter(f"unknown claim type {kind!r}")
     _reject_unknown(cfg, _CLAIM_KEYS[kind], "claim")
-    if kind == "per_leaf":
-        return attach_claim(tree, "per_leaf", values=cfg["values"])
-    return attach_claim(tree, kind, strike=cfg["strike"])
+    with _typed("claim"):
+        if kind == "per_leaf":
+            return attach_claim(tree, "per_leaf", values=cfg["values"])
+        return attach_claim(tree, kind, strike=cfg["strike"])
 
 
 def _resolve_v0(v0_cfg, plan) -> float:
@@ -181,7 +196,8 @@ def _check_line(name: str, node, engine: float, target: float, tol: float) -> bo
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    tol = args.tol if args.tol is not None else float(config.get("tol", 1e-9))
+    with _typed("tol"):
+        tol = args.tol if args.tol is not None else float(config.get("tol", 1e-9))
     tree, claim, surf, plan = _setup(config)
     mea = opportunity.measures(tree, surf)
     probs = tree.node_probs()
@@ -191,7 +207,7 @@ def cmd_verify(args) -> int:
     lsq = oracle.lsq_projection(tree, claim, "free")
     ok &= _check_line("lsq_v0", 0, plan.v0, lsq.v0_opt, tol)
     ok &= _check_line("lsq_min_error", 0, report.total_error, lsq.min_error, tol)
-    _, G = hedging.rollout_strategy(tree, surf, plan, plan.v0)
+    _, G = hedging.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
     scale = max(1.0, float(np.max(np.abs(claim.payoff))))
     worst = int(np.argmax(np.abs(G - lsq.value_process)))
     ok &= _check_line(
@@ -213,8 +229,7 @@ def cmd_verify(args) -> int:
 
     for node in tree.nonterminal():
         i = node.id
-        deltas = tree.increments(node)
-        p = tree.child_probs(node)
+        kids, p, deltas = tree.step(node)
         ok &= _check_line("cor320_tilde", i,
                           float(np.max(np.abs(surf.c_tilde_sstar[i] @ surf.a_tilde[i]
                                               - surf.b_sstar[i]))), 0.0, tol)
@@ -228,15 +243,12 @@ def cmd_verify(args) -> int:
         ok &= _check_line("qstar_mass", i, float(p @ mea.qstar_w[i]), 1.0, tol)
         ok &= _check_line("qstar_drift", i,
                           float(np.max(np.abs(deltas.T @ (p * mea.qstar_w[i])))), 0.0, tol)
-        child_L = np.array([surf.L[c] for c, _ in node.children])
-        fact = (child_L / surf.m0[i]) * mea.nstar_f[i]
+        fact = (surf.L[kids] / surf.m0[i]) * mea.nstar_f[i]
         ok &= _check_line("lemma323", i, float(np.max(np.abs(fact - mea.qstar_w[i]))), 0.0, tol)
 
     ok &= _check_line("fs_residual", 0,
                       hedging.fs_residual_check(tree, surf, plan) / scale, 0.0, tol)
-    submart = min(
-        float(surf.m0[node.id] - surf.L[node.id]) for node in tree.nonterminal()
-    )
+    submart = float(np.nanmin(surf.m0 - surf.L))
     ok &= _check_line("L_submartingale", 0, min(submart, 0.0), 0.0, tol)
     time_mass = max(
         abs(sum(probs[n.id] for n in tree.nodes_at(t)) - 1.0) for t in range(tree.horizon + 1)
@@ -262,8 +274,9 @@ def cmd_backtest(args) -> int:
     v0 = _resolve_v0(args.v0 if args.v0 is not None else config.get("v0"), plan)
     strategies = config.get("strategies", ["mvh", "pure_xi", "gkw"])
     exact = args.exact or bool(config.get("exact", False))
-    seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-    n_paths = args.paths if args.paths is not None else int(config.get("paths", 10000))
+    with _typed("seed or paths"):
+        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        n_paths = args.paths if args.paths is not None else int(config.get("paths", 10000))
     paths = None if exact else bt.sample_paths(tree, n_paths, seed)
     reports = [
         bt.run_strategy(tree, surf, plan, kind, v0, paths=paths, exact=exact)
@@ -327,8 +340,9 @@ def cmd_inspect(args) -> int:
         print("id,child,qstar_w,pstar_p")
         for node in tree.nonterminal():
             i = node.id
-            for k, (cid, _) in enumerate(node.children):
-                print(f"{i},{cid},{_fmt(mea.qstar_w[i][k])},{_fmt(mea.pstar_p[i][k])}")
+            kids, _, _ = tree.step(node)
+            for cid, qw, pp in zip(kids, mea.qstar_w[i], mea.pstar_p[i]):
+                print(f"{i},{cid},{_fmt(qw)},{_fmt(pp)}")
     else:
         raise BadParameter(f"unknown inspect field {field!r}")
     return EXIT_OK

@@ -11,7 +11,8 @@ class NotSymmetric(ValueError):
 
 class DegenerateStep(RuntimeError):
     """A one-step market admits a riskless nonzero return (no signed
-    martingale measure exists); carries the offending node id."""
+    martingale measure exists), or is too ill-conditioned for the
+    recursion's identities to hold; carries the offending node id."""
 
     def __init__(self, node_id: int):
         self.node_id = node_id

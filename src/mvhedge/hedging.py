@@ -3,7 +3,7 @@
 The mean value process V is the claim's conditional "price" under the
 variance-optimal signed measure, computed backward with the one-step
 weights p_k (L_k/L_n)(1 - a_tilde' d_k); these sum to 1 at every node, a
-consequence of the opportunity recursion that is asserted, not assumed.
+consequence of the opportunity recursion that is checked, not assumed.
 The pure hedge coefficient xi regresses V-increments on price increments
 in the L-weighted one-step geometry, and the optimal strategy corrects
 xi by the running surplus: phi = xi - (wealth - V) a_tilde.
@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import DegenerateStep
 from .linalg import pinv_psd
 from .opportunity import OpportunitySurface
 from .tree import Claim, ScenarioTree, claim_at
@@ -48,27 +49,21 @@ class HedgeReport:
     slice_error: dict[int, float] = field(default_factory=dict)
 
 
-def _scale(values: np.ndarray) -> float:
-    return max(1.0, float(np.max(np.abs(values))))
-
-
 def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface, claim: Claim) -> np.ndarray:
     """Backward recursion V(n) = sum_k p_k (L_k/L_n)(1 - a_tilde' d_k) V_k
-    with V(leaf) = payoff."""
+    with V(leaf) = payoff.
+
+    Raises DegenerateStep when the one-step weights at a node do not sum
+    to 1 within WEIGHT_SUM_TOL."""
     V = claim_at(tree, claim)
     for t in range(tree.horizon - 1, -1, -1):
         for node in tree.nodes_at(t):
             i = node.id
-            probs = tree.child_probs(node)
-            deltas = tree.increments(node)
-            child_L = np.array([surf.L[c] for c, _ in node.children])
-            w = probs * (child_L / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
-            total = float(np.sum(w))
-            assert abs(total - 1.0) <= WEIGHT_SUM_TOL, (
-                f"one-step weights at node {i} sum to {total!r}"
-            )
-            child_V = np.array([V[c] for c, _ in node.children])
-            V[i] = float(w @ child_V)
+            kids, probs, deltas = tree.step(node)
+            w = probs * (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
+            if not abs(float(np.sum(w)) - 1.0) <= WEIGHT_SUM_TOL:
+                raise DegenerateStep(i)
+            V[i] = float(w @ V[kids])
     return V
 
 
@@ -80,12 +75,8 @@ def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarr
     dbar_u = np.full((n, d), np.nan)
     for node in tree.nonterminal():
         i = node.id
-        probs = tree.child_probs(node)
-        deltas = tree.increments(node)
-        child_L = np.array([surf.L[c] for c, _ in node.children])
-        child_V = np.array([V[c] for c, _ in node.children])
-        w = probs * child_L
-        dbar_u[i] = deltas.T @ (w * (child_V - V[i]))
+        kids, probs, deltas = tree.step(node)
+        dbar_u[i] = deltas.T @ (probs * surf.L[kids] * (V[kids] - V[i]))
         xi[i] = pinv_psd(surf.cbar_u[i]) @ dbar_u[i]
     return HedgePlan(V=V, xi=xi, dbar_u=dbar_u)
 
@@ -95,40 +86,28 @@ def compute_plan(tree: ScenarioTree, surf: OpportunitySurface, claim: Claim) -> 
     return compute_pure_hedge(tree, surf, compute_mean_value(tree, surf, claim))
 
 
-def rollout_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
-                     v0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Forward feedback rollout over the whole tree.
+def rollout_strategy(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Forward feedback rollout phi = xi - (wealth - V) a over the whole tree.
 
+    xi, V and a are per-node arrays or constants: (plan.xi, plan.V,
+    a_tilde) is the optimal strategy, (0, target, a_tilde) pure
+    investment toward a constant target, (holdings, 0, 0) fixed holdings.
     Because the tree is a path tree, the wealth at a node is determined
     by its root path, so per-node holdings and wealth are well defined.
     Returns (phi, G): phi[n] is the holding chosen at node n (NaN at
     terminal nodes), G[n] the wealth on arrival at node n.
     """
-    n = len(tree.nodes)
-    phi = np.full((n, tree.num_assets), np.nan)
+    n, d = len(tree.nodes), tree.num_assets
+    xi, V, a = np.broadcast_to(xi, (n, d)), np.broadcast_to(V, (n,)), np.broadcast_to(a, (n, d))
+    phi = np.full((n, d), np.nan)
     G = np.full(n, np.nan)
     G[0] = v0
     for node in tree.nonterminal():
         i = node.id
-        phi[i] = plan.xi[i] - (G[i] - plan.V[i]) * surf.a_tilde[i]
-        deltas = tree.increments(node)
-        gains = deltas @ phi[i]
-        for (cid, _), g in zip(node.children, gains):
-            G[cid] = G[i] + g
+        phi[i] = xi[i] - (G[i] - V[i]) * a[i]
+        kids, _, deltas = tree.step(node)
+        G[kids] = G[i] + deltas @ phi[i]
     return phi, G
-
-
-def rollout_path(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
-                 v0: float, path: list[int]) -> tuple[list[np.ndarray], list[float]]:
-    """Feedback rollout along a single root-to-leaf node path."""
-    holdings = []
-    wealth = [v0]
-    for parent, child in zip(path, path[1:]):
-        g = wealth[-1]
-        h = plan.xi[parent] - (g - plan.V[parent]) * surf.a_tilde[parent]
-        holdings.append(h)
-        wealth.append(g + float(tree.increment(parent, child) @ h))
-    return holdings, wealth
 
 
 def hedging_error(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
@@ -142,11 +121,9 @@ def hedging_error(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
     e = np.full(n, np.nan)
     for node in tree.nonterminal():
         i = node.id
-        probs = tree.child_probs(node)
-        child_L = np.array([surf.L[c] for c, _ in node.children])
-        child_V = np.array([plan.V[c] for c, _ in node.children])
-        dv = child_V - plan.V[i]
-        e[i] = float(probs * child_L @ (dv * dv)) - float(plan.dbar_u[i] @ plan.xi[i])
+        kids, probs, _ = tree.step(node)
+        dv = plan.V[kids] - plan.V[i]
+        e[i] = float(probs * surf.L[kids] @ (dv * dv)) - float(plan.dbar_u[i] @ plan.xi[i])
     probs = tree.node_probs()
     endowment = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
     slice_error: dict[int, float] = {}
@@ -174,12 +151,9 @@ def fs_residual_check(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
     worst = 0.0
     for node in tree.nonterminal():
         i = node.id
-        probs = tree.child_probs(node)
-        deltas = tree.increments(node)
-        child_L = np.array([surf.L[c] for c, _ in node.children])
-        child_V = np.array([plan.V[c] for c, _ in node.children])
-        pstar = probs * child_L / surf.m0[i]
-        resid = (child_V - plan.V[i]) - deltas @ plan.xi[i]
+        kids, probs, deltas = tree.step(node)
+        pstar = probs * surf.L[kids] / surf.m0[i]
+        resid = (plan.V[kids] - plan.V[i]) - deltas @ plan.xi[i]
         r = deltas.T @ (pstar * resid)
         worst = max(worst, float(np.max(np.abs(r))))
     return worst

@@ -53,17 +53,14 @@ def pinv_psd(m: np.ndarray) -> np.ndarray:
     d = m.shape[0]
     if d == 0:
         return m.copy()
-    sym = 0.5 * (m + m.T)
+    # an exactly symmetric input is its own symmetric part; not copying it
+    # keeps one (d, d) array fewer alive through eigh on the oracle's large solves
+    sym = m if asym == 0.0 else 0.5 * (m + m.T)
     lam, vec = np.linalg.eigh(sym)
     cutoff = d * EIG_TRUNCATION * np.max(np.abs(lam)) if lam.size else 0.0
     inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
     out = (vec * inv) @ vec.T
     return 0.5 * (out + out.T)
-
-
-def solve_psd(m: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm solution of m @ x = rhs via the PSD pseudoinverse."""
-    return pinv_psd(m) @ np.asarray(rhs, dtype=float)
 
 
 def weighted_moments(weights: np.ndarray, increments: np.ndarray) -> OneStepMoments:

@@ -17,6 +17,7 @@ derives from these two objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,24 +33,42 @@ class OpportunitySurface:
     """Per-node outputs of the backward recursion.
 
     Arrays are indexed by node id; entries that only exist at
-    non-terminal nodes are NaN at terminal nodes.  The starred objects
-    are the one-step characteristics of the price under the opportunity-
-    neutral measure: b_sstar = bbar_u/m0 (conditional mean),
-    c_tilde_sstar = cbar_u/m0 (conditional second moment), and
-    c_hat_sstar = c_tilde_sstar - b_sstar b_sstar' (conditional
-    covariance).
+    non-terminal nodes are NaN at terminal nodes.  Five arrays are
+    stored: L, a_tilde and the weighted one-step moments m0, bbar_u,
+    cbar_u.  The rest is derived from them for every node at first
+    access: dAK = m0/L - 1, a_hat = (1 + dAK) a_tilde, and the one-step
+    characteristics of the price under the opportunity-neutral measure,
+    b_sstar = bbar_u/m0 (conditional mean), c_tilde_sstar = cbar_u/m0
+    (conditional second moment) and c_hat_sstar = c_tilde_sstar -
+    b_sstar b_sstar' (conditional covariance).
     """
 
     L: np.ndarray                 # (n,)
     a_tilde: np.ndarray           # (n, d)
-    a_hat: np.ndarray             # (n, d)
-    dAK: np.ndarray               # (n,)
     m0: np.ndarray                # (n,)
     bbar_u: np.ndarray            # (n, d)
     cbar_u: np.ndarray            # (n, d, d)
-    b_sstar: np.ndarray           # (n, d)
-    c_tilde_sstar: np.ndarray     # (n, d, d)
-    c_hat_sstar: np.ndarray       # (n, d, d)
+
+    @cached_property
+    def dAK(self) -> np.ndarray:
+        return self.m0 / self.L - 1.0
+
+    @cached_property
+    def a_hat(self) -> np.ndarray:
+        return (1.0 + self.dAK)[:, None] * self.a_tilde
+
+    @cached_property
+    def b_sstar(self) -> np.ndarray:
+        return self.bbar_u / self.m0[:, None]
+
+    @cached_property
+    def c_tilde_sstar(self) -> np.ndarray:
+        return self.cbar_u / self.m0[:, None, None]
+
+    @cached_property
+    def c_hat_sstar(self) -> np.ndarray:
+        b = self.b_sstar
+        return self.c_tilde_sstar - b[:, :, None] * b[:, None, :]
 
 
 @dataclass
@@ -92,48 +111,56 @@ class MvtDiagnostics:
     det_l_residual: float | None
 
 
-def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
-    """Backward induction for L, a_tilde, and the starred characteristics.
-
-    Raises DegenerateStep when some one-step market admits a riskless
-    nonzero return (L would vanish)."""
-    n = len(tree.nodes)
-    d = tree.num_assets
-    surf = OpportunitySurface(
-        L=np.ones(n),
-        a_tilde=np.full((n, d), np.nan),
-        a_hat=np.full((n, d), np.nan),
-        dAK=np.full(n, np.nan),
+def _unfilled(L: np.ndarray, a_tilde: np.ndarray) -> OpportunitySurface:
+    """A surface with the given L and a_tilde and NaN moments to fill in."""
+    n, d = a_tilde.shape
+    return OpportunitySurface(
+        L=L,
+        a_tilde=a_tilde,
         m0=np.full(n, np.nan),
         bbar_u=np.full((n, d), np.nan),
         cbar_u=np.full((n, d, d), np.nan),
-        b_sstar=np.full((n, d), np.nan),
-        c_tilde_sstar=np.full((n, d, d), np.nan),
-        c_hat_sstar=np.full((n, d, d), np.nan),
     )
+
+
+def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
+    """Backward induction for L, a_tilde, and the weighted moments.
+
+    Raises DegenerateStep when some one-step market admits a riskless
+    nonzero return: the one-step ratio L/m0 = 1/(1 + dAK) vanishes.  The
+    test is relative to m0 because L itself compounds multiplicatively
+    and may be tiny on long horizons of a well-posed market."""
+    n, d = len(tree.nodes), tree.num_assets
+    surf = _unfilled(np.ones(n), np.full((n, d), np.nan))
     for t in range(tree.horizon - 1, -1, -1):
         for node in tree.nodes_at(t):
-            probs = tree.child_probs(node)
-            deltas = tree.increments(node)
-            child_L = np.array([surf.L[c] for c, _ in node.children])
-            mom = weighted_moments(probs * child_L, deltas)
+            kids, probs, deltas = tree.step(node)
+            mom = weighted_moments(probs * surf.L[kids], deltas)
             cinv = pinv_psd(mom.cbar_u)
-            a_tilde = cinv @ mom.bbar_u
             L = mom.m0 - float(mom.bbar_u @ cinv @ mom.bbar_u)
-            if L <= DEGENERACY_THRESHOLD:
+            if L <= DEGENERACY_THRESHOLD * mom.m0:
                 raise DegenerateStep(node.id)
             i = node.id
             surf.L[i] = L
-            surf.m0[i] = mom.m0
-            surf.bbar_u[i] = mom.bbar_u
-            surf.cbar_u[i] = mom.cbar_u
-            surf.a_tilde[i] = a_tilde
-            surf.dAK[i] = mom.m0 / L - 1.0
-            surf.a_hat[i] = (1.0 + surf.dAK[i]) * a_tilde
-            surf.b_sstar[i] = mom.bbar_u / mom.m0
-            c_tilde = mom.cbar_u / mom.m0
-            surf.c_tilde_sstar[i] = c_tilde
-            surf.c_hat_sstar[i] = c_tilde - np.outer(surf.b_sstar[i], surf.b_sstar[i])
+            surf.a_tilde[i] = cinv @ mom.bbar_u
+            surf.m0[i], surf.bbar_u[i], surf.cbar_u[i] = mom.m0, mom.bbar_u, mom.cbar_u
+    return surf
+
+
+def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
+    """The surface the tree would have if prices were martingales:
+    L = 1 and a_tilde = 0 at every node, with the plain P-weighted
+    one-step moments.  The engine's mean value and pure hedge on it are
+    the martingale-style (GKW) hedge, and its c_hat_sstar is the
+    physical conditional covariance of the increments.  L and a_tilde
+    are read-only constant views, which take no memory."""
+    n, d = len(tree.nodes), tree.num_assets
+    surf = _unfilled(np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d)))
+    for node in tree.nonterminal():
+        _, probs, deltas = tree.step(node)
+        mom = weighted_moments(probs, deltas)
+        i = node.id
+        surf.m0[i], surf.bbar_u[i], surf.cbar_u[i] = mom.m0, mom.bbar_u, mom.cbar_u
     return surf
 
 
@@ -151,20 +178,16 @@ def measures(tree: ScenarioTree, surf: OpportunitySurface) -> MeasureSurface:
     negatives = 0
     for node in tree.nonterminal():
         i = node.id
-        deltas = tree.increments(node)
-        probs = tree.child_probs(node)
-        child_L = np.array([surf.L[c] for c, _ in node.children])
-        drift = deltas @ surf.a_tilde[i]
-        qw = (child_L / surf.L[i]) * (1.0 - drift)
+        kids, probs, deltas = tree.step(node)
+        child_L = surf.L[kids]
+        qw = (child_L / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
         pp = probs * child_L / surf.m0[i]
-        nf = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
         qstar_w[i] = qw
         pstar_p[i] = pp
-        nstar_f[i] = nf
+        nstar_f[i] = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
         negatives += int(np.sum(qw <= 0.0))
-        for (cid, p), w_q, p_star in zip(node.children, qw, pp):
-            z_qstar[cid] = z_qstar[i] * w_q
-            z_pstar[cid] = z_pstar[i] * (p_star / p)
+        z_qstar[kids] = z_qstar[i] * qw
+        z_pstar[kids] = z_pstar[i] * (pp / probs)
     return MeasureSurface(
         qstar_w=qstar_w,
         pstar_p=pstar_p,
@@ -184,18 +207,17 @@ def sharpe_ratio(surf: OpportunitySurface, node_id: int) -> float:
 def mvt_process(tree: ScenarioTree, surf: OpportunitySurface,
                 mea: MeasureSurface | None = None,
                 tol: float = 1e-10) -> MvtDiagnostics:
-    """Mean-variance tradeoff increments (unweighted moments, L set to 1)
-    and the deterministic-MVT / opportunity-neutral classification."""
+    """Mean-variance tradeoff increments, read off the martingale
+    surface (P-weighted moments, L = 1), and the deterministic-MVT /
+    opportunity-neutral classification."""
     if mea is None:
         mea = measures(tree, surf)
+    plain = martingale_surface(tree)
+    b, c_hat = plain.b_sstar, plain.c_hat_sstar
     dK = np.full(len(tree.nodes), np.nan)
     for node in tree.nonterminal():
-        probs = tree.child_probs(node)
-        deltas = tree.increments(node)
-        b = deltas.T @ probs
-        c_tilde = (deltas.T * probs) @ deltas
-        c_hat = c_tilde - np.outer(b, b)
-        dK[node.id] = float(b @ pinv_psd(c_hat) @ b)
+        i = node.id
+        dK[i] = float(b[i] @ pinv_psd(c_hat[i]) @ b[i])
     deterministic = True
     slice_values = np.zeros(tree.horizon)
     for t in range(tree.horizon):
@@ -207,12 +229,8 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface,
     det_residual = None
     if deterministic:
         eps = np.cumprod(np.concatenate(([1.0], 1.0 + slice_values)))
-        ratio = eps / eps[-1]
-        worst = 0.0
-        for node in tree.nodes:
-            expected = ratio[node.time]
-            worst = max(worst, abs(surf.L[node.id] - expected) / expected)
-        det_residual = worst
+        expected = (eps / eps[-1])[[node.time for node in tree.nodes]]
+        det_residual = float(np.max(np.abs(surf.L - expected) / expected))
     return MvtDiagnostics(
         dK_hat=dK,
         deterministic_mvt=deterministic,
@@ -220,23 +238,3 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface,
         det_l_residual=det_residual,
     )
 
-
-def efficient_value_process(tree: ScenarioTree, surf: OpportunitySurface,
-                            start_node: int = 0) -> dict[int, float]:
-    """Value of the efficient strategy (hedging the constant 1, started
-    at start_node with value 1) at every descendant: the running product
-    of the one-step factors 1 - a_tilde' d_k.  The conditional
-    expectation of its square at start_node equals L(start_node)."""
-    values = {start_node: 1.0}
-    stack = [start_node]
-    while stack:
-        i = stack.pop()
-        node = tree.nodes[i]
-        if not node.children:
-            continue
-        deltas = tree.increments(node)
-        factors = 1.0 - deltas @ surf.a_tilde[i]
-        for (cid, _), f in zip(node.children, factors):
-            values[cid] = values[i] * float(f)
-            stack.append(cid)
-    return values

@@ -124,7 +124,7 @@ def martingale_qp(tree: ScenarioTree, feas_tol: float = 1e-8) -> QpSolution:
     rows = [w]  # unit-mass constraint
     rhs = [1.0]
     for node in tree.nonterminal():
-        deltas = tree.increments(node)
+        _, _, deltas = tree.step(node)
         for i in range(tree.num_assets):
             row = np.zeros(len(leaves))
             for (cid, _), delta in zip(node.children, deltas):

@@ -58,12 +58,13 @@ class ScenarioTree:
     def increment(self, parent_id: int, child_id: int) -> np.ndarray:
         return self.nodes[child_id].price - self.nodes[parent_id].price
 
-    def increments(self, node: Node) -> np.ndarray:
-        """Price increments to all children, one row per child."""
-        return np.array([self.nodes[c].price - node.price for c, _ in node.children])
-
-    def child_probs(self, node: Node) -> np.ndarray:
-        return np.array([p for _, p in node.children])
+    def step(self, node: Node) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One-step view of a non-terminal node, aligned by child: the
+        child ids, their conditional probabilities, and the price
+        increments (one row per child)."""
+        ids, probs = zip(*node.children)
+        deltas = np.array([self.nodes[c].price for c in ids]) - node.price
+        return np.array(ids), np.array(probs), deltas
 
     def path_nodes(self, node_id: int) -> list[int]:
         """Node ids from the root to node_id, inclusive."""

@@ -97,6 +97,71 @@ def random_iid(rng) -> mv.ScenarioTree:
         return tree
 
 
+def rollout_path(tree: ScenarioTree, surf: mv.OpportunitySurface, plan: mv.HedgePlan,
+                 v0: float, path: list[int]) -> tuple[list[np.ndarray], list[float]]:
+    """Reference feedback rollout along a single root-to-leaf node path."""
+    holdings = []
+    wealth = [v0]
+    for parent, child in zip(path, path[1:]):
+        g = wealth[-1]
+        h = plan.xi[parent] - (g - plan.V[parent]) * surf.a_tilde[parent]
+        holdings.append(h)
+        wealth.append(g + float(tree.increment(parent, child) @ h))
+    return holdings, wealth
+
+
+def efficient_value_process(tree: ScenarioTree, surf: mv.OpportunitySurface,
+                            start_node: int = 0) -> dict[int, float]:
+    """Value of the efficient strategy (hedging the constant 1, started
+    at start_node with value 1) at every descendant: the running product
+    of the one-step factors 1 - a_tilde' d_k.  The conditional
+    expectation of its square at start_node equals L(start_node)."""
+    values = {start_node: 1.0}
+    stack = [start_node]
+    while stack:
+        i = stack.pop()
+        node = tree.nodes[i]
+        if not node.children:
+            continue
+        kids, _, deltas = tree.step(node)
+        factors = 1.0 - deltas @ surf.a_tilde[i]
+        for cid, f in zip(kids.tolist(), factors):
+            values[cid] = values[i] * float(f)
+            stack.append(cid)
+    return values
+
+
+def gkw_holdings_loop(tree: ScenarioTree, plan: mv.HedgePlan) -> np.ndarray:
+    """Reference martingale-style hedge as its own backward loop: the
+    P-expectation of the payoff and the P-weighted regression of its
+    increments on the price increments."""
+    V = plan.V.copy()
+    phi = np.full((len(tree.nodes), tree.num_assets), np.nan)
+    for t in range(tree.horizon - 1, -1, -1):
+        for node in tree.nodes_at(t):
+            kids, probs, deltas = tree.step(node)
+            V[node.id] = float(probs @ V[kids])
+            c_u = (deltas.T * probs) @ deltas
+            d_u = deltas.T @ (probs * (V[kids] - V[node.id]))
+            phi[node.id] = mv.pinv_psd(c_u) @ d_u
+    return phi
+
+
+def markowitz_holdings_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
+                            target: float, v0: float) -> np.ndarray:
+    """Reference pure investment of the running deficit to a constant
+    target, phi = (target - wealth) a_tilde, as its own forward loop."""
+    phi = np.full((len(tree.nodes), tree.num_assets), np.nan)
+    G = np.full(len(tree.nodes), np.nan)
+    G[0] = v0
+    for node in tree.nonterminal():
+        i = node.id
+        phi[i] = (target - G[i]) * surf.a_tilde[i]
+        kids, _, deltas = tree.step(node)
+        G[kids] = G[i] + deltas @ phi[i]
+    return phi
+
+
 def two_regime_tree(periods: int = 3) -> mv.ScenarioTree:
     """Low/high-vol binomial regimes with distinct one-step tradeoffs."""
     regimes = [

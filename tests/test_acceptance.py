@@ -54,7 +54,7 @@ def test_01_engine_matches_least_squares_oracle():
             ok = False
         if abs(plan.v0 - sol.v0_opt) > 1e-9 * scale:
             ok = False
-        _, G = mv.rollout_strategy(tree, surf, plan, plan.v0)
+        _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
         if np.nanmax(np.abs(G - sol.value_process)) > 1e-9 * scale:
             ok = False
     report("oracle_equivalence", ok)
@@ -73,8 +73,8 @@ def test_02_opportunity_process_everywhere(reference_trees):
                 ok = False
         # one-step submartingale inequality: L(n) <= E[L(t+1) | n]
         for node in tree.nonterminal():
-            child_L = np.array([surf.L[c] for c, _ in node.children])
-            if surf.L[node.id] > tree.child_probs(node) @ child_L + 1e-12:
+            kids, probs, _ = tree.step(node)
+            if surf.L[node.id] > probs @ surf.L[kids] + 1e-12:
                 ok = False
     report("opportunity_process", ok)
 
@@ -112,7 +112,7 @@ def test_04_martingale_reduction():
             ok = False
         claim = random_claim(rng, tree)
         plan = mv.compute_plan(tree, surf, claim)
-        phi, _ = mv.rollout_strategy(tree, surf, plan, plan.v0)
+        phi, _ = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
         gkw = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
         scale = max(1.0, float(np.nanmax(np.abs(plan.xi))))
         if np.nanmax(np.abs(phi - plan.xi)) > 1e-12 * scale:
@@ -216,8 +216,7 @@ def test_07_structural_identities(reference_trees):
                     1.0, abs(surf.dAK[i])):
                 ok = False
             # one-step conditions of the signed martingale measure
-            probs = tree.child_probs(node)
-            deltas = tree.increments(node)
+            kids, probs, deltas = tree.step(node)
             w = probs * mea.qstar_w[i]
             if abs(np.sum(w) - 1.0) > 1e-10:
                 ok = False
@@ -225,8 +224,7 @@ def test_07_structural_identities(reference_trees):
                     1.0, float(np.max(np.abs(deltas)))):
                 ok = False
             # density factorization: (L_k / m0) * nstar = qstar
-            child_L = np.array([surf.L[c] for c, _ in node.children])
-            fact = child_L / surf.m0[i] * mea.nstar_f[i]
+            fact = surf.L[kids] / surf.m0[i] * mea.nstar_f[i]
             if np.max(np.abs(fact - mea.qstar_w[i])) > 1e-10 * max(
                     1.0, float(np.max(np.abs(mea.qstar_w[i])))):
                 ok = False

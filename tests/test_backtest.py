@@ -3,7 +3,14 @@ import pytest
 
 import mvhedge as mv
 
-from gen import binomial_06, martingale_trinomial, random_claim, random_tree
+from gen import (
+    binomial_06,
+    gkw_holdings_loop,
+    markowitz_holdings_loop,
+    martingale_trinomial,
+    random_claim,
+    random_tree,
+)
 
 
 def drifted_tree(periods=3):
@@ -74,6 +81,21 @@ def test_martingale_gkw_equals_mvh():
     h_gkw = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
     for node in tree.nonterminal():
         assert np.allclose(h_mvh[node.id], h_gkw[node.id], atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_baselines_equal_their_own_loops(seed):
+    # gkw and markowitz run through the engine; they must reproduce the
+    # dedicated loops bit for bit
+    rng = np.random.default_rng(900 + seed)
+    tree = random_tree(rng)
+    surf, plan = setup(tree, random_claim(rng, tree))
+    gkw = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
+    assert np.array_equal(gkw, gkw_holdings_loop(tree, plan), equal_nan=True)
+    const = mv.attach_claim(tree, "per_leaf", values=np.full(len(tree.leaves()), 1.5))
+    surf, plan = setup(tree, const)
+    mkz = mv.strategy_holdings(tree, surf, plan, "markowitz", 0.25)
+    assert np.array_equal(mkz, markowitz_holdings_loop(tree, surf, 1.5, 0.25), equal_nan=True)
 
 
 def test_markowitz_requires_constant_claim():

@@ -74,6 +74,23 @@ def test_hedge_degenerate_exit_code(tmp_path):
     assert main(["hedge", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+@pytest.mark.parametrize("command,doc", [
+    ("hedge", {"model": dict(BINOMIAL, periods="3"), "claim": CALL10}),
+    ("hedge", {"model": BINOMIAL, "claim": {"type": "call", "strike": "x"}}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "seed": "x"}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "paths": "x"}),
+    ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": "x"}),
+])
+def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
+    cfg = write_config(tmp_path, doc)
+    args = [command, "--config", cfg]
+    if command != "verify":
+        args += ["--out", str(tmp_path / "o")]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_hedge_reruns_byte_identical(tmp_path):
     cfg = write_config(tmp_path, {"model": BINOMIAL, "claim": CALL10, "v0": "auto"})
     out = tmp_path / "out"

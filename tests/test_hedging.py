@@ -3,7 +3,7 @@ import pytest
 
 import mvhedge as mv
 
-from gen import binomial_06, martingale_trinomial, random_claim, random_tree
+from gen import binomial_06, martingale_trinomial, random_claim, random_tree, rollout_path
 
 
 def make_call(tree, strike=10.0):
@@ -20,13 +20,22 @@ def test_constant_claim():
         assert np.allclose(plan.xi[node.id], 0.0, atol=1e-12)
 
 
+def test_weight_sum_violation_raises():
+    tree = binomial_06(periods=2)
+    surf = mv.compute_opportunity(tree)
+    surf.a_tilde[0] += 1.0
+    with pytest.raises(mv.DegenerateStep) as info:
+        mv.compute_mean_value(tree, surf, make_call(tree))
+    assert info.value.node_id == 0
+
+
 def test_complete_binomial_replication():
     tree = mv.build_iid_multinomial([10.0], [([1.0], 0.6), ([-1.0], 0.4)], 1)
     surf = mv.compute_opportunity(tree)
     plan = mv.compute_plan(tree, surf, make_call(tree))
     assert plan.V[0] == pytest.approx(0.5)
     assert plan.xi[0][0] == pytest.approx(0.5)
-    _, G = mv.rollout_strategy(tree, surf, plan, 0.5)
+    _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, 0.5)
     for leaf in tree.leaves():
         assert G[leaf.id] == pytest.approx(plan.V[leaf.id], abs=1e-12)
     assert mv.hedging_error(tree, surf, plan, 0.5).total_error == pytest.approx(0.0, abs=1e-15)
@@ -38,7 +47,7 @@ def test_trinomial_hand_case():
     plan = mv.compute_plan(tree, surf, make_call(tree))
     assert plan.V[0] == pytest.approx(0.3)
     assert plan.xi[0][0] == pytest.approx(0.5)
-    _, G = mv.rollout_strategy(tree, surf, plan, 0.3)
+    _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, 0.3)
     errors = sorted(plan.V[leaf.id] - G[leaf.id] for leaf in tree.leaves())
     assert errors == pytest.approx([-0.3, 0.2, 0.2])
     report = mv.hedging_error(tree, surf, plan, 0.3)
@@ -55,15 +64,14 @@ def test_martingale_feedback_is_pure_hedge():
     surf = mv.compute_opportunity(tree)
     claim = random_claim(rng, tree)
     plan = mv.compute_plan(tree, surf, claim)
-    phi, _ = mv.rollout_strategy(tree, surf, plan, plan.v0 + 1.7)
+    phi, _ = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0 + 1.7)
     for node in tree.nonterminal():
         assert np.allclose(phi[node.id], plan.xi[node.id], atol=1e-12)
     # V reduces to plain conditional expectation under the physical measure
     probs = tree.node_probs()
     for node in tree.nonterminal():
-        kids = np.array([plan.V[c] for c, _ in node.children])
-        p = tree.child_probs(node)
-        assert plan.V[node.id] == pytest.approx(float(p @ kids), rel=1e-10, abs=1e-10)
+        kids, p, _ = tree.step(node)
+        assert plan.V[node.id] == pytest.approx(float(p @ plan.V[kids]), rel=1e-10, abs=1e-10)
 
 
 def test_fs_residual_hand_cases():
@@ -89,9 +97,8 @@ def test_v_is_one_step_qstar_martingale(seed):
     scale = max(1.0, np.max(np.abs(claim.payoff)))
     for node in tree.nonterminal():
         i = node.id
-        p = tree.child_probs(node)
-        kids = np.array([plan.V[c] for c, _ in node.children])
-        assert float((p * mea.qstar_w[i]) @ kids) == pytest.approx(
+        kids, p, _ = tree.step(node)
+        assert float((p * mea.qstar_w[i]) @ plan.V[kids]) == pytest.approx(
             plan.V[i], abs=1e-10 * scale
         )
 
@@ -128,7 +135,7 @@ def test_oracle_equivalence_random(seed):
     scale = max(1.0, np.max(np.abs(claim.payoff)))
     assert sol.v0_opt == pytest.approx(plan.v0, abs=1e-9 * scale)
     assert report.total_error == pytest.approx(sol.min_error, rel=1e-9, abs=1e-12 * scale**2)
-    _, G = mv.rollout_strategy(tree, surf, plan, plan.v0)
+    _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
     assert np.max(np.abs(G - sol.value_process)) <= 1e-9 * scale
 
 
@@ -158,8 +165,8 @@ def test_rollout_path_matches_full_rollout():
     surf = mv.compute_opportunity(tree)
     claim = random_claim(rng, tree)
     plan = mv.compute_plan(tree, surf, claim)
-    _, G = mv.rollout_strategy(tree, surf, plan, plan.v0)
+    _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
     leaf = tree.leaves()[0]
     path = tree.path_nodes(leaf.id)
-    _, wealth = mv.rollout_path(tree, surf, plan, plan.v0, path)
+    _, wealth = rollout_path(tree, surf, plan, plan.v0, path)
     assert wealth[-1] == pytest.approx(G[leaf.id], rel=1e-12)

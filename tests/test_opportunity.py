@@ -5,7 +5,13 @@ import mvhedge as mv
 from mvhedge.linalg import pinv_psd
 from mvhedge.tree import Node, ScenarioTree
 
-from gen import binomial_06, martingale_trinomial, random_tree, two_regime_tree
+from gen import (
+    binomial_06,
+    efficient_value_process,
+    martingale_trinomial,
+    random_tree,
+    two_regime_tree,
+)
 
 
 def leaf_expectation(tree, values, power=1):
@@ -41,13 +47,26 @@ def test_degenerate_single_child():
         mv.compute_opportunity(tree)
 
 
+@pytest.mark.parametrize("periods", [9, 16])
+def test_long_horizon_complete_binomial_not_degenerate(periods):
+    # L0 falls below 1e-12 here, but every one-step ratio L/m0 is 0.0396
+    up, down, p_up = 1.1, 0.9, 0.99
+    tree = mv.build_binomial([10.0], up, down, p_up, periods)
+    surf = mv.compute_opportunity(tree)
+    mean = p_up * (up - 1.0) + (1.0 - p_up) * (down - 1.0)
+    second = p_up * (up - 1.0) ** 2 + (1.0 - p_up) * (down - 1.0) ** 2
+    dK = mean * mean / (second - mean * mean)
+    closed = (1.0 + dK) ** -periods
+    assert abs(surf.L[0] - closed) <= 1e-12 * closed
+
+
 def test_measures_martingale_tree():
     rng = np.random.default_rng(1)
     tree = random_tree(rng, martingale=True)
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
     for node in tree.nonterminal():
-        probs = tree.child_probs(node)
+        _, probs, _ = tree.step(node)
         assert np.allclose(mea.qstar_w[node.id], 1.0, atol=1e-12)
         assert np.allclose(mea.pstar_p[node.id], probs, atol=1e-12)
     assert np.allclose(mea.z_pstar, 1.0, atol=1e-12)
@@ -71,7 +90,7 @@ def test_measures_signed_trinomial():
     # up branch weight is negative: the measure is signed
     assert mea.qstar_w[0][0] < 0.0
     assert mea.num_negative_weights == 1
-    probs = tree.child_probs(tree.root)
+    _, probs, _ = tree.step(tree.root)
     assert float(probs @ mea.qstar_w[0]) == pytest.approx(1.0)
 
 
@@ -116,7 +135,7 @@ def test_mvt_martingale_tree():
 def test_efficient_value_binomial():
     tree = binomial_06()
     surf = mv.compute_opportunity(tree)
-    values = mv.efficient_value_process(tree, surf, 0)
+    values = efficient_value_process(tree, surf, 0)
     leaf_vals = sorted(values[leaf.id] for leaf in tree.leaves())
     assert leaf_vals == pytest.approx([0.8, 1.2])
     arr = np.zeros(len(tree.nodes))
@@ -128,10 +147,10 @@ def test_efficient_value_binomial():
 def test_efficient_value_multiplicative_two_periods():
     tree = binomial_06(periods=2)
     surf = mv.compute_opportunity(tree)
-    values = mv.efficient_value_process(tree, surf, 0)
+    values = efficient_value_process(tree, surf, 0)
     for leaf in tree.leaves():
         parent = tree.nodes[leaf.id].parent
-        step = mv.efficient_value_process(tree, surf, parent)
+        step = efficient_value_process(tree, surf, parent)
         assert values[leaf.id] == pytest.approx(values[parent] * step[leaf.id])
 
 
@@ -144,7 +163,7 @@ def test_conditional_square_equals_L(seed):
     for node in tree.nodes_at(1) + [tree.root]:
         if not node.children:
             continue
-        values = mv.efficient_value_process(tree, surf, node.id)
+        values = efficient_value_process(tree, surf, node.id)
         sub, remap = mv.subtree_at(tree, node.id)
         sub_probs = sub.node_probs()
         second = sum(
@@ -163,9 +182,8 @@ def test_structural_identities_random_trees(seed):
     probs = tree.node_probs()
     for node in tree.nonterminal():
         i = node.id
-        p = tree.child_probs(node)
-        deltas = tree.increments(node)
-        child_L = np.array([surf.L[c] for c, _ in node.children])
+        kids, p, deltas = tree.step(node)
+        child_L = surf.L[kids]
         # backward fixed point
         assert surf.L[i] * (1.0 + surf.dAK[i]) == pytest.approx(float(p @ child_L))
         # submartingale
@@ -192,6 +210,6 @@ def test_structural_identities_random_trees(seed):
     assert np.all(mea.z_pstar <= 1.0 / surf.L[0] + 1e-9)
     assert leaf_expectation(tree, mea.z_pstar) == pytest.approx(1.0, abs=1e-9)
     # leaf density equals the efficient value process scaled by 1/L0
-    eff = mv.efficient_value_process(tree, surf, 0)
+    eff = efficient_value_process(tree, surf, 0)
     for leaf in tree.leaves():
         assert z[leaf.id] == pytest.approx(eff[leaf.id] / surf.L[0], abs=1e-10)
