@@ -40,6 +40,8 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     stream keyed by seed, so the result depends only on (seed, i)."""
     if n < 1:
         raise BadParameter("need at least one path")
+    if not 0 <= seed < 2**128:
+        raise BadParameter(f"seed must be in [0, 2**128), got {seed}")
     cum: dict[int, tuple[np.ndarray, list[int]]] = {}
     for node in tree.nonterminal():
         kids, probs, _ = tree.step(node)
@@ -51,14 +53,15 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
         nid = 0
         for t in range(tree.horizon):
             cdf, children = cum[nid]
-            nid = children[int(np.searchsorted(cdf, u[t], side="right").clip(0, len(children) - 1))]
+            nid = children[min(int(np.searchsorted(cdf, u[t], side="right")), len(children) - 1)]
         out.append(nid)
     return out
 
 
 def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
-                      kind: str, v0: float) -> np.ndarray:
-    """Per-node holdings of the requested strategy (NaN at terminals).
+                      kind: str, v0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-node holdings (NaN at terminals) and wealth of the requested
+    strategy from endowment v0, as rollout_strategy returns them.
 
     mvh       feedback-optimal strategy
     pure_xi   pure hedge coefficient, no feedback
@@ -71,27 +74,24 @@ def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
     if kind not in STRATEGY_KINDS:
         raise BadParameter(f"unknown strategy kind {kind!r}")
     if kind == "mvh":
-        return rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, v0)[0]
+        return rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, v0)
     if kind == "pure_xi":
-        return plan.xi.copy()
+        return rollout_strategy(tree, plan.xi, 0.0, 0.0, v0)
     h = plan.V[[leaf.id for leaf in tree.leaves()]]
     if kind == "gkw":
-        return compute_plan(tree, martingale_surface(tree), Claim(payoff=h)).xi
+        xi = compute_plan(tree, martingale_surface(tree), Claim(payoff=h)).xi
+        return rollout_strategy(tree, xi, 0.0, 0.0, v0)
     if np.max(np.abs(h - h[0])) > 1e-12 * max(1.0, np.max(np.abs(h))):
         raise IncompatibleClaim("markowitz strategy requires a constant claim")
-    return rollout_strategy(tree, 0.0, float(h[0]), surf.a_tilde, v0)[0]
+    return rollout_strategy(tree, 0.0, float(h[0]), surf.a_tilde, v0)
 
 
-def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, holdings: np.ndarray,
-                   v0: float) -> float:
-    """Full-tree expectation of the squared terminal hedging error."""
-    _, G = rollout_strategy(tree, holdings, 0.0, 0.0, v0)
-    probs = tree.node_probs()
-    total = 0.0
-    for leaf in tree.leaves():
-        err = G[leaf.id] - plan.V[leaf.id]
-        total += probs[leaf.id] * err * err
-    return total
+def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, G: np.ndarray) -> float:
+    """Full-tree expectation of the squared terminal hedging error of a
+    strategy whose per-node wealth is G, summed leaf by leaf in leaf order."""
+    ids = [leaf.id for leaf in tree.leaves()]
+    err = G[ids] - plan.V[ids]
+    return float(sum(tree.node_probs()[ids] * err * err))
 
 
 def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
@@ -101,18 +101,17 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
 
     The claim is read off the plan's terminal values.  For kind='mvh'
     the analytic error of the closed-form decomposition is attached."""
-    holdings = strategy_holdings(tree, surf, plan, kind, v0)
+    _, G = strategy_holdings(tree, surf, plan, kind, v0)
     analytic = hedging_error(tree, surf, plan, v0).total_error if kind == "mvh" else None
     if exact:
-        mse = exact_sq_error(tree, plan, holdings, v0)
+        mse = exact_sq_error(tree, plan, G)
         return BacktestReport(
             strategy=kind, num_paths=len(tree.leaves()), mean_sq_error=mse,
             std_error=0.0, analytic_error=analytic, exact=True,
         )
     if paths is None:
         raise BadParameter("sampled mode requires paths")
-    _, G = rollout_strategy(tree, holdings, 0.0, 0.0, v0)
-    errs = np.array([(G[leaf] - plan.V[leaf]) ** 2 for leaf in paths])
+    errs = (G[paths] - plan.V[paths]) ** 2
     mean = float(np.mean(errs))
     std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
     return BacktestReport(

@@ -37,7 +37,7 @@ EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
 EXIT_TOO_LARGE = 4
 
-_CONFIG_KEYS = {"model", "claim", "v0", "seed", "paths", "strategies", "exact", "tol", "out"}
+_CONFIG_KEYS = {"model", "claim", "v0", "seed", "paths", "strategies", "exact", "tol"}
 _MODEL_KEYS = {
     "binomial": {"type", "s0", "up", "down", "p_up", "periods"},
     "iid": {"type", "s0", "increments", "periods", "mode"},
@@ -273,7 +273,12 @@ def cmd_backtest(args) -> int:
     tree, claim, surf, plan = _setup(config)
     v0 = _resolve_v0(args.v0 if args.v0 is not None else config.get("v0"), plan)
     strategies = config.get("strategies", ["mvh", "pure_xi", "gkw"])
-    exact = args.exact or bool(config.get("exact", False))
+    if not isinstance(strategies, list):
+        raise BadParameter(f"strategies must be a list, got {strategies!r}")
+    exact = config.get("exact", False)
+    if not isinstance(exact, bool):
+        raise BadParameter(f"exact must be true or false, got {exact!r}")
+    exact = args.exact or exact
     with _typed("seed or paths"):
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         n_paths = args.paths if args.paths is not None else int(config.get("paths", 10000))
@@ -352,40 +357,36 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mvhedge", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out=True):
+    def command(parent, name, func, help, out=True):
+        p = parent.add_parser(name, help=help)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="JSON run configuration")
         if out:
             p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--v0", default=None, help="initial endowment or 'auto'")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--paths", type=int, default=None)
-        p.add_argument("--exact", action="store_true")
-        p.add_argument("--tol", type=float, default=None, help="relative tolerance")
+        return p
 
+    v0_help = "initial endowment or 'auto'"
     tree_p = sub.add_parser("tree", help="tree operations")
     tree_sub = tree_p.add_subparsers(dest="tree_command", required=True)
-    build_p = tree_sub.add_parser("build", help="build and serialize a scenario tree")
-    common(build_p)
-    build_p.set_defaults(func=cmd_tree_build)
+    command(tree_sub, "build", cmd_tree_build, "build and serialize a scenario tree")
 
-    hedge_p = sub.add_parser("hedge", help="run the hedging engine")
-    common(hedge_p)
-    hedge_p.set_defaults(func=cmd_hedge)
+    hedge_p = command(sub, "hedge", cmd_hedge, "run the hedging engine")
+    hedge_p.add_argument("--v0", default=None, help=v0_help)
 
-    verify_p = sub.add_parser("verify", help="cross-check engine against oracles")
-    common(verify_p, out=False)
+    verify_p = command(sub, "verify", cmd_verify, "cross-check engine against oracles",
+                       out=False)
+    verify_p.add_argument("--tol", type=float, default=None, help="relative tolerance")
     verify_p.add_argument("--summary", default=None, help="hedge summary JSON to re-verify")
-    verify_p.set_defaults(func=cmd_verify)
 
-    backtest_p = sub.add_parser("backtest", help="Monte Carlo strategy comparison")
-    common(backtest_p)
-    backtest_p.set_defaults(func=cmd_backtest)
+    backtest_p = command(sub, "backtest", cmd_backtest, "Monte Carlo strategy comparison")
+    backtest_p.add_argument("--v0", default=None, help=v0_help)
+    backtest_p.add_argument("--seed", type=int, default=None)
+    backtest_p.add_argument("--paths", type=int, default=None)
+    backtest_p.add_argument("--exact", action="store_true")
 
-    inspect_p = sub.add_parser("inspect", help="dump per-node fields as CSV")
-    common(inspect_p, out=False)
+    inspect_p = command(sub, "inspect", cmd_inspect, "dump per-node fields as CSV", out=False)
     inspect_p.add_argument("--field", required=True,
                            help="one of L, a, V, xi, sharpe, mvt, qstar")
-    inspect_p.set_defaults(func=cmd_inspect)
     return parser
 
 

@@ -26,6 +26,7 @@ from .linalg import pinv_psd, weighted_moments
 from .tree import ScenarioTree
 
 DEGENERACY_THRESHOLD = 1e-12
+MVT_TOL = 1e-10
 
 
 @dataclass
@@ -204,14 +205,11 @@ def sharpe_ratio(surf: OpportunitySurface, node_id: int) -> float:
     return float(np.sqrt(max(1.0 / surf.L[node_id] - 1.0, 0.0)))
 
 
-def mvt_process(tree: ScenarioTree, surf: OpportunitySurface,
-                mea: MeasureSurface | None = None,
-                tol: float = 1e-10) -> MvtDiagnostics:
+def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
     """Mean-variance tradeoff increments, read off the martingale
     surface (P-weighted moments, L = 1), and the deterministic-MVT /
-    opportunity-neutral classification."""
-    if mea is None:
-        mea = measures(tree, surf)
+    opportunity-neutral classification, both to tolerance MVT_TOL."""
+    mea = measures(tree, surf)
     plain = martingale_surface(tree)
     b, c_hat = plain.b_sstar, plain.c_hat_sstar
     dK = np.full(len(tree.nodes), np.nan)
@@ -223,9 +221,9 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface,
     for t in range(tree.horizon):
         vals = np.array([dK[n.id] for n in tree.nodes_at(t)])
         slice_values[t] = vals[0]
-        if np.max(np.abs(vals - vals[0])) > tol * max(1.0, abs(vals[0])):
+        if np.max(np.abs(vals - vals[0])) > MVT_TOL * max(1.0, abs(vals[0])):
             deterministic = False
-    pstar_is_p = bool(np.max(np.abs(mea.z_pstar - 1.0)) <= tol)
+    pstar_is_p = bool(np.max(np.abs(mea.z_pstar - 1.0)) <= MVT_TOL)
     det_residual = None
     if deterministic:
         eps = np.cumprod(np.concatenate(([1.0], 1.0 + slice_values)))

@@ -121,19 +121,18 @@ def martingale_qp(tree: ScenarioTree, feas_tol: float = 1e-8) -> QpSolution:
                 under[node_id] = acc
         return under[node_id]
 
-    rows = [w]  # unit-mass constraint
-    rhs = [1.0]
-    for node in tree.nonterminal():
+    nonterm = tree.nonterminal()
+    A = np.zeros((1 + len(nonterm) * tree.num_assets, len(leaves)))
+    b = np.zeros(len(A))
+    A[0], b[0] = w, 1.0  # unit-mass constraint
+    r = 1
+    for node in nonterm:
         _, _, deltas = tree.step(node)
         for i in range(tree.num_assets):
-            row = np.zeros(len(leaves))
             for (cid, _), delta in zip(node.children, deltas):
                 for m in leaves_under(cid):
-                    row[leaf_col[m]] += probs[m] * delta[i]
-            rows.append(row)
-            rhs.append(0.0)
-    A = np.array(rows)
-    b = np.array(rhs)
+                    A[r, leaf_col[m]] += probs[m] * delta[i]
+            r += 1
     n_z, n_c = len(leaves), len(b)
     kkt = np.zeros((n_z + n_c, n_z + n_c))
     kkt[:n_z, :n_z] = 2.0 * np.diag(w)

@@ -113,7 +113,7 @@ def test_04_martingale_reduction():
         claim = random_claim(rng, tree)
         plan = mv.compute_plan(tree, surf, claim)
         phi, _ = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
-        gkw = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
+        gkw, _ = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
         scale = max(1.0, float(np.nanmax(np.abs(plan.xi))))
         if np.nanmax(np.abs(phi - plan.xi)) > 1e-12 * scale:
             ok = False
@@ -276,15 +276,16 @@ def test_10_perturbation_optimality():
         tree = random_tree(rng)
         claim = random_claim(rng, tree)
         surf, plan = full_plan(tree, claim)
-        holdings = mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0)
-        base = mv.exact_sq_error(tree, plan, holdings, plan.v0)
+        holdings, G = mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0)
+        base = mv.exact_sq_error(tree, plan, G)
         scale = max(1.0, float(np.nanmax(np.abs(plan.V))))
         for node in tree.nonterminal():
             for j in range(tree.num_assets):
                 for delta in (1e-3, -1e-3):
                     bumped = holdings.copy()
                     bumped[node.id, j] += delta
-                    err = mv.exact_sq_error(tree, plan, bumped, plan.v0)
+                    _, G = mv.rollout_strategy(tree, bumped, 0.0, 0.0, plan.v0)
+                    err = mv.exact_sq_error(tree, plan, G)
                     if err < base - 1e-12 * scale * scale:
                         ok = False
     report("perturbation_optimality", ok)

@@ -54,6 +54,11 @@ def test_sample_paths_bad_count():
         mv.sample_paths(binomial_06(), 0, seed=1)
 
 
+def test_sample_paths_bad_seed():
+    with pytest.raises(mv.BadParameter):
+        mv.sample_paths(binomial_06(), 5, seed=-1)
+
+
 def test_exact_mvh_matches_analytic():
     tree = drifted_tree()
     claim = mv.attach_claim(tree, "call", strike=10.0)
@@ -61,6 +66,19 @@ def test_exact_mvh_matches_analytic():
     rep = mv.run_strategy(tree, surf, plan, "mvh", plan.v0, exact=True)
     assert rep.analytic_error is not None
     assert rep.mean_sq_error == pytest.approx(rep.analytic_error, rel=1e-9)
+
+
+def test_exact_sq_error_equals_leaf_loop():
+    tree = drifted_tree()
+    claim = mv.attach_claim(tree, "call", strike=10.0)
+    surf, plan = setup(tree, claim)
+    _, G = mv.strategy_holdings(tree, surf, plan, "pure_xi", plan.v0)
+    probs = tree.node_probs()
+    total = 0.0
+    for leaf in tree.leaves():
+        err = G[leaf.id] - plan.V[leaf.id]
+        total += probs[leaf.id] * err * err
+    assert mv.exact_sq_error(tree, plan, G) == total
 
 
 def test_exact_mvh_beats_alternatives():
@@ -77,8 +95,8 @@ def test_martingale_gkw_equals_mvh():
     tree = martingale_trinomial(periods=2)
     claim = mv.attach_claim(tree, "call", strike=10.0)
     surf, plan = setup(tree, claim)
-    h_mvh = mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0)
-    h_gkw = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
+    h_mvh, _ = mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0)
+    h_gkw, _ = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
     for node in tree.nonterminal():
         assert np.allclose(h_mvh[node.id], h_gkw[node.id], atol=1e-12)
 
@@ -90,11 +108,11 @@ def test_baselines_equal_their_own_loops(seed):
     rng = np.random.default_rng(900 + seed)
     tree = random_tree(rng)
     surf, plan = setup(tree, random_claim(rng, tree))
-    gkw = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
+    gkw, _ = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
     assert np.array_equal(gkw, gkw_holdings_loop(tree, plan), equal_nan=True)
     const = mv.attach_claim(tree, "per_leaf", values=np.full(len(tree.leaves()), 1.5))
     surf, plan = setup(tree, const)
-    mkz = mv.strategy_holdings(tree, surf, plan, "markowitz", 0.25)
+    mkz, _ = mv.strategy_holdings(tree, surf, plan, "markowitz", 0.25)
     assert np.array_equal(mkz, markowitz_holdings_loop(tree, surf, 1.5, 0.25), equal_nan=True)
 
 
@@ -110,8 +128,8 @@ def test_markowitz_matches_mvh_on_constant_claim():
     tree = drifted_tree()
     claim = mv.attach_claim(tree, "per_leaf", values=np.full(len(tree.leaves()), 2.0))
     surf, plan = setup(tree, claim)
-    h_mkz = mv.strategy_holdings(tree, surf, plan, "markowitz", 0.5)
-    h_mvh = mv.strategy_holdings(tree, surf, plan, "mvh", 0.5)
+    h_mkz, _ = mv.strategy_holdings(tree, surf, plan, "markowitz", 0.5)
+    h_mvh, _ = mv.strategy_holdings(tree, surf, plan, "mvh", 0.5)
     for node in tree.nonterminal():
         assert np.allclose(h_mkz[node.id], h_mvh[node.id], atol=1e-12)
 

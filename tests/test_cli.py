@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mvhedge.cli import main
+from mvhedge.cli import main, make_parser
 
 BINOMIAL = {"type": "binomial", "s0": [10.0], "up": 1.1, "down": 0.9, "p_up": 0.6,
             "periods": 3}
@@ -80,6 +80,9 @@ def test_hedge_degenerate_exit_code(tmp_path):
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "seed": "x"}),
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "paths": "x"}),
     ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": "x"}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "seed": -1}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "exact": "false"}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": "mvh"}),
 ])
 def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -89,6 +92,71 @@ def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed", ["-4", str(2**128)], ids=["negative", "2**128"])
+def test_out_of_range_seed_flag_exit_code(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, {"model": TRINOMIAL, "claim": CALL10})
+    assert main(["backtest", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--seed", seed]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_out_config_key_rejected(tmp_path):
+    cfg = write_config(tmp_path, {"model": BINOMIAL, "claim": CALL10, "out": "o"})
+    assert main(["hedge", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+
+
+# the flags each subcommand reads, and the ones it used to accept and ignore
+KEPT_FLAGS = {
+    ("tree", "build"): {"--out": "o"},
+    ("hedge",): {"--out": "o", "--v0": "1.5"},
+    ("verify",): {"--tol": "0.001", "--summary": "s.json"},
+    ("backtest",): {"--out": "o", "--v0": "auto", "--seed": "3", "--paths": "7",
+                    "--exact": None},
+    ("inspect",): {"--field": "L"},
+}
+REMOVED_FLAGS = [
+    (command, flag)
+    for command, flags in [
+        (("tree", "build"), ["--v0", "--seed", "--paths", "--exact", "--tol"]),
+        (("hedge",), ["--seed", "--paths", "--exact", "--tol"]),
+        (("verify",), ["--v0", "--seed", "--paths", "--exact"]),
+        (("backtest",), ["--tol"]),
+        (("inspect",), ["--v0", "--seed", "--paths", "--exact", "--tol"]),
+    ]
+    for flag in flags
+]
+FLAG_VALUES = {"--v0": "1", "--seed": "3", "--paths": "7", "--exact": None, "--tol": "0.001"}
+
+
+def _argv(command, flags):
+    argv = [*command, "--config", "cfg.json"]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS,
+                         ids=[f"{' '.join(c)} {f}" for c, f in REMOVED_FLAGS])
+def test_unread_flag_rejected(capsys, command, flag):
+    argv = _argv(command, {flag: FLAG_VALUES[flag]})
+    if command == ("inspect",):
+        argv += ["--field", "L"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", KEPT_FLAGS, ids=" ".join)
+def test_kept_flags_parse(command):
+    args = make_parser().parse_args(_argv(command, KEPT_FLAGS[command]))
+    assert args.config == "cfg.json"
+    for flag, value in KEPT_FLAGS[command].items():
+        got = getattr(args, flag[2:])
+        assert (got is True) if value is None else (str(got) == value)
 
 
 def test_hedge_reruns_byte_identical(tmp_path):

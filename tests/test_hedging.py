@@ -151,9 +151,7 @@ def test_endowment_quadratic(offset):
     assert shifted - base == pytest.approx(surf.L[0] * offset * offset, rel=1e-12)
     # and the rollout achieves it exactly
     exact = mv.exact_sq_error(
-        tree, plan,
-        mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0 + offset),
-        plan.v0 + offset,
+        tree, plan, mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0 + offset)[1],
     )
     scale = max(1.0, np.max(np.abs(plan.V)))
     assert exact == pytest.approx(shifted, rel=1e-9, abs=1e-12 * scale * scale)
