@@ -34,28 +34,90 @@ class BacktestReport:
     exact: bool
 
 
+# Philox4x64-10 constants (Salmon et al., SC'11), as in numpy.random.Philox
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_LOW32 = 0xFFFFFFFF
+
+
+def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high 64-bit words of the 128-bit products a * x for a
+    uint64 array x, the high word from 32-bit partial products so that
+    nothing overflows."""
+    a_lo, a_hi = a & _LOW32, a >> 32
+    x_lo, x_hi = x & _LOW32, x >> 32
+    lh, hl = x_lo * a_hi, x_hi * a_lo
+    mid = ((x_lo * a_lo) >> 32) + (lh & _LOW32) + (hl & _LOW32)
+    hi = x_hi * a_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
+    return x * a, hi
+
+
+def _philox4x64(ctr: list[np.ndarray], key: int) -> list[np.ndarray]:
+    """Philox4x64-10 of counter words ctr (four uint64 arrays) under a
+    128-bit key, bumped by _PHILOX_W between rounds."""
+    k0, k1 = key % 2**64, key >> 64
+    v0, v1, v2, v3 = ctr
+    for _ in range(_PHILOX_ROUNDS):
+        lo0, hi0 = _mulhilo(_PHILOX_M[0], v0)
+        lo1, hi1 = _mulhilo(_PHILOX_M[1], v2)
+        v0, v1, v2, v3 = hi1 ^ v1 ^ k0, lo1, hi0 ^ v3 ^ k1, lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) % 2**64, (k1 + _PHILOX_W[1]) % 2**64
+    return [v0, v1, v2, v3]
+
+
+def _uniforms(seed: int, n: int, horizon: int) -> np.ndarray:
+    """(n, horizon) doubles in [0, 1): row i is what
+    Generator(Philox(key=seed, counter=[0, 0, i, 0])).random(horizon)
+    draws, computed for all rows at once."""
+    blocks = -(-horizon // 4)
+    b, i = np.meshgrid(np.arange(1, blocks + 1, dtype=np.uint64),
+                       np.arange(n, dtype=np.uint64))
+    zero = np.zeros_like(b)
+    words = np.stack(_philox4x64([b, zero, i, zero], seed), axis=-1)
+    return (words.reshape(n, 4 * blocks)[:, :horizon] >> 11) * 2.0**-53
+
+
+def _child_index(cdf: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per row, the child that u selects from the +inf-padded cumulative
+    probabilities cdf of a node with k children: the number of entries
+    <= u, which is searchsorted(cdf, u, side="right"), kept below k."""
+    return np.minimum((cdf <= u[:, None]).sum(axis=1), k - 1)
+
+
 def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     """Draw n root-to-leaf paths by the edge probabilities; returns leaf
-    node ids.  Path i consumes its own counter block of the Philox
-    stream keyed by seed, so the result depends only on (seed, i)."""
+    node ids.
+
+    The draws are a fixed stream, so the paths can be re-derived outside
+    this package.  Path i takes its horizon uniforms from Philox4x64-10
+    with key (seed mod 2**64, seed >> 64): the four 64-bit words of
+    counter block [b, 0, i, 0], b = 1, 2, ..., in order, each word x
+    giving the double (x >> 11) * 2**-53.  This is exactly
+    numpy.random.Generator(numpy.random.Philox(key=seed, counter=[0, 0,
+    i, 0])).random(horizon), so path i depends only on (seed, i).  At
+    step t the path moves from its node to the child that
+    searchsorted(cumsum(probs), u_t, side="right") selects, capped at the
+    last child, with probs in the order tree.step gives them."""
     if n < 1:
         raise BadParameter("need at least one path")
     if not 0 <= seed < 2**128:
         raise BadParameter(f"seed must be in [0, 2**128), got {seed}")
-    cum: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for node in tree.nonterminal():
-        kids, probs, _ = tree.step(node)
-        cum[node.id] = (np.cumsum(probs), kids.tolist())
-    out = []
-    for i in range(n):
-        bg = np.random.Philox(key=seed, counter=[0, 0, i, 0])
-        u = np.random.Generator(bg).random(tree.horizon)
-        nid = 0
-        for t in range(tree.horizon):
-            cdf, children = cum[nid]
-            nid = children[min(int(np.searchsorted(cdf, u[t], side="right")), len(children) - 1)]
-        out.append(nid)
-    return out
+    inner = tree.nonterminal()
+    steps = [tree.step(node)[:2] for node in inner]
+    k = np.array([len(ids) for ids, _ in steps])
+    row = np.zeros(len(tree.nodes), dtype=np.intp)
+    row[[node.id for node in inner]] = np.arange(len(inner))
+    cdf = np.full((len(inner), k.max()), np.inf)
+    kids = np.zeros((len(inner), k.max()), dtype=np.intp)
+    for r, (ids, probs) in enumerate(steps):
+        cdf[r, :k[r]], kids[r, :k[r]] = np.cumsum(probs), ids
+    u = _uniforms(seed, n, tree.horizon)
+    nid = np.zeros(n, dtype=np.intp)
+    for t in range(tree.horizon):
+        r = row[nid]
+        nid = kids[r, _child_index(cdf[r], k[r], u[:, t])]
+    return nid.tolist()
 
 
 def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,

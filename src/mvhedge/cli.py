@@ -63,6 +63,15 @@ def _typed(where: str):
         raise BadParameter(f"bad {where} value: {exc}") from exc
 
 
+def _config_int(config: dict, key: str, default: int) -> int:
+    """A config value that must be a JSON integer; a float or a boolean
+    would otherwise be truncated to one."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise BadParameter(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def load_config(path: str) -> dict:
     with open(path) as fh:
         doc = json.load(fh)
@@ -227,7 +236,14 @@ def cmd_verify(args) -> int:
             oracle.node_conditional_check(tree, node.id), tol,
         )
 
-    for node in tree.nonterminal():
+    inner = tree.nonterminal()
+    ids = [node.id for node in inner]
+    b = surf.b_sstar[ids]
+    up = np.full(len(tree.nodes), np.nan)
+    dn = np.full(len(tree.nodes), np.nan)
+    up[ids] = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
+    dn[ids] = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
+    for node in inner:
         i = node.id
         kids, p, deltas = tree.step(node)
         ok &= _check_line("cor320_tilde", i,
@@ -236,10 +252,8 @@ def cmd_verify(args) -> int:
         ok &= _check_line("cor320_hat", i,
                           float(np.max(np.abs(surf.c_hat_sstar[i] @ surf.a_hat[i]
                                               - surf.b_sstar[i]))), 0.0, tol)
-        up = 1.0 + float(surf.b_sstar[i] @ pinv_psd(surf.c_hat_sstar[i]) @ surf.b_sstar[i])
-        dn = 1.0 - float(surf.b_sstar[i] @ pinv_psd(surf.c_tilde_sstar[i]) @ surf.b_sstar[i])
-        ok &= _check_line("identity_319", i, up * dn, 1.0, tol)
-        ok &= _check_line("dak_identity", i, surf.dAK[i], up - 1.0, tol)
+        ok &= _check_line("identity_319", i, up[i] * dn[i], 1.0, tol)
+        ok &= _check_line("dak_identity", i, surf.dAK[i], up[i] - 1.0, tol)
         ok &= _check_line("qstar_mass", i, float(p @ mea.qstar_w[i]), 1.0, tol)
         ok &= _check_line("qstar_drift", i,
                           float(np.max(np.abs(deltas.T @ (p * mea.qstar_w[i])))), 0.0, tol)
@@ -279,9 +293,8 @@ def cmd_backtest(args) -> int:
     if not isinstance(exact, bool):
         raise BadParameter(f"exact must be true or false, got {exact!r}")
     exact = args.exact or exact
-    with _typed("seed or paths"):
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
-        n_paths = args.paths if args.paths is not None else int(config.get("paths", 10000))
+    seed = args.seed if args.seed is not None else _config_int(config, "seed", 0)
+    n_paths = args.paths if args.paths is not None else _config_int(config, "paths", 10000)
     paths = None if exact else bt.sample_paths(tree, n_paths, seed)
     reports = [
         bt.run_strategy(tree, surf, plan, kind, v0, paths=paths, exact=exact)

@@ -73,11 +73,13 @@ def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarr
     d = tree.num_assets
     xi = np.full((n, d), np.nan)
     dbar_u = np.full((n, d), np.nan)
-    for node in tree.nonterminal():
+    nonterminal = tree.nonterminal()
+    for node in nonterminal:
         i = node.id
         kids, probs, deltas = tree.step(node)
         dbar_u[i] = deltas.T @ (probs * surf.L[kids] * (V[kids] - V[i]))
-        xi[i] = pinv_psd(surf.cbar_u[i]) @ dbar_u[i]
+    ids = [node.id for node in nonterminal]
+    xi[ids] = (pinv_psd(surf.cbar_u[ids]) @ dbar_u[ids][..., None])[..., 0]
     return HedgePlan(V=V, xi=xi, dbar_u=dbar_u)
 
 

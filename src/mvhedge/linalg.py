@@ -35,32 +35,39 @@ class OneStepMoments:
 
 
 def pinv_psd(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric matrix.
+    """Moore-Penrose pseudoinverse of a symmetric matrix, or of each
+    matrix in a (..., d, d) stack.
 
     Computed via symmetric eigendecomposition; eigenvalues with
-    |lam| <= d * 1e-12 * max|lam| are truncated to zero.  The result is
-    exactly symmetric, and PSD whenever the input is PSD.
+    |lam| <= d * 1e-12 * max|lam| are truncated to zero, max|lam| taken
+    per matrix.  The result is exactly symmetric, and PSD whenever the
+    input is PSD.  Each matrix of a stack gets the same arithmetic as a
+    call on that matrix alone, so the results agree bit for bit.
 
-    Raises NotSymmetric if the asymmetry exceeds tolerance.
+    Raises NotSymmetric if the asymmetry of any matrix exceeds tolerance.
     """
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise NotSymmetric("input must be a square matrix")
-    scale = np.max(np.abs(m)) if m.size else 0.0
-    asym = np.max(np.abs(m - m.T)) if m.size else 0.0
-    if asym > SYMMETRY_RTOL * max(scale, 1.0):
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds tolerance")
-    d = m.shape[0]
-    if d == 0:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise NotSymmetric("input must be a square matrix or a stack of them")
+    mT = m.swapaxes(-1, -2)
+    scale = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    asym = np.abs(m - mT).max(axis=(-2, -1), initial=0.0)
+    bad = asym > SYMMETRY_RTOL * np.maximum(scale, 1.0)
+    if np.count_nonzero(bad):
+        raise NotSymmetric(f"asymmetry {np.max(np.where(bad, asym, 0.0)):.3e} exceeds tolerance")
+    d = m.shape[-1]
+    if m.size == 0:
         return m.copy()
     # an exactly symmetric input is its own symmetric part; not copying it
-    # keeps one (d, d) array fewer alive through eigh on the oracle's large solves
-    sym = m if asym == 0.0 else 0.5 * (m + m.T)
+    # keeps one (d, d) array fewer alive through eigh on the oracle's large
+    # solves.  In a stack with some asymmetric member, 0.5 * (m + mT) leaves
+    # the exactly symmetric members unchanged (short of overflow near 1e308)
+    sym = 0.5 * (m + mT) if np.count_nonzero(asym) else m
     lam, vec = np.linalg.eigh(sym)
-    cutoff = d * EIG_TRUNCATION * np.max(np.abs(lam)) if lam.size else 0.0
+    cutoff = d * EIG_TRUNCATION * np.abs(lam).max(axis=-1, keepdims=True)
     inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
-    out = (vec * inv) @ vec.T
-    return 0.5 * (out + out.T)
+    out = (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
+    return 0.5 * (out + out.swapaxes(-1, -2))
 
 
 def weighted_moments(weights: np.ndarray, increments: np.ndarray) -> OneStepMoments:

@@ -213,9 +213,8 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
     plain = martingale_surface(tree)
     b, c_hat = plain.b_sstar, plain.c_hat_sstar
     dK = np.full(len(tree.nodes), np.nan)
-    for node in tree.nonterminal():
-        i = node.id
-        dK[i] = float(b[i] @ pinv_psd(c_hat[i]) @ b[i])
+    ids = [node.id for node in tree.nonterminal()]
+    dK[ids] = (b[ids][:, None, :] @ pinv_psd(c_hat[ids]) @ b[ids][:, :, None])[:, 0, 0]
     deterministic = True
     slice_values = np.zeros(tree.horizon)
     for t in range(tree.horizon):

@@ -162,6 +162,37 @@ def markowitz_holdings_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     return phi
 
 
+def sample_paths_loop(tree: ScenarioTree, n: int, seed: int) -> list[int]:
+    """Reference sampler: one Philox generator per path, each path walked
+    node by node."""
+    cum: dict[int, tuple[np.ndarray, list[int]]] = {}
+    for node in tree.nonterminal():
+        kids, probs, _ = tree.step(node)
+        cum[node.id] = (np.cumsum(probs), kids.tolist())
+    out = []
+    for i in range(n):
+        bg = np.random.Philox(key=seed, counter=[0, 0, i, 0])
+        u = np.random.Generator(bg).random(tree.horizon)
+        nid = 0
+        for t in range(tree.horizon):
+            cdf, children = cum[nid]
+            nid = children[min(int(np.searchsorted(cdf, u[t], side="right")), len(children) - 1)]
+        out.append(nid)
+    return out
+
+
+def uneven_regime_tree(periods: int = 3) -> mv.ScenarioTree:
+    """Regime tree with uneven branching: regime 0 is absorbing (2
+    children a node), regime 1 moves to either regime (4 children)."""
+    regimes = [
+        [([1.0], 0.6), ([-1.0], 0.4)],
+        [([2.0], 0.3), ([-1.5], 0.7)],
+    ]
+    return mv.build_regime_switching(
+        [10.0], regimes, [[1.0, 0.0], [0.55, 0.45]], initial_regime=1, periods=periods,
+    )
+
+
 def two_regime_tree(periods: int = 3) -> mv.ScenarioTree:
     """Low/high-vol binomial regimes with distinct one-step tradeoffs."""
     regimes = [

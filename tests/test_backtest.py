@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mvhedge as mv
+from mvhedge.backtest import _child_index, _uniforms
 
 from gen import (
     binomial_06,
@@ -10,7 +11,16 @@ from gen import (
     martingale_trinomial,
     random_claim,
     random_tree,
+    sample_paths_loop,
+    uneven_regime_tree,
 )
+
+SAMPLER_SEEDS = (0, 1, 2**32 + 1, 2**64 - 1, 2**64, 2**127 + 3, 2**128 - 1)
+SAMPLER_TREES = {
+    "binomial": lambda periods: mv.build_binomial([10.0], 1.1, 0.9, 0.6, periods),
+    "iid_trinomial": martingale_trinomial,
+    "uneven_regime": uneven_regime_tree,
+}
 
 
 def drifted_tree(periods=3):
@@ -47,6 +57,43 @@ def test_sample_paths_frequencies():
     up_leaf = tree.root.children[0][0]
     frac = sum(1 for leaf in paths if leaf == up_leaf) / n
     assert abs(frac - 0.6) <= 4.0 * np.sqrt(0.24 / n)
+
+
+@pytest.mark.parametrize("periods", range(1, 10))
+@pytest.mark.parametrize("kind", SAMPLER_TREES)
+def test_sample_paths_equal_per_path_generators(kind, periods):
+    # horizons 1..9 cross the 4-draw Philox block edges at 4->5 and 8->9
+    tree = SAMPLER_TREES[kind](periods)
+    for seed in SAMPLER_SEEDS:
+        assert mv.sample_paths(tree, 40, seed) == sample_paths_loop(tree, 40, seed)
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+def test_uniforms_equal_numpy_generator(seed):
+    for horizon in range(1, 10):
+        ref = [np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
+               .random(horizon) for i in range(6)]
+        assert np.array_equal(_uniforms(seed, 6, horizon), np.array(ref))
+
+
+def test_child_index_matches_searchsorted():
+    laws = [[0.25, 0.5, 0.25], [0.1] * 10, [0.3, 0.7], [1 / 3] * 3, [0.5, 0.5]]
+    width = max(len(p) for p in laws)
+    cdf = np.full((len(laws), width), np.inf)
+    for r, p in enumerate(laws):
+        cdf[r, :len(p)] = np.cumsum(p)
+    k = np.array([len(p) for p in laws])
+    for r, p in enumerate(laws):
+        row = cdf[r, :k[r]]
+        # u exactly on every cdf entry, just below and above them, and
+        # above the last entry (which may round below 1)
+        us = np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 2.0),
+                             [0.0, 1.0 - 2.0**-53, 0.999]])
+        us = us[us < 1.0]
+        got = _child_index(np.repeat(cdf[r:r + 1], len(us), axis=0),
+                           np.full(len(us), k[r]), us)
+        want = [min(int(np.searchsorted(row, u, side="right")), k[r] - 1) for u in us]
+        assert got.tolist() == want
 
 
 def test_sample_paths_bad_count():

@@ -83,6 +83,11 @@ def test_hedge_degenerate_exit_code(tmp_path):
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "seed": -1}),
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "exact": "false"}),
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": "mvh"}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "paths": 2.7}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "paths": True}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "seed": 1.9}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "seed": False}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "paths": 3.0}),
 ])
 def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)

@@ -49,6 +49,36 @@ def test_double_pinv_well_conditioned(seed):
     assert np.max(np.abs(pinv_psd(pinv_psd(m)) - m)) <= 1e-8 * np.max(np.abs(m))
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_pinv_equals_loop(d):
+    # scales 1e-8, 1 and 1e8, full rank and rank-deficient members, and
+    # members with an asymmetry inside the tolerance
+    rng = np.random.default_rng(300 + d)
+    mats = []
+    for scale in (1e-8, 1.0, 1e8):
+        for rank in range(d + 1):
+            B = scale * rng.normal(size=(d, rank))
+            m = B @ B.T
+            mats.append(m)
+            mats.append(m + 1e-14 * max(np.max(np.abs(m)), 1.0) * np.triu(np.ones((d, d)), 1))
+    stack = np.array(mats)
+    out = pinv_psd(stack)
+    assert out.shape == stack.shape
+    assert np.array_equal(out, np.array([pinv_psd(m) for m in mats]))
+    assert np.array_equal(pinv_psd(stack.reshape(2, -1, d, d)), out.reshape(2, -1, d, d))
+
+
+def test_stacked_not_symmetric_raises():
+    stack = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]], np.ones((2, 2))])
+    with pytest.raises(mv.NotSymmetric):
+        pinv_psd(stack)
+
+
+def test_empty_stack():
+    out = pinv_psd(np.zeros((0, 2, 2)))
+    assert out.shape == (0, 2, 2)
+
+
 def test_weighted_moments_binomial_hand_case():
     mom = weighted_moments([0.6, 0.4], [[1.0], [-1.0]])
     assert mom.m0 == pytest.approx(1.0)
