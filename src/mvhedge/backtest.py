@@ -69,13 +69,16 @@ def _philox4x64(ctr: list[np.ndarray], key: int) -> list[np.ndarray]:
 def _uniforms(seed: int, n: int, horizon: int) -> np.ndarray:
     """(n, horizon) doubles in [0, 1): row i is what
     Generator(Philox(key=seed, counter=[0, 0, i, 0])).random(horizon)
-    draws, computed for all rows at once."""
-    blocks = -(-horizon // 4)
-    b, i = np.meshgrid(np.arange(1, blocks + 1, dtype=np.uint64),
-                       np.arange(n, dtype=np.uint64))
-    zero = np.zeros_like(b)
-    words = np.stack(_philox4x64([b, zero, i, zero], seed), axis=-1)
-    return (words.reshape(n, 4 * blocks)[:, :horizon] >> 11) * 2.0**-53
+    draws, computed for all rows at once, one counter block (four
+    draws) at a time so that the Philox temporaries stay per block."""
+    out = np.empty((n, horizon))
+    i = np.arange(n, dtype=np.uint64)
+    zero = np.zeros(n, dtype=np.uint64)
+    for first in range(0, horizon, 4):
+        b = np.full(n, first // 4 + 1, dtype=np.uint64)
+        for t, word in enumerate(_philox4x64([b, zero, i, zero], seed)[:horizon - first]):
+            out[:, first + t] = (word >> 11) * 2.0**-53
+    return out
 
 
 def _child_index(cdf: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -103,15 +106,17 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
         raise BadParameter("need at least one path")
     if not 0 <= seed < 2**128:
         raise BadParameter(f"seed must be in [0, 2**128), got {seed}")
-    inner = tree.nonterminal()
-    steps = [tree.step(node)[:2] for node in inner]
-    k = np.array([len(ids) for ids, _ in steps])
+    lay = tree.layout
+    k = np.diff(lay.offsets)[lay.inner]
     row = np.zeros(len(tree.nodes), dtype=np.intp)
-    row[[node.id for node in inner]] = np.arange(len(inner))
-    cdf = np.full((len(inner), k.max()), np.inf)
-    kids = np.zeros((len(inner), k.max()), dtype=np.intp)
-    for r, (ids, probs) in enumerate(steps):
-        cdf[r, :k[r]], kids[r, :k[r]] = np.cumsum(probs), ids
+    row[lay.inner] = np.arange(len(lay.inner))
+    cdf = np.full((len(lay.inner), k.max()), np.inf)
+    kids = np.zeros((len(lay.inner), k.max()), dtype=np.intp)
+    for groups in lay.groups:
+        for ids, edges in groups:
+            r, width = row[ids], edges.shape[1]
+            cdf[r, :width] = np.cumsum(lay.prob[edges], axis=1)
+            kids[r, :width] = lay.child[edges]
     u = _uniforms(seed, n, tree.horizon)
     nid = np.zeros(n, dtype=np.intp)
     for t in range(tree.horizon):
@@ -139,7 +144,7 @@ def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
         return rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, v0)
     if kind == "pure_xi":
         return rollout_strategy(tree, plan.xi, 0.0, 0.0, v0)
-    h = plan.V[[leaf.id for leaf in tree.leaves()]]
+    h = plan.V[tree.layout.leaves]
     if kind == "gkw":
         xi = compute_plan(tree, martingale_surface(tree), Claim(payoff=h)).xi
         return rollout_strategy(tree, xi, 0.0, 0.0, v0)
@@ -151,7 +156,7 @@ def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
 def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, G: np.ndarray) -> float:
     """Full-tree expectation of the squared terminal hedging error of a
     strategy whose per-node wealth is G, summed leaf by leaf in leaf order."""
-    ids = [leaf.id for leaf in tree.leaves()]
+    ids = tree.layout.leaves
     err = G[ids] - plan.V[ids]
     return float(sum(tree.node_probs()[ids] * err * err))
 
@@ -168,7 +173,7 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
     if exact:
         mse = exact_sq_error(tree, plan, G)
         return BacktestReport(
-            strategy=kind, num_paths=len(tree.leaves()), mean_sq_error=mse,
+            strategy=kind, num_paths=len(tree.layout.leaves), mean_sq_error=mse,
             std_error=0.0, analytic_error=analytic, exact=True,
         )
     if paths is None:

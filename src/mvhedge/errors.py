@@ -18,6 +18,13 @@ class DegenerateStep(RuntimeError):
         self.node_id = node_id
         super().__init__(f"degenerate one-step market at node {node_id}")
 
+    @classmethod
+    def raise_lowest(cls, failing) -> None:
+        """Raise at the lowest node id in failing (arrays of node ids), if any."""
+        lowest = min((int(ids.min()) for ids in failing if len(ids)), default=None)
+        if lowest is not None:
+            raise cls(lowest)
+
 
 class TooLarge(ValueError):
     """Tree exceeds the brute-force oracle size bound."""

@@ -51,34 +51,37 @@ class HedgeReport:
 
 def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface, claim: Claim) -> np.ndarray:
     """Backward recursion V(n) = sum_k p_k (L_k/L_n)(1 - a_tilde' d_k) V_k
-    with V(leaf) = payoff.
+    with V(leaf) = payoff, one time slice at a time.
 
     Raises DegenerateStep when the one-step weights at a node do not sum
-    to 1 within WEIGHT_SUM_TOL."""
+    to 1 within WEIGHT_SUM_TOL; the node named is the lowest id of the
+    latest slice with such a node."""
     V = claim_at(tree, claim)
+    L, a = surf.L, surf.a_tilde
     for t in range(tree.horizon - 1, -1, -1):
-        for node in tree.nodes_at(t):
-            i = node.id
-            kids, probs, deltas = tree.step(node)
-            w = probs * (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
-            if not abs(float(np.sum(w)) - 1.0) <= WEIGHT_SUM_TOL:
-                raise DegenerateStep(i)
-            V[i] = float(w @ V[kids])
+        bad = []
+        for s in tree.layout.steps(t):
+            i = s.ids
+            gain = (s.deltas @ a[i][..., None])[..., 0]
+            w = s.probs * (L[s.kids] / L[i][:, None]) * (1.0 - gain)
+            bad.append(i[~(np.abs(np.sum(w, axis=1) - 1.0) <= WEIGHT_SUM_TOL)])
+            V[i] = (w[:, None, :] @ V[s.kids][..., None])[:, 0, 0]
+        DegenerateStep.raise_lowest(bad)
     return V
 
 
 def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarray) -> HedgePlan:
     """Pure hedge coefficient xi(n) = cbar_u^+ dbar_u per non-terminal node."""
+    lay = tree.layout
     n = len(tree.nodes)
     d = tree.num_assets
     xi = np.full((n, d), np.nan)
     dbar_u = np.full((n, d), np.nan)
-    nonterminal = tree.nonterminal()
-    for node in nonterminal:
-        i = node.id
-        kids, probs, deltas = tree.step(node)
-        dbar_u[i] = deltas.T @ (probs * surf.L[kids] * (V[kids] - V[i]))
-    ids = [node.id for node in nonterminal]
+    for t in range(tree.horizon):
+        for s in lay.steps(t):
+            x = s.probs * surf.L[s.kids] * (V[s.kids] - V[s.ids][:, None])
+            dbar_u[s.ids] = (s.deltas.swapaxes(1, 2) @ x[..., None])[..., 0]
+    ids = lay.inner
     xi[ids] = (pinv_psd(surf.cbar_u[ids]) @ dbar_u[ids][..., None])[..., 0]
     return HedgePlan(V=V, xi=xi, dbar_u=dbar_u)
 
@@ -104,11 +107,11 @@ def rollout_strategy(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarra
     phi = np.full((n, d), np.nan)
     G = np.full(n, np.nan)
     G[0] = v0
-    for node in tree.nonterminal():
-        i = node.id
-        phi[i] = xi[i] - (G[i] - V[i]) * a[i]
-        kids, _, deltas = tree.step(node)
-        G[kids] = G[i] + deltas @ phi[i]
+    for t in range(tree.horizon):
+        for s in tree.layout.steps(t):
+            i = s.ids
+            phi[i] = xi[i] - (G[i] - V[i])[:, None] * a[i]
+            G[s.kids] = G[i][:, None] + (s.deltas @ phi[i][..., None])[..., 0]
     return phi, G
 
 
@@ -119,19 +122,21 @@ def hedging_error(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
     e(n) = sum_k p_k L_k (V_k - V_n)^2 - dbar_u' cbar_u^+ dbar_u >= 0,
     total = L_0 (v0 - V_0)^2 + sum_n P(n) e(n).
     """
-    n = len(tree.nodes)
-    e = np.full(n, np.nan)
-    for node in tree.nonterminal():
-        i = node.id
-        kids, probs, _ = tree.step(node)
-        dv = plan.V[kids] - plan.V[i]
-        e[i] = float(probs * surf.L[kids] @ (dv * dv)) - float(plan.dbar_u[i] @ plan.xi[i])
+    lay = tree.layout
+    e = np.full(len(tree.nodes), np.nan)
+    for t in range(tree.horizon):
+        for s in lay.steps(t):
+            i = s.ids
+            dv = plan.V[s.kids] - plan.V[i][:, None]
+            e[i] = (((s.probs * surf.L[s.kids])[:, None, :] @ (dv * dv)[..., None])[:, 0, 0]
+                    - (plan.dbar_u[i][:, None, :] @ plan.xi[i][..., None])[:, 0, 0])
     probs = tree.node_probs()
     endowment = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
     slice_error: dict[int, float] = {}
     total = endowment
     for t in range(tree.horizon):
-        s = sum(float(probs[node.id] * e[node.id]) for node in tree.nodes_at(t))
+        ids = lay.slices[t]
+        s = sum((probs[ids] * e[ids]).tolist())
         slice_error[t] = s
         total += s
     return HedgeReport(
@@ -151,11 +156,12 @@ def fs_residual_check(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
     r(n) = sum_k pstar_k d_k ((V_k - V_n) - xi' d_k).
     """
     worst = 0.0
-    for node in tree.nonterminal():
-        i = node.id
-        kids, probs, deltas = tree.step(node)
-        pstar = probs * surf.L[kids] / surf.m0[i]
-        resid = (plan.V[kids] - plan.V[i]) - deltas @ plan.xi[i]
-        r = deltas.T @ (pstar * resid)
-        worst = max(worst, float(np.max(np.abs(r))))
+    for t in range(tree.horizon):
+        for s in tree.layout.steps(t):
+            i = s.ids
+            pstar = s.probs * surf.L[s.kids] / surf.m0[i][:, None]
+            gains = (s.deltas @ plan.xi[i][..., None])[..., 0]
+            resid = (plan.V[s.kids] - plan.V[i][:, None]) - gains
+            r = (s.deltas.swapaxes(1, 2) @ (pstar * resid)[..., None])[..., 0]
+            worst = max(worst, float(np.max(np.abs(r))))
     return worst

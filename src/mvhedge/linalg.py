@@ -20,7 +20,8 @@ EIG_TRUNCATION = 1e-12
 
 @dataclass(frozen=True)
 class OneStepMoments:
-    """Weighted conditional one-step moments at a non-terminal node.
+    """Weighted conditional one-step moments at a non-terminal node, or
+    at each node of a stack (leading axis).
 
     m0      = sum_k w_k            (weighted mass)
     bbar_u  = sum_k w_k d_k        (weighted drift, unnormalized)
@@ -29,7 +30,7 @@ class OneStepMoments:
     with w_k = p_k * L_k and d_k the price increment to child k.
     """
 
-    m0: float
+    m0: float | np.ndarray
     bbar_u: np.ndarray
     cbar_u: np.ndarray
 
@@ -72,12 +73,17 @@ def pinv_psd(m: np.ndarray) -> np.ndarray:
 
 def weighted_moments(weights: np.ndarray, increments: np.ndarray) -> OneStepMoments:
     """Assemble OneStepMoments from per-child weights p_k*L_k and
-    increment vectors (one row per child)."""
+    increment vectors (one row per child), or from (m, k) weights and
+    (m, k, d) increments for m nodes of k children each.  A node of a
+    stack gets the same arithmetic as a call on that node alone, so the
+    results agree bit for bit."""
     w = np.asarray(weights, dtype=float)
     d = np.asarray(increments, dtype=float)
-    if d.ndim == 1:
-        d = d[:, None]
-    m0 = float(np.sum(w))
-    bbar_u = d.T @ w
-    cbar_u = (d.T * w) @ d
-    return OneStepMoments(m0=m0, bbar_u=bbar_u, cbar_u=0.5 * (cbar_u + cbar_u.T))
+    if d.ndim == w.ndim:
+        d = d[..., None]
+    dT = d.swapaxes(-1, -2)
+    m0 = np.sum(w, axis=-1)
+    bbar_u = (dT @ w[..., None])[..., 0]
+    cbar_u = (dT * w[..., None, :]) @ d
+    return OneStepMoments(m0=m0, bbar_u=bbar_u,
+                          cbar_u=0.5 * (cbar_u + cbar_u.swapaxes(-1, -2)))

@@ -125,26 +125,30 @@ def _unfilled(L: np.ndarray, a_tilde: np.ndarray) -> OpportunitySurface:
 
 
 def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
-    """Backward induction for L, a_tilde, and the weighted moments.
+    """Backward induction for L, a_tilde, and the weighted moments, one
+    time slice at a time: per child-count group of the slice, stacked
+    moments and one stacked pseudoinverse.
 
     Raises DegenerateStep when some one-step market admits a riskless
     nonzero return: the one-step ratio L/m0 = 1/(1 + dAK) vanishes.  The
     test is relative to m0 because L itself compounds multiplicatively
-    and may be tiny on long horizons of a well-posed market."""
+    and may be tiny on long horizons of a well-posed market.  The node
+    named is the lowest id of the latest slice with such a step."""
+    lay = tree.layout
     n, d = len(tree.nodes), tree.num_assets
     surf = _unfilled(np.ones(n), np.full((n, d), np.nan))
     for t in range(tree.horizon - 1, -1, -1):
-        for node in tree.nodes_at(t):
-            kids, probs, deltas = tree.step(node)
-            mom = weighted_moments(probs * surf.L[kids], deltas)
+        degenerate = []
+        for s in lay.steps(t):
+            mom = weighted_moments(s.probs * surf.L[s.kids], s.deltas)
             cinv = pinv_psd(mom.cbar_u)
-            L = mom.m0 - float(mom.bbar_u @ cinv @ mom.bbar_u)
-            if L <= DEGENERACY_THRESHOLD * mom.m0:
-                raise DegenerateStep(node.id)
-            i = node.id
-            surf.L[i] = L
-            surf.a_tilde[i] = cinv @ mom.bbar_u
-            surf.m0[i], surf.bbar_u[i], surf.cbar_u[i] = mom.m0, mom.bbar_u, mom.cbar_u
+            b = mom.bbar_u[..., None]
+            L = mom.m0 - (b.swapaxes(1, 2) @ cinv @ b)[:, 0, 0]
+            degenerate.append(s.ids[L <= DEGENERACY_THRESHOLD * mom.m0])
+            surf.L[s.ids] = L
+            surf.a_tilde[s.ids] = (cinv @ b)[..., 0]
+            surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = mom.m0, mom.bbar_u, mom.cbar_u
+        DegenerateStep.raise_lowest(degenerate)
     return surf
 
 
@@ -155,13 +159,13 @@ def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
     the martingale-style (GKW) hedge, and its c_hat_sstar is the
     physical conditional covariance of the increments.  L and a_tilde
     are read-only constant views, which take no memory."""
+    lay = tree.layout
     n, d = len(tree.nodes), tree.num_assets
     surf = _unfilled(np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d)))
-    for node in tree.nonterminal():
-        _, probs, deltas = tree.step(node)
-        mom = weighted_moments(probs, deltas)
-        i = node.id
-        surf.m0[i], surf.bbar_u[i], surf.cbar_u[i] = mom.m0, mom.bbar_u, mom.cbar_u
+    for t in range(tree.horizon):
+        for s in lay.steps(t):
+            mom = weighted_moments(s.probs, s.deltas)
+            surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = mom.m0, mom.bbar_u, mom.cbar_u
     return surf
 
 
@@ -171,28 +175,31 @@ def measures(tree: ScenarioTree, surf: OpportunitySurface) -> MeasureSurface:
 
     Negative qstar_w entries are legal (the variance-optimal measure is
     signed) and are counted, never clamped."""
+    lay = tree.layout
     qstar_w: dict[int, np.ndarray] = {}
     pstar_p: dict[int, np.ndarray] = {}
     nstar_f: dict[int, np.ndarray] = {}
     z_qstar = np.ones(len(tree.nodes))
     z_pstar = np.ones(len(tree.nodes))
     negatives = 0
-    for node in tree.nonterminal():
-        i = node.id
-        kids, probs, deltas = tree.step(node)
-        child_L = surf.L[kids]
-        qw = (child_L / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
-        pp = probs * child_L / surf.m0[i]
-        qstar_w[i] = qw
-        pstar_p[i] = pp
-        nstar_f[i] = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
-        negatives += int(np.sum(qw <= 0.0))
-        z_qstar[kids] = z_qstar[i] * qw
-        z_pstar[kids] = z_pstar[i] * (pp / probs)
+    for t in range(tree.horizon):
+        for s in lay.steps(t):
+            i = s.ids
+            child_L = surf.L[s.kids]
+            gain = (s.deltas @ surf.a_tilde[i][..., None])[..., 0]
+            qw = (child_L / surf.L[i][:, None]) * (1.0 - gain)
+            pp = s.probs * child_L / surf.m0[i][:, None]
+            shifted = s.deltas - surf.b_sstar[i][:, None, :]
+            nf = 1.0 - (shifted @ surf.a_hat[i][..., None])[..., 0]
+            for r, node_id in enumerate(i.tolist()):
+                qstar_w[node_id], pstar_p[node_id], nstar_f[node_id] = qw[r], pp[r], nf[r]
+            negatives += int(np.sum(qw <= 0.0))
+            z_qstar[s.kids] = z_qstar[i][:, None] * qw
+            z_pstar[s.kids] = z_pstar[i][:, None] * (pp / s.probs)
     return MeasureSurface(
-        qstar_w=qstar_w,
-        pstar_p=pstar_p,
-        nstar_f=nstar_f,
+        qstar_w=dict(sorted(qstar_w.items())),
+        pstar_p=dict(sorted(pstar_p.items())),
+        nstar_f=dict(sorted(nstar_f.items())),
         z_qstar=z_qstar,
         z_pstar=z_pstar,
         num_negative_weights=negatives,
@@ -212,13 +219,14 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
     mea = measures(tree, surf)
     plain = martingale_surface(tree)
     b, c_hat = plain.b_sstar, plain.c_hat_sstar
+    lay = tree.layout
     dK = np.full(len(tree.nodes), np.nan)
-    ids = [node.id for node in tree.nonterminal()]
+    ids = lay.inner
     dK[ids] = (b[ids][:, None, :] @ pinv_psd(c_hat[ids]) @ b[ids][:, :, None])[:, 0, 0]
     deterministic = True
     slice_values = np.zeros(tree.horizon)
     for t in range(tree.horizon):
-        vals = np.array([dK[n.id] for n in tree.nodes_at(t)])
+        vals = dK[lay.slices[t]]
         slice_values[t] = vals[0]
         if np.max(np.abs(vals - vals[0])) > MVT_TOL * max(1.0, abs(vals[0])):
             deterministic = False
@@ -226,7 +234,7 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
     det_residual = None
     if deterministic:
         eps = np.cumprod(np.concatenate(([1.0], 1.0 + slice_values)))
-        expected = (eps / eps[-1])[[node.time for node in tree.nodes]]
+        expected = (eps / eps[-1])[lay.time]
         det_residual = float(np.max(np.abs(surf.L - expected) / expected))
     return MvtDiagnostics(
         dK_hat=dK,

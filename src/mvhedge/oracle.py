@@ -4,7 +4,9 @@ These deliberately share nothing with the engine except the symmetric
 pseudoinverse: the hedging problem is solved as one flat weighted least
 squares over all per-node holdings, and the variance-optimal measure as
 an equality-constrained QP on leaf densities.  Agreement between engine
-and oracle is therefore a genuine cross check, not a tautology.
+and oracle is therefore a genuine cross check, not a tautology.  They
+read the Node objects directly, never the engine's tree layout, which
+also keeps the per-node subtrees of a verify run from building one.
 """
 from __future__ import annotations
 
@@ -33,8 +35,25 @@ class QpSolution:
     leaf_density: np.ndarray   # signed, in leaf order
 
 
+def _leaves(tree: ScenarioTree) -> list:
+    return [n for n in tree.nodes if n.time == tree.horizon]
+
+
+def _nonterminal(tree: ScenarioTree) -> list:
+    return [n for n in tree.nodes if n.time < tree.horizon]
+
+
+def _node_probs(tree: ScenarioTree) -> np.ndarray:
+    probs = np.zeros(len(tree.nodes))
+    probs[0] = 1.0
+    for n in tree.nodes:
+        for cid, p in n.children:
+            probs[cid] = probs[n.id] * p
+    return probs
+
+
 def _check_size(tree: ScenarioTree) -> None:
-    n_leaves = len(tree.leaves())
+    n_leaves = len(_leaves(tree))
     if n_leaves > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{n_leaves} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
 
@@ -49,13 +68,13 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
     """
     _check_size(tree)
     free_v0 = isinstance(v0, str)
-    nonterm = tree.nonterminal()
+    nonterm = _nonterminal(tree)
     d = tree.num_assets
     col_of = {node.id: k for k, node in enumerate(nonterm)}
-    leaves = tree.leaves()
+    leaves = _leaves(tree)
     n_cols = len(nonterm) * d + (1 if free_v0 else 0)
     X = np.zeros((len(leaves), n_cols))
-    probs = tree.node_probs()
+    probs = _node_probs(tree)
     w = np.array([probs[leaf.id] for leaf in leaves])
     target = np.asarray(claim.payoff, dtype=float).copy()
     for r, leaf in enumerate(leaves):
@@ -68,11 +87,19 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
             X[r, -1] = 1.0
     if not free_v0:
         target -= float(v0)
+    # with unit-norm columns the pseudoinverse cutoff, relative to the
+    # largest eigenvalue, no longer depends on the price unit: the v0
+    # column (scale 1) and the holding columns (scale of the prices)
+    # are weighed alike
+    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
+    norms[norms == 0.0] = 1.0
+    X /= norms
     normal = (X.T * w) @ X
     rhs = X.T @ (w * target)
     beta = pinv_psd(normal) @ rhs
     resid = X @ beta - target
     min_error = float(w @ (resid * resid))
+    beta /= norms
     v0_opt = float(beta[-1]) if free_v0 else float(v0)
 
     holdings = np.full((len(tree.nodes), d), np.nan)
@@ -102,8 +129,8 @@ def martingale_qp(tree: ScenarioTree, feas_tol: float = 1e-8) -> QpSolution:
              sum_{children k} (sum_{leaves m under k} P(m) z_m) delta_{k,i} = 0
     """
     _check_size(tree)
-    leaves = tree.leaves()
-    probs = tree.node_probs()
+    leaves = _leaves(tree)
+    probs = _node_probs(tree)
     w = np.array([probs[leaf.id] for leaf in leaves])
     leaf_col = {leaf.id: j for j, leaf in enumerate(leaves)}
 
@@ -121,18 +148,24 @@ def martingale_qp(tree: ScenarioTree, feas_tol: float = 1e-8) -> QpSolution:
                 under[node_id] = acc
         return under[node_id]
 
-    nonterm = tree.nonterminal()
+    nonterm = _nonterminal(tree)
     A = np.zeros((1 + len(nonterm) * tree.num_assets, len(leaves)))
     b = np.zeros(len(A))
     A[0], b[0] = w, 1.0  # unit-mass constraint
     r = 1
     for node in nonterm:
-        _, _, deltas = tree.step(node)
+        deltas = [tree.increment(node.id, cid) for cid, _ in node.children]
         for i in range(tree.num_assets):
             for (cid, _), delta in zip(node.children, deltas):
                 for m in leaves_under(cid):
                     A[r, leaf_col[m]] += probs[m] * delta[i]
             r += 1
+    # unit-norm constraint rows keep the constraints above the
+    # pseudoinverse cutoff whatever the price unit
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
+    norms[norms == 0.0] = 1.0
+    A /= norms[:, None]
+    b /= norms
     n_z, n_c = len(leaves), len(b)
     kkt = np.zeros((n_z + n_c, n_z + n_c))
     kkt[:n_z, :n_z] = 2.0 * np.diag(w)
@@ -187,7 +220,7 @@ def node_conditional_check(tree: ScenarioTree, node_id: int) -> float:
     if not node.children:
         return 1.0
     sub, _ = subtree_at(tree, node_id)
-    ones = Claim(payoff=np.ones(len(sub.leaves())))
+    ones = Claim(payoff=np.ones(len(_leaves(sub))))
     return lsq_projection(sub, ones, v0=0.0).min_error
 
 
@@ -199,11 +232,12 @@ def max_sharpe(tree: ScenarioTree, node_id: int = 0) -> float:
     if not node.children:
         return 0.0
     sub, _ = subtree_at(tree, node_id)
-    ones = Claim(payoff=np.ones(len(sub.leaves())))
+    leaves = _leaves(sub)
+    ones = Claim(payoff=np.ones(len(leaves)))
     sol = lsq_projection(sub, ones, v0=0.0)
-    probs = sub.node_probs()
-    x = np.array([sol.value_process[leaf.id] for leaf in sub.leaves()])
-    w = np.array([probs[leaf.id] for leaf in sub.leaves()])
+    probs = _node_probs(sub)
+    x = np.array([sol.value_process[leaf.id] for leaf in leaves])
+    w = np.array([probs[leaf.id] for leaf in leaves])
     mean = float(w @ x)
     var = float(w @ (x * x)) - mean * mean
     if var <= 1e-24:

@@ -6,12 +6,24 @@ time-t nodes.  Edge probabilities are conditional one-step probabilities
 under the physical measure; unconditional node probabilities are products
 along the root path.  Nodes are indexed breadth-first by time, then by
 parent order, which makes every per-node output serialization-stable.
+
+The ordering contract, which validate_tree enforces: each node's id is
+its position in the node list, and time never decreases along the list.
+
+The engine does not walk the Node objects.  At first use a tree derives
+one flat, read-only TreeLayout from its nodes (node prices and times,
+CSR children with their probabilities and price increments, and each
+time slice's nodes grouped by child count) and every sweep runs one
+time slice at a time over those groups.  The layout is cached, so the
+nodes must not change once the engine has seen the tree.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +48,72 @@ class Node:
     regime: int | None = None
 
 
+class Step(NamedTuple):
+    """The one-step markets of m nodes of one time slice that have the
+    same child count k, aligned by child: row r holds node ids[r]'s
+    child ids, conditional probabilities and price increments, in the
+    order of its children."""
+
+    ids: np.ndarray      # (m,)
+    kids: np.ndarray     # (m, k)
+    probs: np.ndarray    # (m, k)
+    deltas: np.ndarray   # (m, k, d)
+
+
+class TreeLayout:
+    """Flat, read-only arrays of a tree, derived from its nodes, which
+    must keep the ordering contract.
+
+    Node i has price[i] and time[i].  Its children are the edges
+    offsets[i]:offsets[i + 1], in the order of node.children; edge e
+    leads to node child[e] with conditional probability prob[e] and
+    price increment delta[e] = price[child[e]] - price[i].  slices[t]
+    holds the ids of the time-t nodes in id order, and inner the ids of
+    the non-terminal nodes.  groups[t], for t < horizon, splits
+    slices[t] by child count k into (ids, edges) pairs, ascending in k:
+    edges is the (m, k) matrix of edge indices whose row r is node
+    ids[r]'s edges.  Grouping by child count, not padding to a common
+    count, keeps every stacked one-step computation the same arithmetic
+    as on one node alone.
+    """
+
+    def __init__(self, tree: ScenarioTree):
+        nodes = tree.nodes
+        n = len(nodes)
+        price = np.array([node.price for node in nodes], dtype=float).reshape(n, tree.num_assets)
+        time = np.array([node.time for node in nodes], dtype=np.intp)
+        counts = np.array([len(node.children) for node in nodes], dtype=np.intp)
+        offsets = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(counts, out=offsets[1:])
+        child = np.fromiter((c for node in nodes for c, _ in node.children), np.intp, offsets[-1])
+        prob = np.fromiter((p for node in nodes for _, p in node.children), float, offsets[-1])
+        delta = price[child] - np.repeat(price, counts, axis=0)
+        slices = [np.flatnonzero(time == t) for t in range(tree.horizon + 1)]
+        groups = []
+        for ids in slices[:-1]:
+            k = counts[ids]
+            groups.append([(ids[k == kk], offsets[ids[k == kk], None] + np.arange(kk))
+                           for kk in np.flatnonzero(np.bincount(k)).tolist()])
+        inner = np.flatnonzero(time < tree.horizon)
+        for a in (price, time, offsets, child, prob, delta, inner, *slices,
+                  *(a for group in groups for pair in group for a in pair)):
+            a.flags.writeable = False
+        self.price, self.time, self.offsets = price, time, offsets
+        self.child, self.prob, self.delta = child, prob, delta
+        self.slices, self.groups, self.inner = slices, groups, inner
+
+    @property
+    def leaves(self) -> np.ndarray:
+        """Ids of the terminal nodes, in id order."""
+        return self.slices[-1]
+
+    def steps(self, t: int) -> list[Step]:
+        """The one-step markets of the time-t nodes, one Step per child
+        count, gathered from the edge arrays."""
+        return [Step(ids, self.child[edges], self.prob[edges], self.delta[edges])
+                for ids, edges in self.groups[t]]
+
+
 @dataclass
 class ScenarioTree:
     num_assets: int
@@ -46,14 +124,22 @@ class ScenarioTree:
     def root(self) -> Node:
         return self.nodes[0]
 
+    @cached_property
+    def layout(self) -> TreeLayout:
+        """The flat layout of the nodes, built at first access."""
+        return TreeLayout(self)
+
+    def _nodes(self, ids: np.ndarray) -> list[Node]:
+        return [self.nodes[i] for i in ids.tolist()]
+
     def leaves(self) -> list[Node]:
-        return [n for n in self.nodes if n.time == self.horizon]
+        return self._nodes(self.layout.leaves)
 
     def nonterminal(self) -> list[Node]:
-        return [n for n in self.nodes if n.time < self.horizon]
+        return self._nodes(self.layout.inner)
 
     def nodes_at(self, t: int) -> list[Node]:
-        return [n for n in self.nodes if n.time == t]
+        return self._nodes(self.layout.slices[t])
 
     def increment(self, parent_id: int, child_id: int) -> np.ndarray:
         return self.nodes[child_id].price - self.nodes[parent_id].price
@@ -61,10 +147,11 @@ class ScenarioTree:
     def step(self, node: Node) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One-step view of a non-terminal node, aligned by child: the
         child ids, their conditional probabilities, and the price
-        increments (one row per child)."""
-        ids, probs = zip(*node.children)
-        deltas = np.array([self.nodes[c].price for c in ids]) - node.price
-        return np.array(ids), np.array(probs), deltas
+        increments (one row per child).  Read-only views into the
+        layout."""
+        lay = self.layout
+        edges = slice(lay.offsets[node.id], lay.offsets[node.id + 1])
+        return lay.child[edges], lay.prob[edges], lay.delta[edges]
 
     def path_nodes(self, node_id: int) -> list[int]:
         """Node ids from the root to node_id, inclusive."""
@@ -77,11 +164,12 @@ class ScenarioTree:
 
     def node_probs(self) -> np.ndarray:
         """Unconditional probability of reaching each node."""
+        lay = self.layout
         probs = np.zeros(len(self.nodes))
         probs[0] = 1.0
-        for n in self.nodes:
-            for cid, p in n.children:
-                probs[cid] = probs[n.id] * p
+        for t in range(self.horizon):
+            for ids, edges in lay.groups[t]:
+                probs[lay.child[edges]] = probs[ids, None] * lay.prob[edges]
         return probs
 
 
@@ -252,9 +340,11 @@ def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None, val
 
 def claim_at(tree: ScenarioTree, claim: Claim) -> np.ndarray:
     """Payoff indexed by node id (defined on leaves, NaN elsewhere)."""
+    leaves = tree.layout.leaves
+    if np.shape(claim.payoff) != leaves.shape:
+        raise BadParameter(f"claim has {np.size(claim.payoff)} values for {leaves.size} leaves")
     h = np.full(len(tree.nodes), np.nan)
-    for leaf, value in zip(tree.leaves(), claim.payoff):
-        h[leaf.id] = value
+    h[leaves] = claim.payoff
     return h
 
 
@@ -263,8 +353,9 @@ def claim_at(tree: ScenarioTree, claim: Claim) -> np.ndarray:
 
 
 def validate_tree(tree: ScenarioTree, max_violations: int = 100) -> list[str]:
-    """Check all structural invariants; returns a list of violation
-    messages (empty when the tree is well formed)."""
+    """Check all structural invariants, the ordering contract included;
+    returns a list of violation messages (empty when the tree is well
+    formed)."""
     out: list[str] = []
 
     def report(msg: str) -> bool:
@@ -276,7 +367,13 @@ def validate_tree(tree: ScenarioTree, max_violations: int = 100) -> list[str]:
         if report("tree must have exactly one root at time 0"):
             return out
     seen_child: dict[int, int] = {}
-    for n in tree.nodes:
+    for pos, n in enumerate(tree.nodes):
+        if n.id != pos:
+            if report(f"node at list position {pos} has id {n.id}"):
+                return out
+        if pos and n.time < tree.nodes[pos - 1].time:
+            if report(f"time decreases at list position {pos}"):
+                return out
         if not np.all(np.isfinite(n.price)):
             if report(f"non-finite price at node {n.id}"):
                 return out

@@ -214,3 +214,166 @@ def martingale_trinomial(periods: int = 1) -> mv.ScenarioTree:
     return mv.build_iid_multinomial(
         [10.0], [([1.0], 0.3), ([0.0], 0.4), ([-1.0], 0.3)], periods,
     )
+
+
+# ---------------------------------------------------------------------------
+# Reference per-node sweeps.  They read node.children directly, visit the
+# nodes of a time slice in id order and use the per-node expressions the
+# batched engine stacks, so the engine must equal them bit for bit.
+
+
+def _children(tree: ScenarioTree, node: Node):
+    ids, probs = zip(*node.children)
+    deltas = np.array([tree.nodes[c].price for c in ids]) - node.price
+    return np.array(ids), np.array(probs), deltas
+
+
+def _slice(tree: ScenarioTree, t: int) -> list[Node]:
+    return [n for n in tree.nodes if n.time == t]
+
+
+def _inner(tree: ScenarioTree) -> list[Node]:
+    return [n for n in tree.nodes if n.time < tree.horizon]
+
+
+def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
+    """L, a_tilde, m0, bbar_u, cbar_u node by node."""
+    n, d = len(tree.nodes), tree.num_assets
+    out = {"L": np.ones(n), "a_tilde": np.full((n, d), np.nan), "m0": np.full(n, np.nan),
+           "bbar_u": np.full((n, d), np.nan), "cbar_u": np.full((n, d, d), np.nan)}
+    for t in range(tree.horizon - 1, -1, -1):
+        for node in _slice(tree, t):
+            kids, probs, deltas = _children(tree, node)
+            w = probs * out["L"][kids]
+            m0 = float(np.sum(w))
+            bbar_u = deltas.T @ w
+            cbar_u = (deltas.T * w) @ deltas
+            cbar_u = 0.5 * (cbar_u + cbar_u.T)
+            cinv = mv.pinv_psd(cbar_u)
+            L = m0 - float(bbar_u @ cinv @ bbar_u)
+            if L <= 1e-12 * m0:
+                raise mv.DegenerateStep(node.id)
+            i = node.id
+            out["L"][i], out["a_tilde"][i] = L, cinv @ bbar_u
+            out["m0"][i], out["bbar_u"][i], out["cbar_u"][i] = m0, bbar_u, cbar_u
+    return out
+
+
+def mean_value_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
+                    claim: mv.Claim) -> np.ndarray:
+    """V node by node, with the weight-sum check."""
+    V = np.full(len(tree.nodes), np.nan)
+    for leaf, value in zip(_slice(tree, tree.horizon), claim.payoff):
+        V[leaf.id] = value
+    for t in range(tree.horizon - 1, -1, -1):
+        for node in _slice(tree, t):
+            i = node.id
+            kids, probs, deltas = _children(tree, node)
+            w = probs * (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
+            if not abs(float(np.sum(w)) - 1.0) <= 1e-9:
+                raise mv.DegenerateStep(i)
+            V[i] = float(w @ V[kids])
+    return V
+
+
+def pure_hedge_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
+                    V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(dbar_u, xi) node by node."""
+    n, d = len(tree.nodes), tree.num_assets
+    dbar_u, xi = np.full((n, d), np.nan), np.full((n, d), np.nan)
+    for node in _inner(tree):
+        i = node.id
+        kids, probs, deltas = _children(tree, node)
+        dbar_u[i] = deltas.T @ (probs * surf.L[kids] * (V[kids] - V[i]))
+        xi[i] = mv.pinv_psd(surf.cbar_u[i]) @ dbar_u[i]
+    return dbar_u, xi
+
+
+def rollout_loop(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarray, np.ndarray]:
+    """(phi, G) of the feedback rollout phi = xi - (wealth - V) a, node by node."""
+    n, d = len(tree.nodes), tree.num_assets
+    xi, V, a = np.broadcast_to(xi, (n, d)), np.broadcast_to(V, (n,)), np.broadcast_to(a, (n, d))
+    phi, G = np.full((n, d), np.nan), np.full(n, np.nan)
+    G[0] = v0
+    for node in _inner(tree):
+        i = node.id
+        phi[i] = xi[i] - (G[i] - V[i]) * a[i]
+        kids, _, deltas = _children(tree, node)
+        G[kids] = G[i] + deltas @ phi[i]
+    return phi, G
+
+
+def node_probs_loop(tree: ScenarioTree) -> np.ndarray:
+    probs = np.zeros(len(tree.nodes))
+    probs[0] = 1.0
+    for n in tree.nodes:
+        for cid, p in n.children:
+            probs[cid] = probs[n.id] * p
+    return probs
+
+
+def hedging_error_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
+                       plan: mv.HedgePlan, v0: float) -> tuple[np.ndarray, float, dict]:
+    """(e, total_error, slice_error) node by node."""
+    e = np.full(len(tree.nodes), np.nan)
+    for node in _inner(tree):
+        i = node.id
+        kids, probs, _ = _children(tree, node)
+        dv = plan.V[kids] - plan.V[i]
+        e[i] = float(probs * surf.L[kids] @ (dv * dv)) - float(plan.dbar_u[i] @ plan.xi[i])
+    probs = node_probs_loop(tree)
+    total = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
+    slice_error = {}
+    for t in range(tree.horizon):
+        slice_error[t] = sum(float(probs[node.id] * e[node.id]) for node in _slice(tree, t))
+        total += slice_error[t]
+    return e, total, slice_error
+
+
+def scaled_tree(tree: ScenarioTree, k: float) -> ScenarioTree:
+    """The same tree with every price multiplied by k."""
+    nodes = [Node(id=n.id, time=n.time, price=n.price * k, parent=n.parent,
+                  children=list(n.children), regime=n.regime) for n in tree.nodes]
+    return ScenarioTree(num_assets=tree.num_assets, horizon=tree.horizon, nodes=nodes)
+
+
+def backtest_2d_tree(periods: int = 2) -> mv.ScenarioTree:
+    """A small tree shaped like the benchmark's backtest_2d: 2 assets,
+    multiplicative, two regimes with 3- and 4-point laws, so 6 or 8
+    children a node."""
+    regimes = [
+        [([0.11, -0.04], 0.35), ([-0.02, 0.09], 0.4), ([-0.08, -0.06], 0.25)],
+        [([0.18, 0.05], 0.2), ([0.04, -0.15], 0.3), ([-0.12, 0.2], 0.25), ([-0.16, -0.1], 0.25)],
+    ]
+    return mv.build_regime_switching([10.0, 8.0], regimes, [[0.75, 0.25], [0.375, 0.625]],
+                                     initial_regime=0, periods=periods, mode="multiplicative")
+
+
+def measures_loop(tree: ScenarioTree, surf: mv.OpportunitySurface) -> dict:
+    """The fields of measures(tree, surf) node by node."""
+    out = {"qstar_w": {}, "pstar_p": {}, "nstar_f": {}, "z_qstar": np.ones(len(tree.nodes)),
+           "z_pstar": np.ones(len(tree.nodes)), "num_negative_weights": 0}
+    for node in _inner(tree):
+        i = node.id
+        kids, probs, deltas = _children(tree, node)
+        child_L = surf.L[kids]
+        qw = (child_L / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
+        pp = probs * child_L / surf.m0[i]
+        out["qstar_w"][i], out["pstar_p"][i] = qw, pp
+        out["nstar_f"][i] = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
+        out["num_negative_weights"] += int(np.sum(qw <= 0.0))
+        out["z_qstar"][kids] = out["z_qstar"][i] * qw
+        out["z_pstar"][kids] = out["z_pstar"][i] * (pp / probs)
+    return out
+
+
+def fs_residual_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
+                     plan: mv.HedgePlan) -> float:
+    worst = 0.0
+    for node in _inner(tree):
+        i = node.id
+        kids, probs, deltas = _children(tree, node)
+        pstar = probs * surf.L[kids] / surf.m0[i]
+        resid = (plan.V[kids] - plan.V[i]) - deltas @ plan.xi[i]
+        worst = max(worst, float(np.max(np.abs(deltas.T @ (pstar * resid)))))
+    return worst

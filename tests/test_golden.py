@@ -1,0 +1,69 @@
+"""CLI outputs on a small 2-asset regime tree, compared byte for byte
+with the files in tests/golden.
+
+The tree (golden/config.json) has 3 or 8 children a node within one
+time slice, so every engine sweep sees more than one child count per
+slice.  After an intended change of the outputs, rewrite the files with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+import contextlib
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from mvhedge.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+CONFIG = str(GOLDEN / "config.json")
+# name: (CLI arguments before --config, files written to --out)
+COMMANDS = {
+    "hedge": (["hedge"], ["hedge_nodes.csv", "hedge_summary.json"]),
+    "backtest": (["backtest"], ["backtest.csv", "backtest.json"]),
+    "backtest_exact": (["backtest", "--exact"], ["backtest.csv", "backtest.json"]),
+}
+FIELDS = ("L", "a", "V", "xi", "sharpe", "mvt", "qstar")
+
+
+def run_command(name: str, out_dir: Path) -> dict[str, bytes]:
+    """Run one golden command; returns its output files by golden file name."""
+    argv, files = COMMANDS[name]
+    code = main([*argv, "--config", CONFIG, "--out", str(out_dir)])
+    assert code == 0
+    return {f"{name}_{f}": (out_dir / f).read_bytes() for f in files}
+
+
+def run_inspect(field: str) -> dict[str, bytes]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["inspect", "--config", CONFIG, "--field", field])
+    assert code == 0
+    return {f"inspect_{field}.csv": buf.getvalue().encode()}
+
+
+@pytest.mark.parametrize("name", COMMANDS)
+def test_command_outputs_match_golden(name, tmp_path):
+    for fname, content in run_command(name, tmp_path).items():
+        assert content == (GOLDEN / fname).read_bytes(), fname
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_inspect_matches_golden(field):
+    for fname, content in run_inspect(field).items():
+        assert content == (GOLDEN / fname).read_bytes(), fname
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    outputs: dict[str, bytes] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in COMMANDS:
+            outputs.update(run_command(name, Path(tmp) / name))
+    for field in FIELDS:
+        outputs.update(run_inspect(field))
+    for fname, content in outputs.items():
+        (GOLDEN / fname).write_bytes(content)
+    print(f"wrote {len(outputs)} files to {GOLDEN}", file=sys.stderr)

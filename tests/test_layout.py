@@ -1,0 +1,167 @@
+"""The per-slice tree layout and the sweeps that run over it: every
+batched sweep must equal its per-node reference loop in tests/gen.py
+bit for bit, and name the same node when it fails."""
+import numpy as np
+import pytest
+
+import mvhedge as mv
+
+from gen import (
+    backtest_2d_tree,
+    fs_residual_loop,
+    hedging_error_loop,
+    mean_value_loop,
+    measures_loop,
+    node_probs_loop,
+    opportunity_loop,
+    pure_hedge_loop,
+    random_claim,
+    random_tree,
+    rollout_loop,
+    uneven_regime_tree,
+)
+
+
+def case_trees():
+    rng = np.random.default_rng(2024)
+    trees = [(f"random_d{d}_{j}", random_tree(rng, d=d)) for d in (1, 2) for j in range(4)]
+    trees += [("uneven_regime", uneven_regime_tree(3)), ("backtest_2d_shaped", backtest_2d_tree(3))]
+    return [(name, tree, random_claim(rng, tree)) for name, tree in trees]
+
+
+CASES = case_trees()
+
+
+def equal(a, b) -> bool:
+    return np.array_equal(a, b, equal_nan=True)
+
+
+@pytest.mark.parametrize("name,tree,claim", CASES, ids=[c[0] for c in CASES])
+def test_sweeps_equal_reference_loops(name, tree, claim):
+    ref = opportunity_loop(tree)
+    surf = mv.compute_opportunity(tree)
+    for key, value in ref.items():
+        assert equal(getattr(surf, key), value), key
+
+    V = mv.compute_mean_value(tree, surf, claim)
+    assert equal(V, mean_value_loop(tree, surf, claim))
+    plan = mv.compute_pure_hedge(tree, surf, V)
+    dbar_u, xi = pure_hedge_loop(tree, surf, V)
+    assert equal(plan.dbar_u, dbar_u) and equal(plan.xi, xi)
+
+    for args in [(plan.xi, plan.V, surf.a_tilde, plan.v0 + 0.3), (plan.xi, 0.0, 0.0, plan.v0),
+                 (0.0, 1.5, surf.a_tilde, 0.25)]:
+        phi, G = mv.rollout_strategy(tree, *args)
+        ref_phi, ref_G = rollout_loop(tree, *args)
+        assert equal(phi, ref_phi) and equal(G, ref_G)
+
+    assert equal(tree.node_probs(), node_probs_loop(tree))
+    report = mv.hedging_error(tree, surf, plan, plan.v0 + 0.1)
+    e, total, slice_error = hedging_error_loop(tree, surf, plan, plan.v0 + 0.1)
+    assert equal(report.e, e)
+    assert report.total_error == total and report.slice_error == slice_error
+
+    mea, ref_mea = mv.measures(tree, surf), measures_loop(tree, surf)
+    for key in ("qstar_w", "pstar_p", "nstar_f"):
+        got, want = getattr(mea, key), ref_mea[key]
+        assert list(got) == list(want)
+        assert all(equal(got[i], want[i]) for i in want), key
+    for key in ("z_qstar", "z_pstar", "num_negative_weights"):
+        assert equal(getattr(mea, key), ref_mea[key]), key
+    assert mv.fs_residual_check(tree, surf, plan) == fs_residual_loop(tree, surf, plan)
+
+
+def make_riskless(tree, node_ids):
+    """Give each listed node's children one common increment, a riskless
+    one-step return (before the layout exists)."""
+    for i in node_ids:
+        node = tree.nodes[i]
+        for cid, _ in node.children:
+            tree.nodes[cid].price = node.price + 0.5
+    return tree
+
+
+# uneven_regime_tree(3): slice 1 is nodes 1, 3 (2 children) and 2, 4 (4
+# children); node 10 is in slice 2.  (failing nodes, the node to name)
+FAILING = [
+    ([3], 3),            # the group of 2 children
+    ([2, 3], 2),         # lowest id in the later group of the slice
+    ([0, 3, 4], 3),      # the latest failing slice wins over the root
+    ([0, 2, 10], 10),    # slice 2 before slice 1
+]
+
+
+@pytest.mark.parametrize("node_ids,expected", FAILING)
+def test_degenerate_step_names_the_loops_node(node_ids, expected):
+    tree = make_riskless(uneven_regime_tree(3), node_ids)
+    with pytest.raises(mv.DegenerateStep) as loop:
+        opportunity_loop(tree)
+    with pytest.raises(mv.DegenerateStep) as batched:
+        mv.compute_opportunity(tree)
+    assert batched.value.node_id == loop.value.node_id == expected
+
+
+@pytest.mark.parametrize("node_ids,expected", FAILING)
+def test_weight_sum_error_names_the_loops_node(node_ids, expected):
+    tree = uneven_regime_tree(3)
+    surf = mv.compute_opportunity(tree)
+    surf.a_tilde[node_ids] += 1.0
+    claim = mv.attach_claim(tree, "call", strike=10.0)
+    with pytest.raises(mv.DegenerateStep) as loop:
+        mean_value_loop(tree, surf, claim)
+    with pytest.raises(mv.DegenerateStep) as batched:
+        mv.compute_mean_value(tree, surf, claim)
+    assert batched.value.node_id == loop.value.node_id == expected
+
+
+def test_layout_matches_nodes():
+    tree = uneven_regime_tree(3)
+    lay = tree.layout
+    assert tree.layout is lay
+    for node in tree.nodes:
+        kids, probs, deltas = tree.step(node)
+        assert kids.tolist() == [c for c, _ in node.children]
+        assert probs.tolist() == [p for _, p in node.children]
+        for cid, delta in zip(kids, deltas):
+            assert np.array_equal(delta, tree.nodes[cid].price - node.price)
+        assert lay.time[node.id] == node.time
+    for t in range(tree.horizon + 1):
+        assert [n.id for n in tree.nodes_at(t)] == [n.id for n in tree.nodes if n.time == t]
+    for t, groups in enumerate(lay.groups):
+        counts = [edges.shape[1] for _, edges in groups]
+        assert counts == sorted(set(counts))
+        ids = np.sort(np.concatenate([ids for ids, _ in groups]))
+        assert np.array_equal(ids, lay.slices[t])
+    assert [n.id for n in tree.leaves()] == [n.id for n in tree.nodes if not n.children]
+    assert [n.id for n in tree.nonterminal()] == [n.id for n in tree.nodes if n.children]
+
+
+def test_step_views_are_read_only():
+    tree = uneven_regime_tree(2)
+    kids, probs, deltas = tree.step(tree.root)
+    for view in (kids, probs, deltas, tree.layout.slices[1], tree.layout.groups[0][0][1]):
+        with pytest.raises(ValueError):
+            view[0] = 0
+
+
+def test_oracles_build_no_layout(monkeypatch):
+    # verify re-solves one subtree per node; none may build a layout
+    tree = uneven_regime_tree(3)
+    claim = mv.attach_claim(tree, "call", strike=10.0)
+    surf = mv.compute_opportunity(tree)
+    built = []
+    original = mv.tree.TreeLayout.__init__
+    monkeypatch.setattr(mv.tree.TreeLayout, "__init__",
+                        lambda lay, sub: built.append(sub) or original(lay, sub))
+    for node in tree.nodes:
+        assert mv.node_conditional_check(tree, node.id) == pytest.approx(surf.L[node.id], rel=1e-9)
+    mv.max_sharpe(tree, 0)
+    mv.martingale_qp(tree)
+    mv.lsq_projection(tree, claim, "free")
+    assert built == []
+
+
+def test_claim_length_must_match_leaves():
+    tree = uneven_regime_tree(2)
+    with pytest.raises(mv.BadParameter):
+        mv.compute_plan(tree, mv.compute_opportunity(tree), mv.Claim(payoff=np.ones(3)))

@@ -4,7 +4,7 @@ import pytest
 import mvhedge as mv
 from mvhedge.tree import Node, ScenarioTree
 
-from gen import binomial_06, martingale_trinomial, random_claim, random_tree
+from gen import binomial_06, martingale_trinomial, random_claim, random_tree, scaled_tree
 
 
 def test_lsq_complete_binomial_free_endowment():
@@ -99,3 +99,41 @@ def test_qp_matches_engine_measures(seed):
     assert qp.second_moment == pytest.approx(1.0 / surf.L[0], rel=1e-9)
     z = np.array([mea.z_qstar[leaf.id] for leaf in tree.leaves()])
     assert np.max(np.abs(z - qp.leaf_density)) <= 1e-8 * max(1.0, np.max(np.abs(z)))
+
+
+def scale_cases():
+    rng = np.random.default_rng(4242)
+    trinomial = mv.build_iid_multinomial(
+        [10.0], [([1.2], 0.3), ([0.1], 0.4), ([-1.0], 0.3)], 3)
+    cases = [(trinomial, mv.attach_claim(trinomial, "call", strike=10.0))]
+    for d in (1, 2):
+        tree = random_tree(rng, periods=3, d=d)
+        cases.append((tree, random_claim(rng, tree)))
+    return cases
+
+
+@pytest.mark.parametrize("k", [1e-6, 1e6])
+@pytest.mark.parametrize("case", range(3))
+def test_prices_times_k(k, case):
+    # prices x k: the same L; xi / k for the same claim; V x k and
+    # error x k^2 for the claim x k; the oracles agree at every k
+    tree, claim = scale_cases()[case]
+    scaled = scaled_tree(tree, k)
+    surf, surf_k = mv.compute_opportunity(tree), mv.compute_opportunity(scaled)
+    assert np.allclose(surf_k.L, surf.L, rtol=1e-9, atol=0.0)
+    plan = mv.compute_plan(tree, surf, claim)
+    xi_k = mv.compute_plan(scaled, surf_k, claim).xi
+    inner = [node.id for node in tree.nonterminal()]
+    assert np.allclose(xi_k[inner] * k, plan.xi[inner], rtol=1e-9, atol=1e-9)
+    claim_k = mv.Claim(payoff=claim.payoff * k)
+    plan_k = mv.compute_plan(scaled, surf_k, claim_k)
+    scale = max(1.0, np.max(np.abs(claim.payoff)))
+    assert np.allclose(plan_k.V, plan.V * k, rtol=1e-9, atol=1e-12 * scale * k)
+    err = mv.hedging_error(tree, surf, plan, plan.v0).total_error
+    err_k = mv.hedging_error(scaled, surf_k, plan_k, plan_k.v0).total_error
+    assert err_k == pytest.approx(err * k * k, rel=1e-9, abs=1e-12 * (scale * k) ** 2)
+
+    sol = mv.lsq_projection(scaled, claim_k, "free")
+    assert sol.v0_opt == pytest.approx(plan_k.v0, abs=1e-9 * scale * k)
+    assert err_k == pytest.approx(sol.min_error, rel=1e-9, abs=1e-12 * (scale * k) ** 2)
+    assert mv.martingale_qp(scaled).second_moment == pytest.approx(1.0 / surf_k.L[0], rel=1e-9)

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.tree import parse_tree, serialize_tree, validate_tree
+from mvhedge.tree import Node, ScenarioTree, parse_tree, serialize_tree, validate_tree
 
 from gen import random_tree
 
@@ -145,3 +147,29 @@ def test_serialization_preserves_regime():
     )
     tree2, _ = parse_tree(serialize_tree(tree))
     assert [n.regime for n in tree2.nodes] == [n.regime for n in tree.nodes]
+
+
+def test_validate_rejects_nodes_out_of_list_order():
+    # a serialized binomial whose list positions 1 and 2 are swapped keeps
+    # every id, parent and child link, but breaks the ordering contract
+    tree = mv.build_binomial([10.0], 1.1, 0.9, 0.6, 2)
+    doc = json.loads(serialize_tree(tree))
+    doc["nodes"][1], doc["nodes"][2] = doc["nodes"][2], doc["nodes"][1]
+    swapped, _ = parse_tree(json.dumps(doc))
+    msgs = validate_tree(swapped)
+    assert "node at list position 1 has id 2" in msgs
+    assert "node at list position 2 has id 1" in msgs
+
+
+def test_validate_rejects_time_decreasing_along_list():
+    # ids equal list positions and every link is consistent, but the
+    # nodes are listed depth first: times 0, 1, 2, 1, 2
+    nodes = [
+        Node(id=0, time=0, price=np.array([10.0]), parent=None, children=[(1, 0.5), (3, 0.5)]),
+        Node(id=1, time=1, price=np.array([11.0]), parent=0, children=[(2, 1.0)]),
+        Node(id=2, time=2, price=np.array([12.0]), parent=1),
+        Node(id=3, time=1, price=np.array([9.0]), parent=0, children=[(4, 1.0)]),
+        Node(id=4, time=2, price=np.array([8.0]), parent=3),
+    ]
+    tree = ScenarioTree(num_assets=1, horizon=2, nodes=nodes)
+    assert validate_tree(tree) == ["time decreases at list position 3"]
