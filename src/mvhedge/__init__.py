@@ -10,7 +10,6 @@ from .errors import (
 )
 from .tree import (
     Claim,
-    Node,
     ScenarioTree,
     attach_claim,
     build_binomial,

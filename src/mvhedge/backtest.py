@@ -111,17 +111,14 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     row = np.zeros(len(tree.nodes), dtype=np.intp)
     row[lay.inner] = np.arange(len(lay.inner))
     cdf = np.full((len(lay.inner), k.max()), np.inf)
-    kids = np.zeros((len(lay.inner), k.max()), dtype=np.intp)
     for groups in lay.groups:
         for ids, edges in groups:
-            r, width = row[ids], edges.shape[1]
-            cdf[r, :width] = np.cumsum(lay.prob[edges], axis=1)
-            kids[r, :width] = lay.child[edges]
+            cdf[row[ids], :edges.shape[1]] = np.cumsum(lay.prob[edges], axis=1)
     u = _uniforms(seed, n, tree.horizon)
     nid = np.zeros(n, dtype=np.intp)
     for t in range(tree.horizon):
         r = row[nid]
-        nid = kids[r, _child_index(cdf[r], k[r], u[:, t])]
+        nid = lay.offsets[nid] + 1 + _child_index(cdf[r], k[r], u[:, t])
     return nid.tolist()
 
 
@@ -144,7 +141,7 @@ def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
         return rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, v0)
     if kind == "pure_xi":
         return rollout_strategy(tree, plan.xi, 0.0, 0.0, v0)
-    h = plan.V[tree.layout.leaves]
+    h = plan.V[tree.leaves()]
     if kind == "gkw":
         xi = compute_plan(tree, martingale_surface(tree), Claim(payoff=h)).xi
         return rollout_strategy(tree, xi, 0.0, 0.0, v0)
@@ -156,7 +153,7 @@ def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
 def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, G: np.ndarray) -> float:
     """Full-tree expectation of the squared terminal hedging error of a
     strategy whose per-node wealth is G, summed leaf by leaf in leaf order."""
-    ids = tree.layout.leaves
+    ids = tree.leaves()
     err = G[ids] - plan.V[ids]
     return float(sum(tree.node_probs()[ids] * err * err))
 
@@ -173,7 +170,7 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
     if exact:
         mse = exact_sq_error(tree, plan, G)
         return BacktestReport(
-            strategy=kind, num_paths=len(tree.layout.leaves), mean_sq_error=mse,
+            strategy=kind, num_paths=len(tree.leaves()), mean_sq_error=mse,
             std_error=0.0, analytic_error=analytic, exact=True,
         )
     if paths is None:

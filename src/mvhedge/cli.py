@@ -166,13 +166,11 @@ def cmd_hedge(args) -> int:
     report = hedging.hedging_error(tree, surf, plan, v0)
 
     rows = ["id,time,V," + ",".join(f"xi_{i}" for i in range(tree.num_assets)) + ",e"]
-    for node in tree.nodes:
-        xi = ",".join(
-            "" if node.time == tree.horizon else _fmt(plan.xi[node.id][i])
-            for i in range(tree.num_assets)
-        )
-        e = "" if node.time == tree.horizon else _fmt(report.e[node.id])
-        rows.append(f"{node.id},{node.time},{_fmt(plan.V[node.id])},{xi},{e}")
+    for i, t in enumerate(tree.time.tolist()):
+        terminal = t == tree.horizon
+        xi = ",".join("" if terminal else _fmt(x) for x in plan.xi[i])
+        e = "" if terminal else _fmt(report.e[i])
+        rows.append(f"{i},{t},{_fmt(plan.V[i])},{xi},{e}")
     _write(args.out, "hedge_nodes.csv", "\n".join(rows) + "\n")
 
     summary = "\n".join([
@@ -225,27 +223,23 @@ def cmd_verify(args) -> int:
 
     qp = oracle.martingale_qp(tree)
     ok &= _check_line("qp_second_moment", 0, 1.0 / surf.L[0], qp.second_moment, tol)
-    z = np.array([mea.z_qstar[leaf.id] for leaf in tree.leaves()])
+    leaves = tree.leaves()
+    z = mea.z_qstar[leaves]
     worst = int(np.argmax(np.abs(z - qp.leaf_density)))
-    ok &= _check_line("qp_leaf_density", tree.leaves()[worst].id,
-                      z[worst], qp.leaf_density[worst], tol)
+    ok &= _check_line("qp_leaf_density", leaves[worst], z[worst], qp.leaf_density[worst], tol)
 
-    for node in tree.nodes:
-        ok &= _check_line(
-            "node_L", node.id, surf.L[node.id],
-            oracle.node_conditional_check(tree, node.id), tol,
-        )
+    for i in tree.nodes:
+        ok &= _check_line("node_L", i, surf.L[i], oracle.node_conditional_check(tree, i), tol)
 
-    inner = tree.nonterminal()
-    ids = [node.id for node in inner]
+    lay = tree.layout
+    ids = lay.inner
     b = surf.b_sstar[ids]
     up = np.full(len(tree.nodes), np.nan)
     dn = np.full(len(tree.nodes), np.nan)
     up[ids] = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
     dn[ids] = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
-    for node in inner:
-        i = node.id
-        kids, p, deltas = tree.step(node)
+    for i in ids.tolist():
+        kids, p, deltas = tree.step(i)
         ok &= _check_line("cor320_tilde", i,
                           float(np.max(np.abs(surf.c_tilde_sstar[i] @ surf.a_tilde[i]
                                               - surf.b_sstar[i]))), 0.0, tol)
@@ -264,9 +258,7 @@ def cmd_verify(args) -> int:
                       hedging.fs_residual_check(tree, surf, plan) / scale, 0.0, tol)
     submart = float(np.nanmin(surf.m0 - surf.L))
     ok &= _check_line("L_submartingale", 0, min(submart, 0.0), 0.0, tol)
-    time_mass = max(
-        abs(sum(probs[n.id] for n in tree.nodes_at(t)) - 1.0) for t in range(tree.horizon + 1)
-    )
+    time_mass = max(abs(sum(probs[ids].tolist()) - 1.0) for ids in lay.slices)
     ok &= _check_line("slice_prob_mass", 0, time_mass, 0.0, 1e-10)
 
     if args.summary:
@@ -320,45 +312,45 @@ def cmd_inspect(args) -> int:
     config = load_config(args.config)
     tree, claim, surf, plan = _setup(config)
     field = args.field
+    time = tree.time.tolist()
+    inner = tree.layout.inner.tolist()
     if field == "L":
         print("id,time,L")
-        for node in tree.nodes:
-            print(f"{node.id},{node.time},{_fmt(surf.L[node.id])}")
+        for i, t in enumerate(time):
+            print(f"{i},{t},{_fmt(surf.L[i])}")
     elif field == "a":
         head = ",".join(f"a_tilde_{i}" for i in range(tree.num_assets))
         head += "," + ",".join(f"a_hat_{i}" for i in range(tree.num_assets))
         print(f"id,time,{head},dAK")
-        for node in tree.nonterminal():
-            i = node.id
+        for i in inner:
             at = ",".join(_fmt(x) for x in surf.a_tilde[i])
             ah = ",".join(_fmt(x) for x in surf.a_hat[i])
-            print(f"{i},{node.time},{at},{ah},{_fmt(surf.dAK[i])}")
+            print(f"{i},{time[i]},{at},{ah},{_fmt(surf.dAK[i])}")
     elif field == "V":
         print("id,time,V")
-        for node in tree.nodes:
-            print(f"{node.id},{node.time},{_fmt(plan.V[node.id])}")
+        for i, t in enumerate(time):
+            print(f"{i},{t},{_fmt(plan.V[i])}")
     elif field == "xi":
         print("id,time," + ",".join(f"xi_{i}" for i in range(tree.num_assets)))
-        for node in tree.nonterminal():
-            print(f"{node.id},{node.time}," + ",".join(_fmt(x) for x in plan.xi[node.id]))
+        for i in inner:
+            print(f"{i},{time[i]}," + ",".join(_fmt(x) for x in plan.xi[i]))
     elif field == "sharpe":
         print("id,time,sharpe")
-        for node in tree.nodes:
-            print(f"{node.id},{node.time},{_fmt(opportunity.sharpe_ratio(surf, node.id))}")
+        for i, t in enumerate(time):
+            print(f"{i},{t},{_fmt(opportunity.sharpe_ratio(surf, i))}")
     elif field == "mvt":
         mvt = opportunity.mvt_process(tree, surf)
         print("id,time,dK_hat")
-        for node in tree.nonterminal():
-            print(f"{node.id},{node.time},{_fmt(mvt.dK_hat[node.id])}")
+        for i in inner:
+            print(f"{i},{time[i]},{_fmt(mvt.dK_hat[i])}")
         det = "true" if mvt.deterministic_mvt else "false"
         pp = "true" if mvt.pstar_is_p else "false"
         print(f"# deterministic_mvt={det} pstar_is_p={pp}")
     elif field == "qstar":
         mea = opportunity.measures(tree, surf)
         print("id,child,qstar_w,pstar_p")
-        for node in tree.nonterminal():
-            i = node.id
-            kids, _, _ = tree.step(node)
+        for i in inner:
+            kids, _, _ = tree.step(i)
             for cid, qw, pp in zip(kids, mea.qstar_w[i], mea.pstar_p[i]):
                 print(f"{i},{cid},{_fmt(qw)},{_fmt(pp)}")
     else:

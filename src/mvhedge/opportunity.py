@@ -234,7 +234,7 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
     det_residual = None
     if deterministic:
         eps = np.cumprod(np.concatenate(([1.0], 1.0 + slice_values)))
-        expected = (eps / eps[-1])[lay.time]
+        expected = (eps / eps[-1])[tree.time]
         det_residual = float(np.max(np.abs(surf.L - expected) / expected))
     return MvtDiagnostics(
         dK_hat=dK,

@@ -5,8 +5,9 @@ pseudoinverse: the hedging problem is solved as one flat weighted least
 squares over all per-node holdings, and the variance-optimal measure as
 an equality-constrained QP on leaf densities.  Agreement between engine
 and oracle is therefore a genuine cross check, not a tautology.  They
-read the Node objects directly, never the engine's tree layout, which
-also keeps the per-node subtrees of a verify run from building one.
+walk the stored parent, price and prob arrays in their own Python
+loops, never the engine's tree layout, which also keeps the per-node
+subtrees of a verify run from building one.
 """
 from __future__ import annotations
 
@@ -35,25 +36,28 @@ class QpSolution:
     leaf_density: np.ndarray   # signed, in leaf order
 
 
-def _leaves(tree: ScenarioTree) -> list:
-    return [n for n in tree.nodes if n.time == tree.horizon]
-
-
-def _nonterminal(tree: ScenarioTree) -> list:
-    return [n for n in tree.nodes if n.time < tree.horizon]
-
-
 def _node_probs(tree: ScenarioTree) -> np.ndarray:
-    probs = np.zeros(len(tree.nodes))
-    probs[0] = 1.0
-    for n in tree.nodes:
-        for cid, p in n.children:
-            probs[cid] = probs[n.id] * p
+    probs = np.ones(len(tree.nodes))
+    for i, (p, q) in enumerate(zip(tree.parent.tolist(), tree.prob.tolist())):
+        if p >= 0:
+            probs[i] = probs[p] * q
     return probs
 
 
+def _path(parent: list[int], node_id: int) -> list[int]:
+    """The ids on the path from the root to node_id, inclusive."""
+    path = [node_id]
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def _inner(tree: ScenarioTree) -> list[int]:
+    return np.flatnonzero(tree.time < tree.horizon).tolist()
+
+
 def _check_size(tree: ScenarioTree) -> None:
-    n_leaves = len(_leaves(tree))
+    n_leaves = len(tree.leaves())
     if n_leaves > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{n_leaves} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
 
@@ -68,21 +72,21 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
     """
     _check_size(tree)
     free_v0 = isinstance(v0, str)
-    nonterm = _nonterminal(tree)
+    nonterm = _inner(tree)
     d = tree.num_assets
-    col_of = {node.id: k for k, node in enumerate(nonterm)}
-    leaves = _leaves(tree)
+    col_of = {i: k for k, i in enumerate(nonterm)}
+    leaves = tree.leaves()
+    parent, price = tree.parent.tolist(), tree.price
     n_cols = len(nonterm) * d + (1 if free_v0 else 0)
     X = np.zeros((len(leaves), n_cols))
     probs = _node_probs(tree)
-    w = np.array([probs[leaf.id] for leaf in leaves])
+    w = probs[leaves]
     target = np.asarray(claim.payoff, dtype=float).copy()
-    for r, leaf in enumerate(leaves):
-        path = tree.path_nodes(leaf.id)
-        for parent, child in zip(path, path[1:]):
-            delta = tree.increment(parent, child)
-            c = col_of[parent] * d
-            X[r, c:c + d] = delta
+    for r, leaf in enumerate(leaves.tolist()):
+        path = _path(parent, leaf)
+        for up, child in zip(path, path[1:]):
+            c = col_of[up] * d
+            X[r, c:c + d] = price[child] - price[up]
         if free_v0:
             X[r, -1] = 1.0
     if not free_v0:
@@ -103,15 +107,12 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
     v0_opt = float(beta[-1]) if free_v0 else float(v0)
 
     holdings = np.full((len(tree.nodes), d), np.nan)
-    for node in nonterm:
-        c = col_of[node.id] * d
-        holdings[node.id] = beta[c:c + d]
+    holdings[nonterm] = beta[:len(nonterm) * d].reshape(-1, d)
     value = np.full(len(tree.nodes), np.nan)
     value[0] = v0_opt
-    for node in nonterm:
-        for cid, _ in node.children:
-            gain = float(tree.increment(node.id, cid) @ holdings[node.id])
-            value[cid] = value[node.id] + gain
+    for i, up in enumerate(parent):
+        if up >= 0:
+            value[i] = value[up] + float((price[i] - price[up]) @ holdings[up])
     return LsqSolution(
         min_error=min_error,
         v0_opt=v0_opt,
@@ -129,37 +130,20 @@ def martingale_qp(tree: ScenarioTree, feas_tol: float = 1e-8) -> QpSolution:
              sum_{children k} (sum_{leaves m under k} P(m) z_m) delta_{k,i} = 0
     """
     _check_size(tree)
-    leaves = _leaves(tree)
+    leaves = tree.leaves()
     probs = _node_probs(tree)
-    w = np.array([probs[leaf.id] for leaf in leaves])
-    leaf_col = {leaf.id: j for j, leaf in enumerate(leaves)}
-
-    under: dict[int, list[int]] = {}
-
-    def leaves_under(node_id: int) -> list[int]:
-        if node_id not in under:
-            node = tree.nodes[node_id]
-            if not node.children:
-                under[node_id] = [node_id]
-            else:
-                acc: list[int] = []
-                for cid, _ in node.children:
-                    acc.extend(leaves_under(cid))
-                under[node_id] = acc
-        return under[node_id]
-
-    nonterm = _nonterminal(tree)
-    A = np.zeros((1 + len(nonterm) * tree.num_assets, len(leaves)))
+    w = probs[leaves]
+    d = tree.num_assets
+    row_of = {i: 1 + k * d for k, i in enumerate(_inner(tree))}
+    parent, price = tree.parent.tolist(), tree.price
+    A = np.zeros((1 + len(row_of) * d, len(leaves)))
     b = np.zeros(len(A))
     A[0], b[0] = w, 1.0  # unit-mass constraint
-    r = 1
-    for node in nonterm:
-        deltas = [tree.increment(node.id, cid) for cid, _ in node.children]
-        for i in range(tree.num_assets):
-            for (cid, _), delta in zip(node.children, deltas):
-                for m in leaves_under(cid):
-                    A[r, leaf_col[m]] += probs[m] * delta[i]
-            r += 1
+    for j, m in enumerate(leaves.tolist()):
+        path = _path(parent, m)
+        for up, child in zip(path, path[1:]):
+            r = row_of[up]
+            A[r:r + d, j] += probs[m] * (price[child] - price[up])
     # unit-norm constraint rows keep the constraints above the
     # pseudoinverse cutoff whatever the price unit
     norms = np.sqrt(np.einsum("ij,ij->i", A, A))
@@ -179,48 +163,43 @@ def martingale_qp(tree: ScenarioTree, feas_tol: float = 1e-8) -> QpSolution:
     return QpSolution(second_moment=float(w @ (z * z)), leaf_density=z)
 
 
-def subtree_at(tree: ScenarioTree, node_id: int) -> tuple[ScenarioTree, dict[int, int]]:
+def subtree_at(tree: ScenarioTree, node_id: int) -> tuple[ScenarioTree, np.ndarray]:
     """Extract the subtree rooted at node_id as a standalone tree with
-    conditional probabilities; returns (subtree, old id -> new id map)."""
-    from .tree import Node
-
-    order = []
-    stack = [node_id]
-    while stack:
-        i = stack.pop(0)
-        order.append(i)
-        stack.extend(cid for cid, _ in tree.nodes[i].children)
-    order.sort(key=lambda i: (tree.nodes[i].time, i))
-    remap = {old: new for new, old in enumerate(order)}
-    base_time = tree.nodes[node_id].time
-    nodes = []
-    for old in order:
-        src = tree.nodes[old]
-        nodes.append(Node(
-            id=remap[old],
-            time=src.time - base_time,
-            price=src.price.copy(),
-            parent=None if old == node_id else remap[src.parent],
-            children=[(remap[c], p) for c, p in src.children],
-            regime=src.regime,
-        ))
+    conditional probabilities; returns (subtree, ids), where node j of
+    the subtree is node ids[j] of the tree.  By the ordering contract
+    the descendants in each later time slice are one id range: the
+    nodes whose parents lie in the range before."""
+    ranges = []
+    lo, hi = node_id, node_id + 1
+    while lo < hi:
+        ranges.append(np.arange(lo, hi))
+        lo, hi = np.searchsorted(tree.parent, [lo, hi]).tolist()
+    ids = np.concatenate(ranges)
+    parent = np.searchsorted(ids, tree.parent[ids])
+    parent[0] = -1
+    prob = tree.prob[ids]
+    prob[0] = 1.0
+    base_time = int(tree.time[node_id])
     sub = ScenarioTree(
         num_assets=tree.num_assets,
         horizon=tree.horizon - base_time,
-        nodes=nodes,
+        parent=parent,
+        time=tree.time[ids] - base_time,
+        price=tree.price[ids],
+        regime=tree.regime[ids],
+        prob=prob,
     )
-    return sub, remap
+    return sub, ids
 
 
 def node_conditional_check(tree: ScenarioTree, node_id: int) -> float:
     """Conditional minimal squared error of hedging the constant payoff 1
     with zero endowment, starting at node_id; equals the opportunity
     process there.  Leaves trivially give 1."""
-    node = tree.nodes[node_id]
-    if not node.children:
+    if tree.time[node_id] == tree.horizon:
         return 1.0
     sub, _ = subtree_at(tree, node_id)
-    ones = Claim(payoff=np.ones(len(_leaves(sub))))
+    ones = Claim(payoff=np.ones(len(sub.leaves())))
     return lsq_projection(sub, ones, v0=0.0).min_error
 
 
@@ -228,16 +207,14 @@ def max_sharpe(tree: ScenarioTree, node_id: int = 0) -> float:
     """Brute-force maximal conditional Sharpe ratio over the remaining
     periods, read off the least-squares solution for the constant claim:
     the optimal terminal wealth X maximizes E[X]/std(X)."""
-    node = tree.nodes[node_id]
-    if not node.children:
+    if tree.time[node_id] == tree.horizon:
         return 0.0
     sub, _ = subtree_at(tree, node_id)
-    leaves = _leaves(sub)
+    leaves = sub.leaves()
     ones = Claim(payoff=np.ones(len(leaves)))
     sol = lsq_projection(sub, ones, v0=0.0)
-    probs = _node_probs(sub)
-    x = np.array([sol.value_process[leaf.id] for leaf in leaves])
-    w = np.array([probs[leaf.id] for leaf in leaves])
+    x = sol.value_process[leaves]
+    w = _node_probs(sub)[leaves]
     mean = float(w @ x)
     var = float(w @ (x * x)) - mean * mean
     if var <= 1e-24:

@@ -4,24 +4,29 @@ A tree is a rooted path tree (non-recombining): node identity encodes the
 whole price history, so the filtration atoms at time t are exactly the
 time-t nodes.  Edge probabilities are conditional one-step probabilities
 under the physical measure; unconditional node probabilities are products
-along the root path.  Nodes are indexed breadth-first by time, then by
-parent order, which makes every per-node output serialization-stable.
+along the root path.
 
-The ordering contract, which validate_tree enforces: each node's id is
-its position in the node list, and time never decreases along the list.
+A ScenarioTree stores five arrays over its n nodes, indexed by node id:
+parent (-1 at the root), time, price (n, d), regime (-1 when the tree
+has none) and prob, the conditional probability of the edge into each
+node (1 at the root).  tree.nodes is the id range range(n).
 
-The engine does not walk the Node objects.  At first use a tree derives
-one flat, read-only TreeLayout from its nodes (node prices and times,
-CSR children with their probabilities and price increments, and each
-time slice's nodes grouped by child count) and every sweep runs one
-time slice at a time over those groups.  The layout is cached, so the
-nodes must not change once the engine has seen the tree.
+The ordering contract, which validate_tree enforces: node 0 is the root,
+each time slice's nodes are contiguous and in time order, and parent
+never decreases within a slice.  So a node's children are a contiguous
+id range, in the order the builders create them, and edge e of the tree
+(in parent order) leads to node e + 1.
+
+The engine derives one flat, read-only TreeLayout from the arrays at
+first use (CSR child offsets, edge probabilities and price increments,
+and each time slice's nodes grouped by child count) and every sweep runs
+one time slice at a time over those groups.  The layout is cached, so
+the arrays must not change once the engine has seen the tree.
 """
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -38,16 +43,6 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-@dataclass
-class Node:
-    id: int
-    time: int
-    price: np.ndarray
-    parent: int | None
-    children: list[tuple[int, float]] = field(default_factory=list)
-    regime: int | None = None
-
-
 class Step(NamedTuple):
     """The one-step markets of m nodes of one time slice that have the
     same child count k, aligned by child: row r holds node ids[r]'s
@@ -61,115 +56,97 @@ class Step(NamedTuple):
 
 
 class TreeLayout:
-    """Flat, read-only arrays of a tree, derived from its nodes, which
-    must keep the ordering contract.
+    """Flat, read-only arrays derived from a tree that keeps the
+    ordering contract.
 
-    Node i has price[i] and time[i].  Its children are the edges
-    offsets[i]:offsets[i + 1], in the order of node.children; edge e
-    leads to node child[e] with conditional probability prob[e] and
-    price increment delta[e] = price[child[e]] - price[i].  slices[t]
-    holds the ids of the time-t nodes in id order, and inner the ids of
-    the non-terminal nodes.  groups[t], for t < horizon, splits
-    slices[t] by child count k into (ids, edges) pairs, ascending in k:
-    edges is the (m, k) matrix of edge indices whose row r is node
-    ids[r]'s edges.  Grouping by child count, not padding to a common
-    count, keeps every stacked one-step computation the same arithmetic
-    as on one node alone.
+    The children of node i are the edges offsets[i]:offsets[i + 1]; edge e
+    leads to node e + 1 with conditional probability prob[e] and price
+    increment delta[e] = price[e + 1] - price[parent[e + 1]].  slices[t]
+    holds the ids of the time-t nodes, and inner the ids of the
+    non-terminal nodes.  groups[t], for t < horizon, splits slices[t] by
+    child count k into (ids, edges) pairs, ascending in k: edges is the
+    (m, k) matrix of edge indices whose row r is node ids[r]'s edges.
+    Grouping by child count, not padding to a common count, keeps every
+    stacked one-step computation the same arithmetic as on one node
+    alone.
     """
 
     def __init__(self, tree: ScenarioTree):
-        nodes = tree.nodes
-        n = len(nodes)
-        price = np.array([node.price for node in nodes], dtype=float).reshape(n, tree.num_assets)
-        time = np.array([node.time for node in nodes], dtype=np.intp)
-        counts = np.array([len(node.children) for node in nodes], dtype=np.intp)
+        n = len(tree.parent)
+        parent = tree.parent[1:]
+        counts = np.bincount(parent, minlength=n)
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
-        child = np.fromiter((c for node in nodes for c, _ in node.children), np.intp, offsets[-1])
-        prob = np.fromiter((p for node in nodes for _, p in node.children), float, offsets[-1])
-        delta = price[child] - np.repeat(price, counts, axis=0)
-        slices = [np.flatnonzero(time == t) for t in range(tree.horizon + 1)]
+        bounds = np.zeros(tree.horizon + 2, dtype=np.intp)
+        np.cumsum(np.bincount(tree.time, minlength=tree.horizon + 1), out=bounds[1:])
+        slices = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
         groups = []
         for ids in slices[:-1]:
             k = counts[ids]
             groups.append([(ids[k == kk], offsets[ids[k == kk], None] + np.arange(kk))
                            for kk in np.flatnonzero(np.bincount(k)).tolist()])
-        inner = np.flatnonzero(time < tree.horizon)
-        for a in (price, time, offsets, child, prob, delta, inner, *slices,
+        prob = tree.prob[1:]
+        delta = tree.price[1:] - tree.price[parent]
+        inner = np.arange(bounds[-2])
+        for a in (offsets, prob, delta, inner, *slices,
                   *(a for group in groups for pair in group for a in pair)):
             a.flags.writeable = False
-        self.price, self.time, self.offsets = price, time, offsets
-        self.child, self.prob, self.delta = child, prob, delta
+        self.offsets, self.prob, self.delta = offsets, prob, delta
         self.slices, self.groups, self.inner = slices, groups, inner
-
-    @property
-    def leaves(self) -> np.ndarray:
-        """Ids of the terminal nodes, in id order."""
-        return self.slices[-1]
 
     def steps(self, t: int) -> list[Step]:
         """The one-step markets of the time-t nodes, one Step per child
         count, gathered from the edge arrays."""
-        return [Step(ids, self.child[edges], self.prob[edges], self.delta[edges])
+        return [Step(ids, edges + 1, self.prob[edges], self.delta[edges])
                 for ids, edges in self.groups[t]]
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioTree:
     num_assets: int
     horizon: int
-    nodes: list[Node]
+    parent: np.ndarray   # (n,) parent id, -1 at the root
+    time: np.ndarray     # (n,)
+    price: np.ndarray    # (n, d)
+    regime: np.ndarray   # (n,) regime, -1 when absent
+    prob: np.ndarray     # (n,) conditional probability of the edge into the node
+
+    def __post_init__(self):
+        self.parent = np.asarray(self.parent, dtype=np.intp)
+        self.time = np.asarray(self.time, dtype=np.intp)
+        self.price = np.asarray(self.price, dtype=float)
+        self.regime = np.asarray(self.regime, dtype=np.intp)
+        self.prob = np.asarray(self.prob, dtype=float)
 
     @property
-    def root(self) -> Node:
-        return self.nodes[0]
+    def nodes(self) -> range:
+        """The node ids."""
+        return range(len(self.parent))
 
     @cached_property
     def layout(self) -> TreeLayout:
-        """The flat layout of the nodes, built at first access."""
+        """The flat layout of the tree, built at first access."""
         return TreeLayout(self)
 
-    def _nodes(self, ids: np.ndarray) -> list[Node]:
-        return [self.nodes[i] for i in ids.tolist()]
+    def leaves(self) -> np.ndarray:
+        """Ids of the terminal nodes, in id order."""
+        return np.flatnonzero(self.time == self.horizon)
 
-    def leaves(self) -> list[Node]:
-        return self._nodes(self.layout.leaves)
-
-    def nonterminal(self) -> list[Node]:
-        return self._nodes(self.layout.inner)
-
-    def nodes_at(self, t: int) -> list[Node]:
-        return self._nodes(self.layout.slices[t])
-
-    def increment(self, parent_id: int, child_id: int) -> np.ndarray:
-        return self.nodes[child_id].price - self.nodes[parent_id].price
-
-    def step(self, node: Node) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def step(self, node_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One-step view of a non-terminal node, aligned by child: the
         child ids, their conditional probabilities, and the price
-        increments (one row per child).  Read-only views into the
-        layout."""
+        increments (one row per child).  Read-only."""
         lay = self.layout
-        edges = slice(lay.offsets[node.id], lay.offsets[node.id + 1])
-        return lay.child[edges], lay.prob[edges], lay.delta[edges]
-
-    def path_nodes(self, node_id: int) -> list[int]:
-        """Node ids from the root to node_id, inclusive."""
-        path = []
-        nid: int | None = node_id
-        while nid is not None:
-            path.append(nid)
-            nid = self.nodes[nid].parent
-        return path[::-1]
+        lo, hi = lay.offsets[node_id], lay.offsets[node_id + 1]
+        kids = np.arange(lo + 1, hi + 1)
+        kids.flags.writeable = False
+        return kids, lay.prob[lo:hi], lay.delta[lo:hi]
 
     def node_probs(self) -> np.ndarray:
         """Unconditional probability of reaching each node."""
-        lay = self.layout
-        probs = np.zeros(len(self.nodes))
-        probs[0] = 1.0
-        for t in range(self.horizon):
-            for ids, edges in lay.groups[t]:
-                probs[lay.child[edges]] = probs[ids, None] * lay.prob[edges]
+        probs = np.ones(len(self.parent))
+        for ids in self.layout.slices[1:]:
+            probs[ids] = probs[self.parent[ids]] * self.prob[ids]
         return probs
 
 
@@ -184,28 +161,38 @@ class Claim:
 # Builders
 
 
-def _expand(s0, periods: int, law_at, num_assets: int) -> ScenarioTree:
-    """Grow a path tree breadth-first; law_at(node) yields
-    (price, probability, regime) triples for the children of a node."""
-    root = Node(id=0, time=0, price=np.asarray(s0, dtype=float), parent=None)
-    nodes = [root]
-    frontier = [root]
-    for t in range(periods):
-        next_frontier = []
-        for node in frontier:
-            for price, prob, regime in law_at(node):
-                child = Node(
-                    id=len(nodes),
-                    time=t + 1,
-                    price=np.asarray(price, dtype=float),
-                    parent=node.id,
-                    regime=regime,
-                )
-                nodes.append(child)
-                node.children.append((child.id, float(prob)))
-                next_frontier.append(child)
-        frontier = next_frontier
-    return ScenarioTree(num_assets=num_assets, horizon=periods, nodes=nodes)
+def _grow(s0: np.ndarray, periods: int, laws, mode: str,
+          initial_regime: int | None) -> ScenarioTree:
+    """Grow a path tree one time slice at a time.  laws[r] lists the
+    children of a node in regime r as (operand, probability, next
+    regime) triples, in child order; a child's price is its parent's
+    plus (additive) or times (multiplicative) the operand.  Without an
+    initial regime there is one law and the regimes are stored as -1."""
+    d = len(s0)
+    k = np.array([len(law) for law in laws])
+    start = np.cumsum(k) - k
+    operand = np.array([o for law in laws for o, _, _ in law], dtype=float).reshape(-1, d)
+    prob = np.array([p for law in laws for _, p, _ in law], dtype=float)
+    nxt = np.array([r for law in laws for _, _, r in law], dtype=np.intp)
+    op = np.add if mode == "additive" else np.multiply
+    parent, price, probs = [np.array([-1])], [s0[None, :]], [np.ones(1)]
+    regime = [np.array([0 if initial_regime is None else initial_regime])]
+    first = 0
+    for _ in range(periods):
+        counts = k[regime[-1]]
+        local = np.repeat(np.arange(len(counts)), counts)
+        template = (start[regime[-1]] - np.cumsum(counts) + counts)[local] + np.arange(len(local))
+        parent.append(first + local)
+        price.append(op(price[-1][local], operand[template]))
+        probs.append(prob[template])
+        regime.append(nxt[template])
+        first += len(counts)
+    regime = np.concatenate(regime)
+    if initial_regime is None:
+        regime[:] = -1
+    return ScenarioTree(num_assets=d, horizon=periods, parent=np.concatenate(parent),
+                        time=np.repeat(np.arange(periods + 1), [len(p) for p in parent]),
+                        price=np.concatenate(price), regime=regime, prob=np.concatenate(probs))
 
 
 def build_binomial(s0, up: float, down: float, p_up: float, periods: int) -> ScenarioTree:
@@ -221,11 +208,12 @@ def build_binomial(s0, up: float, down: float, p_up: float, periods: int) -> Sce
         raise BadParameter("up must exceed down")
     if not (0.0 < p_up < 1.0):
         raise BadParameter("p_up must lie in (0, 1)")
+    law = [(np.full(len(s0), up), p_up, 0), (np.full(len(s0), down), 1.0 - p_up, 0)]
+    return _grow(s0, periods, [law], "multiplicative", None)
 
-    def law(node):
-        return [(node.price * up, p_up, None), (node.price * down, 1.0 - p_up, None)]
 
-    return _expand(s0, periods, law, len(s0))
+def _operand(delta: np.ndarray, mode: str) -> np.ndarray:
+    return delta if mode == "additive" else 1.0 + delta
 
 
 def build_iid_multinomial(s0, increments, periods: int, mode: str = "additive") -> ScenarioTree:
@@ -249,13 +237,8 @@ def build_iid_multinomial(s0, increments, periods: int, mode: str = "additive") 
         raise BadParameter("increment dimension does not match s0")
     if len(increments) ** periods > MAX_LEAVES:
         raise BadParameter("tree would exceed the leaf bound 2^20")
-
-    def law(node):
-        for d, p in zip(deltas, probs):
-            price = node.price + d if mode == "additive" else node.price * (1.0 + d)
-            yield price, p, None
-
-    return _expand(s0, periods, law, len(s0))
+    law = [(_operand(d, mode), p, 0) for d, p in zip(deltas, probs)]
+    return _grow(s0, periods, [law], mode, None)
 
 
 def build_regime_switching(
@@ -269,8 +252,8 @@ def build_regime_switching(
     """Markov-modulated path tree.  Each regime is an increment law (list
     of (delta, probability)); the price increment is drawn from the current
     regime's law while the regime itself moves by the transition matrix.
-    Children are (next regime, increment) pairs; zero-probability
-    transitions are dropped."""
+    Children are (next regime, increment) pairs, increment-major;
+    zero-probability transitions are dropped."""
     s0 = np.atleast_1d(np.asarray(s0, dtype=float))
     if mode not in ("additive", "multiplicative"):
         raise BadParameter(f"unknown mode {mode!r}")
@@ -285,46 +268,33 @@ def build_regime_switching(
     if not (0 <= initial_regime < n_reg):
         raise BadParameter("initial_regime out of range")
     laws = []
-    for law in regimes:
+    for cur, law in enumerate(regimes):
         deltas = [np.atleast_1d(np.asarray(d, dtype=float)) for d, _ in law]
         probs = [float(p) for _, p in law]
         if any(p <= 0.0 for p in probs) or abs(sum(probs) - 1.0) > PROB_SUM_TOL:
             raise BadParameter("regime increment probabilities must be positive and sum to 1")
         if any(d.shape != s0.shape for d in deltas):
             raise BadParameter("increment dimension does not match s0")
-        laws.append(list(zip(deltas, probs)))
+        laws.append([(_operand(d, mode), p * trans[cur, nxt], nxt)
+                     for d, p in zip(deltas, probs)
+                     for nxt in range(n_reg) if trans[cur, nxt] > 0.0])
     branching = max(
         n_reg * len(law) for law in regimes
     )
     if branching ** periods > MAX_LEAVES:
         raise BadParameter("tree would exceed the leaf bound 2^20")
-
-    def law_at(node):
-        cur = node.regime if node.regime is not None else initial_regime
-        for d, p in laws[cur]:
-            price = node.price + d if mode == "additive" else node.price * (1.0 + d)
-            for nxt in range(n_reg):
-                q = trans[cur, nxt]
-                if q > 0.0:
-                    yield price, p * q, nxt
-
-    tree = _expand(s0, periods, law_at, len(s0))
-    tree.root.regime = initial_regime
-    return tree
+    return _grow(s0, periods, laws, mode, initial_regime)
 
 
 def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None, values=None) -> Claim:
     """Attach a terminal payoff: 'call'/'put' on asset 0, or 'per_leaf'
     with explicit values in leaf order."""
     leaves = tree.leaves()
-    if kind == "call":
+    if kind in ("call", "put"):
         if strike is None:
-            raise BadParameter("call requires a strike")
-        payoff = np.array([max(n.price[0] - strike, 0.0) for n in leaves])
-    elif kind == "put":
-        if strike is None:
-            raise BadParameter("put requires a strike")
-        payoff = np.array([max(strike - n.price[0], 0.0) for n in leaves])
+            raise BadParameter(f"{kind} requires a strike")
+        gain = tree.price[leaves, 0] - strike
+        payoff = np.maximum(gain if kind == "call" else -gain, 0.0)
     elif kind == "per_leaf":
         payoff = np.asarray(values, dtype=float)
         if payoff.shape != (len(leaves),):
@@ -340,7 +310,7 @@ def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None, val
 
 def claim_at(tree: ScenarioTree, claim: Claim) -> np.ndarray:
     """Payoff indexed by node id (defined on leaves, NaN elsewhere)."""
-    leaves = tree.layout.leaves
+    leaves = tree.leaves()
     if np.shape(claim.payoff) != leaves.shape:
         raise BadParameter(f"claim has {np.size(claim.payoff)} values for {leaves.size} leaves")
     h = np.full(len(tree.nodes), np.nan)
@@ -355,58 +325,54 @@ def claim_at(tree: ScenarioTree, claim: Claim) -> np.ndarray:
 def validate_tree(tree: ScenarioTree, max_violations: int = 100) -> list[str]:
     """Check all structural invariants, the ordering contract included;
     returns a list of violation messages (empty when the tree is well
-    formed)."""
-    out: list[str] = []
+    formed), ordered by the list position they are reported at."""
+    parent, time, price = tree.parent, tree.time, tree.price
+    n = len(parent)
+    if n == 0 or any(a.shape != (n,) for a in (time, tree.regime, tree.prob)):
+        return ["node arrays differ in length"]
+    if price.shape != (n, tree.num_assets):
+        return [f"price dimension mismatch: shape {price.shape} for {n} nodes "
+                f"of {tree.num_assets} assets"]
+    bad = np.flatnonzero((parent < -1) | (parent >= n))
+    if bad.size:
+        return [f"parent out of range at node {i}" for i in bad[:max_violations].tolist()]
+    kid = np.flatnonzero(parent >= 0)
+    up = parent[kid]
+    found = []   # (position, check, child, child check, message)
 
-    def report(msg: str) -> bool:
-        out.append(msg)
-        return len(out) >= max_violations
+    def check(rank: int, where: np.ndarray, message, minor: int = 0, edge: bool = False) -> None:
+        """Report message(w) for each w in where (node ids, or with edge
+        indices into kid/up, reported at the parent in child order)."""
+        if edge:
+            where = where[np.lexsort((kid[where], up[where]))][:max_violations]
+            keys = zip(up[where].tolist(), kid[where].tolist())
+        else:
+            where = where[:max_violations]
+            keys = ((i, 0) for i in where.tolist())
+        found.extend((p, rank, c, minor, message(w)) for (p, c), w in zip(keys, where.tolist()))
 
-    roots = [n for n in tree.nodes if n.parent is None]
-    if len(roots) != 1 or (roots and roots[0].time != 0):
-        if report("tree must have exactly one root at time 0"):
-            return out
-    seen_child: dict[int, int] = {}
-    for pos, n in enumerate(tree.nodes):
-        if n.id != pos:
-            if report(f"node at list position {pos} has id {n.id}"):
-                return out
-        if pos and n.time < tree.nodes[pos - 1].time:
-            if report(f"time decreases at list position {pos}"):
-                return out
-        if not np.all(np.isfinite(n.price)):
-            if report(f"non-finite price at node {n.id}"):
-                return out
-        if n.price.shape != (tree.num_assets,):
-            if report(f"price dimension mismatch at node {n.id}"):
-                return out
-        if n.time == tree.horizon and n.children:
-            if report(f"terminal node {n.id} has children"):
-                return out
-        if n.time < tree.horizon and not n.children:
-            if report(f"non-terminal node {n.id} has no children"):
-                return out
-        for cid, p in n.children:
-            child = tree.nodes[cid]
-            if child.time != n.time + 1:
-                if report(f"time skip from node {n.id} to node {cid}"):
-                    return out
-            if child.parent != n.id:
-                if report(f"parent mismatch at node {cid}"):
-                    return out
-            if cid in seen_child:
-                if report(f"node {cid} shared by two parents"):
-                    return out
-            seen_child[cid] = n.id
-            if not (p > 0.0):
-                if report(f"nonpositive probability at node {n.id} child {cid}"):
-                    return out
-        if n.children:
-            total = sum(p for _, p in n.children)
-            if abs(total - 1.0) > PROB_SUM_TOL:
-                if report(f"child probabilities at node {n.id} sum to {total!r}"):
-                    return out
-    return out
+    if np.count_nonzero(parent == -1) != 1 or parent[0] != -1 or time[0] != 0:
+        found.append((-1, 0, 0, 0, "tree must have exactly one root at time 0"))
+    check(1, 1 + np.flatnonzero(time[1:] < time[:-1]),
+          lambda i: f"time decreases at list position {i}")
+    check(2, 1 + np.flatnonzero((time[1:] == time[:-1]) & (parent[1:] < parent[:-1])),
+          lambda i: f"parent decreases at list position {i}")
+    check(3, np.flatnonzero(~np.all(np.isfinite(price), axis=1)),
+          lambda i: f"non-finite price at node {i}")
+    counts = np.bincount(up, minlength=n)
+    check(4, np.flatnonzero((time == tree.horizon) & (counts > 0)),
+          lambda i: f"terminal node {i} has children")
+    check(5, np.flatnonzero((time < tree.horizon) & (counts == 0)),
+          lambda i: f"non-terminal node {i} has no children")
+    check(6, np.flatnonzero(time[kid] != time[up] + 1),
+          lambda e: f"time skip from node {up[e]} to node {kid[e]}", edge=True)
+    check(6, np.flatnonzero(~(tree.prob[kid] > 0.0)),
+          lambda e: f"nonpositive probability at node {up[e]} child {kid[e]}", 1, edge=True)
+    total = np.bincount(up, weights=tree.prob[kid], minlength=n)
+    check(7, np.flatnonzero((counts > 0) & (np.abs(total - 1.0) > PROB_SUM_TOL)),
+          lambda i: f"child probabilities at node {i} sum to {float(total[i])!r}")
+    found.sort(key=lambda f: f[:4])
+    return [message for *_, message in found[:max_violations]]
 
 
 # ---------------------------------------------------------------------------
@@ -420,18 +386,19 @@ def serialize_tree(tree: ScenarioTree, claim: Claim | None = None) -> str:
     serialize -> parse -> serialize is byte-identical.
     """
     parts = ['{"num_assets": %d, "horizon": %d, "nodes": [' % (tree.num_assets, tree.horizon)]
+    parent = tree.parent.tolist()
+    kids = [[] for _ in parent]
+    for i, (p, q) in enumerate(zip(parent, tree.prob.tolist())):
+        if p >= 0:
+            kids[p].append('{"id": %d, "p": %s}' % (i, _fmt(q)))
     node_docs = []
-    for n in tree.nodes:
-        price = ", ".join(_fmt(x) for x in n.price)
-        children = ", ".join(
-            '{"id": %d, "p": %s}' % (cid, _fmt(p)) for cid, p in n.children
-        )
-        parent = "null" if n.parent is None else str(n.parent)
+    for i, (t, price, p, r) in enumerate(zip(tree.time.tolist(), tree.price.tolist(),
+                                             parent, tree.regime.tolist())):
         doc = '{"id": %d, "time": %d, "price": [%s], "parent": %s, "children": [%s]' % (
-            n.id, n.time, price, parent, children
+            i, t, ", ".join(map(_fmt, price)), "null" if p < 0 else p, ", ".join(kids[i])
         )
-        if n.regime is not None:
-            doc += ', "regime": %d' % n.regime
+        if r >= 0:
+            doc += ', "regime": %d' % r
         node_docs.append(doc + "}")
     parts.append(", ".join(node_docs))
     parts.append("]")
@@ -441,24 +408,54 @@ def serialize_tree(tree: ScenarioTree, claim: Claim | None = None) -> str:
     return "".join(parts)
 
 
+def _is_id(x, n: int) -> bool:
+    return type(x) is int and 0 <= x < n
+
+
 def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
-    """Parse a document produced by serialize_tree."""
+    """Parse a document produced by serialize_tree.  Raises BadParameter
+    when the document contradicts itself: an id that is not its list
+    position, a parent or child id out of range, a price row of the
+    wrong length, or children lists that disagree with the parent
+    pointers."""
     doc = json.loads(text)
     try:
-        nodes = [
-            Node(
-                id=nd["id"],
-                time=nd["time"],
-                price=np.asarray(nd["price"], dtype=float),
-                parent=nd["parent"],
-                children=[(c["id"], float(c["p"])) for c in nd["children"]],
-                regime=nd.get("regime"),
+        nodes, num_assets = doc["nodes"], doc["num_assets"]
+        n = len(nodes)
+        parent = [-1 if nd["parent"] is None else nd["parent"] for nd in nodes]
+        listed = [(i, c["id"], float(c["p"])) for i, nd in enumerate(nodes) for c in nd["children"]]
+        errors = [f"node at list position {pos} has id {nd['id']}"
+                  for pos, nd in enumerate(nodes) if nd["id"] != pos]
+        errors += [f"parent {p!r} of node {i} out of range"
+                   for i, p in enumerate(parent) if p != -1 and not _is_id(p, n)]
+        errors += [f"child {c!r} of node {i} out of range"
+                   for i, c, _ in listed if not _is_id(c, n)]
+        errors += [f"time {nd['time']!r} of node {i} is not an integer"
+                   for i, nd in enumerate(nodes) if type(nd["time"]) is not int]
+        errors += [f"price dimension mismatch at node {i}"
+                   for i, nd in enumerate(nodes) if len(nd["price"]) != num_assets]
+        prob, seen = [1.0] * n, [0] * n
+        if not errors:
+            for i, c, p in listed:
+                prob[c] = p
+                seen[c] += 1
+                if parent[c] != i:
+                    errors.append(f"parent mismatch at node {c}")
+            errors += [f"node {c} listed {k} times" for c, k in enumerate(seen) if k > 1]
+            errors += [f"node {c} missing from the children of node {p}"
+                       for c, (p, k) in enumerate(zip(parent, seen)) if p >= 0 and not k]
+        if not errors:
+            tree = ScenarioTree(
+                num_assets=num_assets, horizon=doc["horizon"], parent=parent,
+                time=[nd["time"] for nd in nodes],
+                price=np.array([nd["price"] for nd in nodes], dtype=float).reshape(n, num_assets),
+                regime=[-1 if nd.get("regime") is None else nd["regime"] for nd in nodes],
+                prob=prob,
             )
-            for nd in doc["nodes"]
-        ]
-        tree = ScenarioTree(num_assets=doc["num_assets"], horizon=doc["horizon"], nodes=nodes)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadParameter(f"malformed tree document: {exc}") from exc
+    if errors:
+        raise BadParameter("malformed tree document: " + "; ".join(errors))
     claim = None
     if "claim" in doc and doc["claim"] is not None:
         claim = Claim(payoff=np.asarray(doc["claim"], dtype=float))

@@ -1,10 +1,12 @@
 """Randomized tree/claim generators shared by the test suite."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 import mvhedge as mv
-from mvhedge.tree import Node, ScenarioTree
+from mvhedge.tree import ScenarioTree
 
 
 def _random_law(rng, branching: int, d: int, martingale: bool):
@@ -28,21 +30,21 @@ def random_tree(rng, periods: int | None = None, d: int | None = None,
         dd = int(d if d is not None else rng.integers(1, 3))
         pp = int(periods if periods is not None else rng.integers(1, 5))
         branching = int(rng.integers(dd + 1, 4))
-        root = Node(id=0, time=0, price=np.full(dd, 10.0), parent=None)
-        nodes = [root]
-        frontier = [root]
-        for t in range(pp):
+        parent, price, prob = [-1], [np.full(dd, 10.0)], [1.0]
+        frontier = [0]
+        for _ in range(pp):
             nxt = []
-            for node in frontier:
+            for i in frontier:
                 probs, deltas = _random_law(rng, branching, dd, martingale)
                 for p, delta in zip(probs, deltas):
-                    child = Node(id=len(nodes), time=t + 1,
-                                 price=node.price + delta, parent=node.id)
-                    nodes.append(child)
-                    node.children.append((child.id, float(p)))
-                    nxt.append(child)
+                    nxt.append(len(parent))
+                    parent.append(i)
+                    price.append(price[i] + delta)
+                    prob.append(float(p))
             frontier = nxt
-        tree = ScenarioTree(num_assets=dd, horizon=pp, nodes=nodes)
+        time = np.repeat(np.arange(pp + 1), branching ** np.arange(pp + 1))
+        tree = ScenarioTree(num_assets=dd, horizon=pp, parent=parent, time=time,
+                            price=np.array(price), regime=np.full(len(parent), -1), prob=prob)
         try:
             surf = mv.compute_opportunity(tree)
         except mv.DegenerateStep:
@@ -106,7 +108,7 @@ def rollout_path(tree: ScenarioTree, surf: mv.OpportunitySurface, plan: mv.Hedge
         g = wealth[-1]
         h = plan.xi[parent] - (g - plan.V[parent]) * surf.a_tilde[parent]
         holdings.append(h)
-        wealth.append(g + float(tree.increment(parent, child) @ h))
+        wealth.append(g + float((tree.price[child] - tree.price[parent]) @ h))
     return holdings, wealth
 
 
@@ -120,10 +122,9 @@ def efficient_value_process(tree: ScenarioTree, surf: mv.OpportunitySurface,
     stack = [start_node]
     while stack:
         i = stack.pop()
-        node = tree.nodes[i]
-        if not node.children:
+        if tree.time[i] == tree.horizon:
             continue
-        kids, _, deltas = tree.step(node)
+        kids, _, deltas = tree.step(i)
         factors = 1.0 - deltas @ surf.a_tilde[i]
         for cid, f in zip(kids.tolist(), factors):
             values[cid] = values[i] * float(f)
@@ -138,12 +139,12 @@ def gkw_holdings_loop(tree: ScenarioTree, plan: mv.HedgePlan) -> np.ndarray:
     V = plan.V.copy()
     phi = np.full((len(tree.nodes), tree.num_assets), np.nan)
     for t in range(tree.horizon - 1, -1, -1):
-        for node in tree.nodes_at(t):
-            kids, probs, deltas = tree.step(node)
-            V[node.id] = float(probs @ V[kids])
+        for i in tree.layout.slices[t]:
+            kids, probs, deltas = tree.step(i)
+            V[i] = float(probs @ V[kids])
             c_u = (deltas.T * probs) @ deltas
-            d_u = deltas.T @ (probs * (V[kids] - V[node.id]))
-            phi[node.id] = mv.pinv_psd(c_u) @ d_u
+            d_u = deltas.T @ (probs * (V[kids] - V[i]))
+            phi[i] = mv.pinv_psd(c_u) @ d_u
     return phi
 
 
@@ -154,10 +155,9 @@ def markowitz_holdings_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     phi = np.full((len(tree.nodes), tree.num_assets), np.nan)
     G = np.full(len(tree.nodes), np.nan)
     G[0] = v0
-    for node in tree.nonterminal():
-        i = node.id
+    for i in tree.layout.inner:
         phi[i] = (target - G[i]) * surf.a_tilde[i]
-        kids, _, deltas = tree.step(node)
+        kids, _, deltas = tree.step(i)
         G[kids] = G[i] + deltas @ phi[i]
     return phi
 
@@ -166,9 +166,9 @@ def sample_paths_loop(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     """Reference sampler: one Philox generator per path, each path walked
     node by node."""
     cum: dict[int, tuple[np.ndarray, list[int]]] = {}
-    for node in tree.nonterminal():
-        kids, probs, _ = tree.step(node)
-        cum[node.id] = (np.cumsum(probs), kids.tolist())
+    for i in tree.layout.inner.tolist():
+        kids, probs, _ = tree.step(i)
+        cum[i] = (np.cumsum(probs), kids.tolist())
     out = []
     for i in range(n):
         bg = np.random.Philox(key=seed, counter=[0, 0, i, 0])
@@ -181,16 +181,19 @@ def sample_paths_loop(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     return out
 
 
-def uneven_regime_tree(periods: int = 3) -> mv.ScenarioTree:
-    """Regime tree with uneven branching: regime 0 is absorbing (2
-    children a node), regime 1 moves to either regime (4 children)."""
+def uneven_regime_args(periods: int = 3) -> tuple:
+    """build_regime_switching arguments of uneven_regime_tree."""
     regimes = [
         [([1.0], 0.6), ([-1.0], 0.4)],
         [([2.0], 0.3), ([-1.5], 0.7)],
     ]
-    return mv.build_regime_switching(
-        [10.0], regimes, [[1.0, 0.0], [0.55, 0.45]], initial_regime=1, periods=periods,
-    )
+    return [10.0], regimes, [[1.0, 0.0], [0.55, 0.45]], 1, periods
+
+
+def uneven_regime_tree(periods: int = 3) -> mv.ScenarioTree:
+    """Regime tree with uneven branching: regime 0 is absorbing (2
+    children a node), regime 1 moves to either regime (4 children)."""
+    return mv.build_regime_switching(*uneven_regime_args(periods))
 
 
 def two_regime_tree(periods: int = 3) -> mv.ScenarioTree:
@@ -217,23 +220,23 @@ def martingale_trinomial(periods: int = 1) -> mv.ScenarioTree:
 
 
 # ---------------------------------------------------------------------------
-# Reference per-node sweeps.  They read node.children directly, visit the
-# nodes of a time slice in id order and use the per-node expressions the
-# batched engine stacks, so the engine must equal them bit for bit.
+# Reference per-node sweeps.  They find each node's children by its
+# parent pointers, visit the nodes of a time slice in id order and use
+# the per-node expressions the batched engine stacks, so the engine must
+# equal them bit for bit.
 
 
-def _children(tree: ScenarioTree, node: Node):
-    ids, probs = zip(*node.children)
-    deltas = np.array([tree.nodes[c].price for c in ids]) - node.price
-    return np.array(ids), np.array(probs), deltas
+def _children(tree: ScenarioTree, i: int):
+    ids = np.flatnonzero(tree.parent == i)
+    return ids, tree.prob[ids], tree.price[ids] - tree.price[i]
 
 
-def _slice(tree: ScenarioTree, t: int) -> list[Node]:
-    return [n for n in tree.nodes if n.time == t]
+def _slice(tree: ScenarioTree, t: int) -> list[int]:
+    return np.flatnonzero(tree.time == t).tolist()
 
 
-def _inner(tree: ScenarioTree) -> list[Node]:
-    return [n for n in tree.nodes if n.time < tree.horizon]
+def _inner(tree: ScenarioTree) -> list[int]:
+    return np.flatnonzero(tree.time < tree.horizon).tolist()
 
 
 def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
@@ -242,8 +245,8 @@ def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
     out = {"L": np.ones(n), "a_tilde": np.full((n, d), np.nan), "m0": np.full(n, np.nan),
            "bbar_u": np.full((n, d), np.nan), "cbar_u": np.full((n, d, d), np.nan)}
     for t in range(tree.horizon - 1, -1, -1):
-        for node in _slice(tree, t):
-            kids, probs, deltas = _children(tree, node)
+        for i in _slice(tree, t):
+            kids, probs, deltas = _children(tree, i)
             w = probs * out["L"][kids]
             m0 = float(np.sum(w))
             bbar_u = deltas.T @ w
@@ -252,8 +255,7 @@ def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
             cinv = mv.pinv_psd(cbar_u)
             L = m0 - float(bbar_u @ cinv @ bbar_u)
             if L <= 1e-12 * m0:
-                raise mv.DegenerateStep(node.id)
-            i = node.id
+                raise mv.DegenerateStep(i)
             out["L"][i], out["a_tilde"][i] = L, cinv @ bbar_u
             out["m0"][i], out["bbar_u"][i], out["cbar_u"][i] = m0, bbar_u, cbar_u
     return out
@@ -264,11 +266,10 @@ def mean_value_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     """V node by node, with the weight-sum check."""
     V = np.full(len(tree.nodes), np.nan)
     for leaf, value in zip(_slice(tree, tree.horizon), claim.payoff):
-        V[leaf.id] = value
+        V[leaf] = value
     for t in range(tree.horizon - 1, -1, -1):
-        for node in _slice(tree, t):
-            i = node.id
-            kids, probs, deltas = _children(tree, node)
+        for i in _slice(tree, t):
+            kids, probs, deltas = _children(tree, i)
             w = probs * (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
             if not abs(float(np.sum(w)) - 1.0) <= 1e-9:
                 raise mv.DegenerateStep(i)
@@ -281,9 +282,8 @@ def pure_hedge_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     """(dbar_u, xi) node by node."""
     n, d = len(tree.nodes), tree.num_assets
     dbar_u, xi = np.full((n, d), np.nan), np.full((n, d), np.nan)
-    for node in _inner(tree):
-        i = node.id
-        kids, probs, deltas = _children(tree, node)
+    for i in _inner(tree):
+        kids, probs, deltas = _children(tree, i)
         dbar_u[i] = deltas.T @ (probs * surf.L[kids] * (V[kids] - V[i]))
         xi[i] = mv.pinv_psd(surf.cbar_u[i]) @ dbar_u[i]
     return dbar_u, xi
@@ -295,10 +295,9 @@ def rollout_loop(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarray, n
     xi, V, a = np.broadcast_to(xi, (n, d)), np.broadcast_to(V, (n,)), np.broadcast_to(a, (n, d))
     phi, G = np.full((n, d), np.nan), np.full(n, np.nan)
     G[0] = v0
-    for node in _inner(tree):
-        i = node.id
+    for i in _inner(tree):
         phi[i] = xi[i] - (G[i] - V[i]) * a[i]
-        kids, _, deltas = _children(tree, node)
+        kids, _, deltas = _children(tree, i)
         G[kids] = G[i] + deltas @ phi[i]
     return phi, G
 
@@ -306,9 +305,9 @@ def rollout_loop(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarray, n
 def node_probs_loop(tree: ScenarioTree) -> np.ndarray:
     probs = np.zeros(len(tree.nodes))
     probs[0] = 1.0
-    for n in tree.nodes:
-        for cid, p in n.children:
-            probs[cid] = probs[n.id] * p
+    for i in _inner(tree):
+        kids, p, _ = _children(tree, i)
+        probs[kids] = probs[i] * p
     return probs
 
 
@@ -316,25 +315,22 @@ def hedging_error_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
                        plan: mv.HedgePlan, v0: float) -> tuple[np.ndarray, float, dict]:
     """(e, total_error, slice_error) node by node."""
     e = np.full(len(tree.nodes), np.nan)
-    for node in _inner(tree):
-        i = node.id
-        kids, probs, _ = _children(tree, node)
+    for i in _inner(tree):
+        kids, probs, _ = _children(tree, i)
         dv = plan.V[kids] - plan.V[i]
         e[i] = float(probs * surf.L[kids] @ (dv * dv)) - float(plan.dbar_u[i] @ plan.xi[i])
     probs = node_probs_loop(tree)
     total = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
     slice_error = {}
     for t in range(tree.horizon):
-        slice_error[t] = sum(float(probs[node.id] * e[node.id]) for node in _slice(tree, t))
+        slice_error[t] = sum(float(probs[i] * e[i]) for i in _slice(tree, t))
         total += slice_error[t]
     return e, total, slice_error
 
 
 def scaled_tree(tree: ScenarioTree, k: float) -> ScenarioTree:
     """The same tree with every price multiplied by k."""
-    nodes = [Node(id=n.id, time=n.time, price=n.price * k, parent=n.parent,
-                  children=list(n.children), regime=n.regime) for n in tree.nodes]
-    return ScenarioTree(num_assets=tree.num_assets, horizon=tree.horizon, nodes=nodes)
+    return dataclasses.replace(tree, price=tree.price * k)
 
 
 def backtest_2d_tree(periods: int = 2) -> mv.ScenarioTree:
@@ -353,9 +349,8 @@ def measures_loop(tree: ScenarioTree, surf: mv.OpportunitySurface) -> dict:
     """The fields of measures(tree, surf) node by node."""
     out = {"qstar_w": {}, "pstar_p": {}, "nstar_f": {}, "z_qstar": np.ones(len(tree.nodes)),
            "z_pstar": np.ones(len(tree.nodes)), "num_negative_weights": 0}
-    for node in _inner(tree):
-        i = node.id
-        kids, probs, deltas = _children(tree, node)
+    for i in _inner(tree):
+        kids, probs, deltas = _children(tree, i)
         child_L = surf.L[kids]
         qw = (child_L / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
         pp = probs * child_L / surf.m0[i]
@@ -370,10 +365,71 @@ def measures_loop(tree: ScenarioTree, surf: mv.OpportunitySurface) -> dict:
 def fs_residual_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
                      plan: mv.HedgePlan) -> float:
     worst = 0.0
-    for node in _inner(tree):
-        i = node.id
-        kids, probs, deltas = _children(tree, node)
+    for i in _inner(tree):
+        kids, probs, deltas = _children(tree, i)
         pstar = probs * surf.L[kids] / surf.m0[i]
         resid = (plan.V[kids] - plan.V[i]) - deltas @ plan.xi[i]
         worst = max(worst, float(np.max(np.abs(deltas.T @ (pstar * resid)))))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Reference builders: the tree grown breadth-first node by node, each
+# child's price computed from its parent's alone, as the builders did
+# before they grew whole time slices.
+
+
+def expand_loop(s0, periods: int, law_at, num_assets: int, regime0: int = -1) -> ScenarioTree:
+    """law_at(price, regime) yields (price, probability, regime) triples
+    for the children of a node, regime None when the tree has none."""
+    parent, time, price = [-1], [0], [np.asarray(s0, dtype=float)]
+    prob, regime = [1.0], [regime0]
+    frontier = [0]
+    for t in range(periods):
+        nxt = []
+        for i in frontier:
+            for child_price, p, r in law_at(price[i], regime[i]):
+                nxt.append(len(parent))
+                parent.append(i)
+                time.append(t + 1)
+                price.append(np.asarray(child_price, dtype=float))
+                prob.append(float(p))
+                regime.append(-1 if r is None else r)
+        frontier = nxt
+    return ScenarioTree(num_assets=num_assets, horizon=periods, parent=parent, time=time,
+                        price=np.array(price), regime=regime, prob=prob)
+
+
+def binomial_loop(s0, up: float, down: float, p_up: float, periods: int) -> ScenarioTree:
+    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    return expand_loop(s0, periods, lambda price, _: [(price * up, p_up, None),
+                                                      (price * down, 1.0 - p_up, None)], len(s0))
+
+
+def iid_loop(s0, increments, periods: int, mode: str = "additive") -> ScenarioTree:
+    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    incs = [(np.atleast_1d(np.asarray(d, dtype=float)), float(p)) for d, p in increments]
+
+    def law(price, _):
+        for d, p in incs:
+            yield (price + d if mode == "additive" else price * (1.0 + d)), p, None
+
+    return expand_loop(s0, periods, law, len(s0))
+
+
+def regime_loop(s0, regimes, transition, initial_regime: int, periods: int,
+                mode: str = "additive") -> ScenarioTree:
+    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    trans = np.asarray(transition, dtype=float)
+    laws = [[(np.atleast_1d(np.asarray(d, dtype=float)), float(p)) for d, p in law]
+            for law in regimes]
+
+    def law_at(price, cur):
+        for d, p in laws[cur]:
+            child = price + d if mode == "additive" else price * (1.0 + d)
+            for nxt in range(len(laws)):
+                q = trans[cur, nxt]
+                if q > 0.0:
+                    yield child, p * q, nxt
+
+    return expand_loop(s0, periods, law_at, len(s0), initial_regime)

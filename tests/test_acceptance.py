@@ -64,17 +64,17 @@ def test_02_opportunity_process_everywhere(reference_trees):
     ok = True
     for tree in reference_trees:
         surf = mv.compute_opportunity(tree)
-        for node in tree.nodes:
-            L = surf.L[node.id]
+        for i in tree.nodes:
+            L = surf.L[i]
             if not (0.0 < L <= 1.0 + 1e-12):
                 ok = False
-            brute = mv.node_conditional_check(tree, node.id)
+            brute = mv.node_conditional_check(tree, i)
             if abs(L - brute) > 1e-9 * max(1.0, brute):
                 ok = False
         # one-step submartingale inequality: L(n) <= E[L(t+1) | n]
-        for node in tree.nonterminal():
-            kids, probs, _ = tree.step(node)
-            if surf.L[node.id] > probs @ surf.L[kids] + 1e-12:
+        for i in tree.layout.inner:
+            kids, probs, _ = tree.step(i)
+            if surf.L[i] > probs @ surf.L[kids] + 1e-12:
                 ok = False
     report("opportunity_process", ok)
 
@@ -87,7 +87,7 @@ def test_03_variance_optimal_measure(reference_trees):
         qp = mv.martingale_qp(tree)
         if abs(qp.second_moment - 1.0 / surf.L[0]) > 1e-9 / surf.L[0]:
             ok = False
-        z = np.array([mea.z_qstar[leaf.id] for leaf in tree.leaves()])
+        z = mea.z_qstar[tree.leaves()]
         if np.max(np.abs(z - qp.leaf_density)) > 1e-9 * max(1.0, np.max(np.abs(z))):
             ok = False
     # hand binomial case: minimal second moment 1/0.96
@@ -136,14 +136,13 @@ def _replication_price(tree, claim):
     plain backward induction on payoffs."""
     value = np.full(len(tree.nodes), np.nan)
     for leaf, h in zip(tree.leaves(), claim.payoff):
-        value[leaf.id] = float(h)
+        value[leaf] = float(h)
     for t in range(tree.horizon - 1, -1, -1):
-        for node in tree.nodes_at(t):
-            (up_id, _), (dn_id, _) = node.children
-            du = tree.increment(node.id, up_id)[0]
-            dd = tree.increment(node.id, dn_id)[0]
+        for i in tree.layout.slices[t]:
+            (up_id, dn_id), _, deltas = tree.step(i)
+            du, dd = deltas[:, 0]
             q = -dd / (du - dd)
-            value[node.id] = q * value[up_id] + (1.0 - q) * value[dn_id]
+            value[i] = q * value[up_id] + (1.0 - q) * value[dn_id]
     return value
 
 
@@ -200,8 +199,7 @@ def test_07_structural_identities(reference_trees):
         if mv.fs_residual_check(tree, surf, plan) > 1e-9 * max(
                 1.0, float(np.nanmax(np.abs(plan.V)))):
             ok = False
-        for node in tree.nonterminal():
-            i = node.id
+        for i in tree.layout.inner:
             b = surf.b_sstar[i]
             ct, ch = surf.c_tilde_sstar[i], surf.c_hat_sstar[i]
             at, ah = surf.a_tilde[i], surf.a_hat[i]
@@ -216,7 +214,7 @@ def test_07_structural_identities(reference_trees):
                     1.0, abs(surf.dAK[i])):
                 ok = False
             # one-step conditions of the signed martingale measure
-            kids, probs, deltas = tree.step(node)
+            kids, probs, deltas = tree.step(i)
             w = probs * mea.qstar_w[i]
             if abs(np.sum(w) - 1.0) > 1e-10:
                 ok = False
@@ -235,9 +233,9 @@ def test_08_sharpe_relation(reference_trees):
     ok = True
     for tree in reference_trees[:20]:
         surf = mv.compute_opportunity(tree)
-        for node in tree.nodes:
-            engine = mv.sharpe_ratio(surf, node.id)
-            brute = mv.max_sharpe(tree, node.id)
+        for i in tree.nodes:
+            engine = mv.sharpe_ratio(surf, i)
+            brute = mv.max_sharpe(tree, i)
             if abs(engine - brute) > 1e-8 * max(1.0, brute):
                 ok = False
     surf = mv.compute_opportunity(binomial_06())
@@ -279,11 +277,11 @@ def test_10_perturbation_optimality():
         holdings, G = mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0)
         base = mv.exact_sq_error(tree, plan, G)
         scale = max(1.0, float(np.nanmax(np.abs(plan.V))))
-        for node in tree.nonterminal():
+        for i in tree.layout.inner:
             for j in range(tree.num_assets):
                 for delta in (1e-3, -1e-3):
                     bumped = holdings.copy()
-                    bumped[node.id, j] += delta
+                    bumped[i, j] += delta
                     _, G = mv.rollout_strategy(tree, bumped, 0.0, 0.0, plan.v0)
                     err = mv.exact_sq_error(tree, plan, G)
                     if err < base - 1e-12 * scale * scale:

@@ -54,7 +54,7 @@ def test_sample_paths_frequencies():
     tree = binomial_06(periods=1)
     n = 100_000
     paths = mv.sample_paths(tree, n, seed=11)
-    up_leaf = tree.root.children[0][0]
+    up_leaf = 1
     frac = sum(1 for leaf in paths if leaf == up_leaf) / n
     assert abs(frac - 0.6) <= 4.0 * np.sqrt(0.24 / n)
 
@@ -123,8 +123,8 @@ def test_exact_sq_error_equals_leaf_loop():
     probs = tree.node_probs()
     total = 0.0
     for leaf in tree.leaves():
-        err = G[leaf.id] - plan.V[leaf.id]
-        total += probs[leaf.id] * err * err
+        err = G[leaf] - plan.V[leaf]
+        total += probs[leaf] * err * err
     assert mv.exact_sq_error(tree, plan, G) == total
 
 
@@ -144,8 +144,8 @@ def test_martingale_gkw_equals_mvh():
     surf, plan = setup(tree, claim)
     h_mvh, _ = mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0)
     h_gkw, _ = mv.strategy_holdings(tree, surf, plan, "gkw", plan.v0)
-    for node in tree.nonterminal():
-        assert np.allclose(h_mvh[node.id], h_gkw[node.id], atol=1e-12)
+    for i in tree.layout.inner:
+        assert np.allclose(h_mvh[i], h_gkw[i], atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -177,8 +177,8 @@ def test_markowitz_matches_mvh_on_constant_claim():
     surf, plan = setup(tree, claim)
     h_mkz, _ = mv.strategy_holdings(tree, surf, plan, "markowitz", 0.5)
     h_mvh, _ = mv.strategy_holdings(tree, surf, plan, "mvh", 0.5)
-    for node in tree.nonterminal():
-        assert np.allclose(h_mkz[node.id], h_mvh[node.id], atol=1e-12)
+    for i in tree.layout.inner:
+        assert np.allclose(h_mkz[i], h_mvh[i], atol=1e-12)
 
 
 def test_sampled_mvh_within_three_stderr():

@@ -20,6 +20,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CONFIG = str(GOLDEN / "config.json")
 # name: (CLI arguments before --config, files written to --out)
 COMMANDS = {
+    "tree_build": (["tree", "build"], ["tree.json"]),
     "hedge": (["hedge"], ["hedge_nodes.csv", "hedge_summary.json"]),
     "backtest": (["backtest"], ["backtest.csv", "backtest.json"]),
     "backtest_exact": (["backtest", "--exact"], ["backtest.csv", "backtest.json"]),

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,8 +18,8 @@ def test_constant_claim():
     claim = mv.attach_claim(tree, "per_leaf", values=np.full(len(tree.leaves()), 3.0))
     plan = mv.compute_plan(tree, surf, claim)
     assert np.allclose(plan.V, 3.0, atol=1e-12)
-    for node in tree.nonterminal():
-        assert np.allclose(plan.xi[node.id], 0.0, atol=1e-12)
+    for i in tree.layout.inner:
+        assert np.allclose(plan.xi[i], 0.0, atol=1e-12)
 
 
 def test_weight_sum_violation_raises():
@@ -37,7 +39,7 @@ def test_complete_binomial_replication():
     assert plan.xi[0][0] == pytest.approx(0.5)
     _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, 0.5)
     for leaf in tree.leaves():
-        assert G[leaf.id] == pytest.approx(plan.V[leaf.id], abs=1e-12)
+        assert G[leaf] == pytest.approx(plan.V[leaf], abs=1e-12)
     assert mv.hedging_error(tree, surf, plan, 0.5).total_error == pytest.approx(0.0, abs=1e-15)
 
 
@@ -48,7 +50,7 @@ def test_trinomial_hand_case():
     assert plan.V[0] == pytest.approx(0.3)
     assert plan.xi[0][0] == pytest.approx(0.5)
     _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, 0.3)
-    errors = sorted(plan.V[leaf.id] - G[leaf.id] for leaf in tree.leaves())
+    errors = sorted(plan.V[leaf] - G[leaf] for leaf in tree.leaves())
     assert errors == pytest.approx([-0.3, 0.2, 0.2])
     report = mv.hedging_error(tree, surf, plan, 0.3)
     assert report.total_error == pytest.approx(0.06)
@@ -65,13 +67,13 @@ def test_martingale_feedback_is_pure_hedge():
     claim = random_claim(rng, tree)
     plan = mv.compute_plan(tree, surf, claim)
     phi, _ = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0 + 1.7)
-    for node in tree.nonterminal():
-        assert np.allclose(phi[node.id], plan.xi[node.id], atol=1e-12)
+    for i in tree.layout.inner:
+        assert np.allclose(phi[i], plan.xi[i], atol=1e-12)
     # V reduces to plain conditional expectation under the physical measure
     probs = tree.node_probs()
-    for node in tree.nonterminal():
-        kids, p, _ = tree.step(node)
-        assert plan.V[node.id] == pytest.approx(float(p @ plan.V[kids]), rel=1e-10, abs=1e-10)
+    for i in tree.layout.inner:
+        kids, p, _ = tree.step(i)
+        assert plan.V[i] == pytest.approx(float(p @ plan.V[kids]), rel=1e-10, abs=1e-10)
 
 
 def test_fs_residual_hand_cases():
@@ -95,9 +97,8 @@ def test_v_is_one_step_qstar_martingale(seed):
     plan = mv.compute_plan(tree, surf, claim)
     mea = mv.measures(tree, surf)
     scale = max(1.0, np.max(np.abs(claim.payoff)))
-    for node in tree.nonterminal():
-        i = node.id
-        kids, p, _ = tree.step(node)
+    for i in tree.layout.inner:
+        kids, p, _ = tree.step(i)
         assert float((p * mea.qstar_w[i]) @ plan.V[kids]) == pytest.approx(
             plan.V[i], abs=1e-10 * scale
         )
@@ -112,13 +113,13 @@ def test_error_terms_nonnegative_and_residual(seed):
     plan = mv.compute_plan(tree, surf, claim)
     report = mv.hedging_error(tree, surf, plan, plan.v0)
     scale = max(1.0, np.max(np.abs(claim.payoff)))
-    for node in tree.nonterminal():
-        assert report.e[node.id] >= -1e-12 * scale * scale
+    for i in tree.layout.inner:
+        assert report.e[i] >= -1e-12 * scale * scale
     assert mv.fs_residual_check(tree, surf, plan) <= 1e-9 * scale
     # decomposition is exact as computed
     probs = tree.node_probs()
     total = report.endowment_term + sum(
-        probs[n.id] * report.e[n.id] for n in tree.nonterminal()
+        probs[i] * report.e[i] for i in tree.layout.inner
     )
     assert report.total_error == pytest.approx(total, rel=1e-12)
 
@@ -164,7 +165,56 @@ def test_rollout_path_matches_full_rollout():
     claim = random_claim(rng, tree)
     plan = mv.compute_plan(tree, surf, claim)
     _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
-    leaf = tree.leaves()[0]
-    path = tree.path_nodes(leaf.id)
+    path = [int(tree.leaves()[0])]
+    while tree.parent[path[0]] >= 0:
+        path.insert(0, int(tree.parent[path[0]]))
     _, wealth = rollout_path(tree, surf, plan, plan.v0, path)
-    assert wealth[-1] == pytest.approx(G[leaf.id], rel=1e-12)
+    assert wealth[-1] == pytest.approx(G[path[-1]], rel=1e-12)
+
+
+def plan_and_error(tree, claim):
+    surf = mv.compute_opportunity(tree)
+    plan = mv.compute_plan(tree, surf, claim)
+    return surf, plan, mv.hedging_error(tree, surf, plan, plan.v0).total_error
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_duplicated_asset(seed):
+    # a copy of the last asset adds no new one-step market: the same L,
+    # V and error, and the minimum-norm xi and a_tilde split the last
+    # asset's holding evenly over the two copies (pinv_psd truncates a
+    # zero eigenvalue at every node)
+    rng = np.random.default_rng(1300 + seed)
+    tree = random_tree(rng)
+    claim = random_claim(rng, tree)
+    d = tree.num_assets
+    dup = dataclasses.replace(tree, num_assets=d + 1, price=tree.price[:, [*range(d), d - 1]])
+    surf, plan, err = plan_and_error(tree, claim)
+    surf2, plan2, err2 = plan_and_error(dup, claim)
+    scale = max(1.0, float(np.max(np.abs(claim.payoff))))
+    assert np.allclose(surf2.L, surf.L, rtol=1e-9, atol=0.0)
+    assert np.allclose(plan2.V, plan.V, rtol=1e-9, atol=1e-9 * scale)
+    assert err2 == pytest.approx(err, rel=1e-9, abs=1e-9 * scale * scale)
+    inner = tree.layout.inner
+    for got, want, tol in ((plan2.xi, plan.xi, 1e-9 * scale), (surf2.a_tilde, surf.a_tilde, 1e-9)):
+        half = want[inner, d - 1] / 2.0
+        assert np.allclose(got[inner, :d - 1], want[inner, :d - 1], rtol=1e-9, atol=tol)
+        assert np.allclose(got[inner, d - 1], half, rtol=1e-9, atol=tol)
+        assert np.allclose(got[inner, d], half, rtol=1e-9, atol=tol)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_additive_shift_of_prices_and_strike(seed):
+    # an additive tree shifted by a constant, with the strike shifted
+    # alike, has the same increments and the same payoff
+    rng = np.random.default_rng(1400 + seed)
+    tree = random_tree(rng)
+    strike, shift = float(rng.uniform(6.0, 14.0)), 250.0
+    shifted = dataclasses.replace(tree, price=tree.price + shift)
+    surf, plan, _ = plan_and_error(tree, mv.attach_claim(tree, "call", strike=strike))
+    claim2 = mv.attach_claim(shifted, "call", strike=strike + shift)
+    surf2, plan2, _ = plan_and_error(shifted, claim2)
+    assert np.allclose(surf2.L, surf.L, rtol=1e-9, atol=0.0)
+    assert np.allclose(surf2.a_tilde, surf.a_tilde, rtol=1e-9, atol=1e-9, equal_nan=True)
+    assert np.allclose(plan2.V, plan.V, rtol=1e-9, atol=1e-9)
+    assert np.allclose(plan2.xi, plan.xi, rtol=1e-9, atol=1e-9, equal_nan=True)

@@ -75,9 +75,7 @@ def make_riskless(tree, node_ids):
     """Give each listed node's children one common increment, a riskless
     one-step return (before the layout exists)."""
     for i in node_ids:
-        node = tree.nodes[i]
-        for cid, _ in node.children:
-            tree.nodes[cid].price = node.price + 0.5
+        tree.price[tree.parent == i] = tree.price[i] + 0.5
     return tree
 
 
@@ -118,27 +116,27 @@ def test_layout_matches_nodes():
     tree = uneven_regime_tree(3)
     lay = tree.layout
     assert tree.layout is lay
-    for node in tree.nodes:
-        kids, probs, deltas = tree.step(node)
-        assert kids.tolist() == [c for c, _ in node.children]
-        assert probs.tolist() == [p for _, p in node.children]
+    for i in tree.nodes:
+        kids, probs, deltas = tree.step(i)
+        assert kids.tolist() == np.flatnonzero(tree.parent == i).tolist()
+        assert probs.tolist() == tree.prob[kids].tolist()
         for cid, delta in zip(kids, deltas):
-            assert np.array_equal(delta, tree.nodes[cid].price - node.price)
-        assert lay.time[node.id] == node.time
+            assert np.array_equal(delta, tree.price[cid] - tree.price[i])
     for t in range(tree.horizon + 1):
-        assert [n.id for n in tree.nodes_at(t)] == [n.id for n in tree.nodes if n.time == t]
+        assert lay.slices[t].tolist() == np.flatnonzero(tree.time == t).tolist()
     for t, groups in enumerate(lay.groups):
         counts = [edges.shape[1] for _, edges in groups]
         assert counts == sorted(set(counts))
         ids = np.sort(np.concatenate([ids for ids, _ in groups]))
         assert np.array_equal(ids, lay.slices[t])
-    assert [n.id for n in tree.leaves()] == [n.id for n in tree.nodes if not n.children]
-    assert [n.id for n in tree.nonterminal()] == [n.id for n in tree.nodes if n.children]
+    has_children = np.isin(tree.nodes, tree.parent)
+    assert tree.leaves().tolist() == np.flatnonzero(~has_children).tolist()
+    assert lay.inner.tolist() == np.flatnonzero(has_children).tolist()
 
 
 def test_step_views_are_read_only():
     tree = uneven_regime_tree(2)
-    kids, probs, deltas = tree.step(tree.root)
+    kids, probs, deltas = tree.step(0)
     for view in (kids, probs, deltas, tree.layout.slices[1], tree.layout.groups[0][0][1]):
         with pytest.raises(ValueError):
             view[0] = 0
@@ -153,8 +151,8 @@ def test_oracles_build_no_layout(monkeypatch):
     original = mv.tree.TreeLayout.__init__
     monkeypatch.setattr(mv.tree.TreeLayout, "__init__",
                         lambda lay, sub: built.append(sub) or original(lay, sub))
-    for node in tree.nodes:
-        assert mv.node_conditional_check(tree, node.id) == pytest.approx(surf.L[node.id], rel=1e-9)
+    for i in tree.nodes:
+        assert mv.node_conditional_check(tree, i) == pytest.approx(surf.L[i], rel=1e-9)
     mv.max_sharpe(tree, 0)
     mv.martingale_qp(tree)
     mv.lsq_projection(tree, claim, "free")

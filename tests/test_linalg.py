@@ -103,8 +103,7 @@ def test_range_property_on_random_trees(seed):
     rng = np.random.default_rng(200 + seed)
     tree = random_tree(rng)
     surf = mv.compute_opportunity(tree)
-    for node in tree.nonterminal():
-        i = node.id
+    for i in tree.layout.inner:
         proj = surf.cbar_u[i] @ pinv_psd(surf.cbar_u[i]) @ surf.bbar_u[i]
         scale = max(np.max(np.abs(surf.bbar_u[i])), 1e-30)
         assert np.max(np.abs(proj - surf.bbar_u[i])) <= 1e-9 * max(scale, 1.0)

@@ -3,7 +3,7 @@ import pytest
 
 import mvhedge as mv
 from mvhedge.linalg import pinv_psd
-from mvhedge.tree import Node, ScenarioTree
+from mvhedge.tree import ScenarioTree
 
 from gen import (
     binomial_06,
@@ -16,7 +16,7 @@ from gen import (
 
 def leaf_expectation(tree, values, power=1):
     probs = tree.node_probs()
-    return sum(probs[leaf.id] * values[leaf.id] ** power for leaf in tree.leaves())
+    return sum(probs[leaf] * values[leaf] ** power for leaf in tree.leaves())
 
 
 def test_martingale_tree_trivial_surface():
@@ -24,9 +24,9 @@ def test_martingale_tree_trivial_surface():
     tree = random_tree(rng, martingale=True)
     surf = mv.compute_opportunity(tree)
     assert np.allclose(surf.L, 1.0, atol=1e-12)
-    for node in tree.nonterminal():
-        assert np.allclose(surf.a_tilde[node.id], 0.0, atol=1e-12)
-        assert surf.dAK[node.id] == pytest.approx(0.0, abs=1e-12)
+    for i in tree.layout.inner:
+        assert np.allclose(surf.a_tilde[i], 0.0, atol=1e-12)
+        assert surf.dAK[i] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_binomial_hand_values():
@@ -38,11 +38,8 @@ def test_binomial_hand_values():
 
 
 def test_degenerate_single_child():
-    nodes = [
-        Node(id=0, time=0, price=np.array([10.0]), parent=None, children=[(1, 1.0)]),
-        Node(id=1, time=1, price=np.array([11.0]), parent=0),
-    ]
-    tree = ScenarioTree(num_assets=1, horizon=1, nodes=nodes)
+    tree = ScenarioTree(num_assets=1, horizon=1, parent=[-1, 0], time=[0, 1],
+                        price=[[10.0], [11.0]], regime=[-1, -1], prob=[1.0, 1.0])
     with pytest.raises(mv.DegenerateStep):
         mv.compute_opportunity(tree)
 
@@ -65,10 +62,10 @@ def test_measures_martingale_tree():
     tree = random_tree(rng, martingale=True)
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
-    for node in tree.nonterminal():
-        _, probs, _ = tree.step(node)
-        assert np.allclose(mea.qstar_w[node.id], 1.0, atol=1e-12)
-        assert np.allclose(mea.pstar_p[node.id], probs, atol=1e-12)
+    for i in tree.layout.inner:
+        _, probs, _ = tree.step(i)
+        assert np.allclose(mea.qstar_w[i], 1.0, atol=1e-12)
+        assert np.allclose(mea.pstar_p[i], probs, atol=1e-12)
     assert np.allclose(mea.z_pstar, 1.0, atol=1e-12)
 
 
@@ -90,7 +87,7 @@ def test_measures_signed_trinomial():
     # up branch weight is negative: the measure is signed
     assert mea.qstar_w[0][0] < 0.0
     assert mea.num_negative_weights == 1
-    _, probs, _ = tree.step(tree.root)
+    _, probs, _ = tree.step(0)
     assert float(probs @ mea.qstar_w[0]) == pytest.approx(1.0)
 
 
@@ -118,7 +115,7 @@ def test_mvt_regime_switching_stochastic():
     assert not mvt.deterministic_mvt
     assert not mvt.pstar_is_p
     # dK_hat differs across same-time nodes
-    vals = [mvt.dK_hat[n.id] for n in tree.nodes_at(1)]
+    vals = mvt.dK_hat[tree.layout.slices[1]]
     assert max(vals) - min(vals) > 1e-3
 
 
@@ -127,8 +124,7 @@ def test_mvt_martingale_tree():
     tree = random_tree(rng, martingale=True)
     surf = mv.compute_opportunity(tree)
     mvt = mv.mvt_process(tree, surf)
-    nonterm = [n.id for n in tree.nonterminal()]
-    assert np.allclose(mvt.dK_hat[nonterm], 0.0, atol=1e-12)
+    assert np.allclose(mvt.dK_hat[tree.layout.inner], 0.0, atol=1e-12)
     assert mvt.deterministic_mvt and mvt.pstar_is_p
 
 
@@ -136,7 +132,7 @@ def test_efficient_value_binomial():
     tree = binomial_06()
     surf = mv.compute_opportunity(tree)
     values = efficient_value_process(tree, surf, 0)
-    leaf_vals = sorted(values[leaf.id] for leaf in tree.leaves())
+    leaf_vals = sorted(values[leaf] for leaf in tree.leaves())
     assert leaf_vals == pytest.approx([0.8, 1.2])
     arr = np.zeros(len(tree.nodes))
     for i, v in values.items():
@@ -149,9 +145,9 @@ def test_efficient_value_multiplicative_two_periods():
     surf = mv.compute_opportunity(tree)
     values = efficient_value_process(tree, surf, 0)
     for leaf in tree.leaves():
-        parent = tree.nodes[leaf.id].parent
+        parent = tree.parent[leaf]
         step = efficient_value_process(tree, surf, parent)
-        assert values[leaf.id] == pytest.approx(values[parent] * step[leaf.id])
+        assert values[leaf] == pytest.approx(values[parent] * step[leaf])
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -160,17 +156,17 @@ def test_conditional_square_equals_L(seed):
     tree = random_tree(rng, periods=3)
     surf = mv.compute_opportunity(tree)
     probs = tree.node_probs()
-    for node in tree.nodes_at(1) + [tree.root]:
-        if not node.children:
+    for i in [*tree.layout.slices[1], 0]:
+        if tree.time[i] == tree.horizon:
             continue
-        values = efficient_value_process(tree, surf, node.id)
-        sub, remap = mv.subtree_at(tree, node.id)
+        values = efficient_value_process(tree, surf, i)
+        sub, ids = mv.subtree_at(tree, i)
         sub_probs = sub.node_probs()
         second = sum(
-            sub_probs[remap[leaf.id]] * values[leaf.id] ** 2
-            for leaf in tree.leaves() if leaf.id in values
+            sub_probs[new] * values[old] ** 2
+            for new, old in enumerate(ids) if sub.time[new] == sub.horizon
         )
-        assert second == pytest.approx(surf.L[node.id], rel=1e-9)
+        assert second == pytest.approx(surf.L[i], rel=1e-9)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -180,9 +176,8 @@ def test_structural_identities_random_trees(seed):
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
     probs = tree.node_probs()
-    for node in tree.nonterminal():
-        i = node.id
-        kids, p, deltas = tree.step(node)
+    for i in tree.layout.inner:
+        kids, p, deltas = tree.step(i)
         child_L = surf.L[kids]
         # backward fixed point
         assert surf.L[i] * (1.0 + surf.dAK[i]) == pytest.approx(float(p @ child_L))
@@ -212,4 +207,4 @@ def test_structural_identities_random_trees(seed):
     # leaf density equals the efficient value process scaled by 1/L0
     eff = efficient_value_process(tree, surf, 0)
     for leaf in tree.leaves():
-        assert z[leaf.id] == pytest.approx(eff[leaf.id] / surf.L[0], abs=1e-10)
+        assert z[leaf] == pytest.approx(eff[leaf] / surf.L[0], abs=1e-10)

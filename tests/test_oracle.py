@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.tree import Node, ScenarioTree
+from mvhedge.tree import ScenarioTree
 
 from gen import binomial_06, martingale_trinomial, random_claim, random_tree, scaled_tree
 
@@ -25,10 +25,8 @@ def test_lsq_trinomial_fixed_endowment():
 
 
 def test_lsq_trivial_tree_no_trading():
-    tree = ScenarioTree(
-        num_assets=1, horizon=0,
-        nodes=[Node(id=0, time=0, price=np.array([10.0]), parent=None)],
-    )
+    tree = ScenarioTree(num_assets=1, horizon=0, parent=[-1], time=[0], price=[[10.0]],
+                        regime=[-1], prob=[1.0])
     claim = mv.Claim(payoff=np.array([1.0]))
     sol = mv.lsq_projection(tree, claim, 0.25)
     assert sol.min_error == pytest.approx(0.75 ** 2)
@@ -49,11 +47,8 @@ def test_qp_binomial_hand_values():
 
 
 def test_qp_infeasible_degenerate_step():
-    nodes = [
-        Node(id=0, time=0, price=np.array([10.0]), parent=None, children=[(1, 1.0)]),
-        Node(id=1, time=1, price=np.array([11.0]), parent=0),
-    ]
-    tree = ScenarioTree(num_assets=1, horizon=1, nodes=nodes)
+    tree = ScenarioTree(num_assets=1, horizon=1, parent=[-1, 0], time=[0, 1],
+                        price=[[10.0], [11.0]], regime=[-1, -1], prob=[1.0, 1.0])
     with pytest.raises(mv.Infeasible):
         mv.martingale_qp(tree)
 
@@ -70,7 +65,7 @@ def test_too_large():
 def test_node_conditional_check_binomial():
     tree = binomial_06()
     assert mv.node_conditional_check(tree, 0) == pytest.approx(0.96)
-    assert mv.node_conditional_check(tree, tree.leaves()[0].id) == 1.0
+    assert mv.node_conditional_check(tree, tree.leaves()[0]) == 1.0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -78,10 +73,8 @@ def test_node_conditional_check_equals_L(seed):
     rng = np.random.default_rng(900 + seed)
     tree = random_tree(rng, periods=3)
     surf = mv.compute_opportunity(tree)
-    for node in tree.nodes:
-        assert mv.node_conditional_check(tree, node.id) == pytest.approx(
-            surf.L[node.id], rel=1e-9
-        )
+    for i in tree.nodes:
+        assert mv.node_conditional_check(tree, i) == pytest.approx(surf.L[i], rel=1e-9)
 
 
 def test_max_sharpe_binomial():
@@ -97,7 +90,7 @@ def test_qp_matches_engine_measures(seed):
     mea = mv.measures(tree, surf)
     qp = mv.martingale_qp(tree)
     assert qp.second_moment == pytest.approx(1.0 / surf.L[0], rel=1e-9)
-    z = np.array([mea.z_qstar[leaf.id] for leaf in tree.leaves()])
+    z = mea.z_qstar[tree.leaves()]
     assert np.max(np.abs(z - qp.leaf_density)) <= 1e-8 * max(1.0, np.max(np.abs(z)))
 
 
@@ -123,7 +116,7 @@ def test_prices_times_k(k, case):
     assert np.allclose(surf_k.L, surf.L, rtol=1e-9, atol=0.0)
     plan = mv.compute_plan(tree, surf, claim)
     xi_k = mv.compute_plan(scaled, surf_k, claim).xi
-    inner = [node.id for node in tree.nonterminal()]
+    inner = tree.layout.inner
     assert np.allclose(xi_k[inner] * k, plan.xi[inner], rtol=1e-9, atol=1e-9)
     claim_k = mv.Claim(payoff=claim.payoff * k)
     plan_k = mv.compute_plan(scaled, surf_k, claim_k)

@@ -1,17 +1,24 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.tree import Node, ScenarioTree, parse_tree, serialize_tree, validate_tree
+from mvhedge.tree import ScenarioTree, parse_tree, serialize_tree, validate_tree
 
-from gen import random_tree
+from gen import binomial_loop, iid_loop, random_tree, regime_loop, uneven_regime_args
+
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
+
+
+def leaf_prices(tree):
+    return sorted(tree.price[tree.leaves(), 0])
 
 
 def test_binomial_one_period():
     tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 1)
-    prices = sorted(leaf.price[0] for leaf in tree.leaves())
+    prices = leaf_prices(tree)
     assert prices == pytest.approx([9.0, 11.0])
 
 
@@ -30,7 +37,7 @@ def test_binomial_period_bound():
 
 def test_iid_additive_one_period():
     tree = mv.build_iid_multinomial([10.0], [([1.0], 0.6), ([-1.0], 0.4)], 1)
-    prices = sorted(leaf.price[0] for leaf in tree.leaves())
+    prices = leaf_prices(tree)
     assert prices == pytest.approx([9.0, 11.0])
 
 
@@ -49,7 +56,7 @@ def test_iid_bad_probabilities():
 def test_iid_multiplicative():
     tree = mv.build_iid_multinomial([10.0], [([0.1], 0.5), ([-0.1], 0.5)], 1,
                                     "multiplicative")
-    prices = sorted(leaf.price[0] for leaf in tree.leaves())
+    prices = leaf_prices(tree)
     assert prices == pytest.approx([9.0, 11.0])
 
 
@@ -58,10 +65,9 @@ def test_regime_single_regime_matches_iid():
     a = mv.build_regime_switching([10.0], [incs], [[1.0]], 0, 2)
     b = mv.build_iid_multinomial([10.0], incs, 2)
     assert len(a.nodes) == len(b.nodes)
-    for na, nb in zip(a.nodes, b.nodes):
-        assert na.time == nb.time
-        assert np.allclose(na.price, nb.price)
-        assert [p for _, p in na.children] == pytest.approx([p for _, p in nb.children])
+    assert np.array_equal(a.parent, b.parent) and np.array_equal(a.time, b.time)
+    assert np.allclose(a.price, b.price)
+    assert a.prob == pytest.approx(b.prob)
 
 
 def test_regime_branching():
@@ -106,14 +112,14 @@ def test_validate_ok():
 
 def test_validate_bad_probability():
     tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 1)
-    tree.nodes[0].children[0] = (tree.nodes[0].children[0][0], 0.0)
+    tree.prob[1] = 0.0
     msgs = validate_tree(tree)
     assert any("nonpositive probability" in m for m in msgs)
 
 
 def test_validate_time_skip():
     tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 2)
-    tree.nodes[1].time = 2  # child of root now two steps ahead
+    tree.time[1] = 2  # child of root now two steps ahead
     msgs = validate_tree(tree)
     assert any("time skip" in m for m in msgs)
 
@@ -124,7 +130,7 @@ def test_slice_probabilities_sum_to_one(seed):
     tree = random_tree(rng)
     probs = tree.node_probs()
     for t in range(tree.horizon + 1):
-        total = sum(probs[n.id] for n in tree.nodes_at(t))
+        total = sum(probs[tree.time == t])
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -146,7 +152,7 @@ def test_serialization_preserves_regime():
         0, 2,
     )
     tree2, _ = parse_tree(serialize_tree(tree))
-    assert [n.regime for n in tree2.nodes] == [n.regime for n in tree.nodes]
+    assert np.array_equal(tree2.regime, tree.regime)
 
 
 def test_validate_rejects_nodes_out_of_list_order():
@@ -155,21 +161,137 @@ def test_validate_rejects_nodes_out_of_list_order():
     tree = mv.build_binomial([10.0], 1.1, 0.9, 0.6, 2)
     doc = json.loads(serialize_tree(tree))
     doc["nodes"][1], doc["nodes"][2] = doc["nodes"][2], doc["nodes"][1]
-    swapped, _ = parse_tree(json.dumps(doc))
-    msgs = validate_tree(swapped)
-    assert "node at list position 1 has id 2" in msgs
-    assert "node at list position 2 has id 1" in msgs
+    with pytest.raises(mv.BadParameter) as exc:
+        parse_tree(json.dumps(doc))
+    assert "node at list position 1 has id 2" in str(exc.value)
+    assert "node at list position 2 has id 1" in str(exc.value)
 
 
 def test_validate_rejects_time_decreasing_along_list():
     # ids equal list positions and every link is consistent, but the
     # nodes are listed depth first: times 0, 1, 2, 1, 2
-    nodes = [
-        Node(id=0, time=0, price=np.array([10.0]), parent=None, children=[(1, 0.5), (3, 0.5)]),
-        Node(id=1, time=1, price=np.array([11.0]), parent=0, children=[(2, 1.0)]),
-        Node(id=2, time=2, price=np.array([12.0]), parent=1),
-        Node(id=3, time=1, price=np.array([9.0]), parent=0, children=[(4, 1.0)]),
-        Node(id=4, time=2, price=np.array([8.0]), parent=3),
-    ]
-    tree = ScenarioTree(num_assets=1, horizon=2, nodes=nodes)
+    tree = ScenarioTree(num_assets=1, horizon=2, parent=[-1, 0, 1, 0, 3], time=[0, 1, 2, 1, 2],
+                        price=[[10.0], [11.0], [12.0], [9.0], [8.0]], regime=[-1] * 5,
+                        prob=[1.0, 0.5, 1.0, 0.5, 1.0])
     assert validate_tree(tree) == ["time decreases at list position 3"]
+
+
+def test_validate_rejects_parent_decreasing_within_a_slice():
+    # the slices are contiguous, but node 1's child is listed after node 2's
+    tree = ScenarioTree(num_assets=1, horizon=2, parent=[-1, 0, 0, 0, 2, 1, 3],
+                        time=[0, 1, 1, 1, 2, 2, 2], price=np.arange(7.0)[:, None], regime=[-1] * 7,
+                        prob=[1.0, 0.25, 0.25, 0.5, 1.0, 1.0, 1.0])
+    assert validate_tree(tree) == ["parent decreases at list position 5"]
+
+
+def test_validate_reports_in_list_order():
+    # the per-node checks of a node-by-node validator, in the order it
+    # would report them
+    tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 2)
+    tree.prob[[2, 3]] = [-0.5, 1.5]
+    tree.time[4] = 1
+    tree.price[1, 0] = np.nan
+    assert validate_tree(tree) == [
+        "nonpositive probability at node 0 child 2",
+        "child probabilities at node 0 sum to 0.0",
+        "non-finite price at node 1",
+        "time skip from node 1 to node 4",
+        "child probabilities at node 1 sum to 2.0",
+        "time decreases at list position 4",
+        "non-terminal node 4 has no children",
+    ]
+
+
+def binomial_doc():
+    return json.loads(serialize_tree(mv.build_binomial([10.0], 1.1, 0.9, 0.5, 2)))
+
+
+def child_past_end(doc):
+    doc["nodes"][1]["children"][0]["id"] = 7
+
+
+def child_minus_one(doc):
+    doc["nodes"][0]["children"][0]["id"] = -1
+
+
+def parent_past_end(doc):
+    doc["nodes"][3]["parent"] = 57
+
+
+def parent_negative(doc):
+    doc["nodes"][3]["parent"] = -2
+
+
+def ragged_price(doc):
+    doc["nodes"][2]["price"].append(1.0)
+
+
+def child_disagrees_with_parent(doc):
+    doc["nodes"][1]["children"], doc["nodes"][2]["children"] = (
+        doc["nodes"][2]["children"], doc["nodes"][1]["children"])
+
+
+def child_listed_twice(doc):
+    doc["nodes"][2]["children"].append(doc["nodes"][2]["children"][0])
+
+
+def child_missing(doc):
+    doc["nodes"][2]["children"].pop()
+
+
+def time_not_integer(doc):
+    doc["nodes"][1]["time"] = 1.5
+
+
+DOCUMENT_DEFECTS = [
+    (child_past_end, "child 7 of node 1 out of range"),
+    (child_minus_one, "child -1 of node 0 out of range"),
+    (parent_past_end, "parent 57 of node 3 out of range"),
+    (parent_negative, "parent -2 of node 3 out of range"),
+    (ragged_price, "price dimension mismatch at node 2"),
+    (child_disagrees_with_parent, "parent mismatch at node 3"),
+    (child_listed_twice, "node 5 listed 2 times"),
+    (child_missing, "node 6 missing from the children of node 2"),
+    (time_not_integer, "time 1.5 of node 1 is not an integer"),
+]
+
+
+@pytest.mark.parametrize("defect,message", DOCUMENT_DEFECTS,
+                         ids=[d.__name__ for d, _ in DOCUMENT_DEFECTS])
+def test_parse_rejects_document_defects(defect, message):
+    doc = binomial_doc()
+    defect(doc)
+    with pytest.raises(mv.BadParameter) as exc:
+        parse_tree(json.dumps(doc))
+    assert message in str(exc.value)
+
+
+def golden_regime_args():
+    model = json.loads(GOLDEN_CONFIG.read_text())["model"]
+    regimes = [[(inc["delta"], inc["p"]) for inc in law] for law in model["regimes"]]
+    return (model["s0"], regimes, model["transition"], model["initial_regime"],
+            model["periods"], model["mode"])
+
+
+TRINOMIAL = [([1.0, -0.5], 0.3), ([0.0, 0.25], 0.4), ([-1.0, 0.1], 0.3)]
+BUILDERS = {
+    "binomial": (mv.build_binomial, binomial_loop, ([10.0, 7.0], 1.13, 0.91, 0.55, 4)),
+    "iid_additive": (mv.build_iid_multinomial, iid_loop, ([10.0, 5.0], TRINOMIAL, 3)),
+    "iid_multiplicative": (mv.build_iid_multinomial, iid_loop,
+                           ([10.0, 5.0], [([0.07, -0.03], 0.5), ([-0.06, 0.02], 0.5)], 4,
+                            "multiplicative")),
+    "regime_zero_transition": (mv.build_regime_switching, regime_loop, golden_regime_args()),
+    "regime_uneven": (mv.build_regime_switching, regime_loop, uneven_regime_args(3)),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builders_equal_node_by_node_reference(name):
+    build, reference, args = BUILDERS[name]
+    tree, ref = build(*args), reference(*args)
+    assert not validate_tree(tree)
+    assert (tree.num_assets, tree.horizon) == (ref.num_assets, ref.horizon)
+    for key in ("parent", "time", "price", "prob", "regime"):
+        got, want = getattr(tree, key), getattr(ref, key)
+        assert got.dtype == want.dtype and np.array_equal(got, want), key
+
