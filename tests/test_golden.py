@@ -3,12 +3,15 @@ with the files in tests/golden.
 
 The tree (golden/config.json) has 3 or 8 children a node within one
 time slice, so every engine sweep sees more than one child count per
-slice.  After an intended change of the outputs, rewrite the files with
+slice.  verify_identities.txt holds verify's structural identity CHECK
+lines; its oracle lines are left out, because their last digits depend
+on the BLAS thread count.  After an intended change of the outputs, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
 import io
+import re
 import sys
 from pathlib import Path
 
@@ -26,6 +29,10 @@ COMMANDS = {
     "backtest_exact": (["backtest", "--exact"], ["backtest.csv", "backtest.json"]),
 }
 FIELDS = ("L", "a", "V", "xi", "sharpe", "mvt", "qstar")
+IDENTITY_LINE = re.compile(
+    r"CHECK (cor320_tilde|cor320_hat|identity_319|dak_identity|qstar_mass|qstar_drift"
+    r"|lemma323|fs_residual|L_submartingale|slice_prob_mass) "
+)
 
 
 def run_command(name: str, out_dir: Path) -> dict[str, bytes]:
@@ -44,6 +51,16 @@ def run_inspect(field: str) -> dict[str, bytes]:
     return {f"inspect_{field}.csv": buf.getvalue().encode()}
 
 
+def run_verify_identities() -> dict[str, bytes]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["verify", "--config", CONFIG])
+    assert code == 0
+    lines = [line for line in buf.getvalue().splitlines(keepends=True)
+             if IDENTITY_LINE.match(line)]
+    return {"verify_identities.txt": "".join(lines).encode()}
+
+
 @pytest.mark.parametrize("name", COMMANDS)
 def test_command_outputs_match_golden(name, tmp_path):
     for fname, content in run_command(name, tmp_path).items():
@@ -56,6 +73,11 @@ def test_inspect_matches_golden(field):
         assert content == (GOLDEN / fname).read_bytes(), fname
 
 
+def test_verify_identities_match_golden():
+    for fname, content in run_verify_identities().items():
+        assert content == (GOLDEN / fname).read_bytes(), fname
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -65,6 +87,7 @@ if __name__ == "__main__":
             outputs.update(run_command(name, Path(tmp) / name))
     for field in FIELDS:
         outputs.update(run_inspect(field))
+    outputs.update(run_verify_identities())
     for fname, content in outputs.items():
         (GOLDEN / fname).write_bytes(content)
     print(f"wrote {len(outputs)} files to {GOLDEN}", file=sys.stderr)
