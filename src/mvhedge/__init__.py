@@ -28,7 +28,6 @@ from .opportunity import (
     martingale_surface,
     measures,
     mvt_process,
-    sharpe_ratio,
 )
 from .hedging import (
     HedgePlan,

@@ -234,25 +234,34 @@ def cmd_verify(args) -> int:
     lay = tree.layout
     ids = lay.inner
     b = surf.b_sstar[ids]
-    up = np.full(len(tree.nodes), np.nan)
-    dn = np.full(len(tree.nodes), np.nan)
-    up[ids] = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
-    dn[ids] = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
+    up = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
+    dn = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
+    mass, drift = np.empty(len(ids)), np.empty(len(ids))
+    for t in range(tree.horizon):
+        for s in lay.steps(t):
+            qw = mea.qstar_w[s.kids - 1]
+            mass[s.ids] = (s.probs[:, None, :] @ qw[..., None])[:, 0, 0]
+            drift[s.ids] = np.max(np.abs(s.deltas.swapaxes(1, 2) @ (s.probs * qw)[..., None]),
+                                  axis=(1, 2))
+    fact = surf.L[1:] / surf.m0[tree.parent[1:]] * mea.nstar_f
+
+    def cor320(c, a):
+        return np.max(np.abs((c[ids] @ a[ids][..., None])[..., 0] - b), axis=1)
+
+    identities = {
+        "cor320_tilde": (cor320(surf.c_tilde_sstar, surf.a_tilde), 0.0),
+        "cor320_hat": (cor320(surf.c_hat_sstar, surf.a_hat), 0.0),
+        "identity_319": (up * dn, 1.0),
+        "dak_identity": (surf.dAK[ids], up - 1.0),
+        "qstar_mass": (mass, 1.0),
+        "qstar_drift": (drift, 0.0),
+        "lemma323": (np.maximum.reduceat(np.abs(fact - mea.qstar_w), lay.offsets[ids]), 0.0),
+    }
+    columns = [(name, engine.tolist(), np.broadcast_to(target, engine.shape).tolist())
+               for name, (engine, target) in identities.items()]
     for i in ids.tolist():
-        kids, p, deltas = tree.step(i)
-        ok &= _check_line("cor320_tilde", i,
-                          float(np.max(np.abs(surf.c_tilde_sstar[i] @ surf.a_tilde[i]
-                                              - surf.b_sstar[i]))), 0.0, tol)
-        ok &= _check_line("cor320_hat", i,
-                          float(np.max(np.abs(surf.c_hat_sstar[i] @ surf.a_hat[i]
-                                              - surf.b_sstar[i]))), 0.0, tol)
-        ok &= _check_line("identity_319", i, up[i] * dn[i], 1.0, tol)
-        ok &= _check_line("dak_identity", i, surf.dAK[i], up[i] - 1.0, tol)
-        ok &= _check_line("qstar_mass", i, float(p @ mea.qstar_w[i]), 1.0, tol)
-        ok &= _check_line("qstar_drift", i,
-                          float(np.max(np.abs(deltas.T @ (p * mea.qstar_w[i])))), 0.0, tol)
-        fact = (surf.L[kids] / surf.m0[i]) * mea.nstar_f[i]
-        ok &= _check_line("lemma323", i, float(np.max(np.abs(fact - mea.qstar_w[i]))), 0.0, tol)
+        for name, engine, target in columns:
+            ok &= _check_line(name, i, engine[i], target[i], tol)
 
     ok &= _check_line("fs_residual", 0,
                       hedging.fs_residual_check(tree, surf, plan) / scale, 0.0, tol)
@@ -314,10 +323,11 @@ def cmd_inspect(args) -> int:
     field = args.field
     time = tree.time.tolist()
     inner = tree.layout.inner.tolist()
-    if field == "L":
-        print("id,time,L")
-        for i, t in enumerate(time):
-            print(f"{i},{t},{_fmt(surf.L[i])}")
+    per_node = {"L": surf.L, "V": plan.V, "sharpe": surf.sharpe}
+    if field in per_node:
+        print(f"id,time,{field}")
+        for i, (t, x) in enumerate(zip(time, per_node[field].tolist())):
+            print(f"{i},{t},{_fmt(x)}")
     elif field == "a":
         head = ",".join(f"a_tilde_{i}" for i in range(tree.num_assets))
         head += "," + ",".join(f"a_hat_{i}" for i in range(tree.num_assets))
@@ -326,18 +336,10 @@ def cmd_inspect(args) -> int:
             at = ",".join(_fmt(x) for x in surf.a_tilde[i])
             ah = ",".join(_fmt(x) for x in surf.a_hat[i])
             print(f"{i},{time[i]},{at},{ah},{_fmt(surf.dAK[i])}")
-    elif field == "V":
-        print("id,time,V")
-        for i, t in enumerate(time):
-            print(f"{i},{t},{_fmt(plan.V[i])}")
     elif field == "xi":
         print("id,time," + ",".join(f"xi_{i}" for i in range(tree.num_assets)))
         for i in inner:
             print(f"{i},{time[i]}," + ",".join(_fmt(x) for x in plan.xi[i]))
-    elif field == "sharpe":
-        print("id,time,sharpe")
-        for i, t in enumerate(time):
-            print(f"{i},{t},{_fmt(opportunity.sharpe_ratio(surf, i))}")
     elif field == "mvt":
         mvt = opportunity.mvt_process(tree, surf)
         print("id,time,dK_hat")
@@ -349,10 +351,9 @@ def cmd_inspect(args) -> int:
     elif field == "qstar":
         mea = opportunity.measures(tree, surf)
         print("id,child,qstar_w,pstar_p")
-        for i in inner:
-            kids, _, _ = tree.step(i)
-            for cid, qw, pp in zip(kids, mea.qstar_w[i], mea.pstar_p[i]):
-                print(f"{i},{cid},{_fmt(qw)},{_fmt(pp)}")
+        for e, (i, qw, pp) in enumerate(zip(tree.parent[1:].tolist(), mea.qstar_w.tolist(),
+                                            mea.pstar_p.tolist())):
+            print(f"{i},{e + 1},{_fmt(qw)},{_fmt(pp)}")
     else:
         raise BadParameter(f"unknown inspect field {field!r}")
     return EXIT_OK

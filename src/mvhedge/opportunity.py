@@ -41,7 +41,9 @@ class OpportunitySurface:
     characteristics of the price under the opportunity-neutral measure,
     b_sstar = bbar_u/m0 (conditional mean), c_tilde_sstar = cbar_u/m0
     (conditional second moment) and c_hat_sstar = c_tilde_sstar -
-    b_sstar b_sstar' (conditional covariance).
+    b_sstar b_sstar' (conditional covariance), and the maximal
+    conditional Sharpe ratio over the remaining periods, sharpe =
+    sqrt(1/L - 1).
     """
 
     L: np.ndarray                 # (n,)
@@ -71,12 +73,17 @@ class OpportunitySurface:
         b = self.b_sstar
         return self.c_tilde_sstar - b[:, :, None] * b[:, None, :]
 
+    @cached_property
+    def sharpe(self) -> np.ndarray:
+        return np.sqrt(np.maximum(1.0 / self.L - 1.0, 0.0))
+
 
 @dataclass
 class MeasureSurface:
     """One-step and cumulative densities of the derived measures.
 
-    Per non-terminal node, lists aligned with the node's children:
+    Per edge, aligned with tree.layout's edges (edge e leads to node
+    e + 1; node i's entries are offsets[i]:offsets[i + 1]):
       qstar_w: one-step signed density factor of the variance-optimal
                measure, (L_k/L_n)(1 - a_tilde' d_k); may be <= 0
       pstar_p: one-step probability of the opportunity-neutral measure,
@@ -87,12 +94,15 @@ class MeasureSurface:
       z_pstar: product of pstar_p/p factors (= dP*/dP on leaves)
     """
 
-    qstar_w: dict[int, np.ndarray]
-    pstar_p: dict[int, np.ndarray]
-    nstar_f: dict[int, np.ndarray]
-    z_qstar: np.ndarray
-    z_pstar: np.ndarray
-    num_negative_weights: int
+    qstar_w: np.ndarray   # (E,)
+    pstar_p: np.ndarray   # (E,)
+    nstar_f: np.ndarray   # (E,)
+    z_qstar: np.ndarray   # (n,)
+    z_pstar: np.ndarray   # (n,)
+
+    @property
+    def num_negative_weights(self) -> int:
+        return int(np.count_nonzero(self.qstar_w <= 0.0))
 
 
 @dataclass
@@ -176,40 +186,21 @@ def measures(tree: ScenarioTree, surf: OpportunitySurface) -> MeasureSurface:
     Negative qstar_w entries are legal (the variance-optimal measure is
     signed) and are counted, never clamped."""
     lay = tree.layout
-    qstar_w: dict[int, np.ndarray] = {}
-    pstar_p: dict[int, np.ndarray] = {}
-    nstar_f: dict[int, np.ndarray] = {}
-    z_qstar = np.ones(len(tree.nodes))
-    z_pstar = np.ones(len(tree.nodes))
-    negatives = 0
+    n = len(tree.nodes)
+    qstar_w, pstar_p, nstar_f = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
+    z_qstar, z_pstar = np.ones(n), np.ones(n)
     for t in range(tree.horizon):
         for s in lay.steps(t):
-            i = s.ids
+            i, edges = s.ids, s.kids - 1
             child_L = surf.L[s.kids]
             gain = (s.deltas @ surf.a_tilde[i][..., None])[..., 0]
-            qw = (child_L / surf.L[i][:, None]) * (1.0 - gain)
-            pp = s.probs * child_L / surf.m0[i][:, None]
+            qw = qstar_w[edges] = (child_L / surf.L[i][:, None]) * (1.0 - gain)
+            pp = pstar_p[edges] = s.probs * child_L / surf.m0[i][:, None]
             shifted = s.deltas - surf.b_sstar[i][:, None, :]
-            nf = 1.0 - (shifted @ surf.a_hat[i][..., None])[..., 0]
-            for r, node_id in enumerate(i.tolist()):
-                qstar_w[node_id], pstar_p[node_id], nstar_f[node_id] = qw[r], pp[r], nf[r]
-            negatives += int(np.sum(qw <= 0.0))
+            nstar_f[edges] = 1.0 - (shifted @ surf.a_hat[i][..., None])[..., 0]
             z_qstar[s.kids] = z_qstar[i][:, None] * qw
             z_pstar[s.kids] = z_pstar[i][:, None] * (pp / s.probs)
-    return MeasureSurface(
-        qstar_w=dict(sorted(qstar_w.items())),
-        pstar_p=dict(sorted(pstar_p.items())),
-        nstar_f=dict(sorted(nstar_f.items())),
-        z_qstar=z_qstar,
-        z_pstar=z_pstar,
-        num_negative_weights=negatives,
-    )
-
-
-def sharpe_ratio(surf: OpportunitySurface, node_id: int) -> float:
-    """Maximal conditional Sharpe ratio over the remaining periods,
-    sqrt(1/L(n) - 1)."""
-    return float(np.sqrt(max(1.0 / surf.L[node_id] - 1.0, 0.0)))
+    return MeasureSurface(qstar_w, pstar_p, nstar_f, z_qstar, z_pstar)
 
 
 def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
@@ -236,10 +227,6 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
         eps = np.cumprod(np.concatenate(([1.0], 1.0 + slice_values)))
         expected = (eps / eps[-1])[tree.time]
         det_residual = float(np.max(np.abs(surf.L - expected) / expected))
-    return MvtDiagnostics(
-        dK_hat=dK,
-        deterministic_mvt=deterministic,
-        pstar_is_p=pstar_is_p,
-        det_l_residual=det_residual,
-    )
+    return MvtDiagnostics(dK_hat=dK, deterministic_mvt=deterministic, pstar_is_p=pstar_is_p,
+                          det_l_residual=det_residual)
 

@@ -20,6 +20,7 @@ from .linalg import pinv_psd
 from .tree import Claim, ScenarioTree
 
 MAX_ORACLE_LEAVES = 2000
+QP_FEAS_TOL = 1e-8   # relative constraint residual above which the QP is Infeasible
 
 
 @dataclass
@@ -121,7 +122,7 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
     )
 
 
-def martingale_qp(tree: ScenarioTree, feas_tol: float = 1e-8) -> QpSolution:
+def martingale_qp(tree: ScenarioTree) -> QpSolution:
     """Minimum-second-moment signed martingale density via its KKT system.
 
     minimize sum_m P(m) z_m^2
@@ -158,7 +159,7 @@ def martingale_qp(tree: ScenarioTree, feas_tol: float = 1e-8) -> QpSolution:
     sol = pinv_psd(kkt) @ np.concatenate([np.zeros(n_z), b])
     z = sol[:n_z]
     violation = np.max(np.abs(A @ z - b))
-    if violation > feas_tol * max(1.0, np.max(np.abs(b))):
+    if violation > QP_FEAS_TOL * max(1.0, np.max(np.abs(b))):
         raise Infeasible(f"martingale constraints inconsistent (residual {violation:.3e})")
     return QpSolution(second_moment=float(w @ (z * z)), leaf_density=z)
 

@@ -36,6 +36,7 @@ from .errors import BadParameter
 
 PROB_SUM_TOL = 1e-12
 MAX_LEAVES = 2 ** 20
+MAX_VIOLATIONS = 100   # validate_tree reports at most this many
 
 
 def _fmt(x: float) -> str:
@@ -197,7 +198,7 @@ def _grow(s0: np.ndarray, periods: int, laws, mode: str,
 
 def build_binomial(s0, up: float, down: float, p_up: float, periods: int) -> ScenarioTree:
     """Multiplicative binomial path tree with 2^periods leaves."""
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    s0 = _finite(s0, "s0")
     if periods < 1 or periods > 16:
         raise BadParameter(f"periods must be in [1, 16], got {periods}")
     if not (up > 1.0):
@@ -212,6 +213,14 @@ def build_binomial(s0, up: float, down: float, p_up: float, periods: int) -> Sce
     return _grow(s0, periods, [law], "multiplicative", None)
 
 
+def _finite(values, what: str) -> np.ndarray:
+    """values as a float vector; BadParameter unless every entry is finite."""
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    if not np.all(np.isfinite(v)):
+        raise BadParameter(f"{what} must be finite")
+    return v
+
+
 def _operand(delta: np.ndarray, mode: str) -> np.ndarray:
     return delta if mode == "additive" else 1.0 + delta
 
@@ -220,18 +229,18 @@ def build_iid_multinomial(s0, increments, periods: int, mode: str = "additive") 
     """Path tree with i.i.d. increments; increments is a list of
     (delta vector, probability) pairs.  Additive: child = parent + delta;
     multiplicative: child = parent * (1 + delta) componentwise."""
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    s0 = _finite(s0, "s0")
     if mode not in ("additive", "multiplicative"):
         raise BadParameter(f"unknown mode {mode!r}")
     if periods < 1:
         raise BadParameter("periods must be positive")
     if len(increments) < 2:
         raise BadParameter("need at least 2 increments")
-    deltas = [np.atleast_1d(np.asarray(d, dtype=float)) for d, _ in increments]
-    probs = [float(p) for _, p in increments]
+    deltas = [_finite(d, "increment deltas") for d, _ in increments]
+    probs = _finite([p for _, p in increments], "increment probabilities").tolist()
     if any(p <= 0.0 for p in probs):
         raise BadParameter("increment probabilities must be positive")
-    if abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+    if not (abs(sum(probs) - 1.0) <= PROB_SUM_TOL):
         raise BadParameter(f"increment probabilities sum to {sum(probs)!r}, not 1")
     if any(d.shape != s0.shape for d in deltas):
         raise BadParameter("increment dimension does not match s0")
@@ -254,33 +263,33 @@ def build_regime_switching(
     regime's law while the regime itself moves by the transition matrix.
     Children are (next regime, increment) pairs, increment-major;
     zero-probability transitions are dropped."""
-    s0 = np.atleast_1d(np.asarray(s0, dtype=float))
+    s0 = _finite(s0, "s0")
     if mode not in ("additive", "multiplicative"):
         raise BadParameter(f"unknown mode {mode!r}")
     if periods < 1:
         raise BadParameter("periods must be positive")
-    trans = np.asarray(transition, dtype=float)
+    trans = _finite(transition, "transition")
     n_reg = len(regimes)
     if trans.shape != (n_reg, n_reg):
         raise BadParameter("transition matrix shape does not match regime count")
-    if np.any(trans < 0.0) or np.any(np.abs(trans.sum(axis=1) - 1.0) > PROB_SUM_TOL):
+    if np.any(trans < 0.0) or not np.all(np.abs(trans.sum(axis=1) - 1.0) <= PROB_SUM_TOL):
         raise BadParameter("transition rows must be nonnegative and sum to 1")
+    if isinstance(initial_regime, bool) or not isinstance(initial_regime, (int, np.integer)):
+        raise BadParameter(f"initial_regime must be an integer, got {initial_regime!r}")
     if not (0 <= initial_regime < n_reg):
         raise BadParameter("initial_regime out of range")
     laws = []
     for cur, law in enumerate(regimes):
-        deltas = [np.atleast_1d(np.asarray(d, dtype=float)) for d, _ in law]
-        probs = [float(p) for _, p in law]
-        if any(p <= 0.0 for p in probs) or abs(sum(probs) - 1.0) > PROB_SUM_TOL:
+        deltas = [_finite(d, "increment deltas") for d, _ in law]
+        probs = _finite([p for _, p in law], "increment probabilities").tolist()
+        if any(p <= 0.0 for p in probs) or not (abs(sum(probs) - 1.0) <= PROB_SUM_TOL):
             raise BadParameter("regime increment probabilities must be positive and sum to 1")
         if any(d.shape != s0.shape for d in deltas):
             raise BadParameter("increment dimension does not match s0")
         laws.append([(_operand(d, mode), p * trans[cur, nxt], nxt)
                      for d, p in zip(deltas, probs)
                      for nxt in range(n_reg) if trans[cur, nxt] > 0.0])
-    branching = max(
-        n_reg * len(law) for law in regimes
-    )
+    branching = max(n_reg * len(law) for law in regimes)
     if branching ** periods > MAX_LEAVES:
         raise BadParameter("tree would exceed the leaf bound 2^20")
     return _grow(s0, periods, laws, mode, initial_regime)
@@ -322,7 +331,7 @@ def claim_at(tree: ScenarioTree, claim: Claim) -> np.ndarray:
 # Validation
 
 
-def validate_tree(tree: ScenarioTree, max_violations: int = 100) -> list[str]:
+def validate_tree(tree: ScenarioTree) -> list[str]:
     """Check all structural invariants, the ordering contract included;
     returns a list of violation messages (empty when the tree is well
     formed), ordered by the list position they are reported at."""
@@ -335,7 +344,7 @@ def validate_tree(tree: ScenarioTree, max_violations: int = 100) -> list[str]:
                 f"of {tree.num_assets} assets"]
     bad = np.flatnonzero((parent < -1) | (parent >= n))
     if bad.size:
-        return [f"parent out of range at node {i}" for i in bad[:max_violations].tolist()]
+        return [f"parent out of range at node {i}" for i in bad[:MAX_VIOLATIONS].tolist()]
     kid = np.flatnonzero(parent >= 0)
     up = parent[kid]
     found = []   # (position, check, child, child check, message)
@@ -344,10 +353,10 @@ def validate_tree(tree: ScenarioTree, max_violations: int = 100) -> list[str]:
         """Report message(w) for each w in where (node ids, or with edge
         indices into kid/up, reported at the parent in child order)."""
         if edge:
-            where = where[np.lexsort((kid[where], up[where]))][:max_violations]
+            where = where[np.lexsort((kid[where], up[where]))][:MAX_VIOLATIONS]
             keys = zip(up[where].tolist(), kid[where].tolist())
         else:
-            where = where[:max_violations]
+            where = where[:MAX_VIOLATIONS]
             keys = ((i, 0) for i in where.tolist())
         found.extend((p, rank, c, minor, message(w)) for (p, c), w in zip(keys, where.tolist()))
 
@@ -372,7 +381,7 @@ def validate_tree(tree: ScenarioTree, max_violations: int = 100) -> list[str]:
     check(7, np.flatnonzero((counts > 0) & (np.abs(total - 1.0) > PROB_SUM_TOL)),
           lambda i: f"child probabilities at node {i} sum to {float(total[i])!r}")
     found.sort(key=lambda f: f[:4])
-    return [message for *_, message in found[:max_violations]]
+    return [message for *_, message in found[:MAX_VIOLATIONS]]
 
 
 # ---------------------------------------------------------------------------

@@ -346,16 +346,18 @@ def backtest_2d_tree(periods: int = 2) -> mv.ScenarioTree:
 
 
 def measures_loop(tree: ScenarioTree, surf: mv.OpportunitySurface) -> dict:
-    """The fields of measures(tree, surf) node by node."""
-    out = {"qstar_w": {}, "pstar_p": {}, "nstar_f": {}, "z_qstar": np.ones(len(tree.nodes)),
-           "z_pstar": np.ones(len(tree.nodes)), "num_negative_weights": 0}
+    """The fields of measures(tree, surf) node by node; the one-step
+    fields are edge arrays, node i's entries at its child ids - 1."""
+    n = len(tree.nodes)
+    out = {"qstar_w": np.empty(n - 1), "pstar_p": np.empty(n - 1), "nstar_f": np.empty(n - 1),
+           "z_qstar": np.ones(n), "z_pstar": np.ones(n), "num_negative_weights": 0}
     for i in _inner(tree):
         kids, probs, deltas = _children(tree, i)
         child_L = surf.L[kids]
         qw = (child_L / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
         pp = probs * child_L / surf.m0[i]
-        out["qstar_w"][i], out["pstar_p"][i] = qw, pp
-        out["nstar_f"][i] = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
+        out["qstar_w"][kids - 1], out["pstar_p"][kids - 1] = qw, pp
+        out["nstar_f"][kids - 1] = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
         out["num_negative_weights"] += int(np.sum(qw <= 0.0))
         out["z_qstar"][kids] = out["z_qstar"][i] * qw
         out["z_pstar"][kids] = out["z_pstar"][i] * (pp / probs)

@@ -215,16 +215,16 @@ def test_07_structural_identities(reference_trees):
                 ok = False
             # one-step conditions of the signed martingale measure
             kids, probs, deltas = tree.step(i)
-            w = probs * mea.qstar_w[i]
+            w = probs * mea.qstar_w[kids - 1]
             if abs(np.sum(w) - 1.0) > 1e-10:
                 ok = False
             if np.max(np.abs(deltas.T @ w)) > 1e-10 * max(
                     1.0, float(np.max(np.abs(deltas)))):
                 ok = False
             # density factorization: (L_k / m0) * nstar = qstar
-            fact = surf.L[kids] / surf.m0[i] * mea.nstar_f[i]
-            if np.max(np.abs(fact - mea.qstar_w[i])) > 1e-10 * max(
-                    1.0, float(np.max(np.abs(mea.qstar_w[i])))):
+            fact = surf.L[kids] / surf.m0[i] * mea.nstar_f[kids - 1]
+            if np.max(np.abs(fact - mea.qstar_w[kids - 1])) > 1e-10 * max(
+                    1.0, float(np.max(np.abs(mea.qstar_w[kids - 1])))):
                 ok = False
     report("structural_identities", ok)
 
@@ -234,12 +234,12 @@ def test_08_sharpe_relation(reference_trees):
     for tree in reference_trees[:20]:
         surf = mv.compute_opportunity(tree)
         for i in tree.nodes:
-            engine = mv.sharpe_ratio(surf, i)
+            engine = surf.sharpe[i]
             brute = mv.max_sharpe(tree, i)
             if abs(engine - brute) > 1e-8 * max(1.0, brute):
                 ok = False
     surf = mv.compute_opportunity(binomial_06())
-    if abs(mv.sharpe_ratio(surf, 0) - 0.2041241452319315) > 1e-9:
+    if abs(surf.sharpe[0] - 0.2041241452319315) > 1e-9:
         ok = False
     report("sharpe_relation", ok)
 

@@ -14,6 +14,11 @@ TRINOMIAL = {"type": "iid", "s0": [10.0],
                             {"delta": [-1.0], "p": 0.3}],
              "periods": 1}
 CALL10 = {"type": "call", "strike": 10.0}
+REGIME = {"type": "regime", "s0": [10.0],
+          "regimes": [[{"delta": [1.0], "p": 0.5}, {"delta": [-1.0], "p": 0.5}],
+                      [{"delta": [2.0], "p": 0.4}, {"delta": [-1.0], "p": 0.6}]],
+          "transition": [[0.7, 0.3], [0.2, 0.8]], "initial_regime": 0, "periods": 2}
+NAN = float("nan")
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -95,6 +100,38 @@ def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     if command != "verify":
         args += ["--out", str(tmp_path / "o")]
     assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["tree build", "hedge"])
+@pytest.mark.parametrize("model", [
+    dict(REGIME, transition=[[NAN, 1.0], [0.2, 0.8]]),
+    dict(REGIME, transition=[[float("inf"), 1.0], [0.2, 0.8]]),
+    dict(REGIME, regimes=[REGIME["regimes"][0],
+                          [{"delta": [2.0], "p": NAN}, {"delta": [-1.0], "p": 0.6}]]),
+    dict(TRINOMIAL, increments=[{"delta": [1.0], "p": NAN}, {"delta": [0.0], "p": 0.4},
+                                {"delta": [-1.0], "p": 0.3}]),
+    dict(TRINOMIAL, increments=[{"delta": [float("inf")], "p": 0.3},
+                                {"delta": [0.0], "p": 0.4}, {"delta": [-1.0], "p": 0.3}]),
+    dict(TRINOMIAL, s0=[NAN]),
+    dict(BINOMIAL, s0=[NAN]),
+], ids=["transition_nan", "transition_inf", "regime_p_nan", "increment_p_nan",
+        "delta_inf", "iid_s0_nan", "binomial_s0_nan"])
+def test_non_finite_model_input_exit_code(tmp_path, capsys, command, model):
+    cfg = write_config(tmp_path, {"model": model, "claim": CALL10})
+    out = tmp_path / "o"
+    assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "must be finite" in err
+
+
+@pytest.mark.parametrize("command", ["tree build", "hedge"])
+@pytest.mark.parametrize("initial", [0.5, 1.0, True, "0"])
+def test_non_integer_initial_regime_exit_code(tmp_path, capsys, command, initial):
+    cfg = write_config(tmp_path, {"model": dict(REGIME, initial_regime=initial), "claim": CALL10})
+    assert main([*command.split(), "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
 

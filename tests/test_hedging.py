@@ -99,7 +99,7 @@ def test_v_is_one_step_qstar_martingale(seed):
     scale = max(1.0, np.max(np.abs(claim.payoff)))
     for i in tree.layout.inner:
         kids, p, _ = tree.step(i)
-        assert float((p * mea.qstar_w[i]) @ plan.V[kids]) == pytest.approx(
+        assert float((p * mea.qstar_w[kids - 1]) @ plan.V[kids]) == pytest.approx(
             plan.V[i], abs=1e-10 * scale
         )
 

@@ -63,9 +63,9 @@ def test_measures_martingale_tree():
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
     for i in tree.layout.inner:
-        _, probs, _ = tree.step(i)
-        assert np.allclose(mea.qstar_w[i], 1.0, atol=1e-12)
-        assert np.allclose(mea.pstar_p[i], probs, atol=1e-12)
+        kids, probs, _ = tree.step(i)
+        assert np.allclose(mea.qstar_w[kids - 1], 1.0, atol=1e-12)
+        assert np.allclose(mea.pstar_p[kids - 1], probs, atol=1e-12)
     assert np.allclose(mea.z_pstar, 1.0, atol=1e-12)
 
 
@@ -73,8 +73,9 @@ def test_measures_binomial_hand_values():
     tree = binomial_06()
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
-    assert mea.qstar_w[0] == pytest.approx([0.8 / 0.96, 1.2 / 0.96])
-    assert mea.pstar_p[0] == pytest.approx([0.6, 0.4])
+    kids, _, _ = tree.step(0)
+    assert mea.qstar_w[kids - 1] == pytest.approx([0.8 / 0.96, 1.2 / 0.96])
+    assert mea.pstar_p[kids - 1] == pytest.approx([0.6, 0.4])
 
 
 def test_measures_signed_trinomial():
@@ -85,17 +86,17 @@ def test_measures_signed_trinomial():
     mea = mv.measures(tree, surf)
     assert surf.a_tilde[0][0] == pytest.approx(1.25 / 2.35)
     # up branch weight is negative: the measure is signed
-    assert mea.qstar_w[0][0] < 0.0
+    kids, probs, _ = tree.step(0)
+    assert mea.qstar_w[kids[0] - 1] < 0.0
     assert mea.num_negative_weights == 1
-    _, probs, _ = tree.step(0)
-    assert float(probs @ mea.qstar_w[0]) == pytest.approx(1.0)
+    assert float(probs @ mea.qstar_w[kids - 1]) == pytest.approx(1.0)
 
 
 def test_sharpe_formula():
     surf = mv.compute_opportunity(binomial_06())
-    assert mv.sharpe_ratio(surf, 1) == 0.0  # leaf, L = 1
-    assert mv.sharpe_ratio(surf, 0) == pytest.approx(0.2 / np.sqrt(0.96))
-    assert mv.sharpe_ratio(surf, 0) == pytest.approx(0.204124, abs=1e-6)
+    assert surf.sharpe[1] == 0.0  # leaf, L = 1
+    assert surf.sharpe[0] == pytest.approx(0.2 / np.sqrt(0.96))
+    assert surf.sharpe[0] == pytest.approx(0.204124, abs=1e-6)
 
 
 def test_mvt_iid_deterministic():
@@ -193,11 +194,11 @@ def test_structural_identities_random_trees(seed):
         assert up * dn == pytest.approx(1.0, abs=1e-9)
         assert surf.dAK[i] == pytest.approx(up - 1.0, rel=1e-9, abs=1e-9)
         # signed measure prices every one-step increment to zero
-        assert float(p @ mea.qstar_w[i]) == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(deltas.T @ (p * mea.qstar_w[i]), 0.0, atol=1e-10)
+        assert float(p @ mea.qstar_w[kids - 1]) == pytest.approx(1.0, abs=1e-10)
+        assert np.allclose(deltas.T @ (p * mea.qstar_w[kids - 1]), 0.0, atol=1e-10)
         # one-step factorization of the signed density over the neutral one
-        fact = (child_L / surf.m0[i]) * mea.nstar_f[i]
-        assert np.allclose(fact, mea.qstar_w[i], atol=1e-10)
+        fact = (child_L / surf.m0[i]) * mea.nstar_f[kids - 1]
+        assert np.allclose(fact, mea.qstar_w[kids - 1], atol=1e-10)
     # cumulative densities
     z = mea.z_qstar
     assert leaf_expectation(tree, z) == pytest.approx(1.0, abs=1e-9)
