@@ -31,7 +31,6 @@ class BacktestReport:
     mean_sq_error: float
     std_error: float
     analytic_error: float | None
-    exact: bool
 
 
 # Philox4x64-10 constants (Salmon et al., SC'11), as in numpy.random.Philox
@@ -159,28 +158,26 @@ def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, G: np.ndarray) -> float:
 
 
 def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
-                 kind: str, v0: float, paths: list[int] | None = None,
-                 exact: bool = False) -> BacktestReport:
-    """Evaluate a strategy on sampled paths or by exact expectation.
+                 kind: str, v0: float, paths: list[int] | None = None) -> BacktestReport:
+    """Evaluate a strategy on sampled paths, or by exact expectation when
+    paths is None.
 
     The claim is read off the plan's terminal values.  For kind='mvh'
     the analytic error of the closed-form decomposition is attached."""
     _, G = strategy_holdings(tree, surf, plan, kind, v0)
     analytic = hedging_error(tree, surf, plan, v0).total_error if kind == "mvh" else None
-    if exact:
+    if paths is None:
         mse = exact_sq_error(tree, plan, G)
         return BacktestReport(
             strategy=kind, num_paths=len(tree.leaves()), mean_sq_error=mse,
-            std_error=0.0, analytic_error=analytic, exact=True,
+            std_error=0.0, analytic_error=analytic,
         )
-    if paths is None:
-        raise BadParameter("sampled mode requires paths")
     errs = (G[paths] - plan.V[paths]) ** 2
     mean = float(np.mean(errs))
     std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
     return BacktestReport(
         strategy=kind, num_paths=len(paths), mean_sq_error=mean,
-        std_error=std_err, analytic_error=analytic, exact=False,
+        std_error=std_err, analytic_error=analytic,
     )
 
 

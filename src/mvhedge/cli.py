@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 
 import numpy as np
 
@@ -115,13 +116,20 @@ def build_claim(tree: ScenarioTree, cfg: dict) -> Claim:
         return attach_claim(tree, kind, strike=cfg["strike"])
 
 
+def _finite(value, what: str, minimum: float = -math.inf) -> float:
+    """A flag string or JSON number as a finite float >= minimum; a
+    boolean, which float() would read as 0 or 1, is rejected."""
+    with suppress(TypeError, ValueError):
+        x = float(value)
+        if not isinstance(value, bool) and math.isfinite(x) and x >= minimum:
+            return x
+    raise BadParameter(f"{what}, got {value!r}")
+
+
 def _resolve_v0(v0_cfg, plan) -> float:
     if v0_cfg is None or v0_cfg == "auto":
         return plan.v0
-    try:
-        return float(v0_cfg)
-    except (TypeError, ValueError) as exc:
-        raise BadParameter(f"v0 must be a number or 'auto', got {v0_cfg!r}") from exc
+    return _finite(v0_cfg, "v0 must be a finite number or 'auto'")
 
 
 def _setup(config: dict):
@@ -169,7 +177,7 @@ def cmd_hedge(args) -> int:
     for i, t in enumerate(tree.time.tolist()):
         terminal = t == tree.horizon
         xi = ",".join("" if terminal else _fmt(x) for x in plan.xi[i])
-        e = "" if terminal else _fmt(report.e[i])
+        e = "" if terminal else _fmt(plan.e[i])
         rows.append(f"{i},{t},{_fmt(plan.V[i])},{xi},{e}")
     _write(args.out, "hedge_nodes.csv", "\n".join(rows) + "\n")
 
@@ -203,8 +211,8 @@ def _check_line(name: str, node, engine: float, target: float, tol: float) -> bo
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    with _typed("tol"):
-        tol = args.tol if args.tol is not None else float(config.get("tol", 1e-9))
+    tol = _finite(args.tol if args.tol is not None else config.get("tol", 1e-9),
+                  "tol must be a finite number >= 0", 0.0)
     tree, claim, surf, plan = _setup(config)
     mea = opportunity.measures(tree, surf)
     probs = tree.node_probs()
@@ -297,10 +305,7 @@ def cmd_backtest(args) -> int:
     seed = args.seed if args.seed is not None else _config_int(config, "seed", 0)
     n_paths = args.paths if args.paths is not None else _config_int(config, "paths", 10000)
     paths = None if exact else bt.sample_paths(tree, n_paths, seed)
-    reports = [
-        bt.run_strategy(tree, surf, plan, kind, v0, paths=paths, exact=exact)
-        for kind in strategies
-    ]
+    reports = [bt.run_strategy(tree, surf, plan, kind, v0, paths=paths) for kind in strategies]
     table = bt.compare_report(reports)
     path = _write(args.out, "backtest.csv", table)
     summary = {

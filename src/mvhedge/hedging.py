@@ -10,7 +10,7 @@ xi by the running surplus: phi = xi - (wealth - V) a_tilde.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,14 +24,12 @@ WEIGHT_SUM_TOL = 1e-9
 
 @dataclass
 class HedgePlan:
-    """Per-node mean value V and pure hedge coefficient xi.
-
-    dbar_u(n) = sum_k p_k L_k d_k (V_k - V_n) is the weighted
-    price/value cross moment feeding both xi and the error term."""
+    """Per-node mean value V, pure hedge coefficient xi and conditional
+    error term e, the last two NaN at terminal nodes."""
 
     V: np.ndarray         # (n,)
-    xi: np.ndarray        # (n, d), NaN at terminal nodes
-    dbar_u: np.ndarray    # (n, d), NaN at terminal nodes
+    xi: np.ndarray        # (n, d)
+    e: np.ndarray         # (n,)
 
     @property
     def v0(self) -> float:
@@ -42,11 +40,9 @@ class HedgePlan:
 class HedgeReport:
     """Exact expected squared hedging error and its decomposition."""
 
-    v0_used: float
     total_error: float
     endowment_term: float
-    e: np.ndarray                      # per-node conditional residual term
-    slice_error: dict[int, float] = field(default_factory=dict)
+    slice_error: dict[int, float]
 
 
 def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface, claim: Claim) -> np.ndarray:
@@ -71,19 +67,26 @@ def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface, claim: Clai
 
 
 def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarray) -> HedgePlan:
-    """Pure hedge coefficient xi(n) = cbar_u^+ dbar_u per non-terminal node."""
+    """Pure hedge coefficient xi(n) = cbar_u^+ dbar_u and error term
+    e(n) = sum_k p_k L_k (V_k - V_n)^2 - dbar_u' xi >= 0 per non-terminal
+    node, where dbar_u(n) = sum_k p_k L_k d_k (V_k - V_n) is the weighted
+    price/value cross moment."""
     lay = tree.layout
     n = len(tree.nodes)
     d = tree.num_assets
     xi = np.full((n, d), np.nan)
-    dbar_u = np.full((n, d), np.nan)
+    e = np.full(n, np.nan)
+    dbar_u = np.empty((n, d))
     for t in range(tree.horizon):
         for s in lay.steps(t):
-            x = s.probs * surf.L[s.kids] * (V[s.kids] - V[s.ids][:, None])
-            dbar_u[s.ids] = (s.deltas.swapaxes(1, 2) @ x[..., None])[..., 0]
+            pL = s.probs * surf.L[s.kids]
+            dv = V[s.kids] - V[s.ids][:, None]
+            dbar_u[s.ids] = (s.deltas.swapaxes(1, 2) @ (pL * dv)[..., None])[..., 0]
+            e[s.ids] = (pL[:, None, :] @ (dv * dv)[..., None])[:, 0, 0]
     ids = lay.inner
     xi[ids] = (pinv_psd(surf.cbar_u[ids]) @ dbar_u[ids][..., None])[..., 0]
-    return HedgePlan(V=V, xi=xi, dbar_u=dbar_u)
+    e[ids] -= (dbar_u[ids][:, None, :] @ xi[ids][..., None])[:, 0, 0]
+    return HedgePlan(V=V, xi=xi, e=e)
 
 
 def compute_plan(tree: ScenarioTree, surf: OpportunitySurface, claim: Claim) -> HedgePlan:
@@ -117,35 +120,16 @@ def rollout_strategy(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarra
 
 def hedging_error(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
                   v0: float) -> HedgeReport:
-    """Exact expected squared hedging error of the optimal strategy.
-
-    e(n) = sum_k p_k L_k (V_k - V_n)^2 - dbar_u' cbar_u^+ dbar_u >= 0,
-    total = L_0 (v0 - V_0)^2 + sum_n P(n) e(n).
-    """
-    lay = tree.layout
-    e = np.full(len(tree.nodes), np.nan)
-    for t in range(tree.horizon):
-        for s in lay.steps(t):
-            i = s.ids
-            dv = plan.V[s.kids] - plan.V[i][:, None]
-            e[i] = (((s.probs * surf.L[s.kids])[:, None, :] @ (dv * dv)[..., None])[:, 0, 0]
-                    - (plan.dbar_u[i][:, None, :] @ plan.xi[i][..., None])[:, 0, 0])
+    """Exact expected squared hedging error of the optimal strategy,
+    total = L_0 (v0 - V_0)^2 + sum_n P(n) e(n), summed slice by slice."""
     probs = tree.node_probs()
     endowment = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
-    slice_error: dict[int, float] = {}
+    slice_error = {t: sum((probs[ids] * plan.e[ids]).tolist())
+                   for t, ids in enumerate(tree.layout.slices[:-1])}
     total = endowment
-    for t in range(tree.horizon):
-        ids = lay.slices[t]
-        s = sum((probs[ids] * e[ids]).tolist())
-        slice_error[t] = s
+    for s in slice_error.values():
         total += s
-    return HedgeReport(
-        v0_used=v0,
-        total_error=total,
-        endowment_term=endowment,
-        e=e,
-        slice_error=slice_error,
-    )
+    return HedgeReport(total_error=total, endowment_term=endowment, slice_error=slice_error)
 
 
 def fs_residual_check(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan) -> float:

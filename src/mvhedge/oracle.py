@@ -28,7 +28,6 @@ class LsqSolution:
     min_error: float
     v0_opt: float
     value_process: np.ndarray  # wealth of the optimal strategy at each node
-    holdings: np.ndarray       # (n, d) minimum-norm holdings, NaN at terminals
 
 
 @dataclass
@@ -114,12 +113,7 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
     for i, up in enumerate(parent):
         if up >= 0:
             value[i] = value[up] + float((price[i] - price[up]) @ holdings[up])
-    return LsqSolution(
-        min_error=min_error,
-        v0_opt=v0_opt,
-        value_process=value,
-        holdings=holdings,
-    )
+    return LsqSolution(min_error=min_error, v0_opt=v0_opt, value_process=value)
 
 
 def martingale_qp(tree: ScenarioTree) -> QpSolution:

@@ -278,15 +278,14 @@ def mean_value_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
 
 
 def pure_hedge_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
-                    V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(dbar_u, xi) node by node."""
-    n, d = len(tree.nodes), tree.num_assets
-    dbar_u, xi = np.full((n, d), np.nan), np.full((n, d), np.nan)
+                    V: np.ndarray) -> np.ndarray:
+    """xi node by node."""
+    xi = np.full((len(tree.nodes), tree.num_assets), np.nan)
     for i in _inner(tree):
         kids, probs, deltas = _children(tree, i)
-        dbar_u[i] = deltas.T @ (probs * surf.L[kids] * (V[kids] - V[i]))
-        xi[i] = mv.pinv_psd(surf.cbar_u[i]) @ dbar_u[i]
-    return dbar_u, xi
+        dbar_u = deltas.T @ (probs * surf.L[kids] * (V[kids] - V[i]))
+        xi[i] = mv.pinv_psd(surf.cbar_u[i]) @ dbar_u
+    return xi
 
 
 def rollout_loop(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarray, np.ndarray]:
@@ -316,9 +315,10 @@ def hedging_error_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     """(e, total_error, slice_error) node by node."""
     e = np.full(len(tree.nodes), np.nan)
     for i in _inner(tree):
-        kids, probs, _ = _children(tree, i)
+        kids, probs, deltas = _children(tree, i)
         dv = plan.V[kids] - plan.V[i]
-        e[i] = float(probs * surf.L[kids] @ (dv * dv)) - float(plan.dbar_u[i] @ plan.xi[i])
+        dbar_u = deltas.T @ (probs * surf.L[kids] * dv)
+        e[i] = float(probs * surf.L[kids] @ (dv * dv)) - float(dbar_u @ plan.xi[i])
     probs = node_probs_loop(tree)
     total = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
     slice_error = {}

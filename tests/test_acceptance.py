@@ -253,7 +253,7 @@ def test_09_monte_carlo_consistency():
     ok = True
     exact = {}
     for kind in ("mvh", "pure_xi", "gkw"):
-        exact[kind] = mv.run_strategy(tree, surf, plan, kind, plan.v0, exact=True)
+        exact[kind] = mv.run_strategy(tree, surf, plan, kind, plan.v0)
     analytic = exact["mvh"].analytic_error
     if abs(exact["mvh"].mean_sq_error - analytic) > 1e-9 * max(1.0, analytic):
         ok = False

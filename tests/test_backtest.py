@@ -110,7 +110,7 @@ def test_exact_mvh_matches_analytic():
     tree = drifted_tree()
     claim = mv.attach_claim(tree, "call", strike=10.0)
     surf, plan = setup(tree, claim)
-    rep = mv.run_strategy(tree, surf, plan, "mvh", plan.v0, exact=True)
+    rep = mv.run_strategy(tree, surf, plan, "mvh", plan.v0)
     assert rep.analytic_error is not None
     assert rep.mean_sq_error == pytest.approx(rep.analytic_error, rel=1e-9)
 
@@ -132,9 +132,9 @@ def test_exact_mvh_beats_alternatives():
     tree = drifted_tree()
     claim = mv.attach_claim(tree, "call", strike=10.0)
     surf, plan = setup(tree, claim)
-    mvh = mv.run_strategy(tree, surf, plan, "mvh", plan.v0, exact=True)
+    mvh = mv.run_strategy(tree, surf, plan, "mvh", plan.v0)
     for kind in ("pure_xi", "gkw"):
-        alt = mv.run_strategy(tree, surf, plan, kind, plan.v0, exact=True)
+        alt = mv.run_strategy(tree, surf, plan, kind, plan.v0)
         assert alt.mean_sq_error >= mvh.mean_sq_error - 1e-14
 
 
@@ -205,7 +205,7 @@ def test_compare_report_single_row():
     tree = binomial_06()
     claim = mv.attach_claim(tree, "call", strike=10.0)
     surf, plan = setup(tree, claim)
-    rep = mv.run_strategy(tree, surf, plan, "mvh", plan.v0, exact=True)
+    rep = mv.run_strategy(tree, surf, plan, "mvh", plan.v0)
     table = mv.compare_report([rep])
     lines = table.strip().splitlines()
     assert lines[0].startswith("strategy,")
@@ -218,7 +218,7 @@ def test_compare_report_drifted_ranking():
     claim = mv.attach_claim(tree, "call", strike=10.0)
     surf, plan = setup(tree, claim)
     reports = [
-        mv.run_strategy(tree, surf, plan, k, plan.v0, exact=True)
+        mv.run_strategy(tree, surf, plan, k, plan.v0)
         for k in ("mvh", "pure_xi", "gkw")
     ]
     table = mv.compare_report(reports)

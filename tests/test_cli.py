@@ -93,6 +93,12 @@ def test_hedge_degenerate_exit_code(tmp_path):
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "seed": 1.9}),
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "seed": False}),
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "paths": 3.0}),
+    ("hedge", {"model": TRINOMIAL, "claim": CALL10, "v0": NAN}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "v0": float("inf")}),
+    ("hedge", {"model": TRINOMIAL, "claim": CALL10, "v0": True}),
+    ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": NAN}),
+    ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": -1.0}),
+    ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": True}),
 ])
 def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -143,6 +149,24 @@ def test_out_of_range_seed_flag_exit_code(tmp_path, capsys, seed):
                  "--seed", seed]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("hedge", "--v0", "nan"), ("hedge", "--v0", "inf"),
+    ("backtest", "--v0", "nan"), ("backtest", "--v0", "inf"),
+    ("verify", "--tol", "nan"), ("verify", "--tol", "-1"), ("verify", "--tol", "inf"),
+])
+def test_bad_endowment_or_tol_flag_exit_code(tmp_path, capsys, command, flag, value):
+    cfg = write_config(tmp_path, {"model": TRINOMIAL, "claim": CALL10})
+    out = tmp_path / "o"
+    args = [command, "--config", cfg, flag, value]
+    if command != "verify":
+        args += ["--out", str(out)]
+    assert main(args) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "CHECK" not in captured.out
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_out_config_key_rejected(tmp_path):

@@ -114,12 +114,12 @@ def test_error_terms_nonnegative_and_residual(seed):
     report = mv.hedging_error(tree, surf, plan, plan.v0)
     scale = max(1.0, np.max(np.abs(claim.payoff)))
     for i in tree.layout.inner:
-        assert report.e[i] >= -1e-12 * scale * scale
+        assert plan.e[i] >= -1e-12 * scale * scale
     assert mv.fs_residual_check(tree, surf, plan) <= 1e-9 * scale
     # decomposition is exact as computed
     probs = tree.node_probs()
     total = report.endowment_term + sum(
-        probs[i] * report.e[i] for i in tree.layout.inner
+        probs[i] * plan.e[i] for i in tree.layout.inner
     )
     assert report.total_error == pytest.approx(total, rel=1e-12)
 

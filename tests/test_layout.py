@@ -46,8 +46,7 @@ def test_sweeps_equal_reference_loops(name, tree, claim):
     V = mv.compute_mean_value(tree, surf, claim)
     assert equal(V, mean_value_loop(tree, surf, claim))
     plan = mv.compute_pure_hedge(tree, surf, V)
-    dbar_u, xi = pure_hedge_loop(tree, surf, V)
-    assert equal(plan.dbar_u, dbar_u) and equal(plan.xi, xi)
+    assert equal(plan.xi, pure_hedge_loop(tree, surf, V))
 
     for args in [(plan.xi, plan.V, surf.a_tilde, plan.v0 + 0.3), (plan.xi, 0.0, 0.0, plan.v0),
                  (0.0, 1.5, surf.a_tilde, 0.25)]:
@@ -58,7 +57,7 @@ def test_sweeps_equal_reference_loops(name, tree, claim):
     assert equal(tree.node_probs(), node_probs_loop(tree))
     report = mv.hedging_error(tree, surf, plan, plan.v0 + 0.1)
     e, total, slice_error = hedging_error_loop(tree, surf, plan, plan.v0 + 0.1)
-    assert equal(report.e, e)
+    assert equal(plan.e, e)
     assert report.total_error == total and report.slice_error == slice_error
 
     mea, ref_mea = mv.measures(tree, surf), measures_loop(tree, surf)
