@@ -154,7 +154,7 @@ def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, G: np.ndarray) -> float:
     strategy whose per-node wealth is G, summed leaf by leaf in leaf order."""
     ids = tree.leaves()
     err = G[ids] - plan.V[ids]
-    return float(sum(tree.node_probs()[ids] * err * err))
+    return float(sum((tree.node_probs()[ids] * err * err).tolist()))
 
 
 def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,

@@ -73,22 +73,34 @@ def _config_int(config: dict, key: str, default: int) -> int:
     return value
 
 
-def load_config(path: str) -> dict:
-    with open(path) as fh:
+def _load_object(path: str, what: str) -> dict:
+    with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
-        raise BadParameter("config must be a JSON object")
+        raise BadParameter(f"{what} must be a JSON object")
+    return doc
+
+
+def load_config(path: str) -> dict:
+    doc = _load_object(path, "config")
     _reject_unknown(doc, _CONFIG_KEYS, "config")
     return doc
 
 
-def build_model(cfg: dict) -> ScenarioTree:
-    if "type" not in cfg:
-        raise BadParameter("model config needs a 'type'")
+def _section_type(cfg, where: str, keys: dict) -> str:
+    """The type of a model or claim section: a JSON object with a known
+    string type and only that type's keys."""
+    if not isinstance(cfg, dict) or "type" not in cfg:
+        raise BadParameter(f"{where} config must be a JSON object with a 'type', got {cfg!r}")
     kind = cfg["type"]
-    if kind not in _MODEL_KEYS:
-        raise BadParameter(f"unknown model type {kind!r}")
-    _reject_unknown(cfg, _MODEL_KEYS[kind], "model")
+    if not isinstance(kind, str) or kind not in keys:
+        raise BadParameter(f"unknown {where} type {kind!r}")
+    _reject_unknown(cfg, keys[kind], where)
+    return kind
+
+
+def build_model(cfg: dict) -> ScenarioTree:
+    kind = _section_type(cfg, "model", _MODEL_KEYS)
     with _typed("model"):
         if kind == "binomial":
             return build_binomial(cfg["s0"], cfg["up"], cfg["down"], cfg["p_up"], cfg["periods"])
@@ -104,12 +116,7 @@ def build_model(cfg: dict) -> ScenarioTree:
 
 
 def build_claim(tree: ScenarioTree, cfg: dict) -> Claim:
-    if "type" not in cfg:
-        raise BadParameter("claim config needs a 'type'")
-    kind = cfg["type"]
-    if kind not in _CLAIM_KEYS:
-        raise BadParameter(f"unknown claim type {kind!r}")
-    _reject_unknown(cfg, _CLAIM_KEYS[kind], "claim")
+    kind = _section_type(cfg, "claim", _CLAIM_KEYS)
     with _typed("claim"):
         if kind == "per_leaf":
             return attach_claim(tree, "per_leaf", values=cfg["values"])
@@ -279,15 +286,14 @@ def cmd_verify(args) -> int:
     ok &= _check_line("slice_prob_mass", 0, time_mass, 0.0, 1e-10)
 
     if args.summary:
-        with open(args.summary) as fh:
-            stored = json.load(fh)
-        ok &= _check_line("summary_V0", 0, float(stored["V0"]), plan.v0, tol)
-        ok &= _check_line("summary_L0", 0, float(stored["L0"]), surf.L[0], tol)
+        stored = _load_object(args.summary, "summary")
         v0 = _resolve_v0(stored.get("v0"), plan)
-        ok &= _check_line(
-            "summary_total_error", 0, float(stored["total_error"]),
-            hedging.hedging_error(tree, surf, plan, v0).total_error, tol,
-        )
+        engine = {"V0": plan.v0, "L0": surf.L[0],
+                  "total_error": hedging.hedging_error(tree, surf, plan, v0).total_error}
+        summary = {key: _finite(stored[key], f"summary {key} must be a finite number")
+                   for key in engine}
+        for key, value in summary.items():
+            ok &= _check_line(f"summary_{key}", 0, value, engine[key], tol)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
 
 
@@ -406,7 +412,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except (BadParameter, IncompatibleClaim, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (BadParameter, IncompatibleClaim, json.JSONDecodeError, UnicodeDecodeError, OSError,
+            KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except (DegenerateStep, Infeasible) as exc:

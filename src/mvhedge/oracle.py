@@ -4,10 +4,13 @@ These deliberately share nothing with the engine except the symmetric
 pseudoinverse: the hedging problem is solved as one flat weighted least
 squares over all per-node holdings, and the variance-optimal measure as
 an equality-constrained QP on leaf densities.  Agreement between engine
-and oracle is therefore a genuine cross check, not a tautology.  They
-walk the stored parent, price and prob arrays in their own Python
-loops, never the engine's tree layout, which also keeps the per-node
-subtrees of a verify run from building one.
+and oracle is therefore a genuine cross check, not a tautology.  Both
+read one leaf x holding matrix of price increments along each leaf's
+root path, built from the stored parent and price arrays a tree level
+at a time; the QP is solved in range-space form through the Schur
+complement of its diagonal Hessian.  Neither reads the engine's tree
+layout, which also keeps the per-node subtrees of a verify run from
+building one.
 """
 from __future__ import annotations
 
@@ -44,16 +47,23 @@ def _node_probs(tree: ScenarioTree) -> np.ndarray:
     return probs
 
 
-def _path(parent: list[int], node_id: int) -> list[int]:
-    """The ids on the path from the root to node_id, inclusive."""
-    path = [node_id]
-    while parent[path[-1]] >= 0:
-        path.append(parent[path[-1]])
-    return path[::-1]
-
-
-def _inner(tree: ScenarioTree) -> list[int]:
-    return np.flatnonzero(tree.time < tree.horizon).tolist()
+def _increments(tree: ScenarioTree) -> np.ndarray:
+    """The (n_leaves, n_inner * d) matrix whose row j holds, in the d
+    columns of each ancestor i of leaf j, the price increment from i to
+    the next node on the root path of leaf j.  Inner node i owns the
+    columns of its rank among the inner ids; filled one level at a time."""
+    d = tree.num_assets
+    col = np.cumsum(tree.time < tree.horizon) - 1
+    node = tree.leaves()
+    rows = np.arange(len(node))
+    X = np.zeros((len(node), (col[-1] + 1) * d))
+    while len(node):
+        up = tree.parent[node]
+        keep = up >= 0
+        rows, node, up = rows[keep], node[keep], up[keep]
+        X[rows[:, None], col[up][:, None] * d + np.arange(d)] = tree.price[node] - tree.price[up]
+        node = up
+    return X
 
 
 def _check_size(tree: ScenarioTree) -> None:
@@ -72,25 +82,11 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
     """
     _check_size(tree)
     free_v0 = isinstance(v0, str)
-    nonterm = _inner(tree)
-    d = tree.num_assets
-    col_of = {i: k for k, i in enumerate(nonterm)}
-    leaves = tree.leaves()
-    parent, price = tree.parent.tolist(), tree.price
-    n_cols = len(nonterm) * d + (1 if free_v0 else 0)
-    X = np.zeros((len(leaves), n_cols))
-    probs = _node_probs(tree)
-    w = probs[leaves]
-    target = np.asarray(claim.payoff, dtype=float).copy()
-    for r, leaf in enumerate(leaves.tolist()):
-        path = _path(parent, leaf)
-        for up, child in zip(path, path[1:]):
-            c = col_of[up] * d
-            X[r, c:c + d] = price[child] - price[up]
-        if free_v0:
-            X[r, -1] = 1.0
-    if not free_v0:
-        target -= float(v0)
+    X = _increments(tree)
+    if free_v0:
+        X = np.hstack([X, np.ones((len(X), 1))])
+    w = _node_probs(tree)[tree.leaves()]
+    target = np.asarray(claim.payoff, dtype=float) - (0.0 if free_v0 else float(v0))
     # with unit-norm columns the pseudoinverse cutoff, relative to the
     # largest eigenvalue, no longer depends on the price unit: the v0
     # column (scale 1) and the holding columns (scale of the prices)
@@ -106,52 +102,44 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
     beta /= norms
     v0_opt = float(beta[-1]) if free_v0 else float(v0)
 
+    d, inner = tree.num_assets, tree.time < tree.horizon
     holdings = np.full((len(tree.nodes), d), np.nan)
-    holdings[nonterm] = beta[:len(nonterm) * d].reshape(-1, d)
+    holdings[inner] = beta[:np.count_nonzero(inner) * d].reshape(-1, d)
     value = np.full(len(tree.nodes), np.nan)
     value[0] = v0_opt
-    for i, up in enumerate(parent):
+    price = tree.price
+    for i, up in enumerate(tree.parent.tolist()):
         if up >= 0:
             value[i] = value[up] + float((price[i] - price[up]) @ holdings[up])
     return LsqSolution(min_error=min_error, v0_opt=v0_opt, value_process=value)
 
 
 def martingale_qp(tree: ScenarioTree) -> QpSolution:
-    """Minimum-second-moment signed martingale density via its KKT system.
+    """Minimum-second-moment signed martingale density.
 
     minimize sum_m P(m) z_m^2
     s.t.     sum_m P(m) z_m = 1
              for every non-terminal node n and asset i:
              sum_{children k} (sum_{leaves m under k} P(m) z_m) delta_{k,i} = 0
+
+    The Hessian is the positive diagonal 2W, W = diag(P(m)), so the
+    range-space (Schur complement) form z = W^-1 A' (A W^-1 A')^+ b gives
+    the W-weighted minimum-norm solution whenever the constraints are
+    consistent (Nocedal & Wright, Numerical Optimization, section 16.2).
     """
     _check_size(tree)
-    leaves = tree.leaves()
-    probs = _node_probs(tree)
-    w = probs[leaves]
-    d = tree.num_assets
-    row_of = {i: 1 + k * d for k, i in enumerate(_inner(tree))}
-    parent, price = tree.parent.tolist(), tree.price
-    A = np.zeros((1 + len(row_of) * d, len(leaves)))
+    w = _node_probs(tree)[tree.leaves()]
+    A = np.vstack([w, (_increments(tree) * w[:, None]).T])
     b = np.zeros(len(A))
-    A[0], b[0] = w, 1.0  # unit-mass constraint
-    for j, m in enumerate(leaves.tolist()):
-        path = _path(parent, m)
-        for up, child in zip(path, path[1:]):
-            r = row_of[up]
-            A[r:r + d, j] += probs[m] * (price[child] - price[up])
+    b[0] = 1.0  # unit-mass constraint
     # unit-norm constraint rows keep the constraints above the
     # pseudoinverse cutoff whatever the price unit
     norms = np.sqrt(np.einsum("ij,ij->i", A, A))
     norms[norms == 0.0] = 1.0
     A /= norms[:, None]
     b /= norms
-    n_z, n_c = len(leaves), len(b)
-    kkt = np.zeros((n_z + n_c, n_z + n_c))
-    kkt[:n_z, :n_z] = 2.0 * np.diag(w)
-    kkt[:n_z, n_z:] = A.T
-    kkt[n_z:, :n_z] = A
-    sol = pinv_psd(kkt) @ np.concatenate([np.zeros(n_z), b])
-    z = sol[:n_z]
+    B = A / np.sqrt(w)
+    z = (A.T @ (pinv_psd(B @ B.T) @ b)) / w
     violation = np.max(np.abs(A @ z - b))
     if violation > QP_FEAS_TOL * max(1.0, np.max(np.abs(b))):
         raise Infeasible(f"martingale constraints inconsistent (residual {violation:.3e})")

@@ -99,6 +99,11 @@ def test_hedge_degenerate_exit_code(tmp_path):
     ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": NAN}),
     ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": -1.0}),
     ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": True}),
+    ("hedge", {"model": 5, "claim": CALL10}),
+    ("hedge", {"model": TRINOMIAL, "claim": 7}),
+    ("backtest", {"model": None, "claim": CALL10}),
+    ("hedge", {"model": dict(TRINOMIAL, type=["iid"]), "claim": CALL10}),
+    ("verify", {"model": TRINOMIAL, "claim": {"type": ["call"], "strike": 10.0}}),
 ])
 def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -167,6 +172,28 @@ def test_bad_endowment_or_tol_flag_exit_code(tmp_path, capsys, command, flag, va
     captured = capsys.readouterr()
     assert "CHECK" not in captured.out
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "out_is_file",
+                                  "summary_is_list", "summary_V0_text"])
+def test_bad_path_or_summary_exit_code(tmp_path, capsys, case):
+    cfg = write_config(tmp_path, {"model": TRINOMIAL, "claim": CALL10})
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"model": "\xe9"}')
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps([1.0] if case == "summary_is_list"
+                                  else {"V0": "abc", "L0": 1.0, "total_error": 0.0}))
+    argv = {
+        "config_is_dir": ["hedge", "--config", str(tmp_path), "--out", str(tmp_path / "o")],
+        "config_not_utf8": ["hedge", "--config", str(latin1), "--out", str(tmp_path / "o")],
+        "out_is_file": ["hedge", "--config", cfg, "--out", cfg],
+        "summary_is_list": ["verify", "--config", cfg, "--summary", str(summary)],
+        "summary_V0_text": ["verify", "--config", cfg, "--summary", str(summary)],
+    }[case]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_out_config_key_rejected(tmp_path):

@@ -201,6 +201,41 @@ def test_duplicated_asset(seed):
         assert np.allclose(got[inner, :d - 1], want[inner, :d - 1], rtol=1e-9, atol=tol)
         assert np.allclose(got[inner, d - 1], half, rtol=1e-9, atol=tol)
         assert np.allclose(got[inner, d], half, rtol=1e-9, atol=tol)
+    # the oracles see the same market through rank-deficient constraints
+    qp, qp2 = mv.martingale_qp(tree), mv.martingale_qp(dup)
+    assert qp2.second_moment == pytest.approx(1.0 / surf.L[0], rel=1e-9)
+    z_scale = max(1.0, float(np.max(np.abs(qp.leaf_density))))
+    assert np.allclose(qp2.leaf_density, qp.leaf_density, rtol=1e-9, atol=1e-9 * z_scale)
+    assert mv.lsq_projection(dup, claim, "free").min_error == pytest.approx(
+        err2, rel=1e-9, abs=1e-9 * scale * scale)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_assets_permuted(seed):
+    # permuting the asset columns permutes xi and a_tilde alike and
+    # leaves L, V, the error and both oracles' answers unchanged
+    rng = np.random.default_rng(1500 + seed)
+    tree = random_tree(rng, d=2)
+    claim = mv.Claim(payoff=rng.normal(0.0, 2.0, size=len(tree.leaves())))
+    perm = [1, 0]
+    swapped = dataclasses.replace(tree, price=tree.price[:, perm])
+    surf, plan, err = plan_and_error(tree, claim)
+    surf2, plan2, err2 = plan_and_error(swapped, claim)
+    scale = max(1.0, float(np.max(np.abs(claim.payoff))))
+    assert np.allclose(surf2.L, surf.L, rtol=1e-9, atol=0.0)
+    assert np.allclose(plan2.V, plan.V, rtol=1e-9, atol=1e-9 * scale)
+    assert err2 == pytest.approx(err, rel=1e-9, abs=1e-9 * scale * scale)
+    inner = tree.layout.inner
+    assert np.allclose(plan2.xi[inner], plan.xi[inner][:, perm], rtol=1e-9, atol=1e-9 * scale)
+    assert np.allclose(surf2.a_tilde[inner], surf.a_tilde[inner][:, perm], rtol=1e-9, atol=1e-9)
+    lsq, lsq2 = mv.lsq_projection(tree, claim, "free"), mv.lsq_projection(swapped, claim, "free")
+    assert lsq2.min_error == pytest.approx(lsq.min_error, rel=1e-9, abs=1e-9 * scale * scale)
+    assert lsq2.v0_opt == pytest.approx(lsq.v0_opt, rel=1e-9, abs=1e-9 * scale)
+    assert np.allclose(lsq2.value_process, lsq.value_process, rtol=1e-9, atol=1e-9 * scale)
+    qp, qp2 = mv.martingale_qp(tree), mv.martingale_qp(swapped)
+    assert qp2.second_moment == pytest.approx(qp.second_moment, rel=1e-9)
+    z_scale = max(1.0, float(np.max(np.abs(qp.leaf_density))))
+    assert np.allclose(qp2.leaf_density, qp.leaf_density, rtol=1e-9, atol=1e-9 * z_scale)
 
 
 @pytest.mark.parametrize("seed", range(6))
