@@ -46,7 +46,6 @@ from .oracle import (
     martingale_qp,
     max_sharpe,
     node_conditional_check,
-    subtree_at,
 )
 from .backtest import (
     BacktestReport,

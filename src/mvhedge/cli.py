@@ -243,8 +243,8 @@ def cmd_verify(args) -> int:
     worst = int(np.argmax(np.abs(z - qp.leaf_density)))
     ok &= _check_line("qp_leaf_density", leaves[worst], z[worst], qp.leaf_density[worst], tol)
 
-    for i in tree.nodes:
-        ok &= _check_line("node_L", i, surf.L[i], oracle.node_conditional_check(tree, i), tol)
+    for i, pair in enumerate(zip(surf.L.tolist(), oracle.node_conditional_check(tree).tolist())):
+        ok &= _check_line("node_L", i, *pair, tol)
 
     lay = tree.layout
     ids = lay.inner

@@ -5,12 +5,14 @@ pseudoinverse: the hedging problem is solved as one flat weighted least
 squares over all per-node holdings, and the variance-optimal measure as
 an equality-constrained QP on leaf densities.  Agreement between engine
 and oracle is therefore a genuine cross check, not a tautology.  Both
-read one leaf x holding matrix of price increments along each leaf's
-root path, built from the stored parent and price arrays a tree level
-at a time; the QP is solved in range-space form through the Schur
-complement of its diagonal Hessian.  Neither reads the engine's tree
-layout, which also keeps the per-node subtrees of a verify run from
-building one.
+read the leaf x holding matrix of price increments along each leaf's
+path, its rows weighted by the square root of the leaf probability,
+built from the stored parent, price and prob arrays a tree level at a
+time; the QP is solved in range-space form through the Schur complement
+of its diagonal Hessian.  The conditional check at every node re-solves
+the least squares on the node's subtree, the subtrees of one slice and
+shape as one stack.  The oracles rely on the ordering contract that
+validate_tree enforces, never on the engine's tree layout.
 """
 from __future__ import annotations
 
@@ -39,31 +41,61 @@ class QpSolution:
     leaf_density: np.ndarray   # signed, in leaf order
 
 
-def _node_probs(tree: ScenarioTree) -> np.ndarray:
-    probs = np.ones(len(tree.nodes))
-    for i, (p, q) in enumerate(zip(tree.parent.tolist(), tree.prob.tolist())):
-        if p >= 0:
-            probs[i] = probs[p] * q
-    return probs
+def _weighted_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
+                         cash: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Y = sqrt(w) X for k subtrees of one shape, and sqrt(w) (k, n_leaves).
 
-
-def _increments(tree: ScenarioTree) -> np.ndarray:
-    """The (n_leaves, n_inner * d) matrix whose row j holds, in the d
-    columns of each ancestor i of leaf j, the price increment from i to
-    the next node on the root path of leaf j.  Inner node i owns the
-    columns of its rank among the inner ids; filled one level at a time."""
-    d = tree.num_assets
-    col = np.cumsum(tree.time < tree.horizon) - 1
-    node = tree.leaves()
-    rows = np.arange(len(node))
-    X = np.zeros((len(node), (col[-1] + 1) * d))
-    while len(node):
+    Subtree i has counts[l] nodes at depth l, with ids from first[i, l];
+    w is the conditional probability of each leaf given the subtree root,
+    a product taken root first.  Row j of X (k, n_leaves, n_inner * d)
+    holds, in the d columns of block offset_l + a - first[i, l] of the
+    ancestor a of leaf j at depth l (offset_l nodes lie above depth l),
+    the price increment from a to the next node on the path to leaf j.
+    With cash, X gets a last column of ones."""
+    k, depth, d = len(first), len(counts) - 1, tree.num_assets
+    offset = np.cumsum(counts) - counts
+    sub = np.arange(k)[:, None]
+    w = np.ones((k, 1))
+    for level in range(1, depth + 1):
+        ids = first[:, level, None] + np.arange(counts[level])
+        w = w[sub, tree.parent[ids] - first[:, level - 1, None]] * tree.prob[ids]
+    Y = np.zeros((k, counts[-1], offset[-1] * d + cash))
+    if cash:
+        Y[..., -1] = 1.0
+    node = first[:, -1, None] + np.arange(counts[-1])
+    rows = (sub[..., None], np.arange(counts[-1])[:, None])
+    for level in range(depth - 1, -1, -1):
         up = tree.parent[node]
-        keep = up >= 0
-        rows, node, up = rows[keep], node[keep], up[keep]
-        X[rows[:, None], col[up][:, None] * d + np.arange(d)] = tree.price[node] - tree.price[up]
+        block = up - first[:, level, None] + offset[level]
+        Y[rows + (block[..., None] * d + np.arange(d),)] = tree.price[node] - tree.price[up]
         node = up
-    return X
+    sw = np.sqrt(w)
+    Y *= sw[..., None]
+    return Y, sw
+
+
+def _unit_columns(Y: np.ndarray) -> np.ndarray:
+    """Scale the columns of Y, or of each matrix of a stack, to unit norm
+    in place; returns the norms (1 for a zero column).  The pseudoinverse
+    cutoff, relative to the largest eigenvalue, then no longer depends on
+    the price unit: the cash column (scale 1) and the holding columns
+    (scale of the prices) are weighed alike."""
+    norms = np.sqrt(np.einsum("...ij,...ij->...j", Y, Y))
+    norms[norms == 0.0] = 1.0
+    Y /= norms[..., None, :]
+    return norms
+
+
+def _lsq(Y: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least squares of target (k, n) on the columns of each Y (k, n, m),
+    minimum-norm through the PSD pseudoinverse of the normal matrices,
+    one stacked call; returns the coefficients of the unscaled columns
+    and the residual Y beta - target."""
+    norms = _unit_columns(Y)
+    Yt = Y.swapaxes(1, 2)
+    beta = pinv_psd(Yt @ Y) @ (Yt @ target[..., None])
+    resid = (Y @ beta)[..., 0] - target
+    return beta[..., 0] / norms, resid
 
 
 def _check_size(tree: ScenarioTree) -> None:
@@ -77,41 +109,26 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
 
     Decision variables are the d holdings at every non-terminal node
     (plus v0 when free); the terminal wealth on each leaf is linear in
-    them, so the optimum is a weighted least squares solved by normal
-    equations with the PSD pseudoinverse (minimum-norm representative).
+    them, so the optimum is a least squares in the sqrt(P)-weighted
+    space, solved by normal equations with the PSD pseudoinverse
+    (minimum-norm representative).
     """
     _check_size(tree)
     free_v0 = isinstance(v0, str)
-    X = _increments(tree)
-    if free_v0:
-        X = np.hstack([X, np.ones((len(X), 1))])
-    w = _node_probs(tree)[tree.leaves()]
-    target = np.asarray(claim.payoff, dtype=float) - (0.0 if free_v0 else float(v0))
-    # with unit-norm columns the pseudoinverse cutoff, relative to the
-    # largest eigenvalue, no longer depends on the price unit: the v0
-    # column (scale 1) and the holding columns (scale of the prices)
-    # are weighed alike
-    norms = np.sqrt(np.einsum("ij,ij->j", X, X))
-    norms[norms == 0.0] = 1.0
-    X /= norms
-    normal = (X.T * w) @ X
-    rhs = X.T @ (w * target)
-    beta = pinv_psd(normal) @ rhs
-    resid = X @ beta - target
-    min_error = float(w @ (resid * resid))
-    beta /= norms
+    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+    Y, sw = _weighted_increments(tree, bounds[None, :-1], np.diff(bounds), cash=free_v0)
+    target = sw * (np.asarray(claim.payoff, dtype=float) - (0.0 if free_v0 else float(v0)))
+    (beta,), (resid,) = _lsq(Y, target)
     v0_opt = float(beta[-1]) if free_v0 else float(v0)
 
-    d, inner = tree.num_assets, tree.time < tree.horizon
-    holdings = np.full((len(tree.nodes), d), np.nan)
-    holdings[inner] = beta[:np.count_nonzero(inner) * d].reshape(-1, d)
-    value = np.full(len(tree.nodes), np.nan)
-    value[0] = v0_opt
-    price = tree.price
-    for i, up in enumerate(tree.parent.tolist()):
-        if up >= 0:
-            value[i] = value[up] + float((price[i] - price[up]) @ holdings[up])
-    return LsqSolution(min_error=min_error, v0_opt=v0_opt, value_process=value)
+    # at the root, inner node a owns column block a
+    holdings = beta[:bounds[-2] * tree.num_assets].reshape(-1, tree.num_assets)
+    value = np.full(len(tree.parent), v0_opt)
+    for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
+        up = tree.parent[lo:hi]
+        value[lo:hi] = value[up] + np.einsum(
+            "ij,ij->i", tree.price[lo:hi] - tree.price[up], holdings[up])
+    return LsqSolution(min_error=float(resid @ resid), v0_opt=v0_opt, value_process=value)
 
 
 def martingale_qp(tree: ScenarioTree) -> QpSolution:
@@ -122,84 +139,67 @@ def martingale_qp(tree: ScenarioTree) -> QpSolution:
              for every non-terminal node n and asset i:
              sum_{children k} (sum_{leaves m under k} P(m) z_m) delta_{k,i} = 0
 
-    The Hessian is the positive diagonal 2W, W = diag(P(m)), so the
-    range-space (Schur complement) form z = W^-1 A' (A W^-1 A')^+ b gives
-    the W-weighted minimum-norm solution whenever the constraints are
+    In u = sqrt(P) z this is: minimize |u|^2 subject to B'u = b, where the
+    columns of B = sqrt(P) [X, 1] are the constraints.  The Hessian of
+    the original problem is the positive diagonal 2 diag(P), so the
+    range-space (Schur complement) form u = B (B'B)^+ b gives the
+    P-weighted minimum-norm density whenever the constraints are
     consistent (Nocedal & Wright, Numerical Optimization, section 16.2).
     """
     _check_size(tree)
-    w = _node_probs(tree)[tree.leaves()]
-    A = np.vstack([w, (_increments(tree) * w[:, None]).T])
-    b = np.zeros(len(A))
-    b[0] = 1.0  # unit-mass constraint
-    # unit-norm constraint rows keep the constraints above the
-    # pseudoinverse cutoff whatever the price unit
-    norms = np.sqrt(np.einsum("ij,ij->i", A, A))
-    norms[norms == 0.0] = 1.0
-    A /= norms[:, None]
-    b /= norms
-    B = A / np.sqrt(w)
-    z = (A.T @ (pinv_psd(B @ B.T) @ b)) / w
-    violation = np.max(np.abs(A @ z - b))
+    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+    (B,), (sw,) = _weighted_increments(tree, bounds[None, :-1], np.diff(bounds), cash=True)
+    b = np.zeros(B.shape[1])
+    b[-1] = 1.0  # unit-mass constraint
+    b /= _unit_columns(B)
+    u = B @ (pinv_psd(B.T @ B) @ b)
+    violation = np.max(np.abs(B.T @ u - b))
     if violation > QP_FEAS_TOL * max(1.0, np.max(np.abs(b))):
         raise Infeasible(f"martingale constraints inconsistent (residual {violation:.3e})")
-    return QpSolution(second_moment=float(w @ (z * z)), leaf_density=z)
+    return QpSolution(second_moment=float(u @ u), leaf_density=u / sw)
 
 
-def subtree_at(tree: ScenarioTree, node_id: int) -> tuple[ScenarioTree, np.ndarray]:
-    """Extract the subtree rooted at node_id as a standalone tree with
-    conditional probabilities; returns (subtree, ids), where node j of
-    the subtree is node ids[j] of the tree.  By the ordering contract
-    the descendants in each later time slice are one id range: the
-    nodes whose parents lie in the range before."""
-    ranges = []
-    lo, hi = node_id, node_id + 1
-    while lo < hi:
-        ranges.append(np.arange(lo, hi))
-        lo, hi = np.searchsorted(tree.parent, [lo, hi]).tolist()
-    ids = np.concatenate(ranges)
-    parent = np.searchsorted(ids, tree.parent[ids])
-    parent[0] = -1
-    prob = tree.prob[ids]
-    prob[0] = 1.0
-    base_time = int(tree.time[node_id])
-    sub = ScenarioTree(
-        num_assets=tree.num_assets,
-        horizon=tree.horizon - base_time,
-        parent=parent,
-        time=tree.time[ids] - base_time,
-        price=tree.price[ids],
-        regime=tree.regime[ids],
-        prob=prob,
-    )
-    return sub, ids
+def _constant_hedge(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, sum r^2 and sum sqrt(w) r for the weighted residual
+    r = Y beta - sqrt(w) of hedging the constant payoff 1 with zero
+    endowment over the node's subtree; a leaf, with nothing to trade,
+    gives (1, -1).  By the ordering contract a node's descendants at
+    each depth are one id range, found by searchsorted on parent.  The
+    subtrees of one slice with the same node count at every depth are
+    solved as one stack."""
+    _check_size(tree)
+    sq, cross = np.ones(len(tree.parent)), -np.ones(len(tree.parent))
+    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+    for t in range(tree.horizon):
+        lo = np.arange(bounds[t], bounds[t + 1])
+        ranges = [np.stack([lo, lo + 1])]   # per depth, each node's descendant id range
+        for _ in range(tree.horizon - t):
+            ranges.append(np.searchsorted(tree.parent, ranges[-1]))
+        first, end = np.transpose(ranges, (1, 2, 0))
+        shapes, group = np.unique(end - first, axis=0, return_inverse=True)
+        for g, counts in enumerate(shapes):
+            members = np.flatnonzero(group == g)
+            Y, sw = _weighted_increments(tree, first[members], counts)
+            _, r = _lsq(Y, sw)
+            sq[lo[members]] = np.einsum("ij,ij->i", r, r)
+            cross[lo[members]] = np.einsum("ij,ij->i", sw, r)
+    return sq, cross
 
 
-def node_conditional_check(tree: ScenarioTree, node_id: int) -> float:
+def node_conditional_check(tree: ScenarioTree) -> np.ndarray:
     """Conditional minimal squared error of hedging the constant payoff 1
-    with zero endowment, starting at node_id; equals the opportunity
-    process there.  Leaves trivially give 1."""
-    if tree.time[node_id] == tree.horizon:
-        return 1.0
-    sub, _ = subtree_at(tree, node_id)
-    ones = Claim(payoff=np.ones(len(sub.leaves())))
-    return lsq_projection(sub, ones, v0=0.0).min_error
+    with zero endowment, starting at each node; equals the opportunity
+    process.  Leaves trivially give 1."""
+    return _constant_hedge(tree)[0]
 
 
-def max_sharpe(tree: ScenarioTree, node_id: int = 0) -> float:
+def max_sharpe(tree: ScenarioTree) -> np.ndarray:
     """Brute-force maximal conditional Sharpe ratio over the remaining
-    periods, read off the least-squares solution for the constant claim:
-    the optimal terminal wealth X maximizes E[X]/std(X)."""
-    if tree.time[node_id] == tree.horizon:
-        return 0.0
-    sub, _ = subtree_at(tree, node_id)
-    leaves = sub.leaves()
-    ones = Claim(payoff=np.ones(len(leaves)))
-    sol = lsq_projection(sub, ones, v0=0.0)
-    x = sol.value_process[leaves]
-    w = _node_probs(sub)[leaves]
-    mean = float(w @ x)
-    var = float(w @ (x * x)) - mean * mean
-    if var <= 1e-24:
-        return 0.0
-    return mean / np.sqrt(var)
+    periods at each node, read off the least-squares solution for the
+    constant claim: the optimal terminal wealth x = 1 + r / sqrt(w)
+    maximizes E[x]/std(x), with E[x] = 1 + sum sqrt(w) r and
+    var(x) = sum r^2 - (sum sqrt(w) r)^2.  Leaves give 0."""
+    sq, cross = _constant_hedge(tree)
+    var = sq - cross * cross
+    return np.divide(1.0 + cross, np.sqrt(np.maximum(var, 1e-24)),
+                     out=np.zeros(len(sq)), where=var > 1e-24)

@@ -435,3 +435,49 @@ def regime_loop(s0, regimes, transition, initial_regime: int, periods: int,
                     yield child, p * q, nxt
 
     return expand_loop(s0, periods, law_at, len(s0), initial_regime)
+
+
+def subtree_at(tree: ScenarioTree, node_id: int) -> tuple[ScenarioTree, np.ndarray]:
+    """Extract the subtree rooted at node_id as a standalone tree with
+    conditional probabilities; returns (subtree, ids), where node j of
+    the subtree is node ids[j] of the tree.  By the ordering contract
+    the descendants in each later time slice are one id range: the
+    nodes whose parents lie in the range before."""
+    ranges = []
+    lo, hi = node_id, node_id + 1
+    while lo < hi:
+        ranges.append(np.arange(lo, hi))
+        lo, hi = np.searchsorted(tree.parent, [lo, hi]).tolist()
+    ids = np.concatenate(ranges)
+    parent = np.searchsorted(ids, tree.parent[ids])
+    parent[0] = -1
+    prob = tree.prob[ids]
+    prob[0] = 1.0
+    base_time = int(tree.time[node_id])
+    sub = ScenarioTree(
+        num_assets=tree.num_assets,
+        horizon=tree.horizon - base_time,
+        parent=parent,
+        time=tree.time[ids] - base_time,
+        price=tree.price[ids],
+        regime=tree.regime[ids],
+        prob=prob,
+    )
+    return sub, ids
+
+
+def node_oracle_loop(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
+    """(conditional minimal error of hedging 1, maximal Sharpe ratio) at
+    each node, from one least-squares oracle call on each node's subtree:
+    the optimal terminal wealth x maximizes E[x]/std(x)."""
+    check, sharpe = np.ones(len(tree.nodes)), np.zeros(len(tree.nodes))
+    for i in np.flatnonzero(tree.time < tree.horizon).tolist():
+        sub, _ = subtree_at(tree, i)
+        leaves = sub.leaves()
+        sol = mv.lsq_projection(sub, mv.Claim(payoff=np.ones(len(leaves))), v0=0.0)
+        check[i] = sol.min_error
+        x, w = sol.value_process[leaves], sub.node_probs()[leaves]
+        mean = float(w @ x)
+        var = float(w @ (x * x)) - mean * mean
+        sharpe[i] = mean / np.sqrt(var) if var > 1e-24 else 0.0
+    return check, sharpe

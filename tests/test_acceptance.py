@@ -64,11 +64,9 @@ def test_02_opportunity_process_everywhere(reference_trees):
     ok = True
     for tree in reference_trees:
         surf = mv.compute_opportunity(tree)
-        for i in tree.nodes:
-            L = surf.L[i]
+        for L, brute in zip(surf.L, mv.node_conditional_check(tree)):
             if not (0.0 < L <= 1.0 + 1e-12):
                 ok = False
-            brute = mv.node_conditional_check(tree, i)
             if abs(L - brute) > 1e-9 * max(1.0, brute):
                 ok = False
         # one-step submartingale inequality: L(n) <= E[L(t+1) | n]
@@ -233,9 +231,7 @@ def test_08_sharpe_relation(reference_trees):
     ok = True
     for tree in reference_trees[:20]:
         surf = mv.compute_opportunity(tree)
-        for i in tree.nodes:
-            engine = surf.sharpe[i]
-            brute = mv.max_sharpe(tree, i)
+        for engine, brute in zip(surf.sharpe, mv.max_sharpe(tree)):
             if abs(engine - brute) > 1e-8 * max(1.0, brute):
                 ok = False
     surf = mv.compute_opportunity(binomial_06())

@@ -5,7 +5,8 @@ import pytest
 
 import mvhedge as mv
 
-from gen import binomial_06, martingale_trinomial, random_claim, random_tree, rollout_path
+from gen import (binomial_06, martingale_trinomial, random_claim, random_tree, rollout_path,
+                 uneven_regime_args)
 
 
 def make_call(tree, strike=10.0):
@@ -208,6 +209,48 @@ def test_duplicated_asset(seed):
     assert np.allclose(qp2.leaf_density, qp.leaf_density, rtol=1e-9, atol=1e-9 * z_scale)
     assert mv.lsq_projection(dup, claim, "free").min_error == pytest.approx(
         err2, rel=1e-9, abs=1e-9 * scale * scale)
+
+
+def split_first_point(law):
+    """The law with its first point replaced by two copies at half its
+    probability."""
+    (delta, p), *rest = law
+    return [(delta, p / 2.0), (delta, p / 2.0), *rest]
+
+
+def split_cases(periods: int):
+    """(tree, the same tree with one law point split in halves) for an iid
+    trinomial and for a regime tree."""
+    law = [([1.2], 0.3), ([0.1], 0.4), ([-1.0], 0.3)]
+    iid = [mv.build_iid_multinomial([10.0], laws, periods)
+           for laws in (law, split_first_point(law))]
+    s0, regimes, transition, initial, _ = uneven_regime_args()
+    split = [regimes[0], split_first_point(regimes[1])]
+    regime = [mv.build_regime_switching(s0, laws, transition, initial, periods)
+              for laws in (regimes, split)]
+    return [iid, regime]
+
+
+@pytest.mark.parametrize("periods", [2, 3])
+@pytest.mark.parametrize("case", range(2))
+def test_law_point_split_in_halves(case, periods):
+    # every child with the split point becomes two copies of itself and
+    # its subtree at half the probability: the same L0, V0 and error, and
+    # the oracles, which stack the copies' subtrees as subtrees of one
+    # shape, still agree with the engine
+    tree, split = split_cases(periods)[case]
+    assert len(split.nodes) > len(tree.nodes)
+    claim, claim2 = make_call(tree), make_call(split)
+    surf, plan, err = plan_and_error(tree, claim)
+    surf2, plan2, err2 = plan_and_error(split, claim2)
+    assert surf2.L[0] == pytest.approx(surf.L[0], rel=1e-12)
+    assert plan2.V[0] == pytest.approx(plan.V[0], rel=1e-12)
+    assert err2 == pytest.approx(err, rel=1e-12)
+    assert np.allclose(mv.node_conditional_check(split), surf2.L, rtol=1e-9, atol=0.0)
+    qp = mv.martingale_qp(split)
+    assert qp.second_moment == pytest.approx(1.0 / surf2.L[0], rel=1e-9)
+    z = mv.measures(split, surf2).z_qstar[split.leaves()]
+    assert np.max(np.abs(z - qp.leaf_density)) <= 1e-9 * max(1.0, np.max(np.abs(z)))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -149,7 +149,7 @@ def test_step_views_are_read_only():
 
 
 def test_oracles_build_no_layout(monkeypatch):
-    # verify re-solves one subtree per node; none may build a layout
+    # verify re-solves the subtree of every node; no oracle may build a layout
     tree = uneven_regime_tree(3)
     claim = mv.attach_claim(tree, "call", strike=10.0)
     surf = mv.compute_opportunity(tree)
@@ -157,9 +157,8 @@ def test_oracles_build_no_layout(monkeypatch):
     original = mv.tree.TreeLayout.__init__
     monkeypatch.setattr(mv.tree.TreeLayout, "__init__",
                         lambda lay, sub: built.append(sub) or original(lay, sub))
-    for i in tree.nodes:
-        assert mv.node_conditional_check(tree, i) == pytest.approx(surf.L[i], rel=1e-9)
-    mv.max_sharpe(tree, 0)
+    assert np.allclose(mv.node_conditional_check(tree), surf.L, rtol=1e-9, atol=0.0)
+    mv.max_sharpe(tree)
     mv.martingale_qp(tree)
     mv.lsq_projection(tree, claim, "free")
     assert built == []

@@ -10,6 +10,7 @@ from gen import (
     efficient_value_process,
     martingale_trinomial,
     random_tree,
+    subtree_at,
     two_regime_tree,
 )
 
@@ -161,7 +162,7 @@ def test_conditional_square_equals_L(seed):
         if tree.time[i] == tree.horizon:
             continue
         values = efficient_value_process(tree, surf, i)
-        sub, ids = mv.subtree_at(tree, i)
+        sub, ids = subtree_at(tree, i)
         sub_probs = sub.node_probs()
         second = sum(
             sub_probs[new] * values[old] ** 2

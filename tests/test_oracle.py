@@ -4,7 +4,8 @@ import pytest
 import mvhedge as mv
 from mvhedge.tree import ScenarioTree
 
-from gen import binomial_06, martingale_trinomial, random_claim, random_tree, scaled_tree
+from gen import (binomial_06, martingale_trinomial, node_oracle_loop, random_claim, random_tree,
+                 scaled_tree, uneven_regime_tree)
 
 
 def test_lsq_complete_binomial_free_endowment():
@@ -64,8 +65,9 @@ def test_too_large():
 
 def test_node_conditional_check_binomial():
     tree = binomial_06()
-    assert mv.node_conditional_check(tree, 0) == pytest.approx(0.96)
-    assert mv.node_conditional_check(tree, tree.leaves()[0]) == 1.0
+    checks = mv.node_conditional_check(tree)
+    assert checks[0] == pytest.approx(0.96)
+    assert checks[tree.leaves()[0]] == 1.0
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -73,13 +75,26 @@ def test_node_conditional_check_equals_L(seed):
     rng = np.random.default_rng(900 + seed)
     tree = random_tree(rng, periods=3)
     surf = mv.compute_opportunity(tree)
-    for i in tree.nodes:
-        assert mv.node_conditional_check(tree, i) == pytest.approx(surf.L[i], rel=1e-9)
+    assert np.allclose(mv.node_conditional_check(tree), surf.L, rtol=1e-9, atol=0.0)
 
 
 def test_max_sharpe_binomial():
     tree = binomial_06()
-    assert mv.max_sharpe(tree, 0) == pytest.approx(0.204124, abs=1e-6)
+    assert mv.max_sharpe(tree)[0] == pytest.approx(0.204124, abs=1e-6)
+
+
+def stacked_cases():
+    # the uneven regime tree has subtrees of several shapes in a slice
+    rng = np.random.default_rng(1100)
+    return [uneven_regime_tree(3), *(random_tree(rng) for _ in range(6))]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_stacked_node_oracle_matches_per_node_loop(case):
+    tree = stacked_cases()[case]
+    check, sharpe = node_oracle_loop(tree)
+    assert np.allclose(mv.node_conditional_check(tree), check, rtol=1e-12, atol=0.0)
+    assert np.allclose(mv.max_sharpe(tree), sharpe, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -130,3 +145,4 @@ def test_prices_times_k(k, case):
     assert sol.v0_opt == pytest.approx(plan_k.v0, abs=1e-9 * scale * k)
     assert err_k == pytest.approx(sol.min_error, rel=1e-9, abs=1e-12 * (scale * k) ** 2)
     assert mv.martingale_qp(scaled).second_moment == pytest.approx(1.0 / surf_k.L[0], rel=1e-9)
+    assert np.allclose(mv.node_conditional_check(scaled), surf_k.L, rtol=1e-9, atol=0.0)
