@@ -100,7 +100,7 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     i, 0])).random(horizon), so path i depends only on (seed, i).  At
     step t the path moves from its node to the child that
     searchsorted(cumsum(probs), u_t, side="right") selects, capped at the
-    last child, with probs in the order tree.step gives them."""
+    last child, with probs the node's edge probabilities in child order."""
     if n < 1:
         raise BadParameter("need at least one path")
     if not 0 <= seed < 2**128:

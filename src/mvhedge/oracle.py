@@ -8,11 +8,13 @@ and oracle is therefore a genuine cross check, not a tautology.  Both
 read the leaf x holding matrix of price increments along each leaf's
 path, its rows weighted by the square root of the leaf probability,
 built from the stored parent, price and prob arrays a tree level at a
-time; the QP is solved in range-space form through the Schur complement
-of its diagonal Hessian.  The conditional check at every node re-solves
-the least squares on the node's subtree, the subtrees of one slice and
-shape as one stack.  The oracles rely on the ordering contract that
-validate_tree enforces, never on the engine's tree layout.
+time.  One pseudoinverse of the whole tree's normal matrix serves the
+least squares with free endowment, the QP (in range-space form, through
+the Schur complement of its diagonal Hessian) and the root's conditional
+check (the Schur complement of the cash column); every other node's
+check re-solves the least squares on its subtree, the subtrees of one
+slice and shape as one stack.  The oracles rely on the ordering
+contract that validate_tree enforces, never on the engine's tree layout.
 """
 from __future__ import annotations
 
@@ -41,9 +43,24 @@ class QpSolution:
     leaf_density: np.ndarray   # signed, in leaf order
 
 
-def _weighted_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
-                         cash: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Y = sqrt(w) X for k subtrees of one shape, and sqrt(w) (k, n_leaves).
+@dataclass
+class _Factor:
+    """Y (k, n_leaves, m) with unit columns, sqrt(w) (k, n_leaves), the
+    column norms and pinv_psd of each normal matrix Y'Y; see _factor."""
+    Y: np.ndarray
+    sw: np.ndarray
+    norms: np.ndarray
+    gram_pinv: np.ndarray
+
+    def lsq(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Minimum-norm least squares of target on each Y: (unscaled beta, residual)."""
+        beta = self.gram_pinv @ (self.Y.swapaxes(1, 2) @ target[..., None])
+        return beta[..., 0] / self.norms, (self.Y @ beta)[..., 0] - target
+
+
+def _factor(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
+            cash: bool = False) -> _Factor:
+    """The _Factor of Y = sqrt(w) X for k subtrees of one shape.
 
     Subtree i has counts[l] nodes at depth l, with ids from first[i, l];
     w is the conditional probability of each leaf given the subtree root,
@@ -51,7 +68,10 @@ def _weighted_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarr
     holds, in the d columns of block offset_l + a - first[i, l] of the
     ancestor a of leaf j at depth l (offset_l nodes lie above depth l),
     the price increment from a to the next node on the path to leaf j.
-    With cash, X gets a last column of ones."""
+    With cash, X gets a last column of ones.  Y's columns are scaled to
+    unit norm (a zero column keeps norm 1), so the pseudoinverse cutoff,
+    relative to the largest eigenvalue, does not depend on the price
+    unit: cash (scale 1) and holdings (scale of prices) weigh alike."""
     k, depth, d = len(first), len(counts) - 1, tree.num_assets
     offset = np.cumsum(counts) - counts
     sub = np.arange(k)[:, None]
@@ -71,57 +91,39 @@ def _weighted_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarr
         node = up
     sw = np.sqrt(w)
     Y *= sw[..., None]
-    return Y, sw
-
-
-def _unit_columns(Y: np.ndarray) -> np.ndarray:
-    """Scale the columns of Y, or of each matrix of a stack, to unit norm
-    in place; returns the norms (1 for a zero column).  The pseudoinverse
-    cutoff, relative to the largest eigenvalue, then no longer depends on
-    the price unit: the cash column (scale 1) and the holding columns
-    (scale of the prices) are weighed alike."""
     norms = np.sqrt(np.einsum("...ij,...ij->...j", Y, Y))
     norms[norms == 0.0] = 1.0
     Y /= norms[..., None, :]
-    return norms
+    return _Factor(Y, sw, norms, pinv_psd(Y.swapaxes(1, 2) @ Y))
 
 
-def _lsq(Y: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least squares of target (k, n) on the columns of each Y (k, n, m),
-    minimum-norm through the PSD pseudoinverse of the normal matrices,
-    one stacked call; returns the coefficients of the unscaled columns
-    and the residual Y beta - target."""
-    norms = _unit_columns(Y)
-    Yt = Y.swapaxes(1, 2)
-    beta = pinv_psd(Yt @ Y) @ (Yt @ target[..., None])
-    resid = (Y @ beta)[..., 0] - target
-    return beta[..., 0] / norms, resid
-
-
-def _check_size(tree: ScenarioTree) -> None:
+def root_factor(tree: ScenarioTree, cash: bool = True) -> _Factor:
+    """The whole tree's _Factor; with cash, the root oracles share it."""
     n_leaves = len(tree.leaves())
     if n_leaves > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{n_leaves} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
+    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+    return _factor(tree, bounds[None, :-1], np.diff(bounds), cash)
 
 
-def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -> LsqSolution:
+def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free",
+                   root: _Factor | None = None) -> LsqSolution:
     """Minimize E[(v0 + gains_T - H)^2] over all per-node holdings.
 
     Decision variables are the d holdings at every non-terminal node
     (plus v0 when free); the terminal wealth on each leaf is linear in
     them, so the optimum is a least squares in the sqrt(P)-weighted
     space, solved by normal equations with the PSD pseudoinverse
-    (minimum-norm representative).
+    (minimum-norm representative), of root when v0 is free.
     """
-    _check_size(tree)
     free_v0 = isinstance(v0, str)
-    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    Y, sw = _weighted_increments(tree, bounds[None, :-1], np.diff(bounds), cash=free_v0)
-    target = sw * (np.asarray(claim.payoff, dtype=float) - (0.0 if free_v0 else float(v0)))
-    (beta,), (resid,) = _lsq(Y, target)
+    f = (root or root_factor(tree)) if free_v0 else root_factor(tree, cash=False)
+    (beta,), (resid,) = f.lsq(
+        f.sw * (np.asarray(claim.payoff, dtype=float) - (0.0 if free_v0 else float(v0))))
     v0_opt = float(beta[-1]) if free_v0 else float(v0)
 
     # at the root, inner node a owns column block a
+    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
     holdings = beta[:bounds[-2] * tree.num_assets].reshape(-1, tree.num_assets)
     value = np.full(len(tree.parent), v0_opt)
     for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
@@ -131,7 +133,7 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free") -
     return LsqSolution(min_error=float(resid @ resid), v0_opt=v0_opt, value_process=value)
 
 
-def martingale_qp(tree: ScenarioTree) -> QpSolution:
+def martingale_qp(tree: ScenarioTree, root: _Factor | None = None) -> QpSolution:
     """Minimum-second-moment signed martingale density.
 
     minimize sum_m P(m) z_m^2
@@ -140,37 +142,39 @@ def martingale_qp(tree: ScenarioTree) -> QpSolution:
              sum_{children k} (sum_{leaves m under k} P(m) z_m) delta_{k,i} = 0
 
     In u = sqrt(P) z this is: minimize |u|^2 subject to B'u = b, where the
-    columns of B = sqrt(P) [X, 1] are the constraints.  The Hessian of
-    the original problem is the positive diagonal 2 diag(P), so the
-    range-space (Schur complement) form u = B (B'B)^+ b gives the
+    columns of B = sqrt(P) [X, 1] are the constraints, the Y of root.  The
+    Hessian of the original problem is the positive diagonal 2 diag(P),
+    so the range-space (Schur complement) form u = B (B'B)^+ b gives the
     P-weighted minimum-norm density whenever the constraints are
     consistent (Nocedal & Wright, Numerical Optimization, section 16.2).
     """
-    _check_size(tree)
-    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    (B,), (sw,) = _weighted_increments(tree, bounds[None, :-1], np.diff(bounds), cash=True)
+    f = root or root_factor(tree)
+    B = f.Y[0]
     b = np.zeros(B.shape[1])
-    b[-1] = 1.0  # unit-mass constraint
-    b /= _unit_columns(B)
-    u = B @ (pinv_psd(B.T @ B) @ b)
+    b[-1] = 1.0 / f.norms[0, -1]  # unit-mass constraint, for the scaled cash column
+    u = B @ (f.gram_pinv[0] @ b)
     violation = np.max(np.abs(B.T @ u - b))
     if violation > QP_FEAS_TOL * max(1.0, np.max(np.abs(b))):
         raise Infeasible(f"martingale constraints inconsistent (residual {violation:.3e})")
-    return QpSolution(second_moment=float(u @ u), leaf_density=u / sw)
+    return QpSolution(second_moment=float(u @ u), leaf_density=u / f.sw[0])
 
 
-def _constant_hedge(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
+def _constant_hedge(tree: ScenarioTree, root: _Factor | None) -> tuple[np.ndarray, np.ndarray]:
     """Per node, sum r^2 and sum sqrt(w) r for the weighted residual
     r = Y beta - sqrt(w) of hedging the constant payoff 1 with zero
     endowment over the node's subtree; a leaf, with nothing to trade,
-    gives (1, -1).  By the ordering contract a node's descendants at
+    gives (1, -1).  At the root both sums are +-1 / (Y'Y)^+[c, c], the
+    Schur complement of root's unit cash column c = sqrt(w), also for a
+    rank-deficient Y.  By the ordering contract a node's descendants at
     each depth are one id range, found by searchsorted on parent.  The
-    subtrees of one slice with the same node count at every depth are
-    solved as one stack."""
-    _check_size(tree)
+    subtrees of a later slice with the same node count at every depth
+    are solved as one stack."""
     sq, cross = np.ones(len(tree.parent)), -np.ones(len(tree.parent))
+    if tree.horizon:  # root_factor checks the size; a 0-period tree has one leaf
+        sq[0] = 1.0 / (root or root_factor(tree)).gram_pinv[0, -1, -1]
+        cross[0] = -sq[0]
     bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    for t in range(tree.horizon):
+    for t in range(1, tree.horizon):
         lo = np.arange(bounds[t], bounds[t + 1])
         ranges = [np.stack([lo, lo + 1])]   # per depth, each node's descendant id range
         for _ in range(tree.horizon - t):
@@ -179,18 +183,18 @@ def _constant_hedge(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
         shapes, group = np.unique(end - first, axis=0, return_inverse=True)
         for g, counts in enumerate(shapes):
             members = np.flatnonzero(group == g)
-            Y, sw = _weighted_increments(tree, first[members], counts)
-            _, r = _lsq(Y, sw)
+            f = _factor(tree, first[members], counts)
+            _, r = f.lsq(f.sw)
             sq[lo[members]] = np.einsum("ij,ij->i", r, r)
-            cross[lo[members]] = np.einsum("ij,ij->i", sw, r)
+            cross[lo[members]] = np.einsum("ij,ij->i", f.sw, r)
     return sq, cross
 
 
-def node_conditional_check(tree: ScenarioTree) -> np.ndarray:
+def node_conditional_check(tree: ScenarioTree, root: _Factor | None = None) -> np.ndarray:
     """Conditional minimal squared error of hedging the constant payoff 1
     with zero endowment, starting at each node; equals the opportunity
     process.  Leaves trivially give 1."""
-    return _constant_hedge(tree)[0]
+    return _constant_hedge(tree, root)[0]
 
 
 def max_sharpe(tree: ScenarioTree) -> np.ndarray:
@@ -199,7 +203,7 @@ def max_sharpe(tree: ScenarioTree) -> np.ndarray:
     constant claim: the optimal terminal wealth x = 1 + r / sqrt(w)
     maximizes E[x]/std(x), with E[x] = 1 + sum sqrt(w) r and
     var(x) = sum r^2 - (sum sqrt(w) r)^2.  Leaves give 0."""
-    sq, cross = _constant_hedge(tree)
+    sq, cross = _constant_hedge(tree, None)
     var = sq - cross * cross
     return np.divide(1.0 + cross, np.sqrt(np.maximum(var, 1e-24)),
                      out=np.zeros(len(sq)), where=var > 1e-24)

@@ -133,16 +133,6 @@ class ScenarioTree:
         """Ids of the terminal nodes, in id order."""
         return np.flatnonzero(self.time == self.horizon)
 
-    def step(self, node_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One-step view of a non-terminal node, aligned by child: the
-        child ids, their conditional probabilities, and the price
-        increments (one row per child).  Read-only."""
-        lay = self.layout
-        lo, hi = lay.offsets[node_id], lay.offsets[node_id + 1]
-        kids = np.arange(lo + 1, hi + 1)
-        kids.flags.writeable = False
-        return kids, lay.prob[lo:hi], lay.delta[lo:hi]
-
     def node_probs(self) -> np.ndarray:
         """Unconditional probability of reaching each node."""
         probs = np.ones(len(self.parent))

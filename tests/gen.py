@@ -9,6 +9,17 @@ import mvhedge as mv
 from mvhedge.tree import ScenarioTree
 
 
+def step(tree: ScenarioTree, node_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-step view of a non-terminal node, aligned by child: the child
+    ids, their conditional probabilities, and the price increments (one
+    row per child), read off tree.layout.  Read-only."""
+    lay = tree.layout
+    lo, hi = lay.offsets[node_id], lay.offsets[node_id + 1]
+    kids = np.arange(lo + 1, hi + 1)
+    kids.flags.writeable = False
+    return kids, lay.prob[lo:hi], lay.delta[lo:hi]
+
+
 def _random_law(rng, branching: int, d: int, martingale: bool):
     probs = rng.dirichlet(np.full(branching, 5.0))
     probs = np.clip(probs, 0.05, None)
@@ -124,7 +135,7 @@ def efficient_value_process(tree: ScenarioTree, surf: mv.OpportunitySurface,
         i = stack.pop()
         if tree.time[i] == tree.horizon:
             continue
-        kids, _, deltas = tree.step(i)
+        kids, _, deltas = step(tree, i)
         factors = 1.0 - deltas @ surf.a_tilde[i]
         for cid, f in zip(kids.tolist(), factors):
             values[cid] = values[i] * float(f)
@@ -140,7 +151,7 @@ def gkw_holdings_loop(tree: ScenarioTree, plan: mv.HedgePlan) -> np.ndarray:
     phi = np.full((len(tree.nodes), tree.num_assets), np.nan)
     for t in range(tree.horizon - 1, -1, -1):
         for i in tree.layout.slices[t]:
-            kids, probs, deltas = tree.step(i)
+            kids, probs, deltas = step(tree, i)
             V[i] = float(probs @ V[kids])
             c_u = (deltas.T * probs) @ deltas
             d_u = deltas.T @ (probs * (V[kids] - V[i]))
@@ -157,7 +168,7 @@ def markowitz_holdings_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     G[0] = v0
     for i in tree.layout.inner:
         phi[i] = (target - G[i]) * surf.a_tilde[i]
-        kids, _, deltas = tree.step(i)
+        kids, _, deltas = step(tree, i)
         G[kids] = G[i] + deltas @ phi[i]
     return phi
 
@@ -167,7 +178,7 @@ def sample_paths_loop(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     node by node."""
     cum: dict[int, tuple[np.ndarray, list[int]]] = {}
     for i in tree.layout.inner.tolist():
-        kids, probs, _ = tree.step(i)
+        kids, probs, _ = step(tree, i)
         cum[i] = (np.cumsum(probs), kids.tolist())
     out = []
     for i in range(n):
@@ -179,6 +190,21 @@ def sample_paths_loop(tree: ScenarioTree, n: int, seed: int) -> list[int]:
             nid = children[min(int(np.searchsorted(cdf, u[t], side="right")), len(children) - 1)]
         out.append(nid)
     return out
+
+
+def reverse_children(tree: ScenarioTree) -> tuple[ScenarioTree, np.ndarray]:
+    """The tree with every node's children in reverse order, renumbered a
+    slice at a time so that the ordering contract holds, and for each new
+    id the old one."""
+    old = [np.array([0])]
+    for _ in range(tree.horizon):
+        old.append(np.concatenate([np.flatnonzero(tree.parent == i)[::-1] for i in old[-1]]))
+    old = np.concatenate(old)
+    new = np.empty_like(old)
+    new[old] = np.arange(len(old))
+    parent = np.where(tree.parent[old] >= 0, new[tree.parent[old]], -1)
+    return dataclasses.replace(tree, parent=parent, time=tree.time[old], price=tree.price[old],
+                               regime=tree.regime[old], prob=tree.prob[old]), old
 
 
 def uneven_regime_args(periods: int = 3) -> tuple:

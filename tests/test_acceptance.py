@@ -19,6 +19,7 @@ from gen import (
     random_claim,
     random_iid,
     random_tree,
+    step,
     two_regime_tree,
 )
 
@@ -71,7 +72,7 @@ def test_02_opportunity_process_everywhere(reference_trees):
                 ok = False
         # one-step submartingale inequality: L(n) <= E[L(t+1) | n]
         for i in tree.layout.inner:
-            kids, probs, _ = tree.step(i)
+            kids, probs, _ = step(tree, i)
             if surf.L[i] > probs @ surf.L[kids] + 1e-12:
                 ok = False
     report("opportunity_process", ok)
@@ -137,7 +138,7 @@ def _replication_price(tree, claim):
         value[leaf] = float(h)
     for t in range(tree.horizon - 1, -1, -1):
         for i in tree.layout.slices[t]:
-            (up_id, dn_id), _, deltas = tree.step(i)
+            (up_id, dn_id), _, deltas = step(tree, i)
             du, dd = deltas[:, 0]
             q = -dd / (du - dd)
             value[i] = q * value[up_id] + (1.0 - q) * value[dn_id]
@@ -212,7 +213,7 @@ def test_07_structural_identities(reference_trees):
                     1.0, abs(surf.dAK[i])):
                 ok = False
             # one-step conditions of the signed martingale measure
-            kids, probs, deltas = tree.step(i)
+            kids, probs, deltas = step(tree, i)
             w = probs * mea.qstar_w[kids - 1]
             if abs(np.sum(w) - 1.0) > 1e-10:
                 ok = False

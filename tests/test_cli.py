@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from mvhedge.cli import main, make_parser
+import mvhedge as mv
+from mvhedge.cli import _worst_line, build_model, load_config, main, make_parser
 
 BINOMIAL = {"type": "binomial", "s0": [10.0], "up": 1.1, "down": 0.9, "p_up": 0.6,
             "periods": 3}
@@ -19,6 +25,7 @@ REGIME = {"type": "regime", "s0": [10.0],
                       [{"delta": [2.0], "p": 0.4}, {"delta": [-1.0], "p": 0.6}]],
           "transition": [[0.7, 0.3], [0.2, 0.8]], "initial_regime": 0, "periods": 2}
 NAN = float("nan")
+GOLDEN_CONFIG = str(Path(__file__).resolve().parent / "golden" / "config.json")
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -269,6 +276,49 @@ def test_verify_passes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert "CHECK lsq_min_error" in out
+
+
+def verify_verdicts(threads: int) -> list[str]:
+    """verify's CHECK lines on the golden config, cut to name, node and
+    verdict, from a process with the given number of BLAS threads."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-m", "mvhedge.cli", "verify", "--config", GOLDEN_CONFIG],
+                         env=env, capture_output=True, text=True, check=True, timeout=120).stdout
+    return [" ".join(line.split()[:3] + line.split()[-1:])
+            for line in out.splitlines() if line.startswith("CHECK")]
+
+
+def test_verify_nodes_do_not_depend_on_thread_count():
+    # value_process and qp_leaf_density name a node by differences at
+    # rounding level, which move with the BLAS thread count
+    assert verify_verdicts(1) == verify_verdicts(2)
+
+
+def test_worst_line_node(capsys):
+    # differences at rounding level pick the lowest id; a NaN one is the worst
+    ones = np.ones(4)
+    assert _worst_line("x", [5, 6, 7, 8], ones + [1e-16, 3e-16, 0.0, 2e-16], ones, 1e-9)
+    assert not _worst_line("x", [5, 6, 7, 8], ones + [1e-16, 0.1, np.nan, 0.0], ones, 1e-9)
+    assert [line.split()[2] for line in capsys.readouterr().out.splitlines()] == [
+        "node=5", "node=7"]
+
+
+def test_verify_factors_the_root_once(monkeypatch):
+    # the least squares, the QP and the root node check share one
+    # pseudoinverse of the root's normal matrix; no other matrix is as large
+    tree = build_model(load_config(GOLDEN_CONFIG)["model"])
+    root_cols = int(np.count_nonzero(tree.time < tree.horizon)) * tree.num_assets + 1
+    sizes = []
+    original = mv.oracle.pinv_psd
+
+    def pinv_psd(m):
+        sizes.extend([m.shape[-1]] * int(np.prod(m.shape[:-2])))
+        return original(m)
+
+    monkeypatch.setattr(mv.oracle, "pinv_psd", pinv_psd)
+    assert main(["verify", "--config", GOLDEN_CONFIG]) == 0
+    assert [n for n in sizes if n >= root_cols - 1] == [root_cols]
 
 
 def test_verify_detects_tampered_summary(tmp_path):

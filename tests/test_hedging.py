@@ -5,8 +5,8 @@ import pytest
 
 import mvhedge as mv
 
-from gen import (binomial_06, martingale_trinomial, random_claim, random_tree, rollout_path,
-                 uneven_regime_args)
+from gen import (binomial_06, martingale_trinomial, random_claim, random_tree,
+                 reverse_children, rollout_path, step, uneven_regime_args, uneven_regime_tree)
 
 
 def make_call(tree, strike=10.0):
@@ -73,7 +73,7 @@ def test_martingale_feedback_is_pure_hedge():
     # V reduces to plain conditional expectation under the physical measure
     probs = tree.node_probs()
     for i in tree.layout.inner:
-        kids, p, _ = tree.step(i)
+        kids, p, _ = step(tree, i)
         assert plan.V[i] == pytest.approx(float(p @ plan.V[kids]), rel=1e-10, abs=1e-10)
 
 
@@ -99,7 +99,7 @@ def test_v_is_one_step_qstar_martingale(seed):
     mea = mv.measures(tree, surf)
     scale = max(1.0, np.max(np.abs(claim.payoff)))
     for i in tree.layout.inner:
-        kids, p, _ = tree.step(i)
+        kids, p, _ = step(tree, i)
         assert float((p * mea.qstar_w[kids - 1]) @ plan.V[kids]) == pytest.approx(
             plan.V[i], abs=1e-10 * scale
         )
@@ -209,6 +209,8 @@ def test_duplicated_asset(seed):
     assert np.allclose(qp2.leaf_density, qp.leaf_density, rtol=1e-9, atol=1e-9 * z_scale)
     assert mv.lsq_projection(dup, claim, "free").min_error == pytest.approx(
         err2, rel=1e-9, abs=1e-9 * scale * scale)
+    # the root's check is a Schur complement of a rank-deficient normal matrix
+    assert np.allclose(mv.node_conditional_check(dup), surf.L, rtol=1e-9, atol=0.0)
 
 
 def split_first_point(law):
@@ -296,3 +298,30 @@ def test_additive_shift_of_prices_and_strike(seed):
     assert np.allclose(surf2.a_tilde, surf.a_tilde, rtol=1e-9, atol=1e-9, equal_nan=True)
     assert np.allclose(plan2.V, plan.V, rtol=1e-9, atol=1e-9)
     assert np.allclose(plan2.xi, plan.xi, rtol=1e-9, atol=1e-9, equal_nan=True)
+
+
+def reversed_cases():
+    law = [([1.2], 0.3), ([0.1], 0.4), ([-1.0], 0.3)]
+    return [*(mv.build_iid_multinomial([10.0], law, periods) for periods in (2, 3)),
+            uneven_regime_tree(3)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_children_reversed(case):
+    # listing every node's children in reverse order, with the ids
+    # renumbered to keep the ordering contract, permutes the per-node
+    # and per-edge outputs alike and leaves the error unchanged
+    tree = reversed_cases()[case]
+    rev, old = reverse_children(tree)
+    rev, _ = mv.parse_tree(mv.serialize_tree(rev))
+    surf, plan, err = plan_and_error(tree, make_call(tree))
+    surf2, plan2, err2 = plan_and_error(rev, make_call(rev))
+    scale = max(1.0, float(np.max(np.abs(make_call(tree).payoff))))
+    assert np.allclose(surf2.L, surf.L[old], rtol=1e-12, atol=0.0)
+    assert np.allclose(plan2.V, plan.V[old], rtol=1e-12, atol=1e-12 * scale)
+    inner = rev.layout.inner
+    assert np.allclose(plan2.xi[inner], plan.xi[old[inner]], rtol=1e-12, atol=1e-12 * scale)
+    assert err2 == pytest.approx(err, rel=1e-12)
+    qstar_w = mv.measures(tree, surf).qstar_w
+    assert np.allclose(mv.measures(rev, surf2).qstar_w, qstar_w[old[1:] - 1],
+                       rtol=1e-12, atol=0.0)

@@ -1,6 +1,9 @@
 """The per-slice tree layout and the sweeps that run over it: every
 batched sweep must equal its per-node reference loop in tests/gen.py
 bit for bit, and name the same node when it fails."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,7 @@ from gen import (
     random_claim,
     random_tree,
     rollout_loop,
+    step,
     uneven_regime_tree,
 )
 
@@ -72,7 +76,7 @@ def test_qstar_w_read_through_step_matches_node_by_node():
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
     for i in tree.layout.inner.tolist():
-        kids, _, deltas = tree.step(i)
+        kids, _, deltas = step(tree, i)
         want = (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
         assert equal(mea.qstar_w[kids - 1], want), i
 
@@ -123,7 +127,7 @@ def test_layout_matches_nodes():
     lay = tree.layout
     assert tree.layout is lay
     for i in tree.nodes:
-        kids, probs, deltas = tree.step(i)
+        kids, probs, deltas = step(tree, i)
         assert kids.tolist() == np.flatnonzero(tree.parent == i).tolist()
         assert probs.tolist() == tree.prob[kids].tolist()
         for cid, delta in zip(kids, deltas):
@@ -142,7 +146,7 @@ def test_layout_matches_nodes():
 
 def test_step_views_are_read_only():
     tree = uneven_regime_tree(2)
-    kids, probs, deltas = tree.step(0)
+    kids, probs, deltas = step(tree, 0)
     for view in (kids, probs, deltas, tree.layout.slices[1], tree.layout.groups[0][0][1]):
         with pytest.raises(ValueError):
             view[0] = 0
@@ -162,6 +166,31 @@ def test_oracles_build_no_layout(monkeypatch):
     mv.martingale_qp(tree)
     mv.lsq_projection(tree, claim, "free")
     assert built == []
+
+
+ENGINE = {"linalg", "opportunity", "hedging", "backtest"}
+
+
+def test_oracle_imports_only_pinv_psd_and_reads_no_layout():
+    # the oracles cross-check the engine only while they share no code
+    # with it beyond the symmetric pseudoinverse
+    source = Path(mv.oracle.__file__).read_text()
+    shared, layout_reads = set(), []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rsplit(".", 1)[-1]
+            names = {alias.name for alias in node.names}
+            if module in ENGINE:
+                shared |= {f"{module}.{name}" for name in names}
+            elif module in ("", "mvhedge"):
+                shared |= names & ENGINE
+        elif isinstance(node, ast.Import):
+            shared |= {alias.name for alias in node.names
+                       if alias.name.rsplit(".", 1)[-1] in ENGINE}
+        elif isinstance(node, ast.Attribute) and node.attr == "layout":
+            layout_reads.append(node.lineno)
+    assert shared == {"linalg.pinv_psd"}
+    assert layout_reads == []
 
 
 def test_claim_length_must_match_leaves():

@@ -10,6 +10,7 @@ from gen import (
     efficient_value_process,
     martingale_trinomial,
     random_tree,
+    step,
     subtree_at,
     two_regime_tree,
 )
@@ -64,7 +65,7 @@ def test_measures_martingale_tree():
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
     for i in tree.layout.inner:
-        kids, probs, _ = tree.step(i)
+        kids, probs, _ = step(tree, i)
         assert np.allclose(mea.qstar_w[kids - 1], 1.0, atol=1e-12)
         assert np.allclose(mea.pstar_p[kids - 1], probs, atol=1e-12)
     assert np.allclose(mea.z_pstar, 1.0, atol=1e-12)
@@ -74,7 +75,7 @@ def test_measures_binomial_hand_values():
     tree = binomial_06()
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
-    kids, _, _ = tree.step(0)
+    kids, _, _ = step(tree, 0)
     assert mea.qstar_w[kids - 1] == pytest.approx([0.8 / 0.96, 1.2 / 0.96])
     assert mea.pstar_p[kids - 1] == pytest.approx([0.6, 0.4])
 
@@ -87,7 +88,7 @@ def test_measures_signed_trinomial():
     mea = mv.measures(tree, surf)
     assert surf.a_tilde[0][0] == pytest.approx(1.25 / 2.35)
     # up branch weight is negative: the measure is signed
-    kids, probs, _ = tree.step(0)
+    kids, probs, _ = step(tree, 0)
     assert mea.qstar_w[kids[0] - 1] < 0.0
     assert mea.num_negative_weights == 1
     assert float(probs @ mea.qstar_w[kids - 1]) == pytest.approx(1.0)
@@ -179,7 +180,7 @@ def test_structural_identities_random_trees(seed):
     mea = mv.measures(tree, surf)
     probs = tree.node_probs()
     for i in tree.layout.inner:
-        kids, p, deltas = tree.step(i)
+        kids, p, deltas = step(tree, i)
         child_L = surf.L[kids]
         # backward fixed point
         assert surf.L[i] * (1.0 + surf.dAK[i]) == pytest.approx(float(p @ child_L))

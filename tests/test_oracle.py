@@ -76,6 +76,8 @@ def test_node_conditional_check_equals_L(seed):
     tree = random_tree(rng, periods=3)
     surf = mv.compute_opportunity(tree)
     assert np.allclose(mv.node_conditional_check(tree), surf.L, rtol=1e-9, atol=0.0)
+    # the root's cross term is -L0
+    assert mv.max_sharpe(tree)[0] == pytest.approx(np.sqrt(1.0 / surf.L[0] - 1.0), rel=1e-12)
 
 
 def test_max_sharpe_binomial():
