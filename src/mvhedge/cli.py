@@ -206,14 +206,22 @@ def cmd_hedge(args) -> int:
 
 
 def _check_line(name: str, node, engine: float, target: float, tol: float) -> bool:
-    denom = max(abs(target), 1.0)
-    rel = abs(engine - target) / denom
-    ok = rel <= tol
-    print(
-        f"CHECK {name} node={node} engine={_fmt(engine)} oracle={_fmt(target)} "
-        f"rel_err={rel:.3e} {'PASS' if ok else 'FAIL'}"
-    )
-    return ok
+    return _check_lines({name: (engine, target)}, [node], tol)
+
+
+def _check_lines(checks: dict, nodes, tol: float) -> bool:
+    """A CHECK line per node and check, node-major; checks maps each name
+    to its (engine, target) pair of per-node arrays or scalars."""
+    engine, target = (np.column_stack([np.broadcast_to(pair[j], (len(nodes),))
+                                       for pair in checks.values()]) for j in (0, 1))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
+        rel = np.abs(engine - target) / np.maximum(np.abs(target), 1.0)
+    rows = zip(list(checks) * len(nodes), np.repeat(nodes, len(checks)).tolist(),
+               engine.ravel().tolist(), target.ravel().tolist(), rel.ravel().tolist(),
+               np.where(rel <= tol, "PASS", "FAIL").flat)
+    print("".join("CHECK %s node=%d engine=%.17g oracle=%.17g rel_err=%.3e %s\n" % row
+                  for row in rows), end="")
+    return bool(np.all(rel <= tol))
 
 
 def _worst_line(name: str, ids, engine: np.ndarray, target: np.ndarray, tol: float) -> bool:
@@ -249,8 +257,7 @@ def cmd_verify(args) -> int:
 
     node_L = oracle.node_conditional_check(tree, root)
     del root
-    for i, pair in enumerate(zip(surf.L.tolist(), node_L.tolist())):
-        ok &= _check_line("node_L", i, *pair, tol)
+    ok &= _check_lines({"node_L": (surf.L, node_L)}, tree.nodes, tol)
 
     lay = tree.layout
     ids = lay.inner
@@ -278,11 +285,7 @@ def cmd_verify(args) -> int:
         "qstar_drift": (drift, 0.0),
         "lemma323": (np.maximum.reduceat(np.abs(fact - mea.qstar_w), lay.offsets[ids]), 0.0),
     }
-    columns = [(name, engine.tolist(), np.broadcast_to(target, engine.shape).tolist())
-               for name, (engine, target) in identities.items()]
-    for i in ids.tolist():
-        for name, engine, target in columns:
-            ok &= _check_line(name, i, engine[i], target[i], tol)
+    ok &= _check_lines(identities, ids, tol)
 
     ok &= _check_line("fs_residual", 0,
                       hedging.fs_residual_check(tree, surf, plan) / scale, 0.0, tol)

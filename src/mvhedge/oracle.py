@@ -8,13 +8,16 @@ and oracle is therefore a genuine cross check, not a tautology.  Both
 read the leaf x holding matrix of price increments along each leaf's
 path, its rows weighted by the square root of the leaf probability,
 built from the stored parent, price and prob arrays a tree level at a
-time.  One pseudoinverse of the whole tree's normal matrix serves the
-least squares with free endowment, the QP (in range-space form, through
-the Schur complement of its diagonal Hessian) and the root's conditional
-check (the Schur complement of the cash column); every other node's
-check re-solves the least squares on its subtree, the subtrees of one
-slice and shape as one stack.  The oracles rely on the ordering
-contract that validate_tree enforces, never on the engine's tree layout.
+time.  One factor of the whole tree's normal matrix, with one solve for
+the cash column, serves the least squares with free endowment, the QP
+(in range-space form, through the Schur complement of its diagonal
+Hessian) and the root's conditional check (the Schur complement of the
+cash column); every other node's check re-solves the least squares on
+its subtree, the subtrees of one slice and shape as one stack.  A normal
+matrix is solved directly where a shifted Cholesky factor certifies
+that the pseudoinverse would truncate nothing, else through it.  The
+oracles rely on the ordering contract that validate_tree enforces,
+never on the engine's tree layout.
 """
 from __future__ import annotations
 
@@ -28,6 +31,11 @@ from .tree import Claim, ScenarioTree
 
 MAX_ORACLE_LEAVES = 2000
 QP_FEAS_TOL = 1e-8   # relative constraint residual above which the QP is Infeasible
+# tau / (n r) of _certify, at least twice linalg.EIG_TRUNCATION: as r >= lambda_max,
+# the Cholesky factor of G - tau I proves lambda_min(G) > tau less its backward error,
+# about n u r (Higham, Accuracy and Stability of Numerical Algorithms, section 10.1),
+# so above pinv_psd's cutoff n EIG_TRUNCATION max|lambda|
+_CERTIFY = 1e-11
 
 
 @dataclass
@@ -46,16 +54,42 @@ class QpSolution:
 @dataclass
 class _Factor:
     """Y (k, n_leaves, m) with unit columns, sqrt(w) (k, n_leaves), the
-    column norms and pinv_psd of each normal matrix Y'Y; see _factor."""
+    column norms and, as _certify returns them, each normal matrix G = Y'Y
+    or pinv_psd(G) and whether G^+ = G^-1; see _factor and root_factor."""
     Y: np.ndarray
     sw: np.ndarray
     norms: np.ndarray
-    gram_pinv: np.ndarray
+    gram: np.ndarray
+    certified: bool
+    cash_sol: np.ndarray | None = None   # root_factor's G^+ e_c, c the cash column
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """G^+ rhs for each G of the stack, rhs (k, m)."""
+        x = rhs[..., None]
+        return (np.linalg.solve(self.gram, x) if self.certified else self.gram @ x)[..., 0]
 
     def lsq(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Minimum-norm least squares of target on each Y: (unscaled beta, residual)."""
-        beta = self.gram_pinv @ (self.Y.swapaxes(1, 2) @ target[..., None])
-        return beta[..., 0] / self.norms, (self.Y @ beta)[..., 0] - target
+        beta = self.solve((self.Y.swapaxes(1, 2) @ target[..., None])[..., 0])
+        return beta / self.norms, (self.Y @ beta[..., None])[..., 0] - target
+
+
+def _certify(G: np.ndarray) -> tuple[np.ndarray, bool]:
+    """(G, True) when each G of the stack less tau = _CERTIFY n r times I,
+    with r the largest row sum of |G|, has a Cholesky factor, so that
+    pinv_psd(G) would truncate nothing and G^+ = G^-1 (see _CERTIFY);
+    else (pinv_psd(G), False)."""
+    n = G.shape[-1]
+    tau = _CERTIFY * n * np.abs(G).sum(axis=-1).max(axis=-1, initial=0.0)
+    shifted = G.copy()
+    shifted[..., range(n), range(n)] -= tau[..., None]
+    try:
+        np.linalg.cholesky(shifted)
+        if np.all(np.isfinite(tau)):
+            return G, True
+    except np.linalg.LinAlgError:
+        pass
+    return pinv_psd(G), False
 
 
 def _factor(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
@@ -69,9 +103,9 @@ def _factor(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
     ancestor a of leaf j at depth l (offset_l nodes lie above depth l),
     the price increment from a to the next node on the path to leaf j.
     With cash, X gets a last column of ones.  Y's columns are scaled to
-    unit norm (a zero column keeps norm 1), so the pseudoinverse cutoff,
-    relative to the largest eigenvalue, does not depend on the price
-    unit: cash (scale 1) and holdings (scale of prices) weigh alike."""
+    unit norm (a zero column keeps norm 1), so the certificate and the
+    pseudoinverse cutoff, relative to the largest eigenvalue, do not depend
+    on the price unit: cash (scale 1) and holdings (prices) weigh alike."""
     k, depth, d = len(first), len(counts) - 1, tree.num_assets
     offset = np.cumsum(counts) - counts
     sub = np.arange(k)[:, None]
@@ -94,7 +128,7 @@ def _factor(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
     norms = np.sqrt(np.einsum("...ij,...ij->...j", Y, Y))
     norms[norms == 0.0] = 1.0
     Y /= norms[..., None, :]
-    return _Factor(Y, sw, norms, pinv_psd(Y.swapaxes(1, 2) @ Y))
+    return _Factor(Y, sw, norms, *_certify(Y.swapaxes(1, 2) @ Y))
 
 
 def root_factor(tree: ScenarioTree, cash: bool = True) -> _Factor:
@@ -103,7 +137,10 @@ def root_factor(tree: ScenarioTree, cash: bool = True) -> _Factor:
     if n_leaves > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{n_leaves} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
     bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    return _factor(tree, bounds[None, :-1], np.diff(bounds), cash)
+    f = _factor(tree, bounds[None, :-1], np.diff(bounds), cash)
+    if cash:  # one solve serves the QP and the root node check
+        f.cash_sol = f.solve(np.eye(1, f.Y.shape[-1], f.Y.shape[-1] - 1))
+    return f
 
 
 def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free",
@@ -113,8 +150,8 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free",
     Decision variables are the d holdings at every non-terminal node
     (plus v0 when free); the terminal wealth on each leaf is linear in
     them, so the optimum is a least squares in the sqrt(P)-weighted
-    space, solved by normal equations with the PSD pseudoinverse
-    (minimum-norm representative), of root when v0 is free.
+    space, solved by normal equations (minimum-norm representative, see
+    _Factor), of root when v0 is free.
     """
     free_v0 = isinstance(v0, str)
     f = (root or root_factor(tree)) if free_v0 else root_factor(tree, cash=False)
@@ -146,13 +183,14 @@ def martingale_qp(tree: ScenarioTree, root: _Factor | None = None) -> QpSolution
     Hessian of the original problem is the positive diagonal 2 diag(P),
     so the range-space (Schur complement) form u = B (B'B)^+ b gives the
     P-weighted minimum-norm density whenever the constraints are
-    consistent (Nocedal & Wright, Numerical Optimization, section 16.2).
+    consistent (Nocedal & Wright, Numerical Optimization, section 16.2);
+    b is a multiple of the cash unit vector, so (B'B)^+ b is cash_sol's.
     """
     f = root or root_factor(tree)
     B = f.Y[0]
     b = np.zeros(B.shape[1])
     b[-1] = 1.0 / f.norms[0, -1]  # unit-mass constraint, for the scaled cash column
-    u = B @ (f.gram_pinv[0] @ b)
+    u = B @ (f.cash_sol[0] * b[-1])
     violation = np.max(np.abs(B.T @ u - b))
     if violation > QP_FEAS_TOL * max(1.0, np.max(np.abs(b))):
         raise Infeasible(f"martingale constraints inconsistent (residual {violation:.3e})")
@@ -171,7 +209,7 @@ def _constant_hedge(tree: ScenarioTree, root: _Factor | None) -> tuple[np.ndarra
     are solved as one stack."""
     sq, cross = np.ones(len(tree.parent)), -np.ones(len(tree.parent))
     if tree.horizon:  # root_factor checks the size; a 0-period tree has one leaf
-        sq[0] = 1.0 / (root or root_factor(tree)).gram_pinv[0, -1, -1]
+        sq[0] = 1.0 / (root or root_factor(tree)).cash_sol[0, -1]
         cross[0] = -sq[0]
     bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
     for t in range(1, tree.horizon):

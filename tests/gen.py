@@ -207,6 +207,27 @@ def reverse_children(tree: ScenarioTree) -> tuple[ScenarioTree, np.ndarray]:
                                regime=tree.regime[old], prob=tree.prob[old]), old
 
 
+def split_child(tree: ScenarioTree, child: int) -> tuple[ScenarioTree, np.ndarray]:
+    """The tree with node child (not the root) and its subtree replaced by
+    two copies, each at half of child's conditional probability and the
+    copy listed right after the original, renumbered a slice at a time so
+    that the ordering contract holds, and for each new id the old one."""
+    old, parent, frontier = [0], [-1], [0]
+    for _ in range(tree.horizon):
+        nxt = []
+        for new in frontier:
+            for k in np.flatnonzero(tree.parent == old[new]).tolist():
+                for _ in range(2 if k == child else 1):
+                    nxt.append(len(old))
+                    old.append(k)
+                    parent.append(new)
+        frontier = nxt
+    old = np.array(old)
+    prob = np.where(old == child, tree.prob[old] / 2.0, tree.prob[old])
+    return dataclasses.replace(tree, parent=np.array(parent), time=tree.time[old],
+                               price=tree.price[old], regime=tree.regime[old], prob=prob), old
+
+
 def uneven_regime_args(periods: int = 3) -> tuple:
     """build_regime_switching arguments of uneven_regime_tree."""
     regimes = [

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.cli import _worst_line, build_model, load_config, main, make_parser
+from mvhedge.cli import (_check_line, _check_lines, _worst_line, build_model, load_config, main,
+                         make_parser)
+from mvhedge.tree import _fmt
 
 BINOMIAL = {"type": "binomial", "s0": [10.0], "up": 1.1, "down": 0.9, "p_up": 0.6,
             "periods": 3}
@@ -304,21 +307,76 @@ def test_worst_line_node(capsys):
         "node=5", "node=7"]
 
 
-def test_verify_factors_the_root_once(monkeypatch):
-    # the least squares, the QP and the root node check share one
-    # pseudoinverse of the root's normal matrix; no other matrix is as large
-    tree = build_model(load_config(GOLDEN_CONFIG)["model"])
+def root_size_solves(monkeypatch, cfg: str) -> tuple[list[int], list[int]]:
+    """The sizes of the matrices as large as the root's normal matrix (or
+    its block without the cash column) that verify on cfg certifies and
+    that it hands to pinv_psd."""
+    tree = build_model(load_config(cfg)["model"])
     root_cols = int(np.count_nonzero(tree.time < tree.horizon)) * tree.num_assets + 1
-    sizes = []
-    original = mv.oracle.pinv_psd
+    certified, pinv = [], []
 
-    def pinv_psd(m):
-        sizes.extend([m.shape[-1]] * int(np.prod(m.shape[:-2])))
-        return original(m)
+    def spy(seen, original):
+        def call(m):
+            seen.extend([m.shape[-1]] * int(np.prod(m.shape[:-2])))
+            return original(m)
+        return call
 
-    monkeypatch.setattr(mv.oracle, "pinv_psd", pinv_psd)
-    assert main(["verify", "--config", GOLDEN_CONFIG]) == 0
-    assert [n for n in sizes if n >= root_cols - 1] == [root_cols]
+    monkeypatch.setattr(mv.oracle, "_certify", spy(certified, mv.oracle._certify))
+    monkeypatch.setattr(mv.oracle, "pinv_psd", spy(pinv, mv.oracle.pinv_psd))
+    assert main(["verify", "--config", cfg]) == 0
+    return ([n for n in certified if n >= root_cols - 1],
+            [n for n in pinv if n >= root_cols - 1], root_cols)
+
+
+def test_verify_factors_the_root_once(monkeypatch, tmp_path):
+    # the least squares, the QP and the root node check share one factor
+    # of the root's normal matrix; no other matrix is as large.  It is
+    # certified and solved directly, or, for a duplicated asset, which
+    # makes it singular, replaced by its pseudoinverse
+    certified, pinv, root_cols = root_size_solves(monkeypatch, GOLDEN_CONFIG)
+    assert (certified, pinv) == ([root_cols], [])
+    dup = {"type": "iid", "s0": [10.0, 10.0], "periods": 3,
+           "increments": [{"delta": [x, x], "p": p} for x, p in ((1.0, 0.3), (0.0, 0.4),
+                                                                  (-1.0, 0.3))]}
+    cfg = write_config(tmp_path, {"model": dup, "claim": CALL10})
+    certified, pinv, root_cols = root_size_solves(monkeypatch, cfg)
+    assert (certified, pinv) == ([root_cols], [root_cols])
+
+
+@pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
+def test_printf_renders_doubles_as_check_line(x):
+    # _check_lines renders every number with one printf template
+    assert "%.17g" % x == format(x, ".17g") == _fmt(x)
+    assert "%.3e" % x == f"{x:.3e}"
+
+
+def reference_line(name, node, engine: float, target: float, tol: float) -> str:
+    """A CHECK line rendered number by number with format()."""
+    rel = abs(engine - target) / max(abs(target), 1.0)
+    return (f"CHECK {name} node={node} engine={_fmt(engine)} oracle={_fmt(target)} "
+            f"rel_err={rel:.3e} {'PASS' if rel <= tol else 'FAIL'}")
+
+
+def test_check_lines_render_as_format(capsys):
+    # node-major lines, byte for byte the number-by-number rendering, with
+    # a NaN on either side a FAIL; a scalar target applies to every node
+    values = [0.0, -0.0, 1.0, 1.0 + 1e-10, 1.0 + 1e-8, 5e-324, -3e5, math.inf, -math.inf, NAN]
+    engine = np.array([[e, t] for e in values for t in values])
+    target = engine[::-1].copy()
+    nodes = (np.arange(len(engine)) * 3).tolist()
+    checks = {"a": (engine[:, 0], target[:, 0]), "b": (engine[:, 1], target[:, 1]),
+              "c": (engine[:, 0], 0.0)}
+    assert not _check_lines(checks, nodes, 1e-9)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [reference_line(name, node, float(e[i]), float(np.broadcast_to(t, e.shape)[i]),
+                                    1e-9)
+                     for i, node in enumerate(nodes) for name, (e, t) in checks.items()]
+    fails = [line for line in lines if {"engine=nan", "oracle=nan"} & set(line.split()[3:5])]
+    assert fails and all(line.endswith(" FAIL") for line in fails)
+    assert _check_line("x", 7, 1.0, 1.0 + 1e-12, 1e-9)
+    assert capsys.readouterr().out == reference_line("x", 7, 1.0, 1.0 + 1e-12, 1e-9) + "\n"
+    assert _check_lines({"a": (np.empty(0), 0.0)}, [], 1e-9)
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_detects_tampered_summary(tmp_path):

@@ -2,11 +2,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mvhedge as mv
 
 from gen import (binomial_06, martingale_trinomial, random_claim, random_tree,
-                 reverse_children, rollout_path, step, uneven_regime_args, uneven_regime_tree)
+                 reverse_children, rollout_path, split_child, step, uneven_regime_args,
+                 uneven_regime_tree)
 
 
 def make_call(tree, strike=10.0):
@@ -209,7 +212,9 @@ def test_duplicated_asset(seed):
     assert np.allclose(qp2.leaf_density, qp.leaf_density, rtol=1e-9, atol=1e-9 * z_scale)
     assert mv.lsq_projection(dup, claim, "free").min_error == pytest.approx(
         err2, rel=1e-9, abs=1e-9 * scale * scale)
-    # the root's check is a Schur complement of a rank-deficient normal matrix
+    # the root's check is a Schur complement of a rank-deficient normal
+    # matrix, which fails the oracle's certificate and takes pinv_psd
+    assert not mv.oracle.root_factor(dup).certified
     assert np.allclose(mv.node_conditional_check(dup), surf.L, rtol=1e-9, atol=0.0)
 
 
@@ -325,3 +330,49 @@ def test_children_reversed(case):
     qstar_w = mv.measures(tree, surf).qstar_w
     assert np.allclose(mv.measures(rev, surf2).qstar_w, qstar_w[old[1:] - 1],
                        rtol=1e-12, atol=0.0)
+
+
+# the property versions of the two invariants above, over small
+# heterogeneous random trees kept at desk scale (random_tree redraws a
+# tree with L0 < 0.05); derandomized, so that every run draws the same
+# examples
+invariant_settings = settings(max_examples=60, deadline=None, derandomize=True)
+small_trees = st.builds(lambda seed, periods: random_tree(np.random.default_rng(seed), periods),
+                        st.integers(0, 2 ** 32 - 1), st.integers(1, 3))
+strikes = st.floats(7.0, 13.0)
+
+
+@invariant_settings
+@given(tree=small_trees, strike=strikes)
+def test_children_reversed_property(tree, strike):
+    rev, old = reverse_children(tree)
+    rev, _ = mv.parse_tree(mv.serialize_tree(rev))
+    surf, plan, err = plan_and_error(tree, make_call(tree, strike))
+    surf2, plan2, err2 = plan_and_error(rev, make_call(rev, strike))
+    scale = max(1.0, float(np.max(np.abs(make_call(tree, strike).payoff))))
+    assert np.allclose(surf2.L, surf.L[old], rtol=1e-12, atol=0.0)
+    assert np.allclose(plan2.V, plan.V[old], rtol=1e-12, atol=1e-12 * scale)
+    inner = rev.layout.inner
+    assert np.allclose(plan2.xi[inner], plan.xi[old[inner]], rtol=1e-12, atol=1e-12 * scale)
+    assert err2 == pytest.approx(err, rel=1e-12, abs=1e-12 * scale * scale)
+    assert np.allclose(mv.measures(rev, surf2).qstar_w, mv.measures(tree, surf).qstar_w[old[1:] - 1],
+                       rtol=1e-12, atol=0.0)
+
+
+@invariant_settings
+@given(tree=small_trees, strike=strikes, pick=st.floats(0.0, 1.0, exclude_max=True))
+def test_law_point_split_property(tree, strike, pick):
+    # any one non-root node with its subtree split into two copies at half
+    # the probability: the same L, V and xi at every copy, the same error,
+    # and the oracles still agree with the engine
+    split, old = split_child(tree, 1 + int(pick * (len(tree.parent) - 1)))
+    surf, plan, err = plan_and_error(tree, make_call(tree, strike))
+    surf2, plan2, err2 = plan_and_error(split, make_call(split, strike))
+    scale = max(1.0, float(np.max(np.abs(make_call(tree, strike).payoff))))
+    assert np.allclose(surf2.L, surf.L[old], rtol=1e-12, atol=0.0)
+    assert np.allclose(plan2.V, plan.V[old], rtol=1e-12, atol=1e-12 * scale)
+    inner = split.layout.inner
+    assert np.allclose(plan2.xi[inner], plan.xi[old[inner]], rtol=1e-12, atol=1e-12 * scale)
+    assert err2 == pytest.approx(err, rel=1e-12, abs=1e-12 * scale * scale)
+    assert np.allclose(mv.node_conditional_check(split), surf2.L, rtol=1e-9, atol=0.0)
+    assert mv.martingale_qp(split).second_moment == pytest.approx(1.0 / surf2.L[0], rel=1e-9)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import mvhedge as mv
+from mvhedge import linalg, oracle
 from mvhedge.tree import ScenarioTree
 
 from gen import (binomial_06, martingale_trinomial, node_oracle_loop, random_claim, random_tree,
@@ -148,3 +149,64 @@ def test_prices_times_k(k, case):
     assert err_k == pytest.approx(sol.min_error, rel=1e-9, abs=1e-12 * (scale * k) ** 2)
     assert mv.martingale_qp(scaled).second_moment == pytest.approx(1.0 / surf_k.L[0], rel=1e-9)
     assert np.allclose(mv.node_conditional_check(scaled), surf_k.L, rtol=1e-9, atol=0.0)
+
+
+def test_certificate_clears_the_pinv_cutoff():
+    # tau = c n r with r >= lambda_max must exceed pinv_psd's cutoff
+    # n 1e-12 lambda_max by more than Cholesky's backward error
+    assert oracle._CERTIFY >= 2 * linalg.EIG_TRUNCATION
+
+
+def pinv_solve(f, rhs):
+    """(Y'Y)^+ rhs through pinv_psd, for each Y of the factor's stack."""
+    return (mv.pinv_psd(f.Y.swapaxes(1, 2) @ f.Y) @ rhs[..., None])[..., 0]
+
+
+def unit_cash(f):
+    e_cash = np.zeros(f.Y.shape[::2])
+    e_cash[:, -1] = 1.0
+    return e_cash
+
+
+def assert_close(got, want, rel):
+    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_certified_factor_matches_pinv(seed):
+    rng = np.random.default_rng(1600 + seed)
+    tree = random_tree(rng)
+    for f in (oracle.root_factor(tree), oracle.root_factor(tree, cash=False)):
+        assert f.certified
+        rhs = rng.normal(size=f.Y.shape[::2])
+        assert_close(f.solve(rhs), pinv_solve(f, rhs), 1e-12)
+    f = oracle.root_factor(tree)
+    assert_close(f.cash_sol, pinv_solve(f, unit_cash(f)), 1e-12)
+
+
+def spectrum_factor(rng, spectra):
+    """A _Factor on square Y = Q diag(sqrt(lam)) Q', one per spectrum, so
+    that Y'Y has eigenvalues lam up to rounding."""
+    Y = []
+    for lam in spectra:
+        q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
+        Y.append((q * np.sqrt(lam)) @ q.T)
+    Y = np.array(Y)
+    return oracle._Factor(Y, np.ones(Y.shape[:2]), np.ones(Y.shape[::2]),
+                          *oracle._certify(Y.swapaxes(1, 2) @ Y))
+
+
+def test_certificate_rejects_an_eigenvalue_at_the_pinv_cutoff():
+    rng = np.random.default_rng(1700)
+    n = 6
+    at_cutoff = [1.0, 0.8, 0.5, 0.3, 0.2, n * linalg.EIG_TRUNCATION]
+    well_above = [1.0, 0.8, 0.5, 0.3, 0.2, 1e-3]
+    assert spectrum_factor(rng, [well_above]).certified
+    assert spectrum_factor(rng, [well_above, well_above]).certified
+    for spectra in ([at_cutoff], [well_above, at_cutoff]):
+        # the whole stack takes the pinv_psd path, bit for bit
+        f = spectrum_factor(rng, spectra)
+        assert not f.certified
+        target = rng.normal(size=f.Y.shape[:2])
+        rhs = (f.Y.swapaxes(1, 2) @ target[..., None])[..., 0]
+        assert np.array_equal(f.lsq(target)[0], pinv_solve(f, rhs))
