@@ -172,7 +172,7 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
             strategy=kind, num_paths=len(tree.leaves()), mean_sq_error=mse,
             std_error=0.0, analytic_error=analytic,
         )
-    errs = (G[paths] - plan.V[paths]) ** 2
+    errs = (G - plan.V)[np.asarray(paths)] ** 2   # a list index gathers element by element
     mean = float(np.mean(errs))
     std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
     return BacktestReport(

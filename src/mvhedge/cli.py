@@ -180,13 +180,12 @@ def cmd_hedge(args) -> int:
     v0 = _resolve_v0(args.v0 if args.v0 is not None else config.get("v0"), plan)
     report = hedging.hedging_error(tree, surf, plan, v0)
 
-    rows = ["id,time,V," + ",".join(f"xi_{i}" for i in range(tree.num_assets)) + ",e"]
-    for i, t in enumerate(tree.time.tolist()):
-        terminal = t == tree.horizon
-        xi = ",".join("" if terminal else _fmt(x) for x in plan.xi[i])
-        e = "" if terminal else _fmt(plan.e[i])
-        rows.append(f"{i},{t},{_fmt(plan.V[i])},{xi},{e}")
-    _write(args.out, "hedge_nodes.csv", "\n".join(rows) + "\n")
+    d, n_in = tree.num_assets, int(np.searchsorted(tree.time, tree.horizon))  # leaves last
+    ids, time, V = range(len(tree.time)), tree.time.tolist(), plan.V.tolist()
+    _write(args.out, "hedge_nodes.csv", "id,time,V," + "".join(f"xi_{i}," for i in range(d))
+           + "e\n" + _rows("%d,%d,%.17g," + "%.17g," * d + "%.17g\n", ids[:n_in], time[:n_in],
+                           V[:n_in], *plan.xi[:n_in].T.tolist(), plan.e[:n_in].tolist())
+           + _rows("%d,%d,%.17g" + "," * (d + 1) + "\n", ids[n_in:], time[n_in:], V[n_in:]))
 
     summary = "\n".join([
         "{",
@@ -205,6 +204,11 @@ def cmd_hedge(args) -> int:
     return EXIT_OK
 
 
+def _rows(template: str, *columns) -> str:
+    """template % each row of the columns, as one string."""
+    return "".join(template % row for row in zip(*columns))
+
+
 def _check_line(name: str, node, engine: float, target: float, tol: float) -> bool:
     return _check_lines({name: (engine, target)}, [node], tol)
 
@@ -216,11 +220,10 @@ def _check_lines(checks: dict, nodes, tol: float) -> bool:
                                        for pair in checks.values()]) for j in (0, 1))
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, as for Python floats
         rel = np.abs(engine - target) / np.maximum(np.abs(target), 1.0)
-    rows = zip(list(checks) * len(nodes), np.repeat(nodes, len(checks)).tolist(),
-               engine.ravel().tolist(), target.ravel().tolist(), rel.ravel().tolist(),
-               np.where(rel <= tol, "PASS", "FAIL").flat)
-    print("".join("CHECK %s node=%d engine=%.17g oracle=%.17g rel_err=%.3e %s\n" % row
-                  for row in rows), end="")
+    print(_rows("CHECK %s node=%d engine=%.17g oracle=%.17g rel_err=%.3e %s\n",
+                list(checks) * len(nodes), np.repeat(nodes, len(checks)).tolist(),
+                engine.ravel().tolist(), target.ravel().tolist(), rel.ravel().tolist(),
+                np.where(rel <= tol, "PASS", "FAIL").flat), end="")
     return bool(np.all(rel <= tol))
 
 
@@ -242,7 +245,7 @@ def cmd_verify(args) -> int:
     ok = True
 
     report = hedging.hedging_error(tree, surf, plan, plan.v0)
-    root = oracle.root_factor(tree)
+    root = oracle.root_factor(tree, claim=claim)
     lsq = oracle.lsq_projection(tree, claim, "free", root)
     ok &= _check_line("lsq_v0", 0, plan.v0, lsq.v0_opt, tol)
     ok &= _check_line("lsq_min_error", 0, report.total_error, lsq.min_error, tol)
@@ -340,40 +343,30 @@ def cmd_backtest(args) -> int:
 def cmd_inspect(args) -> int:
     config = load_config(args.config)
     tree, claim, surf, plan = _setup(config)
-    field = args.field
-    time = tree.time.tolist()
-    inner = tree.layout.inner.tolist()
+    field, d, inner = args.field, tree.num_assets, tree.layout.inner
+    at = (inner.tolist(), tree.time[inner].tolist())   # the id and time of each inner node
     per_node = {"L": surf.L, "V": plan.V, "sharpe": surf.sharpe}
     if field in per_node:
-        print(f"id,time,{field}")
-        for i, (t, x) in enumerate(zip(time, per_node[field].tolist())):
-            print(f"{i},{t},{_fmt(x)}")
+        print(f"id,time,{field}\n" + _rows("%d,%d,%.17g\n", range(len(tree.time)),
+                                           tree.time.tolist(), per_node[field].tolist()), end="")
     elif field == "a":
-        head = ",".join(f"a_tilde_{i}" for i in range(tree.num_assets))
-        head += "," + ",".join(f"a_hat_{i}" for i in range(tree.num_assets))
-        print(f"id,time,{head},dAK")
-        for i in inner:
-            at = ",".join(_fmt(x) for x in surf.a_tilde[i])
-            ah = ",".join(_fmt(x) for x in surf.a_hat[i])
-            print(f"{i},{time[i]},{at},{ah},{_fmt(surf.dAK[i])}")
+        head = "".join(f"a_{kind}_{i}," for kind in ("tilde", "hat") for i in range(d))
+        print(f"id,time,{head}dAK\n" + _rows("%d,%d" + ",%.17g" * (2 * d + 1) + "\n", *at,
+              *surf.a_tilde[inner].T.tolist(), *surf.a_hat[inner].T.tolist(),
+              surf.dAK[inner].tolist()), end="")
     elif field == "xi":
-        print("id,time," + ",".join(f"xi_{i}" for i in range(tree.num_assets)))
-        for i in inner:
-            print(f"{i},{time[i]}," + ",".join(_fmt(x) for x in plan.xi[i]))
+        print("id,time," + ",".join(f"xi_{i}" for i in range(d)) + "\n"
+              + _rows("%d,%d" + ",%.17g" * d + "\n", *at, *plan.xi[inner].T.tolist()), end="")
     elif field == "mvt":
         mvt = opportunity.mvt_process(tree, surf)
-        print("id,time,dK_hat")
-        for i in inner:
-            print(f"{i},{time[i]},{_fmt(mvt.dK_hat[i])}")
+        print("id,time,dK_hat\n" + _rows("%d,%d,%.17g\n", *at, mvt.dK_hat[inner].tolist()), end="")
         det = "true" if mvt.deterministic_mvt else "false"
         pp = "true" if mvt.pstar_is_p else "false"
         print(f"# deterministic_mvt={det} pstar_is_p={pp}")
     elif field == "qstar":
         mea = opportunity.measures(tree, surf)
-        print("id,child,qstar_w,pstar_p")
-        for e, (i, qw, pp) in enumerate(zip(tree.parent[1:].tolist(), mea.qstar_w.tolist(),
-                                            mea.pstar_p.tolist())):
-            print(f"{i},{e + 1},{_fmt(qw)},{_fmt(pp)}")
+        print("id,child,qstar_w,pstar_p\n" + _rows("%d,%d,%.17g,%.17g\n", tree.parent[1:].tolist(),
+              range(1, len(tree.time)), mea.qstar_w.tolist(), mea.pstar_p.tolist()), end="")
     else:
         raise BadParameter(f"unknown inspect field {field!r}")
     return EXIT_OK

@@ -5,19 +5,19 @@ pseudoinverse: the hedging problem is solved as one flat weighted least
 squares over all per-node holdings, and the variance-optimal measure as
 an equality-constrained QP on leaf densities.  Agreement between engine
 and oracle is therefore a genuine cross check, not a tautology.  Both
-read the leaf x holding matrix of price increments along each leaf's
-path, its rows weighted by the square root of the leaf probability,
-built from the stored parent, price and prob arrays a tree level at a
-time.  One factor of the whole tree's normal matrix, with one solve for
-the cash column, serves the least squares with free endowment, the QP
-(in range-space form, through the Schur complement of its diagonal
+read the sqrt(P)-weighted leaf x holding matrix of price increments
+along each leaf's path, path-sparse (a row is nonzero only in its
+ancestors' columns), built a tree level at a time from the parent,
+price and prob arrays; its normal matrix is one bincount.  One factor of
+the whole tree's normal matrix, with one solve for the cash column and
+the claim together, serves the least squares with free endowment, the
+QP (in range-space form, through the Schur complement of its diagonal
 Hessian) and the root's conditional check (the Schur complement of the
 cash column); every other node's check re-solves the least squares on
 its subtree, the subtrees of one slice and shape as one stack.  A normal
 matrix is solved directly where a shifted Cholesky factor certifies
 that the pseudoinverse would truncate nothing, else through it.  The
-oracles rely on the ordering contract that validate_tree enforces,
-never on the engine's tree layout.
+oracles rely on validate_tree's ordering contract, not the tree layout.
 """
 from __future__ import annotations
 
@@ -53,25 +53,41 @@ class QpSolution:
 
 @dataclass
 class _Factor:
-    """Y (k, n_leaves, m) with unit columns, sqrt(w) (k, n_leaves), the
-    column norms and, as _certify returns them, each normal matrix G = Y'Y
-    or pinv_psd(G) and whether G^+ = G^-1; see _factor and root_factor."""
-    Y: np.ndarray
+    """Y (k, n_leaves, m) with unit columns, path-sparse: row j of Y[i] is vals[i, j]
+    in columns cols[i, j] (k, n_leaves, q), else 0; sqrt(w), the column norms and,
+    as _certify returns them, each G = Y'Y or pinv_psd(G) and whether G^+ = G^-1."""
+    cols: np.ndarray
+    vals: np.ndarray
     sw: np.ndarray
     norms: np.ndarray
     gram: np.ndarray
     certified: bool
     cash_sol: np.ndarray | None = None   # root_factor's G^+ e_c, c the cash column
+    claim_sol: tuple = (None, None)      # root_factor's (claim, G^+ Y' sqrt(w) H)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """G^+ rhs for each G of the stack, rhs (k, m)."""
-        x = rhs[..., None]
-        return (np.linalg.solve(self.gram, x) if self.certified else self.gram @ x)[..., 0]
+        """G^+ rhs for each G of the stack, rhs (k, m, r)."""
+        return np.linalg.solve(self.gram, rhs) if self.certified else self.gram @ rhs
 
-    def lsq(self, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Minimum-norm least squares of target on each Y: (unscaled beta, residual)."""
-        beta = self.solve((self.Y.swapaxes(1, 2) @ target[..., None])[..., 0])
-        return beta / self.norms, (self.Y @ beta[..., None])[..., 0] - target
+    def Yt(self, t: np.ndarray) -> np.ndarray:
+        """Y't (k, m) for each Y of the stack, t (k, n_leaves)."""
+        return _sum_at(self.cols, self.vals * t[..., None], self.norms.shape[1])
+
+    def Yx(self, x: np.ndarray) -> np.ndarray:
+        """Y x (k, n_leaves) for each Y of the stack, x (k, m)."""
+        return np.einsum("ijq,ijq->ij", self.vals, np.take_along_axis(x[:, None], self.cols, 2))
+
+    def lsq(self, target: np.ndarray, beta=None) -> tuple[np.ndarray, np.ndarray]:
+        """Min-norm least squares on each Y: (beta / norms, Y beta - target), beta = G^+ Y't."""
+        beta = self.solve(self.Yt(target)[..., None])[..., 0] if beta is None else beta
+        return beta / self.norms, self.Yx(beta) - target
+
+
+def _sum_at(index: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """(k, size): the sums of weights[i] at each index[i] in range(size), as floats."""
+    k = len(index)
+    flat = (index.reshape(k, -1) + size * np.arange(k)[:, None]).ravel()
+    return np.bincount(flat, weights.ravel(), k * size).astype(float, copy=False).reshape(k, size)
 
 
 def _certify(G: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -101,45 +117,51 @@ def _factor(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
     a product taken root first.  Row j of X (k, n_leaves, n_inner * d)
     holds, in the d columns of block offset_l + a - first[i, l] of the
     ancestor a of leaf j at depth l (offset_l nodes lie above depth l),
-    the price increment from a to the next node on the path to leaf j.
-    With cash, X gets a last column of ones.  Y's columns are scaled to
-    unit norm (a zero column keeps norm 1), so the certificate and the
-    pseudoinverse cutoff, relative to the largest eigenvalue, do not depend
-    on the price unit: cash (scale 1) and holdings (prices) weigh alike."""
+    the price increment from a to the next node on the path to leaf j,
+    q = depth * d entries; with cash, X gets a last column of ones.  Y's
+    columns are scaled to unit norm (a zero column keeps norm 1), so the
+    certificate and the pseudoinverse cutoff, relative to the largest
+    eigenvalue, do not depend on the price unit: cash (scale 1) and
+    holdings (prices) weigh alike.  The norms and G are bincounts."""
     k, depth, d = len(first), len(counts) - 1, tree.num_assets
     offset = np.cumsum(counts) - counts
+    m = offset[-1] * d + cash
     sub = np.arange(k)[:, None]
     w = np.ones((k, 1))
     for level in range(1, depth + 1):
         ids = first[:, level, None] + np.arange(counts[level])
         w = w[sub, tree.parent[ids] - first[:, level - 1, None]] * tree.prob[ids]
-    Y = np.zeros((k, counts[-1], offset[-1] * d + cash))
-    if cash:
-        Y[..., -1] = 1.0
+    cols = np.full((k, counts[-1], depth * d + cash), m - 1)   # cash last
+    vals = np.ones(cols.shape)
     node = first[:, -1, None] + np.arange(counts[-1])
-    rows = (sub[..., None], np.arange(counts[-1])[:, None])
     for level in range(depth - 1, -1, -1):
-        up = tree.parent[node]
-        block = up - first[:, level, None] + offset[level]
-        Y[rows + (block[..., None] * d + np.arange(d),)] = tree.price[node] - tree.price[up]
+        up, at = tree.parent[node], slice(level * d, (level + 1) * d)
+        cols[..., at] = (up - first[:, level, None] + offset[level])[..., None] * d + np.arange(d)
+        vals[..., at] = tree.price[node] - tree.price[up]
         node = up
     sw = np.sqrt(w)
-    Y *= sw[..., None]
-    norms = np.sqrt(np.einsum("...ij,...ij->...j", Y, Y))
+    vals *= sw[..., None]
+    norms = np.sqrt(_sum_at(cols, vals * vals, m))
     norms[norms == 0.0] = 1.0
-    Y /= norms[..., None, :]
-    return _Factor(Y, sw, norms, *_certify(Y.swapaxes(1, 2) @ Y))
+    vals /= np.take_along_axis(norms[:, None], cols, 2)
+    gram = _sum_at(cols[..., :, None] * m + cols[..., None, :],
+                   vals[..., :, None] * vals[..., None, :], m * m).reshape(k, m, m)
+    return _Factor(cols, vals, sw, norms, *_certify(gram))
 
 
-def root_factor(tree: ScenarioTree, cash: bool = True) -> _Factor:
-    """The whole tree's _Factor; with cash, the root oracles share it."""
+def root_factor(tree: ScenarioTree, cash: bool = True, claim: Claim | None = None) -> _Factor:
+    """The whole tree's _Factor; with cash, one solve of G x = [e_c, Y' sqrt(w) H]
+    serves the root oracles and the free-v0 lsq_projection of claim (payoff H)."""
     n_leaves = len(tree.leaves())
     if n_leaves > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{n_leaves} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
     bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
     f = _factor(tree, bounds[None, :-1], np.diff(bounds), cash)
-    if cash:  # one solve serves the QP and the root node check
-        f.cash_sol = f.solve(np.eye(1, f.Y.shape[-1], f.Y.shape[-1] - 1))
+    if cash:
+        m = f.gram.shape[-1]
+        rhs = [np.eye(1, m, m - 1)] + ([] if claim is None else [f.Yt(f.sw * claim.payoff)])
+        sol = f.solve(np.stack(rhs, axis=-1))
+        f.cash_sol, f.claim_sol = sol[..., 0], (claim, None if claim is None else sol[..., 1])
     return f
 
 
@@ -151,12 +173,13 @@ def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free",
     (plus v0 when free); the terminal wealth on each leaf is linear in
     them, so the optimum is a least squares in the sqrt(P)-weighted
     space, solved by normal equations (minimum-norm representative, see
-    _Factor), of root when v0 is free.
+    _Factor), of root when v0 is free, read off its solution for this claim.
     """
     free_v0 = isinstance(v0, str)
     f = (root or root_factor(tree)) if free_v0 else root_factor(tree, cash=False)
     (beta,), (resid,) = f.lsq(
-        f.sw * (np.asarray(claim.payoff, dtype=float) - (0.0 if free_v0 else float(v0))))
+        f.sw * (np.asarray(claim.payoff, dtype=float) - (0.0 if free_v0 else float(v0))),
+        f.claim_sol[1] if free_v0 and f.claim_sol[0] is claim else None)
     v0_opt = float(beta[-1]) if free_v0 else float(v0)
 
     # at the root, inner node a owns column block a
@@ -187,11 +210,10 @@ def martingale_qp(tree: ScenarioTree, root: _Factor | None = None) -> QpSolution
     b is a multiple of the cash unit vector, so (B'B)^+ b is cash_sol's.
     """
     f = root or root_factor(tree)
-    B = f.Y[0]
-    b = np.zeros(B.shape[1])
+    b = np.zeros(f.norms.shape[1])
     b[-1] = 1.0 / f.norms[0, -1]  # unit-mass constraint, for the scaled cash column
-    u = B @ (f.cash_sol[0] * b[-1])
-    violation = np.max(np.abs(B.T @ u - b))
+    (u,) = f.Yx(f.cash_sol * b[-1])
+    violation = np.max(np.abs(f.Yt(u[None])[0] - b))
     if violation > QP_FEAS_TOL * max(1.0, np.max(np.abs(b))):
         raise Infeasible(f"martingale constraints inconsistent (residual {violation:.3e})")
     return QpSolution(second_moment=float(u @ u), leaf_density=u / f.sw[0])

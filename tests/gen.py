@@ -528,3 +528,51 @@ def node_oracle_loop(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
         var = float(w @ (x * x)) - mean * mean
         sharpe[i] = mean / np.sqrt(var) if var > 1e-24 else 0.0
     return check, sharpe
+
+
+def dense_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
+                     cash: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's increment matrix for k subtrees of one shape, built
+    dense: (Y, norms), Y (k, n_leaves, m) = sqrt(w) X with unit columns
+    and norms X's weighted column norms (a zero column keeps norm 1).
+    Subtree i has counts[l] nodes at depth l, with ids from first[i, l];
+    row j of X holds, in the d columns of block offset_l + a - first[i, l]
+    of leaf j's ancestor a at depth l, the price increment from a on the
+    path to leaf j, and with cash a last column of ones."""
+    k, depth, d = len(first), len(counts) - 1, tree.num_assets
+    offset = np.cumsum(counts) - counts
+    sub = np.arange(k)[:, None]
+    w = np.ones((k, 1))
+    for level in range(1, depth + 1):
+        ids = first[:, level, None] + np.arange(counts[level])
+        w = w[sub, tree.parent[ids] - first[:, level - 1, None]] * tree.prob[ids]
+    Y = np.zeros((k, counts[-1], offset[-1] * d + cash))
+    if cash:
+        Y[..., -1] = 1.0
+    node = first[:, -1, None] + np.arange(counts[-1])
+    rows = (sub[..., None], np.arange(counts[-1])[:, None])
+    for level in range(depth - 1, -1, -1):
+        up = tree.parent[node]
+        block = up - first[:, level, None] + offset[level]
+        Y[rows + (block[..., None] * d + np.arange(d),)] = tree.price[node] - tree.price[up]
+        node = up
+    Y *= np.sqrt(w)[..., None]
+    norms = np.sqrt(np.einsum("...ij,...ij->...j", Y, Y))
+    norms[norms == 0.0] = 1.0
+    return Y / norms[..., None, :], norms
+
+
+def subtree_stacks(tree: ScenarioTree):
+    """(first, counts) of each stack of subtrees that the oracle's node
+    checks solve together: the subtrees rooted in one slice after the
+    first with the same node count at every depth, as _factor reads them."""
+    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+    for t in range(1, tree.horizon):
+        lo = np.arange(bounds[t], bounds[t + 1])
+        ranges = [np.stack([lo, lo + 1])]
+        for _ in range(tree.horizon - t):
+            ranges.append(np.searchsorted(tree.parent, ranges[-1]))
+        first, end = np.transpose(ranges, (1, 2, 0))
+        shapes, group = np.unique(end - first, axis=0, return_inverse=True)
+        for g, counts in enumerate(shapes):
+            yield first[group == g], counts

@@ -307,13 +307,14 @@ def test_worst_line_node(capsys):
         "node=5", "node=7"]
 
 
-def root_size_solves(monkeypatch, cfg: str) -> tuple[list[int], list[int]]:
+def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, int]:
     """The sizes of the matrices as large as the root's normal matrix (or
-    its block without the cash column) that verify on cfg certifies and
-    that it hands to pinv_psd."""
+    its block without the cash column) that verify on cfg certifies, that
+    it hands to pinv_psd and, with the number of right-hand sides, that it
+    hands to np.linalg.solve."""
     tree = build_model(load_config(cfg)["model"])
     root_cols = int(np.count_nonzero(tree.time < tree.horizon)) * tree.num_assets + 1
-    certified, pinv = [], []
+    certified, pinv, solves = [], [], []
 
     def spy(seen, original):
         def call(m):
@@ -321,26 +322,33 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list[int], list[int]]:
             return original(m)
         return call
 
+    def solve_spy(a, b, solve=np.linalg.solve):
+        if a.shape[-1] >= root_cols - 1:
+            solves.append((a.shape[-1], b.shape[-1]))
+        return solve(a, b)
+
     monkeypatch.setattr(mv.oracle, "_certify", spy(certified, mv.oracle._certify))
     monkeypatch.setattr(mv.oracle, "pinv_psd", spy(pinv, mv.oracle.pinv_psd))
+    monkeypatch.setattr(np.linalg, "solve", solve_spy)
     assert main(["verify", "--config", cfg]) == 0
     return ([n for n in certified if n >= root_cols - 1],
-            [n for n in pinv if n >= root_cols - 1], root_cols)
+            [n for n in pinv if n >= root_cols - 1], solves, root_cols)
 
 
 def test_verify_factors_the_root_once(monkeypatch, tmp_path):
     # the least squares, the QP and the root node check share one factor
     # of the root's normal matrix; no other matrix is as large.  It is
-    # certified and solved directly, or, for a duplicated asset, which
-    # makes it singular, replaced by its pseudoinverse
-    certified, pinv, root_cols = root_size_solves(monkeypatch, GOLDEN_CONFIG)
-    assert (certified, pinv) == ([root_cols], [])
+    # certified and solved directly, once for the cash column and the
+    # claim together, or, for a duplicated asset, which makes it
+    # singular, replaced by its pseudoinverse
+    certified, pinv, solves, root_cols = root_size_solves(monkeypatch, GOLDEN_CONFIG)
+    assert (certified, pinv, solves) == ([root_cols], [], [(root_cols, 2)])
     dup = {"type": "iid", "s0": [10.0, 10.0], "periods": 3,
            "increments": [{"delta": [x, x], "p": p} for x, p in ((1.0, 0.3), (0.0, 0.4),
                                                                   (-1.0, 0.3))]}
     cfg = write_config(tmp_path, {"model": dup, "claim": CALL10})
-    certified, pinv, root_cols = root_size_solves(monkeypatch, cfg)
-    assert (certified, pinv) == ([root_cols], [root_cols])
+    certified, pinv, solves, root_cols = root_size_solves(monkeypatch, cfg)
+    assert (certified, pinv, solves) == ([root_cols], [root_cols], [])
 
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])

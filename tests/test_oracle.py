@@ -5,8 +5,8 @@ import mvhedge as mv
 from mvhedge import linalg, oracle
 from mvhedge.tree import ScenarioTree
 
-from gen import (binomial_06, martingale_trinomial, node_oracle_loop, random_claim, random_tree,
-                 scaled_tree, uneven_regime_tree)
+from gen import (binomial_06, dense_increments, martingale_trinomial, node_oracle_loop,
+                 random_claim, random_tree, scaled_tree, subtree_stacks, uneven_regime_tree)
 
 
 def test_lsq_complete_binomial_free_endowment():
@@ -26,9 +26,13 @@ def test_lsq_trinomial_fixed_endowment():
     assert mv.lsq_projection(tree, claim, "free").min_error <= sol.min_error + 1e-15
 
 
-def test_lsq_trivial_tree_no_trading():
-    tree = ScenarioTree(num_assets=1, horizon=0, parent=[-1], time=[0], price=[[10.0]],
+def trivial_tree():
+    return ScenarioTree(num_assets=1, horizon=0, parent=[-1], time=[0], price=[[10.0]],
                         regime=[-1], prob=[1.0])
+
+
+def test_lsq_trivial_tree_no_trading():
+    tree = trivial_tree()
     claim = mv.Claim(payoff=np.array([1.0]))
     sol = mv.lsq_projection(tree, claim, 0.25)
     assert sol.min_error == pytest.approx(0.75 ** 2)
@@ -157,19 +161,75 @@ def test_certificate_clears_the_pinv_cutoff():
     assert oracle._CERTIFY >= 2 * linalg.EIG_TRUNCATION
 
 
+def dense(f):
+    """The dense Y (k, n_leaves, m) of a path-sparse factor."""
+    k, n, _ = f.cols.shape
+    Y = np.zeros((k, n, f.norms.shape[1]))
+    Y[np.arange(k)[:, None, None], np.arange(n)[:, None], f.cols] = f.vals
+    return Y
+
+
 def pinv_solve(f, rhs):
     """(Y'Y)^+ rhs through pinv_psd, for each Y of the factor's stack."""
-    return (mv.pinv_psd(f.Y.swapaxes(1, 2) @ f.Y) @ rhs[..., None])[..., 0]
+    Y = dense(f)
+    return (mv.pinv_psd(Y.swapaxes(1, 2) @ Y) @ rhs[..., None])[..., 0]
 
 
 def unit_cash(f):
-    e_cash = np.zeros(f.Y.shape[::2])
+    e_cash = np.zeros(f.norms.shape)
     e_cash[:, -1] = 1.0
     return e_cash
 
 
 def assert_close(got, want, rel):
-    assert np.max(np.abs(got - want)) <= rel * np.max(np.abs(want))
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+def factor_cases():
+    """(tree, first, counts, cash): the roots of six random trees, with and
+    without cash, the stacked subtrees of a tree with several subtree
+    shapes in a slice, and the 0-period tree."""
+    cases = []
+    trees = [random_tree(np.random.default_rng(1500 + seed)) for seed in range(6)]
+    for tree in trees + [trivial_tree()]:
+        bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+        cases += [(tree, bounds[None, :-1], np.diff(bounds), cash) for cash in (True, False)]
+    tree = uneven_regime_tree(3)
+    return cases + [(tree, first, counts, False) for first, counts in subtree_stacks(tree)]
+
+
+@pytest.mark.parametrize("case", range(len(factor_cases())))
+def test_path_sparse_factor_matches_dense(case):
+    tree, first, counts, cash = factor_cases()[case]
+    f = oracle._factor(tree, first, counts, cash)
+    Y, norms = dense_increments(tree, first, counts, cash)
+    assert f.certified
+    assert np.array_equal(dense(f) != 0.0, Y != 0.0)
+    assert_close(f.gram, Y.swapaxes(1, 2) @ Y, 1e-13)
+    assert_close(f.norms, norms, 1e-13)
+    rng = np.random.default_rng(1550 + case)
+    t, x = rng.normal(size=Y.shape[:2]), rng.normal(size=Y.shape[::2])
+    assert_close(f.Yt(t), (Y.swapaxes(1, 2) @ t[..., None])[..., 0], 1e-13)
+    assert_close(f.Yx(x), (Y @ x[..., None])[..., 0], 1e-13)
+
+
+def test_lsq_reads_the_root_solve_only_for_its_claim():
+    rng = np.random.default_rng(1560)
+    tree = random_tree(rng)
+    claim, other = random_claim(rng, tree), random_claim(rng, tree)
+    root = oracle.root_factor(tree, claim=claim)
+    solves = []
+    solve = root.solve
+    root.solve = lambda rhs: solves.append(rhs.shape) or solve(rhs)
+    for c, made in ((claim, []), (other, [(*root.norms.shape, 1)])):
+        solves.clear()
+        got = mv.lsq_projection(tree, c, "free", root)
+        assert solves == made
+        want = mv.lsq_projection(tree, c, "free")
+        assert got.v0_opt == pytest.approx(want.v0_opt, rel=1e-12, abs=1e-12)
+        assert got.min_error == pytest.approx(want.min_error, rel=1e-12, abs=1e-12)
+        assert_close(got.value_process, want.value_process, 1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -178,8 +238,8 @@ def test_certified_factor_matches_pinv(seed):
     tree = random_tree(rng)
     for f in (oracle.root_factor(tree), oracle.root_factor(tree, cash=False)):
         assert f.certified
-        rhs = rng.normal(size=f.Y.shape[::2])
-        assert_close(f.solve(rhs), pinv_solve(f, rhs), 1e-12)
+        rhs = rng.normal(size=f.norms.shape)
+        assert_close(f.solve(rhs[..., None])[..., 0], pinv_solve(f, rhs), 1e-12)
     f = oracle.root_factor(tree)
     assert_close(f.cash_sol, pinv_solve(f, unit_cash(f)), 1e-12)
 
@@ -191,8 +251,9 @@ def spectrum_factor(rng, spectra):
     for lam in spectra:
         q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
         Y.append((q * np.sqrt(lam)) @ q.T)
-    Y = np.array(Y)
-    return oracle._Factor(Y, np.ones(Y.shape[:2]), np.ones(Y.shape[::2]),
+    Y = np.array(Y)   # square and dense: path-sparse with every column in every row
+    return oracle._Factor(np.broadcast_to(np.arange(Y.shape[-1]), Y.shape), Y,
+                          np.ones(Y.shape[:2]), np.ones(Y.shape[::2]),
                           *oracle._certify(Y.swapaxes(1, 2) @ Y))
 
 
@@ -207,6 +268,6 @@ def test_certificate_rejects_an_eigenvalue_at_the_pinv_cutoff():
         # the whole stack takes the pinv_psd path, bit for bit
         f = spectrum_factor(rng, spectra)
         assert not f.certified
-        target = rng.normal(size=f.Y.shape[:2])
-        rhs = (f.Y.swapaxes(1, 2) @ target[..., None])[..., 0]
+        target = rng.normal(size=f.vals.shape[:2])
+        rhs = f.Yt(target)
         assert np.array_equal(f.lsq(target)[0], pinv_solve(f, rhs))
