@@ -19,12 +19,13 @@ from .tree import (
     serialize_tree,
     validate_tree,
 )
-from .linalg import OneStepMoments, pinv_psd, weighted_moments
+from .linalg import pinv_psd, weighted_moments
 from .opportunity import (
     MeasureSurface,
     MvtDiagnostics,
     OpportunitySurface,
     compute_opportunity,
+    identities,
     martingale_surface,
     measures,
     mvt_process,

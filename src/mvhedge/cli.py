@@ -19,7 +19,6 @@ import numpy as np
 from . import backtest as bt
 from . import hedging, opportunity, oracle
 from .errors import BadParameter, DegenerateStep, IncompatibleClaim, Infeasible, TooLarge
-from .linalg import pinv_psd
 from .tree import (
     Claim,
     ScenarioTree,
@@ -120,7 +119,8 @@ def build_claim(tree: ScenarioTree, cfg: dict) -> Claim:
     with _typed("claim"):
         if kind == "per_leaf":
             return attach_claim(tree, "per_leaf", values=cfg["values"])
-        return attach_claim(tree, kind, strike=cfg["strike"])
+        strike = _finite(cfg["strike"], "strike must be a finite number")
+        return attach_claim(tree, kind, strike=strike)
 
 
 def _finite(value, what: str, minimum: float = -math.inf) -> float:
@@ -262,39 +262,13 @@ def cmd_verify(args) -> int:
     del root
     ok &= _check_lines({"node_L": (surf.L, node_L)}, tree.nodes, tol)
 
-    lay = tree.layout
-    ids = lay.inner
-    b = surf.b_sstar[ids]
-    up = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
-    dn = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
-    mass, drift = np.empty(len(ids)), np.empty(len(ids))
-    for t in range(tree.horizon):
-        for s in lay.steps(t):
-            qw = mea.qstar_w[s.kids - 1]
-            mass[s.ids] = (s.probs[:, None, :] @ qw[..., None])[:, 0, 0]
-            drift[s.ids] = np.max(np.abs(s.deltas.swapaxes(1, 2) @ (s.probs * qw)[..., None]),
-                                  axis=(1, 2))
-    fact = surf.L[1:] / surf.m0[tree.parent[1:]] * mea.nstar_f
-
-    def cor320(c, a):
-        return np.max(np.abs((c[ids] @ a[ids][..., None])[..., 0] - b), axis=1)
-
-    identities = {
-        "cor320_tilde": (cor320(surf.c_tilde_sstar, surf.a_tilde), 0.0),
-        "cor320_hat": (cor320(surf.c_hat_sstar, surf.a_hat), 0.0),
-        "identity_319": (up * dn, 1.0),
-        "dak_identity": (surf.dAK[ids], up - 1.0),
-        "qstar_mass": (mass, 1.0),
-        "qstar_drift": (drift, 0.0),
-        "lemma323": (np.maximum.reduceat(np.abs(fact - mea.qstar_w), lay.offsets[ids]), 0.0),
-    }
-    ok &= _check_lines(identities, ids, tol)
+    ok &= _check_lines(opportunity.identities(tree, surf, mea), tree.layout.inner, tol)
 
     ok &= _check_line("fs_residual", 0,
                       hedging.fs_residual_check(tree, surf, plan) / scale, 0.0, tol)
     submart = float(np.nanmin(surf.m0 - surf.L))
     ok &= _check_line("L_submartingale", 0, min(submart, 0.0), 0.0, tol)
-    time_mass = max(abs(sum(probs[ids].tolist()) - 1.0) for ids in lay.slices)
+    time_mass = max(abs(sum(probs[ids].tolist()) - 1.0) for ids in tree.layout.slices)
     ok &= _check_line("slice_prob_mass", 0, time_mass, 0.0, 1e-10)
 
     if args.summary:

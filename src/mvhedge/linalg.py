@@ -2,13 +2,14 @@
 
 Every backward recursion in the engine reduces to the same three
 conditional moments of the price increments, weighted by the branch
-probability times the child value of the opportunity process.  They are
-kept unnormalized (no division by the parent opportunity value); the
-normalization cancels wherever the moments are consumed.
+probability times the child value of the opportunity process:
+weighted_moments returns them as the tuple (m0, bbar_u, cbar_u) =
+(sum_k w_k, sum_k w_k d_k, sum_k w_k d_k d_k^T), with w_k = p_k * L_k and
+d_k the price increment to child k.  They are kept unnormalized (no
+division by the parent opportunity value); the normalization cancels
+wherever the moments are consumed.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,23 +17,6 @@ from .errors import NotSymmetric
 
 SYMMETRY_RTOL = 1e-12
 EIG_TRUNCATION = 1e-12
-
-
-@dataclass(frozen=True)
-class OneStepMoments:
-    """Weighted conditional one-step moments at a non-terminal node, or
-    at each node of a stack (leading axis).
-
-    m0      = sum_k w_k            (weighted mass)
-    bbar_u  = sum_k w_k d_k        (weighted drift, unnormalized)
-    cbar_u  = sum_k w_k d_k d_k^T  (weighted second moment, unnormalized)
-
-    with w_k = p_k * L_k and d_k the price increment to child k.
-    """
-
-    m0: float | np.ndarray
-    bbar_u: np.ndarray
-    cbar_u: np.ndarray
 
 
 def pinv_psd(m: np.ndarray) -> np.ndarray:
@@ -71,12 +55,12 @@ def pinv_psd(m: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def weighted_moments(weights: np.ndarray, increments: np.ndarray) -> OneStepMoments:
-    """Assemble OneStepMoments from per-child weights p_k*L_k and
+def weighted_moments(weights: np.ndarray, increments: np.ndarray) -> tuple:
+    """The moments (m0, bbar_u, cbar_u) from per-child weights p_k*L_k and
     increment vectors (one row per child), or from (m, k) weights and
-    (m, k, d) increments for m nodes of k children each.  A node of a
-    stack gets the same arithmetic as a call on that node alone, so the
-    results agree bit for bit."""
+    (m, k, d) increments for m nodes of k children each, with a leading
+    axis of length m.  A node of a stack gets the same arithmetic as a
+    call on that node alone, so the results agree bit for bit."""
     w = np.asarray(weights, dtype=float)
     d = np.asarray(increments, dtype=float)
     if d.ndim == w.ndim:
@@ -85,5 +69,4 @@ def weighted_moments(weights: np.ndarray, increments: np.ndarray) -> OneStepMome
     m0 = np.sum(w, axis=-1)
     bbar_u = (dT @ w[..., None])[..., 0]
     cbar_u = (dT * w[..., None, :]) @ d
-    return OneStepMoments(m0=m0, bbar_u=bbar_u,
-                          cbar_u=0.5 * (cbar_u + cbar_u.swapaxes(-1, -2)))
+    return m0, bbar_u, 0.5 * (cbar_u + cbar_u.swapaxes(-1, -2))

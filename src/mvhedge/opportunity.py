@@ -12,7 +12,8 @@ p_k * L_k).  The adjustment process a_tilde(n) = cbar_u^+ bbar_u is the
 optimal per-unit-of-wealth holding in the pure investment problem, and
 everything else (the signed variance-optimal measure, the opportunity-
 neutral measure, Sharpe ratios, mean-variance tradeoff diagnostics)
-derives from these two objects.
+derives from these two objects.  identities evaluates the paper's
+one-step identities between them, which verify prints.
 """
 from __future__ import annotations
 
@@ -150,14 +151,14 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
     for t in range(tree.horizon - 1, -1, -1):
         degenerate = []
         for s in lay.steps(t):
-            mom = weighted_moments(s.probs * surf.L[s.kids], s.deltas)
-            cinv = pinv_psd(mom.cbar_u)
-            b = mom.bbar_u[..., None]
-            L = mom.m0 - (b.swapaxes(1, 2) @ cinv @ b)[:, 0, 0]
-            degenerate.append(s.ids[L <= DEGENERACY_THRESHOLD * mom.m0])
+            m0, bbar_u, cbar_u = weighted_moments(s.probs * surf.L[s.kids], s.deltas)
+            cinv = pinv_psd(cbar_u)
+            b = bbar_u[..., None]
+            L = m0 - (b.swapaxes(1, 2) @ cinv @ b)[:, 0, 0]
+            degenerate.append(s.ids[L <= DEGENERACY_THRESHOLD * m0])
             surf.L[s.ids] = L
             surf.a_tilde[s.ids] = (cinv @ b)[..., 0]
-            surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = mom.m0, mom.bbar_u, mom.cbar_u
+            surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = m0, bbar_u, cbar_u
         DegenerateStep.raise_lowest(degenerate)
     return surf
 
@@ -174,8 +175,8 @@ def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
     surf = _unfilled(np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d)))
     for t in range(tree.horizon):
         for s in lay.steps(t):
-            mom = weighted_moments(s.probs, s.deltas)
-            surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = mom.m0, mom.bbar_u, mom.cbar_u
+            moments = weighted_moments(s.probs, s.deltas)
+            surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = moments
     return surf
 
 
@@ -201,6 +202,40 @@ def measures(tree: ScenarioTree, surf: OpportunitySurface) -> MeasureSurface:
             z_qstar[s.kids] = z_qstar[i][:, None] * qw
             z_pstar[s.kids] = z_pstar[i][:, None] * (pp / s.probs)
     return MeasureSurface(qstar_w, pstar_p, nstar_f, z_qstar, z_pstar)
+
+
+def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface) -> dict:
+    """The paper's one-step identities at the nodes tree.layout.inner, as
+    name -> (value, target) pairs of per-node arrays or scalars, each
+    value equal to its target up to rounding: Cor. 3.20 with the tilde
+    and with the hat characteristics, Lemma 3.19, dAK = b' c_hat^+ b,
+    the mass and the drift of the one-step Q* weights, and Lemma 3.23."""
+    lay = tree.layout
+    ids = lay.inner
+    b = surf.b_sstar[ids]
+    up = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
+    dn = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
+    mass, drift = np.empty(len(ids)), np.empty(len(ids))
+    for t in range(tree.horizon):
+        for s in lay.steps(t):
+            qw = mea.qstar_w[s.kids - 1]
+            mass[s.ids] = (s.probs[:, None, :] @ qw[..., None])[:, 0, 0]
+            drift[s.ids] = np.max(np.abs(s.deltas.swapaxes(1, 2) @ (s.probs * qw)[..., None]),
+                                  axis=(1, 2))
+    fact = surf.L[1:] / surf.m0[tree.parent[1:]] * mea.nstar_f
+
+    def cor320(c, a):
+        return np.max(np.abs((c[ids] @ a[ids][..., None])[..., 0] - b), axis=1)
+
+    return {
+        "cor320_tilde": (cor320(surf.c_tilde_sstar, surf.a_tilde), 0.0),
+        "cor320_hat": (cor320(surf.c_hat_sstar, surf.a_hat), 0.0),
+        "identity_319": (up * dn, 1.0),
+        "dak_identity": (surf.dAK[ids], up - 1.0),
+        "qstar_mass": (mass, 1.0),
+        "qstar_drift": (drift, 0.0),
+        "lemma323": (np.maximum.reduceat(np.abs(fact - mea.qstar_w), lay.offsets[ids]), 0.0),
+    }
 
 
 def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:

@@ -189,18 +189,21 @@ def _grow(s0: np.ndarray, periods: int, laws, mode: str,
 def build_binomial(s0, up: float, down: float, p_up: float, periods: int) -> ScenarioTree:
     """Multiplicative binomial path tree with 2^periods leaves."""
     s0 = _finite(s0, "s0")
-    if periods < 1 or periods > 16:
-        raise BadParameter(f"periods must be in [1, 16], got {periods}")
+    if not (_is_int(periods) and 1 <= periods <= 16):
+        raise BadParameter(f"periods must be an integer in [1, 16], got {periods!r}")
     if not (up > 1.0):
         raise BadParameter("up must exceed 1")
     if not (0.0 < down < 1.0):
         raise BadParameter("down must lie in (0, 1)")
-    if not (up > down):
-        raise BadParameter("up must exceed down")
     if not (0.0 < p_up < 1.0):
         raise BadParameter("p_up must lie in (0, 1)")
     law = [(np.full(len(s0), up), p_up, 0), (np.full(len(s0), down), 1.0 - p_up, 0)]
     return _grow(s0, periods, [law], "multiplicative", None)
+
+
+def _is_int(x) -> bool:
+    """x is an integer and not a boolean."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 def _finite(values, what: str) -> np.ndarray:
@@ -219,25 +222,9 @@ def build_iid_multinomial(s0, increments, periods: int, mode: str = "additive") 
     """Path tree with i.i.d. increments; increments is a list of
     (delta vector, probability) pairs.  Additive: child = parent + delta;
     multiplicative: child = parent * (1 + delta) componentwise."""
-    s0 = _finite(s0, "s0")
-    if mode not in ("additive", "multiplicative"):
-        raise BadParameter(f"unknown mode {mode!r}")
-    if periods < 1:
-        raise BadParameter("periods must be positive")
     if len(increments) < 2:
         raise BadParameter("need at least 2 increments")
-    deltas = [_finite(d, "increment deltas") for d, _ in increments]
-    probs = _finite([p for _, p in increments], "increment probabilities").tolist()
-    if any(p <= 0.0 for p in probs):
-        raise BadParameter("increment probabilities must be positive")
-    if not (abs(sum(probs) - 1.0) <= PROB_SUM_TOL):
-        raise BadParameter(f"increment probabilities sum to {sum(probs)!r}, not 1")
-    if any(d.shape != s0.shape for d in deltas):
-        raise BadParameter("increment dimension does not match s0")
-    if len(increments) ** periods > MAX_LEAVES:
-        raise BadParameter("tree would exceed the leaf bound 2^20")
-    law = [(_operand(d, mode), p, 0) for d, p in zip(deltas, probs)]
-    return _grow(s0, periods, [law], mode, None)
+    return _build(s0, [increments], [[1.0]], None, periods, mode)
 
 
 def build_regime_switching(
@@ -253,27 +240,34 @@ def build_regime_switching(
     regime's law while the regime itself moves by the transition matrix.
     Children are (next regime, increment) pairs, increment-major;
     zero-probability transitions are dropped."""
+    if not _is_int(initial_regime):
+        raise BadParameter(f"initial_regime must be an integer, got {initial_regime!r}")
+    if not (0 <= initial_regime < len(regimes)):
+        raise BadParameter("initial_regime out of range")
+    return _build(s0, regimes, transition, initial_regime, periods, mode)
+
+
+def _build(s0, regimes, transition, initial_regime, periods: int, mode: str) -> ScenarioTree:
+    """Check the regimes' increment laws, the transition matrix, the mode
+    and the periods, and grow the tree; an iid tree is one regime that
+    moves to itself, with no initial regime."""
     s0 = _finite(s0, "s0")
     if mode not in ("additive", "multiplicative"):
         raise BadParameter(f"unknown mode {mode!r}")
-    if periods < 1:
-        raise BadParameter("periods must be positive")
+    if not (_is_int(periods) and periods >= 1):
+        raise BadParameter(f"periods must be a positive integer, got {periods!r}")
     trans = _finite(transition, "transition")
     n_reg = len(regimes)
     if trans.shape != (n_reg, n_reg):
         raise BadParameter("transition matrix shape does not match regime count")
     if np.any(trans < 0.0) or not np.all(np.abs(trans.sum(axis=1) - 1.0) <= PROB_SUM_TOL):
         raise BadParameter("transition rows must be nonnegative and sum to 1")
-    if isinstance(initial_regime, bool) or not isinstance(initial_regime, (int, np.integer)):
-        raise BadParameter(f"initial_regime must be an integer, got {initial_regime!r}")
-    if not (0 <= initial_regime < n_reg):
-        raise BadParameter("initial_regime out of range")
     laws = []
     for cur, law in enumerate(regimes):
         deltas = [_finite(d, "increment deltas") for d, _ in law]
         probs = _finite([p for _, p in law], "increment probabilities").tolist()
         if any(p <= 0.0 for p in probs) or not (abs(sum(probs) - 1.0) <= PROB_SUM_TOL):
-            raise BadParameter("regime increment probabilities must be positive and sum to 1")
+            raise BadParameter("increment probabilities must be positive and sum to 1")
         if any(d.shape != s0.shape for d in deltas):
             raise BadParameter("increment dimension does not match s0")
         laws.append([(_operand(d, mode), p * trans[cur, nxt], nxt)

@@ -114,6 +114,13 @@ def test_hedge_degenerate_exit_code(tmp_path):
     ("backtest", {"model": None, "claim": CALL10}),
     ("hedge", {"model": dict(TRINOMIAL, type=["iid"]), "claim": CALL10}),
     ("verify", {"model": TRINOMIAL, "claim": {"type": ["call"], "strike": 10.0}}),
+    ("hedge", {"model": dict(BINOMIAL, periods=True), "claim": CALL10}),
+    ("hedge", {"model": dict(TRINOMIAL, periods=True), "claim": CALL10}),
+    ("hedge", {"model": dict(REGIME, periods=True), "claim": CALL10}),
+    ("hedge", {"model": dict(TRINOMIAL, periods=2.0), "claim": CALL10}),
+    ("hedge", {"model": TRINOMIAL, "claim": {"type": "call", "strike": True}}),
+    ("hedge", {"model": TRINOMIAL, "claim": {"type": "call", "strike": float("inf")}}),
+    ("hedge", {"model": TRINOMIAL, "claim": {"type": "put", "strike": float("inf")}}),
 ])
 def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)

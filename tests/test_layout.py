@@ -193,6 +193,25 @@ def test_oracle_imports_only_pinv_psd_and_reads_no_layout():
     assert layout_reads == []
 
 
+def test_cli_does_no_one_step_algebra():
+    # cli only prints: the one-step algebra that verify checks, its
+    # identities included, is computed in the engine
+    source = (Path(mv.__file__).parent / "cli.py").read_text()
+    linalg_imports, step_reads = [], []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = {(node.module or "").rsplit(".", 1)[-1]} | {a.name for a in node.names}
+            if "linalg" in names:
+                linalg_imports.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(a.name.rsplit(".", 1)[-1] == "linalg" for a in node.names):
+                linalg_imports.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "steps":
+            step_reads.append(node.lineno)
+    assert linalg_imports == []
+    assert step_reads == []
+
+
 def test_claim_length_must_match_leaves():
     tree = uneven_regime_tree(2)
     with pytest.raises(mv.BadParameter):

@@ -80,21 +80,21 @@ def test_empty_stack():
 
 
 def test_weighted_moments_binomial_hand_case():
-    mom = weighted_moments([0.6, 0.4], [[1.0], [-1.0]])
-    assert mom.m0 == pytest.approx(1.0)
-    assert mom.bbar_u[0] == pytest.approx(0.2)
-    assert mom.cbar_u[0, 0] == pytest.approx(1.0)
+    m0, bbar_u, cbar_u = weighted_moments([0.6, 0.4], [[1.0], [-1.0]])
+    assert m0 == pytest.approx(1.0)
+    assert bbar_u[0] == pytest.approx(0.2)
+    assert cbar_u[0, 0] == pytest.approx(1.0)
 
 
 def test_weighted_moments_zero_increments():
-    mom = weighted_moments([0.5, 0.5], [[0.0], [0.0]])
-    assert mom.bbar_u[0] == 0.0
-    assert mom.cbar_u[0, 0] == 0.0
+    _, bbar_u, cbar_u = weighted_moments([0.5, 0.5], [[0.0], [0.0]])
+    assert bbar_u[0] == 0.0
+    assert cbar_u[0, 0] == 0.0
 
 
 def test_weighted_moments_martingale_step():
-    mom = weighted_moments([0.25, 0.75], [[3.0], [-1.0]])
-    assert mom.bbar_u[0] == pytest.approx(0.0)
+    _, bbar_u, _ = weighted_moments([0.25, 0.75], [[3.0], [-1.0]])
+    assert bbar_u[0] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("seed", range(5))

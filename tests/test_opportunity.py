@@ -13,12 +13,27 @@ from gen import (
     step,
     subtree_at,
     two_regime_tree,
+    uneven_regime_tree,
 )
+
+IDENTITIES = ["cor320_tilde", "cor320_hat", "identity_319", "dak_identity", "qstar_mass",
+              "qstar_drift", "lemma323"]
 
 
 def leaf_expectation(tree, values, power=1):
     probs = tree.node_probs()
     return sum(probs[leaf] * values[leaf] ** power for leaf in tree.leaves())
+
+
+def test_identities_name_the_node_whose_adjustment_is_off():
+    tree = uneven_regime_tree(3)
+    surf = mv.compute_opportunity(tree)
+    mea = mv.measures(tree, surf)
+    i = int(tree.layout.slices[2][1])
+    surf.a_tilde[i] += 1.0
+    value, target = mv.identities(tree, surf, mea)["cor320_tilde"]
+    assert target == 0.0
+    assert tree.layout.inner[value > 1e-9].tolist() == [i]
 
 
 def test_martingale_tree_trivial_surface():
@@ -179,6 +194,7 @@ def test_structural_identities_random_trees(seed):
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
     probs = tree.node_probs()
+    per_node = {name: [] for name in IDENTITIES}   # (value, target) per inner node
     for i in tree.layout.inner:
         kids, p, deltas = step(tree, i)
         child_L = surf.L[kids]
@@ -201,6 +217,23 @@ def test_structural_identities_random_trees(seed):
         # one-step factorization of the signed density over the neutral one
         fact = (child_L / surf.m0[i]) * mea.nstar_f[kids - 1]
         assert np.allclose(fact, mea.qstar_w[kids - 1], atol=1e-10)
+        qw = mea.qstar_w[kids - 1]
+        for name, pair in zip(IDENTITIES, [
+                (np.max(np.abs(surf.c_tilde_sstar[i] @ surf.a_tilde[i] - b)), 0.0),
+                (np.max(np.abs(surf.c_hat_sstar[i] @ surf.a_hat[i] - b)), 0.0),
+                (up * dn, 1.0), (surf.dAK[i], up - 1.0), (float(p @ qw), 1.0),
+                (np.max(np.abs(deltas.T @ (p * qw))), 0.0), (np.max(np.abs(fact - qw)), 0.0)]):
+            per_node[name].append(pair)
+    # the engine's identities, as verify prints them, agree with the loop
+    got = mv.identities(tree, surf, mea)
+    assert list(got) == IDENTITIES
+    n_inner = len(tree.layout.inner)
+    for name, (value, target) in got.items():
+        assert np.shape(value) == (n_inner,) and np.shape(target) in ((), (n_inner,))
+        want = np.array(per_node[name])
+        np.testing.assert_allclose(value, want[:, 0], rtol=1e-12, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(np.broadcast_to(target, (n_inner,)), want[:, 1],
+                                   rtol=1e-12, atol=1e-12, err_msg=name)
     # cumulative densities
     z = mea.z_qstar
     assert leaf_expectation(tree, z) == pytest.approx(1.0, abs=1e-9)

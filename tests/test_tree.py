@@ -35,6 +35,16 @@ def test_binomial_period_bound():
         mv.build_binomial([10.0], 0.95, 0.9, 0.5, 2)
 
 
+@pytest.mark.parametrize("periods", [True, 2.0])
+def test_periods_must_be_an_integer(periods):
+    with pytest.raises(mv.BadParameter):
+        mv.build_binomial([10.0], 1.1, 0.9, 0.5, periods)
+    with pytest.raises(mv.BadParameter):
+        mv.build_iid_multinomial([10.0], [([1.0], 0.6), ([-1.0], 0.4)], periods)
+    with pytest.raises(mv.BadParameter):
+        mv.build_regime_switching(*uneven_regime_args(periods))
+
+
 def test_iid_additive_one_period():
     tree = mv.build_iid_multinomial([10.0], [([1.0], 0.6), ([-1.0], 0.4)], 1)
     prices = leaf_prices(tree)
