@@ -11,7 +11,6 @@ holdings are the feedback rollout with xi = 0 or a_tilde = 0.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +109,9 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     row = np.zeros(len(tree.nodes), dtype=np.intp)
     row[lay.inner] = np.arange(len(lay.inner))
     cdf = np.full((len(lay.inner), k.max()), np.inf)
-    for groups in lay.groups:
-        for ids, edges in groups:
-            cdf[row[ids], :edges.shape[1]] = np.cumsum(lay.prob[edges], axis=1)
+    for steps in lay.steps:
+        for s in steps:
+            cdf[row[s.ids], :s.probs.shape[1]] = np.cumsum(s.probs, axis=1)
     u = _uniforms(seed, n, tree.horizon)
     nid = np.zeros(n, dtype=np.intp)
     for t in range(tree.horizon):
@@ -186,18 +185,12 @@ def compare_report(reports: list[BacktestReport]) -> str:
     if not reports:
         raise BadParameter("need at least one report")
     mvh = next((r for r in reports if r.strategy == "mvh"), reports[0])
-    buf = io.StringIO()
-    buf.write("strategy,n_paths,mean_sq_error,std_error,analytic_error,ratio_to_mvh\n")
+    rows = ["strategy,n_paths,mean_sq_error,std_error,analytic_error,ratio_to_mvh\n"]
     for r in reports:
-        analytic = "" if r.analytic_error is None else format(r.analytic_error, ".17g")
+        analytic = "" if r.analytic_error is None else "%.17g" % r.analytic_error
         ratio = r.mean_sq_error / mvh.mean_sq_error if mvh.mean_sq_error > 0.0 else (
             1.0 if r.mean_sq_error == 0.0 else float("inf")
         )
-        buf.write("%s,%d,%s,%s,%s,%s\n" % (
-            r.strategy, r.num_paths,
-            format(r.mean_sq_error, ".17g"),
-            format(r.std_error, ".17g"),
-            analytic,
-            format(ratio, ".17g"),
-        ))
-    return buf.getvalue()
+        rows.append("%s,%d,%.17g,%.17g,%s,%.17g\n" % (
+            r.strategy, r.num_paths, r.mean_sq_error, r.std_error, analytic, ratio))
+    return "".join(rows)

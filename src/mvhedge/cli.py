@@ -339,8 +339,9 @@ def cmd_inspect(args) -> int:
         print(f"# deterministic_mvt={det} pstar_is_p={pp}")
     elif field == "qstar":
         mea = opportunity.measures(tree, surf)
-        print("id,child,qstar_w,pstar_p\n" + _rows("%d,%d,%.17g,%.17g\n", tree.parent[1:].tolist(),
-              range(1, len(tree.time)), mea.qstar_w.tolist(), mea.pstar_p.tolist()), end="")
+        print("id,child,qstar_w,pstar_p\n" + _rows(
+            "%d,%d,%.17g,%.17g\n", tree.parent[1:].tolist(), range(1, len(tree.time)),
+            mea.qstar_w[1:].tolist(), mea.pstar_p[1:].tolist()), end="")
     else:
         raise BadParameter(f"unknown inspect field {field!r}")
     return EXIT_OK

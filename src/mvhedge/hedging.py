@@ -56,7 +56,7 @@ def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface, claim: Clai
     L, a = surf.L, surf.a_tilde
     for t in range(tree.horizon - 1, -1, -1):
         bad = []
-        for s in tree.layout.steps(t):
+        for s in tree.layout.steps[t]:
             i = s.ids
             gain = (s.deltas @ a[i][..., None])[..., 0]
             w = s.probs * (L[s.kids] / L[i][:, None]) * (1.0 - gain)
@@ -78,7 +78,7 @@ def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarr
     e = np.full(n, np.nan)
     dbar_u = np.empty((n, d))
     for t in range(tree.horizon):
-        for s in lay.steps(t):
+        for s in lay.steps[t]:
             pL = s.probs * surf.L[s.kids]
             dv = V[s.kids] - V[s.ids][:, None]
             dbar_u[s.ids] = (s.deltas.swapaxes(1, 2) @ (pL * dv)[..., None])[..., 0]
@@ -111,7 +111,7 @@ def rollout_strategy(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarra
     G = np.full(n, np.nan)
     G[0] = v0
     for t in range(tree.horizon):
-        for s in tree.layout.steps(t):
+        for s in tree.layout.steps[t]:
             i = s.ids
             phi[i] = xi[i] - (G[i] - V[i])[:, None] * a[i]
             G[s.kids] = G[i][:, None] + (s.deltas @ phi[i][..., None])[..., 0]
@@ -141,7 +141,7 @@ def fs_residual_check(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
     """
     worst = 0.0
     for t in range(tree.horizon):
-        for s in tree.layout.steps(t):
+        for s in tree.layout.steps[t]:
             i = s.ids
             pstar = s.probs * surf.L[s.kids] / surf.m0[i][:, None]
             gains = (s.deltas @ plan.xi[i][..., None])[..., 0]

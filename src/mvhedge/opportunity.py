@@ -81,23 +81,24 @@ class OpportunitySurface:
 
 @dataclass
 class MeasureSurface:
-    """One-step and cumulative densities of the derived measures.
+    """One-step and cumulative densities of the derived measures, all
+    indexed by node id.
 
-    Per edge, aligned with tree.layout's edges (edge e leads to node
-    e + 1; node i's entries are offsets[i]:offsets[i + 1]):
+    One-step, for the edge from node n into its child k and stored at k
+    as tree.prob is (1 at the root):
       qstar_w: one-step signed density factor of the variance-optimal
                measure, (L_k/L_n)(1 - a_tilde' d_k); may be <= 0
       pstar_p: one-step probability of the opportunity-neutral measure,
                p_k L_k / m0
       nstar_f: one-step factor 1 - a_hat' (d_k - b_sstar)
-    Per node (cumulative along the root path, so in particular per leaf):
+    Cumulative along the root path (so in particular per leaf):
       z_qstar: product of qstar_w factors (= dQ*/dP on leaves)
       z_pstar: product of pstar_p/p factors (= dP*/dP on leaves)
     """
 
-    qstar_w: np.ndarray   # (E,)
-    pstar_p: np.ndarray   # (E,)
-    nstar_f: np.ndarray   # (E,)
+    qstar_w: np.ndarray   # (n,)
+    pstar_p: np.ndarray   # (n,)
+    nstar_f: np.ndarray   # (n,)
     z_qstar: np.ndarray   # (n,)
     z_pstar: np.ndarray   # (n,)
 
@@ -150,7 +151,7 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
     surf = _unfilled(np.ones(n), np.full((n, d), np.nan))
     for t in range(tree.horizon - 1, -1, -1):
         degenerate = []
-        for s in lay.steps(t):
+        for s in lay.steps[t]:
             m0, bbar_u, cbar_u = weighted_moments(s.probs * surf.L[s.kids], s.deltas)
             cinv = pinv_psd(cbar_u)
             b = bbar_u[..., None]
@@ -174,7 +175,7 @@ def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
     n, d = len(tree.nodes), tree.num_assets
     surf = _unfilled(np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d)))
     for t in range(tree.horizon):
-        for s in lay.steps(t):
+        for s in lay.steps[t]:
             moments = weighted_moments(s.probs, s.deltas)
             surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = moments
     return surf
@@ -188,17 +189,16 @@ def measures(tree: ScenarioTree, surf: OpportunitySurface) -> MeasureSurface:
     signed) and are counted, never clamped."""
     lay = tree.layout
     n = len(tree.nodes)
-    qstar_w, pstar_p, nstar_f = np.empty(n - 1), np.empty(n - 1), np.empty(n - 1)
-    z_qstar, z_pstar = np.ones(n), np.ones(n)
+    qstar_w, pstar_p, nstar_f, z_qstar, z_pstar = np.ones((5, n))
     for t in range(tree.horizon):
-        for s in lay.steps(t):
-            i, edges = s.ids, s.kids - 1
+        for s in lay.steps[t]:
+            i = s.ids
             child_L = surf.L[s.kids]
             gain = (s.deltas @ surf.a_tilde[i][..., None])[..., 0]
-            qw = qstar_w[edges] = (child_L / surf.L[i][:, None]) * (1.0 - gain)
-            pp = pstar_p[edges] = s.probs * child_L / surf.m0[i][:, None]
+            qw = qstar_w[s.kids] = (child_L / surf.L[i][:, None]) * (1.0 - gain)
+            pp = pstar_p[s.kids] = s.probs * child_L / surf.m0[i][:, None]
             shifted = s.deltas - surf.b_sstar[i][:, None, :]
-            nstar_f[edges] = 1.0 - (shifted @ surf.a_hat[i][..., None])[..., 0]
+            nstar_f[s.kids] = 1.0 - (shifted @ surf.a_hat[i][..., None])[..., 0]
             z_qstar[s.kids] = z_qstar[i][:, None] * qw
             z_pstar[s.kids] = z_pstar[i][:, None] * (pp / s.probs)
     return MeasureSurface(qstar_w, pstar_p, nstar_f, z_qstar, z_pstar)
@@ -215,14 +215,15 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
     b = surf.b_sstar[ids]
     up = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
     dn = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
-    mass, drift = np.empty(len(ids)), np.empty(len(ids))
+    mass, drift, lemma323 = np.empty((3, len(ids)))
     for t in range(tree.horizon):
-        for s in lay.steps(t):
-            qw = mea.qstar_w[s.kids - 1]
+        for s in lay.steps[t]:
+            qw = mea.qstar_w[s.kids]
             mass[s.ids] = (s.probs[:, None, :] @ qw[..., None])[:, 0, 0]
             drift[s.ids] = np.max(np.abs(s.deltas.swapaxes(1, 2) @ (s.probs * qw)[..., None]),
                                   axis=(1, 2))
-    fact = surf.L[1:] / surf.m0[tree.parent[1:]] * mea.nstar_f
+            fact = surf.L[s.kids] / surf.m0[s.ids][:, None] * mea.nstar_f[s.kids]
+            lemma323[s.ids] = np.max(np.abs(fact - qw), axis=1)
 
     def cor320(c, a):
         return np.max(np.abs((c[ids] @ a[ids][..., None])[..., 0] - b), axis=1)
@@ -234,7 +235,7 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
         "dak_identity": (surf.dAK[ids], up - 1.0),
         "qstar_mass": (mass, 1.0),
         "qstar_drift": (drift, 0.0),
-        "lemma323": (np.maximum.reduceat(np.abs(fact - mea.qstar_w), lay.offsets[ids]), 0.0),
+        "lemma323": (lemma323, 0.0),
     }
 
 

@@ -14,14 +14,14 @@ node (1 at the root).  tree.nodes is the id range range(n).
 The ordering contract, which validate_tree enforces: node 0 is the root,
 each time slice's nodes are contiguous and in time order, and parent
 never decreases within a slice.  So a node's children are a contiguous
-id range, in the order the builders create them, and edge e of the tree
-(in parent order) leads to node e + 1.
+id range, in the order the builders create them.  Every per-edge value
+is stored at the child node the edge leads to, as prob is.
 
 The engine derives one flat, read-only TreeLayout from the arrays at
-first use (CSR child offsets, edge probabilities and price increments,
-and each time slice's nodes grouped by child count) and every sweep runs
-one time slice at a time over those groups.  The layout is cached, so
-the arrays must not change once the engine has seen the tree.
+first use (CSR child offsets, and each time slice's one-step markets
+gathered once, grouped by child count) and every sweep runs one time
+slice at a time over those groups.  The layout is cached, so the arrays
+must not change once the engine has seen the tree.
 """
 from __future__ import annotations
 
@@ -47,8 +47,9 @@ def _fmt(x: float) -> str:
 class Step(NamedTuple):
     """The one-step markets of m nodes of one time slice that have the
     same child count k, aligned by child: row r holds node ids[r]'s
-    child ids, conditional probabilities and price increments, in the
-    order of its children."""
+    child ids, conditional probabilities tree.prob[kids] and price
+    increments tree.price[kids] - tree.price[ids[r]], in the order of
+    its children."""
 
     ids: np.ndarray      # (m,)
     kids: np.ndarray     # (m, k)
@@ -60,46 +61,36 @@ class TreeLayout:
     """Flat, read-only arrays derived from a tree that keeps the
     ordering contract.
 
-    The children of node i are the edges offsets[i]:offsets[i + 1]; edge e
-    leads to node e + 1 with conditional probability prob[e] and price
-    increment delta[e] = price[e + 1] - price[parent[e + 1]].  slices[t]
-    holds the ids of the time-t nodes, and inner the ids of the
-    non-terminal nodes.  groups[t], for t < horizon, splits slices[t] by
-    child count k into (ids, edges) pairs, ascending in k: edges is the
-    (m, k) matrix of edge indices whose row r is node ids[r]'s edges.
-    Grouping by child count, not padding to a common count, keeps every
-    stacked one-step computation the same arithmetic as on one node
-    alone.
+    The children of node i are the nodes offsets[i] + 1 .. offsets[i + 1].
+    slices[t] holds the ids of the time-t nodes, and inner the ids of
+    the non-terminal nodes.  steps[t], for t < horizon, is the one-step
+    market of slices[t], gathered once: one Step per child count k,
+    ascending in k, together covering slices[t].  Grouping by child
+    count, not padding to a common count, keeps every stacked one-step
+    computation the same arithmetic as on one node alone.
     """
 
     def __init__(self, tree: ScenarioTree):
         n = len(tree.parent)
-        parent = tree.parent[1:]
-        counts = np.bincount(parent, minlength=n)
+        counts = np.bincount(tree.parent[1:], minlength=n)
         offsets = np.zeros(n + 1, dtype=np.intp)
         np.cumsum(counts, out=offsets[1:])
         bounds = np.zeros(tree.horizon + 2, dtype=np.intp)
         np.cumsum(np.bincount(tree.time, minlength=tree.horizon + 1), out=bounds[1:])
         slices = [np.arange(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        groups = []
+        steps = []
         for ids in slices[:-1]:
             k = counts[ids]
-            groups.append([(ids[k == kk], offsets[ids[k == kk], None] + np.arange(kk))
-                           for kk in np.flatnonzero(np.bincount(k)).tolist()])
-        prob = tree.prob[1:]
-        delta = tree.price[1:] - tree.price[parent]
+            steps.append([])
+            for kk in np.flatnonzero(np.bincount(k)).tolist():
+                group = ids[k == kk]
+                kids = offsets[group, None] + 1 + np.arange(kk)
+                steps[-1].append(Step(group, kids, tree.prob[kids],
+                                      tree.price[kids] - tree.price[group][:, None]))
         inner = np.arange(bounds[-2])
-        for a in (offsets, prob, delta, inner, *slices,
-                  *(a for group in groups for pair in group for a in pair)):
+        for a in (offsets, inner, *slices, *(a for step in steps for s in step for a in s)):
             a.flags.writeable = False
-        self.offsets, self.prob, self.delta = offsets, prob, delta
-        self.slices, self.groups, self.inner = slices, groups, inner
-
-    def steps(self, t: int) -> list[Step]:
-        """The one-step markets of the time-t nodes, one Step per child
-        count, gathered from the edge arrays."""
-        return [Step(ids, edges + 1, self.prob[edges], self.delta[edges])
-                for ids, edges in self.groups[t]]
+        self.offsets, self.slices, self.steps, self.inner = offsets, slices, steps, inner
 
 
 @dataclass(eq=False)
@@ -206,9 +197,18 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """values as a float array; BadParameter on a boolean, which float()
+    would read as 0 or 1."""
+    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
+        raise BadParameter(f"{what} must be numbers, not booleans")
+    return np.asarray(values, dtype=float)
+
+
 def _finite(values, what: str) -> np.ndarray:
-    """values as a float vector; BadParameter unless every entry is finite."""
-    v = np.atleast_1d(np.asarray(values, dtype=float))
+    """values as a float vector; BadParameter unless every entry is a
+    finite number."""
+    v = np.atleast_1d(_floats(values, what))
     if not np.all(np.isfinite(v)):
         raise BadParameter(f"{what} must be finite")
     return v
@@ -289,7 +289,7 @@ def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None, val
         gain = tree.price[leaves, 0] - strike
         payoff = np.maximum(gain if kind == "call" else -gain, 0.0)
     elif kind == "per_leaf":
-        payoff = np.asarray(values, dtype=float)
+        payoff = _floats(values, "per_leaf values")
         if payoff.shape != (len(leaves),):
             raise BadParameter(
                 f"per_leaf claim has {payoff.size} values for {len(leaves)} leaves"
@@ -416,7 +416,7 @@ def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
         nodes, num_assets = doc["nodes"], doc["num_assets"]
         n = len(nodes)
         parent = [-1 if nd["parent"] is None else nd["parent"] for nd in nodes]
-        listed = [(i, c["id"], float(c["p"])) for i, nd in enumerate(nodes) for c in nd["children"]]
+        listed = [(i, c["id"], c["p"]) for i, nd in enumerate(nodes) for c in nd["children"]]
         errors = [f"node at list position {pos} has id {nd['id']}"
                   for pos, nd in enumerate(nodes) if nd["id"] != pos]
         errors += [f"parent {p!r} of node {i} out of range"
@@ -427,10 +427,14 @@ def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
                    for i, nd in enumerate(nodes) if type(nd["time"]) is not int]
         errors += [f"price dimension mismatch at node {i}"
                    for i, nd in enumerate(nodes) if len(nd["price"]) != num_assets]
+        errors += [f"boolean price at node {i}"
+                   for i, nd in enumerate(nodes) if any(isinstance(x, bool) for x in nd["price"])]
+        errors += [f"boolean probability at node {i} child {c}"
+                   for i, c, p in listed if isinstance(p, bool)]
         prob, seen = [1.0] * n, [0] * n
         if not errors:
             for i, c, p in listed:
-                prob[c] = p
+                prob[c] = float(p)
                 seen[c] += 1
                 if parent[c] != i:
                     errors.append(f"parent mismatch at node {c}")
@@ -451,5 +455,5 @@ def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
         raise BadParameter("malformed tree document: " + "; ".join(errors))
     claim = None
     if "claim" in doc and doc["claim"] is not None:
-        claim = Claim(payoff=np.asarray(doc["claim"], dtype=float))
+        claim = Claim(payoff=_floats(doc["claim"], "claim"))
     return tree, claim

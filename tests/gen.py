@@ -10,14 +10,16 @@ from mvhedge.tree import ScenarioTree
 
 
 def step(tree: ScenarioTree, node_id: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-step view of a non-terminal node, aligned by child: the child
-    ids, their conditional probabilities, and the price increments (one
-    row per child), read off tree.layout.  Read-only."""
-    lay = tree.layout
-    lo, hi = lay.offsets[node_id], lay.offsets[node_id + 1]
-    kids = np.arange(lo + 1, hi + 1)
-    kids.flags.writeable = False
-    return kids, lay.prob[lo:hi], lay.delta[lo:hi]
+    """One-step view of a node, aligned by child: the child ids, their
+    conditional probabilities, and the price increments (one row per
+    child), the node's row of its Step in tree.layout.steps, as
+    read-only views; empty arrays at a terminal node."""
+    t = tree.time[node_id]
+    for s in tree.layout.steps[t] if t < tree.horizon else []:
+        row = np.flatnonzero(s.ids == node_id)
+        if row.size:
+            return s.kids[row[0]], s.probs[row[0]], s.deltas[row[0]]
+    return np.empty(0, dtype=np.intp), np.empty(0), np.empty((0, tree.num_assets))
 
 
 def _random_law(rng, branching: int, d: int, martingale: bool):
@@ -393,18 +395,18 @@ def backtest_2d_tree(periods: int = 2) -> mv.ScenarioTree:
 
 
 def measures_loop(tree: ScenarioTree, surf: mv.OpportunitySurface) -> dict:
-    """The fields of measures(tree, surf) node by node; the one-step
-    fields are edge arrays, node i's entries at its child ids - 1."""
+    """The fields of measures(tree, surf) node by node; each one-step
+    factor is stored at the child node, 1 at the root."""
     n = len(tree.nodes)
-    out = {"qstar_w": np.empty(n - 1), "pstar_p": np.empty(n - 1), "nstar_f": np.empty(n - 1),
+    out = {"qstar_w": np.ones(n), "pstar_p": np.ones(n), "nstar_f": np.ones(n),
            "z_qstar": np.ones(n), "z_pstar": np.ones(n), "num_negative_weights": 0}
     for i in _inner(tree):
         kids, probs, deltas = _children(tree, i)
         child_L = surf.L[kids]
         qw = (child_L / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
         pp = probs * child_L / surf.m0[i]
-        out["qstar_w"][kids - 1], out["pstar_p"][kids - 1] = qw, pp
-        out["nstar_f"][kids - 1] = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
+        out["qstar_w"][kids], out["pstar_p"][kids] = qw, pp
+        out["nstar_f"][kids] = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
         out["num_negative_weights"] += int(np.sum(qw <= 0.0))
         out["z_qstar"][kids] = out["z_qstar"][i] * qw
         out["z_pstar"][kids] = out["z_pstar"][i] * (pp / probs)

@@ -121,6 +121,11 @@ def test_hedge_degenerate_exit_code(tmp_path):
     ("hedge", {"model": TRINOMIAL, "claim": {"type": "call", "strike": True}}),
     ("hedge", {"model": TRINOMIAL, "claim": {"type": "call", "strike": float("inf")}}),
     ("hedge", {"model": TRINOMIAL, "claim": {"type": "put", "strike": float("inf")}}),
+    ("hedge", {"model": dict(BINOMIAL_1, s0=[True], increments=[
+        {"delta": [True], "p": 0.6}, {"delta": [-1.0], "p": 0.4}]), "claim": CALL10}),
+    ("hedge", {"model": dict(REGIME, regimes=REGIME["regimes"][:1], transition=[[True]]),
+               "claim": CALL10}),
+    ("hedge", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": [True, 0.0]}}),
 ])
 def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)

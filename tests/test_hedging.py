@@ -103,7 +103,7 @@ def test_v_is_one_step_qstar_martingale(seed):
     scale = max(1.0, np.max(np.abs(claim.payoff)))
     for i in tree.layout.inner:
         kids, p, _ = step(tree, i)
-        assert float((p * mea.qstar_w[kids - 1]) @ plan.V[kids]) == pytest.approx(
+        assert float((p * mea.qstar_w[kids]) @ plan.V[kids]) == pytest.approx(
             plan.V[i], abs=1e-10 * scale
         )
 
@@ -315,7 +315,7 @@ def reversed_cases():
 def test_children_reversed(case):
     # listing every node's children in reverse order, with the ids
     # renumbered to keep the ordering contract, permutes the per-node
-    # and per-edge outputs alike and leaves the error unchanged
+    # outputs, the one-step weights included, and leaves the error unchanged
     tree = reversed_cases()[case]
     rev, old = reverse_children(tree)
     rev, _ = mv.parse_tree(mv.serialize_tree(rev))
@@ -328,7 +328,7 @@ def test_children_reversed(case):
     assert np.allclose(plan2.xi[inner], plan.xi[old[inner]], rtol=1e-12, atol=1e-12 * scale)
     assert err2 == pytest.approx(err, rel=1e-12)
     qstar_w = mv.measures(tree, surf).qstar_w
-    assert np.allclose(mv.measures(rev, surf2).qstar_w, qstar_w[old[1:] - 1],
+    assert np.allclose(mv.measures(rev, surf2).qstar_w, qstar_w[old],
                        rtol=1e-12, atol=0.0)
 
 
@@ -355,7 +355,7 @@ def test_children_reversed_property(tree, strike):
     inner = rev.layout.inner
     assert np.allclose(plan2.xi[inner], plan.xi[old[inner]], rtol=1e-12, atol=1e-12 * scale)
     assert err2 == pytest.approx(err, rel=1e-12, abs=1e-12 * scale * scale)
-    assert np.allclose(mv.measures(rev, surf2).qstar_w, mv.measures(tree, surf).qstar_w[old[1:] - 1],
+    assert np.allclose(mv.measures(rev, surf2).qstar_w, mv.measures(tree, surf).qstar_w[old],
                        rtol=1e-12, atol=0.0)
 
 

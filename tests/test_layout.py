@@ -71,14 +71,14 @@ def test_sweeps_equal_reference_loops(name, tree, claim):
 
 
 def test_qstar_w_read_through_step_matches_node_by_node():
-    # edge e leads to node e + 1, so a node's weights sit at its child ids - 1
+    # a node's one-step weights sit at its child ids
     tree = uneven_regime_tree(3)
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
     for i in tree.layout.inner.tolist():
         kids, _, deltas = step(tree, i)
         want = (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
-        assert equal(mea.qstar_w[kids - 1], want), i
+        assert equal(mea.qstar_w[kids], want), i
 
 
 def make_riskless(tree, node_ids):
@@ -134,10 +134,10 @@ def test_layout_matches_nodes():
             assert np.array_equal(delta, tree.price[cid] - tree.price[i])
     for t in range(tree.horizon + 1):
         assert lay.slices[t].tolist() == np.flatnonzero(tree.time == t).tolist()
-    for t, groups in enumerate(lay.groups):
-        counts = [edges.shape[1] for _, edges in groups]
+    for t, steps in enumerate(lay.steps):
+        counts = [s.kids.shape[1] for s in steps]
         assert counts == sorted(set(counts))
-        ids = np.sort(np.concatenate([ids for ids, _ in groups]))
+        ids = np.sort(np.concatenate([s.ids for s in steps]))
         assert np.array_equal(ids, lay.slices[t])
     has_children = np.isin(tree.nodes, tree.parent)
     assert tree.leaves().tolist() == np.flatnonzero(~has_children).tolist()
@@ -147,9 +147,25 @@ def test_layout_matches_nodes():
 def test_step_views_are_read_only():
     tree = uneven_regime_tree(2)
     kids, probs, deltas = step(tree, 0)
-    for view in (kids, probs, deltas, tree.layout.slices[1], tree.layout.groups[0][0][1]):
+    views = [kids, probs, deltas, tree.layout.slices[1]]
+    views += [a for steps in tree.layout.steps for s in steps for a in s]
+    for view in views:
         with pytest.raises(ValueError):
             view[0] = 0
+
+
+def test_measures_are_node_aligned():
+    # a one-step factor sits at the node its edge leads to, 1 at the
+    # root, as tree.prob does, so each path density is a running product
+    tree = uneven_regime_tree(3)
+    mea = mv.measures(tree, mv.compute_opportunity(tree))
+    for key in ("qstar_w", "pstar_p", "nstar_f"):
+        value = getattr(mea, key)
+        assert value.shape == (len(tree.nodes),) and value[0] == 1.0, key
+    for i in tree.layout.inner.tolist():
+        kids, probs, _ = step(tree, i)
+        assert equal(mea.z_qstar[kids], mea.z_qstar[i] * mea.qstar_w[kids]), i
+        assert equal(mea.z_pstar[kids], mea.z_pstar[i] * (mea.pstar_p[kids] / probs)), i
 
 
 def test_oracles_build_no_layout(monkeypatch):
@@ -210,6 +226,32 @@ def test_cli_does_no_one_step_algebra():
             step_reads.append(node.lineno)
     assert linalg_imports == []
     assert step_reads == []
+
+
+LAYOUT_FIELDS = {"offsets", "slices", "steps", "inner"}
+
+
+def test_one_index_convention():
+    # every one-step value is stored at the child node its edge leads
+    # to, so no module turns child ids into edge indices, and outside
+    # tree.py the layout is read only through its node and slice fields
+    kids_minus, layout_reads = [], []
+    for path in sorted(Path(mv.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text())
+        layouts = {target.id for node in ast.walk(module) if isinstance(node, ast.Assign)
+                   and isinstance(node.value, ast.Attribute) and node.value.attr == "layout"
+                   for target in node.targets if isinstance(target, ast.Name)}
+        for node in ast.walk(module):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+                    and isinstance(node.left, ast.Attribute) and node.left.attr == "kids"):
+                kids_minus.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Attribute) and path.name != "tree.py"
+                  and node.attr not in LAYOUT_FIELDS
+                  and (isinstance(node.value, ast.Attribute) and node.value.attr == "layout"
+                       or isinstance(node.value, ast.Name) and node.value.id in layouts)):
+                layout_reads.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert kids_minus == []
+    assert layout_reads == []
 
 
 def test_claim_length_must_match_leaves():

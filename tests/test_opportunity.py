@@ -81,8 +81,8 @@ def test_measures_martingale_tree():
     mea = mv.measures(tree, surf)
     for i in tree.layout.inner:
         kids, probs, _ = step(tree, i)
-        assert np.allclose(mea.qstar_w[kids - 1], 1.0, atol=1e-12)
-        assert np.allclose(mea.pstar_p[kids - 1], probs, atol=1e-12)
+        assert np.allclose(mea.qstar_w[kids], 1.0, atol=1e-12)
+        assert np.allclose(mea.pstar_p[kids], probs, atol=1e-12)
     assert np.allclose(mea.z_pstar, 1.0, atol=1e-12)
 
 
@@ -91,8 +91,8 @@ def test_measures_binomial_hand_values():
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
     kids, _, _ = step(tree, 0)
-    assert mea.qstar_w[kids - 1] == pytest.approx([0.8 / 0.96, 1.2 / 0.96])
-    assert mea.pstar_p[kids - 1] == pytest.approx([0.6, 0.4])
+    assert mea.qstar_w[kids] == pytest.approx([0.8 / 0.96, 1.2 / 0.96])
+    assert mea.pstar_p[kids] == pytest.approx([0.6, 0.4])
 
 
 def test_measures_signed_trinomial():
@@ -104,9 +104,9 @@ def test_measures_signed_trinomial():
     assert surf.a_tilde[0][0] == pytest.approx(1.25 / 2.35)
     # up branch weight is negative: the measure is signed
     kids, probs, _ = step(tree, 0)
-    assert mea.qstar_w[kids[0] - 1] < 0.0
+    assert mea.qstar_w[kids[0]] < 0.0
     assert mea.num_negative_weights == 1
-    assert float(probs @ mea.qstar_w[kids - 1]) == pytest.approx(1.0)
+    assert float(probs @ mea.qstar_w[kids]) == pytest.approx(1.0)
 
 
 def test_sharpe_formula():
@@ -212,12 +212,12 @@ def test_structural_identities_random_trees(seed):
         assert up * dn == pytest.approx(1.0, abs=1e-9)
         assert surf.dAK[i] == pytest.approx(up - 1.0, rel=1e-9, abs=1e-9)
         # signed measure prices every one-step increment to zero
-        assert float(p @ mea.qstar_w[kids - 1]) == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(deltas.T @ (p * mea.qstar_w[kids - 1]), 0.0, atol=1e-10)
+        assert float(p @ mea.qstar_w[kids]) == pytest.approx(1.0, abs=1e-10)
+        assert np.allclose(deltas.T @ (p * mea.qstar_w[kids]), 0.0, atol=1e-10)
         # one-step factorization of the signed density over the neutral one
-        fact = (child_L / surf.m0[i]) * mea.nstar_f[kids - 1]
-        assert np.allclose(fact, mea.qstar_w[kids - 1], atol=1e-10)
-        qw = mea.qstar_w[kids - 1]
+        fact = (child_L / surf.m0[i]) * mea.nstar_f[kids]
+        assert np.allclose(fact, mea.qstar_w[kids], atol=1e-10)
+        qw = mea.qstar_w[kids]
         for name, pair in zip(IDENTITIES, [
                 (np.max(np.abs(surf.c_tilde_sstar[i] @ surf.a_tilde[i] - b)), 0.0),
                 (np.max(np.abs(surf.c_hat_sstar[i] @ surf.a_hat[i] - b)), 0.0),

@@ -253,6 +253,11 @@ def time_not_integer(doc):
     doc["nodes"][1]["time"] = 1.5
 
 
+def boolean_price_and_probability(doc):
+    doc["nodes"][0]["price"] = [True]
+    doc["nodes"][1]["children"][0]["p"] = True
+
+
 DOCUMENT_DEFECTS = [
     (child_past_end, "child 7 of node 1 out of range"),
     (child_minus_one, "child -1 of node 0 out of range"),
@@ -263,6 +268,7 @@ DOCUMENT_DEFECTS = [
     (child_listed_twice, "node 5 listed 2 times"),
     (child_missing, "node 6 missing from the children of node 2"),
     (time_not_integer, "time 1.5 of node 1 is not an integer"),
+    (boolean_price_and_probability, "boolean price at node 0; boolean probability at node 1 child 3"),
 ]
 
 
