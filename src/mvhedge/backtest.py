@@ -166,18 +166,11 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
     _, G = strategy_holdings(tree, surf, plan, kind, v0)
     analytic = hedging_error(tree, surf, plan, v0).total_error if kind == "mvh" else None
     if paths is None:
-        mse = exact_sq_error(tree, plan, G)
-        return BacktestReport(
-            strategy=kind, num_paths=len(tree.leaves()), mean_sq_error=mse,
-            std_error=0.0, analytic_error=analytic,
-        )
+        return BacktestReport(kind, len(tree.leaves()), exact_sq_error(tree, plan, G), 0.0,
+                              analytic)
     errs = (G - plan.V)[np.asarray(paths)] ** 2   # a list index gathers element by element
-    mean = float(np.mean(errs))
     std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
-    return BacktestReport(
-        strategy=kind, num_paths=len(paths), mean_sq_error=mean,
-        std_error=std_err, analytic_error=analytic,
-    )
+    return BacktestReport(kind, len(paths), float(np.mean(errs)), std_err, analytic)
 
 
 def compare_report(reports: list[BacktestReport]) -> str:

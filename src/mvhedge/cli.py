@@ -149,6 +149,10 @@ def _setup(config: dict):
     claim = build_claim(tree, config["claim"])
     surf = opportunity.compute_opportunity(tree)
     plan = hedging.compute_plan(tree, surf, claim)
+    inner = tree.layout.inner   # no command may write a number that overflowed
+    finite = np.isfinite(surf.L) & np.isfinite(plan.V)
+    finite[inner] &= np.isfinite(np.c_[surf.a_tilde[inner], plan.xi[inner], plan.e[inner]]).all(1)
+    DegenerateStep.raise_lowest([np.flatnonzero(~finite)])
     return tree, claim, surf, plan
 
 
@@ -179,6 +183,8 @@ def cmd_hedge(args) -> int:
     tree, claim, surf, plan = _setup(config)
     v0 = _resolve_v0(args.v0 if args.v0 is not None else config.get("v0"), plan)
     report = hedging.hedging_error(tree, surf, plan, v0)
+    if not math.isfinite(report.total_error):
+        raise DegenerateStep(0)
 
     d, n_in = tree.num_assets, int(np.searchsorted(tree.time, tree.horizon))  # leaves last
     ids, time, V = range(len(tree.time)), tree.time.tolist(), plan.V.tolist()

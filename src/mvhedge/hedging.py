@@ -2,8 +2,9 @@
 
 The mean value process V is the claim's conditional "price" under the
 variance-optimal signed measure, computed backward with the one-step
-weights p_k (L_k/L_n)(1 - a_tilde' d_k); these sum to 1 at every node, a
-consequence of the opportunity recursion that is checked, not assumed.
+weights p_k qstar_w_k that the surface stores; these sum to 1 at every
+node, a consequence of the opportunity recursion that is checked, not
+assumed.
 The pure hedge coefficient xi regresses V-increments on price increments
 in the L-weighted one-step geometry, and the optimal strategy corrects
 xi by the running surplus: phi = xi - (wealth - V) a_tilde.
@@ -46,20 +47,19 @@ class HedgeReport:
 
 
 def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface, claim: Claim) -> np.ndarray:
-    """Backward recursion V(n) = sum_k p_k (L_k/L_n)(1 - a_tilde' d_k) V_k
-    with V(leaf) = payoff, one time slice at a time.
+    """Backward recursion V(n) = sum_k p_k qstar_w_k V_k, qstar_w_k =
+    (L_k/L_n)(1 - a_tilde' d_k) as stored on surf, with V(leaf) = payoff,
+    one time slice at a time.
 
-    Raises DegenerateStep when the one-step weights at a node do not sum
-    to 1 within WEIGHT_SUM_TOL; the node named is the lowest id of the
-    latest slice with such a node."""
+    Raises DegenerateStep when the one-step weights p_k qstar_w_k at a
+    node do not sum to 1 within WEIGHT_SUM_TOL; the node named is the
+    lowest id of the latest slice with such a node."""
     V = claim_at(tree, claim)
-    L, a = surf.L, surf.a_tilde
     for t in range(tree.horizon - 1, -1, -1):
         bad = []
         for s in tree.layout.steps[t]:
             i = s.ids
-            gain = (s.deltas @ a[i][..., None])[..., 0]
-            w = s.probs * (L[s.kids] / L[i][:, None]) * (1.0 - gain)
+            w = s.probs * surf.qstar_w[s.kids]
             bad.append(i[~(np.abs(np.sum(w, axis=1) - 1.0) <= WEIGHT_SUM_TOL)])
             V[i] = (w[:, None, :] @ V[s.kids][..., None])[:, 0, 0]
         DegenerateStep.raise_lowest(bad)
@@ -126,9 +126,7 @@ def hedging_error(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
     endowment = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
     slice_error = {t: sum((probs[ids] * plan.e[ids]).tolist())
                    for t, ids in enumerate(tree.layout.slices[:-1])}
-    total = endowment
-    for s in slice_error.values():
-        total += s
+    total = sum(slice_error.values(), endowment)   # endowment first, then slice by slice
     return HedgeReport(total_error=total, endowment_term=endowment, slice_error=slice_error)
 
 
@@ -137,15 +135,14 @@ def fs_residual_check(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
     under the opportunity-neutral measure.
 
     Returns the largest absolute component over all non-terminal nodes of
-    r(n) = sum_k pstar_k d_k ((V_k - V_n) - xi' d_k).
+    r(n) = sum_k pstar_p_k d_k ((V_k - V_n) - xi' d_k).
     """
     worst = 0.0
     for t in range(tree.horizon):
         for s in tree.layout.steps[t]:
             i = s.ids
-            pstar = s.probs * surf.L[s.kids] / surf.m0[i][:, None]
             gains = (s.deltas @ plan.xi[i][..., None])[..., 0]
             resid = (plan.V[s.kids] - plan.V[i][:, None]) - gains
-            r = (s.deltas.swapaxes(1, 2) @ (pstar * resid)[..., None])[..., 0]
+            r = (s.deltas.swapaxes(1, 2) @ (surf.pstar_p[s.kids] * resid)[..., None])[..., 0]
             worst = max(worst, float(np.max(np.abs(r))))
     return worst

@@ -35,10 +35,12 @@ class OpportunitySurface:
     """Per-node outputs of the backward recursion.
 
     Arrays are indexed by node id; entries that only exist at
-    non-terminal nodes are NaN at terminal nodes.  Five arrays are
-    stored: L, a_tilde and the weighted one-step moments m0, bbar_u,
-    cbar_u.  The rest is derived from them for every node at first
-    access: dAK = m0/L - 1, a_hat = (1 + dAK) a_tilde, and the one-step
+    non-terminal nodes are NaN at terminal nodes.  Seven arrays are
+    stored: L, a_tilde, the weighted one-step moments m0, bbar_u, cbar_u,
+    and the one-step weights qstar_w = (L_k/L_n)(1 - a_tilde' d_k) and
+    pstar_p = p_k L_k / m0 of the step from node n into its child k, at k
+    as tree.prob is (1 at the root).  The rest is derived at first access:
+    dAK = m0/L - 1, a_hat = (1 + dAK) a_tilde, and the one-step
     characteristics of the price under the opportunity-neutral measure,
     b_sstar = bbar_u/m0 (conditional mean), c_tilde_sstar = cbar_u/m0
     (conditional second moment) and c_hat_sstar = c_tilde_sstar -
@@ -52,6 +54,8 @@ class OpportunitySurface:
     m0: np.ndarray                # (n,)
     bbar_u: np.ndarray            # (n, d)
     cbar_u: np.ndarray            # (n, d, d)
+    qstar_w: np.ndarray           # (n,)
+    pstar_p: np.ndarray           # (n,)
 
     @cached_property
     def dAK(self) -> np.ndarray:
@@ -85,7 +89,7 @@ class MeasureSurface:
     indexed by node id.
 
     One-step, for the edge from node n into its child k and stored at k
-    as tree.prob is (1 at the root):
+    as tree.prob is (1 at the root), the first two handed on from surf:
       qstar_w: one-step signed density factor of the variance-optimal
                measure, (L_k/L_n)(1 - a_tilde' d_k); may be <= 0
       pstar_p: one-step probability of the opportunity-neutral measure,
@@ -124,22 +128,17 @@ class MvtDiagnostics:
     det_l_residual: float | None
 
 
-def _unfilled(L: np.ndarray, a_tilde: np.ndarray) -> OpportunitySurface:
-    """A surface with the given L and a_tilde and NaN moments to fill in."""
+def _unfilled(L: np.ndarray, a_tilde: np.ndarray, qstar_w: np.ndarray) -> OpportunitySurface:
+    """The given L, a_tilde and qstar_w; NaN moments and pstar_p = 1 to fill in."""
     n, d = a_tilde.shape
-    return OpportunitySurface(
-        L=L,
-        a_tilde=a_tilde,
-        m0=np.full(n, np.nan),
-        bbar_u=np.full((n, d), np.nan),
-        cbar_u=np.full((n, d, d), np.nan),
-    )
+    return OpportunitySurface(L, a_tilde, np.full(n, np.nan), np.full((n, d), np.nan),
+                              np.full((n, d, d), np.nan), qstar_w, np.ones(n))
 
 
 def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
-    """Backward induction for L, a_tilde, and the weighted moments, one
-    time slice at a time: per child-count group of the slice, stacked
-    moments and one stacked pseudoinverse.
+    """Backward induction for L, a_tilde, the weighted moments and the
+    one-step weights, one time slice at a time: per child-count group of
+    the slice, stacked moments and one stacked pseudoinverse.
 
     Raises DegenerateStep when some one-step market admits a riskless
     nonzero return: the one-step ratio L/m0 = 1/(1 + dAK) vanishes.  The
@@ -148,18 +147,23 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
     named is the lowest id of the latest slice with such a step."""
     lay = tree.layout
     n, d = len(tree.nodes), tree.num_assets
-    surf = _unfilled(np.ones(n), np.full((n, d), np.nan))
+    surf = _unfilled(np.ones(n), np.full((n, d), np.nan), np.ones(n))
     for t in range(tree.horizon - 1, -1, -1):
         degenerate = []
         for s in lay.steps[t]:
-            m0, bbar_u, cbar_u = weighted_moments(s.probs * surf.L[s.kids], s.deltas)
+            child_L = surf.L[s.kids]
+            m0, bbar_u, cbar_u = weighted_moments(s.probs * child_L, s.deltas)
             cinv = pinv_psd(cbar_u)
             b = bbar_u[..., None]
             L = m0 - (b.swapaxes(1, 2) @ cinv @ b)[:, 0, 0]
             degenerate.append(s.ids[L <= DEGENERACY_THRESHOLD * m0])
             surf.L[s.ids] = L
-            surf.a_tilde[s.ids] = (cinv @ b)[..., 0]
+            a = surf.a_tilde[s.ids] = (cinv @ b)[..., 0]
             surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = m0, bbar_u, cbar_u
+            gain = (s.deltas @ a[..., None])[..., 0]
+            with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate L raises below
+                surf.qstar_w[s.kids] = child_L / L[:, None] * (1.0 - gain)
+                surf.pstar_p[s.kids] = s.probs * child_L / m0[:, None]
         DegenerateStep.raise_lowest(degenerate)
     return surf
 
@@ -169,39 +173,38 @@ def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
     L = 1 and a_tilde = 0 at every node, with the plain P-weighted
     one-step moments.  The engine's mean value and pure hedge on it are
     the martingale-style (GKW) hedge, and its c_hat_sstar is the
-    physical conditional covariance of the increments.  L and a_tilde
-    are read-only constant views, which take no memory."""
+    physical conditional covariance of the increments.  L, a_tilde and
+    qstar_w = 1 are read-only constant views, which take no memory;
+    pstar_p = p_k / m0."""
     lay = tree.layout
     n, d = len(tree.nodes), tree.num_assets
-    surf = _unfilled(np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d)))
+    ones = np.broadcast_to(1.0, (n,))
+    surf = _unfilled(ones, np.broadcast_to(0.0, (n, d)), ones)
     for t in range(tree.horizon):
         for s in lay.steps[t]:
             moments = weighted_moments(s.probs, s.deltas)
             surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = moments
+            surf.pstar_p[s.kids] = s.probs / moments[0][:, None]
     return surf
 
 
 def measures(tree: ScenarioTree, surf: OpportunitySurface) -> MeasureSurface:
     """One-step weights and cumulative path densities of the
-    variance-optimal signed measure and the opportunity-neutral measure.
+    variance-optimal signed measure and the opportunity-neutral measure;
+    qstar_w and pstar_p are the surface's own arrays, handed on.
 
     Negative qstar_w entries are legal (the variance-optimal measure is
     signed) and are counted, never clamped."""
     lay = tree.layout
-    n = len(tree.nodes)
-    qstar_w, pstar_p, nstar_f, z_qstar, z_pstar = np.ones((5, n))
+    nstar_f, z_qstar, z_pstar = np.ones((3, len(tree.nodes)))
     for t in range(tree.horizon):
         for s in lay.steps[t]:
             i = s.ids
-            child_L = surf.L[s.kids]
-            gain = (s.deltas @ surf.a_tilde[i][..., None])[..., 0]
-            qw = qstar_w[s.kids] = (child_L / surf.L[i][:, None]) * (1.0 - gain)
-            pp = pstar_p[s.kids] = s.probs * child_L / surf.m0[i][:, None]
             shifted = s.deltas - surf.b_sstar[i][:, None, :]
             nstar_f[s.kids] = 1.0 - (shifted @ surf.a_hat[i][..., None])[..., 0]
-            z_qstar[s.kids] = z_qstar[i][:, None] * qw
-            z_pstar[s.kids] = z_pstar[i][:, None] * (pp / s.probs)
-    return MeasureSurface(qstar_w, pstar_p, nstar_f, z_qstar, z_pstar)
+            z_qstar[s.kids] = z_qstar[i][:, None] * surf.qstar_w[s.kids]
+            z_pstar[s.kids] = z_pstar[i][:, None] * (surf.pstar_p[s.kids] / s.probs)
+    return MeasureSurface(surf.qstar_w, surf.pstar_p, nstar_f, z_qstar, z_pstar)
 
 
 def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface) -> dict:

@@ -409,16 +409,20 @@ def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
     """Parse a document produced by serialize_tree.  Raises BadParameter
     when the document contradicts itself: an id that is not its list
     position, a parent or child id out of range, a price row of the
-    wrong length, or children lists that disagree with the parent
-    pointers."""
+    wrong length, children lists that disagree with the parent pointers,
+    a horizon that is not a non-negative integer, or a claim that is not
+    a list of numbers, one per leaf."""
     doc = json.loads(text)
     try:
         nodes, num_assets = doc["nodes"], doc["num_assets"]
         n = len(nodes)
         parent = [-1 if nd["parent"] is None else nd["parent"] for nd in nodes]
         listed = [(i, c["id"], c["p"]) for i, nd in enumerate(nodes) for c in nd["children"]]
-        errors = [f"node at list position {pos} has id {nd['id']}"
-                  for pos, nd in enumerate(nodes) if nd["id"] != pos]
+        horizon, claim = doc["horizon"], doc.get("claim")
+        errors = [] if _is_int(horizon) and horizon >= 0 else [
+            f"horizon {horizon!r} is not a non-negative integer"]
+        errors += [f"node at list position {pos} has id {nd['id']}"
+                   for pos, nd in enumerate(nodes) if nd["id"] != pos]
         errors += [f"parent {p!r} of node {i} out of range"
                    for i, p in enumerate(parent) if p != -1 and not _is_id(p, n)]
         errors += [f"child {c!r} of node {i} out of range"
@@ -443,17 +447,18 @@ def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
                        for c, (p, k) in enumerate(zip(parent, seen)) if p >= 0 and not k]
         if not errors:
             tree = ScenarioTree(
-                num_assets=num_assets, horizon=doc["horizon"], parent=parent,
+                num_assets=num_assets, horizon=horizon, parent=parent,
                 time=[nd["time"] for nd in nodes],
                 price=np.array([nd["price"] for nd in nodes], dtype=float).reshape(n, num_assets),
                 regime=[-1 if nd.get("regime") is None else nd["regime"] for nd in nodes],
                 prob=prob,
             )
+            leaves = len(tree.leaves())
+            if claim is not None and not (isinstance(claim, list) and len(claim) == leaves
+                                          and all(type(x) in (int, float) for x in claim)):
+                errors.append(f"claim is not a list of {leaves} numbers, one per leaf")
     except (KeyError, TypeError, ValueError) as exc:
         raise BadParameter(f"malformed tree document: {exc}") from exc
     if errors:
         raise BadParameter("malformed tree document: " + "; ".join(errors))
-    claim = None
-    if "claim" in doc and doc["claim"] is not None:
-        claim = Claim(payoff=_floats(doc["claim"], "claim"))
-    return tree, claim
+    return tree, None if claim is None else Claim(payoff=np.array(claim, dtype=float))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 
@@ -319,11 +320,22 @@ def mean_value_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     for t in range(tree.horizon - 1, -1, -1):
         for i in _slice(tree, t):
             kids, probs, deltas = _children(tree, i)
-            w = probs * (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
+            w = probs * ((surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i]))
             if not abs(float(np.sum(w)) - 1.0) <= 1e-9:
                 raise mv.DegenerateStep(i)
             V[i] = float(w @ V[kids])
     return V
+
+
+def shift_adjustment(tree: ScenarioTree, surf: mv.OpportunitySurface, node_ids,
+                     shift: float = 1.0) -> None:
+    """Add shift to a_tilde at the listed nodes and rewrite the one-step
+    Q* weights stored at their children from it by the per-node formula,
+    so that both compute_mean_value and mean_value_loop see the change."""
+    surf.a_tilde[node_ids] += shift
+    for i in node_ids:
+        kids, _, deltas = _children(tree, i)
+        surf.qstar_w[kids] = (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
 
 
 def pure_hedge_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
@@ -422,6 +434,51 @@ def fs_residual_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
         resid = (plan.V[kids] - plan.V[i]) - deltas @ plan.xi[i]
         worst = max(worst, float(np.max(np.abs(deltas.T @ (pstar * resid)))))
     return worst
+
+
+def exact_pinv(c: list) -> list:
+    """Moore-Penrose inverse of a symmetric positive semidefinite d x d
+    Fraction matrix, d <= 2, exactly: the inverse when it exists, else
+    c / tr(c)^2 (rank 1, c = v v'), and 0 when c = 0."""
+    d = len(c)
+    det = c[0][0] * c[1][1] - c[0][1] * c[1][0] if d == 2 else 0
+    if det:
+        return [[c[1][1] / det, -c[0][1] / det], [-c[1][0] / det, c[0][0] / det]]
+    tr = sum(c[j][j] for j in range(d))
+    return [[x / tr ** 2 if tr else Fraction(0) for x in row] for row in c]
+
+
+def exact_sweep(tree: ScenarioTree, payoff) -> dict[str, list]:
+    """The paper's backward recursion in exact rational arithmetic, for
+    d <= 2: the float inputs are read exactly (Fraction(x)) and nothing
+    is rounded.  Returns per-node lists of Fractions: L, a_tilde (None at
+    terminal nodes), V, and the one-step qstar_w = (L_k/L_n)(1 -
+    a_tilde' d_k) and pstar_p = p_k L_k / m0, each at the child node and
+    1 at the root."""
+    n, d = len(tree.nodes), tree.num_assets
+    price = [[Fraction(x) for x in row] for row in tree.price.tolist()]
+    prob = [Fraction(p) for p in tree.prob.tolist()]
+    out = {"L": [Fraction(1)] * n, "a_tilde": [None] * n, "V": [None] * n,
+           "qstar_w": [Fraction(1)] * n, "pstar_p": [Fraction(1)] * n}
+    L, V = out["L"], out["V"]
+    for leaf, value in zip(_slice(tree, tree.horizon), payoff):
+        V[leaf] = Fraction(value)
+    for t in range(tree.horizon - 1, -1, -1):
+        for i in _slice(tree, t):
+            kids = np.flatnonzero(tree.parent == i).tolist()
+            dk = {k: [price[k][j] - price[i][j] for j in range(d)] for k in kids}
+            w = {k: prob[k] * L[k] for k in kids}
+            m0 = sum(w.values())
+            b = [sum(w[k] * dk[k][j] for k in kids) for j in range(d)]
+            c = [[sum(w[k] * dk[k][j] * dk[k][m] for k in kids) for m in range(d)]
+                 for j in range(d)]
+            a = out["a_tilde"][i] = [sum(x * y for x, y in zip(row, b)) for row in exact_pinv(c)]
+            L[i] = m0 - sum(x * y for x, y in zip(a, b))
+            for k in kids:
+                out["qstar_w"][k] = L[k] / L[i] * (1 - sum(x * y for x, y in zip(a, dk[k])))
+                out["pstar_p"][k] = w[k] / m0
+            V[i] = sum(prob[k] * out["qstar_w"][k] * V[k] for k in kids)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,27 @@ def test_hedge_degenerate_exit_code(tmp_path):
     assert main(["hedge", "--config", cfg, "--out", str(tmp_path / "o")]) == 3
 
 
+HUGE_TRINOMIAL = {"type": "iid", "s0": [1e160], "mode": "multiplicative", "periods": 2,
+                  "increments": [{"delta": [0.1], "p": 0.35}, {"delta": [0.0], "p": 0.4},
+                                 {"delta": [-0.1], "p": 0.25}]}
+
+
+@pytest.mark.parametrize("doc,flags", [
+    ({"model": HUGE_TRINOMIAL, "claim": {"type": "call", "strike": 1e160}}, []),
+    ({"model": TRINOMIAL, "claim": CALL10}, ["--v0", "1e200"]),
+], ids=["moments_overflow", "endowment_term_overflows"])
+def test_hedge_writes_no_non_finite_number(tmp_path, doc, flags):
+    # numpy warns on the overflow, which pytest turns into an error in
+    # process, so hedge runs in a process of its own
+    cfg, out = write_config(tmp_path, doc), tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "mvhedge.cli", "hedge", "--config", cfg,
+                          "--out", str(out), *flags], env=env, capture_output=True, timeout=120)
+    assert run.returncode == 3
+    assert not (out / "hedge_summary.json").exists()
+    assert not (out / "hedge_nodes.csv").exists()
+
+
 @pytest.mark.parametrize("command,doc", [
     ("hedge", {"model": dict(BINOMIAL, periods="3"), "claim": CALL10}),
     ("hedge", {"model": BINOMIAL, "claim": {"type": "call", "strike": "x"}}),

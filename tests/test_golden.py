@@ -14,6 +14,11 @@ test_cli checks that it does not move with the BLAS thread count.
 After an intended change of the outputs, rewrite the files with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints a row for each file it rewrites: the lines and the numbers
+that changed, the largest |new - old| / max(1, |old|) over those numbers
+(the scale of verify's rel_err), and whether anything other than a
+number changed.
 """
 import contextlib
 import io
@@ -41,6 +46,7 @@ IDENTITY_LINE = re.compile(
 )
 CHECK_LINE = re.compile(r"CHECK (\S+) node=(\d+) .* (PASS|FAIL)")
 WORST_NODE = ("value_process", "qp_leaf_density")
+NUMBER = re.compile(r"(?<![\w.])-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
 def run_command(name: str, out_dir: Path) -> dict[str, bytes]:
@@ -99,16 +105,51 @@ def test_verify_lines_match_golden(verify_outputs):
     assert verify_outputs[fname] == (GOLDEN / fname).read_bytes()
 
 
+def golden_diff(old: bytes, new: bytes) -> tuple[int, int, float, bool]:
+    """(lines changed, numbers changed, largest |new - old| / max(1, |old|)
+    over the changed numbers, whether anything but a number changed)."""
+    a, b = old.decode().splitlines(), new.decode().splitlines()
+    lines = numbers = 0
+    worst, other = 0.0, len(a) != len(b)
+    for x, y in zip(a, b):
+        if x == y:
+            continue
+        lines += 1
+        other |= NUMBER.split(x) != NUMBER.split(y)
+        for u, v in zip(NUMBER.findall(x), NUMBER.findall(y)):
+            if u != v:
+                numbers += 1
+                worst = max(worst, abs(float(v) - float(u)) / max(1.0, abs(float(u))))
+    return lines, numbers, worst, other
+
+
+def test_golden_diff_counts_numbers_apart_from_text():
+    old = b"id,V\n0,2.5\n1,-1e-16,x\n2,3\n"
+    assert golden_diff(old, old) == (0, 0, 0.0, False)
+    assert golden_diff(old, b"id,V\n0,2.5000000000000004\n1,0,x\n2,3\n") == (
+        2, 2, (2.5000000000000004 - 2.5) / 2.5, False)
+    assert golden_diff(old, b"id,V\n0,2.5\n1,-1e-16,y\n2,3\n")[3]
+    assert golden_diff(old, old + b"3,4\n")[3]
+
+
 if __name__ == "__main__":
     import tempfile
 
     outputs: dict[str, bytes] = {}
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         for name in COMMANDS:
             outputs.update(run_command(name, Path(tmp) / name))
     for field in FIELDS:
         outputs.update(run_inspect(field))
     outputs.update(run_verify())
+    print(f"{'file':32} {'lines':>5} {'numbers':>7} {'max_rel':>9} other")
+    rewritten = 0
     for fname, content in outputs.items():
-        (GOLDEN / fname).write_bytes(content)
-    print(f"wrote {len(outputs)} files to {GOLDEN}", file=sys.stderr)
+        path = GOLDEN / fname
+        old = path.read_bytes() if path.exists() else b""
+        if content != old:
+            lines, numbers, worst, other = golden_diff(old, content)
+            print(f"{fname:32} {lines:5d} {numbers:7d} {worst:9.2e} {'yes' if other else 'no'}")
+            path.write_bytes(content)
+            rewritten += 1
+    print(f"rewrote {rewritten} of {len(outputs)} files in {GOLDEN}", file=sys.stderr)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import mvhedge as mv
 
 from gen import (binomial_06, martingale_trinomial, random_claim, random_tree,
-                 reverse_children, rollout_path, split_child, step, uneven_regime_args,
-                 uneven_regime_tree)
+                 reverse_children, rollout_path, shift_adjustment, split_child, step,
+                 uneven_regime_args, uneven_regime_tree)
 
 
 def make_call(tree, strike=10.0):
@@ -29,7 +29,7 @@ def test_constant_claim():
 def test_weight_sum_violation_raises():
     tree = binomial_06(periods=2)
     surf = mv.compute_opportunity(tree)
-    surf.a_tilde[0] += 1.0
+    shift_adjustment(tree, surf, [0])
     with pytest.raises(mv.DegenerateStep) as info:
         mv.compute_mean_value(tree, surf, make_call(tree))
     assert info.value.node_id == 0

@@ -21,6 +21,7 @@ from gen import (
     random_claim,
     random_tree,
     rollout_loop,
+    shift_adjustment,
     step,
     uneven_regime_tree,
 )
@@ -113,7 +114,7 @@ def test_degenerate_step_names_the_loops_node(node_ids, expected):
 def test_weight_sum_error_names_the_loops_node(node_ids, expected):
     tree = uneven_regime_tree(3)
     surf = mv.compute_opportunity(tree)
-    surf.a_tilde[node_ids] += 1.0
+    shift_adjustment(tree, surf, node_ids)
     claim = mv.attach_claim(tree, "call", strike=10.0)
     with pytest.raises(mv.DegenerateStep) as loop:
         mean_value_loop(tree, surf, claim)
@@ -252,6 +253,42 @@ def test_one_index_convention():
                 layout_reads.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert kids_minus == []
     assert layout_reads == []
+
+
+WEIGHT_HOMES = {"compute_opportunity", "martingale_surface"}
+
+
+def divisions_by_node_values(names: set) -> list[str]:
+    """"module:line function" of each division, in a function of
+    src/mvhedge outside WEIGHT_HOMES, whose divisor holds one of the
+    named arrays indexed by node ids (a subscript by a name, not by a
+    constant or by slices alone)."""
+    found = []
+    for path in sorted(Path(mv.__file__).parent.glob("*.py")):
+        module = ast.parse(path.read_text())
+        functions = [f for top in module.body
+                     for f in (top.body if isinstance(top, ast.ClassDef) else [top])
+                     if isinstance(f, ast.FunctionDef) and f.name not in WEIGHT_HOMES]
+        for func in functions:
+            for node in ast.walk(func):
+                if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)):
+                    continue
+                for sub in ast.walk(node.right):
+                    if (isinstance(sub, ast.Subscript)
+                            and (getattr(sub.value, "id", None) in names
+                                 or getattr(sub.value, "attr", None) in names)
+                            and any(isinstance(x, (ast.Name, ast.Attribute))
+                                    for x in ast.walk(sub.slice))):
+                        found.append(f"{path.name}:{node.lineno} {func.name}")
+    return found
+
+
+def test_one_step_weights_have_one_home():
+    # the Q* weights (L_k/L_n)(1 - a_tilde' d_k) and the P* probabilities
+    # p_k L_k / m0 are formed where L and m0 are, and every sweep reads
+    # them; identities' lemma323 is the second route that verify compares
+    found = divisions_by_node_values({"L", "m0"})
+    assert [f.split()[1] for f in found] == ["identities"], found
 
 
 def test_claim_length_must_match_leaves():

@@ -258,6 +258,26 @@ def boolean_price_and_probability(doc):
     doc["nodes"][1]["children"][0]["p"] = True
 
 
+def claim_not_a_list(doc):
+    doc["claim"] = {"a": 1}
+
+
+def claim_a_string(doc):
+    doc["claim"] = "ab"
+
+
+def claim_too_short(doc):
+    doc["claim"] = [1.0]
+
+
+def horizon_boolean(doc):
+    doc["horizon"] = True
+
+
+def horizon_negative(doc):
+    doc["horizon"] = -1
+
+
 DOCUMENT_DEFECTS = [
     (child_past_end, "child 7 of node 1 out of range"),
     (child_minus_one, "child -1 of node 0 out of range"),
@@ -269,6 +289,11 @@ DOCUMENT_DEFECTS = [
     (child_missing, "node 6 missing from the children of node 2"),
     (time_not_integer, "time 1.5 of node 1 is not an integer"),
     (boolean_price_and_probability, "boolean price at node 0; boolean probability at node 1 child 3"),
+    (claim_not_a_list, "claim is not a list of 4 numbers, one per leaf"),
+    (claim_a_string, "claim is not a list of 4 numbers, one per leaf"),
+    (claim_too_short, "claim is not a list of 4 numbers, one per leaf"),
+    (horizon_boolean, "horizon True is not a non-negative integer"),
+    (horizon_negative, "horizon -1 is not a non-negative integer"),
 ]
 
 
