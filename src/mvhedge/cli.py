@@ -22,7 +22,6 @@ from .errors import BadParameter, DegenerateStep, IncompatibleClaim, Infeasible,
 from .tree import (
     Claim,
     ScenarioTree,
-    _fmt,
     attach_claim,
     build_binomial,
     build_iid_multinomial,
@@ -195,18 +194,18 @@ def cmd_hedge(args) -> int:
 
     summary = "\n".join([
         "{",
-        f'  "v0": {_fmt(v0)},',
-        f'  "V0": {_fmt(plan.v0)},',
-        f'  "L0": {_fmt(surf.L[0])},',
-        f'  "total_error": {_fmt(report.total_error)},',
-        f'  "endowment_term": {_fmt(report.endowment_term)},',
+        f'  "v0": {v0:.17g},',
+        f'  "V0": {plan.v0:.17g},',
+        f'  "L0": {surf.L[0]:.17g},',
+        f'  "total_error": {report.total_error:.17g},',
+        f'  "endowment_term": {report.endowment_term:.17g},',
         '  "slice_error": {'
-        + ", ".join(f'"{t}": {_fmt(v)}' for t, v in sorted(report.slice_error.items()))
+        + ", ".join(f'"{t}": {v:.17g}' for t, v in sorted(report.slice_error.items()))
         + "}",
         "}",
     ])
     path = _write(args.out, "hedge_summary.json", summary + "\n")
-    print(f"wrote {path}: v0={_fmt(v0)} V0={_fmt(plan.v0)} total_error={_fmt(report.total_error)}")
+    print(f"wrote {path}: v0={v0:.17g} V0={plan.v0:.17g} total_error={report.total_error:.17g}")
     return EXIT_OK
 
 
@@ -304,6 +303,9 @@ def cmd_backtest(args) -> int:
     n_paths = args.paths if args.paths is not None else _config_int(config, "paths", 10000)
     paths = None if exact else bt.sample_paths(tree, n_paths, seed)
     reports = [bt.run_strategy(tree, surf, plan, kind, v0, paths=paths) for kind in strategies]
+    if not np.isfinite([(r.mean_sq_error, r.std_error, r.analytic_error or 0.0)
+                        for r in reports]).all():
+        raise DegenerateStep(0)
     table = bt.compare_report(reports)
     path = _write(args.out, "backtest.csv", table)
     summary = {
@@ -344,10 +346,9 @@ def cmd_inspect(args) -> int:
         pp = "true" if mvt.pstar_is_p else "false"
         print(f"# deterministic_mvt={det} pstar_is_p={pp}")
     elif field == "qstar":
-        mea = opportunity.measures(tree, surf)
         print("id,child,qstar_w,pstar_p\n" + _rows(
             "%d,%d,%.17g,%.17g\n", tree.parent[1:].tolist(), range(1, len(tree.time)),
-            mea.qstar_w[1:].tolist(), mea.pstar_p[1:].tolist()), end="")
+            surf.qstar_w[1:].tolist(), surf.pstar_p[1:].tolist()), end="")
     else:
         raise BadParameter(f"unknown inspect field {field!r}")
     return EXIT_OK

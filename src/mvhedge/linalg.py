@@ -63,8 +63,6 @@ def weighted_moments(weights: np.ndarray, increments: np.ndarray) -> tuple:
     call on that node alone, so the results agree bit for bit."""
     w = np.asarray(weights, dtype=float)
     d = np.asarray(increments, dtype=float)
-    if d.ndim == w.ndim:
-        d = d[..., None]
     dT = d.swapaxes(-1, -2)
     m0 = np.sum(w, axis=-1)
     bbar_u = (dT @ w[..., None])[..., 0]

@@ -82,33 +82,30 @@ class OpportunitySurface:
     def sharpe(self) -> np.ndarray:
         return np.sqrt(np.maximum(1.0 / self.L - 1.0, 0.0))
 
+    @property
+    def num_negative_weights(self) -> int:
+        """The count of one-step Q* weights <= 0; the variance-optimal
+        measure is signed, so they are legal and never clamped."""
+        return int(np.count_nonzero(self.qstar_w <= 0.0))
+
 
 @dataclass
 class MeasureSurface:
-    """One-step and cumulative densities of the derived measures, all
-    indexed by node id.
+    """The one-step factor nstar_f and the cumulative densities of the
+    derived measures, all indexed by node id.  The one-step Q* weights
+    and P* probabilities are the surface's qstar_w and pstar_p.
 
     One-step, for the edge from node n into its child k and stored at k
-    as tree.prob is (1 at the root), the first two handed on from surf:
-      qstar_w: one-step signed density factor of the variance-optimal
-               measure, (L_k/L_n)(1 - a_tilde' d_k); may be <= 0
-      pstar_p: one-step probability of the opportunity-neutral measure,
-               p_k L_k / m0
+    as tree.prob is (1 at the root):
       nstar_f: one-step factor 1 - a_hat' (d_k - b_sstar)
     Cumulative along the root path (so in particular per leaf):
-      z_qstar: product of qstar_w factors (= dQ*/dP on leaves)
-      z_pstar: product of pstar_p/p factors (= dP*/dP on leaves)
+      z_qstar: product of surf.qstar_w factors (= dQ*/dP on leaves)
+      z_pstar: product of surf.pstar_p/p factors (= dP*/dP on leaves)
     """
 
-    qstar_w: np.ndarray   # (n,)
-    pstar_p: np.ndarray   # (n,)
     nstar_f: np.ndarray   # (n,)
     z_qstar: np.ndarray   # (n,)
     z_pstar: np.ndarray   # (n,)
-
-    @property
-    def num_negative_weights(self) -> int:
-        return int(np.count_nonzero(self.qstar_w <= 0.0))
 
 
 @dataclass
@@ -189,12 +186,9 @@ def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
 
 
 def measures(tree: ScenarioTree, surf: OpportunitySurface) -> MeasureSurface:
-    """One-step weights and cumulative path densities of the
-    variance-optimal signed measure and the opportunity-neutral measure;
-    qstar_w and pstar_p are the surface's own arrays, handed on.
-
-    Negative qstar_w entries are legal (the variance-optimal measure is
-    signed) and are counted, never clamped."""
+    """The one-step factor nstar_f and the cumulative path densities of
+    the variance-optimal signed measure and the opportunity-neutral
+    measure, products of the surface's qstar_w and pstar_p/p."""
     lay = tree.layout
     nstar_f, z_qstar, z_pstar = np.ones((3, len(tree.nodes)))
     for t in range(tree.horizon):
@@ -204,7 +198,7 @@ def measures(tree: ScenarioTree, surf: OpportunitySurface) -> MeasureSurface:
             nstar_f[s.kids] = 1.0 - (shifted @ surf.a_hat[i][..., None])[..., 0]
             z_qstar[s.kids] = z_qstar[i][:, None] * surf.qstar_w[s.kids]
             z_pstar[s.kids] = z_pstar[i][:, None] * (surf.pstar_p[s.kids] / s.probs)
-    return MeasureSurface(surf.qstar_w, surf.pstar_p, nstar_f, z_qstar, z_pstar)
+    return MeasureSurface(nstar_f, z_qstar, z_pstar)
 
 
 def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface) -> dict:
@@ -221,7 +215,7 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
     mass, drift, lemma323 = np.empty((3, len(ids)))
     for t in range(tree.horizon):
         for s in lay.steps[t]:
-            qw = mea.qstar_w[s.kids]
+            qw = surf.qstar_w[s.kids]
             mass[s.ids] = (s.probs[:, None, :] @ qw[..., None])[:, 0, 0]
             drift[s.ids] = np.max(np.abs(s.deltas.swapaxes(1, 2) @ (s.probs * qw)[..., None]),
                                   axis=(1, 2))

@@ -39,11 +39,6 @@ MAX_LEAVES = 2 ** 20
 MAX_VIOLATIONS = 100   # validate_tree reports at most this many
 
 
-def _fmt(x: float) -> str:
-    """Render a double with 17 significant digits (lossless round trip)."""
-    return format(float(x), ".17g")
-
-
 class Step(NamedTuple):
     """The one-step markets of m nodes of one time slice that have the
     same child count k, aligned by child: row r holds node ids[r]'s
@@ -214,10 +209,6 @@ def _finite(values, what: str) -> np.ndarray:
     return v
 
 
-def _operand(delta: np.ndarray, mode: str) -> np.ndarray:
-    return delta if mode == "additive" else 1.0 + delta
-
-
 def build_iid_multinomial(s0, increments, periods: int, mode: str = "additive") -> ScenarioTree:
     """Path tree with i.i.d. increments; increments is a list of
     (delta vector, probability) pairs.  Additive: child = parent + delta;
@@ -270,7 +261,7 @@ def _build(s0, regimes, transition, initial_regime, periods: int, mode: str) -> 
             raise BadParameter("increment probabilities must be positive and sum to 1")
         if any(d.shape != s0.shape for d in deltas):
             raise BadParameter("increment dimension does not match s0")
-        laws.append([(_operand(d, mode), p * trans[cur, nxt], nxt)
+        laws.append([(d if mode == "additive" else 1.0 + d, p * trans[cur, nxt], nxt)
                      for d, p in zip(deltas, probs)
                      for nxt in range(n_reg) if trans[cur, nxt] > 0.0])
     branching = max(n_reg * len(law) for law in regimes)
@@ -319,6 +310,8 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     """Check all structural invariants, the ordering contract included;
     returns a list of violation messages (empty when the tree is well
     formed), ordered by the list position they are reported at."""
+    if not (_is_int(tree.horizon) and tree.horizon >= 0):
+        return [f"horizon {tree.horizon!r} is not a non-negative integer"]
     parent, time, price = tree.parent, tree.time, tree.price
     n = len(parent)
     if n == 0 or any(a.shape != (n,) for a in (time, tree.regime, tree.prob)):
@@ -383,12 +376,12 @@ def serialize_tree(tree: ScenarioTree, claim: Claim | None = None) -> str:
     kids = [[] for _ in parent]
     for i, (p, q) in enumerate(zip(parent, tree.prob.tolist())):
         if p >= 0:
-            kids[p].append('{"id": %d, "p": %s}' % (i, _fmt(q)))
+            kids[p].append('{"id": %d, "p": %.17g}' % (i, q))
     node_docs = []
     for i, (t, price, p, r) in enumerate(zip(tree.time.tolist(), tree.price.tolist(),
                                              parent, tree.regime.tolist())):
         doc = '{"id": %d, "time": %d, "price": [%s], "parent": %s, "children": [%s]' % (
-            i, t, ", ".join(map(_fmt, price)), "null" if p < 0 else p, ", ".join(kids[i])
+            i, t, ", ".join("%.17g" % x for x in price), "null" if p < 0 else p, ", ".join(kids[i])
         )
         if r >= 0:
             doc += ', "regime": %d' % r
@@ -396,7 +389,7 @@ def serialize_tree(tree: ScenarioTree, claim: Claim | None = None) -> str:
     parts.append(", ".join(node_docs))
     parts.append("]")
     if claim is not None:
-        parts.append(', "claim": [%s]' % ", ".join(_fmt(x) for x in claim.payoff))
+        parts.append(', "claim": [%s]' % ", ".join("%.17g" % x for x in claim.payoff))
     parts.append("}")
     return "".join(parts)
 

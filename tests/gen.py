@@ -451,7 +451,9 @@ def exact_pinv(c: list) -> list:
 def exact_sweep(tree: ScenarioTree, payoff) -> dict[str, list]:
     """The paper's backward recursion in exact rational arithmetic, for
     d <= 2: the float inputs are read exactly (Fraction(x)) and nothing
-    is rounded.  Returns per-node lists of Fractions: L, a_tilde (None at
+    is rounded.  Returns per-node lists of Fractions: L, a_tilde, xi =
+    cbar_u^+ dbar_u and e = sum_k p_k L_k (V_k - V_n)^2 - dbar_u' xi, with
+    dbar_u = sum_k p_k L_k d_k (V_k - V_n) (the last three None at
     terminal nodes), V, and the one-step qstar_w = (L_k/L_n)(1 -
     a_tilde' d_k) and pstar_p = p_k L_k / m0, each at the child node and
     1 at the root."""
@@ -459,6 +461,7 @@ def exact_sweep(tree: ScenarioTree, payoff) -> dict[str, list]:
     price = [[Fraction(x) for x in row] for row in tree.price.tolist()]
     prob = [Fraction(p) for p in tree.prob.tolist()]
     out = {"L": [Fraction(1)] * n, "a_tilde": [None] * n, "V": [None] * n,
+           "xi": [None] * n, "e": [None] * n,
            "qstar_w": [Fraction(1)] * n, "pstar_p": [Fraction(1)] * n}
     L, V = out["L"], out["V"]
     for leaf, value in zip(_slice(tree, tree.horizon), payoff):
@@ -472,12 +475,18 @@ def exact_sweep(tree: ScenarioTree, payoff) -> dict[str, list]:
             b = [sum(w[k] * dk[k][j] for k in kids) for j in range(d)]
             c = [[sum(w[k] * dk[k][j] * dk[k][m] for k in kids) for m in range(d)]
                  for j in range(d)]
-            a = out["a_tilde"][i] = [sum(x * y for x, y in zip(row, b)) for row in exact_pinv(c)]
+            cinv = exact_pinv(c)
+            a = out["a_tilde"][i] = [sum(x * y for x, y in zip(row, b)) for row in cinv]
             L[i] = m0 - sum(x * y for x, y in zip(a, b))
             for k in kids:
                 out["qstar_w"][k] = L[k] / L[i] * (1 - sum(x * y for x, y in zip(a, dk[k])))
                 out["pstar_p"][k] = w[k] / m0
             V[i] = sum(prob[k] * out["qstar_w"][k] * V[k] for k in kids)
+            dv = {k: V[k] - V[i] for k in kids}
+            dbar = [sum(w[k] * dk[k][j] * dv[k] for k in kids) for j in range(d)]
+            xi = out["xi"][i] = [sum(x * y for x, y in zip(row, dbar)) for row in cinv]
+            out["e"][i] = (sum(w[k] * dv[k] ** 2 for k in kids)
+                           - sum(x * y for x, y in zip(dbar, xi)))
     return out
 
 

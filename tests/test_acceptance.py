@@ -214,7 +214,7 @@ def test_07_structural_identities(reference_trees):
                 ok = False
             # one-step conditions of the signed martingale measure
             kids, probs, deltas = step(tree, i)
-            w = probs * mea.qstar_w[kids]
+            w = probs * surf.qstar_w[kids]
             if abs(np.sum(w) - 1.0) > 1e-10:
                 ok = False
             if np.max(np.abs(deltas.T @ w)) > 1e-10 * max(
@@ -222,8 +222,8 @@ def test_07_structural_identities(reference_trees):
                 ok = False
             # density factorization: (L_k / m0) * nstar = qstar
             fact = surf.L[kids] / surf.m0[i] * mea.nstar_f[kids]
-            if np.max(np.abs(fact - mea.qstar_w[kids])) > 1e-10 * max(
-                    1.0, float(np.max(np.abs(mea.qstar_w[kids])))):
+            if np.max(np.abs(fact - surf.qstar_w[kids])) > 1e-10 * max(
+                    1.0, float(np.max(np.abs(surf.qstar_w[kids])))):
                 ok = False
     report("structural_identities", ok)
 

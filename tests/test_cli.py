@@ -11,7 +11,6 @@ import pytest
 import mvhedge as mv
 from mvhedge.cli import (_check_line, _check_lines, _worst_line, build_model, load_config, main,
                          make_parser)
-from mvhedge.tree import _fmt
 
 BINOMIAL = {"type": "binomial", "s0": [10.0], "up": 1.1, "down": 0.9, "p_up": 0.6,
             "periods": 3}
@@ -94,20 +93,28 @@ HUGE_TRINOMIAL = {"type": "iid", "s0": [1e160], "mode": "multiplicative", "perio
                                  {"delta": [-0.1], "p": 0.25}]}
 
 
-@pytest.mark.parametrize("doc,flags", [
-    ({"model": HUGE_TRINOMIAL, "claim": {"type": "call", "strike": 1e160}}, []),
-    ({"model": TRINOMIAL, "claim": CALL10}, ["--v0", "1e200"]),
-], ids=["moments_overflow", "endowment_term_overflows"])
-def test_hedge_writes_no_non_finite_number(tmp_path, doc, flags):
+HUGE_V0 = {"model": dict(TRINOMIAL, periods=2), "claim": CALL10, "v0": 1e200}
+OUTPUTS = {"hedge": ["hedge_summary.json", "hedge_nodes.csv"],
+           "backtest": ["backtest.csv", "backtest.json"]}
+
+
+@pytest.mark.parametrize("command,doc,flags", [
+    ("hedge", {"model": HUGE_TRINOMIAL, "claim": {"type": "call", "strike": 1e160}}, []),
+    ("hedge", {"model": TRINOMIAL, "claim": CALL10}, ["--v0", "1e200"]),
+    ("backtest", HUGE_V0, ["--exact"]),
+    ("backtest", HUGE_V0, ["--paths", "100"]),
+], ids=["moments_overflow", "endowment_term_overflows", "backtest_exact_error_overflows",
+        "backtest_sampled_error_overflows"])
+def test_hedge_writes_no_non_finite_number(tmp_path, command, doc, flags):
     # numpy warns on the overflow, which pytest turns into an error in
-    # process, so hedge runs in a process of its own
+    # process, so the command runs in a process of its own
     cfg, out = write_config(tmp_path, doc), tmp_path / "o"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
-    run = subprocess.run([sys.executable, "-m", "mvhedge.cli", "hedge", "--config", cfg,
+    run = subprocess.run([sys.executable, "-m", "mvhedge.cli", command, "--config", cfg,
                           "--out", str(out), *flags], env=env, capture_output=True, timeout=120)
     assert run.returncode == 3
-    assert not (out / "hedge_summary.json").exists()
-    assert not (out / "hedge_nodes.csv").exists()
+    for name in OUTPUTS[command]:
+        assert not (out / name).exists(), name
 
 
 @pytest.mark.parametrize("command,doc", [
@@ -156,6 +163,48 @@ def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+# (command, config, message): every input check of the builders, the claim
+# and the commands that a config reaches, each named on stderr with exit 2
+HALF_MINUS = 0.5 - 0.45e-12   # laws and rows within PROB_SUM_TOL, their products not
+INPUT_ERRORS = [
+    ("tree build", {"model": dict(BINOMIAL, down=1.5)}, "down must lie in (0, 1)"),
+    ("tree build", {"model": dict(TRINOMIAL, increments=TRINOMIAL["increments"][:1])},
+     "need at least 2 increments"),
+    ("tree build", {"model": dict(REGIME, initial_regime=2)}, "initial_regime out of range"),
+    ("tree build", {"model": dict(TRINOMIAL, mode="log")}, "unknown mode 'log'"),
+    ("tree build", {"model": dict(REGIME, transition=[[1.0]])},
+     "transition matrix shape does not match regime count"),
+    ("tree build", {"model": dict(TRINOMIAL, s0=[10.0, 5.0])},
+     "increment dimension does not match s0"),
+    ("tree build", {"model": dict(BINOMIAL_1, periods=21)},
+     "tree would exceed the leaf bound 2^20"),
+    ("tree build", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": [math.inf, 0.0]}},
+     "claim payoff must be finite"),
+    ("tree build", {"model": dict(TRINOMIAL, increments=[1, 2])},
+     "bad model value: 'int' object is not subscriptable"),
+    ("hedge", {"model": dict(REGIME, regimes=[[{"delta": [1.0], "p": HALF_MINUS},
+                                               {"delta": [-1.0], "p": HALF_MINUS}],
+                                              REGIME["regimes"][1]],
+                             transition=[[HALF_MINUS, HALF_MINUS], [0.2, 0.8]]), "claim": CALL10},
+     "invalid tree: child probabilities at node 0 sum to 0.9999999999982001"),
+    ("hedge", {"model": TRINOMIAL}, "config needs a claim"),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": ["delta"]},
+     "unknown strategy kind 'delta'"),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": []},
+     "need at least one report"),
+]
+
+
+@pytest.mark.parametrize("command,doc,message", INPUT_ERRORS,
+                         ids=[message.split(":")[0] for *_, message in INPUT_ERRORS])
+def test_input_error_message_and_exit_code(tmp_path, capsys, command, doc, message):
+    out = tmp_path / "o"
+    assert main([*command.split(), "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["tree build", "hedge"])
@@ -387,14 +436,14 @@ def test_verify_factors_the_root_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])
 def test_printf_renders_doubles_as_check_line(x):
     # _check_lines renders every number with one printf template
-    assert "%.17g" % x == format(x, ".17g") == _fmt(x)
+    assert "%.17g" % x == format(x, ".17g")
     assert "%.3e" % x == f"{x:.3e}"
 
 
 def reference_line(name, node, engine: float, target: float, tol: float) -> str:
     """A CHECK line rendered number by number with format()."""
     rel = abs(engine - target) / max(abs(target), 1.0)
-    return (f"CHECK {name} node={node} engine={_fmt(engine)} oracle={_fmt(target)} "
+    return (f"CHECK {name} node={node} engine={engine:.17g} oracle={target:.17g} "
             f"rel_err={rel:.3e} {'PASS' if rel <= tol else 'FAIL'}")
 
 

@@ -99,11 +99,10 @@ def test_v_is_one_step_qstar_martingale(seed):
     surf = mv.compute_opportunity(tree)
     claim = random_claim(rng, tree)
     plan = mv.compute_plan(tree, surf, claim)
-    mea = mv.measures(tree, surf)
     scale = max(1.0, np.max(np.abs(claim.payoff)))
     for i in tree.layout.inner:
         kids, p, _ = step(tree, i)
-        assert float((p * mea.qstar_w[kids]) @ plan.V[kids]) == pytest.approx(
+        assert float((p * surf.qstar_w[kids]) @ plan.V[kids]) == pytest.approx(
             plan.V[i], abs=1e-10 * scale
         )
 
@@ -327,8 +326,8 @@ def test_children_reversed(case):
     inner = rev.layout.inner
     assert np.allclose(plan2.xi[inner], plan.xi[old[inner]], rtol=1e-12, atol=1e-12 * scale)
     assert err2 == pytest.approx(err, rel=1e-12)
-    qstar_w = mv.measures(tree, surf).qstar_w
-    assert np.allclose(mv.measures(rev, surf2).qstar_w, qstar_w[old],
+    qstar_w = surf.qstar_w
+    assert np.allclose(surf2.qstar_w, qstar_w[old],
                        rtol=1e-12, atol=0.0)
 
 
@@ -355,7 +354,7 @@ def test_children_reversed_property(tree, strike):
     inner = rev.layout.inner
     assert np.allclose(plan2.xi[inner], plan.xi[old[inner]], rtol=1e-12, atol=1e-12 * scale)
     assert err2 == pytest.approx(err, rel=1e-12, abs=1e-12 * scale * scale)
-    assert np.allclose(mv.measures(rev, surf2).qstar_w, mv.measures(tree, surf).qstar_w[old],
+    assert np.allclose(surf2.qstar_w, surf.qstar_w[old],
                        rtol=1e-12, atol=0.0)
 
 

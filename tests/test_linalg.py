@@ -26,6 +26,12 @@ def test_not_symmetric_raises():
         pinv_psd(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+def test_non_square_raises(shape):
+    with pytest.raises(mv.NotSymmetric, match="^input must be a square matrix or a stack of them$"):
+        pinv_psd(np.ones(shape))
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_penrose_identities_random_psd(seed):
     rng = np.random.default_rng(seed)

@@ -86,18 +86,17 @@ def test_measures_martingale_tree():
     mea = mv.measures(tree, surf)
     for i in tree.layout.inner:
         kids, probs, _ = step(tree, i)
-        assert np.allclose(mea.qstar_w[kids], 1.0, atol=1e-12)
-        assert np.allclose(mea.pstar_p[kids], probs, atol=1e-12)
+        assert np.allclose(surf.qstar_w[kids], 1.0, atol=1e-12)
+        assert np.allclose(surf.pstar_p[kids], probs, atol=1e-12)
     assert np.allclose(mea.z_pstar, 1.0, atol=1e-12)
 
 
 def test_measures_binomial_hand_values():
     tree = binomial_06()
     surf = mv.compute_opportunity(tree)
-    mea = mv.measures(tree, surf)
     kids, _, _ = step(tree, 0)
-    assert mea.qstar_w[kids] == pytest.approx([0.8 / 0.96, 1.2 / 0.96])
-    assert mea.pstar_p[kids] == pytest.approx([0.6, 0.4])
+    assert surf.qstar_w[kids] == pytest.approx([0.8 / 0.96, 1.2 / 0.96])
+    assert surf.pstar_p[kids] == pytest.approx([0.6, 0.4])
 
 
 def test_measures_signed_trinomial():
@@ -105,13 +104,12 @@ def test_measures_signed_trinomial():
         [10.0], [([2.0], 0.45), ([1.0], 0.45), ([-1.0], 0.1)], 1
     )
     surf = mv.compute_opportunity(tree)
-    mea = mv.measures(tree, surf)
     assert surf.a_tilde[0][0] == pytest.approx(1.25 / 2.35)
     # up branch weight is negative: the measure is signed
     kids, probs, _ = step(tree, 0)
-    assert mea.qstar_w[kids[0]] < 0.0
-    assert mea.num_negative_weights == 1
-    assert float(probs @ mea.qstar_w[kids]) == pytest.approx(1.0)
+    assert surf.qstar_w[kids[0]] < 0.0
+    assert surf.num_negative_weights == 1
+    assert float(probs @ surf.qstar_w[kids]) == pytest.approx(1.0)
 
 
 def test_sharpe_formula():
@@ -217,12 +215,12 @@ def test_structural_identities_random_trees(seed):
         assert up * dn == pytest.approx(1.0, abs=1e-9)
         assert surf.dAK[i] == pytest.approx(up - 1.0, rel=1e-9, abs=1e-9)
         # signed measure prices every one-step increment to zero
-        assert float(p @ mea.qstar_w[kids]) == pytest.approx(1.0, abs=1e-10)
-        assert np.allclose(deltas.T @ (p * mea.qstar_w[kids]), 0.0, atol=1e-10)
+        assert float(p @ surf.qstar_w[kids]) == pytest.approx(1.0, abs=1e-10)
+        assert np.allclose(deltas.T @ (p * surf.qstar_w[kids]), 0.0, atol=1e-10)
         # one-step factorization of the signed density over the neutral one
         fact = (child_L / surf.m0[i]) * mea.nstar_f[kids]
-        assert np.allclose(fact, mea.qstar_w[kids], atol=1e-10)
-        qw = mea.qstar_w[kids]
+        assert np.allclose(fact, surf.qstar_w[kids], atol=1e-10)
+        qw = surf.qstar_w[kids]
         for name, pair in zip(IDENTITIES, [
                 (np.max(np.abs(surf.c_tilde_sstar[i] @ surf.a_tilde[i] - b)), 0.0),
                 (np.max(np.abs(surf.c_hat_sstar[i] @ surf.a_hat[i] - b)), 0.0),
@@ -253,8 +251,9 @@ def test_structural_identities_random_trees(seed):
 
 # Engine against exact_sweep on 40 random_tree draws (rng 12345, up to
 # 121 nodes).  Worst errors: L 4.7e-14 relative, V 1.2e-13, qstar_w
-# 5.2e-14 and a_tilde 2.8e-14 relative to max(1, |x|), pstar_p 4.2e-14
-# relative; the bound leaves a margin of 8 over the largest.
+# 5.2e-14, a_tilde 2.8e-14, xi 5.6e-14 and e 1.7e-13 relative to
+# max(1, |x|), pstar_p 4.2e-14 relative; the bound leaves a margin of
+# 5.8 over the largest.
 EXACT_TOL = 1e-12
 
 
@@ -272,6 +271,7 @@ def test_engine_matches_exact_reference():
         claim = random_claim(rng, tree)
         surf = mv.compute_opportunity(tree)
         V = mv.compute_mean_value(tree, surf, claim)
+        plan = mv.compute_pure_hedge(tree, surf, V)
         exact = exact_sweep(tree, claim.payoff.tolist())
         inner = tree.layout.inner.tolist()
         errors = {
@@ -281,6 +281,9 @@ def test_engine_matches_exact_reference():
             "pstar_p": exact_error(surf.pstar_p.tolist(), exact["pstar_p"], False),
             "a_tilde": exact_error(surf.a_tilde[inner].ravel().tolist(),
                                    [x for i in inner for x in exact["a_tilde"][i]], True),
+            "xi": exact_error(plan.xi[inner].ravel().tolist(),
+                              [x for i in inner for x in exact["xi"][i]], True),
+            "e": exact_error(plan.e[inner].tolist(), [exact["e"][i] for i in inner], True),
         }
         assert max(errors.values()) <= EXACT_TOL, errors
 
@@ -306,5 +309,5 @@ def test_exact_sweep_rank_one_step():
     payoff = random_claim(rng, tree).payoff.tolist()
     dup = dataclasses.replace(tree, num_assets=2, price=tree.price[:, [0, 0]])
     one, two = exact_sweep(tree, payoff), exact_sweep(dup, payoff)
-    for key in ("L", "V", "qstar_w", "pstar_p"):
+    for key in ("L", "V", "e", "qstar_w", "pstar_p"):
         assert one[key] == two[key], key

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -212,6 +213,35 @@ def test_validate_reports_in_list_order():
     ]
 
 
+# (field, value, the violation validate_tree reports) for a one-period
+# binomial with that field replaced: a hand-built tree that no builder
+# or document makes
+HAND_BUILT_DEFECTS = [
+    ("horizon", -1, "horizon -1 is not a non-negative integer"),
+    ("horizon", 1.0, "horizon 1.0 is not a non-negative integer"),
+    ("horizon", True, "horizon True is not a non-negative integer"),
+    ("prob", [1.0, 0.5], "node arrays differ in length"),
+    ("num_assets", 2, "price dimension mismatch: shape (3, 1) for 3 nodes of 2 assets"),
+    ("parent", [-1, 0, 3], "parent out of range at node 2"),
+    ("parent", [-1, 0, -1], "tree must have exactly one root at time 0"),
+]
+
+
+@pytest.mark.parametrize("field,value,message", HAND_BUILT_DEFECTS,
+                         ids=[f"{field}={value!r}" for field, value, _ in HAND_BUILT_DEFECTS])
+def test_validate_rejects_hand_built_defects(field, value, message):
+    tree = dataclasses.replace(mv.build_binomial([10.0], 1.1, 0.9, 0.5, 1), **{field: value})
+    assert message in validate_tree(tree)
+
+
+def test_attach_claim_rejects_what_no_config_reaches():
+    tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 1)
+    with pytest.raises(mv.BadParameter, match="^call requires a strike$"):
+        mv.attach_claim(tree, "call")
+    with pytest.raises(mv.BadParameter, match="^unknown claim kind 'digital'$"):
+        mv.attach_claim(tree, "digital", strike=10.0)
+
+
 def binomial_doc():
     return json.loads(serialize_tree(mv.build_binomial([10.0], 1.1, 0.9, 0.5, 2)))
 
@@ -278,6 +308,10 @@ def horizon_negative(doc):
     doc["horizon"] = -1
 
 
+def node_without_time(doc):
+    del doc["nodes"][1]["time"]
+
+
 DOCUMENT_DEFECTS = [
     (child_past_end, "child 7 of node 1 out of range"),
     (child_minus_one, "child -1 of node 0 out of range"),
@@ -294,6 +328,7 @@ DOCUMENT_DEFECTS = [
     (claim_too_short, "claim is not a list of 4 numbers, one per leaf"),
     (horizon_boolean, "horizon True is not a non-negative integer"),
     (horizon_negative, "horizon -1 is not a non-negative integer"),
+    (node_without_time, "malformed tree document: 'time'"),
 ]
 
 
