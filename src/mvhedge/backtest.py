@@ -79,13 +79,6 @@ def _uniforms(seed: int, n: int, horizon: int) -> np.ndarray:
     return out
 
 
-def _child_index(cdf: np.ndarray, k: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Per row, the child that u selects from the +inf-padded cumulative
-    probabilities cdf of a node with k children: the number of entries
-    <= u, which is searchsorted(cdf, u, side="right"), kept below k."""
-    return np.minimum((cdf <= u[:, None]).sum(axis=1), k - 1)
-
-
 def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     """Draw n root-to-leaf paths by the edge probabilities; returns leaf
     node ids.
@@ -105,18 +98,17 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     if not 0 <= seed < 2**128:
         raise BadParameter(f"seed must be in [0, 2**128), got {seed}")
     lay = tree.layout
-    k = np.diff(lay.offsets)[lay.inner]
-    row = np.zeros(len(tree.nodes), dtype=np.intp)
-    row[lay.inner] = np.arange(len(lay.inner))
-    cdf = np.full((len(lay.inner), k.max()), np.inf)
+    # row i: the cumulative probabilities of inner node i (the ordering
+    # contract numbers inner nodes first), its last entry left +inf, so
+    # that the number of entries <= u is the capped searchsorted
+    cdf = np.full((len(lay.inner), np.diff(lay.offsets).max()), np.inf)
     for steps in lay.steps:
         for s in steps:
-            cdf[row[s.ids], :s.probs.shape[1]] = np.cumsum(s.probs, axis=1)
+            cdf[s.ids, :s.probs.shape[1] - 1] = np.cumsum(s.probs, axis=1)[:, :-1]
     u = _uniforms(seed, n, tree.horizon)
     nid = np.zeros(n, dtype=np.intp)
     for t in range(tree.horizon):
-        r = row[nid]
-        nid = lay.offsets[nid] + 1 + _child_index(cdf[r], k[r], u[:, t])
+        nid = lay.offsets[nid] + 1 + (cdf[nid] <= u[:, t, None]).sum(axis=1)
     return nid.tolist()
 
 

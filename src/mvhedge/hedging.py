@@ -71,21 +71,17 @@ def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarr
     e(n) = sum_k p_k L_k (V_k - V_n)^2 - dbar_u' xi >= 0 per non-terminal
     node, where dbar_u(n) = sum_k p_k L_k d_k (V_k - V_n) is the weighted
     price/value cross moment."""
-    lay = tree.layout
     n = len(tree.nodes)
-    d = tree.num_assets
-    xi = np.full((n, d), np.nan)
+    xi = np.full((n, tree.num_assets), np.nan)
     e = np.full(n, np.nan)
-    dbar_u = np.empty((n, d))
     for t in range(tree.horizon):
-        for s in lay.steps[t]:
+        for s in tree.layout.steps[t]:
             pL = s.probs * surf.L[s.kids]
             dv = V[s.kids] - V[s.ids][:, None]
-            dbar_u[s.ids] = (s.deltas.swapaxes(1, 2) @ (pL * dv)[..., None])[..., 0]
-            e[s.ids] = (pL[:, None, :] @ (dv * dv)[..., None])[:, 0, 0]
-    ids = lay.inner
-    xi[ids] = (pinv_psd(surf.cbar_u[ids]) @ dbar_u[ids][..., None])[..., 0]
-    e[ids] -= (dbar_u[ids][:, None, :] @ xi[ids][..., None])[:, 0, 0]
+            dbar_u = (s.deltas.swapaxes(1, 2) @ (pL * dv)[..., None])[..., 0]
+            xi[s.ids] = (pinv_psd(surf.cbar_u[s.ids]) @ dbar_u[..., None])[..., 0]
+            e[s.ids] = ((pL[:, None, :] @ (dv * dv)[..., None])[:, 0, 0]
+                        - (dbar_u[:, None, :] @ xi[s.ids][..., None])[:, 0, 0])
     return HedgePlan(V=V, xi=xi, e=e)
 
 

@@ -112,32 +112,30 @@ def _factor(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
             cash: bool = False) -> _Factor:
     """The _Factor of Y = sqrt(w) X for k subtrees of one shape.
 
-    Subtree i has counts[l] nodes at depth l, with ids from first[i, l];
-    w is the conditional probability of each leaf given the subtree root,
-    a product taken root first.  Row j of X (k, n_leaves, n_inner * d)
-    holds, in the d columns of block offset_l + a - first[i, l] of the
-    ancestor a of leaf j at depth l (offset_l nodes lie above depth l),
-    the price increment from a to the next node on the path to leaf j,
-    q = depth * d entries; with cash, X gets a last column of ones.  Y's
-    columns are scaled to unit norm (a zero column keeps norm 1), so the
-    certificate and the pseudoinverse cutoff, relative to the largest
-    eigenvalue, do not depend on the price unit: cash (scale 1) and
-    holdings (prices) weigh alike.  The norms and G are bincounts."""
+    Subtree i has counts[l] nodes at depth l, with ids from first[i, l].
+    Row j of X (k, n_leaves, n_inner * d) holds, in the d columns of block
+    offset_l + a - first[i, l] of the ancestor a of leaf j at depth l
+    (offset_l nodes lie above depth l), the price increment from a to the
+    next node on the path to leaf j, q = depth * d entries; with cash, X
+    gets a last column of ones.  w is the conditional probability of each
+    leaf given the subtree root, a product taken leaf first on the same
+    ancestor walk that fills X.  Y's columns are scaled to unit norm (a
+    zero column keeps norm 1), so the certificate and the pseudoinverse
+    cutoff, relative to the largest eigenvalue, do not depend on the price
+    unit: cash (scale 1) and holdings (prices) weigh alike.  The norms and
+    G are bincounts."""
     k, depth, d = len(first), len(counts) - 1, tree.num_assets
     offset = np.cumsum(counts) - counts
     m = offset[-1] * d + cash
-    sub = np.arange(k)[:, None]
-    w = np.ones((k, 1))
-    for level in range(1, depth + 1):
-        ids = first[:, level, None] + np.arange(counts[level])
-        w = w[sub, tree.parent[ids] - first[:, level - 1, None]] * tree.prob[ids]
     cols = np.full((k, counts[-1], depth * d + cash), m - 1)   # cash last
     vals = np.ones(cols.shape)
+    w = np.ones((k, counts[-1]))
     node = first[:, -1, None] + np.arange(counts[-1])
     for level in range(depth - 1, -1, -1):
         up, at = tree.parent[node], slice(level * d, (level + 1) * d)
         cols[..., at] = (up - first[:, level, None] + offset[level])[..., None] * d + np.arange(d)
         vals[..., at] = tree.price[node] - tree.price[up]
+        w *= tree.prob[node]
         node = up
     sw = np.sqrt(w)
     vals *= sw[..., None]

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.backtest import _child_index, _uniforms
+import mvhedge.backtest as bt
+from mvhedge.backtest import _uniforms
 
 from gen import (
     binomial_06,
@@ -76,24 +77,20 @@ def test_uniforms_equal_numpy_generator(seed):
         assert np.array_equal(_uniforms(seed, 6, horizon), np.array(ref))
 
 
-def test_child_index_matches_searchsorted():
+def test_child_index_matches_searchsorted(monkeypatch):
     laws = [[0.25, 0.5, 0.25], [0.1] * 10, [0.3, 0.7], [1 / 3] * 3, [0.5, 0.5]]
-    width = max(len(p) for p in laws)
-    cdf = np.full((len(laws), width), np.inf)
-    for r, p in enumerate(laws):
-        cdf[r, :len(p)] = np.cumsum(p)
-    k = np.array([len(p) for p in laws])
-    for r, p in enumerate(laws):
-        row = cdf[r, :k[r]]
+    for p in laws:
+        tree = mv.build_iid_multinomial([10.0], [([float(j)], q) for j, q in enumerate(p)], 1)
+        row = np.cumsum(tree.prob[1:])
         # u exactly on every cdf entry, just below and above them, and
         # above the last entry (which may round below 1)
         us = np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 2.0),
                              [0.0, 1.0 - 2.0**-53, 0.999]])
         us = us[us < 1.0]
-        got = _child_index(np.repeat(cdf[r:r + 1], len(us), axis=0),
-                           np.full(len(us), k[r]), us)
-        want = [min(int(np.searchsorted(row, u, side="right")), k[r] - 1) for u in us]
-        assert got.tolist() == want
+        monkeypatch.setattr(bt, "_uniforms", lambda seed, n, horizon: us[:, None])
+        got = [leaf - 1 for leaf in mv.sample_paths(tree, len(us), seed=0)]
+        want = [min(int(np.searchsorted(row, u, side="right")), len(p) - 1) for u in us]
+        assert got == want
 
 
 def test_sample_paths_bad_count():
