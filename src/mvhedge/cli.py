@@ -53,11 +53,14 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
 
 @contextmanager
 def _typed(where: str):
-    """Turn a TypeError/ValueError from a mistyped config value into a BadParameter."""
+    """Turn a TypeError/ValueError from a mistyped config value, or the
+    KeyError of a missing one, into a BadParameter."""
     try:
         yield
     except BadParameter:
         raise
+    except KeyError as exc:
+        raise BadParameter(f"bad {where} value: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise BadParameter(f"bad {where} value: {exc}") from exc
 

@@ -283,8 +283,7 @@ def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None, val
         payoff = _floats(values, "per_leaf values")
         if payoff.shape != (len(leaves),):
             raise BadParameter(
-                f"per_leaf claim has {payoff.size} values for {len(leaves)} leaves"
-            )
+                f"per_leaf claim needs {len(leaves)} leaf values, got shape {payoff.shape}")
     else:
         raise BadParameter(f"unknown claim kind {kind!r}")
     if not np.all(np.isfinite(payoff)):
@@ -296,7 +295,7 @@ def claim_at(tree: ScenarioTree, claim: Claim) -> np.ndarray:
     """Payoff indexed by node id (defined on leaves, NaN elsewhere)."""
     leaves = tree.leaves()
     if np.shape(claim.payoff) != leaves.shape:
-        raise BadParameter(f"claim has {np.size(claim.payoff)} values for {leaves.size} leaves")
+        raise BadParameter(f"claim needs {leaves.size} leaf values, got shape {np.shape(claim.payoff)}")
     h = np.full(len(tree.nodes), np.nan)
     h[leaves] = claim.payoff
     return h
@@ -310,8 +309,9 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     """Check all structural invariants, the ordering contract included;
     returns a list of violation messages (empty when the tree is well
     formed), ordered by the list position they are reported at."""
-    if not (_is_int(tree.horizon) and tree.horizon >= 0):
-        return [f"horizon {tree.horizon!r} is not a non-negative integer"]
+    for name, x in (("num_assets", tree.num_assets), ("horizon", tree.horizon)):
+        if not (_is_int(x) and x >= 0):
+            return [f"{name} {x!r} is not a non-negative integer"]
     parent, time, price = tree.parent, tree.time, tree.price
     n = len(parent)
     if n == 0 or any(a.shape != (n,) for a in (time, tree.regime, tree.prob)):
@@ -403,8 +403,8 @@ def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
     when the document contradicts itself: an id that is not its list
     position, a parent or child id out of range, a price row of the
     wrong length, children lists that disagree with the parent pointers,
-    a horizon that is not a non-negative integer, or a claim that is not
-    a list of numbers, one per leaf."""
+    a num_assets or horizon that is not a non-negative integer, or a
+    claim that is not a list of numbers, one per leaf."""
     doc = json.loads(text)
     try:
         nodes, num_assets = doc["nodes"], doc["num_assets"]
@@ -412,8 +412,9 @@ def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
         parent = [-1 if nd["parent"] is None else nd["parent"] for nd in nodes]
         listed = [(i, c["id"], c["p"]) for i, nd in enumerate(nodes) for c in nd["children"]]
         horizon, claim = doc["horizon"], doc.get("claim")
-        errors = [] if _is_int(horizon) and horizon >= 0 else [
-            f"horizon {horizon!r} is not a non-negative integer"]
+        errors = [f"{name} {x!r} is not a non-negative integer"
+                  for name, x in (("num_assets", num_assets), ("horizon", horizon))
+                  if not (_is_int(x) and x >= 0)]
         errors += [f"node at list position {pos} has id {nd['id']}"
                    for pos, nd in enumerate(nodes) if nd["id"] != pos]
         errors += [f"parent {p!r} of node {i} out of range"

@@ -194,11 +194,27 @@ INPUT_ERRORS = [
      "unknown strategy kind 'delta'"),
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": []},
      "need at least one report"),
+    ("hedge", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": [[1.0], [0.0]]}},
+     "per_leaf claim needs 2 leaf values, got shape (2, 1)"),
+    ("hedge", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": None}},
+     "per_leaf claim needs 2 leaf values, got shape ()"),
+    ("tree build", {"model": dict(BINOMIAL_1, increments=[{"delta": [1.0]}, {"delta": [-1.0]}])},
+     "bad model value: missing key 'p'"),
 ]
 
 
+def first_part_ids(messages):
+    """Each message up to its first ':', or the whole message when an
+    earlier row's id is that part already."""
+    ids = []
+    for message in messages:
+        head = message.split(":")[0]
+        ids.append(message if head in ids else head)
+    return ids
+
+
 @pytest.mark.parametrize("command,doc,message", INPUT_ERRORS,
-                         ids=[message.split(":")[0] for *_, message in INPUT_ERRORS])
+                         ids=first_part_ids(message for *_, message in INPUT_ERRORS))
 def test_input_error_message_and_exit_code(tmp_path, capsys, command, doc, message):
     out = tmp_path / "o"
     assert main([*command.split(), "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2

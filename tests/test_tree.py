@@ -220,6 +220,8 @@ HAND_BUILT_DEFECTS = [
     ("horizon", -1, "horizon -1 is not a non-negative integer"),
     ("horizon", 1.0, "horizon 1.0 is not a non-negative integer"),
     ("horizon", True, "horizon True is not a non-negative integer"),
+    ("num_assets", 1.0, "num_assets 1.0 is not a non-negative integer"),
+    ("num_assets", True, "num_assets True is not a non-negative integer"),
     ("prob", [1.0, 0.5], "node arrays differ in length"),
     ("num_assets", 2, "price dimension mismatch: shape (3, 1) for 3 nodes of 2 assets"),
     ("parent", [-1, 0, 3], "parent out of range at node 2"),
@@ -240,6 +242,8 @@ def test_attach_claim_rejects_what_no_config_reaches():
         mv.attach_claim(tree, "call")
     with pytest.raises(mv.BadParameter, match="^unknown claim kind 'digital'$"):
         mv.attach_claim(tree, "digital", strike=10.0)
+    with pytest.raises(mv.BadParameter, match=r"^claim needs 2 leaf values, got shape \(3,\)$"):
+        mv.compute_mean_value(tree, mv.compute_opportunity(tree), mv.Claim(np.ones(3)))
 
 
 def binomial_doc():
@@ -308,6 +312,14 @@ def horizon_negative(doc):
     doc["horizon"] = -1
 
 
+def num_assets_float(doc):
+    doc["num_assets"] = 1.0
+
+
+def num_assets_boolean(doc):
+    doc["num_assets"] = True
+
+
 def node_without_time(doc):
     del doc["nodes"][1]["time"]
 
@@ -328,6 +340,8 @@ DOCUMENT_DEFECTS = [
     (claim_too_short, "claim is not a list of 4 numbers, one per leaf"),
     (horizon_boolean, "horizon True is not a non-negative integer"),
     (horizon_negative, "horizon -1 is not a non-negative integer"),
+    (num_assets_float, "num_assets 1.0 is not a non-negative integer"),
+    (num_assets_boolean, "num_assets True is not a non-negative integer"),
     (node_without_time, "malformed tree document: 'time'"),
 ]
 
