@@ -550,3 +550,25 @@ def test_inspect_sharpe_binomial(tmp_path, capsys):
 def test_inspect_unknown_field(tmp_path):
     cfg = write_config(tmp_path, {"model": BINOMIAL_1, "claim": CALL10})
     assert main(["inspect", "--config", cfg, "--field", "foo"]) == 2
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_block(lang: str, after: str) -> str:
+    """The first ```lang block of the README after the text after."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index(f"```{lang}\n", text.index(after)) + len(lang) + 4
+    return text[start:text.index("```", start)]
+
+
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # the library sketch, and each documented command on the example config
+    exec(readme_block("python", "## Library sketch"), {})
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(readme_block("json", "Example config:"))
+    commands = readme_block("sh", "## Command line").splitlines()
+    assert len(commands) == 5
+    for line in commands:
+        args = line.split("#")[0].split()
+        assert args[0] == "mvhedge" and main(args[1:]) == 0, line

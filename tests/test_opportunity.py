@@ -3,10 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mvhedge as mv
 from mvhedge.linalg import pinv_psd
-from mvhedge.tree import ScenarioTree
+from mvhedge.tree import ScenarioTree, validate_tree
 
 from gen import (
     binomial_06,
@@ -257,10 +259,11 @@ def test_structural_identities_random_trees(seed):
 EXACT_TOL = 1e-12
 
 
-def exact_error(got, want, floor: bool) -> float:
+def exact_error(got, want, floor: bool, unit=1) -> float:
     """Largest |got - want| / |want| over the entries, / max(1, |want|)
-    with floor, computed exactly."""
-    return max(float(abs(Fraction(g) - w) / (max(1, abs(w)) if floor else abs(w)))
+    with floor, computed exactly; with floor, got and want are first
+    divided by unit."""
+    return max(float(abs(Fraction(g) - w) / (max(unit, abs(w)) if floor else abs(w)))
                for g, w in zip(got, want))
 
 
@@ -286,6 +289,53 @@ def test_engine_matches_exact_reference():
             "e": exact_error(plan.e[inner].tolist(), [exact["e"][i] for i in inner], True),
         }
         assert max(errors.values()) <= EXACT_TOL, errors
+
+
+def tilted(tree, p: float, scale: float) -> ScenarioTree:
+    """tree with probability p on the first child of every inner node, the
+    other children rescaled to the rest, and every price times scale."""
+    prob = tree.prob.copy()
+    for i in tree.layout.inner.tolist():
+        kids = np.flatnonzero(tree.parent == i)
+        prob[kids[1:]] *= (1.0 - p) / prob[kids[1:]].sum()
+        prob[kids[0]] = p
+    return dataclasses.replace(tree, price=tree.price * scale, prob=prob)
+
+
+# The same comparison off desk scale: prices and claim times 10**x for x
+# in [-150, 150], and a first child of probability 1e-2 to 0.3 at every
+# inner node.  V, e and a_tilde are compared in the units of the unscaled
+# tree.  Of the 200 derandomized draws 147 are kept (L0 >= 0.05); the
+# worst error is 2.0e-13 (V), a margin of 5 below EXACT_TOL.  The range
+# of p stops at 1e-2: at 1e-4 the one-step algebra's cancellation
+# (ROADMAP item 1) puts the worst error at 1.2e-12.
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2 ** 32 - 1), periods=st.integers(1, 3),
+       log_p=st.floats(-2.0, float(np.log10(0.3))), power=st.integers(-150, 150))
+def test_engine_matches_exact_reference_across_scales(seed, periods, log_p, power):
+    rng = np.random.default_rng(seed)
+    desk = random_tree(rng, periods)
+    k = Fraction(10) ** power
+    tree = tilted(desk, 10.0 ** log_p, float(k))
+    assume(not validate_tree(tree))
+    surf = mv.compute_opportunity(tree)
+    assume(surf.L[0] >= 0.05)
+    claim = mv.Claim(payoff=random_claim(rng, desk).payoff * float(k))
+    plan = mv.compute_plan(tree, surf, claim)
+    exact = exact_sweep(tree, claim.payoff.tolist())
+    inner = tree.layout.inner.tolist()
+    errors = {
+        "L": exact_error(surf.L.tolist(), exact["L"], False),
+        "pstar_p": exact_error(surf.pstar_p.tolist(), exact["pstar_p"], False),
+        "qstar_w": exact_error(surf.qstar_w.tolist(), exact["qstar_w"], True),
+        "V": exact_error(plan.V.tolist(), exact["V"], True, k),
+        "xi": exact_error(plan.xi[inner].ravel().tolist(),
+                          [x for i in inner for x in exact["xi"][i]], True),
+        "e": exact_error(plan.e[inner].tolist(), [exact["e"][i] for i in inner], True, k * k),
+        "a_tilde": exact_error(surf.a_tilde[inner].ravel().tolist(),
+                               [x for i in inner for x in exact["a_tilde"][i]], True, 1 / k),
+    }
+    assert max(errors.values()) <= EXACT_TOL, errors
 
 
 @pytest.mark.parametrize("p_up,periods", [(0.6, 1), (0.6, 4), (0.25, 3), (0.75, 2), (0.5, 4)])
