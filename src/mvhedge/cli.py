@@ -53,8 +53,7 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
 
 @contextmanager
 def _typed(where: str):
-    """Turn a TypeError/ValueError from a mistyped config value, or the
-    KeyError of a missing one, into a BadParameter."""
+    """Turn a mistyped config value's TypeError/ValueError, or a missing key, into BadParameter."""
     try:
         yield
     except BadParameter:

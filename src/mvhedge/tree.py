@@ -282,8 +282,8 @@ def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None, val
     elif kind == "per_leaf":
         payoff = _floats(values, "per_leaf values")
         if payoff.shape != (len(leaves),):
-            raise BadParameter(
-                f"per_leaf claim needs {len(leaves)} leaf values, got shape {payoff.shape}")
+            raise BadParameter(f"per_leaf claim needs {leaves.size} values, one per leaf, "
+                               f"got shape {payoff.shape}")
     else:
         raise BadParameter(f"unknown claim kind {kind!r}")
     if not np.all(np.isfinite(payoff)):
@@ -295,7 +295,7 @@ def claim_at(tree: ScenarioTree, claim: Claim) -> np.ndarray:
     """Payoff indexed by node id (defined on leaves, NaN elsewhere)."""
     leaves = tree.leaves()
     if np.shape(claim.payoff) != leaves.shape:
-        raise BadParameter(f"claim needs {leaves.size} leaf values, got shape {np.shape(claim.payoff)}")
+        raise BadParameter(f"claim needs {leaves.size} values, got shape {np.shape(claim.payoff)}")
     h = np.full(len(tree.nodes), np.nan)
     h[leaves] = claim.payoff
     return h

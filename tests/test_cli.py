@@ -195,9 +195,9 @@ INPUT_ERRORS = [
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": []},
      "need at least one report"),
     ("hedge", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": [[1.0], [0.0]]}},
-     "per_leaf claim needs 2 leaf values, got shape (2, 1)"),
+     "per_leaf claim needs 2 values, one per leaf, got shape (2, 1)"),
     ("hedge", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": None}},
-     "per_leaf claim needs 2 leaf values, got shape ()"),
+     "per_leaf claim needs 2 values, one per leaf, got shape ()"),
     ("tree build", {"model": dict(BINOMIAL_1, increments=[{"delta": [1.0]}, {"delta": [-1.0]}])},
      "bad model value: missing key 'p'"),
 ]

@@ -242,7 +242,7 @@ def test_attach_claim_rejects_what_no_config_reaches():
         mv.attach_claim(tree, "call")
     with pytest.raises(mv.BadParameter, match="^unknown claim kind 'digital'$"):
         mv.attach_claim(tree, "digital", strike=10.0)
-    with pytest.raises(mv.BadParameter, match=r"^claim needs 2 leaf values, got shape \(3,\)$"):
+    with pytest.raises(mv.BadParameter, match=r"^claim needs 2 values, got shape \(3,\)$"):
         mv.compute_mean_value(tree, mv.compute_opportunity(tree), mv.Claim(np.ones(3)))
 
 
