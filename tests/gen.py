@@ -600,9 +600,12 @@ def node_oracle_loop(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
 
 def dense_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
                      cash: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The oracle's increment matrix for k subtrees of one shape, built
-    dense: (Y, norms), Y (k, n_leaves, m) = sqrt(w) X with unit columns
-    and norms X's weighted column norms (a zero column keeps norm 1).
+    """The increment matrix of the least squares on each of k subtrees of
+    one shape, built dense: (Y, norms), Y (k, n_leaves, m) = sqrt(w) X
+    with unit columns and norms X's weighted column norms (a zero column
+    keeps norm 1).  For the whole tree, with cash, it is root_factor's Y;
+    for a later subtree, Y'Y is the block of the root's G that the
+    oracle's node check on the subtree solves.
     Subtree i has counts[l] nodes at depth l, with ids from first[i, l];
     row j of X holds, in the d columns of block offset_l + a - first[i, l]
     of leaf j's ancestor a at depth l, the price increment from a on the
@@ -632,8 +635,9 @@ def dense_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,
 
 def subtree_stacks(tree: ScenarioTree):
     """(first, counts) of each stack of subtrees that the oracle's node
-    checks solve together: the subtrees rooted in one slice after the
-    first with the same node count at every depth, as _factor reads them."""
+    checks solve together, as one stack of blocks of the root's G: the
+    subtrees rooted in one slice after the first with the same node count
+    at every depth."""
     bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
     for t in range(1, tree.horizon):
         lo = np.arange(bounds[t], bounds[t + 1])

@@ -405,18 +405,19 @@ def test_worst_line_node(capsys):
         "node=5", "node=7"]
 
 
-def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, int]:
-    """The sizes of the matrices as large as the root's normal matrix (or
-    its block without the cash column) that verify on cfg certifies, that
-    it hands to pinv_psd and, with the number of right-hand sides, that it
-    hands to np.linalg.solve."""
+def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int]:
+    """The shapes of the matrices that verify on cfg certifies and that it
+    hands to np.linalg.cholesky, and the sizes of the matrices as large as
+    the root's normal matrix (or its block without the cash column) that it
+    hands to pinv_psd and, with the number of right-hand sides, to
+    np.linalg.solve."""
     tree = build_model(load_config(cfg)["model"])
     root_cols = int(np.count_nonzero(tree.time < tree.horizon)) * tree.num_assets + 1
-    certified, pinv, solves = [], [], []
+    certified, cholesky, pinv, solves = [], [], [], []
 
-    def spy(seen, original):
+    def spy(seen, original, record=lambda m: [m.shape]):
         def call(m):
-            seen.extend([m.shape[-1]] * int(np.prod(m.shape[:-2])))
+            seen.extend(record(m))
             return original(m)
         return call
 
@@ -426,27 +427,30 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, int]:
         return solve(a, b)
 
     monkeypatch.setattr(mv.oracle, "_certify", spy(certified, mv.oracle._certify))
-    monkeypatch.setattr(mv.oracle, "pinv_psd", spy(pinv, mv.oracle.pinv_psd))
+    monkeypatch.setattr(np.linalg, "cholesky", spy(cholesky, np.linalg.cholesky))
+    monkeypatch.setattr(mv.oracle, "pinv_psd", spy(
+        pinv, mv.oracle.pinv_psd, lambda m: [m.shape[-1]] * int(np.prod(m.shape[:-2]))))
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
     assert main(["verify", "--config", cfg]) == 0
-    return ([n for n in certified if n >= root_cols - 1],
-            [n for n in pinv if n >= root_cols - 1], solves, root_cols)
+    return (certified, cholesky, [n for n in pinv if n >= root_cols - 1], solves, root_cols)
 
 
 def test_verify_factors_the_root_once(monkeypatch, tmp_path):
-    # the least squares, the QP and the root node check share one factor
-    # of the root's normal matrix; no other matrix is as large.  It is
-    # certified and solved directly, once for the cash column and the
+    # the least squares, the QP and every node check share one normal
+    # matrix, the root's; no other matrix is as large.  It is certified,
+    # with one Cholesky factor, once, which certifies the node checks'
+    # blocks too, and solved directly, once for the cash column and the
     # claim together, or, for a duplicated asset, which makes it
     # singular, replaced by its pseudoinverse
-    certified, pinv, solves, root_cols = root_size_solves(monkeypatch, GOLDEN_CONFIG)
-    assert (certified, pinv, solves) == ([root_cols], [], [(root_cols, 2)])
+    root = lambda n: [(n, n)]
+    certified, cholesky, pinv, solves, n = root_size_solves(monkeypatch, GOLDEN_CONFIG)
+    assert (certified, cholesky, pinv, solves) == (root(n), root(n), [], [(n, 2)])
     dup = {"type": "iid", "s0": [10.0, 10.0], "periods": 3,
            "increments": [{"delta": [x, x], "p": p} for x, p in ((1.0, 0.3), (0.0, 0.4),
                                                                   (-1.0, 0.3))]}
     cfg = write_config(tmp_path, {"model": dup, "claim": CALL10})
-    certified, pinv, solves, root_cols = root_size_solves(monkeypatch, cfg)
-    assert (certified, pinv, solves) == ([root_cols], [root_cols], [])
+    certified, cholesky, pinv, solves, n = root_size_solves(monkeypatch, cfg)
+    assert (certified, cholesky, pinv, solves) == (root(n), root(n), [n], [])
 
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])

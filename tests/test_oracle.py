@@ -162,28 +162,24 @@ def test_certificate_clears_the_pinv_cutoff():
 
 
 def dense(f):
-    """The dense Y (k, n_leaves, m) of a path-sparse factor."""
-    k, n, _ = f.cols.shape
-    Y = np.zeros((k, n, f.norms.shape[1]))
-    Y[np.arange(k)[:, None, None], np.arange(n)[:, None], f.cols] = f.vals
+    """The dense Y (n_leaves, m) of a path-sparse factor."""
+    Y = np.zeros((len(f.cols), len(f.norms)))
+    Y[np.arange(len(f.cols))[:, None], f.cols] = f.vals
     return Y
-
-
-def pinv_solve(f, rhs):
-    """(Y'Y)^+ rhs through pinv_psd, for each Y of the factor's stack."""
-    Y = dense(f)
-    return (mv.pinv_psd(Y.swapaxes(1, 2) @ Y) @ rhs[..., None])[..., 0]
-
-
-def unit_cash(f):
-    e_cash = np.zeros(f.norms.shape)
-    e_cash[:, -1] = 1.0
-    return e_cash
 
 
 def assert_close(got, want, rel):
     assert got.shape == want.shape
     assert np.max(np.abs(got - want), initial=0.0) <= rel * np.max(np.abs(want), initial=0.0)
+
+
+def block_cols(tree, first, counts):
+    """The root columns of each subtree's holdings, in dense_increments'
+    column order, and the subtree's leaf rows in the root's leaf order."""
+    d = tree.num_assets
+    ids = [first[:, level, None] + np.arange(c) for level, c in enumerate(counts)]
+    cols = (np.hstack(ids[:-1])[..., None] * d + np.arange(d)).reshape(len(first), -1)
+    return cols, ids[-1] - tree.leaves()[0]
 
 
 def factor_cases():
@@ -201,28 +197,43 @@ def factor_cases():
 
 @pytest.mark.parametrize("case", range(len(factor_cases())))
 def test_path_sparse_factor_matches_dense(case):
+    # the root's factor is the dense one, without cash its block on the
+    # holdings; a subtree's Y'Y is its block of the root's G, whose cash
+    # column, over sqrt(P(n)), is the subtree's Y' sqrt(w)
     tree, first, counts, cash = factor_cases()[case]
-    f = oracle._factor(tree, first, counts, cash)
-    Y, norms = dense_increments(tree, first, counts, cash)
+    f = oracle.root_factor(tree)
     assert f.certified
-    assert np.array_equal(dense(f) != 0.0, Y != 0.0)
-    assert_close(f.gram, Y.swapaxes(1, 2) @ Y, 1e-13)
-    assert_close(f.norms, norms, 1e-13)
-    rng = np.random.default_rng(1550 + case)
-    t, x = rng.normal(size=Y.shape[:2]), rng.normal(size=Y.shape[::2])
-    assert_close(f.Yt(t), (Y.swapaxes(1, 2) @ t[..., None])[..., 0], 1e-13)
-    assert_close(f.Yx(x), (Y @ x[..., None])[..., 0], 1e-13)
+    if first[0, 0] == 0:   # the root; a stack's subtrees start at depth 1 or later
+        Y, norms = dense_increments(tree, first, counts, cash)
+        (Y, norms), keep = (Y[0], norms[0]), slice(None if cash else -1)
+        assert np.array_equal(dense(f)[:, keep] != 0.0, Y != 0.0)
+        assert_close(f.gram[keep, keep], Y.T @ Y, 1e-13)
+        assert_close(f.norms[keep], norms, 1e-13)
+        rng = np.random.default_rng(1550 + case)
+        t, x = rng.normal(size=len(Y)), np.zeros(len(f.norms))
+        x[keep] = rng.normal(size=Y.shape[1])
+        assert_close(f.Yt(t)[keep], Y.T @ t, 1e-13)
+        assert_close(f.Yx(x), Y @ x[keep], 1e-13)
+        return
+    Y, norms = dense_increments(tree, first, counts, cash=True)
+    cols, leaves = block_cols(tree, first, counts)
+    mass = np.sum(f.sw[leaves] ** 2, axis=1)
+    hold, sw = Y[..., :-1], Y[..., -1] * norms[:, None, -1]
+    assert_close(f.gram[cols[..., None], cols[:, None]], hold.swapaxes(1, 2) @ hold, 1e-13)
+    assert_close(f.gram[cols, -1] * f.norms[-1] / np.sqrt(mass)[:, None],
+                 (hold.swapaxes(1, 2) @ sw[..., None])[..., 0], 1e-13)
 
 
-def test_lsq_reads_the_root_solve_only_for_its_claim():
+def test_lsq_reads_the_root_solve_only_for_its_claim(monkeypatch):
     rng = np.random.default_rng(1560)
     tree = random_tree(rng)
     claim, other = random_claim(rng, tree), random_claim(rng, tree)
     root = oracle.root_factor(tree, claim=claim)
     solves = []
-    solve = root.solve
-    root.solve = lambda rhs: solves.append(rhs.shape) or solve(rhs)
-    for c, made in ((claim, []), (other, [(*root.norms.shape, 1)])):
+    solve = oracle._solve
+    monkeypatch.setattr(oracle, "_solve", lambda G, rhs, c: solves.append(rhs.shape)
+                        or solve(G, rhs, c))
+    for c, made in ((claim, []), (other, [root.norms.shape])):
         solves.clear()
         got = mv.lsq_projection(tree, c, "free", root)
         assert solves == made
@@ -236,25 +247,36 @@ def test_lsq_reads_the_root_solve_only_for_its_claim():
 def test_certified_factor_matches_pinv(seed):
     rng = np.random.default_rng(1600 + seed)
     tree = random_tree(rng)
-    for f in (oracle.root_factor(tree), oracle.root_factor(tree, cash=False)):
-        assert f.certified
-        rhs = rng.normal(size=f.norms.shape)
-        assert_close(f.solve(rhs[..., None])[..., 0], pinv_solve(f, rhs), 1e-12)
     f = oracle.root_factor(tree)
-    assert_close(f.cash_sol, pinv_solve(f, unit_cash(f)), 1e-12)
+    assert f.certified
+    for G in (f.gram, f.gram[:-1, :-1]):
+        rhs = rng.normal(size=len(G))
+        assert_close(oracle._solve(G, rhs, f.certified), mv.pinv_psd(G) @ rhs, 1e-12)
+    assert_close(f.cash_sol, mv.pinv_psd(f.gram)[:, -1], 1e-12)
 
 
-def spectrum_factor(rng, spectra):
-    """A _Factor on square Y = Q diag(sqrt(lam)) Q', one per spectrum, so
-    that Y'Y has eigenvalues lam up to rounding."""
+@pytest.mark.parametrize("case", range(7))
+def test_certified_root_certifies_its_blocks(case):
+    # by Cauchy interlacing, every block the node checks and the fixed-v0
+    # least squares solve passes the certificate of a certified root
+    rng = np.random.default_rng(1650 + case)
+    tree = uneven_regime_tree(3) if case == 0 else random_tree(rng)
+    f = oracle.root_factor(tree)
+    assert f.certified and oracle._certify(f.gram[:-1, :-1])
+    for first, counts in subtree_stacks(tree):
+        cols, _ = block_cols(tree, first, counts)
+        assert oracle._certify(f.gram[cols[..., None], cols[:, None]])
+
+
+def spectrum_gram(rng, spectra):
+    """A stack of G = Y'Y on square Y = Q diag(sqrt(lam)) Q', one per
+    spectrum, so that G has eigenvalues lam up to rounding."""
     Y = []
     for lam in spectra:
         q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
         Y.append((q * np.sqrt(lam)) @ q.T)
-    Y = np.array(Y)   # square and dense: path-sparse with every column in every row
-    return oracle._Factor(np.broadcast_to(np.arange(Y.shape[-1]), Y.shape), Y,
-                          np.ones(Y.shape[:2]), np.ones(Y.shape[::2]),
-                          *oracle._certify(Y.swapaxes(1, 2) @ Y))
+    Y = np.array(Y)
+    return Y.swapaxes(1, 2) @ Y
 
 
 def test_certificate_rejects_an_eigenvalue_at_the_pinv_cutoff():
@@ -262,12 +284,12 @@ def test_certificate_rejects_an_eigenvalue_at_the_pinv_cutoff():
     n = 6
     at_cutoff = [1.0, 0.8, 0.5, 0.3, 0.2, n * linalg.EIG_TRUNCATION]
     well_above = [1.0, 0.8, 0.5, 0.3, 0.2, 1e-3]
-    assert spectrum_factor(rng, [well_above]).certified
-    assert spectrum_factor(rng, [well_above, well_above]).certified
+    assert oracle._certify(spectrum_gram(rng, [well_above]))
+    assert oracle._certify(spectrum_gram(rng, [well_above, well_above]))
     for spectra in ([at_cutoff], [well_above, at_cutoff]):
         # the whole stack takes the pinv_psd path, bit for bit
-        f = spectrum_factor(rng, spectra)
-        assert not f.certified
-        target = rng.normal(size=f.vals.shape[:2])
-        rhs = f.Yt(target)
-        assert np.array_equal(f.lsq(target)[0], pinv_solve(f, rhs))
+        G = spectrum_gram(rng, spectra)
+        certified = oracle._certify(G)
+        assert not certified
+        rhs = rng.normal(size=(*G.shape[:2], 1))
+        assert np.array_equal(oracle._solve(G, rhs, certified), mv.pinv_psd(G) @ rhs)
