@@ -21,6 +21,9 @@ from .opportunity import OpportunitySurface, martingale_surface
 from .tree import Claim, ScenarioTree
 
 STRATEGY_KINDS = ("mvh", "pure_xi", "gkw", "markowitz")
+# at the 20-period horizon that MAX_LEAVES allows, the uniforms of 2**20
+# paths take 168 MB, and Philox's temporaries about as much again
+MAX_PATHS = 2 ** 20
 
 
 @dataclass
@@ -93,8 +96,8 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     step t the path moves from its node to the child that
     searchsorted(cumsum(probs), u_t, side="right") selects, capped at the
     last child, with probs the node's edge probabilities in child order."""
-    if n < 1:
-        raise BadParameter("need at least one path")
+    if not 1 <= n <= MAX_PATHS:
+        raise BadParameter(f"paths must be in [1, 2**20], got {n}")
     if not 0 <= seed < 2**128:
         raise BadParameter(f"seed must be in [0, 2**128), got {seed}")
     lay = tree.layout
