@@ -8,6 +8,7 @@ byte-identical outputs.  Exit codes: 0 ok, 1 verification failure,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -412,4 +413,7 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # interpreter exit would otherwise spend most of its time collecting
+    # numpy's import-time objects; not in main, which tests call in process
+    gc.freeze()
     sys.exit(main())

@@ -200,6 +200,11 @@ INPUT_ERRORS = [
      "per_leaf claim needs 2 values, one per leaf, got shape ()"),
     ("tree build", {"model": dict(BINOMIAL_1, increments=[{"delta": [1.0]}, {"delta": [-1.0]}])},
      "bad model value: missing key 'p'"),
+    # path counts whose uniforms would not fit in memory, rejected before any is drawn
+    ("backtest", {"model": BINOMIAL_1, "claim": CALL10, "paths": 10**15},
+     "paths must be in [1, 2**20], got 1000000000000000"),
+    ("backtest", {"model": BINOMIAL_1, "claim": CALL10, "paths": 2**70},
+     "paths must be in [1, 2**20], got 1180591620717411303424"),
 ]
 
 
@@ -388,6 +393,24 @@ def verify_verdicts(threads: int) -> list[str]:
                          env=env, capture_output=True, text=True, check=True, timeout=120).stdout
     return [" ".join(line.split()[:3] + line.split()[-1:])
             for line in out.splitlines() if line.startswith("CHECK")]
+
+
+def test_module_entry_flushes_its_output(tmp_path, capsys):
+    # python -m mvhedge.cli freezes the import-time objects for a quick
+    # exit; what main prints still reaches the pipes, on exit 0 and on
+    # exit 2.  The process inherits this one's BLAS threads
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "mvhedge.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    verify = run("verify", "--config", GOLDEN_CONFIG)
+    assert main(["verify", "--config", GOLDEN_CONFIG]) == verify.returncode == 0
+    assert verify.stdout == capsys.readouterr().out
+    bad = run("hedge", "--config", write_config(tmp_path, {"model": TRINOMIAL}),
+              "--out", str(tmp_path / "o"))
+    assert (bad.returncode, bad.stdout, bad.stderr) == (2, "", "error: config needs a claim\n")
 
 
 def test_verify_nodes_do_not_depend_on_thread_count():
