@@ -226,13 +226,13 @@ def node_conditional_check(tree: ScenarioTree, root: _Factor | None = None) -> n
             ranges.append(np.searchsorted(tree.parent, ranges[-1]))
         first, end = np.transpose(ranges, (1, 2, 0))
         shapes, group = np.unique(end - first, axis=0, return_inverse=True)
-        for g, counts in enumerate(shapes):
-            members = np.flatnonzero(group == g)
+        for k, counts in enumerate(shapes):
+            members = np.flatnonzero(group == k)
             ids = [first[members, level, None] + np.arange(c) for level, c in enumerate(counts)]
             cols = (np.hstack(ids[:-1])[..., None] * d + np.arange(d)).reshape(len(members), -1)
-            cash = f.gram[cols, -1] * f.norms[-1]
-            quad = np.einsum("ij,ij->i", cash, _solve(
-                f.gram[cols[..., None], cols[:, None]], cash[..., None], f.certified)[..., 0])
+            g = f.gram[cols, -1] * f.norms[-1]
+            quad = np.einsum("ij,ij->i", g, _solve(
+                f.gram[cols[..., None], cols[:, None]], g[..., None], f.certified)[..., 0])
             sq[lo[members]] = 1.0 - quad / np.sum(f.sw[ids[-1] - bounds[-2]] ** 2, axis=1)
     return sq
 
