@@ -465,15 +465,14 @@ def test_verify_factors_the_root_once(monkeypatch, tmp_path):
     # blocks too, and solved directly, once for the cash column and the
     # claim together, or, for a duplicated asset, which makes it
     # singular, replaced by its pseudoinverse
-    root = lambda n: [(n, n)]
     certified, cholesky, pinv, solves, n = root_size_solves(monkeypatch, GOLDEN_CONFIG)
-    assert (certified, cholesky, pinv, solves) == (root(n), root(n), [], [(n, 2)])
+    assert (certified, cholesky, pinv, solves) == ([(n, n)], [(n, n)], [], [(n, 2)])
     dup = {"type": "iid", "s0": [10.0, 10.0], "periods": 3,
            "increments": [{"delta": [x, x], "p": p} for x, p in ((1.0, 0.3), (0.0, 0.4),
                                                                   (-1.0, 0.3))]}
     cfg = write_config(tmp_path, {"model": dup, "claim": CALL10})
     certified, cholesky, pinv, solves, n = root_size_solves(monkeypatch, cfg)
-    assert (certified, cholesky, pinv, solves) == (root(n), root(n), [n], [])
+    assert (certified, cholesky, pinv, solves) == ([(n, n)], [(n, n)], [n], [])
 
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])

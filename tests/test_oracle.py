@@ -199,7 +199,7 @@ def factor_cases():
 def test_path_sparse_factor_matches_dense(case):
     # the root's factor is the dense one, without cash its block on the
     # holdings; a subtree's Y'Y is its block of the root's G, whose cash
-    # column, over sqrt(P(n)), is the subtree's Y' sqrt(w)
+    # column times the cash norm, over sqrt(P(n)), is the subtree's Y' sqrt(w)
     tree, first, counts, cash = factor_cases()[case]
     f = oracle.root_factor(tree)
     assert f.certified
