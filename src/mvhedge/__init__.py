@@ -9,7 +9,6 @@ from .errors import (
     TooLarge,
 )
 from .tree import (
-    Claim,
     ScenarioTree,
     attach_claim,
     build_binomial,

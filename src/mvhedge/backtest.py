@@ -18,7 +18,7 @@ import numpy as np
 from .errors import BadParameter, IncompatibleClaim
 from .hedging import HedgePlan, compute_plan, hedging_error, rollout_strategy
 from .opportunity import OpportunitySurface, martingale_surface
-from .tree import Claim, ScenarioTree
+from .tree import ScenarioTree
 
 STRATEGY_KINDS = ("mvh", "pure_xi", "gkw", "markowitz")
 # at the 20-period horizon that MAX_LEAVES allows, the uniforms of 2**20
@@ -101,17 +101,16 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     if not 0 <= seed < 2**128:
         raise BadParameter(f"seed must be in [0, 2**128), got {seed}")
     lay = tree.layout
-    # row i: the cumulative probabilities of inner node i (the ordering
-    # contract numbers inner nodes first), its last entry left +inf, so
-    # that the number of entries <= u is the capped searchsorted
-    cdf = np.full((len(lay.inner), np.diff(lay.offsets).max()), np.inf)
+    # cdf[r, i]: inner node i's r-th cumulative probability (inner ids come
+    # first), +inf from its last child on, so the rows <= u count the capped searchsorted
+    cdf = np.full((np.diff(lay.offsets).max(initial=1) - 1, len(lay.inner)), np.inf)
     for steps in lay.steps:
         for s in steps:
-            cdf[s.ids, :s.probs.shape[1] - 1] = np.cumsum(s.probs, axis=1)[:, :-1]
+            cdf[:s.probs.shape[1] - 1, s.ids] = np.cumsum(s.probs, axis=1)[:, :-1].T
     u = _uniforms(seed, n, tree.horizon)
     nid = np.zeros(n, dtype=np.intp)
     for t in range(tree.horizon):
-        nid = lay.offsets[nid] + 1 + (cdf[nid] <= u[:, t, None]).sum(axis=1)
+        nid = lay.offsets[nid] + 1 + sum(row[nid] <= u[:, t] for row in cdf)
     return nid.tolist()
 
 
@@ -136,7 +135,7 @@ def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
         return rollout_strategy(tree, plan.xi, 0.0, 0.0, v0)
     h = plan.V[tree.leaves()]
     if kind == "gkw":
-        xi = compute_plan(tree, martingale_surface(tree), Claim(payoff=h)).xi
+        xi = compute_plan(tree, martingale_surface(tree), h).xi
         return rollout_strategy(tree, xi, 0.0, 0.0, v0)
     if np.max(np.abs(h - h[0])) > 1e-12 * max(1.0, np.max(np.abs(h))):
         raise IncompatibleClaim("markowitz strategy requires a constant claim")

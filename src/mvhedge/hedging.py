@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateStep
 from .linalg import pinv_psd
 from .opportunity import OpportunitySurface
-from .tree import Claim, ScenarioTree, claim_at
+from .tree import ScenarioTree, claim_at
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -46,9 +46,10 @@ class HedgeReport:
     slice_error: dict[int, float]
 
 
-def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface, claim: Claim) -> np.ndarray:
+def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface,
+                       claim: np.ndarray) -> np.ndarray:
     """Backward recursion V(n) = sum_k p_k qstar_w_k V_k, qstar_w_k =
-    (L_k/L_n)(1 - a_tilde' d_k) as stored on surf, with V(leaf) = payoff,
+    (L_k/L_n)(1 - a_tilde' d_k) as stored on surf, with V(leaf) = claim,
     one time slice at a time.
 
     Raises DegenerateStep when the one-step weights p_k qstar_w_k at a
@@ -85,7 +86,7 @@ def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarr
     return HedgePlan(V=V, xi=xi, e=e)
 
 
-def compute_plan(tree: ScenarioTree, surf: OpportunitySurface, claim: Claim) -> HedgePlan:
+def compute_plan(tree: ScenarioTree, surf: OpportunitySurface, claim: np.ndarray) -> HedgePlan:
     """Convenience: mean value followed by pure hedge."""
     return compute_pure_hedge(tree, surf, compute_mean_value(tree, surf, claim))
 

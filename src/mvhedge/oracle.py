@@ -10,16 +10,16 @@ along each leaf's path, path-sparse (a row is nonzero only in its
 ancestors' columns), built a tree level at a time from the parent,
 price and prob arrays; its normal matrix G is one bincount and the only
 one.  One solve of G for the cash column and the claim together serves
-the least squares with free endowment, the QP (in range-space form,
-through the Schur complement of its diagonal Hessian) and the root's
-conditional check (the Schur complement of the cash column).  The least
-squares with fixed endowment solves G's block without the cash column;
-every other node's check, the root's least squares restricted to the
-node's subtree, solves G's block on the subtree's holdings, the subtrees
-of one slice and shape as one stack.  G and its blocks are solved
-directly where a shifted Cholesky factor of G certifies that the
-pseudoinverse would truncate nothing, else through it.  The oracles
-rely on validate_tree's ordering contract, not the tree layout.
+the least squares, with free endowment or, along the cash column's
+solution, a fixed one, the QP (in range-space form, through the Schur
+complement of its diagonal Hessian) and the root's conditional check
+(the Schur complement of the cash column).  Every other node's check,
+the root's least squares restricted to the node's subtree, solves G's
+block on the subtree's holdings, the subtrees of one slice and shape as
+one stack.  G and its blocks are solved directly where a shifted
+Cholesky factor of G certifies that the pseudoinverse would truncate
+nothing, else through it.  The oracles rely on validate_tree's ordering
+contract, not the tree layout.
 """
 from __future__ import annotations
 
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import Infeasible, TooLarge
 from .linalg import pinv_psd
-from .tree import Claim, ScenarioTree
+from .tree import ScenarioTree
 
 MAX_ORACLE_LEAVES = 2000
 QP_FEAS_TOL = 1e-8   # relative constraint residual above which the QP is Infeasible
@@ -98,10 +98,10 @@ def _solve(G: np.ndarray, rhs: np.ndarray, certified: bool) -> np.ndarray:
     return np.linalg.solve(G, rhs) if certified else pinv_psd(G) @ rhs
 
 
-def root_factor(tree: ScenarioTree, claim: Claim | None = None) -> _Factor:
+def root_factor(tree: ScenarioTree, claim: np.ndarray | None = None) -> _Factor:
     """The _Factor of Y = sqrt(w) X for the whole tree, and one solve of
-    G x = [e_c, Y' sqrt(w) H] for the root oracles and the free-v0
-    lsq_projection of claim (payoff H).
+    G x = [e_c, Y' sqrt(w) H] for the root oracles and lsq_projection of
+    claim, the payoff array H.
 
     Row j of X (n_leaves, m) holds, in the d columns of block a of the
     ancestor a of leaf j (by the ordering contract inner nodes come
@@ -135,35 +135,32 @@ def root_factor(tree: ScenarioTree, claim: Claim | None = None) -> _Factor:
     gram = np.bincount((cols[:, :, None] * m + cols[:, None, :]).ravel(),
                        (vals[:, :, None] * vals[:, None, :]).ravel(), m * m).reshape(m, m)
     f = _Factor(cols, vals, sw, norms, gram, _certify(gram))
-    rhs = [np.eye(1, m, m - 1)[0]] + ([] if claim is None else [f.Yt(sw * claim.payoff)])
+    rhs = [np.eye(1, m, m - 1)[0]] + ([] if claim is None else [f.Yt(sw * claim)])
     sol = _solve(gram, np.stack(rhs, axis=-1), f.certified)
     f.cash_sol, f.claim_sol = sol[:, 0], (claim, None if claim is None else sol[:, 1])
     return f
 
 
-def lsq_projection(tree: ScenarioTree, claim: Claim, v0: float | str = "free",
+def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "free",
                    root: _Factor | None = None) -> LsqSolution:
-    """Minimize E[(v0 + gains_T - H)^2] over all per-node holdings.
+    """Minimize E[(v0 + gains_T - H)^2] over per-node holdings, H the payoff array claim.
 
-    Decision variables are the d holdings at every non-terminal node
-    (plus v0 when free); the terminal wealth on each leaf is linear in
-    them, so the optimum is a least squares in the sqrt(P)-weighted
-    space, solved by normal equations (minimum-norm representative) on
-    root's G, or, with v0 fixed, on its block without the cash column;
-    with v0 free it is read off root's solution for this claim.
+    The terminal wealth on each leaf is linear in v0 and the d holdings
+    at every non-terminal node: a least squares in the sqrt(P)-weighted
+    space, x = G^+ Y' sqrt(w) H on root's G, read off root's solution for
+    the same claim object.  A fixed v0 moves x along y = G^+ e_c to the
+    cash coefficient v0 n_c (n_c the cash norm): x + (v0 n_c - x_c) / y_c y,
+    in range(G) and so of minimum norm, as no null vector of G has a cash
+    entry (a riskless profit, which the engine rejects as degenerate).
     """
-    free_v0 = isinstance(v0, str)
-    f = root or root_factor(tree)
-    target = f.sw * (np.asarray(claim.payoff, dtype=float) - (0.0 if free_v0 else float(v0)))
-    if free_v0 and f.claim_sol[0] is claim:
-        beta = f.claim_sol[1]
-    else:   # with v0 fixed, the cash column's coefficient stays 0
-        keep, beta = slice(None if free_v0 else -1), np.zeros(len(f.norms))
-        beta[keep] = _solve(f.gram[keep, keep], f.Yt(target)[keep], f.certified)
+    f = root or root_factor(tree, claim)
+    target = f.sw * claim
+    beta = f.claim_sol[1] if f.claim_sol[0] is claim else _solve(f.gram, f.Yt(target), f.certified)
+    if not isinstance(v0, str):
+        beta = beta + (v0 * f.norms[-1] - beta[-1]) / f.cash_sol[-1] * f.cash_sol
     resid = f.Yx(beta) - target
     beta = beta / f.norms
-    v0_opt = float(beta[-1]) if free_v0 else float(v0)
-
+    v0_opt = float(beta[-1]) if isinstance(v0, str) else float(v0)
     # at the root, inner node a owns column block a
     bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
     holdings = beta[:bounds[-2] * tree.num_assets].reshape(-1, tree.num_assets)

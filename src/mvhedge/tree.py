@@ -127,13 +127,6 @@ class ScenarioTree:
         return probs
 
 
-@dataclass
-class Claim:
-    """Terminal payoff, one value per leaf in leaf order."""
-
-    payoff: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Builders
 
@@ -270,9 +263,10 @@ def _build(s0, regimes, transition, initial_regime, periods: int, mode: str) -> 
     return _grow(s0, periods, laws, mode, initial_regime)
 
 
-def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None, values=None) -> Claim:
-    """Attach a terminal payoff: 'call'/'put' on asset 0, or 'per_leaf'
-    with explicit values in leaf order."""
+def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None,
+                 values=None) -> np.ndarray:
+    """A terminal claim as its payoff array, one finite value per leaf in
+    leaf order: 'call'/'put' on asset 0, or 'per_leaf' with explicit values."""
     leaves = tree.leaves()
     if kind in ("call", "put"):
         if strike is None:
@@ -288,16 +282,16 @@ def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None, val
         raise BadParameter(f"unknown claim kind {kind!r}")
     if not np.all(np.isfinite(payoff)):
         raise BadParameter("claim payoff must be finite")
-    return Claim(payoff=payoff)
+    return payoff
 
 
-def claim_at(tree: ScenarioTree, claim: Claim) -> np.ndarray:
-    """Payoff indexed by node id (defined on leaves, NaN elsewhere)."""
+def claim_at(tree: ScenarioTree, claim: np.ndarray) -> np.ndarray:
+    """claim, one value per leaf in leaf order, by node id (NaN off leaves)."""
     leaves = tree.leaves()
-    if np.shape(claim.payoff) != leaves.shape:
-        raise BadParameter(f"claim needs {leaves.size} values, got shape {np.shape(claim.payoff)}")
+    if np.shape(claim) != leaves.shape:
+        raise BadParameter(f"claim needs {leaves.size} values, got shape {np.shape(claim)}")
     h = np.full(len(tree.nodes), np.nan)
-    h[leaves] = claim.payoff
+    h[leaves] = claim
     return h
 
 
@@ -365,8 +359,8 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
 # Serialization
 
 
-def serialize_tree(tree: ScenarioTree, claim: Claim | None = None) -> str:
-    """Serialize tree (and optional claim) to a canonical JSON document.
+def serialize_tree(tree: ScenarioTree, claim: np.ndarray | None = None) -> str:
+    """Serialize tree (and optional claim payoff) to a canonical JSON document.
 
     All reals are rendered with 17 significant digits, so
     serialize -> parse -> serialize is byte-identical.
@@ -389,7 +383,7 @@ def serialize_tree(tree: ScenarioTree, claim: Claim | None = None) -> str:
     parts.append(", ".join(node_docs))
     parts.append("]")
     if claim is not None:
-        parts.append(', "claim": [%s]' % ", ".join("%.17g" % x for x in claim.payoff))
+        parts.append(', "claim": [%s]' % ", ".join("%.17g" % x for x in claim))
     parts.append("}")
     return "".join(parts)
 
@@ -398,13 +392,14 @@ def _is_id(x, n: int) -> bool:
     return type(x) is int and 0 <= x < n
 
 
-def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
-    """Parse a document produced by serialize_tree.  Raises BadParameter
-    when the document contradicts itself: an id that is not its list
-    position, a parent or child id out of range, a price row of the
-    wrong length, children lists that disagree with the parent pointers,
-    a num_assets or horizon that is not a non-negative integer, or a
-    claim that is not a list of numbers, one per leaf."""
+def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
+    """Parse a document produced by serialize_tree into the tree and the
+    claim's payoff array (None without one).  Raises BadParameter when
+    the document contradicts itself: an id that is not its list position,
+    a parent or child id out of range, a price row of the wrong length,
+    children lists that disagree with the parent pointers, a num_assets
+    or horizon that is not a non-negative integer, or a claim that is not
+    a list of numbers, one per leaf."""
     doc = json.loads(text)
     try:
         nodes, num_assets = doc["nodes"], doc["num_assets"]
@@ -455,4 +450,4 @@ def parse_tree(text: str) -> tuple[ScenarioTree, Claim | None]:
         raise BadParameter(f"malformed tree document: {exc}") from exc
     if errors:
         raise BadParameter("malformed tree document: " + "; ".join(errors))
-    return tree, None if claim is None else Claim(payoff=np.array(claim, dtype=float))
+    return tree, None if claim is None else np.array(claim, dtype=float)

@@ -75,7 +75,7 @@ def random_tree(rng, periods: int | None = None, d: int | None = None,
         return tree
 
 
-def random_claim(rng, tree: ScenarioTree) -> mv.Claim:
+def random_claim(rng, tree: ScenarioTree) -> np.ndarray:
     kind = rng.choice(["call", "put", "per_leaf"])
     if kind == "per_leaf":
         return mv.attach_claim(tree, "per_leaf",
@@ -312,10 +312,10 @@ def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
 
 
 def mean_value_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
-                    claim: mv.Claim) -> np.ndarray:
+                    claim: np.ndarray) -> np.ndarray:
     """V node by node, with the weight-sum check."""
     V = np.full(len(tree.nodes), np.nan)
-    for leaf, value in zip(_slice(tree, tree.horizon), claim.payoff):
+    for leaf, value in zip(_slice(tree, tree.horizon), claim):
         V[leaf] = value
     for t in range(tree.horizon - 1, -1, -1):
         for i in _slice(tree, t):
@@ -589,13 +589,32 @@ def node_oracle_loop(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
     for i in np.flatnonzero(tree.time < tree.horizon).tolist():
         sub, _ = subtree_at(tree, i)
         leaves = sub.leaves()
-        sol = mv.lsq_projection(sub, mv.Claim(payoff=np.ones(len(leaves))), v0=0.0)
+        sol = mv.lsq_projection(sub, np.ones(len(leaves)), v0=0.0)
         check[i] = sol.min_error
         x, w = sol.value_process[leaves], sub.node_probs()[leaves]
         mean = float(w @ x)
         var = float(w @ (x * x)) - mean * mean
         sharpe[i] = mean / np.sqrt(var) if var > 1e-24 else 0.0
     return check, sharpe
+
+
+def fixed_v0_lsq_loop(tree: ScenarioTree, claim: np.ndarray,
+                      v0: float) -> tuple[float, np.ndarray]:
+    """(min_error, value_process) of the least squares with v0 fixed,
+    solved on the root's G without its cash row and column: the target is
+    sqrt(w) (H - v0) and the cash coefficient stays 0.  The wealth is
+    rolled forward node by node."""
+    f = mv.oracle.root_factor(tree)
+    target = f.sw * (claim - v0)
+    beta = np.zeros(len(f.norms))
+    beta[:-1] = mv.oracle._solve(f.gram[:-1, :-1], f.Yt(target)[:-1], f.certified)
+    resid = f.Yx(beta) - target
+    holdings = (beta / f.norms)[:-1].reshape(-1, tree.num_assets)
+    value = np.full(len(tree.nodes), float(v0))
+    for i in tree.nodes[1:]:
+        up = tree.parent[i]
+        value[i] = value[up] + float((tree.price[i] - tree.price[up]) @ holdings[up])
+    return float(resid @ resid), value
 
 
 def dense_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,

@@ -134,7 +134,7 @@ def _replication_price(tree, claim):
     """Independent binomial pricing oracle: one-step risk-neutral weights,
     plain backward induction on payoffs."""
     value = np.full(len(tree.nodes), np.nan)
-    for leaf, h in zip(tree.leaves(), claim.payoff):
+    for leaf, h in zip(tree.leaves(), claim):
         value[leaf] = float(h)
     for t in range(tree.horizon - 1, -1, -1):
         for i in tree.layout.slices[t]:

@@ -93,6 +93,13 @@ def test_child_index_matches_searchsorted(monkeypatch):
         assert got == want
 
 
+def test_sample_paths_zero_periods():
+    # a 0-period tree has no inner node and no child: every path ends at the root
+    tree = mv.ScenarioTree(num_assets=1, horizon=0, parent=[-1], time=[0], price=[[10.0]],
+                           regime=[-1], prob=[1.0])
+    assert mv.sample_paths(tree, 3, seed=1) == [0, 0, 0]
+
+
 def test_sample_paths_bad_count():
     with pytest.raises(mv.BadParameter):
         mv.sample_paths(binomial_06(), 0, seed=1)

@@ -106,15 +106,33 @@ OUTPUTS = {"hedge": ["hedge_summary.json", "hedge_nodes.csv"],
 ], ids=["moments_overflow", "endowment_term_overflows", "backtest_exact_error_overflows",
         "backtest_sampled_error_overflows"])
 def test_hedge_writes_no_non_finite_number(tmp_path, command, doc, flags):
-    # numpy warns on the overflow, which pytest turns into an error in
-    # process, so the command runs in a process of its own
+    # the command runs in a process of its own, so that its stderr is all
+    # that the process writes there: the error line, and no numpy warning
     cfg, out = write_config(tmp_path, doc), tmp_path / "o"
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     run = subprocess.run([sys.executable, "-m", "mvhedge.cli", command, "--config", cfg,
                           "--out", str(out), *flags], env=env, capture_output=True, timeout=120)
     assert run.returncode == 3
+    assert run.stderr.decode().startswith("error: ") and run.stderr.decode().count("\n") == 1
     for name in OUTPUTS[command]:
         assert not (out / name).exists(), name
+
+
+@pytest.mark.parametrize("s0", [1e-160, 1e160])
+@pytest.mark.parametrize("command,flags", [
+    ("hedge", ["--out"]), ("verify", []), ("backtest", ["--paths", "100", "--out"]),
+    ("inspect", ["--field", "L"]),
+])
+def test_degenerate_exit_prints_one_line(tmp_path, capsys, s0, command, flags):
+    # squared increments underflow at 1e-160 and overflow at 1e160; the
+    # exit-3 run prints its error line and no numpy warning, which pytest
+    # would turn into an error in process
+    model = dict(HUGE_TRINOMIAL, s0=[s0])
+    cfg = write_config(tmp_path, {"model": model, "claim": {"type": "call", "strike": s0}})
+    out = [str(tmp_path / "o")] if flags[-1:] == ["--out"] else []
+    assert main([command, "--config", cfg, *flags, *out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command,doc", [

@@ -99,7 +99,7 @@ def test_v_is_one_step_qstar_martingale(seed):
     surf = mv.compute_opportunity(tree)
     claim = random_claim(rng, tree)
     plan = mv.compute_plan(tree, surf, claim)
-    scale = max(1.0, np.max(np.abs(claim.payoff)))
+    scale = max(1.0, np.max(np.abs(claim)))
     for i in tree.layout.inner:
         kids, p, _ = step(tree, i)
         assert float((p * surf.qstar_w[kids]) @ plan.V[kids]) == pytest.approx(
@@ -115,7 +115,7 @@ def test_error_terms_nonnegative_and_residual(seed):
     claim = random_claim(rng, tree)
     plan = mv.compute_plan(tree, surf, claim)
     report = mv.hedging_error(tree, surf, plan, plan.v0)
-    scale = max(1.0, np.max(np.abs(claim.payoff)))
+    scale = max(1.0, np.max(np.abs(claim)))
     for i in tree.layout.inner:
         assert plan.e[i] >= -1e-12 * scale * scale
     assert mv.fs_residual_check(tree, surf, plan) <= 1e-9 * scale
@@ -136,7 +136,7 @@ def test_oracle_equivalence_random(seed):
     plan = mv.compute_plan(tree, surf, claim)
     report = mv.hedging_error(tree, surf, plan, plan.v0)
     sol = mv.lsq_projection(tree, claim, "free")
-    scale = max(1.0, np.max(np.abs(claim.payoff)))
+    scale = max(1.0, np.max(np.abs(claim)))
     assert sol.v0_opt == pytest.approx(plan.v0, abs=1e-9 * scale)
     assert report.total_error == pytest.approx(sol.min_error, rel=1e-9, abs=1e-12 * scale**2)
     _, G = mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
@@ -194,7 +194,7 @@ def test_duplicated_asset(seed):
     dup = dataclasses.replace(tree, num_assets=d + 1, price=tree.price[:, [*range(d), d - 1]])
     surf, plan, err = plan_and_error(tree, claim)
     surf2, plan2, err2 = plan_and_error(dup, claim)
-    scale = max(1.0, float(np.max(np.abs(claim.payoff))))
+    scale = max(1.0, float(np.max(np.abs(claim))))
     assert np.allclose(surf2.L, surf.L, rtol=1e-9, atol=0.0)
     assert np.allclose(plan2.V, plan.V, rtol=1e-9, atol=1e-9 * scale)
     assert err2 == pytest.approx(err, rel=1e-9, abs=1e-9 * scale * scale)
@@ -265,12 +265,12 @@ def test_assets_permuted(seed):
     # leaves L, V, the error and both oracles' answers unchanged
     rng = np.random.default_rng(1500 + seed)
     tree = random_tree(rng, d=2)
-    claim = mv.Claim(payoff=rng.normal(0.0, 2.0, size=len(tree.leaves())))
+    claim = rng.normal(0.0, 2.0, size=len(tree.leaves()))
     perm = [1, 0]
     swapped = dataclasses.replace(tree, price=tree.price[:, perm])
     surf, plan, err = plan_and_error(tree, claim)
     surf2, plan2, err2 = plan_and_error(swapped, claim)
-    scale = max(1.0, float(np.max(np.abs(claim.payoff))))
+    scale = max(1.0, float(np.max(np.abs(claim))))
     assert np.allclose(surf2.L, surf.L, rtol=1e-9, atol=0.0)
     assert np.allclose(plan2.V, plan.V, rtol=1e-9, atol=1e-9 * scale)
     assert err2 == pytest.approx(err, rel=1e-9, abs=1e-9 * scale * scale)
@@ -320,7 +320,7 @@ def test_children_reversed(case):
     rev, _ = mv.parse_tree(mv.serialize_tree(rev))
     surf, plan, err = plan_and_error(tree, make_call(tree))
     surf2, plan2, err2 = plan_and_error(rev, make_call(rev))
-    scale = max(1.0, float(np.max(np.abs(make_call(tree).payoff))))
+    scale = max(1.0, float(np.max(np.abs(make_call(tree)))))
     assert np.allclose(surf2.L, surf.L[old], rtol=1e-12, atol=0.0)
     assert np.allclose(plan2.V, plan.V[old], rtol=1e-12, atol=1e-12 * scale)
     inner = rev.layout.inner
@@ -348,7 +348,7 @@ def test_children_reversed_property(tree, strike):
     rev, _ = mv.parse_tree(mv.serialize_tree(rev))
     surf, plan, err = plan_and_error(tree, make_call(tree, strike))
     surf2, plan2, err2 = plan_and_error(rev, make_call(rev, strike))
-    scale = max(1.0, float(np.max(np.abs(make_call(tree, strike).payoff))))
+    scale = max(1.0, float(np.max(np.abs(make_call(tree, strike)))))
     assert np.allclose(surf2.L, surf.L[old], rtol=1e-12, atol=0.0)
     assert np.allclose(plan2.V, plan.V[old], rtol=1e-12, atol=1e-12 * scale)
     inner = rev.layout.inner
@@ -367,7 +367,7 @@ def test_law_point_split_property(tree, strike, pick):
     split, old = split_child(tree, 1 + int(pick * (len(tree.parent) - 1)))
     surf, plan, err = plan_and_error(tree, make_call(tree, strike))
     surf2, plan2, err2 = plan_and_error(split, make_call(split, strike))
-    scale = max(1.0, float(np.max(np.abs(make_call(tree, strike).payoff))))
+    scale = max(1.0, float(np.max(np.abs(make_call(tree, strike)))))
     assert np.allclose(surf2.L, surf.L[old], rtol=1e-12, atol=0.0)
     assert np.allclose(plan2.V, plan.V[old], rtol=1e-12, atol=1e-12 * scale)
     inner = split.layout.inner

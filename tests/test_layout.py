@@ -309,4 +309,4 @@ def test_one_step_weights_have_one_home():
 def test_claim_length_must_match_leaves():
     tree = uneven_regime_tree(2)
     with pytest.raises(mv.BadParameter):
-        mv.compute_plan(tree, mv.compute_opportunity(tree), mv.Claim(payoff=np.ones(3)))
+        mv.compute_plan(tree, mv.compute_opportunity(tree), np.ones(3))

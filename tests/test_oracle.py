@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ import mvhedge as mv
 from mvhedge import linalg, oracle
 from mvhedge.tree import ScenarioTree
 
-from gen import (binomial_06, dense_increments, martingale_trinomial, node_oracle_loop,
-                 random_claim, random_tree, scaled_tree, subtree_stacks, uneven_regime_tree)
+from gen import (binomial_06, dense_increments, fixed_v0_lsq_loop, martingale_trinomial,
+                 node_oracle_loop, random_claim, random_tree, scaled_tree, subtree_stacks,
+                 uneven_regime_tree)
 
 
 def test_lsq_complete_binomial_free_endowment():
@@ -33,8 +36,7 @@ def trivial_tree():
 
 def test_lsq_trivial_tree_no_trading():
     tree = trivial_tree()
-    claim = mv.Claim(payoff=np.array([1.0]))
-    sol = mv.lsq_projection(tree, claim, 0.25)
+    sol = mv.lsq_projection(tree, np.array([1.0]), 0.25)
     assert sol.min_error == pytest.approx(0.75 ** 2)
 
 
@@ -140,9 +142,9 @@ def test_prices_times_k(k, case):
     xi_k = mv.compute_plan(scaled, surf_k, claim).xi
     inner = tree.layout.inner
     assert np.allclose(xi_k[inner] * k, plan.xi[inner], rtol=1e-9, atol=1e-9)
-    claim_k = mv.Claim(payoff=claim.payoff * k)
+    claim_k = claim * k
     plan_k = mv.compute_plan(scaled, surf_k, claim_k)
-    scale = max(1.0, np.max(np.abs(claim.payoff)))
+    scale = max(1.0, np.max(np.abs(claim)))
     assert np.allclose(plan_k.V, plan.V * k, rtol=1e-9, atol=1e-12 * scale * k)
     err = mv.hedging_error(tree, surf, plan, plan.v0).total_error
     err_k = mv.hedging_error(scaled, surf_k, plan_k, plan_k.v0).total_error
@@ -243,6 +245,51 @@ def test_lsq_reads_the_root_solve_only_for_its_claim(monkeypatch):
         assert_close(got.value_process, want.value_process, 1e-12)
 
 
+def duplicated(tree):
+    """tree with a copy of its last asset, which makes G singular."""
+    d = tree.num_assets
+    return dataclasses.replace(tree, num_assets=d + 1, price=tree.price[:, [*range(d), d - 1]])
+
+
+def fixed_v0_cases():
+    """(tree, claim): random trees, the uneven regime tree, duplicated-asset
+    trees, whose G takes the pseudoinverse, and the 0-period tree."""
+    rng = np.random.default_rng(1800)
+    trees = [uneven_regime_tree(3), *(random_tree(rng) for _ in range(8))]
+    trees += [duplicated(tree) for tree in trees[1:5]]
+    return [(tree, random_claim(rng, tree)) for tree in trees] + [(trivial_tree(), np.ones(1))]
+
+
+@pytest.mark.parametrize("v0", [0.0, 0.37, 5.0])
+@pytest.mark.parametrize("case", range(len(fixed_v0_cases())))
+def test_fixed_v0_lsq_matches_the_block_solve(case, v0):
+    # moving the root's one solution along its cash column's solution
+    # gives the solution of G without the cash row and column
+    tree, claim = fixed_v0_cases()[case]
+    if case in range(9, 13):
+        assert not oracle.root_factor(tree).certified
+    error, value = fixed_v0_lsq_loop(tree, claim, v0)
+    sol = mv.lsq_projection(tree, claim, v0)
+    scale = max(1.0, v0, float(np.max(np.abs(claim))))
+    assert sol.v0_opt == v0
+    assert sol.min_error == pytest.approx(error, rel=1e-12, abs=1e-12 * scale * scale)
+    assert_close(sol.value_process, value, 1e-12)
+
+
+@pytest.mark.parametrize("v0", [0.3, "free"])
+def test_lsq_without_a_factor_solves_the_root_once(monkeypatch, v0):
+    rng = np.random.default_rng(1850)
+    tree = random_tree(rng)
+    claim = random_claim(rng, tree)
+    m = len(oracle.root_factor(tree).norms)
+    shapes = []
+    solve = oracle._solve
+    monkeypatch.setattr(oracle, "_solve", lambda G, rhs, c: shapes.append(G.shape)
+                        or solve(G, rhs, c))
+    mv.lsq_projection(tree, claim, v0)
+    assert shapes == [(m, m)]
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_certified_factor_matches_pinv(seed):
     rng = np.random.default_rng(1600 + seed)
@@ -257,8 +304,9 @@ def test_certified_factor_matches_pinv(seed):
 
 @pytest.mark.parametrize("case", range(7))
 def test_certified_root_certifies_its_blocks(case):
-    # by Cauchy interlacing, every block the node checks and the fixed-v0
-    # least squares solve passes the certificate of a certified root
+    # by Cauchy interlacing, every block the node checks solve, and G
+    # without its cash row and column, passes the certificate of a
+    # certified root
     rng = np.random.default_rng(1650 + case)
     tree = uneven_regime_tree(3) if case == 0 else random_tree(rng)
     f = oracle.root_factor(tree)

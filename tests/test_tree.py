@@ -103,7 +103,7 @@ def test_regime_bad_transition():
 def test_attach_claim_call():
     tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 1)
     claim = mv.attach_claim(tree, "call", strike=10.0)
-    assert sorted(claim.payoff) == pytest.approx([0.0, 1.0])
+    assert sorted(claim) == pytest.approx([0.0, 1.0])
 
 
 def test_attach_claim_per_leaf():
@@ -111,9 +111,19 @@ def test_attach_claim_per_leaf():
         [10.0], [([1.0], 0.3), ([0.0], 0.4), ([-1.0], 0.3)], 1
     )
     claim = mv.attach_claim(tree, "per_leaf", values=[1.0, 0.0, 0.0])
-    assert list(claim.payoff) == [1.0, 0.0, 0.0]
+    assert list(claim) == [1.0, 0.0, 0.0]
     with pytest.raises(mv.BadParameter):
         mv.attach_claim(tree, "per_leaf", values=[1.0, 0.0])
+
+
+def test_claim_is_its_payoff_array():
+    tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 2)
+    for claim in (mv.attach_claim(tree, "put", strike=10.0),
+                  mv.attach_claim(tree, "per_leaf", values=[1, 2, 3, 4])):
+        assert type(claim) is np.ndarray and claim.shape == (4,)
+        _, parsed = mv.parse_tree(mv.serialize_tree(tree, claim))
+        assert type(parsed) is np.ndarray and np.array_equal(parsed, claim)
+    assert "Claim" not in mv.__all__
 
 
 def test_validate_ok():
@@ -243,7 +253,7 @@ def test_attach_claim_rejects_what_no_config_reaches():
     with pytest.raises(mv.BadParameter, match="^unknown claim kind 'digital'$"):
         mv.attach_claim(tree, "digital", strike=10.0)
     with pytest.raises(mv.BadParameter, match=r"^claim needs 2 values, got shape \(3,\)$"):
-        mv.compute_mean_value(tree, mv.compute_opportunity(tree), mv.Claim(np.ones(3)))
+        mv.compute_mean_value(tree, mv.compute_opportunity(tree), np.ones(3))
 
 
 def binomial_doc():
