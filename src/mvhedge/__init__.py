@@ -18,7 +18,7 @@ from .tree import (
     serialize_tree,
     validate_tree,
 )
-from .linalg import pinv_psd, weighted_moments
+from .linalg import centered_moments, pinv_psd
 from .opportunity import (
     MeasureSurface,
     MvtDiagnostics,

@@ -6,8 +6,10 @@ weights p_k qstar_w_k that the surface stores; these sum to 1 at every
 node, a consequence of the opportunity recursion that is checked, not
 assumed.
 The pure hedge coefficient xi regresses V-increments on price increments
-in the L-weighted one-step geometry, and the optimal strategy corrects
-xi by the running surplus: phi = xi - (wealth - V) a_tilde.
+under the one-step opportunity-neutral law P* that the surface stores
+(its probabilities pstar_p, mean b_sstar and covariance c_hat_sstar),
+and the optimal strategy corrects xi by the running surplus:
+phi = xi - (wealth - V) a_tilde.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStep
-from .linalg import pinv_psd
+from .linalg import centered_moments, pinv_psd
 from .opportunity import OpportunitySurface
 from .tree import ScenarioTree, claim_at
 
@@ -68,21 +70,27 @@ def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface,
 
 
 def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarray) -> HedgePlan:
-    """Pure hedge coefficient xi(n) = cbar_u^+ dbar_u and error term
-    e(n) = sum_k p_k L_k (V_k - V_n)^2 - dbar_u' xi >= 0 per non-terminal
-    node, where dbar_u(n) = sum_k p_k L_k d_k (V_k - V_n) is the weighted
-    price/value cross moment."""
+    """Pure hedge coefficient xi(n) = c_hat_sstar^+ c_sv and error term
+    e(n) = m0 (sum_k q_k dv_k^2 - c_sv' xi) >= 0 per non-terminal node,
+    read off the stored one-step P* law q = pstar_p: dv_k = V_k - sum_j
+    q_j V_j are the centered child values and c_sv = sum_k q_k (d_k -
+    b_sstar) dv_k is the P* covariance of the price and value
+    increments.  With V the mean value process (the Q* mean of the V_k)
+    these are c_bar^+ d_bar and sum_k p_k L_k (V_k - V_n)^2 - d_bar' xi
+    for the moments c_bar = sum_k p_k L_k d_k d_k' and d_bar = sum_k
+    p_k L_k d_k (V_k - V_n)."""
     n = len(tree.nodes)
     xi = np.full((n, tree.num_assets), np.nan)
     e = np.full(n, np.nan)
     for t in range(tree.horizon):
         for s in tree.layout.steps[t]:
-            pL = s.probs * surf.L[s.kids]
-            dv = V[s.kids] - V[s.ids][:, None]
-            dbar_u = (s.deltas.swapaxes(1, 2) @ (pL * dv)[..., None])[..., 0]
-            xi[s.ids] = (pinv_psd(surf.cbar_u[s.ids]) @ dbar_u[..., None])[..., 0]
-            e[s.ids] = ((pL[:, None, :] @ (dv * dv)[..., None])[:, 0, 0]
-                        - (dbar_u[:, None, :] @ xi[s.ids][..., None])[:, 0, 0])
+            i = s.ids
+            q = surf.pstar_p[s.kids]
+            _, dv, var = centered_moments(q, V[s.kids])
+            dc = s.deltas - surf.b_sstar[i][:, None, :]
+            c_sv = (dc.swapaxes(1, 2) @ (q * dv)[..., None])[..., 0]
+            xi[i] = (pinv_psd(surf.c_hat_sstar[i]) @ c_sv[..., None])[..., 0]
+            e[i] = surf.m0[i] * (var - (c_sv[:, None, :] @ xi[i][..., None])[:, 0, 0])
     return HedgePlan(V=V, xi=xi, e=e)
 
 

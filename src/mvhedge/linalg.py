@@ -1,13 +1,13 @@
-"""Symmetric PSD pseudoinverse and weighted one-step moment assembly.
+"""Symmetric PSD pseudoinverse and centered one-step moments.
 
-Every backward recursion in the engine reduces to the same three
-conditional moments of the price increments, weighted by the branch
-probability times the child value of the opportunity process:
-weighted_moments returns them as the tuple (m0, bbar_u, cbar_u) =
-(sum_k w_k, sum_k w_k d_k, sum_k w_k d_k d_k^T), with w_k = p_k * L_k and
-d_k the price increment to child k.  They are kept unnormalized (no
-division by the parent opportunity value); the normalization cancels
-wherever the moments are consumed.
+Every backward recursion in the engine reduces to the conditional mean
+and covariance of the one-step increments under a probability law on a
+node's children: the opportunity-neutral P*, q_k = p_k L_k / m0, for the
+engine, and P itself for the martingale diagnostics.  centered_moments
+forms them centered, as Chan, Golub & LeVeque (Amer. Stat. 37, 1983)
+do for the sample variance: shift by the child of largest weight, then
+center before squaring, so that a child carrying almost all of the mass
+costs no cancellation.
 """
 from __future__ import annotations
 
@@ -55,16 +55,23 @@ def pinv_psd(m: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
-def weighted_moments(weights: np.ndarray, increments: np.ndarray) -> tuple:
-    """The moments (m0, bbar_u, cbar_u) from per-child weights p_k*L_k and
-    increment vectors (one row per child), or from (m, k) weights and
-    (m, k, d) increments for m nodes of k children each, with a leading
-    axis of length m.  A node of a stack gets the same arithmetic as a
+def centered_moments(q: np.ndarray, x: np.ndarray) -> tuple:
+    """(mean, dev, cov) of values x under probabilities q: q (..., k) and
+    x (..., k, d), or x (..., k) for scalar values, with any leading axes
+    (one row a node).  With j the child of largest q and s_k = x_k - x_j,
+    mean = x_j + sum_k q_k s_k, dev_k = s_k - sum_j q_j s_j and cov =
+    sum_k q_k dev_k dev_k^T, symmetrized ((..., d, d), or (...,) for
+    scalar values).  A node of a stack gets the same arithmetic as a
     call on that node alone, so the results agree bit for bit."""
-    w = np.asarray(weights, dtype=float)
-    d = np.asarray(increments, dtype=float)
-    dT = d.swapaxes(-1, -2)
-    m0 = np.sum(w, axis=-1)
-    bbar_u = (dT @ w[..., None])[..., 0]
-    cbar_u = (dT * w[..., None, :]) @ d
-    return m0, bbar_u, 0.5 * (cbar_u + cbar_u.swapaxes(-1, -2))
+    q = np.asarray(q, dtype=float)
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == q.ndim
+    if scalar:
+        x = x[..., None]
+    pivot = np.take_along_axis(x, np.argmax(q, axis=-1)[..., None, None], axis=-2)
+    s = x - pivot
+    shift = q[..., None, :] @ s
+    dev = s - shift
+    cov = (dev.swapaxes(-1, -2) * q[..., None, :]) @ dev
+    mean, cov = (pivot + shift)[..., 0, :], 0.5 * (cov + cov.swapaxes(-1, -2))
+    return (mean[..., 0], dev[..., 0], cov[..., 0, 0]) if scalar else (mean, dev, cov)

@@ -2,18 +2,21 @@
 
 The opportunity process L(n) is the conditional minimal expected squared
 error of hedging the constant payoff 1 from node n with zero endowment.
-It satisfies the backward recursion
+With the one-step opportunity-neutral law P* on a node's children,
+q_k = p_k L_k / m0 with m0 = sum_k p_k L_k, its mean b* and covariance
+c_hat* of the price increments (linalg.centered_moments), a_hat =
+c_hat*^+ b* and K = b*' a_hat, it satisfies the backward recursion
 
     L(leaf) = 1
-    L(n)    = m0 - bbar_u' cbar_u^+ bbar_u
+    L(n)    = m0 / (1 + K)
 
-with the weighted one-step moments of linalg.weighted_moments (weights
-p_k * L_k).  The adjustment process a_tilde(n) = cbar_u^+ bbar_u is the
-optimal per-unit-of-wealth holding in the pure investment problem, and
-everything else (the signed variance-optimal measure, the opportunity-
-neutral measure, Sharpe ratios, mean-variance tradeoff diagnostics)
-derives from these two objects.  identities evaluates the paper's
-one-step identities between them, which verify prints.
+(Cerny & Kallsen, Lemma 3.19 and Cor. 3.20).  The adjustment process
+a_tilde(n) = a_hat / (1 + K) is the optimal per-unit-of-wealth holding in
+the pure investment problem, and everything else (the signed
+variance-optimal measure, the opportunity-neutral measure, Sharpe
+ratios, mean-variance tradeoff diagnostics) derives from these objects.
+identities evaluates the paper's one-step identities between them,
+which verify prints.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateStep
-from .linalg import pinv_psd, weighted_moments
+from .linalg import EIG_TRUNCATION, centered_moments, pinv_psd
 from .tree import ScenarioTree
 
 DEGENERACY_THRESHOLD = 1e-12
@@ -36,15 +39,14 @@ class OpportunitySurface:
 
     Arrays are indexed by node id; entries that only exist at
     non-terminal nodes are NaN at terminal nodes.  Seven arrays are
-    stored: L, a_tilde, the weighted one-step moments m0, bbar_u, cbar_u,
-    and the one-step weights qstar_w = (L_k/L_n)(1 - a_tilde' d_k) and
-    pstar_p = p_k L_k / m0 of the step from node n into its child k, at k
-    as tree.prob is (1 at the root).  The rest is derived at first access:
-    dAK = m0/L - 1, a_hat = (1 + dAK) a_tilde, and the one-step
-    characteristics of the price under the opportunity-neutral measure,
-    b_sstar = bbar_u/m0 (conditional mean), c_tilde_sstar = cbar_u/m0
-    (conditional second moment) and c_hat_sstar = c_tilde_sstar -
-    b_sstar b_sstar' (conditional covariance), and the maximal
+    stored: L, a_tilde, and the one-step P* law of the step from node n
+    into its children: the mass m0 = sum_k p_k L_k, the conditional mean
+    b_sstar and covariance c_hat_sstar of the price increments, and the
+    one-step weights qstar_w = (L_k/L_n)(1 - a_tilde' d_k) of Q* and
+    pstar_p = p_k L_k / m0 of P*, each at the child k as tree.prob is (1
+    at the root).  The rest is derived at first access: dAK = m0/L - 1,
+    a_hat = (1 + dAK) a_tilde, the conditional second moment
+    c_tilde_sstar = c_hat_sstar + b_sstar b_sstar', and the maximal
     conditional Sharpe ratio over the remaining periods, sharpe =
     sqrt(1/L - 1).
     """
@@ -52,8 +54,8 @@ class OpportunitySurface:
     L: np.ndarray                 # (n,)
     a_tilde: np.ndarray           # (n, d)
     m0: np.ndarray                # (n,)
-    bbar_u: np.ndarray            # (n, d)
-    cbar_u: np.ndarray            # (n, d, d)
+    b_sstar: np.ndarray           # (n, d)
+    c_hat_sstar: np.ndarray       # (n, d, d)
     qstar_w: np.ndarray           # (n,)
     pstar_p: np.ndarray           # (n,)
 
@@ -66,17 +68,9 @@ class OpportunitySurface:
         return (1.0 + self.dAK)[:, None] * self.a_tilde
 
     @cached_property
-    def b_sstar(self) -> np.ndarray:
-        return self.bbar_u / self.m0[:, None]
-
-    @cached_property
     def c_tilde_sstar(self) -> np.ndarray:
-        return self.cbar_u / self.m0[:, None, None]
-
-    @cached_property
-    def c_hat_sstar(self) -> np.ndarray:
         b = self.b_sstar
-        return self.c_tilde_sstar - b[:, :, None] * b[:, None, :]
+        return self.c_hat_sstar + b[:, :, None] * b[:, None, :]
 
     @cached_property
     def sharpe(self) -> np.ndarray:
@@ -125,63 +119,78 @@ class MvtDiagnostics:
     det_l_residual: float | None
 
 
-def _unfilled(L: np.ndarray, a_tilde: np.ndarray, qstar_w: np.ndarray) -> OpportunitySurface:
-    """The given L, a_tilde and qstar_w; NaN moments and pstar_p = 1 to fill in."""
+def _unfilled(L: np.ndarray, a_tilde: np.ndarray, b_sstar: np.ndarray,
+              qstar_w: np.ndarray) -> OpportunitySurface:
+    """The given L, a_tilde, b_sstar and qstar_w; NaN m0 and c_hat_sstar
+    and pstar_p = 1 to fill in."""
     n, d = a_tilde.shape
-    return OpportunitySurface(L, a_tilde, np.full(n, np.nan), np.full((n, d), np.nan),
+    return OpportunitySurface(L, a_tilde, np.full(n, np.nan), b_sstar,
                               np.full((n, d, d), np.nan), qstar_w, np.ones(n))
 
 
 def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
-    """Backward induction for L, a_tilde, the weighted moments and the
+    """Backward induction for L, a_tilde, the one-step P* law and the
     one-step weights, one time slice at a time: per child-count group of
-    the slice, stacked moments and one stacked pseudoinverse.
+    the slice, stacked centered moments and one stacked pseudoinverse of
+    c_hat*.
 
     Raises DegenerateStep when some one-step market admits a riskless
-    nonzero return: the one-step ratio L/m0 = 1/(1 + dAK) vanishes.  The
-    test is relative to m0 because L itself compounds multiplicatively
-    and may be tiny on long horizons of a well-posed market.  The node
-    named is the lowest id of the latest slice with such a step."""
+    nonzero return: the one-step ratio L/m0 = 1/(1 + K) vanishes, or b*
+    has a part r = b* - c_hat* a_hat outside the range of c_hat*, with
+    |r|^2 above the pseudoinverse's cutoff d * EIG_TRUNCATION both on the
+    scale max(tr c_hat*, |b*|^2) of c_hat* + b* b*' and on the rounding
+    scale (tr(c_hat*) |a_hat|)^2 of c_hat* a_hat (|.| the largest
+    absolute component, which cannot overflow).  The ratio test is
+    relative to m0 because L itself compounds multiplicatively and may be
+    tiny on long horizons of a well-posed market.  The node named is the
+    lowest id of the latest slice with such a step."""
     lay = tree.layout
     n, d = len(tree.nodes), tree.num_assets
-    surf = _unfilled(np.ones(n), np.full((n, d), np.nan), np.ones(n))
+    surf = _unfilled(np.ones(n), np.full((n, d), np.nan), np.full((n, d), np.nan), np.ones(n))
     for t in range(tree.horizon - 1, -1, -1):
         degenerate = []
         for s in lay.steps[t]:
             child_L = surf.L[s.kids]
-            m0, bbar_u, cbar_u = weighted_moments(s.probs * child_L, s.deltas)
-            cinv = pinv_psd(cbar_u)
-            b = bbar_u[..., None]
-            L = m0 - (b.swapaxes(1, 2) @ cinv @ b)[:, 0, 0]
-            degenerate.append(s.ids[L <= DEGENERACY_THRESHOLD * m0])
-            surf.L[s.ids] = L
-            a = surf.a_tilde[s.ids] = (cinv @ b)[..., 0]
-            surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = m0, bbar_u, cbar_u
-            gain = (s.deltas @ a[..., None])[..., 0]
-            with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate L raises below
-                surf.qstar_w[s.kids] = child_L / L[:, None] * (1.0 - gain)
-                surf.pstar_p[s.kids] = s.probs * child_L / m0[:, None]
+            w = s.probs * child_L
+            m0 = np.sum(w, axis=-1)
+            q = w / m0[:, None]
+            b, dc, c = centered_moments(q, s.deltas)
+            a_hat = (pinv_psd(c) @ b[..., None])[..., 0]
+            K = (b[:, None, :] @ a_hat[..., None])[:, 0, 0]
+            r = np.max(np.abs(b - (c @ a_hat[..., None])[..., 0]), axis=1)
+            L = m0 / (1.0 + K)
+            tr = np.trace(c, axis1=1, axis2=2)
+            unit = np.maximum(np.maximum(np.sqrt(tr), np.max(np.abs(b), axis=1)),
+                              tr * np.max(np.abs(a_hat), axis=1))
+            degenerate.append(s.ids[(L <= DEGENERACY_THRESHOLD * m0)
+                                    | (r > np.sqrt(d * EIG_TRUNCATION) * unit)])
+            surf.L[s.ids], surf.a_tilde[s.ids] = L, a_hat / (1.0 + K)[:, None]
+            surf.m0[s.ids], surf.b_sstar[s.ids], surf.c_hat_sstar[s.ids] = m0, b, c
+            surf.qstar_w[s.kids] = child_L / m0[:, None] * (1.0 - (dc @ a_hat[..., None])[..., 0])
+            surf.pstar_p[s.kids] = q
         DegenerateStep.raise_lowest(degenerate)
     return surf
 
 
 def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
     """The surface the tree would have if prices were martingales:
-    L = 1 and a_tilde = 0 at every node, with the plain P-weighted
-    one-step moments.  The engine's mean value and pure hedge on it are
-    the martingale-style (GKW) hedge, and its c_hat_sstar is the
-    physical conditional covariance of the increments.  L, a_tilde and
-    qstar_w = 1 are read-only constant views, which take no memory;
-    pstar_p = p_k / m0."""
+    L = 1, a_tilde = 0 and qstar_w = 1 at every node, so P* is P
+    (pstar_p = p_k / m0) with b_sstar = 0 and c_hat_sstar the P second
+    moment of the increments.  The engine's mean value and pure hedge on
+    it are the martingale-style (GKW) hedge, the P-weighted regression
+    of the value increments on the price increments.  L, a_tilde,
+    qstar_w and b_sstar are read-only constant views, which take no
+    memory."""
     lay = tree.layout
     n, d = len(tree.nodes), tree.num_assets
-    ones = np.broadcast_to(1.0, (n,))
-    surf = _unfilled(ones, np.broadcast_to(0.0, (n, d)), ones)
+    ones, zeros = np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d))
+    surf = _unfilled(ones, zeros, zeros, ones)
     for t in range(tree.horizon):
         for s in lay.steps[t]:
-            moments = weighted_moments(s.probs, s.deltas)
-            surf.m0[s.ids], surf.bbar_u[s.ids], surf.cbar_u[s.ids] = moments
-            surf.pstar_p[s.kids] = s.probs / moments[0][:, None]
+            surf.m0[s.ids] = m0 = np.sum(s.probs, axis=-1)
+            q = surf.pstar_p[s.kids] = s.probs / m0[:, None]
+            c = (s.deltas.swapaxes(1, 2) * q[:, None, :]) @ s.deltas
+            surf.c_hat_sstar[s.ids] = 0.5 * (c + c.swapaxes(1, 2))
     return surf
 
 
@@ -237,16 +246,16 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
 
 
 def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
-    """Mean-variance tradeoff increments, read off the martingale
-    surface (P-weighted moments, L = 1), and the deterministic-MVT /
+    """Mean-variance tradeoff increments, from the P mean and covariance
+    of each step's increments, and the deterministic-MVT /
     opportunity-neutral classification, both to tolerance MVT_TOL."""
     mea = measures(tree, surf)
-    plain = martingale_surface(tree)
-    b, c_hat = plain.b_sstar, plain.c_hat_sstar
     lay = tree.layout
     dK = np.full(len(tree.nodes), np.nan)
-    ids = lay.inner
-    dK[ids] = (b[ids][:, None, :] @ pinv_psd(c_hat[ids]) @ b[ids][:, :, None])[:, 0, 0]
+    for t in range(tree.horizon):
+        for s in lay.steps[t]:
+            b, _, c = centered_moments(s.probs / np.sum(s.probs, axis=-1)[:, None], s.deltas)
+            dK[s.ids] = (b[:, None, :] @ pinv_psd(c) @ b[..., None])[:, 0, 0]
     deterministic = True
     slice_values = np.zeros(tree.horizon)
     for t in range(tree.horizon):

@@ -149,16 +149,17 @@ def efficient_value_process(tree: ScenarioTree, surf: mv.OpportunitySurface,
 def gkw_holdings_loop(tree: ScenarioTree, plan: mv.HedgePlan) -> np.ndarray:
     """Reference martingale-style hedge as its own backward loop: the
     P-expectation of the payoff and the P-weighted regression of its
-    increments on the price increments."""
+    increments on the price increments, E[d d']^+ Cov(d, V)."""
     V = plan.V.copy()
     phi = np.full((len(tree.nodes), tree.num_assets), np.nan)
     for t in range(tree.horizon - 1, -1, -1):
         for i in tree.layout.slices[t]:
             kids, probs, deltas = step(tree, i)
             V[i] = float(probs @ V[kids])
-            c_u = (deltas.T * probs) @ deltas
-            d_u = deltas.T @ (probs * (V[kids] - V[i]))
-            phi[i] = mv.pinv_psd(c_u) @ d_u
+            q = probs / float(np.sum(probs))
+            c = (deltas.T * q) @ deltas
+            _, dv = _centered(q, V[kids])
+            phi[i] = mv.pinv_psd(0.5 * (c + c.T)) @ (deltas.T @ (q * dv))
     return phi
 
 
@@ -289,38 +290,57 @@ def _inner(tree: ScenarioTree) -> list[int]:
     return np.flatnonzero(tree.time < tree.horizon).tolist()
 
 
+def _centered(q: np.ndarray, x: np.ndarray) -> tuple:
+    """(mean, deviations) of one node's child values x ((k,) or (k, d))
+    under its child probabilities q, shifted first by the child of
+    largest q."""
+    s = x - x[int(np.argmax(q))]
+    shift = q @ s
+    return x[int(np.argmax(q))] + shift, s - shift
+
+
 def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
-    """L, a_tilde, m0, bbar_u, cbar_u node by node."""
+    """The surface's seven stored arrays node by node, from the centered
+    one-step P* law: L, a_tilde, m0, b_sstar, c_hat_sstar, qstar_w and
+    pstar_p."""
     n, d = len(tree.nodes), tree.num_assets
     out = {"L": np.ones(n), "a_tilde": np.full((n, d), np.nan), "m0": np.full(n, np.nan),
-           "bbar_u": np.full((n, d), np.nan), "cbar_u": np.full((n, d, d), np.nan)}
+           "b_sstar": np.full((n, d), np.nan), "c_hat_sstar": np.full((n, d, d), np.nan),
+           "qstar_w": np.ones(n), "pstar_p": np.ones(n)}
     for t in range(tree.horizon - 1, -1, -1):
         for i in _slice(tree, t):
             kids, probs, deltas = _children(tree, i)
             w = probs * out["L"][kids]
             m0 = float(np.sum(w))
-            bbar_u = deltas.T @ w
-            cbar_u = (deltas.T * w) @ deltas
-            cbar_u = 0.5 * (cbar_u + cbar_u.T)
-            cinv = mv.pinv_psd(cbar_u)
-            L = m0 - float(bbar_u @ cinv @ bbar_u)
-            if L <= 1e-12 * m0:
+            q = w / m0
+            b, dc = _centered(q, deltas)
+            c = (dc.T * q) @ dc
+            c = 0.5 * (c + c.T)
+            a_hat = mv.pinv_psd(c) @ b
+            K = float(b @ a_hat)
+            r = np.max(np.abs(b - c @ a_hat))
+            L = m0 / (1.0 + K)
+            tr = np.trace(c)
+            unit = max(np.sqrt(tr), np.max(np.abs(b)), tr * np.max(np.abs(a_hat)))
+            if L <= 1e-12 * m0 or r > np.sqrt(d * 1e-12) * unit:
                 raise mv.DegenerateStep(i)
-            out["L"][i], out["a_tilde"][i] = L, cinv @ bbar_u
-            out["m0"][i], out["bbar_u"][i], out["cbar_u"][i] = m0, bbar_u, cbar_u
+            out["L"][i], out["a_tilde"][i] = L, a_hat / (1.0 + K)
+            out["m0"][i], out["b_sstar"][i], out["c_hat_sstar"][i] = m0, b, c
+            out["qstar_w"][kids] = out["L"][kids] / m0 * (1.0 - dc @ a_hat)
+            out["pstar_p"][kids] = q
     return out
 
 
 def mean_value_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
                     claim: np.ndarray) -> np.ndarray:
-    """V node by node, with the weight-sum check."""
+    """V node by node from the stored Q* weights, with the weight-sum check."""
     V = np.full(len(tree.nodes), np.nan)
     for leaf, value in zip(_slice(tree, tree.horizon), claim):
         V[leaf] = value
     for t in range(tree.horizon - 1, -1, -1):
         for i in _slice(tree, t):
-            kids, probs, deltas = _children(tree, i)
-            w = probs * ((surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i]))
+            kids, probs, _ = _children(tree, i)
+            w = probs * surf.qstar_w[kids]
             if not abs(float(np.sum(w)) - 1.0) <= 1e-9:
                 raise mv.DegenerateStep(i)
             V[i] = float(w @ V[kids])
@@ -330,12 +350,24 @@ def mean_value_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
 def shift_adjustment(tree: ScenarioTree, surf: mv.OpportunitySurface, node_ids,
                      shift: float = 1.0) -> None:
     """Add shift to a_tilde at the listed nodes and rewrite the one-step
-    Q* weights stored at their children from it by the per-node formula,
-    so that both compute_mean_value and mean_value_loop see the change."""
+    Q* weights stored at their children from it by the formula
+    (L_k/L_n)(1 - a_tilde' d_k), so that both compute_mean_value and
+    mean_value_loop see the change."""
     surf.a_tilde[node_ids] += shift
     for i in node_ids:
         kids, _, deltas = _children(tree, i)
         surf.qstar_w[kids] = (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
+
+
+def _pure_hedge_at(tree: ScenarioTree, surf: mv.OpportunitySurface, V: np.ndarray,
+                   i: int) -> tuple[np.ndarray, float]:
+    """(xi, e) at node i from the stored one-step P* law."""
+    kids, _, deltas = _children(tree, i)
+    q = surf.pstar_p[kids]
+    _, dv = _centered(q, V[kids])
+    c_sv = (deltas - surf.b_sstar[i]).T @ (q * dv)
+    xi = mv.pinv_psd(surf.c_hat_sstar[i]) @ c_sv
+    return xi, surf.m0[i] * (float((dv * q) @ dv) - float(c_sv @ xi))
 
 
 def pure_hedge_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
@@ -343,9 +375,7 @@ def pure_hedge_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     """xi node by node."""
     xi = np.full((len(tree.nodes), tree.num_assets), np.nan)
     for i in _inner(tree):
-        kids, probs, deltas = _children(tree, i)
-        dbar_u = deltas.T @ (probs * surf.L[kids] * (V[kids] - V[i]))
-        xi[i] = mv.pinv_psd(surf.cbar_u[i]) @ dbar_u
+        xi[i] = _pure_hedge_at(tree, surf, V, i)[0]
     return xi
 
 
@@ -376,10 +406,7 @@ def hedging_error_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
     """(e, total_error, slice_error) node by node."""
     e = np.full(len(tree.nodes), np.nan)
     for i in _inner(tree):
-        kids, probs, deltas = _children(tree, i)
-        dv = plan.V[kids] - plan.V[i]
-        dbar_u = deltas.T @ (probs * surf.L[kids] * dv)
-        e[i] = float(probs * surf.L[kids] @ (dv * dv)) - float(dbar_u @ plan.xi[i])
+        e[i] = _pure_hedge_at(tree, surf, plan.V, i)[1]
     probs = node_probs_loop(tree)
     total = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
     slice_error = {}
@@ -407,17 +434,15 @@ def backtest_2d_tree(periods: int = 2) -> mv.ScenarioTree:
 
 
 def measures_loop(tree: ScenarioTree, surf: mv.OpportunitySurface) -> dict:
-    """The fields of measures(tree, surf) node by node; each one-step
-    factor is stored at the child node, 1 at the root."""
+    """The fields of measures(tree, surf) node by node, and the count of
+    Q* weights <= 0; each one-step factor is stored at the child node,
+    1 at the root."""
     n = len(tree.nodes)
-    out = {"qstar_w": np.ones(n), "pstar_p": np.ones(n), "nstar_f": np.ones(n),
-           "z_qstar": np.ones(n), "z_pstar": np.ones(n), "num_negative_weights": 0}
+    out = {"nstar_f": np.ones(n), "z_qstar": np.ones(n), "z_pstar": np.ones(n),
+           "num_negative_weights": 0}
     for i in _inner(tree):
         kids, probs, deltas = _children(tree, i)
-        child_L = surf.L[kids]
-        qw = (child_L / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
-        pp = probs * child_L / surf.m0[i]
-        out["qstar_w"][kids], out["pstar_p"][kids] = qw, pp
+        qw, pp = surf.qstar_w[kids], surf.pstar_p[kids]
         out["nstar_f"][kids] = 1.0 - (deltas - surf.b_sstar[i]) @ surf.a_hat[i]
         out["num_negative_weights"] += int(np.sum(qw <= 0.0))
         out["z_qstar"][kids] = out["z_qstar"][i] * qw
@@ -434,6 +459,42 @@ def fs_residual_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
         resid = (plan.V[kids] - plan.V[i]) - deltas @ plan.xi[i]
         worst = max(worst, float(np.max(np.abs(deltas.T @ (pstar * resid)))))
     return worst
+
+
+def uncentered_sweep(tree: ScenarioTree, claim: np.ndarray) -> dict[str, np.ndarray]:
+    """The engine's one-step algebra before the centered P* law, node by
+    node, kept as a second reference: with w_k = p_k L_k the unnormalized
+    moments m0 = sum w_k, bbar = sum w_k d_k and cbar = sum w_k d_k d_k',
+    L = m0 - bbar' cbar^+ bbar, a_tilde = cbar^+ bbar, qstar_w =
+    (L_k/L_n)(1 - a_tilde' d_k), pstar_p = w_k / m0, V, xi = cbar^+ dbar
+    and e = sum w_k dv_k^2 - dbar' xi with dv_k = V_k - V_n and dbar =
+    sum w_k d_k dv_k, and the same regression with w_k = p_k on the
+    P-expectation of the claim, gkw."""
+    n, d = len(tree.nodes), tree.num_assets
+    out = {"L": np.ones(n), "a_tilde": np.full((n, d), np.nan), "qstar_w": np.ones(n),
+           "pstar_p": np.ones(n), "V": np.full(n, np.nan), "xi": np.full((n, d), np.nan),
+           "e": np.full(n, np.nan), "gkw": np.full((n, d), np.nan)}
+    L, V, U = out["L"], out["V"], np.full(n, np.nan)
+    V[_slice(tree, tree.horizon)] = U[_slice(tree, tree.horizon)] = claim
+
+    def regress(w, deltas, dv):
+        dbar = deltas.T @ (w * dv)
+        xi = mv.pinv_psd((deltas.T * w) @ deltas) @ dbar
+        return xi, float(w @ (dv * dv)) - float(dbar @ xi)
+
+    for t in range(tree.horizon - 1, -1, -1):
+        for i in _slice(tree, t):
+            kids, probs, deltas = _children(tree, i)
+            w = probs * L[kids]
+            m0, bbar = float(np.sum(w)), deltas.T @ w
+            a = out["a_tilde"][i] = mv.pinv_psd((deltas.T * w) @ deltas) @ bbar
+            L[i] = m0 - float(bbar @ a)
+            qw = out["qstar_w"][kids] = L[kids] / L[i] * (1.0 - deltas @ a)
+            out["pstar_p"][kids] = w / m0
+            V[i], U[i] = float((probs * qw) @ V[kids]), float(probs @ U[kids])
+            out["xi"][i], out["e"][i] = regress(w, deltas, V[kids] - V[i])
+            out["gkw"][i] = regress(probs, deltas, U[kids] - U[i])[0]
+    return out
 
 
 def exact_pinv(c: list) -> list:

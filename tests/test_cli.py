@@ -135,6 +135,14 @@ def test_degenerate_exit_prints_one_line(tmp_path, capsys, s0, command, flags):
     assert err.startswith("error: degenerate") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("periods", [1, 4])
+def test_hedge_complete_binomial_with_a_tiny_probability(tmp_path, periods):
+    # one child carries almost all of the P* mass; the market is well posed
+    model = dict(BINOMIAL, s0=[1.0], p_up=1e-8, periods=periods)
+    cfg = write_config(tmp_path, {"model": model, "claim": {"type": "call", "strike": 1.0}})
+    assert main(["hedge", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+
+
 @pytest.mark.parametrize("command,doc", [
     ("hedge", {"model": dict(BINOMIAL, periods="3"), "claim": CALL10}),
     ("hedge", {"model": BINOMIAL, "claim": {"type": "call", "strike": "x"}}),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.linalg import pinv_psd, weighted_moments
+from mvhedge.linalg import centered_moments, pinv_psd
 
 from gen import random_tree
 
@@ -85,31 +85,59 @@ def test_empty_stack():
     assert out.shape == (0, 2, 2)
 
 
-def test_weighted_moments_binomial_hand_case():
-    m0, bbar_u, cbar_u = weighted_moments([0.6, 0.4], [[1.0], [-1.0]])
-    assert m0 == pytest.approx(1.0)
-    assert bbar_u[0] == pytest.approx(0.2)
-    assert cbar_u[0, 0] == pytest.approx(1.0)
+def test_centered_moments_binomial_hand_case():
+    mean, dev, cov = centered_moments([0.6, 0.4], [[1.0], [-1.0]])
+    assert mean[0] == pytest.approx(0.2)
+    assert dev[:, 0] == pytest.approx([0.8, -1.2])
+    assert cov[0, 0] == pytest.approx(0.96)
 
 
-def test_weighted_moments_zero_increments():
-    _, bbar_u, cbar_u = weighted_moments([0.5, 0.5], [[0.0], [0.0]])
-    assert bbar_u[0] == 0.0
-    assert cbar_u[0, 0] == 0.0
+def test_centered_moments_zero_increments():
+    mean, dev, cov = centered_moments([0.5, 0.5], [[0.0], [0.0]])
+    assert mean[0] == 0.0
+    assert np.all(dev == 0.0)
+    assert cov[0, 0] == 0.0
 
 
-def test_weighted_moments_martingale_step():
-    _, bbar_u, _ = weighted_moments([0.25, 0.75], [[3.0], [-1.0]])
-    assert bbar_u[0] == pytest.approx(0.0)
+def test_centered_moments_martingale_step():
+    mean, _, _ = centered_moments([0.25, 0.75], [[3.0], [-1.0]])
+    assert mean[0] == pytest.approx(0.0)
+
+
+def test_centered_moments_scalar_values_and_stacks():
+    # a stacked node gets the arithmetic of a call on that node alone;
+    # scalar values give the mean, deviations and variance of a column
+    rng = np.random.default_rng(11)
+    q = rng.dirichlet(np.ones(4), size=5)
+    x = rng.normal(size=(5, 4, 2))
+    mean, dev, cov = centered_moments(q, x)
+    for j in range(5):
+        one = centered_moments(q[j], x[j])
+        assert all(np.array_equal(a[j], b) for a, b in zip((mean, dev, cov), one))
+        m, v, var = centered_moments(q[j], x[j, :, 1])
+        assert np.allclose([m, *v, var], [mean[j, 1], *dev[j, :, 1], cov[j, 1, 1]],
+                           rtol=1e-15, atol=1e-15)
+
+
+def test_centered_moments_one_child_of_almost_all_mass():
+    # the uncentered form sum q d^2 - (sum q d)^2 loses the variance to
+    # cancellation; the centered form keeps it to rounding
+    p = 1e-12
+    mean, _, cov = centered_moments([p, 1.0 - p], [[1.1], [0.9]])
+    var = p * (1.0 - p) * 0.2 ** 2
+    assert abs(mean[0] - (0.9 + 0.2 * p)) <= 1e-16
+    assert abs(cov[0, 0] - var) <= 1e-14 * var
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_range_property_on_random_trees(seed):
-    # bbar_u always lies in the range of cbar_u (same weighted Gram build)
+    # b_sstar lies in the range of c_hat_sstar at every inner node: the
+    # degeneracy rule raises on a step where it does not
     rng = np.random.default_rng(200 + seed)
     tree = random_tree(rng)
     surf = mv.compute_opportunity(tree)
     for i in tree.layout.inner:
-        proj = surf.cbar_u[i] @ pinv_psd(surf.cbar_u[i]) @ surf.bbar_u[i]
-        scale = max(np.max(np.abs(surf.bbar_u[i])), 1e-30)
-        assert np.max(np.abs(proj - surf.bbar_u[i])) <= 1e-9 * max(scale, 1.0)
+        c, b = surf.c_hat_sstar[i], surf.b_sstar[i]
+        proj = c @ pinv_psd(c) @ b
+        scale = max(np.max(np.abs(b)), 1e-30)
+        assert np.max(np.abs(proj - b)) <= 1e-9 * max(scale, 1.0)
