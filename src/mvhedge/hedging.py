@@ -140,7 +140,9 @@ def fs_residual_check(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
     under the opportunity-neutral measure.
 
     Returns the largest absolute component over all non-terminal nodes of
-    r(n) = sum_k pstar_p_k d_k ((V_k - V_n) - xi' d_k).
+    r(n) = sum_k pstar_p_k d_k ((V_k - V_n) - xi' d_k), component j
+    divided by the node's increment scale D_j = max_k |d_kj| (1 where
+    that is 0), so that it is in the units of the claim.
     """
     worst = 0.0
     for t in range(tree.horizon):
@@ -149,5 +151,6 @@ def fs_residual_check(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
             gains = (s.deltas @ plan.xi[i][..., None])[..., 0]
             resid = (plan.V[s.kids] - plan.V[i][:, None]) - gains
             r = (s.deltas.swapaxes(1, 2) @ (surf.pstar_p[s.kids] * resid)[..., None])[..., 0]
-            worst = max(worst, float(np.max(np.abs(r))))
+            D = np.max(np.abs(s.deltas), axis=1)
+            worst = max(worst, float(np.max(np.abs(r / np.where(D > 0.0, D, 1.0)))))
     return worst

@@ -215,24 +215,31 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
     name -> (value, target) pairs of per-node arrays or scalars, each
     value equal to its target up to rounding: Cor. 3.20 with the tilde
     and with the hat characteristics, Lemma 3.19, dAK = b' c_hat^+ b,
-    the mass and the drift of the one-step Q* weights, and Lemma 3.23."""
+    the mass and the drift of the one-step Q* weights, and Lemma 3.23.
+    The two Cor. 3.20 residuals and the drift are vectors in price units;
+    their component j is divided by the node's increment scale D_j =
+    max_k |d_kj| (1 where that is 0), so that no check depends on the
+    price unit."""
     lay = tree.layout
     ids = lay.inner
     b = surf.b_sstar[ids]
     up = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
     dn = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
     mass, drift, lemma323 = np.empty((3, len(ids)))
+    unit = np.empty((len(ids), tree.num_assets))
     for t in range(tree.horizon):
         for s in lay.steps[t]:
+            D = np.max(np.abs(s.deltas), axis=1)
+            unit[s.ids] = np.where(D > 0.0, D, 1.0)
             qw = surf.qstar_w[s.kids]
             mass[s.ids] = (s.probs[:, None, :] @ qw[..., None])[:, 0, 0]
-            drift[s.ids] = np.max(np.abs(s.deltas.swapaxes(1, 2) @ (s.probs * qw)[..., None]),
-                                  axis=(1, 2))
+            moment = (s.deltas.swapaxes(1, 2) @ (s.probs * qw)[..., None])[..., 0]
+            drift[s.ids] = np.max(np.abs(moment / unit[s.ids]), axis=1)
             fact = surf.L[s.kids] / surf.m0[s.ids][:, None] * mea.nstar_f[s.kids]
             lemma323[s.ids] = np.max(np.abs(fact - qw), axis=1)
 
     def cor320(c, a):
-        return np.max(np.abs((c[ids] @ a[ids][..., None])[..., 0] - b), axis=1)
+        return np.max(np.abs((c[ids] @ a[ids][..., None])[..., 0] - b) / unit, axis=1)
 
     return {
         "cor320_tilde": (cor320(surf.c_tilde_sstar, surf.a_tilde), 0.0),

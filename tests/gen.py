@@ -452,12 +452,16 @@ def measures_loop(tree: ScenarioTree, surf: mv.OpportunitySurface) -> dict:
 
 def fs_residual_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
                      plan: mv.HedgePlan) -> float:
+    """fs_residual_check node by node, from the stored P* probabilities,
+    each component in units of the node's largest |increment| of that
+    asset."""
     worst = 0.0
     for i in _inner(tree):
-        kids, probs, deltas = _children(tree, i)
-        pstar = probs * surf.L[kids] / surf.m0[i]
+        kids, _, deltas = _children(tree, i)
         resid = (plan.V[kids] - plan.V[i]) - deltas @ plan.xi[i]
-        worst = max(worst, float(np.max(np.abs(deltas.T @ (pstar * resid)))))
+        D = np.max(np.abs(deltas), axis=0)
+        r = (deltas.T @ (surf.pstar_p[kids] * resid)) / np.where(D > 0.0, D, 1.0)
+        worst = max(worst, float(np.max(np.abs(r))))
     return worst
 
 

@@ -135,6 +135,17 @@ def test_degenerate_exit_prints_one_line(tmp_path, capsys, s0, command, flags):
     assert err.startswith("error: degenerate") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("s0", [1e-150, 1e-100, 1e-8, 1.0, 1e8, 1e9, 1e50, 1e100, 1e150])
+def test_verify_is_free_of_the_price_unit(tmp_path, capsys, s0):
+    # the Cor. 3.20 residuals, the Q* drift and the FS residual are read
+    # in units of each node's increments, so rounding at large prices is
+    # no failure
+    model = dict(HUGE_TRINOMIAL, s0=[s0])
+    cfg = write_config(tmp_path, {"model": model, "claim": {"type": "call", "strike": s0}})
+    assert main(["verify", "--config", cfg]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("periods", [1, 4])
 def test_hedge_complete_binomial_with_a_tiny_probability(tmp_path, periods):
     # one child carries almost all of the P* mass; the market is well posed
