@@ -2,14 +2,11 @@
 
 The mean value process V is the claim's conditional "price" under the
 variance-optimal signed measure, computed backward with the one-step
-weights p_k qstar_w_k that the surface stores; these sum to 1 at every
-node, a consequence of the opportunity recursion that is checked, not
-assumed.
+weights p_k qstar_w_k that the surface stores; by the opportunity
+recursion they sum to 1 at every node, which is checked, not assumed.
 The pure hedge coefficient xi regresses V-increments on price increments
-under the one-step opportunity-neutral law P* that the surface stores
-(its probabilities pstar_p, mean b_sstar and covariance c_hat_sstar),
-and the optimal strategy corrects xi by the running surplus:
-phi = xi - (wealth - V) a_tilde.
+under the one-step P* law that the surface stores, and the optimal
+strategy corrects xi by the running surplus: phi = xi - (wealth - V) a_tilde.
 """
 from __future__ import annotations
 
@@ -72,23 +69,17 @@ def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface,
 def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarray) -> HedgePlan:
     """Pure hedge coefficient xi(n) = c_hat_sstar^+ c_sv and error term
     e(n) = m0 (sum_k q_k dv_k^2 - c_sv' xi) >= 0 per non-terminal node,
-    read off the stored one-step P* law q = pstar_p: dv_k = V_k - sum_j
-    q_j V_j are the centered child values and c_sv = sum_k q_k (d_k -
-    b_sstar) dv_k is the P* covariance of the price and value
-    increments.  With V the mean value process (the Q* mean of the V_k)
-    these are c_bar^+ d_bar and sum_k p_k L_k (V_k - V_n)^2 - d_bar' xi
-    for the moments c_bar = sum_k p_k L_k d_k d_k' and d_bar = sum_k
-    p_k L_k d_k (V_k - V_n)."""
+    from the stored P* law q = pstar_p: dv_k = V_k - sum_j q_j V_j and
+    c_sv = sum_k q_k (d_k - b_sstar) dv_k.  As V is the Q* mean, they are
+    the fit and residual of V_k - V_n on d_k in weights p_k L_k."""
     n = len(tree.nodes)
-    xi = np.full((n, tree.num_assets), np.nan)
-    e = np.full(n, np.nan)
+    xi, e = np.full((n, tree.num_assets), np.nan), np.full(n, np.nan)
     for t in range(tree.horizon):
         for s in tree.layout.steps[t]:
-            i = s.ids
-            q = surf.pstar_p[s.kids]
+            i, q = s.ids, surf.pstar_p[s.kids]
             _, dv, var = centered_moments(q, V[s.kids])
-            dc = s.deltas - surf.b_sstar[i][:, None, :]
-            c_sv = (dc.swapaxes(1, 2) @ (q * dv)[..., None])[..., 0]
+            c_sv = ((s.deltas - surf.b_sstar[i][:, None, :]).swapaxes(1, 2)
+                    @ (q * dv)[..., None])[..., 0]
             xi[i] = (pinv_psd(surf.c_hat_sstar[i]) @ c_sv[..., None])[..., 0]
             e[i] = surf.m0[i] * (var - (c_sv[:, None, :] @ xi[i][..., None])[:, 0, 0])
     return HedgePlan(V=V, xi=xi, e=e)
@@ -140,9 +131,8 @@ def fs_residual_check(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
     under the opportunity-neutral measure.
 
     Returns the largest absolute component over all non-terminal nodes of
-    r(n) = sum_k pstar_p_k d_k ((V_k - V_n) - xi' d_k), component j
-    divided by the node's increment scale D_j = max_k |d_kj| (1 where
-    that is 0), so that it is in the units of the claim.
+    r(n) = sum_k pstar_p_k d_k ((V_k - V_n) - xi' d_k), its component j
+    divided by D_j = max_k |d_kj| (1 where 0), so in the claim's units.
     """
     worst = 0.0
     for t in range(tree.horizon):

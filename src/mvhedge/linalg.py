@@ -1,13 +1,11 @@
 """Symmetric PSD pseudoinverse and centered one-step moments.
 
-Every backward recursion in the engine reduces to the conditional mean
-and covariance of the one-step increments under a probability law on a
-node's children: the opportunity-neutral P*, q_k = p_k L_k / m0, for the
-engine, and P itself for the martingale diagnostics.  centered_moments
-forms them centered, as Chan, Golub & LeVeque (Amer. Stat. 37, 1983)
-do for the sample variance: shift by the child of largest weight, then
-center before squaring, so that a child carrying almost all of the mass
-costs no cancellation.
+Every backward recursion in the engine reduces to conditional means and
+covariances under a law on a node's children: the opportunity-neutral
+P*, q_k = p_k L_k / m0, or P itself.  centered_moments forms them as
+Chan, Golub & LeVeque (Amer. Stat. 37, 1983) do the sample variance:
+shift by the child of largest weight and center before squaring, so a
+child that carries almost all of the mass costs no cancellation.
 """
 from __future__ import annotations
 
@@ -56,22 +54,19 @@ def pinv_psd(m: np.ndarray) -> np.ndarray:
 
 
 def centered_moments(q: np.ndarray, x: np.ndarray) -> tuple:
-    """(mean, dev, cov) of values x under probabilities q: q (..., k) and
-    x (..., k, d), or x (..., k) for scalar values, with any leading axes
-    (one row a node).  With j the child of largest q and s_k = x_k - x_j,
-    mean = x_j + sum_k q_k s_k, dev_k = s_k - sum_j q_j s_j and cov =
-    sum_k q_k dev_k dev_k^T, symmetrized ((..., d, d), or (...,) for
-    scalar values).  A node of a stack gets the same arithmetic as a
-    call on that node alone, so the results agree bit for bit."""
-    q = np.asarray(q, dtype=float)
-    x = np.asarray(x, dtype=float)
+    """(mean, dev, cov) of values x (..., k, d), or scalar values x
+    (..., k), under probabilities q (..., k), one row a node: with j the
+    child of largest q and s_k = x_k - x_j, mean = x_j + sum_k q_k s_k,
+    dev_k = s_k - sum_j q_j s_j and cov = sum_k q_k dev_k dev_k^T,
+    symmetrized (the variance for scalar values).  A node of a stack gets
+    the arithmetic of a call on that node alone, bit for bit."""
+    q, x = np.asarray(q, dtype=float), np.asarray(x, dtype=float)
     scalar = x.ndim == q.ndim
-    if scalar:
-        x = x[..., None]
+    x = x[..., None] if scalar else x
     pivot = np.take_along_axis(x, np.argmax(q, axis=-1)[..., None, None], axis=-2)
-    s = x - pivot
-    shift = q[..., None, :] @ s
-    dev = s - shift
+    dev = x - pivot
+    shift = q[..., None, :] @ dev
+    dev -= shift
     cov = (dev.swapaxes(-1, -2) * q[..., None, :]) @ dev
     mean, cov = (pivot + shift)[..., 0, :], 0.5 * (cov + cov.swapaxes(-1, -2))
     return (mean[..., 0], dev[..., 0], cov[..., 0, 0]) if scalar else (mean, dev, cov)

@@ -3,20 +3,19 @@
 The opportunity process L(n) is the conditional minimal expected squared
 error of hedging the constant payoff 1 from node n with zero endowment.
 With the one-step opportunity-neutral law P* on a node's children,
-q_k = p_k L_k / m0 with m0 = sum_k p_k L_k, its mean b* and covariance
-c_hat* of the price increments (linalg.centered_moments), a_hat =
-c_hat*^+ b* and K = b*' a_hat, it satisfies the backward recursion
+q_k = p_k L_k / m0, its increment mean b* and covariance c_hat*, and
+K = b*' a_hat with a_hat = c_hat*^+ b*, it satisfies (Cerny & Kallsen,
+Lemma 3.19 and Cor. 3.20) the backward recursion
 
     L(leaf) = 1
-    L(n)    = m0 / (1 + K)
+    L(n)    = m0 / (1 + K),   m0 = sum_k p_k L_k.
 
-(Cerny & Kallsen, Lemma 3.19 and Cor. 3.20).  The adjustment process
-a_tilde(n) = a_hat / (1 + K) is the optimal per-unit-of-wealth holding in
-the pure investment problem, and everything else (the signed
-variance-optimal measure, the opportunity-neutral measure, Sharpe
-ratios, mean-variance tradeoff diagnostics) derives from these objects.
-identities evaluates the paper's one-step identities between them,
-which verify prints.
+The adjustment process a_tilde(n) = a_hat / (1 + K) is the optimal
+per-unit-of-wealth holding in the pure investment problem, and
+everything else (the signed variance-optimal measure, the opportunity-
+neutral measure, Sharpe ratios, mean-variance tradeoff diagnostics)
+derives from these objects.  identities evaluates the paper's one-step
+identities between them, which verify prints.
 """
 from __future__ import annotations
 
@@ -39,16 +38,14 @@ class OpportunitySurface:
 
     Arrays are indexed by node id; entries that only exist at
     non-terminal nodes are NaN at terminal nodes.  Seven arrays are
-    stored: L, a_tilde, and the one-step P* law of the step from node n
-    into its children: the mass m0 = sum_k p_k L_k, the conditional mean
-    b_sstar and covariance c_hat_sstar of the price increments, and the
-    one-step weights qstar_w = (L_k/L_n)(1 - a_tilde' d_k) of Q* and
-    pstar_p = p_k L_k / m0 of P*, each at the child k as tree.prob is (1
-    at the root).  The rest is derived at first access: dAK = m0/L - 1,
-    a_hat = (1 + dAK) a_tilde, the conditional second moment
-    c_tilde_sstar = c_hat_sstar + b_sstar b_sstar', and the maximal
-    conditional Sharpe ratio over the remaining periods, sharpe =
-    sqrt(1/L - 1).
+    stored: L, a_tilde and the one-step P* law from node n: its mass
+    m0 = sum_k p_k L_k, the increments' mean b_sstar and covariance
+    c_hat_sstar, and the weights qstar_w = (L_k/L_n)(1 - a_tilde' d_k)
+    of Q* and pstar_p = p_k L_k / m0 of P*, at the child k as tree.prob
+    is (1 at the root).  Derived at first access: dAK = m0/L - 1, a_hat =
+    (1 + dAK) a_tilde, the second moment c_tilde_sstar = c_hat_sstar +
+    b_sstar b_sstar', and the maximal conditional Sharpe ratio over the
+    remaining periods, sharpe = sqrt(1/L - 1).
     """
 
     L: np.ndarray                 # (n,)
@@ -119,74 +116,62 @@ class MvtDiagnostics:
     det_l_residual: float | None
 
 
-def _unfilled(L: np.ndarray, a_tilde: np.ndarray, b_sstar: np.ndarray,
-              qstar_w: np.ndarray) -> OpportunitySurface:
-    """The given L, a_tilde, b_sstar and qstar_w; NaN m0 and c_hat_sstar
-    and pstar_p = 1 to fill in."""
-    n, d = a_tilde.shape
-    return OpportunitySurface(L, a_tilde, np.full(n, np.nan), b_sstar,
-                              np.full((n, d, d), np.nan), qstar_w, np.ones(n))
-
-
 def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
     """Backward induction for L, a_tilde, the one-step P* law and the
     one-step weights, one time slice at a time: per child-count group of
-    the slice, stacked centered moments and one stacked pseudoinverse of
-    c_hat*.
+    the slice, centered moments and one pseudoinverse of c_hat*, stacked.
 
     Raises DegenerateStep when some one-step market admits a riskless
-    nonzero return: the one-step ratio L/m0 = 1/(1 + K) vanishes, or b*
-    has a part r = b* - c_hat* a_hat outside the range of c_hat*, with
-    |r|^2 above the pseudoinverse's cutoff d * EIG_TRUNCATION both on the
-    scale max(tr c_hat*, |b*|^2) of c_hat* + b* b*' and on the rounding
-    scale (tr(c_hat*) |a_hat|)^2 of c_hat* a_hat (|.| the largest
-    absolute component, which cannot overflow).  The ratio test is
-    relative to m0 because L itself compounds multiplicatively and may be
-    tiny on long horizons of a well-posed market.  The node named is the
-    lowest id of the latest slice with such a step."""
-    lay = tree.layout
+    nonzero return: L/m0 = 1/(1 + K) vanishes (relative to m0, as L may
+    be tiny on long horizons of a well-posed market), or r = b* - c_hat*
+    a_hat, the part of b* outside the range of c_hat*, exceeds sqrt(d
+    EIG_TRUNCATION) times the scale of c_hat* + b* b*' and the rounding
+    scale tr(c_hat*) |a_hat| of c_hat* a_hat (|.| the 1-norm, which does
+    not overflow).  It names the lowest id of the latest such slice."""
     n, d = len(tree.nodes), tree.num_assets
-    surf = _unfilled(np.ones(n), np.full((n, d), np.nan), np.full((n, d), np.nan), np.ones(n))
+    nan, ones = np.full((2, n, d), np.nan), np.ones(d)
+    surf = OpportunitySurface(np.ones(n), nan[0], np.full(n, np.nan), nan[1],
+                              np.full((n, d, d), np.nan), np.ones(n), np.ones(n))
     for t in range(tree.horizon - 1, -1, -1):
         degenerate = []
-        for s in lay.steps[t]:
+        for s in tree.layout.steps[t]:
             child_L = surf.L[s.kids]
-            w = s.probs * child_L
-            m0 = np.sum(w, axis=-1)
-            q = w / m0[:, None]
+            q = s.probs * child_L
+            m0 = np.sum(q, axis=-1)
+            q /= m0[:, None]
             b, dc, c = centered_moments(q, s.deltas)
             a_hat = (pinv_psd(c) @ b[..., None])[..., 0]
             K = (b[:, None, :] @ a_hat[..., None])[:, 0, 0]
-            r = np.max(np.abs(b - (c @ a_hat[..., None])[..., 0]), axis=1)
-            L = m0 / (1.0 + K)
-            tr = np.trace(c, axis1=1, axis2=2)
-            unit = np.maximum(np.maximum(np.sqrt(tr), np.max(np.abs(b), axis=1)),
-                              tr * np.max(np.abs(a_hat), axis=1))
+            r = np.abs(b - (c @ a_hat[..., None])[..., 0]) @ ones
+            L, tr = m0 / (1.0 + K), np.trace(c, axis1=1, axis2=2)
+            unit = np.max([np.sqrt(tr), np.abs(b) @ ones, tr * (np.abs(a_hat) @ ones)], axis=0)
             degenerate.append(s.ids[(L <= DEGENERACY_THRESHOLD * m0)
                                     | (r > np.sqrt(d * EIG_TRUNCATION) * unit)])
             surf.L[s.ids], surf.a_tilde[s.ids] = L, a_hat / (1.0 + K)[:, None]
             surf.m0[s.ids], surf.b_sstar[s.ids], surf.c_hat_sstar[s.ids] = m0, b, c
-            surf.qstar_w[s.kids] = child_L / m0[:, None] * (1.0 - (dc @ a_hat[..., None])[..., 0])
-            surf.pstar_p[s.kids] = q
+            w = (dc @ a_hat[..., None])[..., 0]   # then in place: fewer live temporaries
+            np.subtract(1.0, w, out=w)
+            w *= child_L / m0[:, None]
+            surf.qstar_w[s.kids], surf.pstar_p[s.kids] = w, q
+            del dc, w
         DegenerateStep.raise_lowest(degenerate)
     return surf
 
 
 def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
     """The surface the tree would have if prices were martingales:
-    L = 1, a_tilde = 0 and qstar_w = 1 at every node, so P* is P
-    (pstar_p = p_k / m0) with b_sstar = 0 and c_hat_sstar the P second
-    moment of the increments.  The engine's mean value and pure hedge on
-    it are the martingale-style (GKW) hedge, the P-weighted regression
-    of the value increments on the price increments.  L, a_tilde,
-    qstar_w and b_sstar are read-only constant views, which take no
-    memory."""
-    lay = tree.layout
+    L = 1, a_tilde = 0 and qstar_w = 1, so P* is P (pstar_p = p_k / m0)
+    with b_sstar = 0 and c_hat_sstar the P second moment of the
+    increments.  The engine's mean value and pure hedge on it are the
+    martingale-style (GKW) hedge, the P regression of the value
+    increments on the price increments.  L, a_tilde, b_sstar and qstar_w
+    are read-only constant views, which take no memory."""
     n, d = len(tree.nodes), tree.num_assets
     ones, zeros = np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d))
-    surf = _unfilled(ones, zeros, zeros, ones)
+    surf = OpportunitySurface(ones, zeros, np.full(n, np.nan), zeros,
+                              np.full((n, d, d), np.nan), ones, np.ones(n))
     for t in range(tree.horizon):
-        for s in lay.steps[t]:
+        for s in tree.layout.steps[t]:
             surf.m0[s.ids] = m0 = np.sum(s.probs, axis=-1)
             q = surf.pstar_p[s.kids] = s.probs / m0[:, None]
             c = (s.deltas.swapaxes(1, 2) * q[:, None, :]) @ s.deltas
@@ -216,10 +201,8 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
     value equal to its target up to rounding: Cor. 3.20 with the tilde
     and with the hat characteristics, Lemma 3.19, dAK = b' c_hat^+ b,
     the mass and the drift of the one-step Q* weights, and Lemma 3.23.
-    The two Cor. 3.20 residuals and the drift are vectors in price units;
-    their component j is divided by the node's increment scale D_j =
-    max_k |d_kj| (1 where that is 0), so that no check depends on the
-    price unit."""
+    Component j of the Cor. 3.20 residuals and of the drift is divided by
+    D_j = max_k |d_kj| (1 where 0), so that no check has a price unit."""
     lay = tree.layout
     ids = lay.inner
     b = surf.b_sstar[ids]
@@ -259,13 +242,12 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
     mea = measures(tree, surf)
     lay = tree.layout
     dK = np.full(len(tree.nodes), np.nan)
+    deterministic = True
+    slice_values = np.zeros(tree.horizon)
     for t in range(tree.horizon):
         for s in lay.steps[t]:
             b, _, c = centered_moments(s.probs / np.sum(s.probs, axis=-1)[:, None], s.deltas)
             dK[s.ids] = (b[:, None, :] @ pinv_psd(c) @ b[..., None])[:, 0, 0]
-    deterministic = True
-    slice_values = np.zeros(tree.horizon)
-    for t in range(tree.horizon):
         vals = dK[lay.slices[t]]
         slice_values[t] = vals[0]
         if np.max(np.abs(vals - vals[0])) > MVT_TOL * max(1.0, abs(vals[0])):
@@ -276,6 +258,5 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
         eps = np.cumprod(np.concatenate(([1.0], 1.0 + slice_values)))
         expected = (eps / eps[-1])[tree.time]
         det_residual = float(np.max(np.abs(surf.L - expected) / expected))
-    return MvtDiagnostics(dK_hat=dK, deterministic_mvt=deterministic, pstar_is_p=pstar_is_p,
-                          det_l_residual=det_residual)
+    return MvtDiagnostics(dK, deterministic, pstar_is_p, det_residual)
 

@@ -318,10 +318,10 @@ def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
             c = 0.5 * (c + c.T)
             a_hat = mv.pinv_psd(c) @ b
             K = float(b @ a_hat)
-            r = np.max(np.abs(b - c @ a_hat))
+            r = np.sum(np.abs(b - c @ a_hat))
             L = m0 / (1.0 + K)
             tr = np.trace(c)
-            unit = max(np.sqrt(tr), np.max(np.abs(b)), tr * np.max(np.abs(a_hat)))
+            unit = max(np.sqrt(tr), np.sum(np.abs(b)), tr * np.sum(np.abs(a_hat)))
             if L <= 1e-12 * m0 or r > np.sqrt(d * 1e-12) * unit:
                 raise mv.DegenerateStep(i)
             out["L"][i], out["a_tilde"][i] = L, a_hat / (1.0 + K)
