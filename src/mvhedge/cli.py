@@ -120,8 +120,7 @@ def build_claim(tree: ScenarioTree, cfg: dict) -> np.ndarray:
     with _typed("claim"):
         if kind == "per_leaf":
             return attach_claim(tree, "per_leaf", values=cfg["values"])
-        strike = _finite(cfg["strike"], "strike must be a finite number")
-        return attach_claim(tree, kind, strike=strike)
+        return attach_claim(tree, kind, strike=cfg["strike"])
 
 
 def _finite(value, what: str, minimum: float = -math.inf) -> float:
@@ -297,6 +296,9 @@ def cmd_backtest(args) -> int:
     strategies = config.get("strategies", ["mvh", "pure_xi", "gkw"])
     if not isinstance(strategies, list):
         raise BadParameter(f"strategies must be a list, got {strategies!r}")
+    repeated = [kind for j, kind in enumerate(strategies) if kind in strategies[:j]]
+    if repeated:
+        raise BadParameter(f"strategy kind {repeated[0]!r} is repeated")
     exact = config.get("exact", False)
     if not isinstance(exact, bool):
         raise BadParameter(f"exact must be true or false, got {exact!r}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateStep
-from .linalg import centered_moments, pinv_psd
+from .linalg import centered_moments
 from .opportunity import OpportunitySurface
 from .tree import ScenarioTree, claim_at
 
@@ -67,7 +67,7 @@ def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface,
 
 
 def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarray) -> HedgePlan:
-    """Pure hedge coefficient xi(n) = c_hat_sstar^+ c_sv and error term
+    """Pure hedge coefficient xi(n) = c_hat_pinv c_sv and error term
     e(n) = m0 (sum_k q_k dv_k^2 - c_sv' xi) >= 0 per non-terminal node,
     from the stored P* law q = pstar_p: dv_k = V_k - sum_j q_j V_j and
     c_sv = sum_k q_k (d_k - b_sstar) dv_k.  As V is the Q* mean, they are
@@ -80,7 +80,7 @@ def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarr
             _, dv, var = centered_moments(q, V[s.kids])
             c_sv = ((s.deltas - surf.b_sstar[i][:, None, :]).swapaxes(1, 2)
                     @ (q * dv)[..., None])[..., 0]
-            xi[i] = (pinv_psd(surf.c_hat_sstar[i]) @ c_sv[..., None])[..., 0]
+            xi[i] = (surf.c_hat_pinv[i] @ c_sv[..., None])[..., 0]
             e[i] = surf.m0[i] * (var - (c_sv[:, None, :] @ xi[i][..., None])[:, 0, 0])
     return HedgePlan(V=V, xi=xi, e=e)
 

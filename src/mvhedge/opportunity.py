@@ -39,20 +39,20 @@ class OpportunitySurface:
     Arrays are indexed by node id; entries that only exist at
     non-terminal nodes are NaN at terminal nodes.  Seven arrays are
     stored: L, a_tilde and the one-step P* law from node n: its mass
-    m0 = sum_k p_k L_k, the increments' mean b_sstar and covariance
-    c_hat_sstar, and the weights qstar_w = (L_k/L_n)(1 - a_tilde' d_k)
-    of Q* and pstar_p = p_k L_k / m0 of P*, at the child k as tree.prob
-    is (1 at the root).  Derived at first access: dAK = m0/L - 1, a_hat =
-    (1 + dAK) a_tilde, the second moment c_tilde_sstar = c_hat_sstar +
-    b_sstar b_sstar', and the maximal conditional Sharpe ratio over the
-    remaining periods, sharpe = sqrt(1/L - 1).
+    m0 = sum_k p_k L_k, the increments' mean b_sstar and the
+    pseudoinverse c_hat_pinv of their covariance c_hat*, inverted once
+    where it is formed, and the weights qstar_w = (L_k/L_n)(1 - a_tilde'
+    d_k) of Q* and pstar_p = p_k L_k / m0 of P*, at the child k as
+    tree.prob is (1 at the root).  Derived at first access: dAK = m0/L - 1,
+    a_hat = (1 + dAK) a_tilde, and the maximal conditional Sharpe ratio
+    over the remaining periods, sharpe = sqrt(1/L - 1).
     """
 
     L: np.ndarray                 # (n,)
     a_tilde: np.ndarray           # (n, d)
     m0: np.ndarray                # (n,)
     b_sstar: np.ndarray           # (n, d)
-    c_hat_sstar: np.ndarray       # (n, d, d)
+    c_hat_pinv: np.ndarray        # (n, d, d)
     qstar_w: np.ndarray           # (n,)
     pstar_p: np.ndarray           # (n,)
 
@@ -63,11 +63,6 @@ class OpportunitySurface:
     @cached_property
     def a_hat(self) -> np.ndarray:
         return (1.0 + self.dAK)[:, None] * self.a_tilde
-
-    @cached_property
-    def c_tilde_sstar(self) -> np.ndarray:
-        b = self.b_sstar
-        return self.c_hat_sstar + b[:, :, None] * b[:, None, :]
 
     @cached_property
     def sharpe(self) -> np.ndarray:
@@ -140,7 +135,8 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
             m0 = np.sum(q, axis=-1)
             q /= m0[:, None]
             b, dc, c = centered_moments(q, s.deltas)
-            a_hat = (pinv_psd(c) @ b[..., None])[..., 0]
+            c_pinv = pinv_psd(c)
+            a_hat = (c_pinv @ b[..., None])[..., 0]
             K = (b[:, None, :] @ a_hat[..., None])[:, 0, 0]
             r = np.abs(b - (c @ a_hat[..., None])[..., 0]) @ ones
             L, tr = m0 / (1.0 + K), np.trace(c, axis1=1, axis2=2)
@@ -148,7 +144,7 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
             degenerate.append(s.ids[(L <= DEGENERACY_THRESHOLD * m0)
                                     | (r > np.sqrt(d * EIG_TRUNCATION) * unit)])
             surf.L[s.ids], surf.a_tilde[s.ids] = L, a_hat / (1.0 + K)[:, None]
-            surf.m0[s.ids], surf.b_sstar[s.ids], surf.c_hat_sstar[s.ids] = m0, b, c
+            surf.m0[s.ids], surf.b_sstar[s.ids], surf.c_hat_pinv[s.ids] = m0, b, c_pinv
             w = (dc @ a_hat[..., None])[..., 0]   # then in place: fewer live temporaries
             np.subtract(1.0, w, out=w)
             w *= child_L / m0[:, None]
@@ -161,11 +157,11 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
 def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
     """The surface the tree would have if prices were martingales:
     L = 1, a_tilde = 0 and qstar_w = 1, so P* is P (pstar_p = p_k / m0)
-    with b_sstar = 0 and c_hat_sstar the P second moment of the
-    increments.  The engine's mean value and pure hedge on it are the
-    martingale-style (GKW) hedge, the P regression of the value
-    increments on the price increments.  L, a_tilde, b_sstar and qstar_w
-    are read-only constant views, which take no memory."""
+    with b_sstar = 0 and c_hat_pinv the pseudoinverse of the P second
+    moment E_P[d d'] of the increments.  The engine's mean value and pure
+    hedge on it are the martingale-style (GKW) hedge, the P regression of
+    the value increments on the price increments.  L, a_tilde, b_sstar
+    and qstar_w are read-only constant views, which take no memory."""
     n, d = len(tree.nodes), tree.num_assets
     ones, zeros = np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d))
     surf = OpportunitySurface(ones, zeros, np.full(n, np.nan), zeros,
@@ -175,7 +171,7 @@ def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
             surf.m0[s.ids] = m0 = np.sum(s.probs, axis=-1)
             q = surf.pstar_p[s.kids] = s.probs / m0[:, None]
             c = (s.deltas.swapaxes(1, 2) * q[:, None, :]) @ s.deltas
-            surf.c_hat_sstar[s.ids] = 0.5 * (c + c.swapaxes(1, 2))
+            surf.c_hat_pinv[s.ids] = pinv_psd(0.5 * (c + c.swapaxes(1, 2)))
     return surf
 
 
@@ -202,16 +198,18 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
     and with the hat characteristics, Lemma 3.19, dAK = b' c_hat^+ b,
     the mass and the drift of the one-step Q* weights, and Lemma 3.23.
     Component j of the Cor. 3.20 residuals and of the drift is divided by
-    D_j = max_k |d_kj| (1 where 0), so that no check has a price unit."""
+    D_j = max_k |d_kj| (1 where 0), so that no check has a price unit.
+    c_hat* is rebuilt from pstar_p, bit for bit the matrix c_hat_pinv
+    inverts, and c_tilde* = c_hat* + b* b*' is inverted for Lemma 3.19."""
     lay = tree.layout
-    ids = lay.inner
+    ids, d = lay.inner, tree.num_assets
     b = surf.b_sstar[ids]
-    up = 1.0 + (b[:, None, :] @ pinv_psd(surf.c_hat_sstar[ids]) @ b[:, :, None])[:, 0, 0]
-    dn = 1.0 - (b[:, None, :] @ pinv_psd(surf.c_tilde_sstar[ids]) @ b[:, :, None])[:, 0, 0]
+    up = 1.0 + (b[:, None, :] @ surf.c_hat_pinv[ids] @ b[:, :, None])[:, 0, 0]
     mass, drift, lemma323 = np.empty((3, len(ids)))
-    unit = np.empty((len(ids), tree.num_assets))
+    unit, c_hat = np.empty((len(ids), d)), np.empty((len(ids), d, d))
     for t in range(tree.horizon):
         for s in lay.steps[t]:
+            c_hat[s.ids] = centered_moments(surf.pstar_p[s.kids], s.deltas)[2]
             D = np.max(np.abs(s.deltas), axis=1)
             unit[s.ids] = np.where(D > 0.0, D, 1.0)
             qw = surf.qstar_w[s.kids]
@@ -220,13 +218,15 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
             drift[s.ids] = np.max(np.abs(moment / unit[s.ids]), axis=1)
             fact = surf.L[s.kids] / surf.m0[s.ids][:, None] * mea.nstar_f[s.kids]
             lemma323[s.ids] = np.max(np.abs(fact - qw), axis=1)
+    c_tilde = c_hat + b[:, :, None] * b[:, None, :]
+    dn = 1.0 - (b[:, None, :] @ pinv_psd(c_tilde) @ b[:, :, None])[:, 0, 0]
 
     def cor320(c, a):
-        return np.max(np.abs((c[ids] @ a[ids][..., None])[..., 0] - b) / unit, axis=1)
+        return np.max(np.abs((c @ a[ids][..., None])[..., 0] - b) / unit, axis=1)
 
     return {
-        "cor320_tilde": (cor320(surf.c_tilde_sstar, surf.a_tilde), 0.0),
-        "cor320_hat": (cor320(surf.c_hat_sstar, surf.a_hat), 0.0),
+        "cor320_tilde": (cor320(c_tilde, surf.a_tilde), 0.0),
+        "cor320_hat": (cor320(c_hat, surf.a_hat), 0.0),
         "identity_319": (up * dn, 1.0),
         "dak_identity": (surf.dAK[ids], up - 1.0),
         "qstar_mass": (mass, 1.0),

@@ -37,6 +37,7 @@ from .errors import BadParameter
 PROB_SUM_TOL = 1e-12
 MAX_LEAVES = 2 ** 20
 MAX_VIOLATIONS = 100   # validate_tree reports at most this many
+NOT_NUMBERS = (("boolean", (bool, np.bool_)), ("string", str))   # float() reads them as numbers
 
 
 class Step(NamedTuple):
@@ -168,6 +169,7 @@ def _grow(s0: np.ndarray, periods: int, laws, mode: str,
 def build_binomial(s0, up: float, down: float, p_up: float, periods: int) -> ScenarioTree:
     """Multiplicative binomial path tree with 2^periods leaves."""
     s0 = _finite(s0, "s0")
+    up, down, p_up = _floats([up, down, p_up], "up, down and p_up").tolist()
     if not (_is_int(periods) and 1 <= periods <= 16):
         raise BadParameter(f"periods must be an integer in [1, 16], got {periods!r}")
     if not (up > 1.0):
@@ -186,19 +188,20 @@ def _is_int(x) -> bool:
 
 
 def _floats(values, what: str) -> np.ndarray:
-    """values as a float array; BadParameter on a boolean, which float()
-    would read as 0 or 1."""
-    if any(isinstance(v, (bool, np.bool_)) for v in np.asarray(values, dtype=object).flat):
-        raise BadParameter(f"{what} must be numbers, not booleans")
+    """values as a float array; BadParameter on a boolean or a string
+    (one of NOT_NUMBERS), which float() would read as a number."""
+    for kind, types in NOT_NUMBERS:
+        if any(isinstance(v, types) for v in np.asarray(values, dtype=object).flat):
+            raise BadParameter(f"{what} must be numeric, not a {kind}")
     return np.asarray(values, dtype=float)
 
 
 def _finite(values, what: str) -> np.ndarray:
-    """values as a float vector; BadParameter unless every entry is a
-    finite number."""
+    """values as a float vector; BadParameter unless there is at least one
+    entry and every entry is a finite number."""
     v = np.atleast_1d(_floats(values, what))
-    if not np.all(np.isfinite(v)):
-        raise BadParameter(f"{what} must be finite")
+    if not (v.size and np.all(np.isfinite(v))):
+        raise BadParameter(f"{what} must be finite and non-empty")
     return v
 
 
@@ -266,12 +269,14 @@ def _build(s0, regimes, transition, initial_regime, periods: int, mode: str) -> 
 def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None,
                  values=None) -> np.ndarray:
     """A terminal claim as its payoff array, one finite value per leaf in
-    leaf order: 'call'/'put' on asset 0, or 'per_leaf' with explicit values."""
+    leaf order: 'call'/'put' on asset 0 at a finite strike, or 'per_leaf' values."""
     leaves = tree.leaves()
     if kind in ("call", "put"):
         if strike is None:
             raise BadParameter(f"{kind} requires a strike")
-        gain = tree.price[leaves, 0] - strike
+        if np.ndim(strike):
+            raise BadParameter(f"strike must be one number, got {strike!r}")
+        gain = tree.price[leaves, 0] - _finite(strike, "strike").item()
         payoff = np.maximum(gain if kind == "call" else -gain, 0.0)
     elif kind == "per_leaf":
         payoff = _floats(values, "per_leaf values")
@@ -420,10 +425,10 @@ def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
                    for i, nd in enumerate(nodes) if type(nd["time"]) is not int]
         errors += [f"price dimension mismatch at node {i}"
                    for i, nd in enumerate(nodes) if len(nd["price"]) != num_assets]
-        errors += [f"boolean price at node {i}"
-                   for i, nd in enumerate(nodes) if any(isinstance(x, bool) for x in nd["price"])]
-        errors += [f"boolean probability at node {i} child {c}"
-                   for i, c, p in listed if isinstance(p, bool)]
+        errors += [f"{kind} price at node {i}" for i, nd in enumerate(nodes)
+                   for kind, t in NOT_NUMBERS if any(isinstance(x, t) for x in nd["price"])]
+        errors += [f"{kind} probability at node {i} child {c}"
+                   for i, c, p in listed for kind, t in NOT_NUMBERS if isinstance(p, t)]
         prob, seen = [1.0] * n, [0] * n
         if not errors:
             for i, c, p in listed:

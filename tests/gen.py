@@ -301,11 +301,11 @@ def _centered(q: np.ndarray, x: np.ndarray) -> tuple:
 
 def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
     """The surface's seven stored arrays node by node, from the centered
-    one-step P* law: L, a_tilde, m0, b_sstar, c_hat_sstar, qstar_w and
+    one-step P* law: L, a_tilde, m0, b_sstar, c_hat_pinv, qstar_w and
     pstar_p."""
     n, d = len(tree.nodes), tree.num_assets
     out = {"L": np.ones(n), "a_tilde": np.full((n, d), np.nan), "m0": np.full(n, np.nan),
-           "b_sstar": np.full((n, d), np.nan), "c_hat_sstar": np.full((n, d, d), np.nan),
+           "b_sstar": np.full((n, d), np.nan), "c_hat_pinv": np.full((n, d, d), np.nan),
            "qstar_w": np.ones(n), "pstar_p": np.ones(n)}
     for t in range(tree.horizon - 1, -1, -1):
         for i in _slice(tree, t):
@@ -316,7 +316,8 @@ def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
             b, dc = _centered(q, deltas)
             c = (dc.T * q) @ dc
             c = 0.5 * (c + c.T)
-            a_hat = mv.pinv_psd(c) @ b
+            c_pinv = mv.pinv_psd(c)
+            a_hat = c_pinv @ b
             K = float(b @ a_hat)
             r = np.sum(np.abs(b - c @ a_hat))
             L = m0 / (1.0 + K)
@@ -325,7 +326,7 @@ def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
             if L <= 1e-12 * m0 or r > np.sqrt(d * 1e-12) * unit:
                 raise mv.DegenerateStep(i)
             out["L"][i], out["a_tilde"][i] = L, a_hat / (1.0 + K)
-            out["m0"][i], out["b_sstar"][i], out["c_hat_sstar"][i] = m0, b, c
+            out["m0"][i], out["b_sstar"][i], out["c_hat_pinv"][i] = m0, b, c_pinv
             out["qstar_w"][kids] = out["L"][kids] / m0 * (1.0 - dc @ a_hat)
             out["pstar_p"][kids] = q
     return out
@@ -359,14 +360,26 @@ def shift_adjustment(tree: ScenarioTree, surf: mv.OpportunitySurface, node_ids,
         surf.qstar_w[kids] = (surf.L[kids] / surf.L[i]) * (1.0 - deltas @ surf.a_tilde[i])
 
 
+def c_hat_at(tree: ScenarioTree, surf: mv.OpportunitySurface, i: int) -> np.ndarray:
+    """The covariance c_hat* of node i's increments under the stored
+    one-step P* law pstar_p, centered as compute_opportunity centers it
+    (the surface stores only its pseudoinverse)."""
+    kids, _, deltas = _children(tree, i)
+    q = surf.pstar_p[kids]
+    _, dc = _centered(q, deltas)
+    c = (dc.T * q) @ dc
+    return 0.5 * (c + c.T)
+
+
 def _pure_hedge_at(tree: ScenarioTree, surf: mv.OpportunitySurface, V: np.ndarray,
                    i: int) -> tuple[np.ndarray, float]:
-    """(xi, e) at node i from the stored one-step P* law."""
+    """(xi, e) at node i from the stored one-step P* law, inverting its
+    covariance c_hat* here rather than reading the stored c_hat_pinv."""
     kids, _, deltas = _children(tree, i)
     q = surf.pstar_p[kids]
     _, dv = _centered(q, V[kids])
     c_sv = (deltas - surf.b_sstar[i]).T @ (q * dv)
-    xi = mv.pinv_psd(surf.c_hat_sstar[i]) @ c_sv
+    xi = mv.pinv_psd(c_hat_at(tree, surf, i)) @ c_sv
     return xi, surf.m0[i] * (float((dv * q) @ dv) - float(c_sv @ xi))
 
 

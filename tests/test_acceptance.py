@@ -14,6 +14,7 @@ import pytest
 import mvhedge as mv
 from gen import (
     binomial_06,
+    c_hat_at,
     martingale_trinomial,
     random_binomial,
     random_claim,
@@ -200,7 +201,8 @@ def test_07_structural_identities(reference_trees):
             ok = False
         for i in tree.layout.inner:
             b = surf.b_sstar[i]
-            ct, ch = surf.c_tilde_sstar[i], surf.c_hat_sstar[i]
+            ch = c_hat_at(tree, surf, i)
+            ct = ch + np.outer(b, b)
             at, ah = surf.a_tilde[i], surf.a_hat[i]
             if np.max(np.abs(ct @ at - b)) > 1e-10 * max(1.0, np.max(np.abs(b))):
                 ok = False

@@ -191,6 +191,17 @@ def test_hedge_complete_binomial_with_a_tiny_probability(tmp_path, periods):
     ("hedge", {"model": dict(REGIME, regimes=REGIME["regimes"][:1], transition=[[True]]),
                "claim": CALL10}),
     ("hedge", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": [True, 0.0]}}),
+    # strings, which float() would read as numbers, on the 2-period trinomial
+    ("hedge", {"model": dict(TRINOMIAL, periods=2, increments=[
+        {"delta": [1.0], "p": "0.3"}, *TRINOMIAL["increments"][1:]]), "claim": CALL10}),
+    ("hedge", {"model": dict(TRINOMIAL, periods=2, increments=[
+        {"delta": ["1.0"], "p": 0.3}, *TRINOMIAL["increments"][1:]]), "claim": CALL10}),
+    ("hedge", {"model": dict(TRINOMIAL, periods=2, s0=["10"]), "claim": CALL10}),
+    ("hedge", {"model": dict(REGIME, regimes=REGIME["regimes"][:1], transition=[["1.0"]]),
+               "claim": CALL10}),
+    ("hedge", {"model": dict(TRINOMIAL, periods=2),
+               "claim": {"type": "per_leaf", "values": ["1"] + [0.0] * 8}}),
+    ("hedge", {"model": dict(TRINOMIAL, periods=2), "claim": {"type": "call", "strike": "10"}}),
 ])
 def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -231,6 +242,13 @@ INPUT_ERRORS = [
      "unknown strategy kind 'delta'"),
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": []},
      "need at least one report"),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": ["mvh", "mvh"],
+                  "exact": True}, "strategy kind 'mvh' is repeated"),
+    ("tree build", {"model": dict(BINOMIAL, up="1.1")},
+     "up, down and p_up must be numeric, not a string"),
+    ("tree build", {"model": dict(BINOMIAL, s0=[])}, "s0 must be finite and non-empty"),
+    ("hedge", {"model": BINOMIAL_1, "claim": {"type": "call", "strike": [9.0, 11.0]}},
+     "strike must be one number, got [9.0, 11.0]"),
     ("hedge", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": [[1.0], [0.0]]}},
      "per_leaf claim needs 2 values, one per leaf, got shape (2, 1)"),
     ("hedge", {"model": BINOMIAL_1, "claim": {"type": "per_leaf", "values": None}},

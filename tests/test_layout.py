@@ -110,7 +110,7 @@ def test_qstar_w_read_through_step_matches_node_by_node():
     for i in tree.layout.inner.tolist():
         kids, _, deltas = step(tree, i)
         _, dc, _ = mv.centered_moments(surf.pstar_p[kids], deltas)
-        a_hat = mv.pinv_psd(surf.c_hat_sstar[i]) @ surf.b_sstar[i]
+        a_hat = surf.c_hat_pinv[i] @ surf.b_sstar[i]
         want = (surf.L[kids] / surf.m0[i]) * (1.0 - dc @ a_hat)
         assert equal(surf.qstar_w[kids], want), i
 
@@ -336,6 +336,28 @@ def test_one_step_weights_have_one_home():
     # them; identities' lemma323 is the second route that verify compares
     found = divisions_by_node_values({"L", "m0"})
     assert [f.split()[1] for f in found] == ["identities"], found
+
+
+def test_each_one_step_covariance_is_inverted_once():
+    # compute_opportunity and martingale_surface store the inverse of each
+    # step's covariance where they form it, and the pure hedge reads it;
+    # identities inverts only c_tilde*, the second route to Lemma 3.19
+    src, calls, imports = Path(mv.__file__).parent, {}, []
+    for name in ("hedging.py", "opportunity.py"):
+        module = ast.parse((src / name).read_text())
+        imports += [f"{name} {a.name}" for node in ast.walk(module)
+                    if isinstance(node, ast.ImportFrom) for a in node.names]
+        for func in module.body:
+            if isinstance(func, ast.FunctionDef):
+                calls[f"{name} {func.name}"] = [
+                    ast.unparse(node.args[0]) for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and "pinv_psd" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert "hedging.py pinv_psd" not in imports
+    assert {f: len(args) for f, args in calls.items() if args} == {
+        "opportunity.py compute_opportunity": 1, "opportunity.py martingale_surface": 1,
+        "opportunity.py identities": 1, "opportunity.py mvt_process": 1}
+    assert calls["opportunity.py identities"] == ["c_tilde"]
 
 
 def test_child_opportunity_values_have_one_reader():

@@ -4,7 +4,7 @@ import pytest
 import mvhedge as mv
 from mvhedge.linalg import centered_moments, pinv_psd
 
-from gen import random_tree
+from gen import c_hat_at, random_tree
 
 
 def test_diagonal_case():
@@ -131,13 +131,13 @@ def test_centered_moments_one_child_of_almost_all_mass():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_range_property_on_random_trees(seed):
-    # b_sstar lies in the range of c_hat_sstar at every inner node: the
+    # b_sstar lies in the range of c_hat* at every inner node: the
     # degeneracy rule raises on a step where it does not
     rng = np.random.default_rng(200 + seed)
     tree = random_tree(rng)
     surf = mv.compute_opportunity(tree)
     for i in tree.layout.inner:
-        c, b = surf.c_hat_sstar[i], surf.b_sstar[i]
+        c, b = c_hat_at(tree, surf, i), surf.b_sstar[i]
         proj = c @ pinv_psd(c) @ b
         scale = max(np.max(np.abs(b)), 1e-30)
         assert np.max(np.abs(proj - b)) <= 1e-9 * max(scale, 1.0)

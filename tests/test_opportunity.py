@@ -13,11 +13,13 @@ from mvhedge.tree import ScenarioTree, validate_tree
 
 from gen import (
     binomial_06,
+    c_hat_at,
     efficient_value_process,
     exact_sweep,
     martingale_trinomial,
     random_claim,
     random_tree,
+    scaled_tree,
     step,
     subtree_at,
     two_regime_tree,
@@ -26,6 +28,31 @@ from gen import (
 
 IDENTITIES = ["cor320_tilde", "cor320_hat", "identity_319", "dak_identity", "qstar_mass",
               "qstar_drift", "lemma323"]
+
+
+def identities_loop(tree, surf, mea) -> dict:
+    """identities(tree, surf, mea) node by node: name -> (n_inner, 2)
+    array of (value, target) rows, component j of the Cor. 3.20 residuals
+    and of the drift divided by D_j = max_k |d_kj| (1 where 0)."""
+    per_node = {name: [] for name in IDENTITIES}
+    for i in tree.layout.inner:
+        kids, p, deltas = step(tree, i)
+        b, qw = surf.b_sstar[i], surf.qstar_w[kids]
+        ch = c_hat_at(tree, surf, i)
+        ct = ch + np.outer(b, b)
+        up = 1.0 + float(b @ pinv_psd(ch) @ b)
+        dn = 1.0 - float(b @ pinv_psd(ct) @ b)
+        D = np.max(np.abs(deltas), axis=0)
+        unit = np.where(D > 0.0, D, 1.0)
+        fact = (surf.L[kids] / surf.m0[i]) * mea.nstar_f[kids]
+        for name, pair in zip(IDENTITIES, [
+                (np.max(np.abs(ct @ surf.a_tilde[i] - b) / unit), 0.0),
+                (np.max(np.abs(ch @ surf.a_hat[i] - b) / unit), 0.0),
+                (up * dn, 1.0), (surf.dAK[i], up - 1.0), (float(p @ qw), 1.0),
+                (np.max(np.abs(deltas.T @ (p * qw)) / unit), 0.0),
+                (np.max(np.abs(fact - qw)), 0.0)]):
+            per_node[name].append(pair)
+    return {name: np.array(pairs) for name, pairs in per_node.items()}
 
 
 def leaf_expectation(tree, values, power=1):
@@ -199,8 +226,6 @@ def test_structural_identities_random_trees(seed):
     tree = random_tree(rng)
     surf = mv.compute_opportunity(tree)
     mea = mv.measures(tree, surf)
-    probs = tree.node_probs()
-    per_node = {name: [] for name in IDENTITIES}   # (value, target) per inner node
     for i in tree.layout.inner:
         kids, p, deltas = step(tree, i)
         child_L = surf.L[kids]
@@ -211,10 +236,12 @@ def test_structural_identities_random_trees(seed):
         assert 0.0 < surf.L[i] <= 1.0 + 1e-12
         # adjustment identities under the opportunity-neutral measure
         b = surf.b_sstar[i]
-        assert np.allclose(surf.c_tilde_sstar[i] @ surf.a_tilde[i], b, atol=1e-9)
-        assert np.allclose(surf.c_hat_sstar[i] @ surf.a_hat[i], b, atol=1e-9)
-        up = 1.0 + float(b @ pinv_psd(surf.c_hat_sstar[i]) @ b)
-        dn = 1.0 - float(b @ pinv_psd(surf.c_tilde_sstar[i]) @ b)
+        ch = c_hat_at(tree, surf, i)
+        ct = ch + np.outer(b, b)
+        assert np.allclose(ct @ surf.a_tilde[i], b, atol=1e-9)
+        assert np.allclose(ch @ surf.a_hat[i], b, atol=1e-9)
+        up = 1.0 + float(b @ pinv_psd(ch) @ b)
+        dn = 1.0 - float(b @ pinv_psd(ct) @ b)
         assert up * dn == pytest.approx(1.0, abs=1e-9)
         assert surf.dAK[i] == pytest.approx(up - 1.0, rel=1e-9, abs=1e-9)
         # signed measure prices every one-step increment to zero
@@ -223,23 +250,22 @@ def test_structural_identities_random_trees(seed):
         # one-step factorization of the signed density over the neutral one
         fact = (child_L / surf.m0[i]) * mea.nstar_f[kids]
         assert np.allclose(fact, surf.qstar_w[kids], atol=1e-10)
-        qw = surf.qstar_w[kids]
-        for name, pair in zip(IDENTITIES, [
-                (np.max(np.abs(surf.c_tilde_sstar[i] @ surf.a_tilde[i] - b)), 0.0),
-                (np.max(np.abs(surf.c_hat_sstar[i] @ surf.a_hat[i] - b)), 0.0),
-                (up * dn, 1.0), (surf.dAK[i], up - 1.0), (float(p @ qw), 1.0),
-                (np.max(np.abs(deltas.T @ (p * qw))), 0.0), (np.max(np.abs(fact - qw)), 0.0)]):
-            per_node[name].append(pair)
     # the engine's identities, as verify prints them, agree with the loop
-    got = mv.identities(tree, surf, mea)
-    assert list(got) == IDENTITIES
+    # in units of each node's increments, at any price scale
     n_inner = len(tree.layout.inner)
-    for name, (value, target) in got.items():
-        assert np.shape(value) == (n_inner,) and np.shape(target) in ((), (n_inner,))
-        want = np.array(per_node[name])
-        np.testing.assert_allclose(value, want[:, 0], rtol=1e-12, atol=1e-12, err_msg=name)
-        np.testing.assert_allclose(np.broadcast_to(target, (n_inner,)), want[:, 1],
-                                   rtol=1e-12, atol=1e-12, err_msg=name)
+    for k in (1.0, 1e-6, 1e6):
+        scaled = scaled_tree(tree, k)
+        surf_k = mv.compute_opportunity(scaled)
+        mea_k = mv.measures(scaled, surf_k)
+        got, want = mv.identities(scaled, surf_k, mea_k), identities_loop(scaled, surf_k, mea_k)
+        assert list(got) == IDENTITIES
+        for name, (value, target) in got.items():
+            assert np.shape(value) == (n_inner,) and np.shape(target) in ((), (n_inner,))
+            msg = f"{name} at price scale {k}"
+            np.testing.assert_allclose(value, want[name][:, 0], rtol=1e-12, atol=1e-12,
+                                       err_msg=msg)
+            np.testing.assert_allclose(np.broadcast_to(target, (n_inner,)), want[name][:, 1],
+                                       rtol=1e-12, atol=1e-12, err_msg=msg)
     # cumulative densities
     z = mea.z_qstar
     assert leaf_expectation(tree, z) == pytest.approx(1.0, abs=1e-9)

@@ -302,6 +302,11 @@ def boolean_price_and_probability(doc):
     doc["nodes"][1]["children"][0]["p"] = True
 
 
+def string_price_and_probability(doc):
+    doc["nodes"][0]["price"] = ["11"]
+    doc["nodes"][1]["children"][0]["p"] = "0.5"
+
+
 def claim_not_a_list(doc):
     doc["claim"] = {"a": 1}
 
@@ -345,6 +350,7 @@ DOCUMENT_DEFECTS = [
     (child_missing, "node 6 missing from the children of node 2"),
     (time_not_integer, "time 1.5 of node 1 is not an integer"),
     (boolean_price_and_probability, "boolean price at node 0; boolean probability at node 1 child 3"),
+    (string_price_and_probability, "string price at node 0; string probability at node 1 child 3"),
     (claim_not_a_list, "claim is not a list of 4 numbers, one per leaf"),
     (claim_a_string, "claim is not a list of 4 numbers, one per leaf"),
     (claim_too_short, "claim is not a list of 4 numbers, one per leaf"),
