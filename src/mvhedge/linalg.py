@@ -17,7 +17,7 @@ SYMMETRY_RTOL = 1e-12
 EIG_TRUNCATION = 1e-12
 
 
-def pinv_psd(m: np.ndarray) -> np.ndarray:
+def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix, or of each
     matrix in a (..., d, d) stack.
 
@@ -25,7 +25,9 @@ def pinv_psd(m: np.ndarray) -> np.ndarray:
     |lam| <= d * 1e-12 * max|lam| are truncated to zero, max|lam| taken
     per matrix.  The result is exactly symmetric, and PSD whenever the
     input is PSD.  Each matrix of a stack gets the same arithmetic as a
-    call on that matrix alone, so the results agree bit for bit.
+    call on that matrix alone, so the results agree bit for bit.  root
+    returns R = vec diag(inv^1/2) (negative inv as 0), R R' = m^+ for PSD
+    m, so that b' m^+ b = |b' R|^2 keeps its accuracy for ill-conditioned m.
 
     Raises NotSymmetric if the asymmetry of any matrix exceeds tolerance.
     """
@@ -49,6 +51,8 @@ def pinv_psd(m: np.ndarray) -> np.ndarray:
     lam, vec = np.linalg.eigh(sym)
     cutoff = d * EIG_TRUNCATION * np.abs(lam).max(axis=-1, keepdims=True)
     inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
+    if root:
+        return vec * np.sqrt(np.maximum(inv, 0.0))[..., None, :]
     out = (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
     return 0.5 * (out + out.swapaxes(-1, -2))
 

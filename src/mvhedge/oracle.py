@@ -7,37 +7,29 @@ an equality-constrained QP on leaf densities.  Agreement between engine
 and oracle is therefore a genuine cross check, not a tautology.  Both
 read the sqrt(P)-weighted leaf x holding matrix of price increments
 along each leaf's path, path-sparse (a row is nonzero only in its
-ancestors' columns), built a tree level at a time from the parent,
-price and prob arrays; its normal matrix G is one bincount and the only
-one.  One solve of G for the cash column and the claim together serves
-the least squares, with free endowment or, along the cash column's
-solution, a fixed one, the QP (in range-space form, through the Schur
-complement of its diagonal Hessian) and the root's conditional check
-(the Schur complement of the cash column).  Every other node's check,
-the root's least squares restricted to the node's subtree, solves G's
-block on the subtree's holdings, the subtrees of one slice and shape as
-one stack.  G and its blocks are solved directly where a shifted
-Cholesky factor of G certifies that the pseudoinverse would truncate
-nothing, else through it.  The oracles rely on validate_tree's ordering
+ancestors' columns); its normal matrix G is one bincount and the only
+one.  G's nonzero blocks lie between a node and its ancestors, so its
+block LDL' factor, deepest node first and cash last, has no fill (the
+elimination tree: Liu, SIAM J. Matrix Anal. Appl. 11, 1990).  Pivots
+through pinv_psd make it a generalized inverse of G.  One solve for
+the cash column and the claim serves the least squares, with free or
+fixed endowment, and the QP; each node's check sums the factor's cash
+terms over its subtree.  The oracles rely on validate_tree's ordering
 contract, not the tree layout.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Infeasible, TooLarge
+from .errors import BadParameter, Infeasible, TooLarge
 from .linalg import pinv_psd
 from .tree import ScenarioTree
 
 MAX_ORACLE_LEAVES = 2000
 QP_FEAS_TOL = 1e-8   # relative constraint residual above which the QP is Infeasible
-# tau / (n r) of _certify, at least twice linalg.EIG_TRUNCATION: as r >= lambda_max,
-# the Cholesky factor of G - tau I proves lambda_min(G) > tau less its backward error,
-# about n u r (Higham, Accuracy and Stability of Numerical Algorithms, section 10.1),
-# so above pinv_psd's cutoff n EIG_TRUNCATION max|lambda|
-_CERTIFY = 1e-11
 
 
 @dataclass
@@ -57,15 +49,18 @@ class QpSolution:
 class _Factor:
     """Y (n_leaves, m) with unit columns, path-sparse: row j of Y is vals[j] in
     columns cols[j] (n_leaves, q), else 0, cash last; sqrt(w), the column norms,
-    G = Y'Y and whether _certify certified it, and so each principal block."""
+    G = Y'Y and its block LDL' factor, per depth, deepest first, then cash:
+    the depth's node columns (N, d), the columns of cash and their ancestors
+    (N, r), and R (N, d, d) and W = B R (N, r, d), where R R' = D^+, D the
+    pivot and B its block below, so that L's block is W R' and B D^+ B' = W W'."""
     cols: np.ndarray
     vals: np.ndarray
     sw: np.ndarray
     norms: np.ndarray
     gram: np.ndarray
-    certified: bool
-    cash_sol: np.ndarray | None = None   # G^+ e_c, c the cash column
-    claim_sol: tuple = (None, None)      # (claim, G^+ Y' sqrt(w) H)
+    steps: list
+    cash_sol: np.ndarray | None = None   # G^- e_c, c the cash column
+    claim_sol: tuple = (None, None)      # (claim, G^- Y' sqrt(w) H)
 
     def Yt(self, t: np.ndarray) -> np.ndarray:
         """Y't (m,), t (n_leaves,)."""
@@ -75,27 +70,38 @@ class _Factor:
         """Y x (n_leaves,), x (m,)."""
         return np.einsum("jq,jq->j", self.vals, x[self.cols])
 
-
-def _certify(G: np.ndarray) -> bool:
-    """Whether each G of the stack less tau = _CERTIFY n r times I, with r the
-    largest row sum of |G|, has a Cholesky factor, so that pinv_psd(G) would
-    truncate nothing and G^+ = G^-1 (see _CERTIFY).  It certifies every
-    principal block of G too: by Cauchy interlacing a block's smallest
-    eigenvalue is at least G's, and its n and r, so its tau, at most G's."""
-    n = G.shape[-1]
-    tau = _CERTIFY * n * np.abs(G).sum(axis=-1).max(axis=-1, initial=0.0)
-    shifted = G.copy()
-    shifted[..., range(n), range(n)] -= tau[..., None]
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.all(np.isfinite(tau)))
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """G^- rhs, rhs (m,) or (m, k): forward substitution deepest first, then
+        back substitution.  G G^- G = G, so for rhs in range(G), Y G^- rhs and
+        rhs' G^- rhs are G^+'s, and G^- rhs is off G^+ rhs by a null vector."""
+        x = rhs.reshape(len(rhs), -1).astype(float)
+        for cols, rows, w, r in self.steps:
+            x[cols] = r.swapaxes(1, 2) @ x[cols]
+            np.subtract.at(x, rows, w @ x[cols])
+        for cols, rows, w, r in reversed(self.steps):
+            x[cols] = r @ (x[cols] - w.swapaxes(1, 2) @ x[rows])
+        return x.reshape(rhs.shape)
 
 
-def _solve(G: np.ndarray, rhs: np.ndarray, certified: bool) -> np.ndarray:
-    """G^+ rhs, for a stack of G too: directly for (blocks of) a certified G."""
-    return np.linalg.solve(G, rhs) if certified else pinv_psd(G) @ rhs
+def _ldl(gram: np.ndarray, tree: ScenarioTree) -> list:
+    """_Factor's steps for G = gram.  By the ordering contract the inner nodes
+    of a depth are one id range and own the column blocks of their ids; a
+    node's rows, cash first, are its parent's and the parent's columns.
+    Siblings share their rows, hence subtract.at."""
+    d, m = tree.num_assets, len(gram)
+    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+    steps, rows = [(np.full((1, 1), m - 1), np.empty((1, 0), int))], np.full((1, 1), m - 1)
+    for lo, hi, end in zip(bounds, bounds[1:-1], bounds[2:]):
+        cols = np.arange(lo, hi)[:, None] * d + np.arange(d)
+        steps.insert(0, (cols, rows))
+        rows = np.hstack([rows, cols])[tree.parent[hi:end] - lo]
+    S = gram.copy()
+    for k, (cols, rows) in enumerate(steps):
+        r = pinv_psd(S[cols[..., None], cols[:, None]], root=True)
+        w = S[rows[..., None], cols[:, None]] @ r
+        np.subtract.at(S, (rows[..., None], rows[:, None]), w @ w.swapaxes(1, 2))
+        steps[k] = (cols, rows, w, r)
+    return steps
 
 
 def root_factor(tree: ScenarioTree, claim: np.ndarray | None = None) -> _Factor:
@@ -109,10 +115,8 @@ def root_factor(tree: ScenarioTree, claim: np.ndarray | None = None) -> _Factor:
     leaf j, q = horizon * d + 1 entries, and a last column of ones.  w is
     each leaf's probability, a product taken leaf first on the same
     ancestor walk that fills X.  Y's columns are scaled to unit norm (a
-    zero column keeps norm 1), so the certificate and the pseudoinverse
-    cutoff, relative to the largest eigenvalue, do not depend on the
-    price unit: cash (scale 1) and holdings (prices) weigh alike.  The
-    norms and G are bincounts."""
+    zero column keeps norm 1), so the pivots' pseudoinverse cutoff does
+    not depend on the price unit.  The norms and G are bincounts."""
     node = tree.leaves()
     if len(node) > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{len(node)} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
@@ -134,36 +138,40 @@ def root_factor(tree: ScenarioTree, claim: np.ndarray | None = None) -> _Factor:
     vals /= norms[cols]
     gram = np.bincount((cols[:, :, None] * m + cols[:, None, :]).ravel(),
                        (vals[:, :, None] * vals[:, None, :]).ravel(), m * m).reshape(m, m)
-    f = _Factor(cols, vals, sw, norms, gram, _certify(gram))
+    f = _Factor(cols, vals, sw, norms, gram, _ldl(gram, tree))
     rhs = [np.eye(1, m, m - 1)[0]] + ([] if claim is None else [f.Yt(sw * claim)])
-    sol = _solve(gram, np.stack(rhs, axis=-1), f.certified)
+    sol = f.solve(np.stack(rhs, axis=-1))
     f.cash_sol, f.claim_sol = sol[:, 0], (claim, None if claim is None else sol[:, 1])
     return f
 
 
 def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "free",
                    root: _Factor | None = None) -> LsqSolution:
-    """Minimize E[(v0 + gains_T - H)^2] over per-node holdings, H the payoff array claim.
+    """Minimize E[(v0 + gains_T - H)^2] over per-node holdings, H the payoff array
+    claim, v0 "free" or a finite number.
 
     The terminal wealth on each leaf is linear in v0 and the d holdings
     at every non-terminal node: a least squares in the sqrt(P)-weighted
-    space, x = G^+ Y' sqrt(w) H on root's G, read off root's solution for
-    the same claim object.  A fixed v0 moves x along y = G^+ e_c to the
-    cash coefficient v0 n_c (n_c the cash norm): x + (v0 n_c - x_c) / y_c y,
-    in range(G) and so of minimum norm, as no null vector of G has a cash
-    entry (a riskless profit, which the engine rejects as degenerate).
+    space, x = G^- Y' sqrt(w) H on root's G, read off root's solution for
+    the same claim object.  A fixed v0 moves x along y = G^- e_c to the
+    cash coefficient v0 n_c (n_c the cash norm): x + (v0 n_c - x_c) / y_c y.
+    Both are off the minimum-norm solutions by null vectors of G, which
+    change neither Y x nor, without a cash entry (a riskless profit, which
+    the engine rejects as degenerate), the cash coefficient or the wealth.
     """
+    free = v0 == "free"
+    if not (free or isinstance(v0, numbers.Real) and np.isfinite(v0)):
+        raise BadParameter(f"v0 must be 'free' or a finite number, got {v0!r}")
     f = root or root_factor(tree, claim)
     target = f.sw * claim
-    beta = f.claim_sol[1] if f.claim_sol[0] is claim else _solve(f.gram, f.Yt(target), f.certified)
-    if not isinstance(v0, str):
+    beta = f.claim_sol[1] if f.claim_sol[0] is claim else f.solve(f.Yt(target))
+    if not free:
         beta = beta + (v0 * f.norms[-1] - beta[-1]) / f.cash_sol[-1] * f.cash_sol
     resid = f.Yx(beta) - target
     beta = beta / f.norms
-    v0_opt = float(beta[-1]) if isinstance(v0, str) else float(v0)
-    # at the root, inner node a owns column block a
+    v0_opt = float(beta[-1]) if free else float(v0)
+    holdings = beta[:-1].reshape(-1, tree.num_assets)   # inner node a owns column block a
     bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    holdings = beta[:bounds[-2] * tree.num_assets].reshape(-1, tree.num_assets)
     value = np.full(len(tree.parent), v0_opt)
     for lo, hi in zip(bounds[1:-1].tolist(), bounds[2:].tolist()):
         up = tree.parent[lo:hi]
@@ -186,7 +194,7 @@ def martingale_qp(tree: ScenarioTree, root: _Factor | None = None) -> QpSolution
     so the range-space (Schur complement) form u = B (B'B)^+ b gives the
     P-weighted minimum-norm density whenever the constraints are
     consistent (Nocedal & Wright, Numerical Optimization, section 16.2);
-    b is a multiple of the cash unit vector, so (B'B)^+ b is cash_sol's.
+    b is a multiple of e_c, in range(B'B), so B (B'B)^+ b is B cash_sol's.
     """
     f = root or root_factor(tree)
     b = np.zeros(len(f.norms))
@@ -201,36 +209,21 @@ def martingale_qp(tree: ScenarioTree, root: _Factor | None = None) -> QpSolution
 def node_conditional_check(tree: ScenarioTree, root: _Factor | None = None) -> np.ndarray:
     """Conditional minimal squared error of hedging the constant payoff 1
     with zero endowment, starting at each node; equals the opportunity
-    process.  Leaves trivially give 1.  At the root it is 1 / G^+[c, c],
-    the Schur complement of root's unit cash column c, also for a
-    rank-deficient G.  Elsewhere the least squares is root's, restricted to
-    the node's leaves and the holdings of its inner subtree nodes, so it is
-    1 - g' G_nn^+ g / P(n), G_nn the block of G on those holdings, g the
-    block's column of Y' sqrt(w) and P(n) the node's leaf mass.  By the
-    ordering contract a node's descendants at each depth are one id range,
-    found by searchsorted on parent.  The subtrees of a later slice with
-    the same node count at every depth are solved as one stack."""
-    sq = np.ones(len(tree.parent))
-    if not tree.horizon:  # root_factor checks the size; a 0-period tree has one leaf
-        return sq
-    f = root or root_factor(tree)
-    sq[0] = 1.0 / f.cash_sol[-1]
-    d, bounds = tree.num_assets, np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    for t in range(1, tree.horizon):
-        lo = np.arange(bounds[t], bounds[t + 1])
-        ranges = [np.stack([lo, lo + 1])]   # per depth, each node's descendant id range
-        for _ in range(tree.horizon - t):
-            ranges.append(np.searchsorted(tree.parent, ranges[-1]))
-        first, end = np.transpose(ranges, (1, 2, 0))
-        shapes, group = np.unique(end - first, axis=0, return_inverse=True)
-        for k, counts in enumerate(shapes):
-            members = np.flatnonzero(group == k)
-            ids = [first[members, level, None] + np.arange(c) for level, c in enumerate(counts)]
-            cols = (np.hstack(ids[:-1])[..., None] * d + np.arange(d)).reshape(len(members), -1)
-            g = f.gram[cols, -1] * f.norms[-1]
-            quad = np.einsum("ij,ij->i", g, _solve(
-                f.gram[cols[..., None], cols[:, None]], g[..., None], f.certified)[..., 0])
-            sq[lo[members]] = 1.0 - quad / np.sum(f.sw[ids[-1] - bounds[-2]] ** 2, axis=1)
+    process.  Leaves give 1.  At an inner node n it is root's least
+    squares on n's leaves and the holdings of its inner subtree nodes,
+    1 - g' G_nn^+ g / P(n), G_nn the block of G on those holdings, g its
+    column of Y' sqrt(w) and P(n) the leaf mass.  The factor eliminates the
+    subtree first, so g' G_nn^+ g is n_c^2 times the sum over the subtree of
+    its cash terms |W[0]|^2, summed up the tree and P(n) with them."""
+    sq, f = np.ones(len(tree.parent)), root or root_factor(tree)
+    n, bounds = len(sq) - len(f.sw), np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+    sums = np.zeros((len(sq), 2))
+    sums[n:, 1] = f.sw ** 2
+    for cols, _, w, _ in f.steps[:-1]:
+        sums[cols[:, 0] // tree.num_assets, 0] = np.sum(w[:, 0] ** 2, axis=1)
+    for lo, hi in zip(bounds[-2:0:-1].tolist(), bounds[:0:-1].tolist()):
+        np.add.at(sums, tree.parent[lo:hi], sums[lo:hi])
+    sq[:n] = 1.0 - f.norms[-1] ** 2 * sums[:n, 0] / sums[:n, 1]
     return sq
 
 

@@ -36,6 +36,7 @@ from .errors import BadParameter
 
 PROB_SUM_TOL = 1e-12
 MAX_LEAVES = 2 ** 20
+MAX_PERIODS = 20   # the deepest binary tree within MAX_LEAVES
 MAX_VIOLATIONS = 100   # validate_tree reports at most this many
 NOT_NUMBERS = (("boolean", (bool, np.bool_)), ("string", str))   # float() reads them as numbers
 
@@ -261,8 +262,10 @@ def _build(s0, regimes, transition, initial_regime, periods: int, mode: str) -> 
                      for d, p in zip(deltas, probs)
                      for nxt in range(n_reg) if trans[cur, nxt] > 0.0])
     branching = max(n_reg * len(law) for law in regimes)
-    if branching ** periods > MAX_LEAVES:
+    if branching ** min(periods, MAX_PERIODS + 1) > MAX_LEAVES:
         raise BadParameter("tree would exceed the leaf bound 2^20")
+    if periods > MAX_PERIODS:   # a one-point law: one leaf at any depth
+        raise BadParameter(f"periods must be at most {MAX_PERIODS}, got {periods}")
     return _grow(s0, periods, laws, mode, initial_regime)
 
 

@@ -676,23 +676,50 @@ def node_oracle_loop(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:
     return check, sharpe
 
 
-def fixed_v0_lsq_loop(tree: ScenarioTree, claim: np.ndarray,
-                      v0: float) -> tuple[float, np.ndarray]:
-    """(min_error, value_process) of the least squares with v0 fixed,
-    solved on the root's G without its cash row and column: the target is
-    sqrt(w) (H - v0) and the cash coefficient stays 0.  The wealth is
-    rolled forward node by node."""
+def lsq_loop(tree: ScenarioTree, claim: np.ndarray, v0) -> tuple[float, float, np.ndarray]:
+    """(min_error, v0, value_process) of the least squares through pinv_psd:
+    with v0 "free" on the root's G, with v0 fixed on G without its cash
+    row and column, where the target is sqrt(w) (H - v0) and the cash
+    coefficient stays 0.  The wealth is rolled forward node by node."""
     f = mv.oracle.root_factor(tree)
-    target = f.sw * (claim - v0)
+    free = v0 == "free"
+    target = f.sw * (claim - (0.0 if free else v0))
+    keep = slice(None) if free else slice(-1)
     beta = np.zeros(len(f.norms))
-    beta[:-1] = mv.oracle._solve(f.gram[:-1, :-1], f.Yt(target)[:-1], f.certified)
+    beta[keep] = mv.pinv_psd(f.gram[keep, keep]) @ f.Yt(target)[keep]
     resid = f.Yx(beta) - target
-    holdings = (beta / f.norms)[:-1].reshape(-1, tree.num_assets)
-    value = np.full(len(tree.nodes), float(v0))
+    beta /= f.norms
+    v0 = float(beta[-1]) if free else float(v0)
+    holdings = beta[:-1].reshape(-1, tree.num_assets)
+    value = np.full(len(tree.nodes), v0)
     for i in tree.nodes[1:]:
         up = tree.parent[i]
         value[i] = value[up] + float((tree.price[i] - tree.price[up]) @ holdings[up])
-    return float(resid @ resid), value
+    return float(resid @ resid), v0, value
+
+
+def node_check_pinv_loop(tree: ScenarioTree) -> np.ndarray:
+    """The oracle's node checks through pinv_psd, node by node: at an inner
+    node n, 1 - g' G_nn^+ g / P(n), G_nn the block of the root's G on the
+    holdings of n's inner subtree nodes, g its cash column times the cash
+    norm and P(n) the sum of sqrt(w)^2 over n's leaves."""
+    f = mv.oracle.root_factor(tree)
+    first_leaf, d = len(tree.nodes) - len(tree.leaves()), tree.num_assets
+    check = np.ones(len(tree.nodes))
+    for i in range(first_leaf):
+        _, ids = subtree_at(tree, i)
+        cols = (ids[ids < first_leaf, None] * d + np.arange(d)).ravel()
+        g = f.gram[cols, -1] * f.norms[-1]
+        mass = np.sum(f.sw[ids[ids >= first_leaf] - first_leaf] ** 2)
+        check[i] = 1.0 - g @ mv.pinv_psd(f.gram[np.ix_(cols, cols)]) @ g / mass
+    return check
+
+
+def singular(G: np.ndarray) -> bool:
+    """Whether pinv_psd(G) truncates an eigenvalue of G: one of magnitude at
+    most n 1e-12 times the largest."""
+    lam = np.abs(np.linalg.eigvalsh(G))
+    return bool(lam.min() <= len(G) * mv.linalg.EIG_TRUNCATION * lam.max())
 
 
 def dense_increments(tree: ScenarioTree, first: np.ndarray, counts: np.ndarray,

@@ -118,6 +118,26 @@ def test_hedge_writes_no_non_finite_number(tmp_path, command, doc, flags):
         assert not (out / name).exists(), name
 
 
+ONE_POINT = {"type": "regime", "s0": [10.0], "regimes": [[{"delta": [0.0], "p": 1.0}]],
+             "transition": [[1.0]], "initial_regime": 0}
+
+
+@pytest.mark.parametrize("model,message", [
+    (dict(BINOMIAL_1, periods=10**30), "tree would exceed the leaf bound 2^20"),
+    (dict(ONE_POINT, periods=10**8), "periods must be at most 20, got 100000000"),
+])
+def test_huge_periods_exit_at_once(tmp_path, model, message):
+    # the leaf bound is checked without forming branching ** periods, and
+    # the periods of a law that never branches are bounded too; each
+    # command runs in a process of its own, which a hang would overrun
+    cfg = write_config(tmp_path, {"model": model, "claim": CALL10})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-m", "mvhedge.cli", "hedge", "--config", cfg,
+                          "--out", str(tmp_path / "o")], env=env, capture_output=True, timeout=5)
+    assert run.returncode == 2
+    assert run.stderr.decode() == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("s0", [1e-160, 1e160])
 @pytest.mark.parametrize("command,flags", [
     ("hedge", ["--out"]), ("verify", []), ("backtest", ["--paths", "100", "--out"]),
@@ -484,19 +504,19 @@ def test_worst_line_node(capsys):
 
 
 def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int]:
-    """The shapes of the matrices that verify on cfg certifies and that it
-    hands to np.linalg.cholesky, and the sizes of the matrices as large as
-    the root's normal matrix (or its block without the cash column) that it
-    hands to pinv_psd and, with the number of right-hand sides, to
-    np.linalg.solve."""
+    """The shapes of the matrices that verify on cfg hands to
+    np.linalg.cholesky, the sizes of the matrices as large as the root's
+    normal matrix (or its block without the cash column) that it hands to
+    pinv_psd and, with the number of right-hand sides, to np.linalg.solve,
+    and the shapes of the right-hand sides of the root factor's solves."""
     tree = build_model(load_config(cfg)["model"])
     root_cols = int(np.count_nonzero(tree.time < tree.horizon)) * tree.num_assets + 1
-    certified, cholesky, pinv, solves = [], [], [], []
+    cholesky, pinv, solves, factor_solves = [], [], [], []
 
     def spy(seen, original, record=lambda m: [m.shape]):
-        def call(m):
+        def call(m, *args, **kwargs):
             seen.extend(record(m))
-            return original(m)
+            return original(m, *args, **kwargs)
         return call
 
     def solve_spy(a, b, solve=np.linalg.solve):
@@ -504,30 +524,33 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int
             solves.append((a.shape[-1], b.shape[-1]))
         return solve(a, b)
 
-    monkeypatch.setattr(mv.oracle, "_certify", spy(certified, mv.oracle._certify))
+    def factor_solve(f, rhs, solve=mv.oracle._Factor.solve):
+        factor_solves.append(rhs.shape)
+        return solve(f, rhs)
+
     monkeypatch.setattr(np.linalg, "cholesky", spy(cholesky, np.linalg.cholesky))
     monkeypatch.setattr(mv.oracle, "pinv_psd", spy(
         pinv, mv.oracle.pinv_psd, lambda m: [m.shape[-1]] * int(np.prod(m.shape[:-2]))))
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
+    monkeypatch.setattr(mv.oracle._Factor, "solve", factor_solve)
     assert main(["verify", "--config", cfg]) == 0
-    return (certified, cholesky, [n for n in pinv if n >= root_cols - 1], solves, root_cols)
+    return (cholesky, [n for n in pinv if n >= root_cols - 1], solves, factor_solves, root_cols)
 
 
 def test_verify_factors_the_root_once(monkeypatch, tmp_path):
     # the least squares, the QP and every node check share one normal
-    # matrix, the root's; no other matrix is as large.  It is certified,
-    # with one Cholesky factor, once, which certifies the node checks'
-    # blocks too, and solved directly, once for the cash column and the
-    # claim together, or, for a duplicated asset, which makes it
-    # singular, replaced by its pseudoinverse
-    certified, cholesky, pinv, solves, n = root_size_solves(monkeypatch, GOLDEN_CONFIG)
-    assert (certified, cholesky, pinv, solves) == ([(n, n)], [(n, n)], [], [(n, 2)])
+    # matrix, the root's; it is factored once, block by block, and solved
+    # once, for the cash column and the claim together.  No matrix of root
+    # size is Cholesky-factored, solved or pseudo-inverted, also where a
+    # duplicated asset makes it singular
+    cholesky, pinv, solves, factor_solves, n = root_size_solves(monkeypatch, GOLDEN_CONFIG)
+    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n, 2)])
     dup = {"type": "iid", "s0": [10.0, 10.0], "periods": 3,
            "increments": [{"delta": [x, x], "p": p} for x, p in ((1.0, 0.3), (0.0, 0.4),
                                                                   (-1.0, 0.3))]}
     cfg = write_config(tmp_path, {"model": dup, "claim": CALL10})
-    certified, cholesky, pinv, solves, n = root_size_solves(monkeypatch, cfg)
-    assert (certified, cholesky, pinv, solves) == ([(n, n)], [(n, n)], [n], [])
+    cholesky, pinv, solves, factor_solves, n = root_size_solves(monkeypatch, cfg)
+    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n, 2)])
 
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])

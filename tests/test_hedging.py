@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import mvhedge as mv
 
 from gen import (binomial_06, martingale_trinomial, random_claim, random_tree,
-                 reverse_children, rollout_path, shift_adjustment, split_child, step,
-                 uneven_regime_args, uneven_regime_tree)
+                 reverse_children, rollout_path, shift_adjustment, singular, split_child,
+                 step, uneven_regime_args, uneven_regime_tree)
 
 
 def make_call(tree, strike=10.0):
@@ -211,9 +211,9 @@ def test_duplicated_asset(seed):
     assert np.allclose(qp2.leaf_density, qp.leaf_density, rtol=1e-9, atol=1e-9 * z_scale)
     assert mv.lsq_projection(dup, claim, "free").min_error == pytest.approx(
         err2, rel=1e-9, abs=1e-9 * scale * scale)
-    # the root's check is a Schur complement of a rank-deficient normal
-    # matrix, which fails the oracle's certificate and takes pinv_psd
-    assert not mv.oracle.root_factor(dup).certified
+    # the node checks sum Schur terms of a rank-deficient normal matrix,
+    # whose pivots pinv_psd truncates
+    assert singular(mv.oracle.root_factor(dup).gram)
     assert np.allclose(mv.node_conditional_check(dup), surf.L, rtol=1e-9, atol=0.0)
 
 

@@ -32,6 +32,21 @@ def test_non_square_raises(shape):
         pinv_psd(np.ones(shape))
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_root_factors_the_pseudoinverse(seed):
+    # R R' = m^+ for PSD m, also rank-deficient, and a stack's R is each
+    # member's own, bit for bit
+    rng = np.random.default_rng(300 + seed)
+    d = int(rng.integers(1, 6))
+    B = rng.normal(size=(3, d, int(rng.integers(1, d + 1))))
+    m = B @ B.swapaxes(1, 2)
+    R = pinv_psd(m, root=True)
+    assert np.allclose(R @ R.swapaxes(1, 2), pinv_psd(m), rtol=0.0,
+                       atol=1e-12 * np.abs(pinv_psd(m)).max())
+    for k in range(3):
+        assert np.array_equal(pinv_psd(m[k], root=True), R[k])
+
+
 @pytest.mark.parametrize("seed", range(20))
 def test_penrose_identities_random_psd(seed):
     rng = np.random.default_rng(seed)

@@ -1,4 +1,6 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ import mvhedge as mv
 from mvhedge import linalg, oracle
 from mvhedge.tree import ScenarioTree
 
-from gen import (binomial_06, dense_increments, fixed_v0_lsq_loop, martingale_trinomial,
-                 node_oracle_loop, random_claim, random_tree, scaled_tree, subtree_stacks,
-                 uneven_regime_tree)
+from gen import (binomial_06, dense_increments, lsq_loop, martingale_trinomial,
+                 node_check_pinv_loop, node_oracle_loop, random_claim, random_tree,
+                 scaled_tree, singular, subtree_stacks, uneven_regime_tree)
 
 
 def test_lsq_complete_binomial_free_endowment():
@@ -157,10 +159,40 @@ def test_prices_times_k(k, case):
     assert np.allclose(mv.node_conditional_check(scaled), surf_k.L, rtol=1e-9, atol=0.0)
 
 
+def near_duplicated(tree, eps):
+    """tree with a copy of its last asset, moved off it by eps times a draw
+    per node: G is full rank, with a small eigenvalue that shrinks with eps."""
+    d = tree.num_assets
+    noise = np.random.default_rng(1450).normal(size=len(tree.parent))
+    price = np.column_stack([tree.price, tree.price[:, -1] + eps * noise])
+    return dataclasses.replace(tree, num_assets=d + 1, price=price)
+
+
 def test_certificate_clears_the_pinv_cutoff():
-    # tau = c n r with r >= lambda_max must exceed pinv_psd's cutoff
-    # n 1e-12 lambda_max by more than Cholesky's backward error
-    assert oracle._CERTIFY >= 2 * linalg.EIG_TRUNCATION
+    # no certificate: the factor keeps every eigenvalue that pinv_psd(G)
+    # keeps, as each pivot, a Schur complement of G, has its smallest
+    # eigenvalue at least G's and its largest at most G's, and a cutoff
+    # d 1e-12 below G's m 1e-12.  A near-duplicated asset puts G's smallest
+    # eigenvalue within a decade of the cutoff; the pivots' square roots
+    # keep the solve as accurate as pinv_psd(G)'s there
+    trinomial = mv.build_iid_multinomial([10.0], [([1.2], 0.3), ([0.1], 0.4), ([-1.0], 0.3)], 3)
+    f = oracle.root_factor(near_duplicated(trinomial, 1e-3))
+    lam = np.linalg.eigvalsh(f.gram)
+    assert not singular(f.gram) and lam[0] < 10 * len(lam) * linalg.EIG_TRUNCATION * lam[-1]
+    rhs = np.random.default_rng(1470).normal(size=(len(lam), 3))
+    cond = lam[-1] / lam[0]
+    assert_close(f.solve(rhs), mv.pinv_psd(f.gram) @ rhs, 1e-14 * cond)
+    assert_close(f.gram @ f.solve(rhs), rhs, 1e-14 * cond)
+
+
+def test_oracle_calls_no_dense_solver():
+    # one fill-free factor: no numpy.linalg solve, Cholesky or inverse
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    linalg_calls = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Attribute) and node.value.attr == "linalg"}
+    imports = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert linalg_calls & {"solve", "cholesky", "inv"} == set()
+    assert "numpy.linalg" not in imports
 
 
 def dense(f):
@@ -204,7 +236,7 @@ def test_path_sparse_factor_matches_dense(case):
     # column times the cash norm, over sqrt(P(n)), is the subtree's Y' sqrt(w)
     tree, first, counts, cash = factor_cases()[case]
     f = oracle.root_factor(tree)
-    assert f.certified
+    assert not singular(f.gram)
     if first[0, 0] == 0:   # the root; a stack's subtrees start at depth 1 or later
         Y, norms = dense_increments(tree, first, counts, cash)
         (Y, norms), keep = (Y[0], norms[0]), slice(None if cash else -1)
@@ -232,9 +264,9 @@ def test_lsq_reads_the_root_solve_only_for_its_claim(monkeypatch):
     claim, other = random_claim(rng, tree), random_claim(rng, tree)
     root = oracle.root_factor(tree, claim=claim)
     solves = []
-    solve = oracle._solve
-    monkeypatch.setattr(oracle, "_solve", lambda G, rhs, c: solves.append(rhs.shape)
-                        or solve(G, rhs, c))
+    solve = oracle._Factor.solve
+    monkeypatch.setattr(oracle._Factor, "solve", lambda f, rhs: solves.append(rhs.shape)
+                        or solve(f, rhs))
     for c, made in ((claim, []), (other, [root.norms.shape])):
         solves.clear()
         got = mv.lsq_projection(tree, c, "free", root)
@@ -267,8 +299,8 @@ def test_fixed_v0_lsq_matches_the_block_solve(case, v0):
     # gives the solution of G without the cash row and column
     tree, claim = fixed_v0_cases()[case]
     if case in range(9, 13):
-        assert not oracle.root_factor(tree).certified
-    error, value = fixed_v0_lsq_loop(tree, claim, v0)
+        assert singular(oracle.root_factor(tree).gram)
+    error, _, value = lsq_loop(tree, claim, v0)
     sol = mv.lsq_projection(tree, claim, v0)
     scale = max(1.0, v0, float(np.max(np.abs(claim))))
     assert sol.v0_opt == v0
@@ -283,61 +315,90 @@ def test_lsq_without_a_factor_solves_the_root_once(monkeypatch, v0):
     claim = random_claim(rng, tree)
     m = len(oracle.root_factor(tree).norms)
     shapes = []
-    solve = oracle._solve
-    monkeypatch.setattr(oracle, "_solve", lambda G, rhs, c: shapes.append(G.shape)
-                        or solve(G, rhs, c))
+    solve = oracle._Factor.solve
+    monkeypatch.setattr(oracle._Factor, "solve", lambda f, rhs: shapes.append(rhs.shape)
+                        or solve(f, rhs))
     mv.lsq_projection(tree, claim, v0)
-    assert shapes == [(m, m)]
+    assert shapes == [(m, 2)]   # the cash column and the claim, together
+
+
+def zero_column(tree):
+    """tree with a second asset whose price never moves: an all-zero column
+    of Y at every inner node, which makes G singular."""
+    price = np.column_stack([tree.price, np.full(len(tree.parent), 7.0)])
+    return dataclasses.replace(tree, num_assets=tree.num_assets + 1, price=price)
+
+
+def full_rank_cases():
+    rng = np.random.default_rng(1600)
+    return [*(random_tree(rng) for _ in range(4)), uneven_regime_tree(3), binomial_06(4)]
+
+
+def singular_cases():
+    rng = np.random.default_rng(1610)
+    trees = [duplicated(random_tree(rng)) for _ in range(3)]
+    return trees + [duplicated(uneven_regime_tree(3)), zero_column(binomial_06(3)),
+                    zero_column(random_tree(rng, d=1))]
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_certified_factor_matches_pinv(seed):
-    rng = np.random.default_rng(1600 + seed)
-    tree = random_tree(rng)
+    # where G has full rank, the factor's solve is pinv_psd(G)'s
+    tree = full_rank_cases()[seed]
     f = oracle.root_factor(tree)
-    assert f.certified
-    for G in (f.gram, f.gram[:-1, :-1]):
-        rhs = rng.normal(size=len(G))
-        assert_close(oracle._solve(G, rhs, f.certified), mv.pinv_psd(G) @ rhs, 1e-12)
+    assert not singular(f.gram)
+    rhs = np.random.default_rng(1620 + seed).normal(size=(len(f.norms), 3))
+    assert_close(f.solve(rhs), mv.pinv_psd(f.gram) @ rhs, 1e-12)
+    assert_close(f.solve(rhs[:, 0]), mv.pinv_psd(f.gram) @ rhs[:, 0], 1e-12)
     assert_close(f.cash_sol, mv.pinv_psd(f.gram)[:, -1], 1e-12)
 
 
 @pytest.mark.parametrize("case", range(7))
 def test_certified_root_certifies_its_blocks(case):
-    # by Cauchy interlacing, every block the node checks solve, and G
-    # without its cash row and column, passes the certificate of a
-    # certified root
+    # every node check is a subtree sum of the factor's cash terms, which
+    # equals g' G_nn^+ g on the subtree's block, pinv_psd'd, for the root
+    # (G without cash) and each stack of later subtrees
     rng = np.random.default_rng(1650 + case)
     tree = uneven_regime_tree(3) if case == 0 else random_tree(rng)
     f = oracle.root_factor(tree)
-    assert f.certified and oracle._certify(f.gram[:-1, :-1])
+    got = oracle.node_conditional_check(tree, f)
+    g = f.gram[:-1, -1] * f.norms[-1]
+    assert got[0] == pytest.approx(1.0 - g @ mv.pinv_psd(f.gram[:-1, :-1]) @ g, rel=1e-12)
     for first, counts in subtree_stacks(tree):
-        cols, _ = block_cols(tree, first, counts)
-        assert oracle._certify(f.gram[cols[..., None], cols[:, None]])
-
-
-def spectrum_gram(rng, spectra):
-    """A stack of G = Y'Y on square Y = Q diag(sqrt(lam)) Q', one per
-    spectrum, so that G has eigenvalues lam up to rounding."""
-    Y = []
-    for lam in spectra:
-        q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
-        Y.append((q * np.sqrt(lam)) @ q.T)
-    Y = np.array(Y)
-    return Y.swapaxes(1, 2) @ Y
+        cols, leaves = block_cols(tree, first, counts)
+        g = f.gram[cols, -1] * f.norms[-1]
+        quad = np.einsum("ij,ijk,ik->i", g, mv.pinv_psd(f.gram[cols[..., None], cols[:, None]]), g)
+        want = 1.0 - quad / np.sum(f.sw[leaves] ** 2, axis=1)
+        assert np.allclose(got[first[:, 0]], want, rtol=1e-12, atol=0.0)
 
 
 def test_certificate_rejects_an_eigenvalue_at_the_pinv_cutoff():
+    # where G is singular (a duplicated asset, a price that never moves),
+    # pivots through pinv_psd drop its null space: the factor is a
+    # generalized inverse, whose Y-image, cash coefficient, least squares,
+    # wealth and node checks are pinv_psd(G)'s
     rng = np.random.default_rng(1700)
-    n = 6
-    at_cutoff = [1.0, 0.8, 0.5, 0.3, 0.2, n * linalg.EIG_TRUNCATION]
-    well_above = [1.0, 0.8, 0.5, 0.3, 0.2, 1e-3]
-    assert oracle._certify(spectrum_gram(rng, [well_above]))
-    assert oracle._certify(spectrum_gram(rng, [well_above, well_above]))
-    for spectra in ([at_cutoff], [well_above, at_cutoff]):
-        # the whole stack takes the pinv_psd path, bit for bit
-        G = spectrum_gram(rng, spectra)
-        certified = oracle._certify(G)
-        assert not certified
-        rhs = rng.normal(size=(*G.shape[:2], 1))
-        assert np.array_equal(oracle._solve(G, rhs, certified), mv.pinv_psd(G) @ rhs)
+    for tree in singular_cases():
+        f = oracle.root_factor(tree)
+        assert singular(f.gram)
+        claim = random_claim(rng, tree)
+        rhs = f.Yt(f.sw * claim)
+        got, want = f.solve(rhs), mv.pinv_psd(f.gram) @ rhs
+        assert_close(f.Yx(got), f.Yx(want), 1e-12)
+        assert got[-1] == pytest.approx(want[-1], rel=1e-12)
+        for v0 in ("free", 0.37):
+            sol = mv.lsq_projection(tree, claim, v0)
+            error, v0_opt, value = lsq_loop(tree, claim, v0)
+            scale = max(1.0, float(np.max(np.abs(claim))))
+            assert sol.v0_opt == pytest.approx(v0_opt, rel=1e-12)
+            assert sol.min_error == pytest.approx(error, rel=1e-12, abs=1e-12 * scale * scale)
+            assert_close(sol.value_process, value, 1e-12)
+        want = node_check_pinv_loop(tree)
+        assert np.allclose(oracle.node_conditional_check(tree, f), want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("v0", ["fre", "", None, np.nan, np.inf, -np.inf, [0.3]])
+def test_lsq_rejects_a_v0_neither_free_nor_finite(v0):
+    tree = binomial_06()
+    with pytest.raises(mv.BadParameter, match="v0 must be 'free' or a finite number"):
+        mv.lsq_projection(tree, np.ones(2), v0)
