@@ -53,7 +53,8 @@ def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
 
 @contextmanager
 def _typed(where: str):
-    """Turn a mistyped config value's TypeError/ValueError, or a missing key, into BadParameter."""
+    """Turn a mistyped config or summary value's TypeError/ValueError, or a missing key,
+    into BadParameter."""
     try:
         yield
     except BadParameter:
@@ -251,7 +252,7 @@ def cmd_verify(args) -> int:
     ok = True
 
     report = hedging.hedging_error(tree, surf, plan, plan.v0)
-    root = oracle.root_factor(tree, claim=claim)
+    root = oracle.root_factor(tree)
     lsq = oracle.lsq_projection(tree, claim, "free", root)
     ok &= _check_line("lsq_v0", 0, plan.v0, lsq.v0_opt, tol)
     ok &= _check_line("lsq_min_error", 0, report.total_error, lsq.min_error, tol)
@@ -265,7 +266,6 @@ def cmd_verify(args) -> int:
     ok &= _worst_line("qp_leaf_density", leaves, mea.z_qstar[leaves], qp.leaf_density, tol)
 
     node_L = oracle.node_conditional_check(tree, root)
-    del root
     ok &= _check_lines({"node_L": (surf.L, node_L)}, tree.nodes, tol)
 
     ok &= _check_lines(opportunity.identities(tree, surf, mea), tree.layout.inner, tol)
@@ -282,8 +282,9 @@ def cmd_verify(args) -> int:
         v0 = _resolve_v0(stored.get("v0"), plan)
         engine = {"V0": plan.v0, "L0": surf.L[0],
                   "total_error": hedging.hedging_error(tree, surf, plan, v0).total_error}
-        summary = {key: _finite(stored[key], f"summary {key} must be a finite number")
-                   for key in engine}
+        with _typed("summary"):
+            summary = {key: _finite(stored[key], f"summary {key} must be a finite number")
+                       for key in engine}
         for key, value in summary.items():
             ok &= _check_line(f"summary_{key}", 0, value, engine[key], tol)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL

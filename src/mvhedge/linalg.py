@@ -43,10 +43,10 @@ def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
     d = m.shape[-1]
     if m.size == 0:
         return m.copy()
-    # an exactly symmetric input is its own symmetric part; not copying it
-    # keeps one (d, d) array fewer alive through eigh on the oracle's large
-    # solves.  In a stack with some asymmetric member, 0.5 * (m + mT) leaves
-    # the exactly symmetric members unchanged (short of overflow near 1e308)
+    # an exactly symmetric input is its own symmetric part: taken as is, it
+    # cannot overflow in m + mT, as the covariances of prices near 1e155 do
+    # (entries past 9e307).  In a stack with some asymmetric member, 0.5 *
+    # (m + mT) leaves the exactly symmetric ones unchanged, short of overflow
     sym = 0.5 * (m + mT) if np.count_nonzero(asym) else m
     lam, vec = np.linalg.eigh(sym)
     cutoff = d * EIG_TRUNCATION * np.abs(lam).max(axis=-1, keepdims=True)

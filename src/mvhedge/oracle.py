@@ -5,22 +5,24 @@ pseudoinverse: the hedging problem is solved as one flat weighted least
 squares over all per-node holdings, and the variance-optimal measure as
 an equality-constrained QP on leaf densities.  Agreement between engine
 and oracle is therefore a genuine cross check, not a tautology.  Both
-read the sqrt(P)-weighted leaf x holding matrix of price increments
+read the sqrt(P)-weighted leaf x holding matrix Y of price increments
 along each leaf's path, path-sparse (a row is nonzero only in its
-ancestors' columns); its normal matrix G is one bincount and the only
-one.  G's nonzero blocks lie between a node and its ancestors, so its
-block LDL' factor, deepest node first and cash last, has no fill (the
-elimination tree: Liu, SIAM J. Matrix Anal. Appl. 11, 1990).  Pivots
-through pinv_psd make it a generalized inverse of G.  One solve for
-the cash column and the claim serves the least squares, with free or
-fixed endowment, and the QP; each node's check sums the factor's cash
-terms over its subtree.  The oracles rely on validate_tree's ordering
-contract, not the tree layout.
+ancestors' columns).  Its normal matrix G = Y'Y is never formed: a
+node's least squares is the one on its own leaves, so G's block LDL'
+factor, deepest node first and cash last, is built front by front up
+the tree (the multifrontal method: Duff & Reid, ACM TOMS 9, 1983; Liu,
+SIAM Review 34, 1992), each front no larger than a leaf's path.
+Pivots through pinv_psd make it a generalized inverse of G.  The
+least squares solves its claim, and a fixed endowment and the QP the
+cash column; each node's check sums the factor's cash terms over its
+subtree.  The oracles rely on validate_tree's ordering contract, not
+the tree layout.
 """
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,8 +50,8 @@ class QpSolution:
 @dataclass
 class _Factor:
     """Y (n_leaves, m) with unit columns, path-sparse: row j of Y is vals[j] in
-    columns cols[j] (n_leaves, q), else 0, cash last; sqrt(w), the column norms,
-    G = Y'Y and its block LDL' factor, per depth, deepest first, then cash:
+    columns cols[j] (n_leaves, q), else 0, cash last; sqrt(w), the column norms
+    and the block LDL' factor of G = Y'Y, per depth, deepest first, then cash:
     the depth's node columns (N, d), the columns of cash and their ancestors
     (N, r), and R (N, d, d) and W = B R (N, r, d), where R R' = D^+, D the
     pivot and B its block below, so that L's block is W R' and B D^+ B' = W W'."""
@@ -57,10 +59,12 @@ class _Factor:
     vals: np.ndarray
     sw: np.ndarray
     norms: np.ndarray
-    gram: np.ndarray
     steps: list
-    cash_sol: np.ndarray | None = None   # G^- e_c, c the cash column
-    claim_sol: tuple = (None, None)      # (claim, G^- Y' sqrt(w) H)
+
+    @cached_property
+    def cash_sol(self) -> np.ndarray:
+        """G^- e_c, c the cash column."""
+        return self.solve(np.eye(1, len(self.norms), len(self.norms) - 1)[0])
 
     def Yt(self, t: np.ndarray) -> np.ndarray:
         """Y't (m,), t (n_leaves,)."""
@@ -83,31 +87,28 @@ class _Factor:
         return x.reshape(rhs.shape)
 
 
-def _ldl(gram: np.ndarray, tree: ScenarioTree) -> list:
-    """_Factor's steps for G = gram.  By the ordering contract the inner nodes
-    of a depth are one id range and own the column blocks of their ids; a
-    node's rows, cash first, are its parent's and the parent's columns.
-    Siblings share their rows, hence subtract.at."""
-    d, m = tree.num_assets, len(gram)
-    bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    steps, rows = [(np.full((1, 1), m - 1), np.empty((1, 0), int))], np.full((1, 1), m - 1)
-    for lo, hi, end in zip(bounds, bounds[1:-1], bounds[2:]):
-        cols = np.arange(lo, hi)[:, None] * d + np.arange(d)
-        steps.insert(0, (cols, rows))
-        rows = np.hstack([rows, cols])[tree.parent[hi:end] - lo]
-    S = gram.copy()
-    for k, (cols, rows) in enumerate(steps):
-        r = pinv_psd(S[cols[..., None], cols[:, None]], root=True)
-        w = S[rows[..., None], cols[:, None]] @ r
-        np.subtract.at(S, (rows[..., None], rows[:, None]), w @ w.swapaxes(1, 2))
-        steps[k] = (cols, rows, w, r)
-    return steps
+def _ldl(cols: np.ndarray, vals: np.ndarray, tree: ScenarioTree) -> list:
+    """_Factor's steps for G = Y'Y, front by front up the tree.  A leaf's
+    front is y y', y its row of Y with cash first, then its ancestors'
+    columns, root first; a node's is the sum of its children's, siblings
+    being one id range by the ordering contract.  Its last d columns, the
+    node's own, are eliminated, and front - W W' on the rest goes up."""
+    d, bounds = tree.num_assets, np.searchsorted(tree.time, np.arange(tree.horizon + 2))
+    idx, y = np.roll(cols, 1, axis=1), np.roll(vals, 1, axis=1)
+    front, steps = y[:, :, None] * y[:, None, :], []
+    for lo, hi in zip(bounds[-2:0:-1].tolist(), bounds[:0:-1].tolist()):
+        first = np.flatnonzero(np.diff(tree.parent[lo:hi], prepend=-1))
+        front, idx = np.add.reduceat(front, first), idx[first]
+        r = pinv_psd(front[:, -d:, -d:], root=True)
+        w = front[:, :-d, -d:] @ r
+        steps.append((idx[:, -d:], idx[:, :-d], w, r))
+        front, idx = front[:, :-d, :-d] - w @ w.swapaxes(1, 2), idx[:, :-d]
+    return steps + [(idx, idx[:, :0], front[:, :0], pinv_psd(front, root=True))]
 
 
-def root_factor(tree: ScenarioTree, claim: np.ndarray | None = None) -> _Factor:
-    """The _Factor of Y = sqrt(w) X for the whole tree, and one solve of
-    G x = [e_c, Y' sqrt(w) H] for the root oracles and lsq_projection of
-    claim, the payoff array H.
+def root_factor(tree: ScenarioTree) -> _Factor:
+    """The _Factor of Y = sqrt(w) X for the whole tree, which the root
+    oracles share.
 
     Row j of X (n_leaves, m) holds, in the d columns of block a of the
     ancestor a of leaf j (by the ordering contract inner nodes come
@@ -116,7 +117,7 @@ def root_factor(tree: ScenarioTree, claim: np.ndarray | None = None) -> _Factor:
     each leaf's probability, a product taken leaf first on the same
     ancestor walk that fills X.  Y's columns are scaled to unit norm (a
     zero column keeps norm 1), so the pivots' pseudoinverse cutoff does
-    not depend on the price unit.  The norms and G are bincounts."""
+    not depend on the price unit.  The norms are a bincount."""
     node = tree.leaves()
     if len(node) > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{len(node)} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
@@ -136,13 +137,7 @@ def root_factor(tree: ScenarioTree, claim: np.ndarray | None = None) -> _Factor:
     norms = np.sqrt(np.bincount(cols.ravel(), (vals * vals).ravel(), m))
     norms[norms == 0.0] = 1.0
     vals /= norms[cols]
-    gram = np.bincount((cols[:, :, None] * m + cols[:, None, :]).ravel(),
-                       (vals[:, :, None] * vals[:, None, :]).ravel(), m * m).reshape(m, m)
-    f = _Factor(cols, vals, sw, norms, gram, _ldl(gram, tree))
-    rhs = [np.eye(1, m, m - 1)[0]] + ([] if claim is None else [f.Yt(sw * claim)])
-    sol = f.solve(np.stack(rhs, axis=-1))
-    f.cash_sol, f.claim_sol = sol[:, 0], (claim, None if claim is None else sol[:, 1])
-    return f
+    return _Factor(cols, vals, sw, norms, _ldl(cols, vals, tree))
 
 
 def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "free",
@@ -152,19 +147,22 @@ def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "fre
 
     The terminal wealth on each leaf is linear in v0 and the d holdings
     at every non-terminal node: a least squares in the sqrt(P)-weighted
-    space, x = G^- Y' sqrt(w) H on root's G, read off root's solution for
-    the same claim object.  A fixed v0 moves x along y = G^- e_c to the
-    cash coefficient v0 n_c (n_c the cash norm): x + (v0 n_c - x_c) / y_c y.
+    space, x = G^- Y' sqrt(w) H, one solve on root's factor.  A fixed v0
+    moves x along y = G^- e_c to the cash coefficient v0 n_c (n_c the cash
+    norm): x + (v0 n_c - x_c) / y_c y.
     Both are off the minimum-norm solutions by null vectors of G, which
     change neither Y x nor, without a cash entry (a riskless profit, which
     the engine rejects as degenerate), the cash coefficient or the wealth.
+    A claim that is not one value per leaf raises BadParameter.
     """
     free = v0 == "free"
     if not (free or isinstance(v0, numbers.Real) and np.isfinite(v0)):
         raise BadParameter(f"v0 must be 'free' or a finite number, got {v0!r}")
-    f = root or root_factor(tree, claim)
+    f = root or root_factor(tree)
+    if np.shape(claim) != f.sw.shape:
+        raise BadParameter(f"claim needs {f.sw.size} values, got shape {np.shape(claim)}")
     target = f.sw * claim
-    beta = f.claim_sol[1] if f.claim_sol[0] is claim else f.solve(f.Yt(target))
+    beta = f.solve(f.Yt(target))
     if not free:
         beta = beta + (v0 * f.norms[-1] - beta[-1]) / f.cash_sol[-1] * f.cash_sol
     resid = f.Yx(beta) - target

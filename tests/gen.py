@@ -686,7 +686,7 @@ def lsq_loop(tree: ScenarioTree, claim: np.ndarray, v0) -> tuple[float, float, n
     target = f.sw * (claim - (0.0 if free else v0))
     keep = slice(None) if free else slice(-1)
     beta = np.zeros(len(f.norms))
-    beta[keep] = mv.pinv_psd(f.gram[keep, keep]) @ f.Yt(target)[keep]
+    beta[keep] = mv.pinv_psd(dense_gram(f)[keep, keep]) @ f.Yt(target)[keep]
     resid = f.Yx(beta) - target
     beta /= f.norms
     v0 = float(beta[-1]) if free else float(v0)
@@ -704,15 +704,31 @@ def node_check_pinv_loop(tree: ScenarioTree) -> np.ndarray:
     holdings of n's inner subtree nodes, g its cash column times the cash
     norm and P(n) the sum of sqrt(w)^2 over n's leaves."""
     f = mv.oracle.root_factor(tree)
+    G = dense_gram(f)
     first_leaf, d = len(tree.nodes) - len(tree.leaves()), tree.num_assets
     check = np.ones(len(tree.nodes))
     for i in range(first_leaf):
         _, ids = subtree_at(tree, i)
         cols = (ids[ids < first_leaf, None] * d + np.arange(d)).ravel()
-        g = f.gram[cols, -1] * f.norms[-1]
+        g = G[cols, -1] * f.norms[-1]
         mass = np.sum(f.sw[ids[ids >= first_leaf] - first_leaf] ** 2)
-        check[i] = 1.0 - g @ mv.pinv_psd(f.gram[np.ix_(cols, cols)]) @ g / mass
+        check[i] = 1.0 - g @ mv.pinv_psd(G[np.ix_(cols, cols)]) @ g / mass
     return check
+
+
+def dense_y(f) -> np.ndarray:
+    """The dense Y (n_leaves, m) of the oracle's path-sparse factor f,
+    scattered from its cols and vals."""
+    Y = np.zeros((len(f.cols), len(f.norms)))
+    Y[np.arange(len(f.cols))[:, None], f.cols] = f.vals
+    return Y
+
+
+def dense_gram(f) -> np.ndarray:
+    """Y'Y (m, m) of the oracle's factor f, from the dense Y: a normal
+    matrix the oracle itself never forms."""
+    Y = dense_y(f)
+    return Y.T @ Y
 
 
 def singular(G: np.ndarray) -> bool:

@@ -363,24 +363,25 @@ def test_bad_endowment_or_tol_flag_exit_code(tmp_path, capsys, command, flag, va
 
 
 @pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "out_is_file",
-                                  "summary_is_list", "summary_V0_text"])
+                                  "summary_is_list", "summary_V0_text", "summary_no_error"])
 def test_bad_path_or_summary_exit_code(tmp_path, capsys, case):
     cfg = write_config(tmp_path, {"model": TRINOMIAL, "claim": CALL10})
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"model": "\xe9"}')
     summary = tmp_path / "summary.json"
-    summary.write_text(json.dumps([1.0] if case == "summary_is_list"
-                                  else {"V0": "abc", "L0": 1.0, "total_error": 0.0}))
+    summary.write_text(json.dumps({"summary_is_list": [1.0],
+                                   "summary_no_error": {"V0": 1.0, "L0": 1.0}}.get(
+        case, {"V0": "abc", "L0": 1.0, "total_error": 0.0})))
     argv = {
         "config_is_dir": ["hedge", "--config", str(tmp_path), "--out", str(tmp_path / "o")],
         "config_not_utf8": ["hedge", "--config", str(latin1), "--out", str(tmp_path / "o")],
         "out_is_file": ["hedge", "--config", cfg, "--out", cfg],
-        "summary_is_list": ["verify", "--config", cfg, "--summary", str(summary)],
-        "summary_V0_text": ["verify", "--config", cfg, "--summary", str(summary)],
-    }[case]
+    }.get(case, ["verify", "--config", cfg, "--summary", str(summary)])
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    if case == "summary_no_error":   # the missing key is named
+        assert err == "error: bad summary value: missing key 'total_error'\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -538,19 +539,19 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int
 
 
 def test_verify_factors_the_root_once(monkeypatch, tmp_path):
-    # the least squares, the QP and every node check share one normal
-    # matrix, the root's; it is factored once, block by block, and solved
-    # once, for the cash column and the claim together.  No matrix of root
-    # size is Cholesky-factored, solved or pseudo-inverted, also where a
-    # duplicated asset makes it singular
+    # the least squares, the QP and every node check share one factor of
+    # the root's normal matrix, built front by front up the tree, and
+    # solved once for the claim and once for the cash column.  No matrix of
+    # root size is Cholesky-factored, solved or pseudo-inverted, also where
+    # a duplicated asset makes the normal matrix singular
     cholesky, pinv, solves, factor_solves, n = root_size_solves(monkeypatch, GOLDEN_CONFIG)
-    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n, 2)])
+    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,), (n,)])
     dup = {"type": "iid", "s0": [10.0, 10.0], "periods": 3,
            "increments": [{"delta": [x, x], "p": p} for x, p in ((1.0, 0.3), (0.0, 0.4),
                                                                   (-1.0, 0.3))]}
     cfg = write_config(tmp_path, {"model": dup, "claim": CALL10})
     cholesky, pinv, solves, factor_solves, n = root_size_solves(monkeypatch, cfg)
-    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n, 2)])
+    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,), (n,)])
 
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import mvhedge as mv
 
-from gen import (binomial_06, martingale_trinomial, random_claim, random_tree,
-                 reverse_children, rollout_path, shift_adjustment, singular, split_child,
-                 step, uneven_regime_args, uneven_regime_tree)
+from gen import (binomial_06, dense_gram, martingale_trinomial, random_claim, random_tree,
+                 reverse_children, rollout_path, shift_adjustment, singular, split_child, step,
+                 uneven_regime_args, uneven_regime_tree)
 
 
 def make_call(tree, strike=10.0):
@@ -213,7 +213,7 @@ def test_duplicated_asset(seed):
         err2, rel=1e-9, abs=1e-9 * scale * scale)
     # the node checks sum Schur terms of a rank-deficient normal matrix,
     # whose pivots pinv_psd truncates
-    assert singular(mv.oracle.root_factor(dup).gram)
+    assert singular(dense_gram(mv.oracle.root_factor(dup)))
     assert np.allclose(mv.node_conditional_check(dup), surf.L, rtol=1e-9, atol=0.0)
 
 

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,9 @@ import mvhedge as mv
 from mvhedge import linalg, oracle
 from mvhedge.tree import ScenarioTree
 
-from gen import (binomial_06, dense_increments, lsq_loop, martingale_trinomial,
-                 node_check_pinv_loop, node_oracle_loop, random_claim, random_tree,
-                 scaled_tree, singular, subtree_stacks, uneven_regime_tree)
+from gen import (binomial_06, dense_gram, dense_increments, dense_y, lsq_loop,
+                 martingale_trinomial, node_check_pinv_loop, node_oracle_loop, random_claim,
+                 random_tree, scaled_tree, singular, subtree_stacks, uneven_regime_tree)
 
 
 def test_lsq_complete_binomial_free_endowment():
@@ -177,12 +178,13 @@ def test_certificate_clears_the_pinv_cutoff():
     # keep the solve as accurate as pinv_psd(G)'s there
     trinomial = mv.build_iid_multinomial([10.0], [([1.2], 0.3), ([0.1], 0.4), ([-1.0], 0.3)], 3)
     f = oracle.root_factor(near_duplicated(trinomial, 1e-3))
-    lam = np.linalg.eigvalsh(f.gram)
-    assert not singular(f.gram) and lam[0] < 10 * len(lam) * linalg.EIG_TRUNCATION * lam[-1]
+    G = dense_gram(f)
+    lam = np.linalg.eigvalsh(G)
+    assert not singular(G) and lam[0] < 10 * len(lam) * linalg.EIG_TRUNCATION * lam[-1]
     rhs = np.random.default_rng(1470).normal(size=(len(lam), 3))
     cond = lam[-1] / lam[0]
-    assert_close(f.solve(rhs), mv.pinv_psd(f.gram) @ rhs, 1e-14 * cond)
-    assert_close(f.gram @ f.solve(rhs), rhs, 1e-14 * cond)
+    assert_close(f.solve(rhs), mv.pinv_psd(G) @ rhs, 1e-14 * cond)
+    assert_close(G @ f.solve(rhs), rhs, 1e-14 * cond)
 
 
 def test_oracle_calls_no_dense_solver():
@@ -193,13 +195,6 @@ def test_oracle_calls_no_dense_solver():
     imports = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
     assert linalg_calls & {"solve", "cholesky", "inv"} == set()
     assert "numpy.linalg" not in imports
-
-
-def dense(f):
-    """The dense Y (n_leaves, m) of a path-sparse factor."""
-    Y = np.zeros((len(f.cols), len(f.norms)))
-    Y[np.arange(len(f.cols))[:, None], f.cols] = f.vals
-    return Y
 
 
 def assert_close(got, want, rel):
@@ -236,12 +231,13 @@ def test_path_sparse_factor_matches_dense(case):
     # column times the cash norm, over sqrt(P(n)), is the subtree's Y' sqrt(w)
     tree, first, counts, cash = factor_cases()[case]
     f = oracle.root_factor(tree)
-    assert not singular(f.gram)
+    G = dense_gram(f)
+    assert not singular(G)
     if first[0, 0] == 0:   # the root; a stack's subtrees start at depth 1 or later
         Y, norms = dense_increments(tree, first, counts, cash)
         (Y, norms), keep = (Y[0], norms[0]), slice(None if cash else -1)
-        assert np.array_equal(dense(f)[:, keep] != 0.0, Y != 0.0)
-        assert_close(f.gram[keep, keep], Y.T @ Y, 1e-13)
+        assert np.array_equal(dense_y(f)[:, keep] != 0.0, Y != 0.0)
+        assert_close(G[keep, keep], Y.T @ Y, 1e-13)
         assert_close(f.norms[keep], norms, 1e-13)
         rng = np.random.default_rng(1550 + case)
         t, x = rng.normal(size=len(Y)), np.zeros(len(f.norms))
@@ -253,24 +249,25 @@ def test_path_sparse_factor_matches_dense(case):
     cols, leaves = block_cols(tree, first, counts)
     mass = np.sum(f.sw[leaves] ** 2, axis=1)
     hold, sw = Y[..., :-1], Y[..., -1] * norms[:, None, -1]
-    assert_close(f.gram[cols[..., None], cols[:, None]], hold.swapaxes(1, 2) @ hold, 1e-13)
-    assert_close(f.gram[cols, -1] * f.norms[-1] / np.sqrt(mass)[:, None],
+    assert_close(G[cols[..., None], cols[:, None]], hold.swapaxes(1, 2) @ hold, 1e-13)
+    assert_close(G[cols, -1] * f.norms[-1] / np.sqrt(mass)[:, None],
                  (hold.swapaxes(1, 2) @ sw[..., None])[..., 0], 1e-13)
 
 
 def test_lsq_reads_the_root_solve_only_for_its_claim(monkeypatch):
+    # on a shared factor, each call solves its own claim, one column
     rng = np.random.default_rng(1560)
     tree = random_tree(rng)
     claim, other = random_claim(rng, tree), random_claim(rng, tree)
-    root = oracle.root_factor(tree, claim=claim)
+    root = oracle.root_factor(tree)
     solves = []
     solve = oracle._Factor.solve
     monkeypatch.setattr(oracle._Factor, "solve", lambda f, rhs: solves.append(rhs.shape)
                         or solve(f, rhs))
-    for c, made in ((claim, []), (other, [root.norms.shape])):
+    for c in (claim, other):
         solves.clear()
         got = mv.lsq_projection(tree, c, "free", root)
-        assert solves == made
+        assert solves == [root.norms.shape]
         want = mv.lsq_projection(tree, c, "free")
         assert got.v0_opt == pytest.approx(want.v0_opt, rel=1e-12, abs=1e-12)
         assert got.min_error == pytest.approx(want.min_error, rel=1e-12, abs=1e-12)
@@ -299,7 +296,7 @@ def test_fixed_v0_lsq_matches_the_block_solve(case, v0):
     # gives the solution of G without the cash row and column
     tree, claim = fixed_v0_cases()[case]
     if case in range(9, 13):
-        assert singular(oracle.root_factor(tree).gram)
+        assert singular(dense_gram(oracle.root_factor(tree)))
     error, _, value = lsq_loop(tree, claim, v0)
     sol = mv.lsq_projection(tree, claim, v0)
     scale = max(1.0, v0, float(np.max(np.abs(claim))))
@@ -319,7 +316,8 @@ def test_lsq_without_a_factor_solves_the_root_once(monkeypatch, v0):
     monkeypatch.setattr(oracle._Factor, "solve", lambda f, rhs: shapes.append(rhs.shape)
                         or solve(f, rhs))
     mv.lsq_projection(tree, claim, v0)
-    assert shapes == [(m, 2)]   # the cash column and the claim, together
+    # the claim, and for a fixed v0 the cash column, one column each
+    assert shapes == [(m,)] * (1 if v0 == "free" else 2)
 
 
 def zero_column(tree):
@@ -346,11 +344,12 @@ def test_certified_factor_matches_pinv(seed):
     # where G has full rank, the factor's solve is pinv_psd(G)'s
     tree = full_rank_cases()[seed]
     f = oracle.root_factor(tree)
-    assert not singular(f.gram)
+    G = dense_gram(f)
+    assert not singular(G)
     rhs = np.random.default_rng(1620 + seed).normal(size=(len(f.norms), 3))
-    assert_close(f.solve(rhs), mv.pinv_psd(f.gram) @ rhs, 1e-12)
-    assert_close(f.solve(rhs[:, 0]), mv.pinv_psd(f.gram) @ rhs[:, 0], 1e-12)
-    assert_close(f.cash_sol, mv.pinv_psd(f.gram)[:, -1], 1e-12)
+    assert_close(f.solve(rhs), mv.pinv_psd(G) @ rhs, 1e-12)
+    assert_close(f.solve(rhs[:, 0]), mv.pinv_psd(G) @ rhs[:, 0], 1e-12)
+    assert_close(f.cash_sol, mv.pinv_psd(G)[:, -1], 1e-12)
 
 
 @pytest.mark.parametrize("case", range(7))
@@ -361,13 +360,14 @@ def test_certified_root_certifies_its_blocks(case):
     rng = np.random.default_rng(1650 + case)
     tree = uneven_regime_tree(3) if case == 0 else random_tree(rng)
     f = oracle.root_factor(tree)
+    G = dense_gram(f)
     got = oracle.node_conditional_check(tree, f)
-    g = f.gram[:-1, -1] * f.norms[-1]
-    assert got[0] == pytest.approx(1.0 - g @ mv.pinv_psd(f.gram[:-1, :-1]) @ g, rel=1e-12)
+    g = G[:-1, -1] * f.norms[-1]
+    assert got[0] == pytest.approx(1.0 - g @ mv.pinv_psd(G[:-1, :-1]) @ g, rel=1e-12)
     for first, counts in subtree_stacks(tree):
         cols, leaves = block_cols(tree, first, counts)
-        g = f.gram[cols, -1] * f.norms[-1]
-        quad = np.einsum("ij,ijk,ik->i", g, mv.pinv_psd(f.gram[cols[..., None], cols[:, None]]), g)
+        g = G[cols, -1] * f.norms[-1]
+        quad = np.einsum("ij,ijk,ik->i", g, mv.pinv_psd(G[cols[..., None], cols[:, None]]), g)
         want = 1.0 - quad / np.sum(f.sw[leaves] ** 2, axis=1)
         assert np.allclose(got[first[:, 0]], want, rtol=1e-12, atol=0.0)
 
@@ -380,10 +380,11 @@ def test_certificate_rejects_an_eigenvalue_at_the_pinv_cutoff():
     rng = np.random.default_rng(1700)
     for tree in singular_cases():
         f = oracle.root_factor(tree)
-        assert singular(f.gram)
+        G = dense_gram(f)
+        assert singular(G)
         claim = random_claim(rng, tree)
         rhs = f.Yt(f.sw * claim)
-        got, want = f.solve(rhs), mv.pinv_psd(f.gram) @ rhs
+        got, want = f.solve(rhs), mv.pinv_psd(G) @ rhs
         assert_close(f.Yx(got), f.Yx(want), 1e-12)
         assert got[-1] == pytest.approx(want[-1], rel=1e-12)
         for v0 in ("free", 0.37):
@@ -395,6 +396,57 @@ def test_certificate_rejects_an_eigenvalue_at_the_pinv_cutoff():
             assert_close(sol.value_process, value, 1e-12)
         want = node_check_pinv_loop(tree)
         assert np.allclose(oracle.node_conditional_check(tree, f), want, rtol=1e-12, atol=0.0)
+
+
+def test_root_factor_forms_no_root_size_matrix():
+    # 1,024 leaves of 4 assets, m = 4,093 columns: the factor's fronts are
+    # no larger than a leaf's path, 41 x 41, so it peaks below one m x m
+    # array (a normal matrix formed whole and copied once peaked at 275 MB,
+    # the fronts at 22 MB).  Two points for 4 assets make the engine call
+    # the market degenerate, not the oracle
+    tree = mv.build_iid_multinomial([10.0] * 4, [([1.0, 0.5, -0.2, 0.3], 0.5),
+                                                 ([-1.0, -0.4, 0.3, -0.2], 0.5)], 10)
+    tracemalloc.start()
+    try:
+        f = oracle.root_factor(tree)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(f.norms) == 4093 and peak < 4093 * 4093 * 8
+
+
+def oracle_bound_tree(seed):
+    """An additive iid tree at the oracle bound, 5 periods of a 4-point law
+    in 2 assets (1,024 leaves), drawn until L0 >= 0.05, and its surface."""
+    rng = np.random.default_rng(seed)
+    while True:
+        p = rng.uniform(0.15, 0.35, size=4)
+        law = list(zip(rng.uniform(-1.2, 1.2, size=(4, 2)).tolist(), (p / p.sum()).tolist()))
+        tree = mv.build_iid_multinomial([10.0, 10.0], law, 5)
+        surf = mv.compute_opportunity(tree)
+        if surf.L[0] >= 0.05:
+            return tree, surf
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_oracles_at_the_bound_agree_to_rounding(seed):
+    # summing each node's front from its own subtree keeps the cancellation
+    # of one normal matrix accumulated over all leaves out: QP and node
+    # checks within 3.5e-15 of the engine on these draws (a dense normal
+    # matrix: 6.8e-14 and 1.7e-13 for the QP, 6.2e-14 and 3.2e-14 for L)
+    tree, surf = oracle_bound_tree(seed)
+    assert len(tree.leaves()) == 1024
+    assert abs(mv.martingale_qp(tree).second_moment * surf.L[0] - 1.0) <= 1e-14
+    assert np.max(np.abs(mv.node_conditional_check(tree) / surf.L - 1.0)) <= 1e-14
+
+
+@pytest.mark.parametrize("shape", [(3,), (9, 1)])
+def test_lsq_rejects_a_claim_not_one_value_per_leaf(shape):
+    # 9 leaves: a claim of another length, or one value per leaf in a
+    # column, is a BadParameter, as in compute_plan
+    tree = martingale_trinomial(2)
+    with pytest.raises(mv.BadParameter, match=r"claim needs 9 values, got shape"):
+        mv.lsq_projection(tree, np.ones(shape), "free")
 
 
 @pytest.mark.parametrize("v0", ["fre", "", None, np.nan, np.inf, -np.inf, [0.3]])
