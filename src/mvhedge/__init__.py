@@ -18,7 +18,7 @@ from .tree import (
     serialize_tree,
     validate_tree,
 )
-from .linalg import centered_moments, pinv_psd
+from .linalg import centered_moments, gram_root, pinv_psd
 from .opportunity import (
     MeasureSurface,
     MvtDiagnostics,
@@ -44,7 +44,6 @@ from .oracle import (
     QpSolution,
     lsq_projection,
     martingale_qp,
-    max_sharpe,
     node_conditional_check,
 )
 from .backtest import (

@@ -67,21 +67,20 @@ def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface,
 
 
 def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarray) -> HedgePlan:
-    """Pure hedge coefficient xi(n) = c_hat_pinv c_sv and error term
-    e(n) = m0 (sum_k q_k dv_k^2 - c_sv' xi) >= 0 per non-terminal node,
-    from the stored P* law q = pstar_p: dv_k = V_k - sum_j q_j V_j and
-    c_sv = sum_k q_k (d_k - b_sstar) dv_k.  As V is the Q* mean, they are
-    the fit and residual of V_k - V_n on d_k in weights p_k L_k."""
+    """Pure hedge coefficient xi(n) = R R'c_sv and error term e(n) = m0
+    (sum_k q_k dv_k^2 - |R'c_sv|^2) >= 0 per non-terminal node, from the
+    stored P* law q = pstar_p and R = c_hat_root: dv_k = V_k - sum_j q_j
+    V_j and c_sv = sum_k q_k (d_k - b_sstar) dv_k.  As V is the Q* mean,
+    they are the fit and residual of V_k - V_n on d_k in weights p_k L_k."""
     n = len(tree.nodes)
     xi, e = np.full((n, tree.num_assets), np.nan), np.full(n, np.nan)
     for t in range(tree.horizon):
         for s in tree.layout.steps[t]:
             i, q = s.ids, surf.pstar_p[s.kids]
-            _, dv, var = centered_moments(q, V[s.kids])
-            c_sv = ((s.deltas - surf.b_sstar[i][:, None, :]).swapaxes(1, 2)
-                    @ (q * dv)[..., None])[..., 0]
-            xi[i] = (surf.c_hat_pinv[i] @ c_sv[..., None])[..., 0]
-            e[i] = surf.m0[i] * (var - (c_sv[:, None, :] @ xi[i][..., None])[:, 0, 0])
+            dv, R = centered_moments(q, V[s.kids])[1], surf.c_hat_root[i]
+            z = (q * dv)[:, None, :] @ (s.deltas - surf.b_sstar[i][:, None, :]) @ R   # c_sv' R
+            xi[i] = (z @ R.swapaxes(1, 2))[:, 0]
+            e[i] = surf.m0[i] * (np.sum(q * dv * dv, axis=1) - np.sum(z * z, axis=(1, 2)))
     return HedgePlan(V=V, xi=xi, e=e)
 
 

@@ -1,11 +1,11 @@
-"""Symmetric PSD pseudoinverse and centered one-step moments.
+"""Symmetric PSD pseudoinverse, least-squares roots, centered moments.
 
-Every backward recursion in the engine reduces to conditional means and
-covariances under a law on a node's children: the opportunity-neutral
-P*, q_k = p_k L_k / m0, or P itself.  centered_moments forms them as
-Chan, Golub & LeVeque (Amer. Stat. 37, 1983) do the sample variance:
-shift by the child of largest weight and center before squaring, so a
-child that carries almost all of the mass costs no cancellation.
+centered_moments centers a node's increments under a one-step law (P*,
+q_k = p_k L_k / m0, or P) after a shift by the child of largest weight
+(Chan, Golub & LeVeque, Amer. Stat. 37, 1983); gram_root inverts their
+covariance a'a through a = diag(sqrt q) dev itself, squaring no small
+singular value of a (Golub 1965; Bjorck, Numerical Methods for Least
+Squares Problems, 1996, ch. 2).
 """
 from __future__ import annotations
 
@@ -15,22 +15,19 @@ from .errors import NotSymmetric
 
 SYMMETRY_RTOL = 1e-12
 EIG_TRUNCATION = 1e-12
+GRAM_CUTOFF = 1e-8
 
 
 def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix, or of each
-    matrix in a (..., d, d) stack.
+    matrix in a (..., d, d) stack, by eigendecomposition: eigenvalues with
+    |lam| <= d EIG_TRUNCATION max|lam| (per matrix) are truncated to zero.
+    The result is exactly symmetric, and PSD whenever the input is; each
+    matrix of a stack gets the arithmetic of a call on it alone, bit for
+    bit.  root returns R = vec diag(inv^1/2) (negative inv as 0), R R' =
+    m^+ for PSD m, so that b' m^+ b = |b' R|^2 keeps its accuracy.
 
-    Computed via symmetric eigendecomposition; eigenvalues with
-    |lam| <= d * 1e-12 * max|lam| are truncated to zero, max|lam| taken
-    per matrix.  The result is exactly symmetric, and PSD whenever the
-    input is PSD.  Each matrix of a stack gets the same arithmetic as a
-    call on that matrix alone, so the results agree bit for bit.  root
-    returns R = vec diag(inv^1/2) (negative inv as 0), R R' = m^+ for PSD
-    m, so that b' m^+ b = |b' R|^2 keeps its accuracy for ill-conditioned m.
-
-    Raises NotSymmetric if the asymmetry of any matrix exceeds tolerance.
-    """
+    Raises NotSymmetric if the asymmetry of any matrix exceeds tolerance."""
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise NotSymmetric("input must be a square matrix or a stack of them")
@@ -43,10 +40,8 @@ def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
     d = m.shape[-1]
     if m.size == 0:
         return m.copy()
-    # an exactly symmetric input is its own symmetric part: taken as is, it
-    # cannot overflow in m + mT, as the covariances of prices near 1e155 do
-    # (entries past 9e307).  In a stack with some asymmetric member, 0.5 *
-    # (m + mT) leaves the exactly symmetric ones unchanged, short of overflow
+    # an exactly symmetric input is taken as is, where m + mT could
+    # overflow; 0.5 * (m + mT) leaves it unchanged short of overflow
     sym = 0.5 * (m + mT) if np.count_nonzero(asym) else m
     lam, vec = np.linalg.eigh(sym)
     cutoff = d * EIG_TRUNCATION * np.abs(lam).max(axis=-1, keepdims=True)
@@ -57,13 +52,33 @@ def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
     return 0.5 * (out + out.swapaxes(-1, -2))
 
 
+def gram_root(a: np.ndarray) -> tuple:
+    """(R, V, keep) for each a of a (..., k, d) stack: V the eigenvectors
+    of a'a, keep those v with |a v| > GRAM_CUTOFF max |a V|, and R R' =
+    (a'a)^+ on their span, R'v = 0 on the rest, so b'(a'a)^+ b = |R'b|^2.
+    With a scaled by a power of two, W = a V, D its column norms and C C'
+    = Y'Y + I_dropped, Y = W / D: R = V D^-1 C^-T.  C corrects V, so R's
+    accuracy follows a's singular values, not their squares; a stacked
+    member gets the arithmetic of a lone call, bit for bit."""
+    e = np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1]
+    s = np.ldexp(1.0, -np.maximum(e, -1021))[..., None, None]   # finite for subnormal a
+    a = a * s
+    V = np.linalg.eigh(a.swapaxes(-1, -2) @ a)[1]
+    W = a @ V
+    D = np.sqrt(np.einsum("...kd,...kd->...d", W, W))
+    keep = D > GRAM_CUTOFF * D.max(axis=-1, keepdims=True)
+    inv = (keep / np.where(keep, D, 1.0))[..., None, :]
+    Y = W * inv
+    C = np.linalg.cholesky(Y.swapaxes(-1, -2) @ Y + np.eye(a.shape[-1]) * ~keep[..., None, :])
+    return (V * inv) @ np.linalg.inv(C).swapaxes(-1, -2) * s, V, keep
+
+
 def centered_moments(q: np.ndarray, x: np.ndarray) -> tuple:
-    """(mean, dev, cov) of values x (..., k, d), or scalar values x
-    (..., k), under probabilities q (..., k), one row a node: with j the
-    child of largest q and s_k = x_k - x_j, mean = x_j + sum_k q_k s_k,
-    dev_k = s_k - sum_j q_j s_j and cov = sum_k q_k dev_k dev_k^T,
-    symmetrized (the variance for scalar values).  A node of a stack gets
-    the arithmetic of a call on that node alone, bit for bit."""
+    """(mean, dev) of values x (..., k, d), or scalar values x (..., k),
+    under probabilities q (..., k), one row a node: with j the child of
+    largest q and s_k = x_k - x_j, mean = x_j + sum_k q_k s_k and dev_k =
+    s_k - sum_j q_j s_j.  A node of a stack gets the arithmetic of a call
+    on that node alone, bit for bit."""
     q, x = np.asarray(q, dtype=float), np.asarray(x, dtype=float)
     scalar = x.ndim == q.ndim
     x = x[..., None] if scalar else x
@@ -71,6 +86,5 @@ def centered_moments(q: np.ndarray, x: np.ndarray) -> tuple:
     dev = x - pivot
     shift = q[..., None, :] @ dev
     dev -= shift
-    cov = (dev.swapaxes(-1, -2) * q[..., None, :]) @ dev
-    mean, cov = (pivot + shift)[..., 0, :], 0.5 * (cov + cov.swapaxes(-1, -2))
-    return (mean[..., 0], dev[..., 0], cov[..., 0, 0]) if scalar else (mean, dev, cov)
+    mean = (pivot + shift)[..., 0, :]
+    return (mean[..., 0], dev[..., 0]) if scalar else (mean, dev)

@@ -25,11 +25,12 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateStep
-from .linalg import EIG_TRUNCATION, centered_moments, pinv_psd
+from .linalg import centered_moments, gram_root, pinv_psd
 from .tree import ScenarioTree
 
 DEGENERACY_THRESHOLD = 1e-12
 MVT_TOL = 1e-10
+RANGE_TOL = 1e-8
 
 
 @dataclass
@@ -38,21 +39,20 @@ class OpportunitySurface:
 
     Arrays are indexed by node id; entries that only exist at
     non-terminal nodes are NaN at terminal nodes.  Seven arrays are
-    stored: L, a_tilde and the one-step P* law from node n: its mass
-    m0 = sum_k p_k L_k, the increments' mean b_sstar and the
-    pseudoinverse c_hat_pinv of their covariance c_hat*, inverted once
-    where it is formed, and the weights qstar_w = (L_k/L_n)(1 - a_tilde'
-    d_k) of Q* and pstar_p = p_k L_k / m0 of P*, at the child k as
-    tree.prob is (1 at the root).  Derived at first access: dAK = m0/L - 1,
-    a_hat = (1 + dAK) a_tilde, and the maximal conditional Sharpe ratio
-    over the remaining periods, sharpe = sqrt(1/L - 1).
+    stored: L, a_tilde and the one-step P* law from node n: its mass m0 =
+    sum_k p_k L_k, the increments' mean b_sstar, c_hat_root, a root R R' =
+    c_hat*^+, and the weights qstar_w = (L_k/L_n)(1 - a_tilde' d_k) of Q*
+    and pstar_p = p_k L_k / m0 of P*, at the child k as tree.prob is (1
+    at the root).  Derived at first access: dAK = m0/L - 1, a_hat = (1 +
+    dAK) a_tilde, and the maximal conditional Sharpe ratio over the
+    remaining periods, sharpe = sqrt(1/L - 1).
     """
 
     L: np.ndarray                 # (n,)
     a_tilde: np.ndarray           # (n, d)
     m0: np.ndarray                # (n,)
     b_sstar: np.ndarray           # (n, d)
-    c_hat_pinv: np.ndarray        # (n, d, d)
+    c_hat_root: np.ndarray        # (n, d, d)
     qstar_w: np.ndarray           # (n,)
     pstar_p: np.ndarray           # (n,)
 
@@ -114,17 +114,16 @@ class MvtDiagnostics:
 def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
     """Backward induction for L, a_tilde, the one-step P* law and the
     one-step weights, one time slice at a time: per child-count group of
-    the slice, centered moments and one pseudoinverse of c_hat*, stacked.
+    the slice, one stacked gram_root of A = diag(sqrt q) dev, the centered
+    increments, so that c_hat* = A'A, K = |R'b*|^2 and a_hat = R R'b*.
 
     Raises DegenerateStep when some one-step market admits a riskless
     nonzero return: L/m0 = 1/(1 + K) vanishes (relative to m0, as L may
-    be tiny on long horizons of a well-posed market), or r = b* - c_hat*
-    a_hat, the part of b* outside the range of c_hat*, exceeds sqrt(d
-    EIG_TRUNCATION) times the scale of c_hat* + b* b*' and the rounding
-    scale tr(c_hat*) |a_hat| of c_hat* a_hat (|.| the 1-norm, which does
-    not overflow).  It names the lowest id of the latest such slice."""
+    be tiny on long horizons of a well-posed market), or |V_dropped' b*|,
+    the 1-norm of b* along the directions gram_root drops, exceeds
+    RANGE_TOL max |A_kj|.  It names the lowest id of the latest such slice."""
     n, d = len(tree.nodes), tree.num_assets
-    nan, ones = np.full((2, n, d), np.nan), np.ones(d)
+    nan = np.full((2, n, d), np.nan)
     surf = OpportunitySurface(np.ones(n), nan[0], np.full(n, np.nan), nan[1],
                               np.full((n, d, d), np.nan), np.ones(n), np.ones(n))
     for t in range(tree.horizon - 1, -1, -1):
@@ -134,22 +133,21 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
             q = s.probs * child_L
             m0 = np.sum(q, axis=-1)
             q /= m0[:, None]
-            b, dc, c = centered_moments(q, s.deltas)
-            c_pinv = pinv_psd(c)
-            a_hat = (c_pinv @ b[..., None])[..., 0]
-            K = (b[:, None, :] @ a_hat[..., None])[:, 0, 0]
-            r = np.abs(b - (c @ a_hat[..., None])[..., 0]) @ ones
-            L, tr = m0 / (1.0 + K), np.trace(c, axis1=1, axis2=2)
-            unit = np.max([np.sqrt(tr), np.abs(b) @ ones, tr * (np.abs(a_hat) @ ones)], axis=0)
-            degenerate.append(s.ids[(L <= DEGENERACY_THRESHOLD * m0)
-                                    | (r > np.sqrt(d * EIG_TRUNCATION) * unit)])
+            b, dc = centered_moments(q, s.deltas)
+            A = np.sqrt(q)[..., None] * dc
+            R, V, keep = gram_root(A)
+            z = (b[:, None, :] @ R)[:, 0]
+            K, a_hat = (z[:, None, :] @ z[..., None])[:, 0, 0], (R @ z[..., None])[..., 0]
+            L, off = m0 / (1.0 + K), np.sum(np.abs((b[:, None, :] @ V)[:, 0]) * ~keep, axis=1)
+            scale = np.abs(A).max(axis=(1, 2))
+            degenerate.append(s.ids[(L <= DEGENERACY_THRESHOLD * m0) | (off > RANGE_TOL * scale)])
             surf.L[s.ids], surf.a_tilde[s.ids] = L, a_hat / (1.0 + K)[:, None]
-            surf.m0[s.ids], surf.b_sstar[s.ids], surf.c_hat_pinv[s.ids] = m0, b, c_pinv
+            surf.m0[s.ids], surf.b_sstar[s.ids], surf.c_hat_root[s.ids] = m0, b, R
             w = (dc @ a_hat[..., None])[..., 0]   # then in place: fewer live temporaries
             np.subtract(1.0, w, out=w)
             w *= child_L / m0[:, None]
             surf.qstar_w[s.kids], surf.pstar_p[s.kids] = w, q
-            del dc, w
+            del A, dc, w
         DegenerateStep.raise_lowest(degenerate)
     return surf
 
@@ -157,11 +155,11 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
 def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
     """The surface the tree would have if prices were martingales:
     L = 1, a_tilde = 0 and qstar_w = 1, so P* is P (pstar_p = p_k / m0)
-    with b_sstar = 0 and c_hat_pinv the pseudoinverse of the P second
-    moment E_P[d d'] of the increments.  The engine's mean value and pure
-    hedge on it are the martingale-style (GKW) hedge, the P regression of
-    the value increments on the price increments.  L, a_tilde, b_sstar
-    and qstar_w are read-only constant views, which take no memory."""
+    with b_sstar = 0 and c_hat_root the gram_root of diag(sqrt pstar_p) d,
+    a root of E_P[d d']^+.  The engine's mean value and pure hedge on it
+    are the martingale-style (GKW) hedge, the P regression of the value
+    increments on the price increments.  L, a_tilde, b_sstar and qstar_w
+    are read-only constant views, which take no memory."""
     n, d = len(tree.nodes), tree.num_assets
     ones, zeros = np.broadcast_to(1.0, (n,)), np.broadcast_to(0.0, (n, d))
     surf = OpportunitySurface(ones, zeros, np.full(n, np.nan), zeros,
@@ -170,8 +168,7 @@ def martingale_surface(tree: ScenarioTree) -> OpportunitySurface:
         for s in tree.layout.steps[t]:
             surf.m0[s.ids] = m0 = np.sum(s.probs, axis=-1)
             q = surf.pstar_p[s.kids] = s.probs / m0[:, None]
-            c = (s.deltas.swapaxes(1, 2) * q[:, None, :]) @ s.deltas
-            surf.c_hat_pinv[s.ids] = pinv_psd(0.5 * (c + c.swapaxes(1, 2)))
+            surf.c_hat_root[s.ids] = gram_root(np.sqrt(q)[..., None] * s.deltas)[0]
     return surf
 
 
@@ -197,32 +194,33 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
     value equal to its target up to rounding: Cor. 3.20 with the tilde
     and with the hat characteristics, Lemma 3.19, dAK = b' c_hat^+ b,
     the mass and the drift of the one-step Q* weights, and Lemma 3.23.
-    Component j of the Cor. 3.20 residuals and of the drift is divided by
-    D_j = max_k |d_kj| (1 where 0), so that no check has a price unit.
-    c_hat* is rebuilt from pstar_p, bit for bit the matrix c_hat_pinv
-    inverts, and c_tilde* = c_hat* + b* b*' is inverted for Lemma 3.19."""
+    Asset j's increments are read in units of D_j = max_k |d_kj| (1 where
+    0), so that no check has a price unit: c_hat* is rebuilt in them from
+    pstar_p, and c_tilde* = c_hat* + b* b*' inverted by pinv_psd, the
+    second route to Lemma 3.19; 1 + b*' c_hat*^+ b* is read off c_hat_root."""
     lay = tree.layout
     ids, d = lay.inner, tree.num_assets
-    b = surf.b_sstar[ids]
-    up = 1.0 + (b[:, None, :] @ surf.c_hat_pinv[ids] @ b[:, :, None])[:, 0, 0]
+    up = 1.0 + np.sum((surf.b_sstar[ids][:, None, :] @ surf.c_hat_root[ids]) ** 2, axis=(1, 2))
     mass, drift, lemma323 = np.empty((3, len(ids)))
     unit, c_hat = np.empty((len(ids), d)), np.empty((len(ids), d, d))
     for t in range(tree.horizon):
         for s in lay.steps[t]:
-            c_hat[s.ids] = centered_moments(surf.pstar_p[s.kids], s.deltas)[2]
-            D = np.max(np.abs(s.deltas), axis=1)
+            D, q = np.max(np.abs(s.deltas), axis=1), surf.pstar_p[s.kids]
             unit[s.ids] = np.where(D > 0.0, D, 1.0)
+            A = np.sqrt(q)[..., None] * centered_moments(q, s.deltas / unit[s.ids][:, None, :])[1]
+            c_hat[s.ids] = A.swapaxes(1, 2) @ A
             qw = surf.qstar_w[s.kids]
             mass[s.ids] = (s.probs[:, None, :] @ qw[..., None])[:, 0, 0]
             moment = (s.deltas.swapaxes(1, 2) @ (s.probs * qw)[..., None])[..., 0]
             drift[s.ids] = np.max(np.abs(moment / unit[s.ids]), axis=1)
             fact = surf.L[s.kids] / surf.m0[s.ids][:, None] * mea.nstar_f[s.kids]
             lemma323[s.ids] = np.max(np.abs(fact - qw), axis=1)
+    b = surf.b_sstar[ids] / unit
     c_tilde = c_hat + b[:, :, None] * b[:, None, :]
     dn = 1.0 - (b[:, None, :] @ pinv_psd(c_tilde) @ b[:, :, None])[:, 0, 0]
 
     def cor320(c, a):
-        return np.max(np.abs((c @ a[ids][..., None])[..., 0] - b) / unit, axis=1)
+        return np.max(np.abs((c @ (a[ids] * unit)[..., None])[..., 0] - b), axis=1)
 
     return {
         "cor320_tilde": (cor320(c_tilde, surf.a_tilde), 0.0),
@@ -236,9 +234,9 @@ def identities(tree: ScenarioTree, surf: OpportunitySurface, mea: MeasureSurface
 
 
 def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
-    """Mean-variance tradeoff increments, from the P mean and covariance
-    of each step's increments, and the deterministic-MVT /
-    opportunity-neutral classification, both to tolerance MVT_TOL."""
+    """Mean-variance tradeoff increments, from the P mean and gram_root of
+    each step's increments, and the deterministic-MVT / opportunity-
+    neutral classification, both to tolerance MVT_TOL."""
     mea = measures(tree, surf)
     lay = tree.layout
     dK = np.full(len(tree.nodes), np.nan)
@@ -246,8 +244,10 @@ def mvt_process(tree: ScenarioTree, surf: OpportunitySurface) -> MvtDiagnostics:
     slice_values = np.zeros(tree.horizon)
     for t in range(tree.horizon):
         for s in lay.steps[t]:
-            b, _, c = centered_moments(s.probs / np.sum(s.probs, axis=-1)[:, None], s.deltas)
-            dK[s.ids] = (b[:, None, :] @ pinv_psd(c) @ b[..., None])[:, 0, 0]
+            q = s.probs / np.sum(s.probs, axis=-1)[:, None]
+            b, dc = centered_moments(q, s.deltas)
+            z = b[:, None, :] @ gram_root(np.sqrt(q)[..., None] * dc)[0]
+            dK[s.ids] = (z @ z.swapaxes(1, 2))[:, 0, 0]
         vals = dK[lay.slices[t]]
         slice_values[t] = vals[0]
         if np.max(np.abs(vals - vals[0])) > MVT_TOL * max(1.0, abs(vals[0])):

@@ -224,15 +224,3 @@ def node_conditional_check(tree: ScenarioTree, root: _Factor | None = None) -> n
     sq[:n] = 1.0 - f.norms[-1] ** 2 * sums[:n, 0] / sums[:n, 1]
     return sq
 
-
-def max_sharpe(tree: ScenarioTree) -> np.ndarray:
-    """Brute-force maximal conditional Sharpe ratio over the remaining
-    periods at each node, read off the least-squares solution for the
-    constant claim: the optimal terminal wealth x = 1 + r / sqrt(w)
-    maximizes E[x]/std(x), with E[x] = 1 + sum sqrt(w) r and
-    var(x) = sum r^2 - (sum sqrt(w) r)^2, where sum sqrt(w) r = -sum r^2,
-    as r is orthogonal to Y and sqrt(w) has unit norm.  Leaves give 0."""
-    sq = node_conditional_check(tree)
-    var = sq - sq * sq
-    return np.divide(1.0 - sq, np.sqrt(np.maximum(var, 1e-24)),
-                     out=np.zeros(len(sq)), where=var > 1e-24)

@@ -149,7 +149,8 @@ def efficient_value_process(tree: ScenarioTree, surf: mv.OpportunitySurface,
 def gkw_holdings_loop(tree: ScenarioTree, plan: mv.HedgePlan) -> np.ndarray:
     """Reference martingale-style hedge as its own backward loop: the
     P-expectation of the payoff and the P-weighted regression of its
-    increments on the price increments, E[d d']^+ Cov(d, V)."""
+    increments on the price increments, E[d d']^+ Cov(d, V), through the
+    root R R' = E[d d']^+ of each node's gram_root."""
     V = plan.V.copy()
     phi = np.full((len(tree.nodes), tree.num_assets), np.nan)
     for t in range(tree.horizon - 1, -1, -1):
@@ -157,9 +158,9 @@ def gkw_holdings_loop(tree: ScenarioTree, plan: mv.HedgePlan) -> np.ndarray:
             kids, probs, deltas = step(tree, i)
             V[i] = float(probs @ V[kids])
             q = probs / float(np.sum(probs))
-            c = (deltas.T * q) @ deltas
             _, dv = _centered(q, V[kids])
-            phi[i] = mv.pinv_psd(0.5 * (c + c.T)) @ (deltas.T @ (q * dv))
+            R = mv.gram_root(np.sqrt(q)[:, None] * deltas)[0]
+            phi[i] = R @ ((deltas.T @ (q * dv)) @ R)
     return phi
 
 
@@ -301,11 +302,11 @@ def _centered(q: np.ndarray, x: np.ndarray) -> tuple:
 
 def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
     """The surface's seven stored arrays node by node, from the centered
-    one-step P* law: L, a_tilde, m0, b_sstar, c_hat_pinv, qstar_w and
-    pstar_p."""
+    one-step P* law: L, a_tilde, m0, b_sstar, c_hat_root, qstar_w and
+    pstar_p, each node's root its own gram_root call."""
     n, d = len(tree.nodes), tree.num_assets
     out = {"L": np.ones(n), "a_tilde": np.full((n, d), np.nan), "m0": np.full(n, np.nan),
-           "b_sstar": np.full((n, d), np.nan), "c_hat_pinv": np.full((n, d, d), np.nan),
+           "b_sstar": np.full((n, d), np.nan), "c_hat_root": np.full((n, d, d), np.nan),
            "qstar_w": np.ones(n), "pstar_p": np.ones(n)}
     for t in range(tree.horizon - 1, -1, -1):
         for i in _slice(tree, t):
@@ -314,19 +315,17 @@ def opportunity_loop(tree: ScenarioTree) -> dict[str, np.ndarray]:
             m0 = float(np.sum(w))
             q = w / m0
             b, dc = _centered(q, deltas)
-            c = (dc.T * q) @ dc
-            c = 0.5 * (c + c.T)
-            c_pinv = mv.pinv_psd(c)
-            a_hat = c_pinv @ b
-            K = float(b @ a_hat)
-            r = np.sum(np.abs(b - c @ a_hat))
+            A = np.sqrt(q)[:, None] * dc
+            R, V, keep = mv.gram_root(A)
+            z = b @ R
+            K = float(z @ z)
+            a_hat = R @ z
             L = m0 / (1.0 + K)
-            tr = np.trace(c)
-            unit = max(np.sqrt(tr), np.sum(np.abs(b)), tr * np.sum(np.abs(a_hat)))
-            if L <= 1e-12 * m0 or r > np.sqrt(d * 1e-12) * unit:
+            off = float(np.sum(np.abs(b @ V[:, ~keep])))
+            if L <= 1e-12 * m0 or off > 1e-8 * float(np.max(np.abs(A))):
                 raise mv.DegenerateStep(i)
             out["L"][i], out["a_tilde"][i] = L, a_hat / (1.0 + K)
-            out["m0"][i], out["b_sstar"][i], out["c_hat_pinv"][i] = m0, b, c_pinv
+            out["m0"][i], out["b_sstar"][i], out["c_hat_root"][i] = m0, b, R
             out["qstar_w"][kids] = out["L"][kids] / m0 * (1.0 - dc @ a_hat)
             out["pstar_p"][kids] = q
     return out
@@ -363,7 +362,7 @@ def shift_adjustment(tree: ScenarioTree, surf: mv.OpportunitySurface, node_ids,
 def c_hat_at(tree: ScenarioTree, surf: mv.OpportunitySurface, i: int) -> np.ndarray:
     """The covariance c_hat* of node i's increments under the stored
     one-step P* law pstar_p, centered as compute_opportunity centers it
-    (the surface stores only its pseudoinverse)."""
+    (the surface stores only a root of its pseudoinverse)."""
     kids, _, deltas = _children(tree, i)
     q = surf.pstar_p[kids]
     _, dc = _centered(q, deltas)
@@ -373,14 +372,15 @@ def c_hat_at(tree: ScenarioTree, surf: mv.OpportunitySurface, i: int) -> np.ndar
 
 def _pure_hedge_at(tree: ScenarioTree, surf: mv.OpportunitySurface, V: np.ndarray,
                    i: int) -> tuple[np.ndarray, float]:
-    """(xi, e) at node i from the stored one-step P* law, inverting its
-    covariance c_hat* here rather than reading the stored c_hat_pinv."""
+    """(xi, e) at node i from the stored one-step P* law, factoring its
+    weighted centered increments here rather than reading the stored
+    c_hat_root."""
     kids, _, deltas = _children(tree, i)
     q = surf.pstar_p[kids]
     _, dv = _centered(q, V[kids])
-    c_sv = (deltas - surf.b_sstar[i]).T @ (q * dv)
-    xi = mv.pinv_psd(c_hat_at(tree, surf, i)) @ c_sv
-    return xi, surf.m0[i] * (float((dv * q) @ dv) - float(c_sv @ xi))
+    R = mv.gram_root(np.sqrt(q)[:, None] * _centered(q, deltas)[1])[0]
+    z = (q * dv) @ (deltas - surf.b_sstar[i]) @ R
+    return z @ R.T, surf.m0[i] * (float(np.sum(q * dv * dv)) - float(np.sum(z * z)))
 
 
 def pure_hedge_loop(tree: ScenarioTree, surf: mv.OpportunitySurface,
@@ -526,6 +526,24 @@ def exact_pinv(c: list) -> list:
     return [[x / tr ** 2 if tr else Fraction(0) for x in row] for row in c]
 
 
+def exact_quadratic(a, b) -> Fraction:
+    """b'(a'a)^-1 b for a float (k, d) matrix a of full column rank and a
+    float d-vector b, exactly: the floats are read as Fractions and a'a x
+    = b is solved by Gaussian elimination, for any d (exact_pinv stops at
+    d = 2)."""
+    a = [[Fraction(x) for x in row] for row in np.asarray(a).tolist()]
+    b = [Fraction(x) for x in np.asarray(b).tolist()]
+    d = len(b)
+    m = [[sum(row[i] * row[j] for row in a) for j in range(d)] + [b[i]] for i in range(d)]
+    for c in range(d):
+        for r in range(c + 1, d):
+            m[r] = [x - m[r][c] / m[c][c] * y for x, y in zip(m[r], m[c])]
+    x = [Fraction(0)] * d
+    for r in range(d - 1, -1, -1):
+        x[r] = (m[r][d] - sum(m[r][j] * x[j] for j in range(r + 1, d))) / m[r][r]
+    return sum(bi * xi for bi, xi in zip(b, x))
+
+
 def exact_sweep(tree: ScenarioTree, payoff) -> dict[str, list]:
     """The paper's backward recursion in exact rational arithmetic, for
     d <= 2: the float inputs are read exactly (Fraction(x)) and nothing
@@ -657,6 +675,14 @@ def subtree_at(tree: ScenarioTree, node_id: int) -> tuple[ScenarioTree, np.ndarr
         prob=prob,
     )
     return sub, ids
+
+
+def oracle_sharpe(tree: ScenarioTree) -> np.ndarray:
+    """The maximal conditional Sharpe ratio over the remaining periods at
+    each node, sqrt(1/node_L - 1) from the oracle's node checks (0 at the
+    leaves): the optimal terminal wealth for the constant claim maximizes
+    E[x]/std(x)."""
+    return np.sqrt(np.maximum(1.0 / mv.node_conditional_check(tree) - 1.0, 0.0))
 
 
 def node_oracle_loop(tree: ScenarioTree) -> tuple[np.ndarray, np.ndarray]:

@@ -138,21 +138,35 @@ def test_huge_periods_exit_at_once(tmp_path, model, message):
     assert run.stderr.decode() == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("s0", [1e-160, 1e160])
-@pytest.mark.parametrize("command,flags", [
-    ("hedge", ["--out"]), ("verify", []), ("backtest", ["--paths", "100", "--out"]),
-    ("inspect", ["--field", "L"]),
-])
+COMMANDS = [("hedge", ["--out"]), ("verify", []), ("backtest", ["--paths", "100", "--out"]),
+            ("inspect", ["--field", "L"])]
+
+
+@pytest.mark.parametrize("s0", [1e160, 1e300])
+@pytest.mark.parametrize("command,flags", COMMANDS)
 def test_degenerate_exit_prints_one_line(tmp_path, capsys, s0, command, flags):
-    # squared increments underflow at 1e-160 and overflow at 1e160; the
-    # exit-3 run prints its error line and no numpy warning, which pytest
-    # would turn into an error in process
+    # the error terms e are in squared currency and overflow at 1e160 and
+    # 1e300; the exit-3 run prints its error line and no numpy warning,
+    # which pytest would turn into an error in process
     model = dict(HUGE_TRINOMIAL, s0=[s0])
     cfg = write_config(tmp_path, {"model": model, "claim": {"type": "call", "strike": s0}})
     out = [str(tmp_path / "o")] if flags[-1:] == ["--out"] else []
     assert main([command, "--config", cfg, *flags, *out]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: degenerate") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command,flags", COMMANDS)
+def test_commands_run_at_tiny_prices(tmp_path, capsys, command, flags):
+    # at s0 = 1e-160 the squared increments underflow; the engine squares
+    # none, and verify's identities read them in units of each node's
+    # increments, so every command exits 0 with no numpy warning and no FAIL
+    model = dict(HUGE_TRINOMIAL, s0=[1e-160])
+    cfg = write_config(tmp_path, {"model": model, "claim": {"type": "call", "strike": 1e-160}})
+    out = [str(tmp_path / "o")] if flags[-1:] == ["--out"] else []
+    assert main([command, "--config", cfg, *flags, *out]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "FAIL" not in captured.out
 
 
 @pytest.mark.parametrize("s0", [1e-150, 1e-100, 1e-8, 1.0, 1e8, 1e9, 1e50, 1e100, 1e150])
@@ -505,9 +519,9 @@ def test_worst_line_node(capsys):
 
 
 def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int]:
-    """The shapes of the matrices that verify on cfg hands to
-    np.linalg.cholesky, the sizes of the matrices as large as the root's
-    normal matrix (or its block without the cash column) that it hands to
+    """The shapes of the matrices as large as the root's normal matrix (or
+    its block without the cash column) that verify on cfg hands to
+    np.linalg.cholesky, the sizes of such matrices that it hands to
     pinv_psd and, with the number of right-hand sides, to np.linalg.solve,
     and the shapes of the right-hand sides of the root factor's solves."""
     tree = build_model(load_config(cfg)["model"])
@@ -529,7 +543,8 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int
         factor_solves.append(rhs.shape)
         return solve(f, rhs)
 
-    monkeypatch.setattr(np.linalg, "cholesky", spy(cholesky, np.linalg.cholesky))
+    monkeypatch.setattr(np.linalg, "cholesky", spy(
+        cholesky, np.linalg.cholesky, lambda m: [m.shape] if m.shape[-1] >= root_cols - 1 else []))
     monkeypatch.setattr(mv.oracle, "pinv_psd", spy(
         pinv, mv.oracle.pinv_psd, lambda m: [m.shape[-1]] * int(np.prod(m.shape[:-2]))))
     monkeypatch.setattr(np.linalg, "solve", solve_spy)

@@ -104,13 +104,14 @@ def test_engine_agrees_with_the_uncentered_algebra(name, tree, claim):
 
 def test_qstar_w_read_through_step_matches_node_by_node():
     # a node's one-step weights sit at its child ids: (L_k/m0)(1 - a_hat'
-    # dc_k), dc_k the increments centered under P*, a_hat = c_hat*^+ b*
+    # dc_k), dc_k the increments centered under P*, a_hat = R R'b*, R the
+    # stored root of c_hat*^+
     tree = uneven_regime_tree(3)
     surf = mv.compute_opportunity(tree)
     for i in tree.layout.inner.tolist():
         kids, _, deltas = step(tree, i)
-        _, dc, _ = mv.centered_moments(surf.pstar_p[kids], deltas)
-        a_hat = surf.c_hat_pinv[i] @ surf.b_sstar[i]
+        _, dc = mv.centered_moments(surf.pstar_p[kids], deltas)
+        a_hat = surf.c_hat_root[i] @ (surf.b_sstar[i] @ surf.c_hat_root[i])
         want = (surf.L[kids] / surf.m0[i]) * (1.0 - dc @ a_hat)
         assert equal(surf.qstar_w[kids], want), i
 
@@ -213,7 +214,6 @@ def test_oracles_build_no_layout(monkeypatch):
     monkeypatch.setattr(mv.tree.TreeLayout, "__init__",
                         lambda lay, sub: built.append(sub) or original(lay, sub))
     assert np.allclose(mv.node_conditional_check(tree), surf.L, rtol=1e-9, atol=0.0)
-    mv.max_sharpe(tree)
     mv.martingale_qp(tree)
     mv.lsq_projection(tree, claim, "free")
     assert built == []
@@ -339,9 +339,10 @@ def test_one_step_weights_have_one_home():
 
 
 def test_each_one_step_covariance_is_inverted_once():
-    # compute_opportunity and martingale_surface store the inverse of each
-    # step's covariance where they form it, and the pure hedge reads it;
-    # identities inverts only c_tilde*, the second route to Lemma 3.19
+    # compute_opportunity, martingale_surface and mvt_process each factor
+    # a step's weighted increments by one gram_root call, and the pure
+    # hedge reads the stored root; pinv_psd inverts only c_tilde*, in
+    # identities, the second route to Lemma 3.19
     src, calls, imports = Path(mv.__file__).parent, {}, []
     for name in ("hedging.py", "opportunity.py"):
         module = ast.parse((src / name).read_text())
@@ -350,14 +351,16 @@ def test_each_one_step_covariance_is_inverted_once():
         for func in module.body:
             if isinstance(func, ast.FunctionDef):
                 calls[f"{name} {func.name}"] = [
-                    ast.unparse(node.args[0]) for node in ast.walk(func)
-                    if isinstance(node, ast.Call) and "pinv_psd" in (
-                        getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert "hedging.py pinv_psd" not in imports
-    assert {f: len(args) for f, args in calls.items() if args} == {
-        "opportunity.py compute_opportunity": 1, "opportunity.py martingale_surface": 1,
-        "opportunity.py identities": 1, "opportunity.py mvt_process": 1}
-    assert calls["opportunity.py identities"] == ["c_tilde"]
+                    f"{fn}({ast.unparse(node.args[0])})" for node in ast.walk(func)
+                    if isinstance(node, ast.Call)
+                    for fn in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+                    if fn in ("pinv_psd", "gram_root")]
+    assert not {"hedging.py pinv_psd", "hedging.py gram_root"} & set(imports)
+    assert {f: [c.split("(")[0] for c in found] for f, found in calls.items() if found} == {
+        "opportunity.py compute_opportunity": ["gram_root"],
+        "opportunity.py martingale_surface": ["gram_root"],
+        "opportunity.py mvt_process": ["gram_root"], "opportunity.py identities": ["pinv_psd"]}
+    assert calls["opportunity.py identities"] == ["pinv_psd(c_tilde)"]
 
 
 def test_child_opportunity_values_have_one_reader():

@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.linalg import centered_moments, pinv_psd
+from mvhedge.linalg import centered_moments, gram_root, pinv_psd
 
-from gen import c_hat_at, random_tree
+from gen import c_hat_at, exact_quadratic, random_tree
 
 
 def test_diagonal_case():
@@ -100,48 +102,99 @@ def test_empty_stack():
     assert out.shape == (0, 2, 2)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_gram_root_factors_the_pseudoinverse(seed):
+    # R R' = (a'a)^+ for a of any rank, V orthonormal, keep the rank's
+    # directions, and a stack's (R, V, keep) each member's own, bit for bit
+    rng = np.random.default_rng(700 + seed)
+    d = int(rng.integers(1, 5))
+    rank = int(rng.integers(0, d + 1))
+    a = rng.normal(size=(3, 6, rank)) @ rng.normal(size=(3, rank, d))
+    R, V, keep = gram_root(a)
+    want = pinv_psd(a.swapaxes(1, 2) @ a)
+    assert np.allclose(R @ R.swapaxes(1, 2), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+    assert np.allclose(V.swapaxes(1, 2) @ V, np.eye(d), rtol=0.0, atol=1e-14)
+    assert np.all(np.count_nonzero(keep, axis=1) == rank)
+    assert np.abs(R.swapaxes(1, 2) @ V * ~keep[:, None, :]).max() <= 1e-14 * np.abs(R).max()
+    for k in range(3):
+        assert all(np.array_equal(x[k], y) for x, y in zip((R, V, keep), gram_root(a[k])))
+
+
+def test_gram_root_scales_by_powers_of_two_exactly():
+    # a is scaled to unit size by a power of two first, so a times 2^j
+    # gives the root times 2^-j bit for bit, at any price unit
+    a = np.random.default_rng(5).normal(size=(4, 5, 2))
+    R = gram_root(a)[0]
+    for j in (-900, -300, 300, 900):
+        assert np.array_equal(gram_root(a * 2.0 ** j)[0], R * 2.0 ** -j)
+
+
+def test_gram_root_of_zero_drops_every_direction():
+    R, V, keep = gram_root(np.zeros((2, 3, 2)))
+    assert np.all(R == 0.0) and not keep.any()
+
+
+# b'(a'a)^-1 b for 3 assets of singular values sigma, a = U diag(sigma) W'
+# (U, W random orthonormal from seeds 0-3) and a random b, both times
+# 1e-120 and 1e120, against exact_quadratic.  Worst errors: 2.7e-14 at
+# (1, 1e-3, 1.5e-3) and 3.1e-10 at (1, 1e-7, 2e-7), margins of 37 and 32.
+# Without the Cholesky factor of Y'Y (R = V D^-1) they were 8.2e-11 and
+# 7.9e-3: V alone is inaccurate on the small eigenvalues of a'a.
+@pytest.mark.parametrize("sigma,bound", [((1.0, 1e-3, 1.5e-3), 1e-12), ((1.0, 1e-7, 2e-7), 1e-8)])
+def test_gram_root_three_assets_against_exact_reference(sigma, bound):
+    worst = 0.0
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.normal(size=(5, 3)))[0]
+        w = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+        a, b = (u * np.array(sigma)) @ w.T, rng.normal(size=3)
+        for scale in (1e-120, 1e120):
+            K = exact_quadratic(a * scale, b * scale)
+            got = float(np.sum((b * scale @ gram_root(a * scale)[0]) ** 2))
+            worst = max(worst, float(abs(Fraction(got) - K) / K))
+    assert worst <= bound
+
+
 def test_centered_moments_binomial_hand_case():
-    mean, dev, cov = centered_moments([0.6, 0.4], [[1.0], [-1.0]])
+    mean, dev = centered_moments([0.6, 0.4], [[1.0], [-1.0]])
     assert mean[0] == pytest.approx(0.2)
     assert dev[:, 0] == pytest.approx([0.8, -1.2])
-    assert cov[0, 0] == pytest.approx(0.96)
+    assert np.array([0.6, 0.4]) @ dev[:, 0] ** 2 == pytest.approx(0.96)
 
 
 def test_centered_moments_zero_increments():
-    mean, dev, cov = centered_moments([0.5, 0.5], [[0.0], [0.0]])
+    mean, dev = centered_moments([0.5, 0.5], [[0.0], [0.0]])
     assert mean[0] == 0.0
     assert np.all(dev == 0.0)
-    assert cov[0, 0] == 0.0
 
 
 def test_centered_moments_martingale_step():
-    mean, _, _ = centered_moments([0.25, 0.75], [[3.0], [-1.0]])
+    mean, _ = centered_moments([0.25, 0.75], [[3.0], [-1.0]])
     assert mean[0] == pytest.approx(0.0)
 
 
 def test_centered_moments_scalar_values_and_stacks():
     # a stacked node gets the arithmetic of a call on that node alone;
-    # scalar values give the mean, deviations and variance of a column
+    # scalar values give the mean and deviations of a column
     rng = np.random.default_rng(11)
     q = rng.dirichlet(np.ones(4), size=5)
     x = rng.normal(size=(5, 4, 2))
-    mean, dev, cov = centered_moments(q, x)
+    mean, dev = centered_moments(q, x)
     for j in range(5):
         one = centered_moments(q[j], x[j])
-        assert all(np.array_equal(a[j], b) for a, b in zip((mean, dev, cov), one))
-        m, v, var = centered_moments(q[j], x[j, :, 1])
-        assert np.allclose([m, *v, var], [mean[j, 1], *dev[j, :, 1], cov[j, 1, 1]],
-                           rtol=1e-15, atol=1e-15)
+        assert all(np.array_equal(a[j], b) for a, b in zip((mean, dev), one))
+        m, v = centered_moments(q[j], x[j, :, 1])
+        assert np.allclose([m, *v], [mean[j, 1], *dev[j, :, 1]], rtol=1e-15, atol=1e-15)
 
 
 def test_centered_moments_one_child_of_almost_all_mass():
     # the uncentered form sum q d^2 - (sum q d)^2 loses the variance to
-    # cancellation; the centered form keeps it to rounding
+    # cancellation; the centered deviations keep it to rounding
     p = 1e-12
-    mean, _, cov = centered_moments([p, 1.0 - p], [[1.1], [0.9]])
+    mean, dev = centered_moments([p, 1.0 - p], [[1.1], [0.9]])
     var = p * (1.0 - p) * 0.2 ** 2
     assert abs(mean[0] - (0.9 + 0.2 * p)) <= 1e-16
-    assert abs(cov[0, 0] - var) <= 1e-14 * var
+    assert abs(np.array([p, 1.0 - p]) @ dev[:, 0] ** 2 - var) <= 1e-14 * var
 
 
 @pytest.mark.parametrize("seed", range(5))

