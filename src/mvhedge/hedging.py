@@ -77,7 +77,7 @@ def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarr
     for t in range(tree.horizon):
         for s in tree.layout.steps[t]:
             i, q = s.ids, surf.pstar_p[s.kids]
-            dv, R = centered_moments(q, V[s.kids])[1], surf.c_hat_root[i]
+            dv, R = centered_moments(q, V[s.kids][..., None])[1][..., 0], surf.c_hat_root[i]
             z = (q * dv)[:, None, :] @ (s.deltas - surf.b_sstar[i][:, None, :]) @ R   # c_sv' R
             xi[i] = (z @ R.swapaxes(1, 2))[:, 0]
             e[i] = surf.m0[i] * (np.sum(q * dv * dv, axis=1) - np.sum(z * z, axis=(1, 2)))

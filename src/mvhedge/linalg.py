@@ -1,11 +1,11 @@
 """Symmetric PSD pseudoinverse, least-squares roots, centered moments.
 
-centered_moments centers a node's increments under a one-step law (P*,
-q_k = p_k L_k / m0, or P) after a shift by the child of largest weight
-(Chan, Golub & LeVeque, Amer. Stat. 37, 1983); gram_root inverts their
-covariance a'a through a = diag(sqrt q) dev itself, squaring no small
-singular value of a (Golub 1965; Bjorck, Numerical Methods for Least
-Squares Problems, 1996, ch. 2).
+centered_moments centers a node's (k, d) increments or values under a
+one-step law (P*, q_k = p_k L_k / m0, or P) after a shift by the child
+of largest weight (Chan, Golub & LeVeque, Amer. Stat. 37, 1983);
+gram_root inverts their covariance a'a through a = diag(sqrt q) dev
+itself, squaring no small singular value of a (Golub 1965; Bjorck,
+Numerical Methods for Least Squares Problems, 1996, ch. 2).
 """
 from __future__ import annotations
 
@@ -20,12 +20,12 @@ GRAM_CUTOFF = 1e-8
 
 def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix, or of each
-    matrix in a (..., d, d) stack, by eigendecomposition: eigenvalues with
-    |lam| <= d EIG_TRUNCATION max|lam| (per matrix) are truncated to zero.
-    The result is exactly symmetric, and PSD whenever the input is; each
-    matrix of a stack gets the arithmetic of a call on it alone, bit for
-    bit.  root returns R = vec diag(inv^1/2) (negative inv as 0), R R' =
-    m^+ for PSD m, so that b' m^+ b = |b' R|^2 keeps its accuracy.
+    matrix in a (..., d, d) stack, from the eigenvalues lam of 0.5 (m +
+    m') (m itself if exactly symmetric), truncating |lam| <= d
+    EIG_TRUNCATION max|lam| (per matrix) to zero.  The result is exactly
+    symmetric, PSD if m is; a matrix of a stack gets the arithmetic of a
+    lone call, bit for bit.  root returns R = vec diag(inv^1/2) (negative
+    inv as 0), R R' = m^+ for PSD m: b' m^+ b = |b' R|^2 keeps its accuracy.
 
     Raises NotSymmetric if the asymmetry of any matrix exceeds tolerance."""
     m = np.asarray(m, dtype=float)
@@ -40,10 +40,7 @@ def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
     d = m.shape[-1]
     if m.size == 0:
         return m.copy()
-    # an exactly symmetric input is taken as is, where m + mT could
-    # overflow; 0.5 * (m + mT) leaves it unchanged short of overflow
-    sym = 0.5 * (m + mT) if np.count_nonzero(asym) else m
-    lam, vec = np.linalg.eigh(sym)
+    lam, vec = np.linalg.eigh(0.5 * (m + mT))
     cutoff = d * EIG_TRUNCATION * np.abs(lam).max(axis=-1, keepdims=True)
     inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
     if root:
@@ -74,17 +71,14 @@ def gram_root(a: np.ndarray) -> tuple:
 
 
 def centered_moments(q: np.ndarray, x: np.ndarray) -> tuple:
-    """(mean, dev) of values x (..., k, d), or scalar values x (..., k),
-    under probabilities q (..., k), one row a node: with j the child of
-    largest q and s_k = x_k - x_j, mean = x_j + sum_k q_k s_k and dev_k =
-    s_k - sum_j q_j s_j.  A node of a stack gets the arithmetic of a call
-    on that node alone, bit for bit."""
+    """(mean, dev) of values x (..., k, d) under probabilities q (..., k),
+    one row a node, scalar values as d = 1: with j the child of largest q
+    and s_k = x_k - x_j, mean = x_j + sum_k q_k s_k and dev_k = s_k -
+    sum_j q_j s_j.  A node of a stack gets the arithmetic of a call on
+    that node alone, bit for bit."""
     q, x = np.asarray(q, dtype=float), np.asarray(x, dtype=float)
-    scalar = x.ndim == q.ndim
-    x = x[..., None] if scalar else x
     pivot = np.take_along_axis(x, np.argmax(q, axis=-1)[..., None, None], axis=-2)
     dev = x - pivot
     shift = q[..., None, :] @ dev
     dev -= shift
-    mean = (pivot + shift)[..., 0, :]
-    return (mean[..., 0], dev[..., 0]) if scalar else (mean, dev)
+    return (pivot + shift)[..., 0, :], dev

@@ -42,10 +42,10 @@ class OpportunitySurface:
     stored: L, a_tilde and the one-step P* law from node n: its mass m0 =
     sum_k p_k L_k, the increments' mean b_sstar, c_hat_root, a root R R' =
     c_hat*^+, and the weights qstar_w = (L_k/L_n)(1 - a_tilde' d_k) of Q*
-    and pstar_p = p_k L_k / m0 of P*, at the child k as tree.prob is (1
-    at the root).  Derived at first access: dAK = m0/L - 1, a_hat = (1 +
-    dAK) a_tilde, and the maximal conditional Sharpe ratio over the
-    remaining periods, sharpe = sqrt(1/L - 1).
+    (signed: entries <= 0 are legal and never clamped) and pstar_p = p_k
+    L_k / m0 of P*, at the child k as tree.prob is (1 at the root).
+    Derived at first access: dAK = m0/L - 1, a_hat = (1 + dAK) a_tilde
+    and the maximal conditional Sharpe ratio to T, sharpe = sqrt(1/L - 1).
     """
 
     L: np.ndarray                 # (n,)
@@ -67,12 +67,6 @@ class OpportunitySurface:
     @cached_property
     def sharpe(self) -> np.ndarray:
         return np.sqrt(np.maximum(1.0 / self.L - 1.0, 0.0))
-
-    @property
-    def num_negative_weights(self) -> int:
-        """The count of one-step Q* weights <= 0; the variance-optimal
-        measure is signed, so they are legal and never clamped."""
-        return int(np.count_nonzero(self.qstar_w <= 0.0))
 
 
 @dataclass
@@ -143,9 +137,7 @@ def compute_opportunity(tree: ScenarioTree) -> OpportunitySurface:
             degenerate.append(s.ids[(L <= DEGENERACY_THRESHOLD * m0) | (off > RANGE_TOL * scale)])
             surf.L[s.ids], surf.a_tilde[s.ids] = L, a_hat / (1.0 + K)[:, None]
             surf.m0[s.ids], surf.b_sstar[s.ids], surf.c_hat_root[s.ids] = m0, b, R
-            w = (dc @ a_hat[..., None])[..., 0]   # then in place: fewer live temporaries
-            np.subtract(1.0, w, out=w)
-            w *= child_L / m0[:, None]
+            w = (1.0 - (dc @ a_hat[..., None])[..., 0]) * (child_L / m0[:, None])
             surf.qstar_w[s.kids], surf.pstar_p[s.kids] = w, q
             del A, dc, w
         DegenerateStep.raise_lowest(degenerate)

@@ -116,8 +116,9 @@ def root_factor(tree: ScenarioTree) -> _Factor:
     leaf j, q = horizon * d + 1 entries, and a last column of ones.  w is
     each leaf's probability, a product taken leaf first on the same
     ancestor walk that fills X.  Y's columns are scaled to unit norm (a
-    zero column keeps norm 1), so the pivots' pseudoinverse cutoff does
-    not depend on the price unit.  The norms are a bincount."""
+    zero column keeps norm 1), so the pivots' cutoff does not depend on
+    the price unit; the norms are a bincount of squares taken after an
+    exact power-of-two scaling per column, which no tiny price underflows."""
     node = tree.leaves()
     if len(node) > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{len(node)} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
@@ -134,9 +135,14 @@ def root_factor(tree: ScenarioTree) -> _Factor:
         node = up
     sw = np.sqrt(w)
     vals *= sw[:, None]
+    top = np.zeros(m)
+    np.maximum.at(top, cols.ravel(), np.abs(vals).ravel())
+    unit = np.ldexp(1.0, np.frexp(top)[1])
+    vals /= unit[cols]
     norms = np.sqrt(np.bincount(cols.ravel(), (vals * vals).ravel(), m))
     norms[norms == 0.0] = 1.0
     vals /= norms[cols]
+    norms *= unit
     return _Factor(cols, vals, sw, norms, _ldl(cols, vals, tree))
 
 

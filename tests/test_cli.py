@@ -169,11 +169,13 @@ def test_commands_run_at_tiny_prices(tmp_path, capsys, command, flags):
     assert captured.err == "" and "FAIL" not in captured.out
 
 
-@pytest.mark.parametrize("s0", [1e-150, 1e-100, 1e-8, 1.0, 1e8, 1e9, 1e50, 1e100, 1e150])
+@pytest.mark.parametrize("s0", [1e-307, 1e-300, 1e-150, 1e-100, 1e-8, 1.0, 1e8, 1e9, 1e50, 1e100,
+                                1e150, 1.122e155])
 def test_verify_is_free_of_the_price_unit(tmp_path, capsys, s0):
     # the Cor. 3.20 residuals, the Q* drift and the FS residual are read
     # in units of each node's increments, so rounding at large prices is
-    # no failure
+    # no failure; the oracles square increments in units of a power of two
+    # per column, so tiny prices do not underflow
     model = dict(HUGE_TRINOMIAL, s0=[s0])
     cfg = write_config(tmp_path, {"model": model, "claim": {"type": "call", "strike": s0}})
     assert main(["verify", "--config", cfg]) == 0

@@ -83,7 +83,7 @@ def test_sweeps_equal_reference_loops(name, tree, claim):
     assert report.total_error == total and report.slice_error == slice_error
 
     mea, ref_mea = mv.measures(tree, surf), measures_loop(tree, surf)
-    assert surf.num_negative_weights == ref_mea["num_negative_weights"]
+    assert np.count_nonzero(surf.qstar_w <= 0.0) == ref_mea["num_negative_weights"]
     for key in ("nstar_f", "z_qstar", "z_pstar"):
         assert equal(getattr(mea, key), ref_mea[key]), key
     assert mv.fs_residual_check(tree, surf, plan) == fs_residual_loop(tree, surf, plan)

@@ -183,8 +183,8 @@ def test_centered_moments_scalar_values_and_stacks():
     for j in range(5):
         one = centered_moments(q[j], x[j])
         assert all(np.array_equal(a[j], b) for a, b in zip((mean, dev), one))
-        m, v = centered_moments(q[j], x[j, :, 1])
-        assert np.allclose([m, *v], [mean[j, 1], *dev[j, :, 1]], rtol=1e-15, atol=1e-15)
+        m, v = centered_moments(q[j], x[j, :, 1:])
+        assert np.allclose([*m, *v[:, 0]], [mean[j, 1], *dev[j, :, 1]], rtol=1e-15, atol=1e-15)
 
 
 def test_centered_moments_one_child_of_almost_all_mass():
