@@ -140,11 +140,15 @@ def _resolve_v0(v0_cfg, plan) -> float:
     return _finite(v0_cfg, "v0 must be a finite number or 'auto'")
 
 
-def _setup(config: dict):
+def _build_tree(config: dict) -> ScenarioTree:
     tree = build_model(config.get("model", {}))
-    violations = validate_tree(tree)
-    if violations:
+    if violations := validate_tree(tree):
         raise BadParameter("invalid tree: " + "; ".join(violations[:3]))
+    return tree
+
+
+def _setup(config: dict):
+    tree = _build_tree(config)
     if "claim" not in config:
         raise BadParameter("config needs a claim")
     claim = build_claim(tree, config["claim"])
@@ -171,10 +175,9 @@ def _write(out_dir: str, name: str, content: str) -> str:
 
 def cmd_tree_build(args) -> int:
     config = load_config(args.config)
-    tree = build_model(config.get("model", {}))
+    tree = _build_tree(config)
     claim = build_claim(tree, config["claim"]) if "claim" in config else None
-    doc = serialize_tree(tree, claim)
-    path = _write(args.out, "tree.json", doc + "\n")
+    path = _write(args.out, "tree.json", serialize_tree(tree, claim) + "\n")
     print(f"wrote {path}: {len(tree.nodes)} nodes, {len(tree.leaves())} leaves")
     return EXIT_OK
 

@@ -368,32 +368,25 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
 
 
 def serialize_tree(tree: ScenarioTree, claim: np.ndarray | None = None) -> str:
-    """Serialize tree (and optional claim payoff) to a canonical JSON document.
-
-    All reals are rendered with 17 significant digits, so
-    serialize -> parse -> serialize is byte-identical.
+    """Serialize tree (and optional claim payoff) to a canonical JSON document,
+    one printf template per node with its children in id order.  All reals
+    are rendered with 17 significant digits, so serialize -> parse ->
+    serialize is byte-identical.
     """
-    parts = ['{"num_assets": %d, "horizon": %d, "nodes": [' % (tree.num_assets, tree.horizon)]
-    parent = tree.parent.tolist()
-    kids = [[] for _ in parent]
-    for i, (p, q) in enumerate(zip(parent, tree.prob.tolist())):
-        if p >= 0:
-            kids[p].append('{"id": %d, "p": %.17g}' % (i, q))
-    node_docs = []
-    for i, (t, price, p, r) in enumerate(zip(tree.time.tolist(), tree.price.tolist(),
-                                             parent, tree.regime.tolist())):
-        doc = '{"id": %d, "time": %d, "price": [%s], "parent": %s, "children": [%s]' % (
-            i, t, ", ".join("%.17g" % x for x in price), "null" if p < 0 else p, ", ".join(kids[i])
-        )
-        if r >= 0:
-            doc += ', "regime": %d' % r
-        node_docs.append(doc + "}")
-    parts.append(", ".join(node_docs))
-    parts.append("]")
-    if claim is not None:
-        parts.append(', "claim": [%s]' % ", ".join("%.17g" % x for x in claim))
-    parts.append("}")
-    return "".join(parts)
+    parent = tree.parent
+    kid = np.argsort(parent, kind="stable")[np.count_nonzero(parent < 0):]   # by parent, then id
+    edges = ['{"id": %d, "p": %.17g}' % e for e in zip(kid.tolist(), tree.prob[kid].tolist())]
+    ends = np.cumsum(np.bincount(parent[kid], minlength=len(parent))).tolist()
+    template = ('{"id": %d, "time": %d, "price": [' + ", ".join(["%.17g"] * tree.price.shape[1])
+                + '], "parent": %s, "children": [%s]%s}')
+    nodes = ", ".join(template % row for row in zip(
+        tree.nodes, tree.time.tolist(), *tree.price.T.tolist(),
+        ("null" if p < 0 else p for p in parent.tolist()),
+        (", ".join(edges[a:b]) for a, b in zip([0] + ends, ends)),
+        ("" if r < 0 else ', "regime": %d' % r for r in tree.regime.tolist())))
+    tail = "" if claim is None else ', "claim": [%s]' % ", ".join("%.17g" % x for x in claim)
+    return '{"num_assets": %d, "horizon": %d, "nodes": [%s]%s}' % (
+        tree.num_assets, tree.horizon, nodes, tail)
 
 
 def _is_id(x, n: int) -> bool:
@@ -402,14 +395,14 @@ def _is_id(x, n: int) -> bool:
 
 def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
     """Parse a document produced by serialize_tree into the tree and the
-    claim's payoff array (None without one).  Raises BadParameter when
-    the document contradicts itself: an id that is not its list position,
-    a parent or child id out of range, a price row of the wrong length,
-    children lists that disagree with the parent pointers, a num_assets
-    or horizon that is not a non-negative integer, or a claim that is not
-    a list of numbers, one per leaf."""
-    doc = json.loads(text)
+    claim's payoff array (None without one).  Raises BadParameter on text
+    that is not JSON, or when the document contradicts itself: an id that
+    is not its list position, a parent or child id out of range, a price
+    row of the wrong length, children lists that disagree with the parent
+    pointers, a num_assets or horizon that is not a non-negative integer,
+    or a claim that is not a list of numbers, one per leaf."""
     try:
+        doc = json.loads(text)
         nodes, num_assets = doc["nodes"], doc["num_assets"]
         n = len(nodes)
         parent = [-1 if nd["parent"] is None else nd["parent"] for nd in nodes]

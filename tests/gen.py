@@ -814,3 +814,29 @@ def subtree_stacks(tree: ScenarioTree):
         shapes, group = np.unique(end - first, axis=0, return_inverse=True)
         for g, counts in enumerate(shapes):
             yield first[group == g], counts
+
+
+def serialize_loop(tree: ScenarioTree, claim: np.ndarray | None = None) -> str:
+    """Reference for serialize_tree: one Python list of child documents per
+    node and one string per number, joined at the end."""
+    parts = ['{"num_assets": %d, "horizon": %d, "nodes": [' % (tree.num_assets, tree.horizon)]
+    parent = tree.parent.tolist()
+    kids = [[] for _ in parent]
+    for i, (p, q) in enumerate(zip(parent, tree.prob.tolist())):
+        if p >= 0:
+            kids[p].append('{"id": %d, "p": %.17g}' % (i, q))
+    node_docs = []
+    for i, (t, price, p, r) in enumerate(zip(tree.time.tolist(), tree.price.tolist(),
+                                             parent, tree.regime.tolist())):
+        doc = '{"id": %d, "time": %d, "price": [%s], "parent": %s, "children": [%s]' % (
+            i, t, ", ".join("%.17g" % x for x in price), "null" if p < 0 else p, ", ".join(kids[i])
+        )
+        if r >= 0:
+            doc += ', "regime": %d' % r
+        node_docs.append(doc + "}")
+    parts.append(", ".join(node_docs))
+    parts.append("]")
+    if claim is not None:
+        parts.append(', "claim": [%s]' % ", ".join("%.17g" % x for x in claim))
+    parts.append("}")
+    return "".join(parts)

@@ -252,6 +252,8 @@ def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
 # (command, config, message): every input check of the builders, the claim
 # and the commands that a config reaches, each named on stderr with exit 2
 HALF_MINUS = 0.5 - 0.45e-12   # laws and rows within PROB_SUM_TOL, their products not
+HALF_MINUS_REGIME = dict(REGIME, transition=[[HALF_MINUS, HALF_MINUS], [0.2, 0.8]], regimes=[
+    [{"delta": [1.0], "p": HALF_MINUS}, {"delta": [-1.0], "p": HALF_MINUS}], REGIME["regimes"][1]])
 INPUT_ERRORS = [
     ("tree build", {"model": dict(BINOMIAL, down=1.5)}, "down must lie in (0, 1)"),
     ("tree build", {"model": dict(TRINOMIAL, increments=TRINOMIAL["increments"][:1])},
@@ -268,10 +270,7 @@ INPUT_ERRORS = [
      "claim payoff must be finite"),
     ("tree build", {"model": dict(TRINOMIAL, increments=[1, 2])},
      "bad model value: 'int' object is not subscriptable"),
-    ("hedge", {"model": dict(REGIME, regimes=[[{"delta": [1.0], "p": HALF_MINUS},
-                                               {"delta": [-1.0], "p": HALF_MINUS}],
-                                              REGIME["regimes"][1]],
-                             transition=[[HALF_MINUS, HALF_MINUS], [0.2, 0.8]]), "claim": CALL10},
+    ("hedge", {"model": HALF_MINUS_REGIME, "claim": CALL10},
      "invalid tree: child probabilities at node 0 sum to 0.9999999999982001"),
     ("hedge", {"model": TRINOMIAL}, "config needs a claim"),
     ("backtest", {"model": TRINOMIAL, "claim": CALL10, "strategies": ["delta"]},
@@ -296,6 +295,12 @@ INPUT_ERRORS = [
      "paths must be in [1, 2**20], got 1000000000000000"),
     ("backtest", {"model": BINOMIAL_1, "claim": CALL10, "paths": 2**70},
      "paths must be in [1, 2**20], got 1180591620717411303424"),
+    # tree build refuses what validate_tree refuses, as every other command does
+    ("tree build", {"model": HALF_MINUS_REGIME},
+     "invalid tree: child probabilities at node 0 sum to 0.9999999999982001"),
+    ("tree build", {"model": dict(TRINOMIAL, s0=[1e300], mode="multiplicative", increments=[
+        {"delta": [1e5], "p": 0.5}, {"delta": [-0.5], "p": 0.5}], periods=2)},
+     "invalid tree: non-finite price at node 3"),
 ]
 
 

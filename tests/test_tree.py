@@ -8,7 +8,8 @@ import pytest
 import mvhedge as mv
 from mvhedge.tree import ScenarioTree, parse_tree, serialize_tree, validate_tree
 
-from gen import binomial_loop, iid_loop, random_tree, regime_loop, uneven_regime_args
+from gen import (binomial_loop, iid_loop, random_tree, regime_loop, serialize_loop,
+                 uneven_regime_args, uneven_regime_tree)
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
 
@@ -174,6 +175,44 @@ def test_serialization_preserves_regime():
     )
     tree2, _ = parse_tree(serialize_tree(tree))
     assert np.array_equal(tree2.regime, tree.regime)
+
+
+def hand_built(parent, time) -> ScenarioTree:
+    n = len(parent)
+    return ScenarioTree(num_assets=2, horizon=max(time), parent=parent, time=time,
+                        price=np.arange(2.0 * n).reshape(n, 2) / 3, regime=[-1] * n,
+                        prob=np.linspace(0.1, 1.0, n))
+
+
+# trees that break the ordering contract, which the writer lists children of in id order
+OFF_CONTRACT = {
+    "interleaved_children": hand_built([-1, 0, 0, 1, 2, 1, 2], [0, 1, 1, 2, 2, 2, 2]),
+    "two_roots": hand_built([-1, -1, 0, 1, 0], [0, 0, 1, 1, 1]),
+    "parent_after_child": hand_built([-1, 2, 0], [0, 2, 1]),
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("d", [1, 2])
+def test_serialize_equals_reference_writer_on_random_trees(d, seed):
+    rng = np.random.default_rng(500 + seed)
+    tree = random_tree(rng, d=d)
+    claim = mv.attach_claim(tree, "per_leaf", values=rng.normal(size=len(tree.leaves())))
+    assert serialize_tree(tree, claim) == serialize_loop(tree, claim)
+
+
+@pytest.mark.parametrize("name", ["regime", *OFF_CONTRACT])
+def test_serialize_equals_reference_writer(name):
+    tree = uneven_regime_tree(3) if name == "regime" else OFF_CONTRACT[name]
+    assert serialize_tree(tree) == serialize_loop(tree)
+
+
+def test_parse_rejects_text_that_is_not_json():
+    tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 2)
+    tree.price[3] = np.inf   # written as inf, which JSON has no word for
+    for text in (serialize_tree(tree), "", '{"num_assets": 1'):
+        with pytest.raises(mv.BadParameter, match="malformed tree document"):
+            parse_tree(text)
 
 
 def test_validate_rejects_nodes_out_of_list_order():
