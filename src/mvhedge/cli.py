@@ -257,10 +257,11 @@ def cmd_verify(args) -> int:
     report = hedging.hedging_error(tree, surf, plan, plan.v0)
     root = oracle.root_factor(tree)
     lsq = oracle.lsq_projection(tree, claim, "free", root)
+    scale = max(1.0, float(np.max(np.abs(claim))))   # scale * scale overflows near 1e154
     ok &= _check_line("lsq_v0", 0, plan.v0, lsq.v0_opt, tol)
-    ok &= _check_line("lsq_min_error", 0, report.total_error, lsq.min_error, tol)
+    ok &= _check_line("lsq_min_error", 0, report.total_error / scale / scale,
+                      lsq.min_error / scale / scale, tol)
     _, G = hedging.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, plan.v0)
-    scale = max(1.0, float(np.max(np.abs(claim))))
     ok &= _worst_line("value_process", tree.nodes, G / scale, lsq.value_process / scale, tol)
 
     qp = oracle.martingale_qp(tree, root)

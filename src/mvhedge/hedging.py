@@ -68,10 +68,11 @@ def compute_mean_value(tree: ScenarioTree, surf: OpportunitySurface,
 
 def compute_pure_hedge(tree: ScenarioTree, surf: OpportunitySurface, V: np.ndarray) -> HedgePlan:
     """Pure hedge coefficient xi(n) = R R'c_sv and error term e(n) = m0
-    (sum_k q_k dv_k^2 - |R'c_sv|^2) >= 0 per non-terminal node, from the
-    stored P* law q = pstar_p and R = c_hat_root: dv_k = V_k - sum_j q_j
-    V_j and c_sv = sum_k q_k (d_k - b_sstar) dv_k.  As V is the Q* mean,
-    they are the fit and residual of V_k - V_n on d_k in weights p_k L_k."""
+    (sum_k q_k dv_k^2 - |R'c_sv|^2) per non-terminal node, >= 0 up to a
+    rounding of order eps m0 max dv_k^2, from the stored P* law q = pstar_p
+    and R = c_hat_root: dv_k = V_k - sum_j q_j V_j and c_sv = sum_k q_k
+    (d_k - b_sstar) dv_k.  As V is the Q* mean, they are the fit and
+    residual of V_k - V_n on d_k in weights p_k L_k."""
     n = len(tree.nodes)
     xi, e = np.full((n, tree.num_assets), np.nan), np.full(n, np.nan)
     for t in range(tree.horizon):

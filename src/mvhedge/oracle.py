@@ -14,9 +14,9 @@ the tree (the multifrontal method: Duff & Reid, ACM TOMS 9, 1983; Liu,
 SIAM Review 34, 1992), each front no larger than a leaf's path.
 Pivots through pinv_psd make it a generalized inverse of G.  The
 least squares solves its claim, and a fixed endowment and the QP the
-cash column; each node's check sums the factor's cash terms over its
-subtree.  The oracles rely on validate_tree's ordering contract, not
-the tree layout.
+cash column; each node's check is its front's cash entry once its
+subtree is eliminated.  The oracles rely on validate_tree's ordering
+contract, not the tree layout.
 """
 from __future__ import annotations
 
@@ -50,16 +50,18 @@ class QpSolution:
 @dataclass
 class _Factor:
     """Y (n_leaves, m) with unit columns, path-sparse: row j of Y is vals[j] in
-    columns cols[j] (n_leaves, q), else 0, cash last; sqrt(w), the column norms
-    and the block LDL' factor of G = Y'Y, per depth, deepest first, then cash:
-    the depth's node columns (N, d), the columns of cash and their ancestors
-    (N, r), and R (N, d, d) and W = B R (N, r, d), where R R' = D^+, D the
-    pivot and B its block below, so that L's block is W R' and B D^+ B' = W W'."""
+    columns cols[j] (n_leaves, q), else 0, cash first, then the ancestors root
+    first; sqrt(w), the column norms and the block LDL' factor of G = Y'Y, per
+    depth, deepest first, then cash: the depth's node columns (N, d), the
+    columns of cash and their ancestors (N, r), and R (N, d, d) and
+    W = B R (N, r, d), where R R' = D^+, D the pivot and B its block below, so
+    that L's block is W R' and B D^+ B' = W W'; and each node's L, node_L."""
     cols: np.ndarray
     vals: np.ndarray
     sw: np.ndarray
     norms: np.ndarray
     steps: list
+    node_L: np.ndarray
 
     @cached_property
     def cash_sol(self) -> np.ndarray:
@@ -87,48 +89,51 @@ class _Factor:
         return x.reshape(rhs.shape)
 
 
-def _ldl(cols: np.ndarray, vals: np.ndarray, tree: ScenarioTree) -> list:
-    """_Factor's steps for G = Y'Y, front by front up the tree.  A leaf's
-    front is y y', y its row of Y with cash first, then its ancestors'
-    columns, root first; a node's is the sum of its children's, siblings
-    being one id range by the ordering contract.  Its last d columns, the
-    node's own, are eliminated, and front - W W' on the rest goes up."""
+def _ldl(cols: np.ndarray, vals: np.ndarray, tree: ScenarioTree) -> tuple:
+    """_Factor's steps and node_L for G = Y'Y, front by front up the tree.
+    A leaf's front is y y', y its row of Y, and its mass y_c^2; a node's
+    are the sums of its children's, siblings being one id range by the
+    ordering contract.  Its last d columns, the node's own, are eliminated,
+    and front - W W' on the rest goes up.  Its cash entry is then
+    (P(n) - n_c^2 |W_c|^2 summed over the subtree) / n_c^2 and its mass
+    P(n) / n_c^2, n_c the cash norm, so their ratio is node_L."""
     d, bounds = tree.num_assets, np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    idx, y = np.roll(cols, 1, axis=1), np.roll(vals, 1, axis=1)
-    front, steps = y[:, :, None] * y[:, None, :], []
+    idx, front, mass, steps = cols, vals[:, :, None] * vals[:, None, :], vals[:, 0] ** 2, []
+    node_L = np.ones(len(tree.parent))
     for lo, hi in zip(bounds[-2:0:-1].tolist(), bounds[:0:-1].tolist()):
         first = np.flatnonzero(np.diff(tree.parent[lo:hi], prepend=-1))
-        front, idx = np.add.reduceat(front, first), idx[first]
+        front, mass, idx = np.add.reduceat(front, first), np.add.reduceat(mass, first), idx[first]
         r = pinv_psd(front[:, -d:, -d:], root=True)
         w = front[:, :-d, -d:] @ r
         steps.append((idx[:, -d:], idx[:, :-d], w, r))
         front, idx = front[:, :-d, :-d] - w @ w.swapaxes(1, 2), idx[:, :-d]
-    return steps + [(idx, idx[:, :0], front[:, :0], pinv_psd(front, root=True))]
+        node_L[tree.parent[lo + first]] = front[:, 0, 0] / mass
+    return steps + [(idx, idx[:, :0], front[:, :0], pinv_psd(front, root=True))], node_L
 
 
 def root_factor(tree: ScenarioTree) -> _Factor:
     """The _Factor of Y = sqrt(w) X for the whole tree, which the root
     oracles share.
 
-    Row j of X (n_leaves, m) holds, in the d columns of block a of the
-    ancestor a of leaf j (by the ordering contract inner nodes come
-    first), the price increment from a to the next node on the path to
-    leaf j, q = horizon * d + 1 entries, and a last column of ones.  w is
-    each leaf's probability, a product taken leaf first on the same
-    ancestor walk that fills X.  Y's columns are scaled to unit norm (a
-    zero column keeps norm 1), so the pivots' cutoff does not depend on
-    the price unit; the norms are a bincount of squares taken after an
-    exact power-of-two scaling per column, which no tiny price underflows."""
+    Row j of X (n_leaves, m) holds, in the d columns of block a of the ancestor
+    a of leaf j (by the ordering contract inner nodes come first), the price
+    increment from a to the next node on the path to leaf j, and a last column
+    of ones: q = horizon * d + 1 entries, kept cash first.  w is each leaf's
+    probability, a product taken leaf first on the same ancestor walk that
+    fills X.  Y's columns are scaled to unit norm (a zero column keeps norm 1),
+    so the pivots' cutoff does not depend on the price unit; the norms are a
+    bincount of squares taken after an exact power-of-two scaling per column,
+    which no tiny price underflows."""
     node = tree.leaves()
     if len(node) > MAX_ORACLE_LEAVES:
         raise TooLarge(f"{len(node)} leaves exceeds the oracle bound {MAX_ORACLE_LEAVES}")
     d = tree.num_assets
     m = node[0] * d + 1   # the inner nodes are the ids below the first leaf
-    cols = np.full((len(node), tree.horizon * d + 1), m - 1)   # cash last
+    cols = np.full((len(node), tree.horizon * d + 1), m - 1)   # cash first
     vals = np.ones(cols.shape)
     w = np.ones(len(node))
     for level in range(tree.horizon - 1, -1, -1):
-        up, at = tree.parent[node], slice(level * d, (level + 1) * d)
+        up, at = tree.parent[node], slice(1 + level * d, 1 + (level + 1) * d)
         cols[:, at] = up[:, None] * d + np.arange(d)
         vals[:, at] = tree.price[node] - tree.price[up]
         w *= tree.prob[node]
@@ -143,7 +148,7 @@ def root_factor(tree: ScenarioTree) -> _Factor:
     norms[norms == 0.0] = 1.0
     vals /= norms[cols]
     norms *= unit
-    return _Factor(cols, vals, sw, norms, _ldl(cols, vals, tree))
+    return _Factor(cols, vals, sw, norms, *_ldl(cols, vals, tree))
 
 
 def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "free",
@@ -216,17 +221,6 @@ def node_conditional_check(tree: ScenarioTree, root: _Factor | None = None) -> n
     process.  Leaves give 1.  At an inner node n it is root's least
     squares on n's leaves and the holdings of its inner subtree nodes,
     1 - g' G_nn^+ g / P(n), G_nn the block of G on those holdings, g its
-    column of Y' sqrt(w) and P(n) the leaf mass.  The factor eliminates the
-    subtree first, so g' G_nn^+ g is n_c^2 times the sum over the subtree of
-    its cash terms |W[0]|^2, summed up the tree and P(n) with them."""
-    sq, f = np.ones(len(tree.parent)), root or root_factor(tree)
-    n, bounds = len(sq) - len(f.sw), np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    sums = np.zeros((len(sq), 2))
-    sums[n:, 1] = f.sw ** 2
-    for cols, _, w, _ in f.steps[:-1]:
-        sums[cols[:, 0] // tree.num_assets, 0] = np.sum(w[:, 0] ** 2, axis=1)
-    for lo, hi in zip(bounds[-2:0:-1].tolist(), bounds[:0:-1].tolist()):
-        np.add.at(sums, tree.parent[lo:hi], sums[lo:hi])
-    sq[:n] = 1.0 - f.norms[-1] ** 2 * sums[:n, 0] / sums[:n, 1]
-    return sq
-
+    column of Y' sqrt(w) and P(n) the leaf mass: root's node_L, final
+    once n's front is eliminated."""
+    return (root or root_factor(tree)).node_L.copy()

@@ -314,6 +314,8 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     for name, x in (("num_assets", tree.num_assets), ("horizon", tree.horizon)):
         if not (_is_int(x) and x >= 0):
             return [f"{name} {x!r} is not a non-negative integer"]
+    if tree.num_assets == 0:
+        return ["the tree has no assets"]
     parent, time, price = tree.parent, tree.time, tree.price
     n = len(parent)
     if n == 0 or any(a.shape != (n,) for a in (time, tree.regime, tree.prob)):
@@ -417,8 +419,11 @@ def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
                    for i, p in enumerate(parent) if p != -1 and not _is_id(p, n)]
         errors += [f"child {c!r} of node {i} out of range"
                    for i, c, _ in listed if not _is_id(c, n)]
-        errors += [f"time {nd['time']!r} of node {i} is not an integer"
-                   for i, nd in enumerate(nodes) if type(nd["time"]) is not int]
+        time = [nd["time"] for nd in nodes]
+        regime = [-1 if nd.get("regime") is None else nd["regime"] for nd in nodes]
+        errors += [f"{key} {x!r} of node {i} is not an integer"
+                   for key, xs in (("time", time), ("regime", regime))
+                   for i, x in enumerate(xs) if type(x) is not int]
         errors += [f"price dimension mismatch at node {i}"
                    for i, nd in enumerate(nodes) if len(nd["price"]) != num_assets]
         errors += [f"{kind} price at node {i}" for i, nd in enumerate(nodes)
@@ -437,11 +442,9 @@ def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
                        for c, (p, k) in enumerate(zip(parent, seen)) if p >= 0 and not k]
         if not errors:
             tree = ScenarioTree(
-                num_assets=num_assets, horizon=horizon, parent=parent,
-                time=[nd["time"] for nd in nodes],
+                num_assets=num_assets, horizon=horizon, parent=parent, time=time,
                 price=np.array([nd["price"] for nd in nodes], dtype=float).reshape(n, num_assets),
-                regime=[-1 if nd.get("regime") is None else nd["regime"] for nd in nodes],
-                prob=prob,
+                regime=regime, prob=prob,
             )
             leaves = len(tree.leaves())
             if claim is not None and not (isinstance(claim, list) and len(claim) == leaves

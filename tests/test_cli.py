@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.cli import (_check_line, _check_lines, _worst_line, build_model, load_config, main,
-                         make_parser)
+from mvhedge.cli import (_check_line, _check_lines, _worst_line, build_claim, build_model,
+                         load_config, main, make_parser)
 
 BINOMIAL = {"type": "binomial", "s0": [10.0], "up": 1.1, "down": 0.9, "p_up": 0.6,
             "periods": 3}
@@ -180,6 +180,34 @@ def test_verify_is_free_of_the_price_unit(tmp_path, capsys, s0):
     cfg = write_config(tmp_path, {"model": model, "claim": {"type": "call", "strike": s0}})
     assert main(["verify", "--config", cfg]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("s0", [1e9, 1e150])
+def test_verify_reads_the_min_error_in_claim_units(tmp_path, capsys, s0):
+    # in a complete market the engine's and the oracle's minimal error are
+    # both rounding of order eps * max|claim|^2 (at s0 1e9 the engine reads
+    # -2.64, the oracle 1e-15), so they are compared in units of max|claim|^2
+    model = dict(BINOMIAL, s0=[s0])
+    cfg = write_config(tmp_path, {"model": model, "claim": {"type": "call", "strike": s0}})
+    assert main(["verify", "--config", cfg]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_verify_min_error_check_bites_in_claim_units(monkeypatch, capsys):
+    # a total error off by 1e-8 max|claim|^2 still fails
+    config = load_config(GOLDEN_CONFIG)
+    tree = build_model(config["model"])
+    scale = max(1.0, float(np.max(np.abs(build_claim(tree, config["claim"])))))
+    exact = mv.hedging.hedging_error
+
+    def perturbed(*args):
+        report = exact(*args)
+        report.total_error += 1e-8 * scale * scale
+        return report
+    monkeypatch.setattr(mv.hedging, "hedging_error", perturbed)
+    assert main(["verify", "--config", GOLDEN_CONFIG]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[-1] for line in lines if line.startswith("CHECK lsq_min_error")] == ["FAIL"]
 
 
 @pytest.mark.parametrize("periods", [1, 4])

@@ -354,9 +354,10 @@ def test_certified_factor_matches_pinv(seed):
 
 @pytest.mark.parametrize("case", range(7))
 def test_certified_root_certifies_its_blocks(case):
-    # every node check is a subtree sum of the factor's cash terms, which
-    # equals g' G_nn^+ g on the subtree's block, pinv_psd'd, for the root
-    # (G without cash) and each stack of later subtrees
+    # every node check is its front's cash entry, once the subtree is
+    # eliminated, over its cash mass: 1 - g' G_nn^+ g / P(n) on the
+    # subtree's block, pinv_psd'd, for the root (G without cash) and each
+    # stack of later subtrees
     rng = np.random.default_rng(1650 + case)
     tree = uneven_regime_tree(3) if case == 0 else random_tree(rng)
     f = oracle.root_factor(tree)

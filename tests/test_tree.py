@@ -285,6 +285,15 @@ def test_validate_rejects_hand_built_defects(field, value, message):
     assert message in validate_tree(tree)
 
 
+def test_validate_rejects_a_document_with_no_assets():
+    # it parses, but has no increments to hedge with
+    doc = binomial_doc()
+    doc["num_assets"] = 0
+    for nd in doc["nodes"]:
+        nd["price"] = []
+    assert validate_tree(parse_tree(json.dumps(doc))[0]) == ["the tree has no assets"]
+
+
 def test_attach_claim_rejects_what_no_config_reaches():
     tree = mv.build_binomial([10.0], 1.1, 0.9, 0.5, 1)
     with pytest.raises(mv.BadParameter, match="^call requires a strike$"):
@@ -358,6 +367,14 @@ def claim_too_short(doc):
     doc["claim"] = [1.0]
 
 
+def regime_fractional(doc):
+    doc["nodes"][1]["regime"] = 1.7
+
+
+def regime_boolean(doc):
+    doc["nodes"][2]["regime"] = True
+
+
 def horizon_boolean(doc):
     doc["horizon"] = True
 
@@ -388,6 +405,8 @@ DOCUMENT_DEFECTS = [
     (child_listed_twice, "node 5 listed 2 times"),
     (child_missing, "node 6 missing from the children of node 2"),
     (time_not_integer, "time 1.5 of node 1 is not an integer"),
+    (regime_fractional, "regime 1.7 of node 1 is not an integer"),
+    (regime_boolean, "regime True of node 2 is not an integer"),
     (boolean_price_and_probability, "boolean price at node 0; boolean probability at node 1 child 3"),
     (string_price_and_probability, "string price at node 0; string probability at node 1 child 3"),
     (claim_not_a_list, "claim is not a list of 4 numbers, one per leaf"),
