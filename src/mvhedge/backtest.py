@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, IncompatibleClaim
+from .errors import BadParameter, IncompatibleClaim, is_int
 from .hedging import HedgePlan, compute_plan, hedging_error, rollout_strategy
 from .opportunity import OpportunitySurface, martingale_surface
 from .tree import ScenarioTree
@@ -96,10 +96,10 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     step t the path moves from its node to the child that
     searchsorted(cumsum(probs), u_t, side="right") selects, capped at the
     last child, with probs the node's edge probabilities in child order."""
-    if not 1 <= n <= MAX_PATHS:
-        raise BadParameter(f"paths must be in [1, 2**20], got {n}")
-    if not 0 <= seed < 2**128:
-        raise BadParameter(f"seed must be in [0, 2**128), got {seed}")
+    if not (is_int(n) and 1 <= n <= MAX_PATHS):
+        raise BadParameter(f"paths must be in [1, 2**20], got {n!r}")
+    if not (is_int(seed) and 0 <= seed < 2**128):
+        raise BadParameter(f"seed must be in [0, 2**128), got {seed!r}")
     lay = tree.layout
     # cdf[r, i]: inner node i's r-th cumulative probability (inner ids come
     # first), +inf from its last child on, so the rows <= u count the capped searchsorted
@@ -168,16 +168,16 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
 
 
 def compare_report(reports: list[BacktestReport]) -> str:
-    """CSV comparison table with each strategy's error ratio to mvh."""
+    """CSV comparison table with each strategy's error ratio to mvh (empty without one)."""
     if not reports:
         raise BadParameter("need at least one report")
-    mvh = next((r for r in reports if r.strategy == "mvh"), reports[0])
+    mvh = next((r for r in reports if r.strategy == "mvh"), None)
     rows = ["strategy,n_paths,mean_sq_error,std_error,analytic_error,ratio_to_mvh\n"]
     for r in reports:
         analytic = "" if r.analytic_error is None else "%.17g" % r.analytic_error
-        ratio = r.mean_sq_error / mvh.mean_sq_error if mvh.mean_sq_error > 0.0 else (
-            1.0 if r.mean_sq_error == 0.0 else float("inf")
-        )
-        rows.append("%s,%d,%.17g,%.17g,%s,%.17g\n" % (
+        ratio = "" if mvh is None else "%.17g" % (
+            r.mean_sq_error / mvh.mean_sq_error if mvh.mean_sq_error > 0.0
+            else 1.0 if r.mean_sq_error == 0.0 else float("inf"))
+        rows.append("%s,%d,%.17g,%.17g,%s,%s\n" % (
             r.strategy, r.num_paths, r.mean_sq_error, r.std_error, analytic, ratio))
     return "".join(rows)

@@ -3,23 +3,25 @@
 Subcommands: tree build, hedge, verify, backtest, inspect.  Every
 command is a pure function of (config file, flags): rerunning writes
 byte-identical outputs.  Exit codes: 0 ok, 1 verification failure,
-2 config/parameter error, 3 degenerate market, 4 size bound.
+2 config/parameter error, 3 degenerate market, 4 size bound.  Each
+command reads its flags, config keys and summary before the engine runs
+(every number through errors.number), so a bad one exits 2.
 """
 from __future__ import annotations
 
 import argparse
 import gc
 import json
-import math
 import os
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 
 import numpy as np
 
 from . import backtest as bt
 from . import hedging, opportunity, oracle
-from .errors import BadParameter, DegenerateStep, IncompatibleClaim, Infeasible, TooLarge
+from .errors import (BadParameter, DegenerateStep, IncompatibleClaim, Infeasible, TooLarge,
+                     is_int, number)
 from .tree import (
     ScenarioTree,
     attach_claim,
@@ -43,6 +45,7 @@ _MODEL_KEYS = {
     "regime": {"type", "s0", "regimes", "transition", "initial_regime", "periods", "mode"},
 }
 _CLAIM_KEYS = {"call": {"type", "strike"}, "put": {"type", "strike"}, "per_leaf": {"type", "values"}}
+INSPECT_FIELDS = ("L", "a", "V", "xi", "sharpe", "mvt", "qstar")
 
 
 def _reject_unknown(doc: dict, allowed: set, where: str) -> None:
@@ -66,10 +69,9 @@ def _typed(where: str):
 
 
 def _config_int(config: dict, key: str, default: int) -> int:
-    """A config value that must be a JSON integer; a float or a boolean
-    would otherwise be truncated to one."""
+    """config[key] (default when absent), which must be a JSON integer, not a float or boolean."""
     value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_int(value):
         raise BadParameter(f"{key} must be an integer, got {value!r}")
     return value
 
@@ -124,20 +126,15 @@ def build_claim(tree: ScenarioTree, cfg: dict) -> np.ndarray:
         return attach_claim(tree, kind, strike=cfg["strike"])
 
 
-def _finite(value, what: str, minimum: float = -math.inf) -> float:
-    """A flag string or JSON number as a finite float >= minimum; a
-    boolean, which float() would read as 0 or 1, is rejected."""
-    with suppress(TypeError, ValueError):
-        x = float(value)
-        if not isinstance(value, bool) and math.isfinite(x) and x >= minimum:
-            return x
-    raise BadParameter(f"{what}, got {value!r}")
+def endowment(text: str) -> float | str:
+    """--v0's argparse type, named in its usage error: 'auto' or a float."""
+    return text if text == "auto" else float(text)
 
 
-def _resolve_v0(v0_cfg, plan) -> float:
-    if v0_cfg is None or v0_cfg == "auto":
-        return plan.v0
-    return _finite(v0_cfg, "v0 must be a finite number or 'auto'")
+def _v0(flag, config: dict) -> float | None:
+    """The --v0 flag, else config's v0; None for 'auto' or none, the plan's V0."""
+    v0 = flag if flag is not None else config.get("v0")
+    return None if v0 in (None, "auto") else number(v0, "v0 must be a finite number or 'auto'")
 
 
 def _build_tree(config: dict) -> ScenarioTree:
@@ -184,10 +181,11 @@ def cmd_tree_build(args) -> int:
 
 def cmd_hedge(args) -> int:
     config = load_config(args.config)
+    v0 = _v0(args.v0, config)
     tree, claim, surf, plan = _setup(config)
-    v0 = _resolve_v0(args.v0 if args.v0 is not None else config.get("v0"), plan)
+    v0 = plan.v0 if v0 is None else v0
     report = hedging.hedging_error(tree, surf, plan, v0)
-    if not math.isfinite(report.total_error):
+    if not np.isfinite(report.total_error):
         raise DegenerateStep(0)
 
     d, n_in = tree.num_assets, int(np.searchsorted(tree.time, tree.horizon))  # leaves last
@@ -247,8 +245,14 @@ def _worst_line(name: str, ids, engine: np.ndarray, target: np.ndarray, tol: flo
 
 def cmd_verify(args) -> int:
     config = load_config(args.config)
-    tol = _finite(args.tol if args.tol is not None else config.get("tol", 1e-9),
-                  "tol must be a finite number >= 0", 0.0)
+    tol = number(args.tol if args.tol is not None else config.get("tol", 1e-9),
+                 "tol must be a finite number >= 0", 0.0)
+    if args.summary:
+        stored = _load_object(args.summary, "summary")
+        with _typed("summary"):
+            summary_v0 = _v0(None, stored)
+            summary = {key: number(stored[key], f"summary {key} must be a finite number")
+                       for key in ("V0", "L0", "total_error")}
     tree, claim, surf, plan = _setup(config)
     mea = opportunity.measures(tree, surf)
     probs = tree.node_probs()
@@ -282,13 +286,8 @@ def cmd_verify(args) -> int:
     ok &= _check_line("slice_prob_mass", 0, time_mass, 0.0, 1e-10)
 
     if args.summary:
-        stored = _load_object(args.summary, "summary")
-        v0 = _resolve_v0(stored.get("v0"), plan)
-        engine = {"V0": plan.v0, "L0": surf.L[0],
-                  "total_error": hedging.hedging_error(tree, surf, plan, v0).total_error}
-        with _typed("summary"):
-            summary = {key: _finite(stored[key], f"summary {key} must be a finite number")
-                       for key in engine}
+        engine = {"V0": plan.v0, "L0": surf.L[0], "total_error": hedging.hedging_error(
+            tree, surf, plan, plan.v0 if summary_v0 is None else summary_v0).total_error}
         for key, value in summary.items():
             ok &= _check_line(f"summary_{key}", 0, value, engine[key], tol)
     return EXIT_OK if ok else EXIT_VERIFY_FAIL
@@ -296,8 +295,7 @@ def cmd_verify(args) -> int:
 
 def cmd_backtest(args) -> int:
     config = load_config(args.config)
-    tree, claim, surf, plan = _setup(config)
-    v0 = _resolve_v0(args.v0 if args.v0 is not None else config.get("v0"), plan)
+    v0 = _v0(args.v0, config)
     strategies = config.get("strategies", ["mvh", "pure_xi", "gkw"])
     if not isinstance(strategies, list):
         raise BadParameter(f"strategies must be a list, got {strategies!r}")
@@ -310,6 +308,8 @@ def cmd_backtest(args) -> int:
     exact = args.exact or exact
     seed = args.seed if args.seed is not None else _config_int(config, "seed", 0)
     n_paths = args.paths if args.paths is not None else _config_int(config, "paths", 10000)
+    tree, claim, surf, plan = _setup(config)
+    v0 = plan.v0 if v0 is None else v0
     paths = None if exact else bt.sample_paths(tree, n_paths, seed)
     reports = [bt.run_strategy(tree, surf, plan, kind, v0, paths=paths) for kind in strategies]
     if not np.isfinite([(r.mean_sq_error, r.std_error, r.analytic_error or 0.0)
@@ -333,6 +333,8 @@ def cmd_backtest(args) -> int:
 
 def cmd_inspect(args) -> int:
     config = load_config(args.config)
+    if args.field not in INSPECT_FIELDS:
+        raise BadParameter(f"unknown inspect field {args.field!r}")
     tree, claim, surf, plan = _setup(config)
     field, d, inner = args.field, tree.num_assets, tree.layout.inner
     at = (inner.tolist(), tree.time[inner].tolist())   # the id and time of each inner node
@@ -354,12 +356,10 @@ def cmd_inspect(args) -> int:
         det = "true" if mvt.deterministic_mvt else "false"
         pp = "true" if mvt.pstar_is_p else "false"
         print(f"# deterministic_mvt={det} pstar_is_p={pp}")
-    elif field == "qstar":
+    else:   # qstar
         print("id,child,qstar_w,pstar_p\n" + _rows(
             "%d,%d,%.17g,%.17g\n", tree.parent[1:].tolist(), range(1, len(tree.time)),
             surf.qstar_w[1:].tolist(), surf.pstar_p[1:].tolist()), end="")
-    else:
-        raise BadParameter(f"unknown inspect field {field!r}")
     return EXIT_OK
 
 
@@ -381,7 +381,7 @@ def make_parser() -> argparse.ArgumentParser:
     command(tree_sub, "build", cmd_tree_build, "build and serialize a scenario tree")
 
     hedge_p = command(sub, "hedge", cmd_hedge, "run the hedging engine")
-    hedge_p.add_argument("--v0", default=None, help=v0_help)
+    hedge_p.add_argument("--v0", type=endowment, default=None, help=v0_help)
 
     verify_p = command(sub, "verify", cmd_verify, "cross-check engine against oracles",
                        out=False)
@@ -389,14 +389,13 @@ def make_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--summary", default=None, help="hedge summary JSON to re-verify")
 
     backtest_p = command(sub, "backtest", cmd_backtest, "Monte Carlo strategy comparison")
-    backtest_p.add_argument("--v0", default=None, help=v0_help)
+    backtest_p.add_argument("--v0", type=endowment, default=None, help=v0_help)
     backtest_p.add_argument("--seed", type=int, default=None)
     backtest_p.add_argument("--paths", type=int, default=None)
     backtest_p.add_argument("--exact", action="store_true")
 
     inspect_p = command(sub, "inspect", cmd_inspect, "dump per-node fields as CSV", out=False)
-    inspect_p.add_argument("--field", required=True,
-                           help="one of L, a, V, xi, sharpe, mvt, qstar")
+    inspect_p.add_argument("--field", required=True, help="one of " + ", ".join(INSPECT_FIELDS))
     return parser
 
 

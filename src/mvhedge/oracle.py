@@ -20,13 +20,12 @@ contract, not the tree layout.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import BadParameter, Infeasible, TooLarge
+from .errors import BadParameter, Infeasible, TooLarge, number
 from .linalg import pinv_psd
 from .tree import ScenarioTree
 
@@ -166,9 +165,8 @@ def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "fre
     the engine rejects as degenerate), the cash coefficient or the wealth.
     A claim that is not one value per leaf raises BadParameter.
     """
-    free = v0 == "free"
-    if not (free or isinstance(v0, numbers.Real) and np.isfinite(v0)):
-        raise BadParameter(f"v0 must be 'free' or a finite number, got {v0!r}")
+    free = isinstance(v0, str) and v0 == "free"   # an array's == is elementwise
+    v0 = v0 if free else number(v0, "v0 must be 'free' or a finite number")
     f = root or root_factor(tree)
     if np.shape(claim) != f.sw.shape:
         raise BadParameter(f"claim needs {f.sw.size} values, got shape {np.shape(claim)}")
@@ -178,7 +176,7 @@ def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "fre
         beta = beta + (v0 * f.norms[-1] - beta[-1]) / f.cash_sol[-1] * f.cash_sol
     resid = f.Yx(beta) - target
     beta = beta / f.norms
-    v0_opt = float(beta[-1]) if free else float(v0)
+    v0_opt = float(beta[-1]) if free else v0
     holdings = beta[:-1].reshape(-1, tree.num_assets)   # inner node a owns column block a
     bounds = np.searchsorted(tree.time, np.arange(tree.horizon + 2))
     value = np.full(len(tree.parent), v0_opt)

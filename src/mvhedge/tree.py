@@ -32,13 +32,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BadParameter
+from .errors import NOT_NUMBERS, BadParameter, finite, floats, is_int, number
 
 PROB_SUM_TOL = 1e-12
 MAX_LEAVES = 2 ** 20
 MAX_PERIODS = 20   # the deepest binary tree within MAX_LEAVES
 MAX_VIOLATIONS = 100   # validate_tree reports at most this many
-NOT_NUMBERS = (("boolean", (bool, np.bool_)), ("string", str))   # float() reads them as numbers
 
 
 class Step(NamedTuple):
@@ -169,9 +168,9 @@ def _grow(s0: np.ndarray, periods: int, laws, mode: str,
 
 def build_binomial(s0, up: float, down: float, p_up: float, periods: int) -> ScenarioTree:
     """Multiplicative binomial path tree with 2^periods leaves."""
-    s0 = _finite(s0, "s0")
-    up, down, p_up = _floats([up, down, p_up], "up, down and p_up").tolist()
-    if not (_is_int(periods) and 1 <= periods <= 16):
+    s0 = finite(s0, "s0")
+    up, down, p_up = floats([up, down, p_up], "up, down and p_up").tolist()
+    if not (is_int(periods) and 1 <= periods <= 16):
         raise BadParameter(f"periods must be an integer in [1, 16], got {periods!r}")
     if not (up > 1.0):
         raise BadParameter("up must exceed 1")
@@ -181,29 +180,6 @@ def build_binomial(s0, up: float, down: float, p_up: float, periods: int) -> Sce
         raise BadParameter("p_up must lie in (0, 1)")
     law = [(np.full(len(s0), up), p_up, 0), (np.full(len(s0), down), 1.0 - p_up, 0)]
     return _grow(s0, periods, [law], "multiplicative", None)
-
-
-def _is_int(x) -> bool:
-    """x is an integer and not a boolean."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
-def _floats(values, what: str) -> np.ndarray:
-    """values as a float array; BadParameter on a boolean or a string
-    (one of NOT_NUMBERS), which float() would read as a number."""
-    for kind, types in NOT_NUMBERS:
-        if any(isinstance(v, types) for v in np.asarray(values, dtype=object).flat):
-            raise BadParameter(f"{what} must be numeric, not a {kind}")
-    return np.asarray(values, dtype=float)
-
-
-def _finite(values, what: str) -> np.ndarray:
-    """values as a float vector; BadParameter unless there is at least one
-    entry and every entry is a finite number."""
-    v = np.atleast_1d(_floats(values, what))
-    if not (v.size and np.all(np.isfinite(v))):
-        raise BadParameter(f"{what} must be finite and non-empty")
-    return v
 
 
 def build_iid_multinomial(s0, increments, periods: int, mode: str = "additive") -> ScenarioTree:
@@ -228,7 +204,7 @@ def build_regime_switching(
     regime's law while the regime itself moves by the transition matrix.
     Children are (next regime, increment) pairs, increment-major;
     zero-probability transitions are dropped."""
-    if not _is_int(initial_regime):
+    if not is_int(initial_regime):
         raise BadParameter(f"initial_regime must be an integer, got {initial_regime!r}")
     if not (0 <= initial_regime < len(regimes)):
         raise BadParameter("initial_regime out of range")
@@ -239,12 +215,12 @@ def _build(s0, regimes, transition, initial_regime, periods: int, mode: str) -> 
     """Check the regimes' increment laws, the transition matrix, the mode
     and the periods, and grow the tree; an iid tree is one regime that
     moves to itself, with no initial regime."""
-    s0 = _finite(s0, "s0")
+    s0 = finite(s0, "s0")
     if mode not in ("additive", "multiplicative"):
         raise BadParameter(f"unknown mode {mode!r}")
-    if not (_is_int(periods) and periods >= 1):
+    if not (is_int(periods) and periods >= 1):
         raise BadParameter(f"periods must be a positive integer, got {periods!r}")
-    trans = _finite(transition, "transition")
+    trans = finite(transition, "transition")
     n_reg = len(regimes)
     if trans.shape != (n_reg, n_reg):
         raise BadParameter("transition matrix shape does not match regime count")
@@ -252,8 +228,8 @@ def _build(s0, regimes, transition, initial_regime, periods: int, mode: str) -> 
         raise BadParameter("transition rows must be nonnegative and sum to 1")
     laws = []
     for cur, law in enumerate(regimes):
-        deltas = [_finite(d, "increment deltas") for d, _ in law]
-        probs = _finite([p for _, p in law], "increment probabilities").tolist()
+        deltas = [finite(d, "increment deltas") for d, _ in law]
+        probs = finite([p for _, p in law], "increment probabilities").tolist()
         if any(p <= 0.0 for p in probs) or not (abs(sum(probs) - 1.0) <= PROB_SUM_TOL):
             raise BadParameter("increment probabilities must be positive and sum to 1")
         if any(d.shape != s0.shape for d in deltas):
@@ -277,12 +253,10 @@ def attach_claim(tree: ScenarioTree, kind: str, strike: float | None = None,
     if kind in ("call", "put"):
         if strike is None:
             raise BadParameter(f"{kind} requires a strike")
-        if np.ndim(strike):
-            raise BadParameter(f"strike must be one number, got {strike!r}")
-        gain = tree.price[leaves, 0] - _finite(strike, "strike").item()
+        gain = tree.price[leaves, 0] - number(strike, "strike must be one number")
         payoff = np.maximum(gain if kind == "call" else -gain, 0.0)
     elif kind == "per_leaf":
-        payoff = _floats(values, "per_leaf values")
+        payoff = floats(values, "per_leaf values")
         if payoff.shape != (len(leaves),):
             raise BadParameter(f"per_leaf claim needs {leaves.size} values, one per leaf, "
                                f"got shape {payoff.shape}")
@@ -312,7 +286,7 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
     returns a list of violation messages (empty when the tree is well
     formed), ordered by the list position they are reported at."""
     for name, x in (("num_assets", tree.num_assets), ("horizon", tree.horizon)):
-        if not (_is_int(x) and x >= 0):
+        if not (is_int(x) and x >= 0):
             return [f"{name} {x!r} is not a non-negative integer"]
     if tree.num_assets == 0:
         return ["the tree has no assets"]
@@ -391,18 +365,15 @@ def serialize_tree(tree: ScenarioTree, claim: np.ndarray | None = None) -> str:
         tree.num_assets, tree.horizon, nodes, tail)
 
 
-def _is_id(x, n: int) -> bool:
-    return type(x) is int and 0 <= x < n
-
-
 def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
     """Parse a document produced by serialize_tree into the tree and the
     claim's payoff array (None without one).  Raises BadParameter on text
-    that is not JSON, or when the document contradicts itself: an id that
-    is not its list position, a parent or child id out of range, a price
-    row of the wrong length, children lists that disagree with the parent
-    pointers, a num_assets or horizon that is not a non-negative integer,
-    or a claim that is not a list of numbers, one per leaf."""
+    that is not JSON, a number beyond the double range, or a document that
+    contradicts itself: an id that is not its list position, a parent or
+    child id out of range, a price row of the wrong length, children lists
+    that disagree with the parent pointers, a num_assets or horizon that
+    is not a non-negative integer, or a claim that is not a list of
+    numbers, one per leaf."""
     try:
         doc = json.loads(text)
         nodes, num_assets = doc["nodes"], doc["num_assets"]
@@ -412,18 +383,18 @@ def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
         horizon, claim = doc["horizon"], doc.get("claim")
         errors = [f"{name} {x!r} is not a non-negative integer"
                   for name, x in (("num_assets", num_assets), ("horizon", horizon))
-                  if not (_is_int(x) and x >= 0)]
+                  if not (is_int(x) and x >= 0)]
         errors += [f"node at list position {pos} has id {nd['id']}"
                    for pos, nd in enumerate(nodes) if nd["id"] != pos]
         errors += [f"parent {p!r} of node {i} out of range"
-                   for i, p in enumerate(parent) if p != -1 and not _is_id(p, n)]
+                   for i, p in enumerate(parent) if p != -1 and not (is_int(p) and 0 <= p < n)]
         errors += [f"child {c!r} of node {i} out of range"
-                   for i, c, _ in listed if not _is_id(c, n)]
+                   for i, c, _ in listed if not (is_int(c) and 0 <= c < n)]
         time = [nd["time"] for nd in nodes]
         regime = [-1 if nd.get("regime") is None else nd["regime"] for nd in nodes]
         errors += [f"{key} {x!r} of node {i} is not an integer"
                    for key, xs in (("time", time), ("regime", regime))
-                   for i, x in enumerate(xs) if type(x) is not int]
+                   for i, x in enumerate(xs) if not is_int(x)]
         errors += [f"price dimension mismatch at node {i}"
                    for i, nd in enumerate(nodes) if len(nd["price"]) != num_assets]
         errors += [f"{kind} price at node {i}" for i, nd in enumerate(nodes)
@@ -450,8 +421,9 @@ def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
             if claim is not None and not (isinstance(claim, list) and len(claim) == leaves
                                           and all(type(x) in (int, float) for x in claim)):
                 errors.append(f"claim is not a list of {leaves} numbers, one per leaf")
-    except (KeyError, TypeError, ValueError) as exc:
+            claim = claim if claim is None or errors else np.array(claim, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # a number past 1e308
         raise BadParameter(f"malformed tree document: {exc}") from exc
     if errors:
         raise BadParameter("malformed tree document: " + "; ".join(errors))
-    return tree, None if claim is None else np.array(claim, dtype=float)
+    return tree, claim

@@ -110,6 +110,14 @@ def test_sample_paths_bad_seed():
         mv.sample_paths(binomial_06(), 5, seed=-1)
 
 
+@pytest.mark.parametrize("n,seed", [(1.5, 1), (5.0, 1), (True, 1), ("5", 1),
+                                    (5, 1.5), (5, True), (5, None)])
+def test_sample_paths_non_integer_arguments(n, seed):
+    # a float or a boolean would otherwise be truncated to an integer
+    with pytest.raises(mv.BadParameter, match="must be in"):
+        mv.sample_paths(binomial_06(), n, seed)
+
+
 def test_exact_mvh_matches_analytic():
     tree = drifted_tree()
     claim = mv.attach_claim(tree, "call", strike=10.0)
@@ -215,6 +223,17 @@ def test_compare_report_single_row():
     assert lines[0].startswith("strategy,")
     assert len(lines) == 2
     assert lines[1].split(",")[-1] == "1"
+
+
+def test_compare_report_without_mvh_leaves_the_ratio_empty():
+    tree = drifted_tree()
+    claim = mv.attach_claim(tree, "call", strike=10.0)
+    surf, plan = setup(tree, claim)
+    reports = [mv.run_strategy(tree, surf, plan, k, plan.v0) for k in ("gkw", "pure_xi")]
+    rows = mv.compare_report(reports).strip().splitlines()
+    assert rows[0].endswith(",ratio_to_mvh")
+    assert [row.split(",")[0] for row in rows[1:]] == ["gkw", "pure_xi"]
+    assert all(row.endswith(",") for row in rows[1:])
 
 
 def test_compare_report_drifted_ranking():

@@ -266,6 +266,9 @@ def test_hedge_complete_binomial_with_a_tiny_probability(tmp_path, periods):
     ("hedge", {"model": dict(TRINOMIAL, periods=2),
                "claim": {"type": "per_leaf", "values": ["1"] + [0.0] * 8}}),
     ("hedge", {"model": dict(TRINOMIAL, periods=2), "claim": {"type": "call", "strike": "10"}}),
+    ("hedge", {"model": TRINOMIAL, "claim": CALL10, "v0": "0.5"}),
+    ("backtest", {"model": TRINOMIAL, "claim": CALL10, "v0": "0.5", "exact": True}),
+    ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": "1e-9"}),
 ])
 def test_mistyped_config_value_exit_code(tmp_path, capsys, command, doc):
     cfg = write_config(tmp_path, doc)
@@ -412,14 +415,17 @@ def test_bad_endowment_or_tol_flag_exit_code(tmp_path, capsys, command, flag, va
 
 
 @pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "out_is_file",
-                                  "summary_is_list", "summary_V0_text", "summary_no_error"])
+                                  "summary_is_list", "summary_V0_text", "summary_no_error",
+                                  "summary_V0_numeral_string"])
 def test_bad_path_or_summary_exit_code(tmp_path, capsys, case):
     cfg = write_config(tmp_path, {"model": TRINOMIAL, "claim": CALL10})
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"model": "\xe9"}')
     summary = tmp_path / "summary.json"
     summary.write_text(json.dumps({"summary_is_list": [1.0],
-                                   "summary_no_error": {"V0": 1.0, "L0": 1.0}}.get(
+                                   "summary_no_error": {"V0": 1.0, "L0": 1.0},
+                                   "summary_V0_numeral_string": {
+                                       "V0": "0.6", "L0": 1.0, "total_error": 0.0}}.get(
         case, {"V0": "abc", "L0": 1.0, "total_error": 0.0})))
     argv = {
         "config_is_dir": ["hedge", "--config", str(tmp_path), "--out", str(tmp_path / "o")],
@@ -432,6 +438,71 @@ def test_bad_path_or_summary_exit_code(tmp_path, capsys, case):
     if case == "summary_no_error":   # the missing key is named
         assert err == "error: bad summary value: missing key 'total_error'\n"
     assert not (tmp_path / "o").exists()
+
+
+HUGE = 10**400   # json.dumps writes it as a 401-digit integer literal, beyond the double range
+HUGE_INPUTS = {
+    "s0": ("hedge", {"model": dict(TRINOMIAL, s0=[HUGE]), "claim": CALL10}),
+    "strike": ("hedge", {"model": TRINOMIAL, "claim": {"type": "call", "strike": HUGE}}),
+    "per_leaf": ("hedge", {"model": TRINOMIAL,
+                           "claim": {"type": "per_leaf", "values": [HUGE, 0.0, 0.0]}}),
+    "increment_p": ("tree build", {"model": dict(TRINOMIAL, increments=[
+        {"delta": [1.0], "p": HUGE}, *TRINOMIAL["increments"][1:]])}),
+    "hedge_v0": ("hedge", {"model": TRINOMIAL, "claim": CALL10, "v0": HUGE}),
+    "backtest_v0": ("backtest", {"model": TRINOMIAL, "claim": CALL10, "v0": HUGE}),
+    "tol": ("verify", {"model": TRINOMIAL, "claim": CALL10, "tol": HUGE}),
+    "summary_V0": ("verify", {"model": TRINOMIAL, "claim": CALL10}),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_INPUTS)
+def test_integer_beyond_the_double_range_exit_code(tmp_path, capsys, case):
+    command, doc = HUGE_INPUTS[case]
+    out = tmp_path / "o"
+    argv = [*command.split(), "--config", write_config(tmp_path, doc)]
+    argv += ["--out", str(out)] if command != "verify" else []
+    if case == "summary_V0":
+        summary = tmp_path / "summary.json"
+        summary.write_text(json.dumps({"V0": HUGE, "L0": 1.0, "total_error": 0.0}))
+        argv += ["--summary", str(summary)]
+    assert main(argv) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert "CHECK" not in captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# degenerate at node 1 (both increments +1): a bad input must exit 2 before
+# the engine runs, not 3 after it
+DEGENERATE = {"type": "iid", "s0": [10.0], "periods": 2,
+              "increments": [{"delta": [1.0], "p": 0.5}, {"delta": [1.0], "p": 0.5}]}
+BEFORE_THE_ENGINE = {
+    "inspect_field": (["inspect", "--field", "foo"], {}),
+    "hedge_v0_nan": (["hedge", "--v0", "nan", "--out", "o"], {}),
+    "backtest_v0_inf": (["backtest", "--v0", "inf", "--out", "o"], {}),
+    "strategies_string": (["backtest", "--out", "o"], {"strategies": "mvh"}),
+    "exact_string": (["backtest", "--out", "o"], {"exact": "yes"}),
+    "paths_float": (["backtest", "--out", "o"], {"paths": 1.5}),
+    "seed_boolean": (["backtest", "--out", "o"], {"seed": True}),
+    "summary_missing": (["verify", "--summary", "missing.json"], {}),
+    "summary_no_L0": (["verify", "--summary", "no_L0.json"], {}),
+}
+
+
+@pytest.mark.parametrize("case", BEFORE_THE_ENGINE)
+def test_bad_input_exits_2_before_the_engine_runs(tmp_path, monkeypatch, capsys, case):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "no_L0.json").write_text(json.dumps({"V0": 1.0, "total_error": 0.0}))
+    argv, keys = BEFORE_THE_ENGINE[case]
+    plain = write_config(tmp_path, {"model": DEGENERATE, "claim": CALL10}, "plain.json")
+    assert main(["hedge", "--config", plain, "--out", "d"]) == 3   # the market is degenerate
+    capsys.readouterr()
+    cfg = write_config(tmp_path, {"model": DEGENERATE, "claim": CALL10, **keys})
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 2
+    assert not (tmp_path / "o").exists()
+    captured = capsys.readouterr()
+    assert "CHECK" not in captured.out
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_out_config_key_rejected(tmp_path):

@@ -450,7 +450,8 @@ def test_lsq_rejects_a_claim_not_one_value_per_leaf(shape):
         mv.lsq_projection(tree, np.ones(shape), "free")
 
 
-@pytest.mark.parametrize("v0", ["fre", "", None, np.nan, np.inf, -np.inf, [0.3]])
+@pytest.mark.parametrize("v0", ["fre", "", None, np.nan, np.inf, -np.inf, [0.3], True,
+                                np.array([0.3, 0.7])])
 def test_lsq_rejects_a_v0_neither_free_nor_finite(v0):
     tree = binomial_06()
     with pytest.raises(mv.BadParameter, match="v0 must be 'free' or a finite number"):

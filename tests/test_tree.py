@@ -395,6 +395,18 @@ def node_without_time(doc):
     del doc["nodes"][1]["time"]
 
 
+def price_beyond_double(doc):
+    doc["nodes"][2]["price"] = [10**400]
+
+
+def probability_beyond_double(doc):
+    doc["nodes"][1]["children"][0]["p"] = 10**400
+
+
+def claim_beyond_double(doc):
+    doc["claim"] = [1.0, 10**400, 0.0, 0.0]
+
+
 DOCUMENT_DEFECTS = [
     (child_past_end, "child 7 of node 1 out of range"),
     (child_minus_one, "child -1 of node 0 out of range"),
@@ -417,6 +429,9 @@ DOCUMENT_DEFECTS = [
     (num_assets_float, "num_assets 1.0 is not a non-negative integer"),
     (num_assets_boolean, "num_assets True is not a non-negative integer"),
     (node_without_time, "malformed tree document: 'time'"),
+    (price_beyond_double, "malformed tree document: int too large to convert to float"),
+    (probability_beyond_double, "malformed tree document: int too large to convert to float"),
+    (claim_beyond_double, "malformed tree document: int too large to convert to float"),
 ]
 
 
