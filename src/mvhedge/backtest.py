@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadParameter, IncompatibleClaim, is_int
+from .errors import BadParameter, IncompatibleClaim, is_int, number
 from .hedging import HedgePlan, compute_plan, hedging_error, rollout_strategy
 from .opportunity import OpportunitySurface, martingale_surface
 from .tree import ScenarioTree
@@ -156,7 +156,9 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
     paths is None.
 
     The claim is read off the plan's terminal values.  For kind='mvh'
-    the analytic error of the closed-form decomposition is attached."""
+    the analytic error of the closed-form decomposition is attached.
+    BadParameter unless v0 is a finite number."""
+    v0 = number(v0, "v0 must be a finite number")
     _, G = strategy_holdings(tree, surf, plan, kind, v0)
     analytic = hedging_error(tree, surf, plan, v0).total_error if kind == "mvh" else None
     if paths is None:

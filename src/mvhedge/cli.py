@@ -78,7 +78,10 @@ def _config_int(config: dict, key: str, default: int) -> int:
 
 def _load_object(path: str, what: str) -> dict:
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:   # also not UTF-8, or an integer literal over 4,300 digits
+            raise BadParameter(f"{what} is not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
         raise BadParameter(f"{what} must be a JSON object")
     return doc
@@ -405,8 +408,7 @@ def main(argv=None) -> int:
     try:
         with np.errstate(all="ignore"):   # a non-finite result exits 3, with no warning
             code = args.func(args)
-    except (BadParameter, IncompatibleClaim, json.JSONDecodeError, UnicodeDecodeError, OSError,
-            KeyError) as exc:
+    except (BadParameter, IncompatibleClaim, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_CONFIG
     except (DegenerateStep, Infeasible) as exc:

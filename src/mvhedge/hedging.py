@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep
+from .errors import DegenerateStep, number
 from .linalg import centered_moments
 from .opportunity import OpportunitySurface
 from .tree import ScenarioTree, claim_at
@@ -117,7 +117,9 @@ def rollout_strategy(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarra
 def hedging_error(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
                   v0: float) -> HedgeReport:
     """Exact expected squared hedging error of the optimal strategy,
-    total = L_0 (v0 - V_0)^2 + sum_n P(n) e(n), summed slice by slice."""
+    total = L_0 (v0 - V_0)^2 + sum_n P(n) e(n), summed slice by slice.
+    BadParameter unless v0 is a finite number."""
+    v0 = number(v0, "v0 must be a finite number")
     probs = tree.node_probs()
     endowment = float(surf.L[0] * (v0 - plan.V[0]) ** 2)
     slice_error = {t: sum((probs[ids] * plan.e[ids]).tolist())

@@ -38,12 +38,12 @@ def _random_law(rng, branching: int, d: int, martingale: bool):
 def random_tree(rng, periods: int | None = None, d: int | None = None,
                 martingale: bool = False) -> ScenarioTree:
     """Heterogeneous random path tree: every node gets its own branch
-    probabilities and increment vectors (branching >= d+1, so one-step
-    degeneracy has probability zero)."""
+    probabilities and increment vectors (branching d + 1 to max(3, d + 1),
+    so one-step degeneracy has probability zero)."""
     while True:
         dd = int(d if d is not None else rng.integers(1, 3))
         pp = int(periods if periods is not None else rng.integers(1, 5))
-        branching = int(rng.integers(dd + 1, 4))
+        branching = int(rng.integers(dd + 1, max(4, dd + 2)))
         parent, price, prob = [-1], [np.full(dd, 10.0)], [1.0]
         frontier = [0]
         for _ in range(pp):
@@ -516,38 +516,41 @@ def uncentered_sweep(tree: ScenarioTree, claim: np.ndarray) -> dict[str, np.ndar
 
 def exact_pinv(c: list) -> list:
     """Moore-Penrose inverse of a symmetric positive semidefinite d x d
-    Fraction matrix, d <= 2, exactly: the inverse when it exists, else
-    c / tr(c)^2 (rank 1, c = v v'), and 0 when c = 0."""
+    Fraction matrix, exactly: the inverse by Gauss-Jordan elimination when
+    it exists, for any d; else c / tr(c)^2 (rank 1, c = v v'), and 0 when
+    c = 0.  ValueError for a singular c of rank 2 or more."""
     d = len(c)
-    det = c[0][0] * c[1][1] - c[0][1] * c[1][0] if d == 2 else 0
-    if det:
-        return [[c[1][1] / det, -c[0][1] / det], [-c[1][0] / det, c[0][0] / det]]
+    m = [[*row, *(Fraction(int(i == j)) for j in range(d))] for i, row in enumerate(c)]
+    for p in range(d):
+        if not m[p][p]:   # c positive definite has no zero pivot
+            break
+        m[p] = [x / m[p][p] for x in m[p]]
+        m = [row if r == p else [x - row[p] * y for x, y in zip(row, m[p])]
+             for r, row in enumerate(m)]
+    else:
+        return [row[d:] for row in m]
     tr = sum(c[j][j] for j in range(d))
+    if any(sum(x * y for x, y in zip(row, col)) != tr * row[j]
+           for row in c for j, col in enumerate(c)):   # c c = tr(c) c: rank <= 1
+        raise ValueError("exact_pinv handles singular matrices of rank 1 only")
     return [[x / tr ** 2 if tr else Fraction(0) for x in row] for row in c]
 
 
 def exact_quadratic(a, b) -> Fraction:
     """b'(a'a)^-1 b for a float (k, d) matrix a of full column rank and a
-    float d-vector b, exactly: the floats are read as Fractions and a'a x
-    = b is solved by Gaussian elimination, for any d (exact_pinv stops at
-    d = 2)."""
+    float d-vector b, exactly: the floats are read as Fractions and a'a
+    is inverted by exact_pinv."""
     a = [[Fraction(x) for x in row] for row in np.asarray(a).tolist()]
     b = [Fraction(x) for x in np.asarray(b).tolist()]
-    d = len(b)
-    m = [[sum(row[i] * row[j] for row in a) for j in range(d)] + [b[i]] for i in range(d)]
-    for c in range(d):
-        for r in range(c + 1, d):
-            m[r] = [x - m[r][c] / m[c][c] * y for x, y in zip(m[r], m[c])]
-    x = [Fraction(0)] * d
-    for r in range(d - 1, -1, -1):
-        x[r] = (m[r][d] - sum(m[r][j] * x[j] for j in range(r + 1, d))) / m[r][r]
-    return sum(bi * xi for bi, xi in zip(b, x))
+    c = [[sum(row[i] * row[j] for row in a) for j in range(len(b))] for i in range(len(b))]
+    return sum(bi * x * bj for bi, row in zip(b, exact_pinv(c)) for x, bj in zip(row, b))
 
 
 def exact_sweep(tree: ScenarioTree, payoff) -> dict[str, list]:
     """The paper's backward recursion in exact rational arithmetic, for
-    d <= 2: the float inputs are read exactly (Fraction(x)) and nothing
-    is rounded.  Returns per-node lists of Fractions: L, a_tilde, xi =
+    any d on full-rank steps and for d <= 2 on any step (exact_pinv): the
+    float inputs are read exactly (Fraction(x)) and nothing is rounded.
+    Returns per-node lists of Fractions: L, a_tilde, xi =
     cbar_u^+ dbar_u and e = sum_k p_k L_k (V_k - V_n)^2 - dbar_u' xi, with
     dbar_u = sum_k p_k L_k d_k (V_k - V_n) (the last three None at
     terminal nodes), V, and the one-step qstar_w = (L_k/L_n)(1 -

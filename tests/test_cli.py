@@ -414,13 +414,16 @@ def test_bad_endowment_or_tol_flag_exit_code(tmp_path, capsys, command, flag, va
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "out_is_file",
-                                  "summary_is_list", "summary_V0_text", "summary_no_error",
-                                  "summary_V0_numeral_string"])
+@pytest.mark.parametrize("case", ["config_is_dir", "config_not_utf8", "config_5001_digits",
+                                  "out_is_file", "summary_is_list", "summary_V0_text",
+                                  "summary_no_error", "summary_V0_numeral_string"])
 def test_bad_path_or_summary_exit_code(tmp_path, capsys, case):
     cfg = write_config(tmp_path, {"model": TRINOMIAL, "claim": CALL10})
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b'{"model": "\xe9"}')
+    digits = tmp_path / "digits.json"   # json.load refuses integer literals over 4,300 digits
+    digits.write_text(json.dumps({"model": TRINOMIAL, "claim": {"type": "call", "strike": 0}})
+                      .replace('"strike": 0', '"strike": ' + "1" * 5001))
     summary = tmp_path / "summary.json"
     summary.write_text(json.dumps({"summary_is_list": [1.0],
                                    "summary_no_error": {"V0": 1.0, "L0": 1.0},
@@ -430,6 +433,7 @@ def test_bad_path_or_summary_exit_code(tmp_path, capsys, case):
     argv = {
         "config_is_dir": ["hedge", "--config", str(tmp_path), "--out", str(tmp_path / "o")],
         "config_not_utf8": ["hedge", "--config", str(latin1), "--out", str(tmp_path / "o")],
+        "config_5001_digits": ["hedge", "--config", str(digits), "--out", str(tmp_path / "o")],
         "out_is_file": ["hedge", "--config", cfg, "--out", cfg],
     }.get(case, ["verify", "--config", cfg, "--summary", str(summary)])
     assert main(argv) == 2

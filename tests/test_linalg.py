@@ -1,12 +1,16 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mvhedge as mv
+from mvhedge.cli import main
 from mvhedge.linalg import centered_moments, gram_root, pinv_psd
 
 from gen import c_hat_at, exact_quadratic, random_tree
+
+GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
 
 
 def test_diagonal_case():
@@ -105,12 +109,14 @@ def test_empty_stack():
 @pytest.mark.parametrize("seed", range(6))
 def test_gram_root_factors_the_pseudoinverse(seed):
     # R R' = (a'a)^+ for a of any rank, V orthonormal, keep the rank's
-    # directions, and a stack's (R, V, keep) each member's own, bit for bit
+    # directions, R and V C-contiguous, and a stack's (R, V, keep) each
+    # member's own, bit for bit
     rng = np.random.default_rng(700 + seed)
     d = int(rng.integers(1, 5))
     rank = int(rng.integers(0, d + 1))
     a = rng.normal(size=(3, 6, rank)) @ rng.normal(size=(3, rank, d))
     R, V, keep = gram_root(a)
+    assert R.flags.c_contiguous and V.flags.c_contiguous
     want = pinv_psd(a.swapaxes(1, 2) @ a)
     assert np.allclose(R @ R.swapaxes(1, 2), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
     assert np.allclose(V.swapaxes(1, 2) @ V, np.eye(d), rtol=0.0, atol=1e-14)
@@ -134,20 +140,62 @@ def test_gram_root_of_zero_drops_every_direction():
     assert np.all(R == 0.0) and not keep.any()
 
 
-# b'(a'a)^-1 b for 3 assets of singular values sigma, a = U diag(sigma) W'
-# (U, W random orthonormal from seeds 0-3) and a random b, both times
-# 1e-120 and 1e120, against exact_quadratic.  Worst errors: 2.7e-14 at
-# (1, 1e-3, 1.5e-3) and 3.1e-10 at (1, 1e-7, 2e-7), margins of 37 and 32.
-# Without the Cholesky factor of Y'Y (R = V D^-1) they were 8.2e-11 and
-# 7.9e-3: V alone is inaccurate on the small eigenvalues of a'a.
-@pytest.mark.parametrize("sigma,bound", [((1.0, 1e-3, 1.5e-3), 1e-12), ((1.0, 1e-7, 2e-7), 1e-8)])
+@pytest.fixture
+def no_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+    for name in ("eigh", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_gram_root_makes_no_lapack_call_at_two_assets_or_fewer(no_lapack, d):
+    # d <= 2 is factored by plane rotations: no eigh, Cholesky or inverse,
+    # on stacks of any rank, of either child count, and on one matrix
+    rng = np.random.default_rng(40 + d)
+    for k, rank in ((3, d), (8, d - 1), (6, 0)):
+        a = rng.normal(size=(4, k, rank)) @ rng.normal(size=(4, rank, d))
+        R, V, keep = gram_root(a)
+        assert np.all(np.count_nonzero(keep, axis=1) == rank)
+        assert all(np.array_equal(x[0], y) for x, y in zip((R, V, keep), gram_root(a[0])))
+
+
+def test_backtest_makes_no_lapack_call_on_a_two_asset_tree(no_lapack, tmp_path):
+    # the golden config's 2-asset regime tree, with the mvh, pure_xi and
+    # gkw strategies: every sweep's one-step factor is rotated
+    assert main(["backtest", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
+
+
+def test_gram_root_turns_nearly_collinear_columns_without_warnings():
+    # the column norms are recomputed at every rotation; updated as
+    # alpha - tan gamma they went negative here (pyproject turns a
+    # RuntimeWarning into an error)
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(200, 6, 1))
+    a = np.concatenate([x, x * (1.0 + 10.0 ** rng.uniform(-16, -8, size=(200, 1, 1)))
+                        + 1e-17 * rng.normal(size=(200, 6, 1))], axis=2)
+    R, V, keep = gram_root(a)
+    assert np.all(np.isfinite(R)) and np.allclose(V.swapaxes(1, 2) @ V, np.eye(2), atol=1e-15)
+    assert np.all(keep.any(axis=1))
+
+
+# b'(a'a)^-1 b for 2 and 3 assets of singular values sigma, a = U diag(sigma)
+# W' (U, W random orthonormal from seeds 0-3) and a random b, both times
+# 1e-120 and 1e120, against exact_quadratic.  Worst errors: 2.7e-14 at (1,
+# 1e-3, 1.5e-3), 3.1e-10 at (1, 1e-7, 2e-7) and 1.9e-10 at (1, 1e-7), margins
+# of 37, 32 and 53; at (1, 1e-7) eigh and Cholesky gave 6.9e-11.  Without the
+# Cholesky factor of Y'Y (R = V D^-1 with V from eigh) the 3-asset errors
+# were 8.2e-11 and 7.9e-3: V alone is inaccurate on the small eigenvalues
+# of a'a, while plane rotations keep the columns' own accuracy.
+@pytest.mark.parametrize("sigma,bound", [((1.0, 1e-3, 1.5e-3), 1e-12), ((1.0, 1e-7, 2e-7), 1e-8),
+                                         ((1.0, 1e-7), 1e-8)])
 def test_gram_root_three_assets_against_exact_reference(sigma, bound):
-    worst = 0.0
+    worst, d = 0.0, len(sigma)
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        u = np.linalg.qr(rng.normal(size=(5, 3)))[0]
-        w = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-        a, b = (u * np.array(sigma)) @ w.T, rng.normal(size=3)
+        u = np.linalg.qr(rng.normal(size=(5, d)))[0]
+        w = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        a, b = (u * np.array(sigma)) @ w.T, rng.normal(size=d)
         for scale in (1e-120, 1e120):
             K = exact_quadratic(a * scale, b * scale)
             got = float(np.sum((b * scale @ gram_root(a * scale)[0]) ** 2))
