@@ -10,7 +10,7 @@ by one-sided Jacobi plane rotations (Hestenes, J. SIAM 6, 1958; Demmel
 & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) with no LAPACK call, a
 third of the time of batched eigh, Cholesky and inverse on 1e5 (4, 2)
 stacks; at d >= 3 by eigh and a Cholesky correction, which cyclic
-rotation sweeps took 1.2 to 1.75 times as long to match at d = 4.
+rotation sweeps took 1.1 to 1.75 times as long to match at d = 4.
 """
 from __future__ import annotations
 
