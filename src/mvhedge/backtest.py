@@ -100,7 +100,7 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
         raise BadParameter(f"paths must be in [1, 2**20], got {n!r}")
     if not (is_int(seed) and 0 <= seed < 2**128):
         raise BadParameter(f"seed must be in [0, 2**128), got {seed!r}")
-    lay = tree.layout
+    seed, lay = int(seed), tree.layout   # a numpy integer would overflow in the key
     # cdf[r, i]: inner node i's r-th cumulative probability (inner ids come
     # first), +inf from its last child on, so the rows <= u count the capped searchsorted
     cdf = np.full((np.diff(lay.offsets).max(initial=1) - 1, len(lay.inner)), np.inf)

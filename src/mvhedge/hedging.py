@@ -99,13 +99,14 @@ def rollout_strategy(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarra
     Because the tree is a path tree, the wealth at a node is determined
     by its root path, so per-node holdings and wealth are well defined.
     Returns (phi, G): phi[n] is the holding chosen at node n (NaN at
-    terminal nodes), G[n] the wealth on arrival at node n.
+    terminal nodes), G[n] the wealth on arrival at node n.  BadParameter
+    unless v0 is a finite number.
     """
     n, d = len(tree.nodes), tree.num_assets
     xi, V, a = np.broadcast_to(xi, (n, d)), np.broadcast_to(V, (n,)), np.broadcast_to(a, (n, d))
     phi = np.full((n, d), np.nan)
     G = np.full(n, np.nan)
-    G[0] = v0
+    G[0] = number(v0, "v0 must be a finite number")
     for t in range(tree.horizon):
         for s in tree.layout.steps[t]:
             i = s.ids

@@ -25,14 +25,12 @@ ORTH_TOL = 1e-15
 MAX_ROTATIONS = 30
 
 
-def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
+def pinv_psd(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudoinverse of a symmetric matrix, or of each
     matrix in a (..., d, d) stack, from the eigenvalues lam of 0.5 (m +
-    m') (m itself if exactly symmetric), truncating |lam| <= d
-    EIG_TRUNCATION max|lam| (per matrix) to zero.  The result is exactly
-    symmetric, PSD if m is; a matrix of a stack gets the arithmetic of a
-    lone call, bit for bit.  root returns R = vec diag(inv^1/2) (negative
-    inv as 0), R R' = m^+ for PSD m: b' m^+ b = |b' R|^2 keeps its accuracy.
+    m'), truncating |lam| <= d EIG_TRUNCATION max|lam| (per matrix) to
+    zero.  The result is exactly symmetric, PSD if m is; a matrix of a
+    stack gets the arithmetic of a lone call, bit for bit.
 
     Raises NotSymmetric if the asymmetry of any matrix exceeds tolerance."""
     m = np.asarray(m, dtype=float)
@@ -50,8 +48,6 @@ def pinv_psd(m: np.ndarray, root: bool = False) -> np.ndarray:
     lam, vec = np.linalg.eigh(0.5 * (m + mT))
     cutoff = d * EIG_TRUNCATION * np.abs(lam).max(axis=-1, keepdims=True)
     inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
-    if root:
-        return vec * np.sqrt(np.maximum(inv, 0.0))[..., None, :]
     out = (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
     return 0.5 * (out + out.swapaxes(-1, -2))
 

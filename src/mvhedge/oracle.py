@@ -1,20 +1,20 @@
 """Brute-force optimizers establishing ground truth on small trees.
 
-These deliberately share nothing with the engine except the symmetric
-pseudoinverse: the hedging problem is solved as one flat weighted least
-squares over all per-node holdings, and the variance-optimal measure as
-an equality-constrained QP on leaf densities.  Agreement between engine
-and oracle is therefore a genuine cross check, not a tautology.  Both
-read the sqrt(P)-weighted leaf x holding matrix Y of price increments
-along each leaf's path, path-sparse (a row is nonzero only in its
-ancestors' columns).  Its normal matrix G = Y'Y is never formed: a
-node's least squares is the one on its own leaves, so G's block LDL'
-factor, deepest node first and cash last, is built front by front up
-the tree (the multifrontal method: Duff & Reid, ACM TOMS 9, 1983; Liu,
-SIAM Review 34, 1992), each front no larger than a leaf's path.
-Pivots through pinv_psd make it a generalized inverse of G.  The
-least squares solves its claim, and a fixed endowment and the QP the
-cash column; each node's check is its front's cash entry once its
+These deliberately share no code with the engine: the hedging problem
+is solved as one flat weighted least squares over all per-node
+holdings, and the variance-optimal measure as an equality-constrained
+QP on leaf densities.  Agreement between engine and oracle is
+therefore a genuine cross check, not a tautology.  Both read the
+sqrt(P)-weighted leaf x holding matrix Y of price increments along
+each leaf's path, path-sparse (a row is nonzero only in its ancestors'
+columns).  Y is factored by QR front by front up the tree, deepest node
+first and cash last (multifrontal QR: George & Heath, Linear Algebra
+Appl. 34, 1980; Matstoms, ACM TOMS 20, 1994), each front no wider than
+a leaf's path, and neither G = Y'Y nor any matrix of its size is
+formed.  Pseudoinverse pivots make the factor a generalized inverse of
+G.  The least squares solves its claim with one correction step (Bjorck,
+Linear Algebra Appl. 88/89, 1987), and a fixed endowment and the QP the
+cash column; each node's check is its front's cash column once its
 subtree is eliminated.  The oracles rely on validate_tree's ordering
 contract, not the tree layout.
 """
@@ -26,11 +26,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParameter, Infeasible, TooLarge, number
-from .linalg import pinv_psd
 from .tree import ScenarioTree
 
 MAX_ORACLE_LEAVES = 2000
 QP_FEAS_TOL = 1e-8   # relative constraint residual above which the QP is Infeasible
+PIVOT_TRUNCATION = 1e-12   # T^+ drops singular values <= sqrt(d * this) times the largest
 
 
 @dataclass
@@ -50,11 +50,11 @@ class QpSolution:
 class _Factor:
     """Y (n_leaves, m) with unit columns, path-sparse: row j of Y is vals[j] in
     columns cols[j] (n_leaves, q), else 0, cash first, then the ancestors root
-    first; sqrt(w), the column norms and the block LDL' factor of G = Y'Y, per
-    depth, deepest first, then cash: the depth's node columns (N, d), the
-    columns of cash and their ancestors (N, r), and R (N, d, d) and
-    W = B R (N, r, d), where R R' = D^+, D the pivot and B its block below, so
-    that L's block is W R' and B D^+ B' = W W'; and each node's L, node_L."""
+    first; sqrt(w), the column norms and a factor of G = Y'Y, per depth,
+    deepest first, then cash: the depth's node columns (N, d), the columns
+    of cash and their ancestors (N, r), S' (N, r, d) and T^+ (N, d, d), [T S]
+    the pivot rows of the node's QR front, so that T^+ T^+' = D^+ for G's
+    block LDL' pivot D = T'T and S'T is its block below; and each node's L."""
     cols: np.ndarray
     vals: np.ndarray
     sw: np.ndarray
@@ -89,25 +89,29 @@ class _Factor:
 
 
 def _ldl(cols: np.ndarray, vals: np.ndarray, tree: ScenarioTree) -> tuple:
-    """_Factor's steps and node_L for G = Y'Y, front by front up the tree.
-    A leaf's front is y y', y its row of Y, and its mass y_c^2; a node's
-    are the sums of its children's, siblings being one id range by the
-    ordering contract.  Its last d columns, the node's own, are eliminated,
-    and front - W W' on the rest goes up.  Its cash entry is then
-    (P(n) - n_c^2 |W_c|^2 summed over the subtree) / n_c^2 and its mass
-    P(n) / n_c^2, n_c the cash norm, so their ratio is node_L."""
+    """_Factor's steps and node_L, by QR fronts on Y's columns reversed: a
+    node's own d first, cash last.  A leaf's front is its row y of Y, its
+    mass y_c^2; a node stacks its children's (one id range by the ordering
+    contract, zero rows padding ragged counts and stacks under d rows) and
+    sums their masses.  One QR per depth gives the pivot rows [T S], and
+    [R22; S - T T^+ S] goes up, with Gram matrix G's Schur complement on
+    the rest: its cash column's squared norm over the mass is node_L."""
     d, bounds = tree.num_assets, np.searchsorted(tree.time, np.arange(tree.horizon + 2))
-    idx, front, mass, steps = cols, vals[:, :, None] * vals[:, None, :], vals[:, 0] ** 2, []
+    idx, front, mass, steps = cols[:, ::-1], vals[:, None, ::-1], vals[:, 0] ** 2, []
     node_L = np.ones(len(tree.parent))
     for lo, hi in zip(bounds[-2:0:-1].tolist(), bounds[:0:-1].tolist()):
-        first = np.flatnonzero(np.diff(tree.parent[lo:hi], prepend=-1))
-        front, mass, idx = np.add.reduceat(front, first), np.add.reduceat(mass, first), idx[first]
-        r = pinv_psd(front[:, -d:, -d:], root=True)
-        w = front[:, :-d, -d:] @ r
-        steps.append((idx[:, -d:], idx[:, :-d], w, r))
-        front, idx = front[:, :-d, :-d] - w @ w.swapaxes(1, 2), idx[:, :-d]
-        node_L[tree.parent[lo + first]] = front[:, 0, 0] / mass
-    return steps + [(idx, idx[:, :0], front[:, :0], pinv_psd(front, root=True))], node_L
+        first, k = np.flatnonzero(np.diff(tree.parent[lo:hi], prepend=-1)), front.shape[1]
+        at = np.arange(hi - lo) - np.repeat(first, np.diff(first, append=hi - lo))
+        stack = np.zeros((len(first), max((at.max() + 1) * k, d), front.shape[2]))
+        stack[np.cumsum(at == 0)[:, None] - 1, at[:, None] * k + np.arange(k)] = front
+        r = np.linalg.qr(stack, mode="r")
+        t, s, idx, mass = r[:, :d, :d], r[:, :d, d:], idx[first], np.add.reduceat(mass, first)
+        tp = np.linalg.pinv(t, rcond=np.sqrt(d * PIVOT_TRUNCATION))
+        steps.append((idx[:, :d], idx[:, d:], s.swapaxes(1, 2), tp))
+        front, idx = np.concatenate((r[:, d:, d:], s - t @ (tp @ s)), axis=1), idx[:, d:]
+        node_L[tree.parent[lo + first]] = np.sum(front[..., -1] ** 2, axis=1) / mass
+    t = np.linalg.qr(front, mode="r")   # the cash pivot
+    return steps + [(idx, idx[:, :0], t[:, :0], np.linalg.pinv(t))], node_L
 
 
 def root_factor(tree: ScenarioTree) -> _Factor:
@@ -157,9 +161,10 @@ def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "fre
 
     The terminal wealth on each leaf is linear in v0 and the d holdings
     at every non-terminal node: a least squares in the sqrt(P)-weighted
-    space, x = G^- Y' sqrt(w) H, one solve on root's factor.  A fixed v0
-    moves x along y = G^- e_c to the cash coefficient v0 n_c (n_c the cash
-    norm): x + (v0 n_c - x_c) / y_c y.
+    space, x = G^- Y' sqrt(w) H on root's factor, and x += G^- Y' r, r =
+    sqrt(w) H - Y x, the one correction step of the semi-normal equations.
+    A fixed v0 moves x along y = G^- e_c to the cash coefficient v0 n_c
+    (n_c the cash norm): x + (v0 n_c - x_c) / y_c y.
     Both are off the minimum-norm solutions by null vectors of G, which
     change neither Y x nor, without a cash entry (a riskless profit, which
     the engine rejects as degenerate), the cash coefficient or the wealth.
@@ -172,6 +177,7 @@ def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "fre
         raise BadParameter(f"claim needs {f.sw.size} values, got shape {np.shape(claim)}")
     target = f.sw * claim
     beta = f.solve(f.Yt(target))
+    beta += f.solve(f.Yt(target - f.Yx(beta)))
     if not free:
         beta = beta + (v0 * f.norms[-1] - beta[-1]) / f.cash_sol[-1] * f.cash_sol
     resid = f.Yx(beta) - target

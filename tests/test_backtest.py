@@ -118,6 +118,13 @@ def test_sample_paths_non_integer_arguments(n, seed):
         mv.sample_paths(binomial_06(), n, seed)
 
 
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(3), np.int32(3)])
+def test_sample_paths_numpy_integer_seed(seed):
+    # is_int accepts numpy integers; the key is taken from the Python int
+    tree = binomial_06(periods=3)
+    assert mv.sample_paths(tree, 50, seed) == mv.sample_paths(tree, 50, 3)
+
+
 def test_exact_mvh_matches_analytic():
     tree = drifted_tree()
     claim = mv.attach_claim(tree, "call", strike=10.0)

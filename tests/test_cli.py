@@ -584,6 +584,30 @@ def test_verify_passes(tmp_path, capsys):
     assert "CHECK lsq_min_error" in out
 
 
+# L0 = 4.6e-7 on 1,024 leaves, with no one-step L/m0 below 0.054
+SMALL_L0 = {"type": "iid", "s0": [10.0, 10.0, 10.0], "periods": 5, "increments": [
+    {"delta": [2.69010268916563, -0.2934246837191632, -0.753435696327689],
+     "p": 0.21413817632377224},
+    {"delta": [-0.6612954046754176, 0.7492556395414738, -3.40007727090411],
+     "p": 0.2614862371386091},
+    {"delta": [1.6194773166741596, -1.290863722187127, -4.371558116625991],
+     "p": 0.20329194338030587},
+    {"delta": [1.5331794956107898, 2.7849887962700057, -2.334357484859004],
+     "p": 0.3210836431573127}]}
+
+
+def test_verify_passes_at_a_small_L0(tmp_path, capsys):
+    # the engine is right to rounding here; oracles that square Y read
+    # lsq_v0 1.7e-9, value_process 1.4e-9 and qp_second_moment 1.1e-10
+    # off it.  QR fronts, and one correction step in the least squares,
+    # keep all three within 1e-12
+    cfg = write_config(tmp_path, {"model": SMALL_L0, "claim": CALL10})
+    assert main(["verify", "--config", cfg]) == 0
+    rel = {line.split()[1]: float(line.split()[-2].removeprefix("rel_err="))
+           for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK")}
+    assert max(rel[name] for name in ("lsq_v0", "value_process", "qp_second_moment")) <= 1e-12
+
+
 def verify_verdicts(threads: int) -> list[str]:
     """verify's CHECK lines on the golden config, cut to name, node and
     verdict, from a process with the given number of BLAS threads."""
@@ -632,8 +656,9 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int
     """The shapes of the matrices as large as the root's normal matrix (or
     its block without the cash column) that verify on cfg hands to
     np.linalg.cholesky, the sizes of such matrices that it hands to
-    pinv_psd and, with the number of right-hand sides, to np.linalg.solve,
-    and the shapes of the right-hand sides of the root factor's solves."""
+    np.linalg.qr or np.linalg.pinv and, with the number of right-hand
+    sides, to np.linalg.solve, and the shapes of the right-hand sides of
+    the root factor's solves."""
     tree = build_model(load_config(cfg)["model"])
     root_cols = int(np.count_nonzero(tree.time < tree.horizon)) * tree.num_assets + 1
     cholesky, pinv, solves, factor_solves = [], [], [], []
@@ -655,8 +680,9 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int
 
     monkeypatch.setattr(np.linalg, "cholesky", spy(
         cholesky, np.linalg.cholesky, lambda m: [m.shape] if m.shape[-1] >= root_cols - 1 else []))
-    monkeypatch.setattr(mv.oracle, "pinv_psd", spy(
-        pinv, mv.oracle.pinv_psd, lambda m: [m.shape[-1]] * int(np.prod(m.shape[:-2]))))
+    for name in ("qr", "pinv"):
+        monkeypatch.setattr(np.linalg, name, spy(pinv, getattr(np.linalg, name), lambda m: [
+            max(m.shape[-2:])] * int(np.prod(m.shape[:-2]))))
     monkeypatch.setattr(np.linalg, "solve", solve_spy)
     monkeypatch.setattr(mv.oracle._Factor, "solve", factor_solve)
     assert main(["verify", "--config", cfg]) == 0
@@ -666,17 +692,18 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int
 def test_verify_factors_the_root_once(monkeypatch, tmp_path):
     # the least squares, the QP and every node check share one factor of
     # the root's normal matrix, built front by front up the tree, and
-    # solved once for the claim and once for the cash column.  No matrix of
-    # root size is Cholesky-factored, solved or pseudo-inverted, also where
-    # a duplicated asset makes the normal matrix singular
+    # solved twice for the claim (one correction step) and once for the
+    # cash column.  No matrix of root size is Cholesky- or QR-factored,
+    # solved or pseudo-inverted, also where a duplicated asset makes the
+    # normal matrix singular
     cholesky, pinv, solves, factor_solves, n = root_size_solves(monkeypatch, GOLDEN_CONFIG)
-    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,), (n,)])
+    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,)] * 3)
     dup = {"type": "iid", "s0": [10.0, 10.0], "periods": 3,
            "increments": [{"delta": [x, x], "p": p} for x, p in ((1.0, 0.3), (0.0, 0.4),
                                                                   (-1.0, 0.3))]}
     cfg = write_config(tmp_path, {"model": dup, "claim": CALL10})
     cholesky, pinv, solves, factor_solves, n = root_size_solves(monkeypatch, cfg)
-    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,), (n,)])
+    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,)] * 3)
 
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])

@@ -161,17 +161,22 @@ def test_endowment_quadratic(offset):
     assert exact == pytest.approx(shifted, rel=1e-9, abs=1e-12 * scale * scale)
 
 
-# a boolean read as 1, a nan carried into the error, a string numpy refuses
-@pytest.mark.parametrize("v0", [True, np.nan, "0.5"])
+# a boolean read as 1, a nan carried into the error, a string numpy
+# refuses, a one-value list the rollout let through to a bare ValueError
+@pytest.mark.parametrize("v0", [True, np.nan, "0.5", [0.3]])
 def test_endowment_not_a_finite_number_raises(v0):
     tree = binomial_06(periods=2)
     surf = mv.compute_opportunity(tree)
     plan = mv.compute_plan(tree, surf, make_call(tree))
     with pytest.raises(mv.BadParameter, match="v0 must be a finite number"):
         mv.hedging_error(tree, surf, plan, v0)
-    for kind in ("mvh", "pure_xi"):
+    with pytest.raises(mv.BadParameter, match="v0 must be a finite number"):
+        mv.rollout_strategy(tree, plan.xi, plan.V, surf.a_tilde, v0)
+    for kind in ("mvh", "pure_xi", "gkw"):
         with pytest.raises(mv.BadParameter, match="v0 must be a finite number"):
             mv.run_strategy(tree, surf, plan, kind, v0)
+        with pytest.raises(mv.BadParameter, match="v0 must be a finite number"):
+            mv.strategy_holdings(tree, surf, plan, kind, v0)
 
 
 def test_rollout_path_matches_full_rollout():

@@ -6,7 +6,7 @@ import pytest
 
 import mvhedge as mv
 from mvhedge.cli import main
-from mvhedge.linalg import centered_moments, gram_root, pinv_psd
+from mvhedge.linalg import EIG_TRUNCATION, centered_moments, gram_root, pinv_psd
 
 from gen import c_hat_at, exact_quadratic, random_tree
 
@@ -40,17 +40,19 @@ def test_non_square_raises(shape):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_root_factors_the_pseudoinverse(seed):
-    # R R' = m^+ for PSD m, also rank-deficient, and a stack's R is each
-    # member's own, bit for bit
+    # m = B B' of rank r = rank(B), also below d: m^+ is PSD with exactly r
+    # eigenvalues above the cutoff, and a stack's member is its own, bit for bit
     rng = np.random.default_rng(300 + seed)
     d = int(rng.integers(1, 6))
     B = rng.normal(size=(3, d, int(rng.integers(1, d + 1))))
     m = B @ B.swapaxes(1, 2)
-    R = pinv_psd(m, root=True)
-    assert np.allclose(R @ R.swapaxes(1, 2), pinv_psd(m), rtol=0.0,
-                       atol=1e-12 * np.abs(pinv_psd(m)).max())
+    p = pinv_psd(m)
+    lam = np.linalg.eigvalsh(p)
+    cutoff = d * EIG_TRUNCATION * lam.max(axis=-1, keepdims=True)
+    assert np.all(lam >= -cutoff)
+    assert np.count_nonzero(lam > cutoff, axis=-1).tolist() == [B.shape[-1]] * 3
     for k in range(3):
-        assert np.array_equal(pinv_psd(m[k], root=True), R[k])
+        assert np.array_equal(pinv_psd(m[k]), p[k])
 
 
 @pytest.mark.parametrize("seed", range(20))

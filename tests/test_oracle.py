@@ -255,7 +255,8 @@ def test_path_sparse_factor_matches_dense(case):
 
 
 def test_lsq_reads_the_root_solve_only_for_its_claim(monkeypatch):
-    # on a shared factor, each call solves its own claim, one column
+    # on a shared factor, each call solves its own claim and one correction
+    # step, one column each
     rng = np.random.default_rng(1560)
     tree = random_tree(rng)
     claim, other = random_claim(rng, tree), random_claim(rng, tree)
@@ -267,7 +268,7 @@ def test_lsq_reads_the_root_solve_only_for_its_claim(monkeypatch):
     for c in (claim, other):
         solves.clear()
         got = mv.lsq_projection(tree, c, "free", root)
-        assert solves == [root.norms.shape]
+        assert solves == [root.norms.shape] * 2
         want = mv.lsq_projection(tree, c, "free")
         assert got.v0_opt == pytest.approx(want.v0_opt, rel=1e-12, abs=1e-12)
         assert got.min_error == pytest.approx(want.min_error, rel=1e-12, abs=1e-12)
@@ -316,8 +317,9 @@ def test_lsq_without_a_factor_solves_the_root_once(monkeypatch, v0):
     monkeypatch.setattr(oracle._Factor, "solve", lambda f, rhs: shapes.append(rhs.shape)
                         or solve(f, rhs))
     mv.lsq_projection(tree, claim, v0)
-    # the claim, and for a fixed v0 the cash column, one column each
-    assert shapes == [(m,)] * (1 if v0 == "free" else 2)
+    # the claim, its correction step, and for a fixed v0 the cash column,
+    # one column each
+    assert shapes == [(m,)] * (2 if v0 == "free" else 3)
 
 
 def zero_column(tree):
@@ -400,11 +402,12 @@ def test_certificate_rejects_an_eigenvalue_at_the_pinv_cutoff():
 
 
 def test_root_factor_forms_no_root_size_matrix():
-    # 1,024 leaves of 4 assets, m = 4,093 columns: the factor's fronts are
-    # no larger than a leaf's path, 41 x 41, so it peaks below one m x m
-    # array (a normal matrix formed whole and copied once peaked at 275 MB,
-    # the fronts at 22 MB).  Two points for 4 assets make the engine call
-    # the market degenerate, not the oracle
+    # 1,024 leaves of 4 assets, m = 4,093 columns: the factor's QR fronts
+    # are no wider than a leaf's path, 41 columns, and no (n_leaves, 41, 41)
+    # stack is formed, so it peaks far below one m x m array (a normal
+    # matrix formed whole and copied once peaked at 275 MB, Gram fronts at
+    # 21.7 MB, the QR fronts at 5.0 MB, under an 8 MB bound).  Two points
+    # for 4 assets make the engine call the market degenerate, not the oracle
     tree = mv.build_iid_multinomial([10.0] * 4, [([1.0, 0.5, -0.2, 0.3], 0.5),
                                                  ([-1.0, -0.4, 0.3, -0.2], 0.5)], 10)
     tracemalloc.start()
@@ -413,7 +416,7 @@ def test_root_factor_forms_no_root_size_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(f.norms) == 4093 and peak < 4093 * 4093 * 8
+    assert len(f.norms) == 4093 and peak < 8e6
 
 
 def oracle_bound_tree(seed):
