@@ -1,9 +1,9 @@
 """Monte Carlo path simulation and strategy comparison.
 
 Two evaluation modes: sampled (counter-based per-path randomness, so
-results are reproducible independently of evaluation order or worker
-count) and exact (every leaf weighted by its probability — the primary
-acceptance path, since the trees are finite).
+results are reproducible independently of evaluation order) and exact
+(every leaf weighted by its probability — the primary acceptance path,
+since the trees are finite).
 
 The baselines are special cases of the engine: gkw is the pure hedge on
 the martingale surface (L = 1, a_tilde = 0), and markowitz and fixed

@@ -5,12 +5,13 @@ one-step law (P*, q_k = p_k L_k / m0, or P) after a shift by the child
 of largest weight (Chan, Golub & LeVeque, Amer. Stat. 37, 1983);
 gram_root inverts their covariance a'a through a = diag(sqrt q) dev
 itself, squaring no small singular value of a (Golub 1965; Bjorck,
-Numerical Methods for Least Squares Problems, 1996, ch. 2): at d <= 2
-by one-sided Jacobi plane rotations (Hestenes, J. SIAM 6, 1958; Demmel
-& Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) with no LAPACK call, a
-third of the time of batched eigh, Cholesky and inverse on 1e5 (4, 2)
-stacks; at d >= 3 by eigh and a Cholesky correction, which cyclic
-rotation sweeps took 1.1 to 1.75 times as long to match at d = 4.
+Numerical Methods for Least Squares Problems, 1996, ch. 2): at d <= 3
+by cyclic one-sided Jacobi plane rotations (Hestenes, J. SIAM 6, 1958;
+Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992) with no LAPACK
+call, on 1e5 (4, 2) stacks a third of the time of batched eigh,
+Cholesky and inverse and on (4, 3) stacks about 0.6 of it; at d >= 4 by
+eigh and a Cholesky correction, which rotations took 1.2 to 1.9 times
+as long to match.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ SYMMETRY_RTOL = 1e-12
 EIG_TRUNCATION = 1e-12
 GRAM_CUTOFF = 1e-8
 ORTH_TOL = 1e-15
-MAX_ROTATIONS = 30
+MAX_ROTATIONS = 30   # bounds the sweeps of _rotate, each turning every column pair once
 
 
 def pinv_psd(m: np.ndarray) -> np.ndarray:
@@ -42,11 +43,8 @@ def pinv_psd(m: np.ndarray) -> np.ndarray:
     bad = asym > SYMMETRY_RTOL * np.maximum(scale, 1.0)
     if np.count_nonzero(bad):
         raise NotSymmetric(f"asymmetry {np.max(np.where(bad, asym, 0.0)):.3e} exceeds tolerance")
-    d = m.shape[-1]
-    if m.size == 0:
-        return m.copy()
     lam, vec = np.linalg.eigh(0.5 * (m + mT))
-    cutoff = d * EIG_TRUNCATION * np.abs(lam).max(axis=-1, keepdims=True)
+    cutoff = m.shape[-1] * EIG_TRUNCATION * np.abs(lam).max(axis=-1, keepdims=True, initial=0.0)
     inv = np.where(np.abs(lam) > cutoff, 1.0 / np.where(lam == 0.0, 1.0, lam), 0.0)
     out = (vec * inv[..., None, :]) @ vec.swapaxes(-1, -2)
     return 0.5 * (out + out.swapaxes(-1, -2))
@@ -57,8 +55,8 @@ def gram_root(a: np.ndarray) -> tuple:
     W = a V of orthogonal columns, D their norms, keep those with D >
     GRAM_CUTOFF max D, and R R' = (a'a)^+ on their span, R'v = 0 on the
     rest, so b'(a'a)^+ b = |R'b|^2.  a is first scaled by a power of two.
-    At d <= 2, V is the product of one-sided Jacobi plane rotations of a's
-    columns (Hestenes 1958) and R = V D^-1; at d >= 3, V holds the
+    At d <= 3, V is the product of one-sided Jacobi plane rotations of a's
+    columns (Hestenes 1958) and R = V D^-1; at d >= 4, V holds the
     eigenvectors of a'a and R = V D^-1 C^-T, C C' = Y'Y + I_dropped, Y =
     W / D, the Cholesky factor correcting V.  Either way R's accuracy
     follows a's singular values, not their squares.  R and V are
@@ -67,10 +65,8 @@ def gram_root(a: np.ndarray) -> tuple:
     e = np.frexp(np.abs(a).max(axis=(-2, -1), initial=0.0))[1]
     s = np.ldexp(1.0, -np.maximum(e, -1021))[..., None, None]   # finite for subnormal a
     a, d = a * s, a.shape[-1]
-    if d == 1:
-        D2, V = np.einsum("...kd,...kd->...d", a, a), np.ones((*a.shape[:-2], 1, 1))
-    elif d == 2:
-        D2, V = _rotate(a[..., 0], a[..., 1])
+    if d <= 3:
+        D2, V = _rotate(a)
     else:
         V = np.linalg.eigh(a.swapaxes(-1, -2) @ a)[1]
         W = a @ V
@@ -78,36 +74,44 @@ def gram_root(a: np.ndarray) -> tuple:
     D = np.sqrt(D2)
     keep = D > GRAM_CUTOFF * D.max(axis=-1, keepdims=True)
     inv = (keep / np.where(keep, D, 1.0))[..., None, :]
-    if d <= 2:
+    if d <= 3:
         return V * inv * s, V, keep
     Y = W * inv
     C = np.linalg.cholesky(Y.swapaxes(-1, -2) @ Y + np.eye(d) * ~keep[..., None, :])
     return (V * inv) @ np.linalg.inv(C).swapaxes(-1, -2) * s, V, keep
 
 
-def _rotate(x: np.ndarray, y: np.ndarray) -> tuple:
-    """(D^2, J) for the columns x, y (..., k) of a stack of (k, 2)
-    matrices: J (..., 2, 2) the product of the plane rotations that leave
-    the columns [x' y'] = [x y] J with x'.y' <= ORTH_TOL |x'| |y'| in
-    every matrix (at most MAX_ROTATIONS of them), D^2 (..., 2) their
-    squared norms.  Each rotation diagonalizes the pair's Gram matrix, its
-    entries recomputed from the columns; a converged matrix gets tan = 0,
-    the identity, so a stacked member turns as a lone call would."""
-    u, v = np.zeros((2, *x.shape[:-1], 2))
-    u[..., 0] = v[..., 1] = 1.0
-    for i in range(MAX_ROTATIONS + 1):
-        alpha, beta, gamma = (np.einsum("...k,...k->...", x, x), np.einsum("...k,...k->...", y, y),
-                              np.einsum("...k,...k->...", x, y))
-        gamma = np.where(gamma * gamma <= ORTH_TOL ** 2 * alpha * beta, 0.0, gamma)
-        if i == MAX_ROTATIONS or not gamma.any():
-            return np.stack((alpha, beta), axis=-1), np.stack((u, v), axis=-1)
-        delta = beta - alpha   # tan = sign(delta) 2 gamma / (|delta| + hypot(delta, 2 gamma))
-        g = np.copysign(2.0, delta) * gamma
-        den = np.abs(delta) + np.hypot(delta, g)
-        t = (g / (den + (den == 0.0)))[..., None]
-        c = 1.0 / np.sqrt(1.0 + t * t)
-        sn = c * t
-        x, y, u, v = c * x - sn * y, sn * x + c * y, c * u - sn * v, sn * u + c * v
+def _rotate(a: np.ndarray) -> tuple:
+    """(D^2, V) for a stack of (k, d) matrices a: V (..., d, d) the product
+    of the plane rotations that leave the columns x_i of a V with x_i'x_j
+    <= ORTH_TOL |x_i| |x_j| in every matrix, D^2 (..., d) their squared
+    norms, by cyclic sweeps over the pairs i < j until one turns none (at
+    most MAX_ROTATIONS).  Each rotation diagonalizes the pair's Gram matrix,
+    recomputed from the columns; a converged matrix gets tan = 0, the
+    identity, so a stacked member turns as a lone call would."""
+    d, dot = a.shape[-1], "...k,...k->..."
+    x, v = [a[..., j] for j in range(d)], list(np.zeros((d, *a.shape[:-2], d)))
+    for j in range(d):
+        v[j][..., j] = 1.0
+    n2 = [np.einsum(dot, c, c) for c in x]
+    for sweep in range(MAX_ROTATIONS + 1):
+        turned = False
+        for i, j in ((i, j) for i in range(d) for j in range(i + 1, d)):
+            gamma = np.einsum(dot, x[i], x[j])
+            gamma = np.where(gamma * gamma <= ORTH_TOL ** 2 * n2[i] * n2[j], 0.0, gamma)
+            if sweep == MAX_ROTATIONS or not gamma.any():
+                continue
+            delta = n2[j] - n2[i]   # tan = sign(delta) 2 gamma / (|delta| + hypot(delta, 2 gamma))
+            g = np.copysign(2.0, delta) * gamma
+            den = np.abs(delta) + np.hypot(delta, g)
+            t = (g / (den + (den == 0.0)))[..., None]
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sn = c * t
+            x[i], x[j] = c * x[i] - sn * x[j], sn * x[i] + c * x[j]
+            v[i], v[j] = c * v[i] - sn * v[j], sn * v[i] + c * v[j]
+            n2[i], n2[j], turned = np.einsum(dot, x[i], x[i]), np.einsum(dot, x[j], x[j]), True
+        if not turned:
+            return np.stack(n2, axis=-1), np.stack(v, axis=-1)
 
 
 def centered_moments(q: np.ndarray, x: np.ndarray) -> tuple:

@@ -12,11 +12,11 @@ first and cash last (multifrontal QR: George & Heath, Linear Algebra
 Appl. 34, 1980; Matstoms, ACM TOMS 20, 1994), each front no wider than
 a leaf's path, and neither G = Y'Y nor any matrix of its size is
 formed.  Pseudoinverse pivots make the factor a generalized inverse of
-G.  The least squares solves its claim with one correction step (Bjorck,
-Linear Algebra Appl. 88/89, 1987), and a fixed endowment and the QP the
-cash column; each node's check is its front's cash column once its
-subtree is eliminated.  The oracles rely on validate_tree's ordering
-contract, not the tree layout.
+G.  The least squares solves its claim and the QP the cash column, each
+with one correction step (Bjorck, Linear Algebra Appl. 88/89, 1987),
+and a fixed endowment the cash column; each node's check is its front's
+cash column once its subtree is eliminated.  The oracles rely on
+validate_tree's ordering contract, not the tree layout.
 """
 from __future__ import annotations
 
@@ -207,12 +207,14 @@ def martingale_qp(tree: ScenarioTree, root: _Factor | None = None) -> QpSolution
     so the range-space (Schur complement) form u = B (B'B)^+ b gives the
     P-weighted minimum-norm density whenever the constraints are
     consistent (Nocedal & Wright, Numerical Optimization, section 16.2);
-    b is a multiple of e_c, in range(B'B), so B (B'B)^+ b is B cash_sol's.
+    b = b_c e_c is in range(B'B), so u = B cash_sol b_c, and one correction
+    step u += B G^-(b - B'u) follows, on u: on G^- b it is lost to rounding.
     """
     f = root or root_factor(tree)
     b = np.zeros(len(f.norms))
     b[-1] = 1.0 / f.norms[-1]  # unit-mass constraint, for the scaled cash column
     u = f.Yx(f.cash_sol * b[-1])
+    u += f.Yx(f.solve(b - f.Yt(u)))
     violation = np.max(np.abs(f.Yt(u) - b))
     if violation > QP_FEAS_TOL * max(1.0, np.max(np.abs(b))):
         raise Infeasible(f"martingale constraints inconsistent (residual {violation:.3e})")

@@ -608,6 +608,24 @@ def test_verify_passes_at_a_small_L0(tmp_path, capsys):
     assert max(rel[name] for name in ("lsq_v0", "value_process", "qp_second_moment")) <= 1e-12
 
 
+# a 2-asset law of the same probe (L0 = 7.1e-7, 729 leaves) where the QP's
+# density u = Y G^- b read qp_leaf_density 1.0e-9 off the engine
+SMALL_L0_2D = {"type": "iid", "s0": [10.0, 10.0], "periods": 6, "increments": [
+    {"delta": [1.0167328631373316, 2.270230950914126], "p": 0.3975686027334441},
+    {"delta": [0.3094726342665966, 0.8522678805012878], "p": 0.2032459206752202},
+    {"delta": [0.868956006349, -0.6253041001679615], "p": 0.39918547659133574}]}
+
+
+def test_verify_qp_density_passes_at_a_small_L0_on_two_assets(tmp_path, capsys):
+    # one correction step u += Y G^-(b - Y'u) brings the density to 1.4e-15
+    # and the second moment to 4.0e-15 (6.5e-15 without it)
+    cfg = write_config(tmp_path, {"model": SMALL_L0_2D, "claim": CALL10})
+    assert main(["verify", "--config", cfg]) == 0
+    rel = {line.split()[1]: float(line.split()[-2].removeprefix("rel_err="))
+           for line in capsys.readouterr().out.splitlines() if line.startswith("CHECK")}
+    assert max(rel["qp_leaf_density"], rel["qp_second_moment"]) <= 1e-12
+
+
 def verify_verdicts(threads: int) -> list[str]:
     """verify's CHECK lines on the golden config, cut to name, node and
     verdict, from a process with the given number of BLAS threads."""
@@ -692,18 +710,18 @@ def root_size_solves(monkeypatch, cfg: str) -> tuple[list, list, list, list, int
 def test_verify_factors_the_root_once(monkeypatch, tmp_path):
     # the least squares, the QP and every node check share one factor of
     # the root's normal matrix, built front by front up the tree, and
-    # solved twice for the claim (one correction step) and once for the
-    # cash column.  No matrix of root size is Cholesky- or QR-factored,
-    # solved or pseudo-inverted, also where a duplicated asset makes the
-    # normal matrix singular
+    # solved twice for the claim and twice for the QP's cash column (one
+    # correction step each).  No matrix of root size is Cholesky- or
+    # QR-factored, solved or pseudo-inverted, also where a duplicated asset
+    # makes the normal matrix singular
     cholesky, pinv, solves, factor_solves, n = root_size_solves(monkeypatch, GOLDEN_CONFIG)
-    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,)] * 3)
+    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,)] * 4)
     dup = {"type": "iid", "s0": [10.0, 10.0], "periods": 3,
            "increments": [{"delta": [x, x], "p": p} for x, p in ((1.0, 0.3), (0.0, 0.4),
                                                                   (-1.0, 0.3))]}
     cfg = write_config(tmp_path, {"model": dup, "claim": CALL10})
     cholesky, pinv, solves, factor_solves, n = root_size_solves(monkeypatch, cfg)
-    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,)] * 3)
+    assert (cholesky, pinv, solves, factor_solves) == ([], [], [], [(n,)] * 4)
 
 
 @pytest.mark.parametrize("x", [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan])

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,8 +105,9 @@ def test_stacked_not_symmetric_raises():
 
 
 def test_empty_stack():
-    out = pinv_psd(np.zeros((0, 2, 2)))
-    assert out.shape == (0, 2, 2)
+    # an empty matrix, an empty stack and a stack of empty matrices
+    for shape in ((0, 0), (0, 2, 2), (3, 0, 0)):
+        assert pinv_psd(np.zeros(shape)).shape == shape
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -146,14 +148,14 @@ def test_gram_root_of_zero_drops_every_direction():
 def no_lapack(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("np.linalg called")
-    for name in ("eigh", "cholesky", "inv"):
+    for name in ("eigh", "cholesky", "inv", "svd", "qr", "pinv", "solve", "lstsq"):
         monkeypatch.setattr(np.linalg, name, refuse)
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_gram_root_makes_no_lapack_call_at_two_assets_or_fewer(no_lapack, d):
-    # d <= 2 is factored by plane rotations: no eigh, Cholesky or inverse,
-    # on stacks of any rank, of either child count, and on one matrix
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gram_root_makes_no_lapack_call_at_three_assets_or_fewer(no_lapack, d):
+    # d <= 3 is factored by plane rotations: no np.linalg call, on stacks
+    # of any rank, of either child count, and on one matrix
     rng = np.random.default_rng(40 + d)
     for k, rank in ((3, d), (8, d - 1), (6, 0)):
         a = rng.normal(size=(4, k, rank)) @ rng.normal(size=(4, rank, d))
@@ -168,29 +170,45 @@ def test_backtest_makes_no_lapack_call_on_a_two_asset_tree(no_lapack, tmp_path):
     assert main(["backtest", "--config", str(GOLDEN_CONFIG), "--out", str(tmp_path)]) == 0
 
 
+def test_hedge_makes_no_lapack_call_on_a_three_asset_tree(no_lapack, tmp_path):
+    # L, a_tilde, V, xi and e of a 3-period iid tree of 3 assets and 4
+    # children a step: every one-step factor is rotated
+    law = [{"delta": [0.3, -0.2, 0.1], "p": 0.3}, {"delta": [-0.2, 0.25, 0.05], "p": 0.25},
+           {"delta": [0.05, 0.1, -0.3], "p": 0.25}, {"delta": [-0.1, -0.15, 0.2], "p": 0.2}]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"type": "iid", "s0": [10.0, 9.0, 11.0], "periods": 3,
+                                         "increments": law},
+                               "claim": {"type": "call", "strike": 10.0}}))
+    assert main(["hedge", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+
+
 def test_gram_root_turns_nearly_collinear_columns_without_warnings():
     # the column norms are recomputed at every rotation; updated as
     # alpha - tan gamma they went negative here (pyproject turns a
-    # RuntimeWarning into an error)
+    # RuntimeWarning into an error).  Two and three nearly equal columns
     rng = np.random.default_rng(8)
     x = rng.normal(size=(200, 6, 1))
-    a = np.concatenate([x, x * (1.0 + 10.0 ** rng.uniform(-16, -8, size=(200, 1, 1)))
-                        + 1e-17 * rng.normal(size=(200, 6, 1))], axis=2)
-    R, V, keep = gram_root(a)
-    assert np.all(np.isfinite(R)) and np.allclose(V.swapaxes(1, 2) @ V, np.eye(2), atol=1e-15)
-    assert np.all(keep.any(axis=1))
+    for d in (2, 3):
+        a = np.concatenate([x] + [x * (1.0 + 10.0 ** rng.uniform(-16, -8, size=(200, 1, 1)))
+                                  + 1e-17 * rng.normal(size=(200, 6, 1)) for _ in range(d - 1)],
+                           axis=2)
+        R, V, keep = gram_root(a)
+        assert np.all(np.isfinite(R)) and np.allclose(V.swapaxes(1, 2) @ V, np.eye(d), atol=1e-15)
+        assert np.all(keep.any(axis=1))
 
 
-# b'(a'a)^-1 b for 2 and 3 assets of singular values sigma, a = U diag(sigma)
-# W' (U, W random orthonormal from seeds 0-3) and a random b, both times
-# 1e-120 and 1e120, against exact_quadratic.  Worst errors: 2.7e-14 at (1,
-# 1e-3, 1.5e-3), 3.1e-10 at (1, 1e-7, 2e-7) and 1.9e-10 at (1, 1e-7), margins
-# of 37, 32 and 53; at (1, 1e-7) eigh and Cholesky gave 6.9e-11.  Without the
+# b'(a'a)^-1 b for 2, 3 and 4 assets of singular values sigma, a = U
+# diag(sigma) W' (U, W random orthonormal from seeds 0-3) and a random b,
+# both times 1e-120 and 1e120, against exact_quadratic: plane rotations at
+# d <= 3, eigh and Cholesky at d = 4.  Worst errors: 2.2e-14 at (1, 1e-3,
+# 1.5e-3), 5.7e-10 at (1, 1e-7, 2e-7), 1.9e-10 at (1, 1e-7) and 1.5e-10 at
+# (1, 1e-3, 1e-5, 1e-7), margins of 46, 17, 53 and 68; eigh and Cholesky
+# gave 2.7e-14, 3.1e-10 and 6.9e-11 on the first three.  Without the
 # Cholesky factor of Y'Y (R = V D^-1 with V from eigh) the 3-asset errors
 # were 8.2e-11 and 7.9e-3: V alone is inaccurate on the small eigenvalues
 # of a'a, while plane rotations keep the columns' own accuracy.
 @pytest.mark.parametrize("sigma,bound", [((1.0, 1e-3, 1.5e-3), 1e-12), ((1.0, 1e-7, 2e-7), 1e-8),
-                                         ((1.0, 1e-7), 1e-8)])
+                                         ((1.0, 1e-7), 1e-8), ((1.0, 1e-3, 1e-5, 1e-7), 1e-8)])
 def test_gram_root_three_assets_against_exact_reference(sigma, bound):
     worst, d = 0.0, len(sigma)
     for seed in range(4):

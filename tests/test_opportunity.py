@@ -381,13 +381,14 @@ def test_engine_matches_exact_reference_across_scales(seed, periods, log_p, powe
 
 
 # The same at d = 3, where every step has 4 children (random_tree) and the
-# one-step factor is eigh's and Cholesky's, not plane rotations.  At most
-# 2 periods: random_tree redraws until every step is well posed, about 25 s
-# a tree at 3 periods (21 steps).  59 of the 100 draws raise; worst error
-# of the others 2.1e-13 (xi; seed 10000000, one period, log_p = -2.0,
-# power = 1), a margin of 4.7.  Over 2,000 draws of the same law, xi
-# missed by 6.5e-11 once (seed 2826691161, one period, log_p = -6.86,
-# power = -146; full plane rotations gave 4.7e-11).
+# one-step factor is plane rotations, as at d <= 2.  At most 2 periods:
+# random_tree redraws until every step is well posed, about 25 s a tree at
+# 3 periods (21 steps).  59 of the 100 draws raise; worst error of the
+# others 2.6e-13 (xi; seed 10000000, one period, log_p = -2.0, power =
+# -117), a margin of 3.8 (eigh and Cholesky: 2.1e-13).  Over 2,000 draws
+# of the same law, one draw misses: seed 2826691161, one period, log_p =
+# -6.86, power = -146, xi by 4.7e-11, a_tilde by 2.9e-12 and qstar_w by
+# 2.8e-12 (eigh and Cholesky: 6.5e-11, 1.5e-13 and 1.5e-13).
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(**dict(SCALES, periods=st.integers(1, 2)))
 def test_engine_matches_exact_reference_at_three_assets(seed, periods, log_p, power):
