@@ -11,6 +11,7 @@ holdings are the feedback rollout with xi = 0 or a_tilde = 0.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ from .opportunity import OpportunitySurface, martingale_surface
 from .tree import ScenarioTree
 
 STRATEGY_KINDS = ("mvh", "pure_xi", "gkw", "markowitz")
-# at the 20-period horizon that MAX_LEAVES allows, the uniforms of 2**20
-# paths take 168 MB, and Philox's temporaries about as much again
+# at the 20-period horizon that MAX_LEAVES allows, drawing 2**20 paths
+# peaks at 176 MB (tracemalloc), nearly all of it Philox's temporaries
 MAX_PATHS = 2 ** 20
 
 
@@ -43,15 +44,13 @@ _LOW32 = 0xFFFFFFFF
 
 
 def _mulhilo(a: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Low and high 64-bit words of the 128-bit products a * x for a
-    uint64 array x, the high word from 32-bit partial products so that
-    nothing overflows."""
+    """Low and high 64-bit words of the 128-bit products a * x for a uint64
+    array x, the high word by Hacker's Delight's mulhu, so nothing overflows."""
     a_lo, a_hi = a & _LOW32, a >> 32
     x_lo, x_hi = x & _LOW32, x >> 32
-    lh, hl = x_lo * a_hi, x_hi * a_lo
-    mid = ((x_lo * a_lo) >> 32) + (lh & _LOW32) + (hl & _LOW32)
-    hi = x_hi * a_hi + (lh >> 32) + (hl >> 32) + (mid >> 32)
-    return x * a, hi
+    t = x_hi * a_lo + ((x_lo * a_lo) >> 32)
+    w = (t & _LOW32) + x_lo * a_hi
+    return x * a, x_hi * a_hi + (t >> 32) + (w >> 32)
 
 
 def _philox4x64(ctr: list[np.ndarray], key: int) -> list[np.ndarray]:
@@ -67,24 +66,21 @@ def _philox4x64(ctr: list[np.ndarray], key: int) -> list[np.ndarray]:
     return [v0, v1, v2, v3]
 
 
-def _uniforms(seed: int, n: int, horizon: int) -> np.ndarray:
-    """(n, horizon) doubles in [0, 1): row i is what
-    Generator(Philox(key=seed, counter=[0, 0, i, 0])).random(horizon)
-    draws, computed for all rows at once, one counter block (four
-    draws) at a time so that the Philox temporaries stay per block."""
-    out = np.empty((n, horizon))
+def _uniforms(seed: int, n: int, horizon: int) -> Iterator[np.ndarray]:
+    """Yields horizon (n,) arrays of doubles in [0, 1), element i of the t-th
+    being draw t of Generator(Philox(key=seed, counter=[0, 0, i, 0])).random(horizon),
+    for all i together one counter block (four draws) at a time."""
     i = np.arange(n, dtype=np.uint64)
     zero = np.zeros(n, dtype=np.uint64)
     for first in range(0, horizon, 4):
         b = np.full(n, first // 4 + 1, dtype=np.uint64)
-        for t, word in enumerate(_philox4x64([b, zero, i, zero], seed)[:horizon - first]):
-            out[:, first + t] = (word >> 11) * 2.0**-53
-    return out
+        for word in _philox4x64([b, zero, i, zero], seed)[:horizon - first]:
+            yield (word >> 11) * 2.0**-53
 
 
-def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
-    """Draw n root-to-leaf paths by the edge probabilities; returns leaf
-    node ids.
+def sample_paths(tree: ScenarioTree, n: int, seed: int) -> np.ndarray:
+    """Draw n root-to-leaf paths by the edge probabilities; returns their
+    leaf node ids as an (n,) intp array.
 
     The draws are a fixed stream, so the paths can be re-derived outside
     this package.  Path i takes its horizon uniforms from Philox4x64-10
@@ -107,11 +103,10 @@ def sample_paths(tree: ScenarioTree, n: int, seed: int) -> list[int]:
     for steps in lay.steps:
         for s in steps:
             cdf[:s.probs.shape[1] - 1, s.ids] = np.cumsum(s.probs, axis=1)[:, :-1].T
-    u = _uniforms(seed, n, tree.horizon)
     nid = np.zeros(n, dtype=np.intp)
-    for t in range(tree.horizon):
-        nid = lay.offsets[nid] + 1 + sum(row[nid] <= u[:, t] for row in cdf)
-    return nid.tolist()
+    for u in _uniforms(seed, n, tree.horizon):
+        nid = lay.offsets[nid] + 1 + sum(row[nid] <= u for row in cdf)
+    return nid
 
 
 def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
@@ -150,10 +145,10 @@ def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, G: np.ndarray) -> float:
     return float(sum((tree.node_probs()[ids] * err * err).tolist()))
 
 
-def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
-                 kind: str, v0: float, paths: list[int] | None = None) -> BacktestReport:
-    """Evaluate a strategy on sampled paths, or by exact expectation when
-    paths is None.
+def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan, kind: str,
+                 v0: float, paths: np.ndarray | list[int] | None = None) -> BacktestReport:
+    """Evaluate a strategy on the sampled paths' leaf ids (an array or a
+    list), or by exact expectation when paths is None.
 
     The claim is read off the plan's terminal values.  For kind='mvh'
     the analytic error of the closed-form decomposition is attached.
@@ -164,7 +159,7 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan,
     if paths is None:
         return BacktestReport(kind, len(tree.leaves()), exact_sq_error(tree, plan, G), 0.0,
                               analytic)
-    errs = (G - plan.V)[np.asarray(paths)] ** 2   # a list index gathers element by element
+    errs = (G - plan.V)[paths] ** 2
     std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
     return BacktestReport(kind, len(paths), float(np.mean(errs)), std_err, analytic)
 

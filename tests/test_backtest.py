@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -40,15 +42,17 @@ def test_sample_paths_deterministic():
     tree = binomial_06(periods=3)
     a = mv.sample_paths(tree, 500, seed=7)
     b = mv.sample_paths(tree, 500, seed=7)
-    assert a == b
+    assert a.dtype == np.intp and a.shape == (500,)
+    assert np.array_equal(a, b)
     c = mv.sample_paths(tree, 500, seed=8)
-    assert a != c
+    assert not np.array_equal(a, c)
 
 
 def test_sample_paths_prefix_stable():
     # path i depends only on (seed, i), not on how many paths are drawn
     tree = binomial_06(periods=3)
-    assert mv.sample_paths(tree, 50, seed=3) == mv.sample_paths(tree, 200, seed=3)[:50]
+    assert np.array_equal(mv.sample_paths(tree, 50, seed=3),
+                          mv.sample_paths(tree, 200, seed=3)[:50])
 
 
 def test_sample_paths_frequencies():
@@ -56,7 +60,7 @@ def test_sample_paths_frequencies():
     n = 100_000
     paths = mv.sample_paths(tree, n, seed=11)
     up_leaf = 1
-    frac = sum(1 for leaf in paths if leaf == up_leaf) / n
+    frac = np.count_nonzero(paths == up_leaf) / n
     assert abs(frac - 0.6) <= 4.0 * np.sqrt(0.24 / n)
 
 
@@ -66,7 +70,7 @@ def test_sample_paths_equal_per_path_generators(kind, periods):
     # horizons 1..9 cross the 4-draw Philox block edges at 4->5 and 8->9
     tree = SAMPLER_TREES[kind](periods)
     for seed in SAMPLER_SEEDS:
-        assert mv.sample_paths(tree, 40, seed) == sample_paths_loop(tree, 40, seed)
+        assert mv.sample_paths(tree, 40, seed).tolist() == sample_paths_loop(tree, 40, seed)
 
 
 @pytest.mark.parametrize("seed", SAMPLER_SEEDS)
@@ -74,7 +78,22 @@ def test_uniforms_equal_numpy_generator(seed):
     for horizon in range(1, 10):
         ref = [np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, i, 0]))
                .random(horizon) for i in range(6)]
-        assert np.array_equal(_uniforms(seed, 6, horizon), np.array(ref))
+        assert np.array_equal(np.column_stack(list(_uniforms(seed, 6, horizon))), np.array(ref))
+
+
+def test_uniforms_stream_one_step_at_a_time():
+    # the draws are yielded a step at a time and no (n, horizon) array is
+    # formed: draining 2**16 paths x 20 steps peaks at 10.0 MB, the
+    # cipher's per-block temporaries, under a 14 MB bound; with the whole
+    # 10.5 MB matrix formed it peaked at 19.9 MB
+    tracemalloc.start()
+    try:
+        for _ in _uniforms(2**64 + 5, 2**16, 20):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 14e6
 
 
 def test_child_index_matches_searchsorted(monkeypatch):
@@ -87,8 +106,8 @@ def test_child_index_matches_searchsorted(monkeypatch):
         us = np.concatenate([row, np.nextafter(row, 0.0), np.nextafter(row, 2.0),
                              [0.0, 1.0 - 2.0**-53, 0.999]])
         us = us[us < 1.0]
-        monkeypatch.setattr(bt, "_uniforms", lambda seed, n, horizon: us[:, None])
-        got = [leaf - 1 for leaf in mv.sample_paths(tree, len(us), seed=0)]
+        monkeypatch.setattr(bt, "_uniforms", lambda seed, n, horizon: us[None, :])
+        got = [leaf - 1 for leaf in mv.sample_paths(tree, len(us), seed=0).tolist()]
         want = [min(int(np.searchsorted(row, u, side="right")), len(p) - 1) for u in us]
         assert got == want
 
@@ -97,7 +116,7 @@ def test_sample_paths_zero_periods():
     # a 0-period tree has no inner node and no child: every path ends at the root
     tree = mv.ScenarioTree(num_assets=1, horizon=0, parent=[-1], time=[0], price=[[10.0]],
                            regime=[-1], prob=[1.0])
-    assert mv.sample_paths(tree, 3, seed=1) == [0, 0, 0]
+    assert mv.sample_paths(tree, 3, seed=1).tolist() == [0, 0, 0]
 
 
 def test_sample_paths_bad_count():
@@ -122,7 +141,7 @@ def test_sample_paths_non_integer_arguments(n, seed):
 def test_sample_paths_numpy_integer_seed(seed):
     # is_int accepts numpy integers; the key is taken from the Python int
     tree = binomial_06(periods=3)
-    assert mv.sample_paths(tree, 50, seed) == mv.sample_paths(tree, 50, 3)
+    assert np.array_equal(mv.sample_paths(tree, 50, seed), mv.sample_paths(tree, 50, 3))
 
 
 def test_exact_mvh_matches_analytic():
@@ -218,6 +237,17 @@ def test_reports_reproducible():
     r2 = mv.run_strategy(tree, surf, plan, "mvh", plan.v0,
                          paths=mv.sample_paths(tree, 2000, seed=9))
     assert mv.compare_report([r1]) == mv.compare_report([r2])
+
+
+def test_run_strategy_takes_paths_as_a_list():
+    # library callers pass leaf ids as a list; it must give the array's report
+    tree = drifted_tree()
+    claim = mv.attach_claim(tree, "call", strike=10.0)
+    surf, plan = setup(tree, claim)
+    paths = mv.sample_paths(tree, 2000, seed=9)
+    for kind in ("mvh", "gkw"):
+        assert (mv.run_strategy(tree, surf, plan, kind, plan.v0, paths=paths.tolist())
+                == mv.run_strategy(tree, surf, plan, kind, plan.v0, paths=paths))
 
 
 def test_compare_report_single_row():
