@@ -14,7 +14,6 @@ from .tree import (
     build_binomial,
     build_iid_multinomial,
     build_regime_switching,
-    parse_tree,
     serialize_tree,
     validate_tree,
 )

@@ -139,9 +139,12 @@ def strategy_holdings(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgeP
 
 def exact_sq_error(tree: ScenarioTree, plan: HedgePlan, G: np.ndarray) -> float:
     """Full-tree expectation of the squared terminal hedging error of a
-    strategy whose per-node wealth is G, summed leaf by leaf in leaf order."""
+    strategy whose per-node wealth is G (one value per node, else
+    BadParameter), summed leaf by leaf in leaf order."""
+    if np.shape(G) != (len(tree.nodes),):
+        raise BadParameter(f"wealth needs {len(tree.nodes)} values, got shape {np.shape(G)}")
     ids = tree.leaves()
-    err = G[ids] - plan.V[ids]
+    err = np.asarray(G)[ids] - plan.V[ids]
     return float(sum((tree.node_probs()[ids] * err * err).tolist()))
 
 
@@ -152,16 +155,21 @@ def run_strategy(tree: ScenarioTree, surf: OpportunitySurface, plan: HedgePlan, 
 
     The claim is read off the plan's terminal values.  For kind='mvh'
     the analytic error of the closed-form decomposition is attached.
-    BadParameter unless v0 is a finite number."""
+    BadParameter unless v0 is a finite number and paths a non-empty vector of leaf ids."""
     v0 = number(v0, "v0 must be a finite number")
     _, G = strategy_holdings(tree, surf, plan, kind, v0)
     analytic = hedging_error(tree, surf, plan, v0).total_error if kind == "mvh" else None
     if paths is None:
         return BacktestReport(kind, len(tree.leaves()), exact_sq_error(tree, plan, G), 0.0,
                               analytic)
-    errs = (G - plan.V)[paths] ** 2
+    ids, first = np.asarray(paths), len(tree.layout.inner)   # inner ids come first, then leaves
+    bad = ids[(ids < first) | (ids >= len(tree.nodes))] if ids.dtype.kind in "iu" else ids
+    if ids.ndim != 1 or not ids.size or bad.size:
+        raise BadParameter(f"paths must be a non-empty vector of leaf ids, got shape {ids.shape}"
+                           + (f", first bad id {bad.flat[0]}" if bad.size else ""))
+    errs = (G - plan.V)[ids] ** 2
     std_err = float(np.std(errs, ddof=1) / np.sqrt(len(errs))) if len(errs) > 1 else 0.0
-    return BacktestReport(kind, len(paths), float(np.mean(errs)), std_err, analytic)
+    return BacktestReport(kind, len(ids), float(np.mean(errs)), std_err, analytic)
 
 
 def compare_report(reports: list[BacktestReport]) -> str:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStep, number
+from .errors import BadParameter, DegenerateStep, number
 from .linalg import centered_moments
 from .opportunity import OpportunitySurface
 from .tree import ScenarioTree, claim_at
@@ -100,10 +100,13 @@ def rollout_strategy(tree: ScenarioTree, xi, V, a, v0: float) -> tuple[np.ndarra
     by its root path, so per-node holdings and wealth are well defined.
     Returns (phi, G): phi[n] is the holding chosen at node n (NaN at
     terminal nodes), G[n] the wealth on arrival at node n.  BadParameter
-    unless v0 is a finite number.
+    unless v0 is a finite number and xi and a broadcast to (n, d) and V to (n,).
     """
     n, d = len(tree.nodes), tree.num_assets
-    xi, V, a = np.broadcast_to(xi, (n, d)), np.broadcast_to(V, (n,)), np.broadcast_to(a, (n, d))
+    try:
+        xi, V, a = np.broadcast_to(xi, (n, d)), np.broadcast_to(V, (n,)), np.broadcast_to(a, (n, d))
+    except ValueError as exc:
+        raise BadParameter(f"xi and a must broadcast to ({n}, {d}) and V to ({n},)") from exc
     phi = np.full((n, d), np.nan)
     G = np.full(n, np.nan)
     G[0] = number(v0, "v0 must be a finite number")

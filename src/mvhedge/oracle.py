@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadParameter, Infeasible, TooLarge, number
-from .tree import ScenarioTree
+from .tree import ScenarioTree, claim_at
 
 MAX_ORACLE_LEAVES = 2000
 QP_FEAS_TOL = 1e-8   # relative constraint residual above which the QP is Infeasible
@@ -173,9 +173,7 @@ def lsq_projection(tree: ScenarioTree, claim: np.ndarray, v0: float | str = "fre
     free = isinstance(v0, str) and v0 == "free"   # an array's == is elementwise
     v0 = v0 if free else number(v0, "v0 must be 'free' or a finite number")
     f = root or root_factor(tree)
-    if np.shape(claim) != f.sw.shape:
-        raise BadParameter(f"claim needs {f.sw.size} values, got shape {np.shape(claim)}")
-    target = f.sw * claim
+    target = f.sw * claim_at(tree, claim)[tree.leaves()]
     beta = f.solve(f.Yt(target))
     beta += f.solve(f.Yt(target - f.Yx(beta)))
     if not free:

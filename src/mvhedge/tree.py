@@ -25,14 +25,13 @@ must not change once the engine has seen the tree.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NOT_NUMBERS, BadParameter, finite, floats, is_int, number
+from .errors import BadParameter, finite, floats, is_int, number
 
 PROB_SUM_TOL = 1e-12
 MAX_LEAVES = 2 ** 20
@@ -344,10 +343,10 @@ def validate_tree(tree: ScenarioTree) -> list[str]:
 
 
 def serialize_tree(tree: ScenarioTree, claim: np.ndarray | None = None) -> str:
-    """Serialize tree (and optional claim payoff) to a canonical JSON document,
-    one printf template per node with its children in id order.  All reals
-    are rendered with 17 significant digits, so serialize -> parse ->
-    serialize is byte-identical.
+    """Serialize tree (and optional claim payoff, one value per leaf, else
+    BadParameter) to a canonical JSON document, one printf template per node
+    with its children in id order.  All reals are rendered with 17
+    significant digits, so a document read back gives the same doubles.
     """
     parent = tree.parent
     kid = np.argsort(parent, kind="stable")[np.count_nonzero(parent < 0):]   # by parent, then id
@@ -360,70 +359,7 @@ def serialize_tree(tree: ScenarioTree, claim: np.ndarray | None = None) -> str:
         ("null" if p < 0 else p for p in parent.tolist()),
         (", ".join(edges[a:b]) for a, b in zip([0] + ends, ends)),
         ("" if r < 0 else ', "regime": %d' % r for r in tree.regime.tolist())))
-    tail = "" if claim is None else ', "claim": [%s]' % ", ".join("%.17g" % x for x in claim)
+    tail = "" if claim is None else ', "claim": [%s]' % ", ".join(
+        "%.17g" % x for x in claim_at(tree, claim)[tree.leaves()].tolist())
     return '{"num_assets": %d, "horizon": %d, "nodes": [%s]%s}' % (
         tree.num_assets, tree.horizon, nodes, tail)
-
-
-def parse_tree(text: str) -> tuple[ScenarioTree, np.ndarray | None]:
-    """Parse a document produced by serialize_tree into the tree and the
-    claim's payoff array (None without one).  Raises BadParameter on text
-    that is not JSON, a number beyond the double range, or a document that
-    contradicts itself: an id that is not its list position, a parent or
-    child id out of range, a price row of the wrong length, children lists
-    that disagree with the parent pointers, a num_assets or horizon that
-    is not a non-negative integer, or a claim that is not a list of
-    numbers, one per leaf."""
-    try:
-        doc = json.loads(text)
-        nodes, num_assets = doc["nodes"], doc["num_assets"]
-        n = len(nodes)
-        parent = [-1 if nd["parent"] is None else nd["parent"] for nd in nodes]
-        listed = [(i, c["id"], c["p"]) for i, nd in enumerate(nodes) for c in nd["children"]]
-        horizon, claim = doc["horizon"], doc.get("claim")
-        errors = [f"{name} {x!r} is not a non-negative integer"
-                  for name, x in (("num_assets", num_assets), ("horizon", horizon))
-                  if not (is_int(x) and x >= 0)]
-        errors += [f"node at list position {pos} has id {nd['id']}"
-                   for pos, nd in enumerate(nodes) if nd["id"] != pos]
-        errors += [f"parent {p!r} of node {i} out of range"
-                   for i, p in enumerate(parent) if p != -1 and not (is_int(p) and 0 <= p < n)]
-        errors += [f"child {c!r} of node {i} out of range"
-                   for i, c, _ in listed if not (is_int(c) and 0 <= c < n)]
-        time = [nd["time"] for nd in nodes]
-        regime = [-1 if nd.get("regime") is None else nd["regime"] for nd in nodes]
-        errors += [f"{key} {x!r} of node {i} is not an integer"
-                   for key, xs in (("time", time), ("regime", regime))
-                   for i, x in enumerate(xs) if not is_int(x)]
-        errors += [f"price dimension mismatch at node {i}"
-                   for i, nd in enumerate(nodes) if len(nd["price"]) != num_assets]
-        errors += [f"{kind} price at node {i}" for i, nd in enumerate(nodes)
-                   for kind, t in NOT_NUMBERS if any(isinstance(x, t) for x in nd["price"])]
-        errors += [f"{kind} probability at node {i} child {c}"
-                   for i, c, p in listed for kind, t in NOT_NUMBERS if isinstance(p, t)]
-        prob, seen = [1.0] * n, [0] * n
-        if not errors:
-            for i, c, p in listed:
-                prob[c] = float(p)
-                seen[c] += 1
-                if parent[c] != i:
-                    errors.append(f"parent mismatch at node {c}")
-            errors += [f"node {c} listed {k} times" for c, k in enumerate(seen) if k > 1]
-            errors += [f"node {c} missing from the children of node {p}"
-                       for c, (p, k) in enumerate(zip(parent, seen)) if p >= 0 and not k]
-        if not errors:
-            tree = ScenarioTree(
-                num_assets=num_assets, horizon=horizon, parent=parent, time=time,
-                price=np.array([nd["price"] for nd in nodes], dtype=float).reshape(n, num_assets),
-                regime=regime, prob=prob,
-            )
-            leaves = len(tree.leaves())
-            if claim is not None and not (isinstance(claim, list) and len(claim) == leaves
-                                          and all(type(x) in (int, float) for x in claim)):
-                errors.append(f"claim is not a list of {leaves} numbers, one per leaf")
-            claim = claim if claim is None or errors else np.array(claim, dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:   # a number past 1e308
-        raise BadParameter(f"malformed tree document: {exc}") from exc
-    if errors:
-        raise BadParameter("malformed tree document: " + "; ".join(errors))
-    return tree, claim

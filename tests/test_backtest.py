@@ -166,6 +166,33 @@ def test_exact_sq_error_equals_leaf_loop():
     assert mv.exact_sq_error(tree, plan, G) == total
 
 
+def test_exact_sq_error_rejects_wealth_not_one_value_per_node():
+    tree = mv.build_binomial([10.0], 1.1, 0.9, 0.6, 2)
+    surf, plan = setup(tree, mv.attach_claim(tree, "call", strike=10.0))
+    _, G = mv.strategy_holdings(tree, surf, plan, "mvh", plan.v0)
+    with pytest.raises(mv.BadParameter, match=r"^wealth needs 7 values, got shape \(4,\)$"):
+        mv.exact_sq_error(tree, plan, G[tree.leaves()])
+
+
+# inner nodes, negative ids, no path, an id past the tree, and ids that
+# are not integers; the message names the shape and the first bad id
+@pytest.mark.parametrize("paths,message", [
+    ([3, 0, 1, 2], r"shape \(4,\), first bad id 0$"),
+    ([-1, -2], r"shape \(2,\), first bad id -1$"),
+    ([], r"shape \(0,\)$"),
+    (np.array([6, 99]), r"shape \(2,\), first bad id 99$"),
+    ([3.0, 4.0], r"shape \(2,\), first bad id 3.0$"),
+    ([True, False], r"shape \(2,\), first bad id True$"),
+    ([[3, 4]], r"shape \(1, 2\)$"),
+], ids=["inner", "negative", "empty", "past_the_tree", "float", "bool", "matrix"])
+def test_run_strategy_rejects_paths_that_are_not_leaf_ids(paths, message):
+    tree = mv.build_binomial([10.0], 1.1, 0.9, 0.6, 2)
+    surf, plan = setup(tree, mv.attach_claim(tree, "call", strike=10.0))
+    with pytest.raises(mv.BadParameter, match="^paths must be a non-empty vector of leaf ids, got "
+                                              + message):
+        mv.run_strategy(tree, surf, plan, "mvh", plan.v0, paths=paths)
+
+
 def test_exact_mvh_beats_alternatives():
     tree = drifted_tree()
     claim = mv.attach_claim(tree, "call", strike=10.0)

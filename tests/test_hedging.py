@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import mvhedge as mv
 
-from gen import (binomial_06, dense_gram, martingale_trinomial, random_claim, random_tree,
-                 reverse_children, rollout_path, shift_adjustment, singular, split_child, step,
-                 uneven_regime_args, uneven_regime_tree)
+from gen import (binomial_06, dense_gram, martingale_trinomial, parse_tree, random_claim,
+                 random_tree, reverse_children, rollout_path, shift_adjustment, singular,
+                 split_child, step, uneven_regime_args, uneven_regime_tree)
 
 
 def make_call(tree, strike=10.0):
@@ -179,6 +179,17 @@ def test_endowment_not_a_finite_number_raises(v0):
             mv.strategy_holdings(tree, surf, plan, kind, v0)
 
 
+@pytest.mark.parametrize("arg", ["xi", "V", "a"])
+def test_rollout_rejects_arrays_that_do_not_broadcast(arg):
+    # a (2, 3) array on the 7-node 1-asset tree fits neither (7, 1) nor (7,)
+    tree = binomial_06(periods=2)
+    surf = mv.compute_opportunity(tree)
+    plan = mv.compute_plan(tree, surf, make_call(tree))
+    args = {"xi": plan.xi, "V": plan.V, "a": surf.a_tilde, arg: np.ones((2, 3))}
+    with pytest.raises(mv.BadParameter, match=r"^xi and a must broadcast to \(7, 1\) and V to"):
+        mv.rollout_strategy(tree, args["xi"], args["V"], args["a"], plan.v0)
+
+
 def test_rollout_path_matches_full_rollout():
     rng = np.random.default_rng(23)
     tree = random_tree(rng)
@@ -335,7 +346,7 @@ def test_children_reversed(case):
     # outputs, the one-step weights included, and leaves the error unchanged
     tree = reversed_cases()[case]
     rev, old = reverse_children(tree)
-    rev, _ = mv.parse_tree(mv.serialize_tree(rev))
+    rev, _ = parse_tree(mv.serialize_tree(rev))
     surf, plan, err = plan_and_error(tree, make_call(tree))
     surf2, plan2, err2 = plan_and_error(rev, make_call(rev))
     scale = max(1.0, float(np.max(np.abs(make_call(tree)))))
@@ -363,7 +374,7 @@ strikes = st.floats(7.0, 13.0)
 @given(tree=small_trees, strike=strikes)
 def test_children_reversed_property(tree, strike):
     rev, old = reverse_children(tree)
-    rev, _ = mv.parse_tree(mv.serialize_tree(rev))
+    rev, _ = parse_tree(mv.serialize_tree(rev))
     surf, plan, err = plan_and_error(tree, make_call(tree, strike))
     surf2, plan2, err2 = plan_and_error(rev, make_call(rev, strike))
     scale = max(1.0, float(np.max(np.abs(make_call(tree, strike)))))

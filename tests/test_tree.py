@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import mvhedge as mv
-from mvhedge.tree import ScenarioTree, parse_tree, serialize_tree, validate_tree
+from mvhedge.tree import ScenarioTree, serialize_tree, validate_tree
 
-from gen import (binomial_loop, iid_loop, random_tree, regime_loop, serialize_loop,
+from gen import (binomial_loop, iid_loop, parse_tree, random_tree, regime_loop, serialize_loop,
                  uneven_regime_args, uneven_regime_tree)
 
 GOLDEN_CONFIG = Path(__file__).resolve().parent / "golden" / "config.json"
@@ -122,7 +122,7 @@ def test_claim_is_its_payoff_array():
     for claim in (mv.attach_claim(tree, "put", strike=10.0),
                   mv.attach_claim(tree, "per_leaf", values=[1, 2, 3, 4])):
         assert type(claim) is np.ndarray and claim.shape == (4,)
-        _, parsed = mv.parse_tree(mv.serialize_tree(tree, claim))
+        _, parsed = parse_tree(mv.serialize_tree(tree, claim))
         assert type(parsed) is np.ndarray and np.array_equal(parsed, claim)
     assert "Claim" not in mv.__all__
 
@@ -205,6 +205,14 @@ def test_serialize_equals_reference_writer_on_random_trees(d, seed):
 def test_serialize_equals_reference_writer(name):
     tree = uneven_regime_tree(3) if name == "regime" else OFF_CONTRACT[name]
     assert serialize_tree(tree) == serialize_loop(tree)
+
+
+def test_serialize_rejects_a_claim_not_one_value_per_leaf():
+    # a one-value claim on 4 leaves would make a document the reader rejects
+    tree = mv.build_binomial([10.0], 1.1, 0.9, 0.6, 2)
+    claim = mv.attach_claim(tree, "call", strike=10.0)
+    with pytest.raises(mv.BadParameter, match=r"^claim needs 4 values, got shape \(1,\)$"):
+        serialize_tree(tree, claim[:1])
 
 
 def test_parse_rejects_text_that_is_not_json():
